@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import (ApparentPower, BoxUpper, ConstraintSystem,
-                          ExpLoadEq, LinearEq, VoltageDomainError)
+from .constraints import (ConstraintSystem, VoltageDomainError,
+                          system_for_case)
 from .cqkit import CostSpec
 from .netmodel import (Bus, BusType, Case, CaseError, ConstraintSpec,
-                       CostTerms, Line, Network, build_ybus)
-from .powerflow import SystemState, free_mask_from_bus_types, state_index
+                       CostTerms, Line, Network)
+from .powerflow import SystemState, free_mask_from_bus_types
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +114,6 @@ def example1(alpha: float) -> FixtureBundle:
         constraint_specs=specs,
         cost=cost_terms,
     )
-    y = build_ybus(net)
-    h = LinearEq(terms=((state_index("q", 1, 2), 1.0),
-                        (state_index("p", 1, 2), -alpha)),
-                 offset=2.0 * alpha * alpha)
-    g = BoxUpper(index=state_index("v", 1, 2), bound=v_bar)
-    system = ConstraintSystem.for_network(net, y, h_ops=(h,), g_ops=(g,))
     ground_truth = SystemState(
         p_gen=np.array([alpha, -alpha]),
         q_gen=np.array([0.0, alpha * alpha]),
@@ -141,7 +135,7 @@ def example1(alpha: float) -> FixtureBundle:
         "price_upper_bound": -alpha,
     }
     return FixtureBundle(
-        name="ex1", case=case, system=system,
+        name="ex1", case=case, system=system_for_case(case),
         cost=CostSpec.from_terms(cost_terms, net.n_bus),
         ground_truth=ground_truth, expected=expected, alpha=alpha,
     )
@@ -236,10 +230,6 @@ def example2() -> FixtureBundle:
         constraint_specs=specs,
         cost=CostTerms(),
     )
-    y = build_ybus(net)
-    h = ExpLoadEq(bus=1, n_bus=2, alpha=EX2_ALPHA, p_load=EX2_P_LOAD)
-    g = ApparentPower(bus=1, n_bus=2, s2_max=EX2_S2_MAX)
-    system = ConstraintSystem.for_network(net, y, h_ops=(h,), g_ops=(g,))
     ground_truth = SystemState(
         p_gen=np.array([p1, p2]),
         q_gen=np.array([q1, q2]),
@@ -269,7 +259,7 @@ def example2() -> FixtureBundle:
         "point": [v2, t2],
     }
     return FixtureBundle(
-        name="ex2", case=case, system=system, cost=None,
+        name="ex2", case=case, system=system_for_case(case), cost=None,
         ground_truth=ground_truth, expected=expected, reduced=reduced,
     )
 
@@ -301,15 +291,13 @@ def example3(net: Network | None = None) -> FixtureBundle:
     n = net.n_bus
     case = Case(network=net, gen_p=np.zeros(n), gen_q=np.zeros(n),
                 constraint_specs=(), cost=CostTerms())
-    y = build_ybus(net)
-    system = ConstraintSystem.for_network(net, y)
     ground_truth = SystemState(
         p_gen=np.zeros(n), q_gen=np.zeros(n),
         v=np.ones(n), theta=np.zeros(n),
         free_mask=free_mask_from_bus_types(net),
     )
     return FixtureBundle(
-        name="ex3", case=case, system=system, cost=None,
+        name="ex3", case=case, system=system_for_case(case), cost=None,
         ground_truth=ground_truth,
         expected={"line_param_rank": 0},
     )

@@ -1,4 +1,4 @@
-"""Command-line frontend: ybus, check, perturb and repro subcommands.
+"""Command-line frontend: ybus, check, perturb, sweep and repro subcommands.
 
 Exit codes are a stable contract: 0 ok / qualification holds, 2 input
 error, 3 qualification fails, 4 infeasible point, 5 reproduction
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,16 +107,23 @@ def cmd_check(args) -> int:
     tols = _tolerances(args)
 
     if fix is not None and fix.name == "ex2":
+        if args.state or args.perturb_load:
+            raise CaseError("ex2 is checked in its reduced (v, theta) view; "
+                            "--state and --perturb-load do not apply")
         return _check_reduced_pair(fix, args, tols)
 
     if args.perturb_load:
         bus, delta = _parse_perturb_load(args.perturb_load, case.network.n_bus)
         case = perturb.shift_load(case, bus, delta)
 
-    state = None
+    cs = con.system_for_case(case, act_tol=args.act_tol, eq_tol=args.eq_tol,
+                             pf_tol=args.pf_tol)
     if args.state:
-        state = state_from_list(json.loads(Path(args.state).read_text()),
-                                case.network)
+        try:
+            values = json.loads(Path(args.state).read_text())
+        except ValueError as exc:
+            raise CaseError(f"--state: invalid JSON ({exc})") from exc
+        state = state_from_list(values, case.network)
     elif fix is not None and args.perturb_load:
         state, _, _ = perturb.nearest_feasible_point(
             case, fix.ground_truth, act_tol=args.act_tol,
@@ -129,20 +137,13 @@ def cmd_check(args) -> int:
     else:
         try:
             state = solve_power_flow(
-                case.network, build_ybus(case.network),
+                case.network, cs.Y,
                 PFSetpoints(p_gen=case.gen_p.copy(), q_gen=case.gen_q.copy()),
                 pf_tol=args.pf_tol).state
         except PowerFlowError as exc:
             print(f"power flow failed: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
 
-    ops = [con.build_operational(s, case.network.n_bus)
-           for s in case.constraint_specs]
-    cs = con.ConstraintSystem.for_network(
-        case.network, build_ybus(case.network),
-        tuple(op for op in ops if op.is_equality),
-        tuple(op for op in ops if not op.is_equality),
-        act_tol=args.act_tol, eq_tol=args.eq_tol, pf_tol=args.pf_tol)
     _, _, feasible = con.evaluate(cs, state)
     if not feasible:
         print("state is infeasible for the constraint system", file=sys.stderr)
@@ -164,10 +165,9 @@ def cmd_check(args) -> int:
 
 def _check_reduced_pair(fix, args, tols) -> int:
     red = fix.reduced
-    fixed = con.fixed_licq_check(
-        red.system.h_ops, red.system.g_ops, red.point,
-        act_tol=args.act_tol, rank_ulp_scale=args.rank_tol_scale)
-    kkt = cqkit.kkt_solve(red.system, red.point, red.probe_cost,
+    cs = replace(red.system, act_tol=args.act_tol)
+    fixed = cqkit.licq_check(cs, red.point, rank_ulp_scale=args.rank_tol_scale)
+    kkt = cqkit.kkt_solve(cs, red.point, red.probe_cost,
                           stat_tol=args.stat_tol,
                           rank_ulp_scale=args.rank_tol_scale)
     _emit({
@@ -175,14 +175,14 @@ def _check_reduced_pair(fix, args, tols) -> int:
         "view": "reduced (v, theta)",
         "point": red.point.tolist(),
         "fixed_licq": {
-            "holds": fixed.holds,
-            "rank": fixed.rank,
-            "n_rows": fixed.n_rows,
+            "holds": fixed.licq_holds,
+            "rank": fixed.numerical_rank,
+            "n_rows": fixed.m,
             "sigma_min": fixed.sigma_min,
         },
         "kkt": kkt.to_dict(),
     }, args.out)
-    return EXIT_OK if fixed.holds else EXIT_LICQ_FAILS
+    return EXIT_OK if fixed.licq_holds else EXIT_LICQ_FAILS
 
 
 def cmd_perturb(args) -> int:
@@ -204,6 +204,16 @@ def cmd_perturb(args) -> int:
         Path(args.out).with_suffix(".csv").write_text(report.to_csv())
     else:
         print(report.to_json())
+    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    fix = fixtures.example1(args.alpha)
+    grid = sorted({0.0, *args.deltas, *(-d for d in args.deltas)})
+    rows = perturb.tangency_escape_probe(fix.case, fix.ground_truth, grid,
+                                         direction=args.direction)
+    _emit({"alpha": args.alpha, "direction": args.direction,
+           "rows": [row.to_dict() for row in rows]}, args.out)
     return EXIT_OK
 
 
@@ -269,17 +279,19 @@ def _repro_ex2() -> tuple[list[tuple[str, bool, str]], str, dict]:
     angle = _norm_angle(grad_h, grad_g)
     checks.append(("gradient parallelism angle <= 1e-6 rad", angle <= 1e-6,
                    f"angle = {angle:.3e}"))
-    fixed = con.fixed_licq_check(red.system.h_ops, red.system.g_ops, red.point)
+    fixed = cqkit.licq_check(red.system, red.point)
     checks.append(("fixed-constraint qualification fails (rank 1 of 2)",
-                   not fixed.holds and fixed.rank == 1 and fixed.n_rows == 2,
-                   f"rank {fixed.rank}/{fixed.n_rows}"))
+                   not fixed.licq_holds and fixed.numerical_rank == 1
+                   and fixed.m == 2,
+                   f"rank {fixed.numerical_rank}/{fixed.m}"))
     kkt = cqkit.kkt_solve(red.system, red.point, red.probe_cost)
     checks.append(("no multipliers for the probe cost (residual >= 0.1)",
                    kkt.classification is cqkit.Classification.NONE
                    and kkt.stationarity_residual >= 0.1,
                    f"residual {kkt.stationarity_residual:.6f}"))
     summary = f"tangent constraints, {kkt.classification.value}"
-    return checks, summary, {"fixed_rank": fixed.rank, "kkt": kkt.to_dict()}
+    return checks, summary, {"fixed_rank": fixed.numerical_rank,
+                             "kkt": kkt.to_dict()}
 
 
 def _repro_ex3() -> tuple[list[tuple[str, bool, str]], str, dict]:
@@ -359,6 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--format", choices=["json", "csv"], default="json")
     p_pert.set_defaults(func=cmd_perturb)
 
+    p_sweep = sub.add_parser(
+        "sweep", help="degeneracy margin of ex1 under one load shift")
+    p_sweep.add_argument("--alpha", type=_positive, default=1.0)
+    p_sweep.add_argument("--direction", type=int, default=1,
+                         help="index into the stacked (p, q) load vector")
+    p_sweep.add_argument("--deltas", type=float, nargs="+",
+                         default=[1e-3, 1e-2, 1e-1],
+                         help="shifts; each is swept with both signs and 0")
+    p_sweep.add_argument("--out", help="write the JSON report to this path")
+    p_sweep.set_defaults(func=cmd_sweep)
+
     p_repro = sub.add_parser(
         "repro", help="re-run a built-in fixture against its ground truth")
     p_repro.add_argument("which", choices=fixtures.BUILTIN_NAMES)
@@ -380,7 +403,7 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (CaseError, con.ConstraintError, perturb.PerturbationError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,4 @@
-"""Operational constraint catalog, active sets and fixed-LICQ checks.
+"""Operational constraint catalog, constraint systems and active sets.
 
 The catalog is closed: five constraint kinds, each with an exact analytic
 gradient over the full flat state. Active-set membership uses an inclusive
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import AdmittanceMatrix, ConstraintSpec, Network
+from .netmodel import (AdmittanceMatrix, Case, ConstraintSpec, Network,
+                       build_ybus)
 from .powerflow import SystemState, pf_residual, state_index
 
 
@@ -207,6 +208,18 @@ class ConstraintSystem:
         return self.net is not None
 
 
+def system_for_case(case: Case, **tols) -> ConstraintSystem:
+    """Constraint system of a case: its flow equations plus the operational
+    constraints declared in ``case.constraint_specs``, in declaration order
+    within the equality and inequality groups."""
+    net = case.network
+    ops = [build_operational(s, net.n_bus) for s in case.constraint_specs]
+    return ConstraintSystem.for_network(
+        net, build_ybus(net),
+        tuple(op for op in ops if op.is_equality),
+        tuple(op for op in ops if not op.is_equality), **tols)
+
+
 def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a SystemState or plain vector to (flat, free_mask)."""
     if isinstance(x, SystemState):
@@ -243,17 +256,12 @@ def evaluate(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray, bool]:
 class ActiveSet:
     """Active inequality indices at a feasible point.
 
-    ``face`` is the sorted tuple of active indices; it is a pure function
-    of the index set and labels which face of the feasible region the
-    point sits on.
+    ``indices`` is sorted; it is a pure function of the index set and
+    labels which face of the feasible region the point sits on.
     """
 
     indices: tuple[int, ...]
     values: np.ndarray
-
-    @property
-    def face(self) -> tuple[int, ...]:
-        return self.indices
 
 
 def active_set(cs: ConstraintSystem, x) -> ActiveSet:
@@ -267,46 +275,3 @@ def active_set(cs: ConstraintSystem, x) -> ActiveSet:
     idx = tuple(int(j) for j in range(g_vals.size)
                 if g_vals[j] >= -cs.act_tol)
     return ActiveSet(indices=idx, values=g_vals)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-constraint LICQ
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedLicqReport:
-    holds: bool
-    rank: int
-    n_rows: int
-    sigma_min: float
-
-
-def fixed_licq_check(h_ops, g_ops, x, *, act_tol: float = 1e-6,
-                     rank_ulp_scale: float = 2.0 ** -52) -> FixedLicqReport:
-    """Rank test of the stacked operational gradients [grad h; grad g_J].
-
-    This checks the operational constraints in isolation (the flow
-    equations play no part), restricted to the free entries when ``x`` is
-    a SystemState. Full row rank of the stack means the fixed constraints
-    qualify on their own.
-    """
-    if isinstance(x, SystemState):
-        flat, mask = x.flat(), x.free_mask
-    else:
-        flat = np.asarray(x, dtype=float)
-        mask = np.ones(flat.size, dtype=bool)
-    rows = [h.gradient(flat)[mask] for h in h_ops]
-    rows += [g.gradient(flat)[mask] for g in g_ops
-             if g.value(flat) >= -act_tol]
-    if not rows:
-        return FixedLicqReport(holds=True, rank=0, n_rows=0, sigma_min=np.inf)
-    stack = np.vstack(rows)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    tol = svals[0] * max(stack.shape) * rank_ulp_scale if svals[0] > 0 else 0.0
-    rank = int((svals > tol).sum())
-    return FixedLicqReport(
-        holds=rank == stack.shape[0],
-        rank=rank,
-        n_rows=stack.shape[0],
-        sigma_min=float(svals[min(stack.shape) - 1]),
-    )

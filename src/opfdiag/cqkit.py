@@ -62,6 +62,14 @@ class CostSpec:
         return CostSpec(c2=factor * self.c2, c1=factor * self.c1)
 
 
+def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
+                     ulp_scale: float) -> tuple[int, float]:
+    """Rank and tolerance sigma_max * max(m, n) * ulp_scale from the
+    descending singular values of an m x n matrix."""
+    tol = svals[0] * max(shape) * ulp_scale if svals[0] > 0 else 0.0
+    return int((svals > tol).sum()), tol
+
+
 def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SCALE):
     """Singular-value rank with relative tolerance.
 
@@ -71,8 +79,7 @@ def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SC
     if matrix.size == 0:
         return 0, np.inf, 0.0, np.zeros(0)
     svals = np.linalg.svd(matrix, compute_uv=False)
-    tol = svals[0] * max(matrix.shape) * ulp_scale if svals[0] > 0 else 0.0
-    rank = int((svals > tol).sum())
+    rank, tol = _rank_from_svals(svals, matrix.shape, ulp_scale)
     return rank, float(svals[-1]), float(tol), svals
 
 
@@ -156,7 +163,7 @@ def licq_check(cs: ConstraintSystem, x, *,
         sigma_min=smin,
         rank_tol=tol,
         licq_holds=rank == stack.shape[0],
-        face=act.face,
+        face=act.indices,
     )
 
 
@@ -284,8 +291,7 @@ def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec, *,
                        sign_feasible=True if cls is Classification.UNIQUE else None)
 
     u_mat, svals, vt = np.linalg.svd(stack)
-    tol = svals[0] * max(stack.shape) * rank_ulp_scale if svals[0] > 0 else 0.0
-    rank = int((svals > tol).sum())
+    rank, _ = _rank_from_svals(svals, stack.shape, rank_ulp_scale)
 
     # Minimum-norm solution of stack^T y = -grad_f from the same SVD.
     coeffs = vt[:rank] @ (-grad_f) / svals[:rank]

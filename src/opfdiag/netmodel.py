@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -182,14 +183,7 @@ def build_ybus(net: Network) -> AdmittanceMatrix:
     """
     n = net.n_bus
     y = np.zeros((n, n), dtype=complex)
-    seen: set[frozenset[int]] = set()
     for ln in net.lines:
-        pair = frozenset((ln.from_bus, ln.to_bus))
-        if pair in seen:
-            raise CaseError(
-                f"duplicate line for bus pair ({min(pair)}, {max(pair)})"
-            )
-        seen.add(pair)
         ys = complex(ln.g_series, ln.b_series)
         ysh_half = complex(ln.g_shunt, ln.b_shunt) / 2.0
         k, l = ln.from_bus, ln.to_bus
@@ -252,15 +246,27 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise CaseError(f"{path}: {msg}")
 
 
+def finite_number(val) -> float | None:
+    """Float value of a finite JSON number; None for anything else, which
+    includes bools, NaN, +-Infinity and integers beyond the float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
     if key not in doc:
         if default is None:
             raise CaseError(f"{path}.{key}: required number is missing")
         return default
-    val = doc[key]
-    _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+    val = finite_number(doc[key])
+    _expect(val is not None, f"{path}.{key}",
+            f"expected a finite number, got {doc[key]!r}")
+    return val
 
 
 def _int(doc: dict, key: str, path: str) -> int:
@@ -343,7 +349,7 @@ def load_case(text: str | bytes | dict) -> Case:
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integer literals past the parser limit
             raise CaseError(f"$: invalid JSON ({exc})") from exc
     else:
         doc = text

@@ -67,17 +67,22 @@ class PerturbationModel:
         return self.box.shape[0]
 
 
-def _interval_box(nominal: np.ndarray, rel: float, floor: float) -> np.ndarray:
-    half = rel * np.abs(nominal)
-    half[half == 0.0] = floor
+# Every sampling box is nominal +/- BOX_REL * |nominal|, with an absolute
+# half-width BOX_FLOOR for zero-nominal components (a zero-width interval
+# has no volume).
+BOX_REL = 0.1
+BOX_FLOOR = 0.1
+
+
+def _interval_box(nominal: np.ndarray) -> np.ndarray:
+    half = BOX_REL * np.abs(nominal)
+    half[half == 0.0] = BOX_FLOOR
     return np.column_stack([nominal - half, nominal + half])
 
 
-def lumped_shunts(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bus lumped shunt admittance: bus shunt plus half of each
-    incident line shunt."""
-    g = np.array([b.g_shunt for b in net.buses])
-    b = np.array([b.b_shunt for b in net.buses])
+def _add_half_line_shunts(net: Network, g: np.ndarray,
+                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add half of each line's shunt to both end buses of g and b in place."""
     for ln in net.lines:
         for end in (ln.from_bus, ln.to_bus):
             g[end] += ln.g_shunt / 2.0
@@ -85,31 +90,36 @@ def lumped_shunts(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return g, b
 
 
-def load_model(case: Case, *, rel: float = 0.1, floor: float = 0.1) -> PerturbationModel:
-    """Default load box: nominal +/- 10 percent, with an absolute floor
-    for zero-nominal components (a zero-width interval has no volume)."""
+def lumped_shunts(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bus lumped shunt admittance: bus shunt plus half of each
+    incident line shunt."""
+    return _add_half_line_shunts(net, np.array([b.g_shunt for b in net.buses]),
+                                 np.array([b.b_shunt for b in net.buses]))
+
+
+def load_model(case: Case) -> PerturbationModel:
     nominal = np.concatenate([case.network.p_load, case.network.q_load])
-    return PerturbationModel(ModelKind.LOAD, _interval_box(nominal, rel, floor))
+    return PerturbationModel(ModelKind.LOAD, _interval_box(nominal))
 
 
-def shunt_model(case: Case, *, rel: float = 0.1, floor: float = 0.1) -> PerturbationModel:
+def shunt_model(case: Case) -> PerturbationModel:
     g, b = lumped_shunts(case.network)
     nominal = np.concatenate([g, -b])
-    return PerturbationModel(ModelKind.SHUNT, _interval_box(nominal, rel, floor))
+    return PerturbationModel(ModelKind.SHUNT, _interval_box(nominal))
 
 
-def line_model(case: Case, *, rel: float = 0.1, floor: float = 0.1) -> PerturbationModel:
+def line_model(case: Case) -> PerturbationModel:
     g = np.array([ln.g_series for ln in case.network.lines])
     b = np.array([ln.b_series for ln in case.network.lines])
     nominal = np.concatenate([g, b])
-    return PerturbationModel(ModelKind.LINE, _interval_box(nominal, rel, floor))
+    return PerturbationModel(ModelKind.LINE, _interval_box(nominal))
 
 
-def make_model(kind: ModelKind | str, case: Case, **kwargs) -> PerturbationModel:
+def make_model(kind: ModelKind | str, case: Case) -> PerturbationModel:
     kind = ModelKind(kind) if not isinstance(kind, ModelKind) else kind
     builder = {ModelKind.LOAD: load_model, ModelKind.SHUNT: shunt_model,
                ModelKind.LINE: line_model}[kind]
-    return builder(case, **kwargs)
+    return builder(case)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +175,6 @@ def param_jacobian(model: PerturbationModel, net: Network,
     return jac
 
 
-def combined_param_jacobian(net: Network, x: SystemState,
-                            load_buses, shunt_buses) -> np.ndarray:
-    """Parameter Jacobian for a mixed model: load perturbation at some
-    buses, lumped shunt perturbation at others. Columns are (p, q) load
-    pairs followed by (g, -b) shunt pairs, bus order within each block."""
-    n = net.n_bus
-    cols = []
-    for k in load_buses:
-        for row in (k, n + k):
-            col = np.zeros(2 * n)
-            col[row] = -1.0
-            cols.append(col)
-    for k in shunt_buses:
-        for row in (k, n + k):
-            col = np.zeros(2 * n)
-            col[row] = -x.v[k] ** 2
-            cols.append(col)
-    return np.column_stack(cols) if cols else np.zeros((2 * n, 0))
-
-
 @dataclass(frozen=True)
 class RankHypothesisReport:
     kind: ModelKind
@@ -225,6 +215,16 @@ def check_rank_hypothesis(model: PerturbationModel, net: Network,
 # Applying a parameter draw to a case
 # ---------------------------------------------------------------------------
 
+def _with_loads(case: Case, loads: np.ndarray) -> Case:
+    """New case with the stacked (p, q) load vector written into the buses."""
+    net = case.network
+    n = net.n_bus
+    buses = tuple(
+        replace(b, p_load=float(loads[b.id]), q_load=float(loads[n + b.id]))
+        for b in net.buses)
+    return replace(case, network=Network(buses=buses, lines=net.lines))
+
+
 def apply_parameters(model: PerturbationModel, case: Case,
                      xi: np.ndarray) -> Case:
     """New case with the drawn parameter vector written into the data."""
@@ -232,19 +232,11 @@ def apply_parameters(model: PerturbationModel, case: Case,
     net = case.network
     n = net.n_bus
     if model.kind is ModelKind.LOAD:
-        buses = tuple(
-            replace(b, p_load=float(xi[b.id]), q_load=float(xi[n + b.id]))
-            for b in net.buses)
-        return replace(case, network=Network(buses=buses, lines=net.lines))
+        return _with_loads(case, xi)
     if model.kind is ModelKind.SHUNT:
         # xi holds lumped (g, -b); remove the half line-shunt contribution
         # so the lumped value lands exactly on the target.
-        g_line = np.zeros(n)
-        b_line = np.zeros(n)
-        for ln in net.lines:
-            for end in (ln.from_bus, ln.to_bus):
-                g_line[end] += ln.g_shunt / 2.0
-                b_line[end] += ln.b_shunt / 2.0
+        g_line, b_line = _add_half_line_shunts(net, np.zeros(n), np.zeros(n))
         buses = tuple(
             replace(b, g_shunt=float(xi[b.id] - g_line[b.id]),
                     b_shunt=float(-xi[n + b.id] - b_line[b.id]))
@@ -354,17 +346,14 @@ def run_genericity_experiment(
     bit-for-bit. Non-convergent draws count as trials, not errors.
     """
     _expect_dimension(model, case.network)
-    ops = [con.build_operational(s, case.network.n_bus)
-           for s in case.constraint_specs]
-    h_ops = tuple(op for op in ops if op.is_equality)
-    g_ops = tuple(op for op in ops if not op.is_equality)
+    cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
+                             pf_tol=pf_tol)
     setpoints = PFSetpoints(p_gen=case.gen_p.copy(), q_gen=case.gen_q.copy(),
                             start=start)
 
     hypothesis = None
     try:
-        y0 = build_ybus(case.network)
-        x0 = solve_power_flow(case.network, y0, setpoints, pf_tol=pf_tol,
+        x0 = solve_power_flow(case.network, cs.Y, setpoints, pf_tol=pf_tol,
                               max_iter=max_iter).state
         hypothesis = check_rank_hypothesis(model, case.network, x0)
     except PowerFlowError:
@@ -386,9 +375,7 @@ def run_genericity_experiment(
         except PowerFlowError:
             records.append(TrialRecord(t, False, False, None, None))
             continue
-        cs_t = con.ConstraintSystem.for_network(
-            net_t, y_t, h_ops, g_ops,
-            act_tol=act_tol, eq_tol=eq_tol, pf_tol=pf_tol)
+        cs_t = replace(cs, net=net_t, Y=y_t)
         _, _, feasible = con.evaluate(cs_t, x_t)
         if not feasible:
             records.append(TrialRecord(t, True, False, None, None))
@@ -483,17 +470,9 @@ def nearest_feasible_point(
     second projection with that bound pinned as an equality. Returns
     (state_or_None, bound_pinned, constraint_system).
     """
-    net = case.network
-    n = net.n_bus
-    h_ops = []
-    g_ops = []
-    for spec in case.constraint_specs:
-        op = con.build_operational(spec, n)
-        (h_ops if op.is_equality else g_ops).append(op)
-    y = build_ybus(net)
-    cs = con.ConstraintSystem.for_network(
-        net, y, tuple(h_ops), tuple(g_ops),
-        act_tol=act_tol, eq_tol=eq_tol, pf_tol=pf_tol)
+    cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
+                             pf_tol=pf_tol)
+    net, y, h_ops, g_ops = cs.net, cs.Y, cs.h_ops, cs.g_ops
     mask = x_start.free_mask
 
     def make_fns(pinned):
@@ -542,10 +521,7 @@ def shift_load(case: Case, direction: int, delta: float) -> Case:
             f"direction {direction} outside the stacked load vector (2N = {2 * n})")
     loads = np.concatenate([net.p_load, net.q_load])
     loads[direction] += delta
-    buses = tuple(
-        replace(b, p_load=float(loads[b.id]), q_load=float(loads[n + b.id]))
-        for b in net.buses)
-    return replace(case, network=Network(buses=buses, lines=net.lines))
+    return _with_loads(case, loads)
 
 
 def tangency_escape_probe(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import AdmittanceMatrix, BusType, Network
+from .netmodel import (AdmittanceMatrix, BusType, CaseError, Network,
+                       finite_number)
 
 
 class PowerFlowError(RuntimeError):
@@ -178,18 +179,6 @@ def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class PFResidual:
-    """Residual value and Jacobian evaluated at one state."""
-
-    value: np.ndarray
-    jacobian: np.ndarray
-
-
-def pf_eval(net: Network, Y: AdmittanceMatrix, x: SystemState) -> PFResidual:
-    return PFResidual(value=pf_residual(net, Y, x), jacobian=pf_jacobian(net, Y, x))
-
-
-@dataclass(frozen=True, eq=False)
 class PFSetpoints:
     """Scheduled quantities for the Newton solve.
 
@@ -299,27 +288,17 @@ def solve_power_flow(
     return PFSolution(state=state, iterations=iterations, history=tuple(history))
 
 
-def newton_pf(
-    net: Network,
-    Y: AdmittanceMatrix,
-    setpoints: PFSetpoints,
-    *,
-    pf_tol: float = 1e-10,
-    max_iter: int = 50,
-) -> SystemState:
-    """Newton power flow returning only the solved state."""
-    return solve_power_flow(net, Y, setpoints, pf_tol=pf_tol,
-                            max_iter=max_iter).state
-
-
 def state_to_list(x: SystemState) -> list[float]:
     """Flat JSON form, (p_gen, q_gen, v, theta) order."""
     return [float(t) for t in x.flat()]
 
 
 def state_from_list(values, net: Network) -> SystemState:
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (4 * net.n_bus,):
-        raise ValueError(
-            f"state vector must have length {4 * net.n_bus}, got {vec.size}")
-    return SystemState.from_flat(vec, free_mask_from_bus_types(net))
+    """Inverse of state_to_list: a flat array of 4N finite numbers."""
+    vec = [finite_number(t) for t in values] if isinstance(values, list) else None
+    if vec is None or None in vec:
+        raise CaseError("state must be a flat JSON array of finite numbers")
+    if len(vec) != 4 * net.n_bus:
+        raise CaseError(
+            f"state vector must have length {4 * net.n_bus}, got {len(vec)}")
+    return SystemState.from_flat(np.array(vec), free_mask_from_bus_types(net))

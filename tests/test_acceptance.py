@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import opfdiag as od
-from opfdiag.constraints import evaluate, fixed_licq_check
+from opfdiag.constraints import evaluate
 from opfdiag.cqkit import Classification, kkt_residual, kkt_solve, licq_check
 from opfdiag.netmodel import build_ybus
 from opfdiag.powerflow import PFSetpoints, SystemState, pf_residual, solve_power_flow
@@ -80,9 +80,9 @@ def test_criterion_2_crossing_pair_reproduction():
                                        - unit_h[1] * unit_g[0])))
         assert angle <= 1e-6
 
-        fixed = fixed_licq_check(red.system.h_ops, red.system.g_ops, red.point)
-        assert not fixed.holds
-        assert fixed.rank == 1 and fixed.n_rows == 2
+        fixed = licq_check(red.system, red.point)
+        assert not fixed.licq_holds
+        assert fixed.numerical_rank == 1 and fixed.m == 2
 
         kkt = kkt_solve(red.system, red.point, red.probe_cost)
         assert kkt.classification is Classification.NONE

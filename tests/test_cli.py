@@ -211,3 +211,62 @@ def test_tolerance_flags_must_be_positive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--builtin", "ex1", "--act-tol", "-1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[1.0, 2.0, 3.0]",                        # wrong length
+    '{"a": 1}',                               # not an array
+    "[[1, 0, 0, 0, 0, 0, 0, 0]]",             # nested
+    '[1, 0, 0, 0, 0, 0, 0, "x"]',             # non-number entry
+    "[true, 0, 0, 0, 0, 0, 0, 0]",            # bool entry
+    "[1e400, 0, 0, 0, 0, 0, 0, 0]",           # overflows to inf
+    "[NaN, 0, 0, 0, 0, 0, 0, 0]",
+    pytest.param("[" + "9" * 5000 + ", 0, 0, 0, 0, 0, 0, 0]",
+                 id="int-past-parser-limit"),
+])
+def test_check_malformed_state_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "check", "--builtin", "ex1",
+                       "--state", str(path))
+    assert code == EXIT_INPUT
+    assert "state" in err
+
+
+@pytest.mark.parametrize("flag", ["--case", "--state"])
+def test_check_undecodable_file_exits_2(capsys, tmp_path, ex1, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00[")
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(ex1.case_document()))
+    argv = (["--case", str(bad)] if flag == "--case"
+            else ["--case", str(case), "--state", str(bad)])
+    code, _, err = run(capsys, "check", *argv)
+    assert code == EXIT_INPUT
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("extra", [["--perturb-load", "1:0.5"],
+                                   ["--state", "state.json"]])
+def test_check_ex2_rejects_state_and_perturb_load(capsys, extra):
+    code, out, err = run(capsys, "check", "--builtin", "ex2", *extra)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "reduced (v, theta) view" in err
+
+
+def test_sweep_margin_vanishes_only_at_zero_shift(capsys):
+    code, out, _ = run(capsys, "sweep", "--alpha", "1", "--direction", "1",
+                       "--deltas", "1e-3", "1e-2", "1e-1")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [r["delta"] for r in rows] == [-0.1, -0.01, -0.001, 0.0,
+                                          0.001, 0.01, 0.1]
+    assert all(r["converged"] for r in rows)
+    assert [r["delta"] for r in rows if r["licq_holds"] is False] == [0.0]
+    assert all(r["licq_holds"] is True for r in rows if r["delta"] != 0.0)
+
+    code, _, err = run(capsys, "sweep", "--direction", "9")
+    assert code == EXIT_INPUT
+    assert "direction 9" in err
+

@@ -178,3 +178,52 @@ def test_admittance_matrix_is_read_only():
     y = build_ybus(two_bus())
     with pytest.raises(ValueError):
         y.G[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_load_case_rejects_nonfinite_numbers(ex1, literal):
+    text = json.dumps(ex1.case_document()).replace(
+        '"p_load": -2.0', f'"p_load": {literal}')
+    assert literal in text
+    with pytest.raises(CaseError, match=r"buses\[1\]\.p_load.*finite"):
+        load_case(text)
+
+
+def test_load_case_rejects_integer_beyond_parser_limit():
+    with pytest.raises(CaseError, match="invalid JSON"):
+        load_case('{"buses": [{"id": ' + "9" * 5000 + ', "type": "slack"}]}')
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+EX1_DOC = od.example1(1.0).case_document()
+malformed_leaves = st.one_of(
+    st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")),
+    st.text(), st.none(), st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.integers(), st.integers(min_value=2 ** 1024),
+    st.integers(max_value=-2 ** 1024),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_leaf_paths(EX1_DOC)), value=malformed_leaves)
+def test_load_case_fuzzed_leaf_returns_case_or_case_error(path, value):
+    doc = json.loads(json.dumps(EX1_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        case = load_case(json.dumps(doc))
+    except CaseError:
+        return
+    assert isinstance(case, od.Case)

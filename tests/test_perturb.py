@@ -5,8 +5,8 @@ import opfdiag as od
 from opfdiag.netmodel import Case, build_ybus
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              apply_parameters, check_rank_hypothesis,
-                             combined_param_jacobian, line_model, load_model,
-                             lumped_shunts, param_jacobian,
+                             line_model, load_model, lumped_shunts,
+                             param_jacobian,
                              run_genericity_experiment, shunt_model,
                              tangency_escape_probe)
 
@@ -139,14 +139,20 @@ def test_shunt_rank_tracks_voltage_threshold():
 def test_combined_model_rank_with_full_coverage(rng):
     case = random_case(rng)
     x = od.random_state(case.network, rng)
-    jac = combined_param_jacobian(case.network, x,
-                                  load_buses=[0, 1], shunt_buses=[2, 3])
-    rank, *_ = od.numerical_rank(jac)
+    n = case.network.n_bus
+    load_jac = param_jacobian(load_model(case), case.network, x)
+    shunt_jac = param_jacobian(shunt_model(case), case.network, x)
+
+    def combined(load_buses, shunt_buses):
+        # load (p, q) columns at some buses, shunt (g, -b) at the others
+        return np.column_stack(
+            [load_jac[:, [k, n + k]] for k in load_buses]
+            + [shunt_jac[:, [k, n + k]] for k in shunt_buses])
+
+    rank, *_ = od.numerical_rank(combined([0, 1], [2, 3]))
     assert rank == 8
     # dropping coverage of one bus loses two rows of reach
-    partial = combined_param_jacobian(case.network, x,
-                                      load_buses=[0, 1], shunt_buses=[2])
-    rank_partial, *_ = od.numerical_rank(partial)
+    rank_partial, *_ = od.numerical_rank(combined([0, 1], [2]))
     assert rank_partial == 6
 
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import opfdiag as od
 from opfdiag.netmodel import Bus, BusType, Line, Network, build_ybus
 from opfdiag.powerflow import (NonConvergenceError, PFSetpoints, SystemState,
-                               newton_pf, pf_jacobian, pf_residual,
-                               solve_power_flow, state_from_list,
-                               state_to_list)
+                               pf_jacobian, pf_residual, solve_power_flow,
+                               state_from_list, state_to_list)
 
 
 def finite_difference_jacobian(net, Y, x, step=1e-6):
@@ -144,8 +143,8 @@ def test_newton_fails_beyond_transferable_power():
     net = zero_load_two_bus()
     Y = build_ybus(net)
     with pytest.raises(NonConvergenceError) as info:
-        newton_pf(net, Y, PFSetpoints(p_gen=np.array([0.0, -2.0]),
-                                      q_gen=np.array([0.0, -2.0])))
+        solve_power_flow(net, Y, PFSetpoints(p_gen=np.array([0.0, -2.0]),
+                                             q_gen=np.array([0.0, -2.0])))
     assert info.value.history  # iteration trace carried in the error
     for t, expect_ok in ((0.1, True), (0.2, True), (0.25, False), (0.5, False)):
         setp = PFSetpoints(p_gen=np.array([0.0, -t]), q_gen=np.array([0.0, -t]))
@@ -154,7 +153,7 @@ def test_newton_fails_beyond_transferable_power():
             assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
         else:
             with pytest.raises(NonConvergenceError):
-                newton_pf(net, Y, setp)
+                solve_power_flow(net, Y, setp)
 
 
 def test_newton_result_feasible_over_random_setpoint_sweep():
@@ -184,8 +183,8 @@ def test_newton_singular_matrix_flagged_as_degenerate():
     from opfdiag.powerflow import SingularNewtonError
 
     with pytest.raises(SingularNewtonError, match="degeneracy"):
-        newton_pf(net, build_ybus(net),
-                  PFSetpoints(p_gen=np.zeros(3), q_gen=np.zeros(3)))
+        solve_power_flow(net, build_ybus(net),
+                         PFSetpoints(p_gen=np.zeros(3), q_gen=np.zeros(3)))
 
 
 def test_newton_pv_bus_holds_voltage_and_recovers_reactive():

@@ -20,9 +20,9 @@ import numpy as np
 from . import cases as fixtures
 from . import constraints as con
 from . import cqkit, perturb
-from .netmodel import Case, CaseError, build_ybus, load_case
-from .powerflow import (PFSetpoints, PowerFlowError, state_from_list,
-                        state_to_list, solve_power_flow)
+from .netmodel import Case, CaseError, build_ybus, finite_number, load_case
+from .powerflow import (PFSetpoints, PowerFlowError, pf_residual,
+                        state_from_list, state_to_list, solve_power_flow)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -31,8 +31,15 @@ EXIT_INFEASIBLE = 4
 EXIT_REPRO_MISMATCH = 5
 
 
+def _finite(text: str) -> float:
+    value = finite_number(float(text))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _positive(text: str) -> float:
-    value = float(text)
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
     return value
@@ -93,10 +100,10 @@ def _parse_perturb_load(spec: str, n_bus: int) -> tuple[int, float]:
     try:
         bus_text, delta_text = spec.split(":", 1)
         bus = int(bus_text)
-        delta = float(delta_text)
-    except ValueError as exc:
-        raise CaseError(
-            f"--perturb-load expects BUS:DELTA, got {spec!r}") from exc
+        delta = _finite(delta_text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CaseError(f"--perturb-load expects BUS:DELTA with a finite "
+                        f"DELTA, got {spec!r}") from exc
     if not 0 <= bus < n_bus:
         raise CaseError(f"--perturb-load bus {bus} does not exist")
     return bus, delta
@@ -149,16 +156,15 @@ def cmd_check(args) -> int:
         print("state is infeasible for the constraint system", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    cq = cqkit.licq_check(cs, state, rank_ulp_scale=args.rank_tol_scale)
     cost = (fix.cost if fix is not None and fix.cost is not None
             else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
-    kkt = cqkit.kkt_solve(cs, state, cost, stat_tol=args.stat_tol,
+    cq = cqkit.licq_check(cs, state, cost, stat_tol=args.stat_tol,
                           rank_ulp_scale=args.rank_tol_scale)
     _emit({
         "tolerances": tols,
         "state": state_to_list(state),
         "cq": cq.to_dict(),
-        "kkt": kkt.to_dict(),
+        "kkt": cq.kkt.to_dict(),
     }, args.out)
     return EXIT_OK if cq.licq_holds else EXIT_LICQ_FAILS
 
@@ -166,10 +172,9 @@ def cmd_check(args) -> int:
 def _check_reduced_pair(fix, args, tols) -> int:
     red = fix.reduced
     cs = replace(red.system, act_tol=args.act_tol)
-    fixed = cqkit.licq_check(cs, red.point, rank_ulp_scale=args.rank_tol_scale)
-    kkt = cqkit.kkt_solve(cs, red.point, red.probe_cost,
-                          stat_tol=args.stat_tol,
-                          rank_ulp_scale=args.rank_tol_scale)
+    fixed = cqkit.licq_check(cs, red.point, red.probe_cost,
+                             stat_tol=args.stat_tol,
+                             rank_ulp_scale=args.rank_tol_scale)
     _emit({
         "tolerances": tols,
         "view": "reduced (v, theta)",
@@ -180,7 +185,7 @@ def _check_reduced_pair(fix, args, tols) -> int:
             "n_rows": fixed.m,
             "sigma_min": fixed.sigma_min,
         },
-        "kkt": kkt.to_dict(),
+        "kkt": fixed.kkt.to_dict(),
     }, args.out)
     return EXIT_OK if fixed.licq_holds else EXIT_LICQ_FAILS
 
@@ -227,18 +232,16 @@ def _norm_angle(u: np.ndarray, w: np.ndarray) -> float:
 def _repro_ex1(alpha: float) -> tuple[list[tuple[str, bool, str]], str, dict]:
     fix = fixtures.example1(alpha)
     checks: list[tuple[str, bool, str]] = []
-    from .powerflow import pf_residual
-
     res = np.abs(pf_residual(fix.case.network, build_ybus(fix.case.network),
                              fix.ground_truth)).max()
     checks.append(("flow residual at the operating point <= 1e-12",
                    res <= 1e-12, f"|F|_inf = {res:.3e}"))
-    cq = cqkit.licq_check(fix.system, fix.ground_truth)
+    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.cost)
+    kkt = cq.kkt
     checks.append((f"active stack rank {fix.expected['rank']}/{fix.expected['m']}",
                    cq.numerical_rank == fix.expected["rank"]
                    and cq.m == fix.expected["m"] and not cq.licq_holds,
                    f"rank {cq.numerical_rank}/{cq.m}, sigma_min {cq.sigma_min:.3e}"))
-    kkt = cqkit.kkt_solve(fix.system, fix.ground_truth, fix.cost)
     checks.append(("multiplier family is a ray",
                    kkt.classification is cqkit.Classification.RAY,
                    f"classification {kkt.classification.value}"))
@@ -279,12 +282,12 @@ def _repro_ex2() -> tuple[list[tuple[str, bool, str]], str, dict]:
     angle = _norm_angle(grad_h, grad_g)
     checks.append(("gradient parallelism angle <= 1e-6 rad", angle <= 1e-6,
                    f"angle = {angle:.3e}"))
-    fixed = cqkit.licq_check(red.system, red.point)
+    fixed = cqkit.licq_check(red.system, red.point, red.probe_cost)
+    kkt = fixed.kkt
     checks.append(("fixed-constraint qualification fails (rank 1 of 2)",
                    not fixed.licq_holds and fixed.numerical_rank == 1
                    and fixed.m == 2,
                    f"rank {fixed.numerical_rank}/{fixed.m}"))
-    kkt = cqkit.kkt_solve(red.system, red.point, red.probe_cost)
     checks.append(("no multipliers for the probe cost (residual >= 0.1)",
                    kkt.classification is cqkit.Classification.NONE
                    and kkt.stationarity_residual >= 0.1,
@@ -297,8 +300,6 @@ def _repro_ex2() -> tuple[list[tuple[str, bool, str]], str, dict]:
 def _repro_ex3() -> tuple[list[tuple[str, bool, str]], str, dict]:
     fix = fixtures.example3()
     checks: list[tuple[str, bool, str]] = []
-    from .powerflow import pf_residual
-
     net = fix.case.network
     res = np.abs(pf_residual(net, build_ybus(net), fix.ground_truth)).max()
     checks.append(("flat no-load profile solves the flow equations exactly",
@@ -366,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--model", choices=["load", "shunt", "line"],
                         required=True)
     p_pert.add_argument("--trials", type=int, default=1000)
+    # argparse converts a string default only when perturb runs without --seed
     p_pert.add_argument("--seed", type=int,
-                        default=int(os.environ.get("CQA_SEED", "0")))
+                        default=os.environ.get("CQA_SEED", "0"))
     p_pert.add_argument("--format", choices=["json", "csv"], default="json")
     p_pert.set_defaults(func=cmd_perturb)
 
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alpha", type=_positive, default=1.0)
     p_sweep.add_argument("--direction", type=int, default=1,
                          help="index into the stacked (p, q) load vector")
-    p_sweep.add_argument("--deltas", type=float, nargs="+",
+    p_sweep.add_argument("--deltas", type=_finite, nargs="+",
                          default=[1e-3, 1e-2, 1e-1],
                          help="shifts; each is swept with both signs and 0")
     p_sweep.add_argument("--out", help="write the JSON report to this path")

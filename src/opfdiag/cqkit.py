@@ -63,11 +63,13 @@ class CostSpec:
 
 
 def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
-                     ulp_scale: float) -> tuple[int, float]:
-    """Rank and tolerance sigma_max * max(m, n) * ulp_scale from the
-    descending singular values of an m x n matrix."""
-    tol = svals[0] * max(shape) * ulp_scale if svals[0] > 0 else 0.0
-    return int((svals > tol).sum()), tol
+                     ulp_scale: float) -> tuple[int, float, float]:
+    """Rank, sigma_min and tolerance sigma_max * max(m, n) * ulp_scale from
+    the descending singular values of an m x n matrix (0, inf, 0 if empty)."""
+    if svals.size == 0:
+        return 0, np.inf, 0.0
+    tol = float(svals[0] * max(shape) * ulp_scale) if svals[0] > 0 else 0.0
+    return int((svals > tol).sum()), float(svals[-1]), tol
 
 
 def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SCALE):
@@ -76,11 +78,8 @@ def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SC
     Returns (rank, sigma_min, tol, singular_values); sigma_min is the
     smallest singular value of the matrix, not of the retained block.
     """
-    if matrix.size == 0:
-        return 0, np.inf, 0.0, np.zeros(0)
     svals = np.linalg.svd(matrix, compute_uv=False)
-    rank, tol = _rank_from_svals(svals, matrix.shape, ulp_scale)
-    return rank, float(svals[-1]), float(tol), svals
+    return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
 def active_stack(cs: ConstraintSystem, x, act: ActiveSet | None = None):
@@ -119,6 +118,8 @@ class CQReport:
 
     ``sigma_min`` of the active Jacobian is the degeneracy margin: it is
     zero (below ``rank_tol``) exactly when the qualification fails.
+    ``kkt`` is the multiplier set when the check was given a cost; it is
+    not part of ``to_dict``.
     """
 
     active_jacobian: np.ndarray
@@ -130,6 +131,7 @@ class CQReport:
     rank_tol: float
     licq_holds: bool
     face: tuple[int, ...]
+    kkt: MultiplierSet | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -145,25 +147,39 @@ class CQReport:
         }
 
 
-def licq_check(cs: ConstraintSystem, x, *,
+def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
+               stat_tol: float = DEFAULT_STAT_TOL,
                rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> CQReport:
     """Rank test of the full active stack [grad F; grad h; grad g_J].
 
     The point must be feasible; the qualification holds iff the stack has
-    full row rank over the free state entries.
+    full row rank over the free state entries. Without a cost only the
+    singular values are computed. With one, a single SVD with vectors
+    gives the rank and the multiplier set (``CQReport.kkt``, see
+    ``kkt_solve``); U is full only when m > n, where the left null space
+    reaches past the thin columns.
     """
-    stack, labels, act, _, mask = active_stack(cs, x)
-    rank, smin, tol, _ = numerical_rank(stack, ulp_scale=rank_ulp_scale)
+    stack, labels, act, flat, mask = active_stack(cs, x)
+    m, n = stack.shape
+    kkt = None
+    if cost is None:
+        rank, smin, tol, _ = numerical_rank(stack, ulp_scale=rank_ulp_scale)
+    else:
+        u_mat, svals, vt = np.linalg.svd(stack, full_matrices=m > n)
+        rank, smin, tol = _rank_from_svals(svals, stack.shape, rank_ulp_scale)
+        kkt = _multiplier_set(cs, act, stack, cost.gradient(flat)[mask],
+                              u_mat, svals, vt, rank, stat_tol)
     return CQReport(
         active_jacobian=stack,
         row_labels=tuple(labels),
-        m=stack.shape[0],
+        m=m,
         n_free=int(mask.sum()),
         numerical_rank=rank,
         sigma_min=smin,
         rank_tol=tol,
-        licq_holds=rank == stack.shape[0],
+        licq_holds=rank == m,
         face=act.indices,
+        kkt=kkt,
     )
 
 
@@ -225,11 +241,12 @@ class MultiplierSet:
         }
 
 
-def _mu_interval(y: np.ndarray, w: np.ndarray, mu_rows: list[int]):
-    """Feasible zeta range keeping every mu component of y + zeta*w >= 0."""
+def _mu_interval(y: np.ndarray, w: np.ndarray, first_mu: int):
+    """Feasible zeta range keeping every mu component (rows first_mu on)
+    of y + zeta*w >= 0."""
     lo, hi = -np.inf, np.inf
     feasible = True
-    for i in mu_rows:
+    for i in range(first_mu, len(y)):
         wi, yi = w[i], y[i]
         if abs(wi) <= 1e-12:
             if yi < -1e-12:
@@ -248,90 +265,61 @@ def _mu_interval(y: np.ndarray, w: np.ndarray, mu_rows: list[int]):
 def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec, *,
               stat_tol: float = DEFAULT_STAT_TOL,
               rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> MultiplierSet:
-    """Solve and classify the stationarity system at a feasible point.
+    """Solve and classify the stationarity system at a feasible point: the
+    multiplier set of ``licq_check`` with this cost."""
+    return licq_check(cs, x, cost, stat_tol=stat_tol,
+                      rank_ulp_scale=rank_ulp_scale).kkt
 
-    A single SVD of the active stack provides the least-squares particular
-    solution, the rank and the left null space. Classification: NONE when
-    the residual exceeds stat_tol (the cost gradient leaves the row
-    space); UNIQUE for an empty null space; RAY for a one-dimensional
-    family, reported as vertex + zeta * direction with the exact
-    sign-feasible zeta interval; FAMILY(dim) for higher-dimensional null
-    spaces, whose sign feasibility is reported unresolved.
+
+def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
+                    grad_f: np.ndarray, u_mat: np.ndarray, svals: np.ndarray,
+                    vt: np.ndarray, rank: int, stat_tol: float) -> MultiplierSet:
+    """Solution set of stack^T y = -grad_f from the SVD of the stack.
+
+    The SVD gives the least-squares particular solution and the left null
+    space. Classification: NONE when the residual exceeds stat_tol (the
+    cost gradient leaves the row space); UNIQUE for an empty null space;
+    RAY for a one-dimensional family, reported as vertex + zeta * direction
+    with the exact sign-feasible zeta interval; FAMILY(dim) for
+    higher-dimensional null spaces, whose sign feasibility is reported
+    unresolved.
     """
-    stack, labels, act, flat, mask = active_stack(cs, x)
-    m = stack.shape[0]
-    grad_f = cost.gradient(flat)[mask]
-
     n2 = 2 * cs.net.n_bus if cs.has_flow else 0
     n_h = len(cs.h_ops)
-    n_mu = len(act.indices)
-    mu_rows = list(range(n2 + n_h, m))
-
-    def package(y, classification, resid, *, basis, direction=None,
-                interval=None, family_dim=0, sign_feasible=None):
-        return MultiplierSet(
-            classification=classification,
-            particular=y,
-            kappa=y[:n2],
-            lam=y[n2:n2 + n_h],
-            mu=y[n2 + n_h:],
-            active_indices=act.indices,
-            nullspace_basis=basis,
-            stationarity_residual=resid,
-            ray_direction=direction,
-            zeta_interval=interval,
-            family_dim=family_dim,
-            mu_sign_feasible=sign_feasible,
-        )
-
-    if m == 0:
-        resid = float(np.linalg.norm(grad_f))
-        cls = Classification.UNIQUE if resid <= stat_tol else Classification.NONE
-        return package(np.zeros(0), cls, resid, basis=np.zeros((0, 0)),
-                       sign_feasible=True if cls is Classification.UNIQUE else None)
-
-    u_mat, svals, vt = np.linalg.svd(stack)
-    rank, _ = _rank_from_svals(svals, stack.shape, rank_ulp_scale)
-
-    # Minimum-norm solution of stack^T y = -grad_f from the same SVD.
+    # Minimum-norm solution of stack^T y = -grad_f.
     coeffs = vt[:rank] @ (-grad_f) / svals[:rank]
     y_min = u_mat[:, :rank] @ coeffs
     resid = float(np.linalg.norm(stack.T @ y_min + grad_f))
     basis = u_mat[:, rank:]
-    nullity = m - rank
+    nullity = stack.shape[0] - rank
+
+    def package(y, classification, **extra):
+        return MultiplierSet(
+            classification=classification, particular=y, kappa=y[:n2],
+            lam=y[n2:n2 + n_h], mu=y[n2 + n_h:], active_indices=act.indices,
+            nullspace_basis=basis, stationarity_residual=resid, **extra)
 
     if resid > stat_tol:
-        return package(y_min, Classification.NONE, resid, basis=basis,
-                       family_dim=nullity)
+        return package(y_min, Classification.NONE, family_dim=nullity)
     if nullity == 0:
-        mu = y_min[n2 + n_h:]
-        sign_ok = bool((mu >= -1e-12).all()) if n_mu else True
-        return package(y_min, Classification.UNIQUE, resid,
-                       basis=basis, sign_feasible=sign_ok)
+        sign_ok = bool((y_min[n2 + n_h:] >= -1e-12).all())
+        return package(y_min, Classification.UNIQUE, mu_sign_feasible=sign_ok)
     if nullity == 1:
         w = basis[:, 0]
-        lo, hi, feasible = _mu_interval(y_min, w, mu_rows)
+        lo, hi, feasible = _mu_interval(y_min, w, n2 + n_h)
         if not feasible:
-            return package(y_min, Classification.RAY, resid, basis=basis,
-                           direction=w, interval=None, family_dim=1,
-                           sign_feasible=False)
+            return package(y_min, Classification.RAY, ray_direction=w,
+                           family_dim=1, mu_sign_feasible=False)
         if np.isfinite(lo):
-            vertex = y_min + lo * w
-            direction = w
-            interval = (0.0, hi - lo)
+            vertex, direction, interval = y_min + lo * w, w, (0.0, hi - lo)
         elif np.isfinite(hi):
-            vertex = y_min + hi * w
-            direction = -w
-            interval = (0.0, np.inf)
+            vertex, direction, interval = y_min + hi * w, -w, (0.0, np.inf)
         else:
-            vertex = y_min
-            direction = w
-            interval = (-np.inf, np.inf)
-        return package(vertex, Classification.RAY, resid, basis=basis,
-                       direction=direction, interval=interval,
-                       family_dim=1, sign_feasible=True)
-    return package(y_min, Classification.FAMILY, resid, basis=basis,
-                   family_dim=nullity)
+            vertex, direction, interval = y_min, w, (-np.inf, np.inf)
+        return package(vertex, Classification.RAY, ray_direction=direction,
+                       zeta_interval=interval, family_dim=1,
+                       mu_sign_feasible=True)
+    return package(y_min, Classification.FAMILY, family_dim=nullity)
 
 
 def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,

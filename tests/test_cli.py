@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag import cqkit
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, main)
 
@@ -184,6 +185,20 @@ def test_perturb_seed_env_fallback(capsys, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["rng_seed"] == 99
 
+    # a malformed fallback is an input error of perturb alone
+    monkeypatch.setenv("CQA_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["perturb", "--builtin", "ex1", "--model", "load",
+              "--trials", "2"])
+    assert info.value.code == EXIT_INPUT
+    assert "--seed" in capsys.readouterr().err
+    code, out, _ = run(capsys, "perturb", "--builtin", "ex1",
+                       "--model", "load", "--trials", "2", "--seed", "7")
+    assert code == EXIT_OK
+    assert json.loads(out)["rng_seed"] == 7
+    code, _, _ = run(capsys, "check", "--builtin", "ex1")
+    assert code == EXIT_LICQ_FAILS
+
 
 @pytest.mark.parametrize("which,phrase", [
     ("ex1", "nodal price"),
@@ -211,6 +226,25 @@ def test_tolerance_flags_must_be_positive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--builtin", "ex1", "--act-tol", "-1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "ex1", "--alpha", "inf"],
+    ["repro", "ex1", "--alpha", "inf"],
+    ["sweep", "--alpha", "inf"],
+    ["check", "--builtin", "ex1", "--act-tol", "inf"],
+    ["sweep", "--deltas", "nan"],
+    ["sweep", "--deltas", "inf"],
+    ["check", "--builtin", "ex1", "--perturb-load", "1:nan"],
+])
+def test_nonfinite_numeric_flags_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("text", [
@@ -270,3 +304,93 @@ def test_sweep_margin_vanishes_only_at_zero_shift(capsys):
     assert code == EXIT_INPUT
     assert "direction 9" in err
 
+
+
+@pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
+def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
+                                       lattice_document, source):
+    svd_calls, stack_calls = [], []
+    real_svd, real_stack = np.linalg.svd, cqkit.active_stack
+
+    def counting_svd(a, *args, **kwargs):
+        full = kwargs.get("full_matrices", args[0] if args else True)
+        uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+        svd_calls.append((np.shape(a), bool(full and uv)))
+        return real_svd(a, *args, **kwargs)
+
+    def counting_stack(*args, **kwargs):
+        stack_calls.append(1)
+        return real_stack(*args, **kwargs)
+
+    if source == "lattice":
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice_document(3, 3, 0)))
+        argv = ["--case", str(path)]
+    else:
+        argv = ["--builtin", source]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cqkit, "active_stack", counting_stack)
+    code, out, _ = run(capsys, "check", *argv)
+    assert code in (EXIT_OK, EXIT_LICQ_FAILS)
+    assert "classification" in json.loads(out)["kkt"]
+    assert len(stack_calls) == 1
+    assert len(svd_calls) == 1
+    (m, n), full = svd_calls[0]
+    assert not (full and m <= n)
+
+
+def _relabel(doc: dict, perm: np.ndarray) -> dict:
+    """The case with bus k renamed perm[k]; buses, lines, constraint specs
+    and cost terms are listed in the new bus order."""
+    def term(t):
+        return {**t, "bus": int(perm[t["bus"]])}
+
+    def spec(c):
+        out = dict(c)
+        if c["target"] is not None:
+            out["target"] = term(c["target"])
+        if "terms" in c["params"]:
+            out["params"] = {**c["params"],
+                             "terms": [term(t) for t in c["params"]["terms"]]}
+        return out
+
+    def first_bus(c):
+        return (c["target"] or c["params"]["terms"][0])["bus"]
+
+    return {
+        "buses": sorted(({**b, "id": int(perm[b["id"]])} for b in doc["buses"]),
+                        key=lambda b: b["id"]),
+        "lines": sorted(({**ln, "from": int(perm[ln["from"]]),
+                          "to": int(perm[ln["to"]])} for ln in doc["lines"]),
+                        key=lambda ln: (ln["from"], ln["to"])),
+        "generators": doc["generators"],
+        "constraints": sorted((spec(c) for c in doc["constraints"]),
+                              key=first_bus),
+        "cost": {kind: sorted((term(t) for t in terms),
+                              key=lambda t: t["bus"])
+                 for kind, terms in doc["cost"].items()},
+    }
+
+
+def test_check_verdict_invariant_under_bus_relabelling(capsys, tmp_path,
+                                                       lattice_document):
+    doc = lattice_document(8, 7, 3)
+    n = len(doc["buses"])
+    assert n >= 50
+    perm = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(n - 1)))
+    assert (perm != np.arange(n)).any()
+    reports = []
+    for i, case in enumerate((doc, _relabel(doc, perm))):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(case))
+        code, out, _ = run(capsys, "check", "--case", str(path))
+        payload = json.loads(out)
+        reports.append((code, payload["cq"], payload["kkt"]))
+    (code0, cq0, kkt0), (code1, cq1, kkt1) = reports
+    assert code0 == code1
+    assert len(cq0["face"]) == len(cq1["face"]) > 0
+    for key in ("licq_holds", "numerical_rank", "m", "n_free"):
+        assert cq0[key] == cq1[key], key
+    for key in ("classification", "family_dim"):
+        assert kkt0[key] == kkt1[key], key
+    assert cq0["sigma_min"] == pytest.approx(cq1["sigma_min"], rel=1e-9)

@@ -6,10 +6,25 @@ import pytest
 import opfdiag as od
 from opfdiag.constraints import (BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq)
-from opfdiag.cqkit import (Classification, CostSpec, kkt_residual, kkt_solve,
-                           licq_check, numerical_rank)
+from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
+                           kkt_residual, kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.powerflow import PFSetpoints, solve_power_flow
+
+
+def _checked_null_space(cs, x, cost):
+    """Multiplier set of a costed licq_check after checking its left null
+    space against the report's own stack."""
+    report = licq_check(cs, x, cost)
+    kkt = report.kkt
+    basis = kkt.nullspace_basis
+    assert basis.shape == (report.m, report.m - report.numerical_rank)
+    assert np.abs(report.active_jacobian.T @ basis).max(initial=0.0) <= 1e-12
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(
+        initial=0.0) <= 1e-12
+    if kkt.classification in (Classification.UNIQUE, Classification.RAY):
+        assert kkt_residual(cs, x, cost, kkt.particular) <= DEFAULT_STAT_TOL
+    return kkt
 
 
 def test_licq_fails_at_tangent_point(ex1):
@@ -55,7 +70,8 @@ def test_licq_rejects_infeasible_point(ex1):
 
 
 def test_kkt_ray_at_tangent_point(ex1):
-    kkt = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost)
+    kkt = _checked_null_space(ex1.system, ex1.ground_truth, ex1.cost)
+    assert kkt.nullspace_basis.shape == (6, 1)  # m = n = 6
     assert kkt.classification is Classification.RAY
     assert kkt.family_dim == 1
     assert np.abs(kkt.particular
@@ -165,21 +181,52 @@ def test_unique_multiplier_on_simple_active_box():
     cs = ConstraintSystem.operational(
         (), (BoxUpper(index=0, bound=1.0),), n_state=1)
     cost = CostSpec(c2=np.zeros(1), c1=np.array([-1.0]))
-    kkt = kkt_solve(cs, np.array([1.0]), cost)
+    kkt = _checked_null_space(cs, np.array([1.0]), cost)
     assert kkt.classification is Classification.UNIQUE
     assert abs(kkt.mu[0] - 1.0) <= 1e-12
     assert kkt.mu_sign_feasible
+
+
+def test_empty_active_stack():
+    # the cap is slack at x = 0, so no row is active
+    cs = ConstraintSystem.operational(
+        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
+    zero = CostSpec(c2=np.zeros(1), c1=np.zeros(1))
+    report = licq_check(cs, np.array([0.0]), zero)
+    assert report.m == 0 and report.licq_holds
+    assert report.sigma_min == np.inf and report.rank_tol == 0.0
+    assert report.kkt.classification is Classification.UNIQUE
+    assert report.kkt.mu_sign_feasible
+    assert report.kkt.nullspace_basis.shape == (0, 0)
+    tilted = CostSpec(c2=np.zeros(1), c1=np.array([0.5]))
+    kkt = kkt_solve(cs, np.array([0.0]), tilted)
+    assert kkt.classification is Classification.NONE
+    assert kkt.stationarity_residual == 0.5
+    assert kkt.particular.shape == (0,) and kkt.mu_sign_feasible is None
 
 
 def test_family_classification_for_higher_nullity():
     h = LinearEq(terms=((0, 1.0),), offset=0.0)
     cs = ConstraintSystem.operational((h, h, h), (), n_state=2)
     cost = CostSpec(c2=np.zeros(2), c1=np.array([1.0, 0.0]))
-    kkt = kkt_solve(cs, np.array([0.0, 0.3]), cost)
+    # m = 3 > n = 2: the null space needs U past its thin columns
+    kkt = _checked_null_space(cs, np.array([0.0, 0.3]), cost)
     assert kkt.classification is Classification.FAMILY
     assert kkt.family_dim == 2
     assert kkt.nullspace_basis.shape == (3, 2)
     assert kkt.stationarity_residual <= 1e-12
+
+
+def test_costed_check_matches_values_only_check(ex1):
+    plain = licq_check(ex1.system, ex1.ground_truth)
+    costed = licq_check(ex1.system, ex1.ground_truth, ex1.cost)
+    assert plain.kkt is None
+    assert costed.kkt.classification is Classification.RAY
+    a, b = plain.to_dict(), costed.to_dict()
+    assert b.keys() == a.keys() and "kkt" not in b
+    assert abs(b.pop("sigma_min") - a.pop("sigma_min")) <= 1e-15
+    assert b.pop("rank_tol") == pytest.approx(a.pop("rank_tol"), rel=1e-12)
+    assert b == a
 
 
 def test_cq_report_serializes(ex1):

@@ -21,8 +21,8 @@ from . import cases as fixtures
 from . import constraints as con
 from . import cqkit, perturb
 from .netmodel import Case, CaseError, build_ybus, finite_number, load_case
-from .powerflow import (PFSetpoints, PowerFlowError, pf_residual,
-                        state_from_list, state_to_list, solve_power_flow)
+from .powerflow import (PowerFlowError, pf_residual, state_from_list,
+                        solve_power_flow)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,6 +45,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -63,23 +70,34 @@ def _tolerances(args) -> dict:
     }
 
 
+def _fixture(name: str | None, alpha: float | None):
+    """The named built-in fixture, None for a case file. ``--alpha`` shapes
+    only ex1, where it defaults to 1.0; for any other input it is an error."""
+    if alpha is not None and name != "ex1":
+        raise CaseError("--alpha applies only to the ex1 fixture")
+    if name is None:
+        return None
+    return fixtures.builtin(name, alpha=1.0 if alpha is None else alpha)
+
+
 def _load_input(args) -> tuple[Case, "fixtures.FixtureBundle | None"]:
     if args.case and args.builtin:
         raise CaseError("give either --case or --builtin, not both")
-    if args.case:
+    if not (args.case or args.builtin):
+        raise CaseError("one of --case or --builtin is required")
+    fix = _fixture(args.builtin, args.alpha)
+    if fix is None:
         return load_case(Path(args.case).read_text()), None
-    if args.builtin:
-        fix = fixtures.builtin(args.builtin, alpha=args.alpha)
-        return fix.case, fix
-    raise CaseError("one of --case or --builtin is required")
+    return fix.case, fix
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--case", help="path to a JSON case document")
     parser.add_argument("--builtin", choices=fixtures.BUILTIN_NAMES,
                         help="built-in fixture name")
-    parser.add_argument("--alpha", type=_positive, default=1.0,
-                        help="coupling parameter for the ex1 fixture")
+    parser.add_argument("--alpha", type=_positive,
+                        help="coupling parameter of the ex1 fixture "
+                             "(default 1.0; rejected for other inputs)")
     parser.add_argument("--act-tol", type=_positive, default=1e-6)
     parser.add_argument("--eq-tol", type=_positive, default=1e-8)
     parser.add_argument("--pf-tol", type=_positive, default=1e-10)
@@ -111,83 +129,60 @@ def _parse_perturb_load(spec: str, n_bus: int) -> tuple[int, float]:
 
 def cmd_check(args) -> int:
     case, fix = _load_input(args)
-    tols = _tolerances(args)
+    tols = {"act_tol": args.act_tol, "eq_tol": args.eq_tol,
+            "pf_tol": args.pf_tol}
 
     if fix is not None and fix.name == "ex2":
         if args.state or args.perturb_load:
             raise CaseError("ex2 is checked in its reduced (v, theta) view; "
                             "--state and --perturb-load do not apply")
-        return _check_reduced_pair(fix, args, tols)
-
-    if args.perturb_load:
-        bus, delta = _parse_perturb_load(args.perturb_load, case.network.n_bus)
-        case = perturb.shift_load(case, bus, delta)
-
-    cs = con.system_for_case(case, act_tol=args.act_tol, eq_tol=args.eq_tol,
-                             pf_tol=args.pf_tol)
-    if args.state:
-        try:
-            values = json.loads(Path(args.state).read_text())
-        except ValueError as exc:
-            raise CaseError(f"--state: invalid JSON ({exc})") from exc
-        state = state_from_list(values, case.network)
-    elif fix is not None and args.perturb_load:
-        state, _, _ = perturb.nearest_feasible_point(
-            case, fix.ground_truth, act_tol=args.act_tol,
-            eq_tol=args.eq_tol, pf_tol=args.pf_tol)
-        if state is None:
-            print("no feasible point found near the fixture state",
-                  file=sys.stderr)
-            return EXIT_INFEASIBLE
-    elif fix is not None:
-        state = fix.ground_truth
+        red = fix.reduced
+        cs, state, cost = replace(red.system, **tols), red.point, red.probe_cost
     else:
-        try:
-            state = solve_power_flow(
-                case.network, cs.Y,
-                PFSetpoints(p_gen=case.gen_p.copy(), q_gen=case.gen_q.copy()),
-                pf_tol=args.pf_tol).state
-        except PowerFlowError as exc:
-            print(f"power flow failed: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        if args.perturb_load:
+            bus, delta = _parse_perturb_load(args.perturb_load,
+                                             case.network.n_bus)
+            case = perturb.shift_load(case, bus, delta)
+        cs = con.system_for_case(case, **tols)
+        if args.state:
+            try:
+                values = json.loads(Path(args.state).read_text())
+            except ValueError as exc:
+                raise CaseError(f"--state: invalid JSON ({exc})") from exc
+            state = state_from_list(values, case.network)
+        elif fix is not None and args.perturb_load:
+            state, _, _ = perturb.nearest_feasible_point(case, fix.ground_truth,
+                                                         **tols)
+            if state is None:
+                print("no feasible point found near the fixture state",
+                      file=sys.stderr)
+                return EXIT_INFEASIBLE
+        elif fix is not None:
+            state = fix.ground_truth
+        else:
+            try:
+                state = solve_power_flow(case.network, cs.Y, case.gen_p,
+                                         case.gen_q, pf_tol=args.pf_tol).state
+            except PowerFlowError as exc:
+                print(f"power flow failed: {exc}", file=sys.stderr)
+                return EXIT_INFEASIBLE
+        cost = (fix.cost if fix is not None and fix.cost is not None
+                else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
 
     _, _, feasible = con.evaluate(cs, state)
     if not feasible:
         print("state is infeasible for the constraint system", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    cost = (fix.cost if fix is not None and fix.cost is not None
-            else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
     cq = cqkit.licq_check(cs, state, cost, stat_tol=args.stat_tol,
                           rank_ulp_scale=args.rank_tol_scale)
     _emit({
-        "tolerances": tols,
-        "state": state_to_list(state),
+        "tolerances": _tolerances(args),
+        "state": con.as_flat_state(cs, state)[0].tolist(),
         "cq": cq.to_dict(),
         "kkt": cq.kkt.to_dict(),
     }, args.out)
     return EXIT_OK if cq.licq_holds else EXIT_LICQ_FAILS
-
-
-def _check_reduced_pair(fix, args, tols) -> int:
-    red = fix.reduced
-    cs = replace(red.system, act_tol=args.act_tol)
-    fixed = cqkit.licq_check(cs, red.point, red.probe_cost,
-                             stat_tol=args.stat_tol,
-                             rank_ulp_scale=args.rank_tol_scale)
-    _emit({
-        "tolerances": tols,
-        "view": "reduced (v, theta)",
-        "point": red.point.tolist(),
-        "fixed_licq": {
-            "holds": fixed.licq_holds,
-            "rank": fixed.numerical_rank,
-            "n_rows": fixed.m,
-            "sigma_min": fixed.sigma_min,
-        },
-        "kkt": fixed.kkt.to_dict(),
-    }, args.out)
-    return EXIT_OK if fixed.licq_holds else EXIT_LICQ_FAILS
 
 
 def cmd_perturb(args) -> int:
@@ -229,8 +224,7 @@ def _norm_angle(u: np.ndarray, w: np.ndarray) -> float:
     return math.asin(min(1.0, cross))
 
 
-def _repro_ex1(alpha: float) -> tuple[list[tuple[str, bool, str]], str, dict]:
-    fix = fixtures.example1(alpha)
+def _repro_ex1(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     checks: list[tuple[str, bool, str]] = []
     res = np.abs(pf_residual(fix.case.network, build_ybus(fix.case.network),
                              fix.ground_truth)).max()
@@ -256,22 +250,23 @@ def _repro_ex1(alpha: float) -> tuple[list[tuple[str, bool, str]], str, dict]:
     checks.append(("ray direction proportional to expected to 1e-8",
                    dir_err <= 1e-8, f"max err {dir_err:.3e}"))
     row = fix.expected["price_row"]
-    price_ok = (abs(kkt.particular[row] + alpha) <= 1e-8
+    bound = fix.expected["price_upper_bound"]
+    price_ok = (abs(kkt.particular[row] - bound) <= 1e-8
                 and kkt.ray_direction[row] < 0
                 and kkt.zeta_interval == (0.0, np.inf))
-    checks.append((f"nodal price multiplier interval is (-inf, {-alpha}]",
+    checks.append((f"nodal price multiplier interval is (-inf, {bound}]",
                    price_ok,
                    f"vertex value {kkt.particular[row]:.12g}, "
                    f"direction component {kkt.ray_direction[row]:.6g}"))
     summary = (f"rank {cq.numerical_rank}/{cq.m}, "
-               f"{kkt.classification.value}, nodal price <= {-alpha:g}")
+               f"{kkt.classification.value}, nodal price <= {bound:g}")
     payload = {"cq": cq.to_dict(), "kkt": kkt.to_dict()}
     return checks, summary, payload
 
 
-def _repro_ex2() -> tuple[list[tuple[str, bool, str]], str, dict]:
-    fix = fixtures.example2()
+def _repro_ex2(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     red = fix.reduced
+    want = fix.expected
     checks: list[tuple[str, bool, str]] = []
     h_vals, g_vals, _ = con.evaluate(red.system, red.point)
     checks.append(("constraint values vanish at the crossing point to 1e-9",
@@ -284,21 +279,22 @@ def _repro_ex2() -> tuple[list[tuple[str, bool, str]], str, dict]:
                    f"angle = {angle:.3e}"))
     fixed = cqkit.licq_check(red.system, red.point, red.probe_cost)
     kkt = fixed.kkt
-    checks.append(("fixed-constraint qualification fails (rank 1 of 2)",
-                   not fixed.licq_holds and fixed.numerical_rank == 1
-                   and fixed.m == 2,
+    checks.append((f"fixed-constraint qualification fails "
+                   f"(rank {want['rank']} of {want['m']})",
+                   not fixed.licq_holds and fixed.numerical_rank == want["rank"]
+                   and fixed.m == want["m"],
                    f"rank {fixed.numerical_rank}/{fixed.m}"))
-    checks.append(("no multipliers for the probe cost (residual >= 0.1)",
+    floor = want["residual_lower_bound"]
+    checks.append((f"no multipliers for the probe cost (residual >= {floor})",
                    kkt.classification is cqkit.Classification.NONE
-                   and kkt.stationarity_residual >= 0.1,
+                   and kkt.stationarity_residual >= floor,
                    f"residual {kkt.stationarity_residual:.6f}"))
     summary = f"tangent constraints, {kkt.classification.value}"
     return checks, summary, {"fixed_rank": fixed.numerical_rank,
                              "kkt": kkt.to_dict()}
 
 
-def _repro_ex3() -> tuple[list[tuple[str, bool, str]], str, dict]:
-    fix = fixtures.example3()
+def _repro_ex3(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     checks: list[tuple[str, bool, str]] = []
     net = fix.case.network
     res = np.abs(pf_residual(net, build_ybus(net), fix.ground_truth)).max()
@@ -310,8 +306,9 @@ def _repro_ex3() -> tuple[list[tuple[str, bool, str]], str, dict]:
     hyp = perturb.check_rank_hypothesis(model, net, fix.ground_truth)
     checks.append(("line parameter Jacobian vanishes (entries <= 1e-14)",
                    max_entry <= 1e-14, f"max entry {max_entry:.3e}"))
-    checks.append(("line parameter rank 0, hypothesis not satisfied",
-                   hyp.rank == 0 and not hyp.satisfied,
+    want = fix.expected["line_param_rank"]
+    checks.append((f"line parameter rank {want}, hypothesis not satisfied",
+                   hyp.rank == want and not hyp.satisfied,
                    f"rank {hyp.rank}/{hyp.required}"))
     summary = f"LINE param rank {hyp.rank}"
     return checks, summary, {"hypothesis": hyp.to_dict()}
@@ -319,12 +316,8 @@ def _repro_ex3() -> tuple[list[tuple[str, bool, str]], str, dict]:
 
 def cmd_repro(args) -> int:
     which = args.which
-    if which == "ex1":
-        checks, summary, payload = _repro_ex1(args.alpha)
-    elif which == "ex2":
-        checks, summary, payload = _repro_ex2()
-    else:
-        checks, summary, payload = _repro_ex3()
+    repro = {"ex1": _repro_ex1, "ex2": _repro_ex2, "ex3": _repro_ex3}[which]
+    checks, summary, payload = repro(_fixture(which, args.alpha))
     checks = [(label, bool(flag), detail) for label, flag, detail in checks]
     ok = all(flag for _, flag, _ in checks)
     for label, flag, detail in checks:
@@ -366,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pert)
     p_pert.add_argument("--model", choices=["load", "shunt", "line"],
                         required=True)
-    p_pert.add_argument("--trials", type=int, default=1000)
+    p_pert.add_argument("--trials", type=_count, default=1000)
     # argparse converts a string default only when perturb runs without --seed
     p_pert.add_argument("--seed", type=int,
                         default=os.environ.get("CQA_SEED", "0"))
@@ -387,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = sub.add_parser(
         "repro", help="re-run a built-in fixture against its ground truth")
     p_repro.add_argument("which", choices=fixtures.BUILTIN_NAMES)
-    p_repro.add_argument("--alpha", type=_positive, default=1.0)
+    p_repro.add_argument("--alpha", type=_positive,
+                         help="coupling parameter of ex1 (default 1.0)")
     p_repro.add_argument("--out")
     p_repro.set_defaults(func=cmd_repro)
     return parser
@@ -396,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 0) and args.trials < 0:
-        print("--trials must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except con.InfeasiblePointError as exc:

@@ -221,10 +221,15 @@ def system_for_case(case: Case, **tols) -> ConstraintSystem:
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a SystemState or plain vector to (flat, free_mask)."""
+    """Normalize a state to (flat, free_mask): a SystemState for a system
+    with flow equations, a plain vector (all entries free) otherwise."""
     if isinstance(x, SystemState):
         flat = x.flat()
         mask = x.free_mask
+    elif cs.has_flow:
+        raise ConstraintError(
+            "a system with flow equations takes a SystemState, not a plain "
+            "vector")
     else:
         flat = np.asarray(x, dtype=float)
         mask = np.ones(flat.size, dtype=bool)
@@ -242,8 +247,6 @@ def evaluate(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray, bool]:
     g_vals = np.array([g.value(flat) for g in cs.g_ops])
     feasible = True
     if cs.has_flow:
-        if not isinstance(x, SystemState):
-            x = SystemState.from_flat(flat, np.ones(flat.size, dtype=bool))
         feasible &= bool(np.abs(pf_residual(cs.net, cs.Y, x)).max() <= cs.pf_tol)
     if h_vals.size:
         feasible &= bool(np.abs(h_vals).max() <= cs.eq_tol)

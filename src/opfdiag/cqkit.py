@@ -82,15 +82,14 @@ def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SC
     return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
-def active_stack(cs: ConstraintSystem, x, act: ActiveSet | None = None):
+def active_stack(cs: ConstraintSystem, x):
     """Stacked active gradients over free columns plus row bookkeeping.
 
     Rows are ordered flow equalities (2N), operational equalities (I),
     active inequalities (|J|). Returns (A, labels, active, flat, mask).
     """
     flat, mask = as_flat_state(cs, x)
-    if act is None:
-        act = active_set(cs, x)
+    act = active_set(cs, x)
     rows: list[np.ndarray] = []
     labels: list[str] = []
     if cs.has_flow:

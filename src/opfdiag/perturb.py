@@ -27,8 +27,8 @@ import numpy as np
 from . import constraints as con
 from . import cqkit
 from .netmodel import Case, Network, build_ybus
-from .powerflow import (PFSetpoints, PowerFlowError, SystemState,
-                        pf_jacobian, pf_residual, solve_power_flow)
+from .powerflow import (PowerFlowError, SystemState, pf_jacobian, pf_residual,
+                        solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -335,9 +335,7 @@ def run_genericity_experiment(
     act_tol: float = 1e-6,
     eq_tol: float = 1e-8,
     pf_tol: float = 1e-10,
-    max_iter: int = 50,
     rank_ulp_scale: float = cqkit.DEFAULT_RANK_ULP_SCALE,
-    start: SystemState | None = None,
 ) -> GenericityReport:
     """Deterministic Monte Carlo sweep over the model's sampling box.
 
@@ -348,13 +346,11 @@ def run_genericity_experiment(
     _expect_dimension(model, case.network)
     cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
                              pf_tol=pf_tol)
-    setpoints = PFSetpoints(p_gen=case.gen_p.copy(), q_gen=case.gen_q.copy(),
-                            start=start)
 
     hypothesis = None
     try:
-        x0 = solve_power_flow(case.network, cs.Y, setpoints, pf_tol=pf_tol,
-                              max_iter=max_iter).state
+        x0 = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
+                              pf_tol=pf_tol).state
         hypothesis = check_rank_hypothesis(model, case.network, x0)
     except PowerFlowError:
         pass
@@ -370,8 +366,8 @@ def run_genericity_experiment(
         net_t = trial_case.network
         y_t = build_ybus(net_t)
         try:
-            x_t = solve_power_flow(net_t, y_t, setpoints, pf_tol=pf_tol,
-                                   max_iter=max_iter).state
+            x_t = solve_power_flow(net_t, y_t, case.gen_p, case.gen_q,
+                                   pf_tol=pf_tol).state
         except PowerFlowError:
             records.append(TrialRecord(t, False, False, None, None))
             continue
@@ -529,11 +525,6 @@ def tangency_escape_probe(
     x_start: SystemState,
     deltas,
     direction: int,
-    *,
-    act_tol: float = 1e-6,
-    eq_tol: float = 1e-8,
-    pf_tol: float = 1e-10,
-    rank_ulp_scale: float = cqkit.DEFAULT_RANK_ULP_SCALE,
 ) -> list[ProbeRow]:
     """Sweep one load component and track the degeneracy margin.
 
@@ -546,14 +537,13 @@ def tangency_escape_probe(
     rows: list[ProbeRow] = []
     for delta in deltas:
         case_d = shift_load(case, direction, float(delta))
-        state, pinned, cs_d = nearest_feasible_point(
-            case_d, x_start, act_tol=act_tol, eq_tol=eq_tol, pf_tol=pf_tol)
+        state, pinned, cs_d = nearest_feasible_point(case_d, x_start)
         if state is None:
             rows.append(ProbeRow(delta=float(delta), converged=False,
                                  sigma_min=None, licq_holds=None,
                                  bound_pinned=pinned))
             continue
-        report = cqkit.licq_check(cs_d, state, rank_ulp_scale=rank_ulp_scale)
+        report = cqkit.licq_check(cs_d, state)
         rows.append(ProbeRow(delta=float(delta), converged=True,
                              sigma_min=report.sigma_min,
                              licq_holds=report.licq_holds,

@@ -132,64 +132,40 @@ def pf_residual(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray
     ])
 
 
-def _injection_partials(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
-    """Partial derivatives of the nodal injections w.r.t. v and theta.
-
-    Returns (dP/dv, dP/dtheta, dQ/dv, dQ/dtheta) as dense N x N blocks.
-    """
-    t = theta[:, None] - theta[None, :]
-    a = Y.G * np.cos(t) + Y.B * np.sin(t)
-    c = Y.G * np.sin(t) - Y.B * np.cos(t)
-    p_inj = v * (a @ v)
-    q_inj = v * (c @ v)
-    vv = np.outer(v, v)
-    gd = np.diag(Y.G)
-    bd = np.diag(Y.B)
-
-    dp_dv = v[:, None] * a
-    np.fill_diagonal(dp_dv, a @ v + v * gd)
-    dp_dt = vv * c
-    np.fill_diagonal(dp_dt, -q_inj - v**2 * bd)
-    dq_dv = v[:, None] * c
-    np.fill_diagonal(dq_dv, c @ v - v * bd)
-    dq_dt = -vv * a
-    np.fill_diagonal(dq_dt, p_inj - v**2 * gd)
-    return dp_dv, dp_dt, dq_dv, dq_dt
-
-
 def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
     """Analytic 2N x 4N Jacobian of F in flat-state column order.
 
     The generation blocks are exact identities (dF_p/dp_gen = I and the
     reactive rows' dF_q/dq_gen = I) with zero cross blocks; the v/theta
-    blocks are the negated injection partials.
+    blocks are the negated partials of the nodal injections.
     """
     n = net.n_bus
     if x.n_bus != n:
         raise ValueError("state dimension does not match network")
-    dp_dv, dp_dt, dq_dv, dq_dt = _injection_partials(Y, x.v, x.theta)
+    v, theta = x.v, x.theta
+    t = theta[:, None] - theta[None, :]
+    a = Y.G * np.cos(t) + Y.B * np.sin(t)
+    c = Y.G * np.sin(t) - Y.B * np.cos(t)
+    av, cv = a @ v, c @ v
+    vv = np.outer(v, v)
+    gd = np.diag(Y.G)
+    bd = np.diag(Y.B)
+
     jac = np.zeros((2 * n, 4 * n))
-    jac[:n, :n] = np.eye(n)
-    jac[n:, n:2 * n] = np.eye(n)
-    jac[:n, 2 * n:3 * n] = -dp_dv
-    jac[:n, 3 * n:] = -dp_dt
-    jac[n:, 2 * n:3 * n] = -dq_dv
-    jac[n:, 3 * n:] = -dq_dt
+    k = np.arange(n)
+    jac[k, k] = 1.0
+    jac[n + k, n + k] = 1.0
+    fp_v, fp_t = jac[:n, 2 * n:3 * n], jac[:n, 3 * n:]
+    fq_v, fq_t = jac[n:, 2 * n:3 * n], jac[n:, 3 * n:]
+    fp_v[:] = -v[:, None] * a
+    np.fill_diagonal(fp_v, -(av + v * gd))
+    fp_t[:] = -vv * c
+    np.fill_diagonal(fp_t, v * cv + v**2 * bd)
+    fq_v[:] = -v[:, None] * c
+    np.fill_diagonal(fq_v, -(cv - v * bd))
+    fq_t[:] = vv * a
+    np.fill_diagonal(fq_t, -(v * av - v**2 * gd))
     return jac
-
-
-@dataclass(frozen=True, eq=False)
-class PFSetpoints:
-    """Scheduled quantities for the Newton solve.
-
-    ``p_gen`` applies at non-slack buses, ``q_gen`` at PQ buses; slack and
-    PV voltage data come from the bus records. ``start`` optionally warm
-    starts the iteration.
-    """
-
-    p_gen: np.ndarray
-    q_gen: np.ndarray
-    start: SystemState | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,87 +175,70 @@ class PFSolution:
     history: tuple[float, ...]
 
 
+# Newton step budget of solve_power_flow.
+MAX_ITER = 50
+
+
 def solve_power_flow(
     net: Network,
     Y: AdmittanceMatrix,
-    setpoints: PFSetpoints,
+    p_gen: np.ndarray,
+    q_gen: np.ndarray,
     *,
     pf_tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> PFSolution:
-    """Plain Newton on the reduced mismatch system.
+    """Plain Newton on the flow equations of the free voltage entries.
 
-    Unknowns are theta at non-slack buses and v at PQ buses; the slack bus
-    absorbs the power balance and PV reactive output is recovered after
+    ``p_gen`` is scheduled at non-slack buses and ``q_gen`` at PQ buses;
+    slack and PV voltage data come from the bus records. The unknowns are
+    the free theta and v entries of ``free_mask_from_bus_types``, the
+    equations the P rows of buses with a free theta and the Q rows of buses
+    with a free v; each step solves ``J step = -F`` on those rows and
+    columns of ``pf_residual`` and ``pf_jacobian``. The slack bus absorbs
+    the power balance and PV reactive output is recovered after
     convergence. No line search or continuation: which solution branch is
     reached depends only on the start point, and failure is reported, not
     masked.
     """
     n = net.n_bus
-    types = [b.bus_type for b in net.buses]
-    ang_idx = [k for k in range(n) if types[k] is not BusType.SLACK]
-    vm_idx = [k for k in range(n) if types[k] is BusType.PQ]
+    mask = free_mask_from_bus_types(net)
+    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
+    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
+    cols = np.concatenate([3 * n + np.flatnonzero(free_t),
+                           2 * n + np.flatnonzero(free_v)])
 
-    if setpoints.start is not None:
-        v = setpoints.start.v.copy()
-        theta = setpoints.start.theta.copy()
-    else:
-        v = np.ones(n)
-        theta = np.zeros(n)
-    for bus in net.buses:
-        if bus.bus_type in (BusType.SLACK, BusType.PV):
-            v[bus.id] = bus.v_setpoint
-        if bus.bus_type is BusType.SLACK:
-            theta[bus.id] = bus.theta_setpoint
-
-    p_sched = setpoints.p_gen - net.p_load
-    q_sched = setpoints.q_gen - net.q_load
+    v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
+    theta = np.where(free_t, 0.0, [b.theta_setpoint for b in net.buses])
+    x = np.concatenate([p_gen, q_gen, v, theta])
 
     history: list[float] = []
-    iterations = 0
-    for _ in range(max_iter + 1):
-        p_inj, q_inj = injections(Y, v, theta)
-        mis = np.concatenate([
-            p_sched[ang_idx] - p_inj[ang_idx],
-            q_sched[vm_idx] - q_inj[vm_idx],
-        ])
+    for iterations in range(MAX_ITER + 1):
+        state = SystemState.from_flat(x, mask)
+        mis = pf_residual(net, Y, state)[rows]
         err = np.abs(mis).max() if mis.size else 0.0
         history.append(err)
         if err <= pf_tol:
             break
-        if iterations >= max_iter:
+        if iterations == MAX_ITER:
             raise NonConvergenceError("power flow did not converge",
                                       history, err)
-        dp_dv, dp_dt, dq_dv, dq_dt = _injection_partials(Y, v, theta)
-        jac = np.block([
-            [dp_dt[np.ix_(ang_idx, ang_idx)], dp_dv[np.ix_(ang_idx, vm_idx)]],
-            [dq_dt[np.ix_(vm_idx, ang_idx)], dq_dv[np.ix_(vm_idx, vm_idx)]],
-        ])
         try:
-            step = np.linalg.solve(jac, mis)
+            step = np.linalg.solve(
+                pf_jacobian(net, Y, state)[np.ix_(rows, cols)], -mis)
         except np.linalg.LinAlgError as exc:
             raise SingularNewtonError(
                 f"singular Newton matrix at iteration {iterations} "
                 "(possible degeneracy of the flow equations)"
             ) from exc
-        theta[ang_idx] += step[:len(ang_idx)]
-        v[vm_idx] += step[len(ang_idx):]
-        iterations += 1
+        x[cols] += step
 
-    # Recover generation at buses whose rows were dropped from the reduced
+    # Recover generation at buses whose rows were left out of the Newton
     # system so the full residual vanishes identically.
-    p_inj, q_inj = injections(Y, v, theta)
-    p_gen = setpoints.p_gen.copy()
-    q_gen = setpoints.q_gen.copy()
-    for bus in net.buses:
-        if bus.bus_type is BusType.SLACK:
-            p_gen[bus.id] = p_inj[bus.id] + bus.p_load
-            q_gen[bus.id] = q_inj[bus.id] + bus.q_load
-        elif bus.bus_type is BusType.PV:
-            q_gen[bus.id] = q_inj[bus.id] + bus.q_load
-
-    state = SystemState(p_gen=p_gen, q_gen=q_gen, v=v, theta=theta,
-                        free_mask=free_mask_from_bus_types(net))
+    p_inj, q_inj = injections(Y, state.v, state.theta)
+    state = SystemState(
+        p_gen=np.where(free_t, state.p_gen, p_inj + net.p_load),
+        q_gen=np.where(free_v, state.q_gen, q_inj + net.q_load),
+        v=state.v, theta=state.theta, free_mask=mask)
     final = np.abs(pf_residual(net, Y, state)).max()
     if final > pf_tol:
         raise NonConvergenceError(

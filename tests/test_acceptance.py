@@ -13,7 +13,7 @@ import opfdiag as od
 from opfdiag.constraints import evaluate
 from opfdiag.cqkit import Classification, kkt_residual, kkt_solve, licq_check
 from opfdiag.netmodel import build_ybus
-from opfdiag.powerflow import PFSetpoints, SystemState, pf_residual, solve_power_flow
+from opfdiag.powerflow import SystemState, pf_residual, solve_power_flow
 
 MC_SEED = 42
 
@@ -194,11 +194,8 @@ def test_criterion_5_numerical_hygiene():
             (od.example3(), None),
         ):
             net = fix.case.network
-            sol = solve_power_flow(
-                net, build_ybus(net),
-                PFSetpoints(p_gen=fix.case.gen_p.copy(),
-                            q_gen=fix.case.gen_q.copy()),
-                pf_tol=1e-10)
+            sol = solve_power_flow(net, build_ybus(net), fix.case.gen_p,
+                                   fix.case.gen_q, pf_tol=1e-10)
             assert sol.iterations <= 10
             assert np.abs(pf_residual(net, build_ybus(net),
                                       sol.state)).max() <= 1e-10

@@ -71,10 +71,20 @@ def test_check_ex2_reduced_fixed_failure(capsys):
     code, out, _ = run(capsys, "check", "--builtin", "ex2")
     assert code == EXIT_LICQ_FAILS
     payload = json.loads(out)
-    assert payload["fixed_licq"]["holds"] is False
-    assert payload["fixed_licq"]["rank"] == 1
+    assert payload["cq"]["licq_holds"] is False
+    assert payload["cq"]["numerical_rank"] == 1
     assert payload["kkt"]["classification"] == "NONE"
     assert payload["kkt"]["stationarity_residual"] >= 0.1
+
+
+def test_check_ex2_applies_eq_tol(capsys):
+    # |h| is about 5.6e-16 at the crossing point, so an equality tolerance
+    # below that makes the point infeasible
+    code, out, err = run(capsys, "check", "--builtin", "ex2",
+                         "--eq-tol", "1e-30")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert "infeasible" in err
 
 
 def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
@@ -245,6 +255,31 @@ def test_nonfinite_numeric_flags_exit_2(capsys, argv):
     _, err = capsys.readouterr()
     assert code == EXIT_INPUT
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "ex3", "--alpha", "5"],
+    ["check", "--case", "{case}", "--alpha", "5"],
+    ["ybus", "--builtin", "ex2", "--alpha", "3"],
+    ["perturb", "--builtin", "ex3", "--model", "line", "--trials", "1",
+     "--alpha", "4"],
+    ["repro", "ex2", "--alpha", "5"],
+])
+def test_alpha_outside_ex1_exits_2(capsys, tmp_path, ex1, argv):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(ex1.case_document()))
+    code, out, err = run(capsys, *[a.replace("{case}", str(case)) for a in argv])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--alpha" in err
+
+
+def test_negative_trials_exit_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["perturb", "--builtin", "ex1", "--model", "load",
+              "--trials", "-1"])
+    assert info.value.code == EXIT_INPUT
+    assert "--trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

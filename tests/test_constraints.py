@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import opfdiag as od
 from opfdiag.constraints import (ApparentPower, BoxLower, BoxUpper,
                                  ConstraintSystem, ExpLoadEq,
-                                 InfeasiblePointError, LinearEq,
-                                 VoltageDomainError, active_set, evaluate)
-from opfdiag.cqkit import licq_check
+                                 ConstraintError, InfeasiblePointError,
+                                 LinearEq, VoltageDomainError, active_set,
+                                 evaluate)
+from opfdiag.cqkit import active_stack, licq_check
 from opfdiag.powerflow import state_index
 
 
@@ -171,6 +172,14 @@ def test_evaluate_reports_flow_infeasibility(ex1):
         ex1.ground_truth.free_mask)
     _, _, feasible = evaluate(ex1.system, bad)
     assert not feasible
+
+
+def test_flow_system_rejects_plain_vector(ex1):
+    # a plain vector carries no free mask; a flow system needs a SystemState
+    flat = ex1.ground_truth.flat()
+    for call in (evaluate, active_set, active_stack):
+        with pytest.raises(ConstraintError, match="SystemState"):
+            call(ex1.system, flat)
 
 
 def test_state_index_layout():

@@ -9,7 +9,7 @@ from opfdiag.constraints import (BoxUpper, ConstraintSystem,
 from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
                            kkt_residual, kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
-from opfdiag.powerflow import PFSetpoints, solve_power_flow
+from opfdiag.powerflow import solve_power_flow
 
 
 def _checked_null_space(cs, x, cost):
@@ -39,9 +39,8 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
     # same system, lighter transfer: the cap stays strictly slack and the
     # five remaining rows are independent
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net),
-                           PFSetpoints(p_gen=np.array([0.0, -1.5]),
-                                       q_gen=np.array([0.0, 0.5])))
+    sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
+                           np.array([0.0, 0.5]))
     assert sol.state.v[1] < ex1.expected["v_bar"] - 1e-3
     report = licq_check(ex1.system, sol.state)
     assert report.m == 5
@@ -168,9 +167,8 @@ def test_rank_monotone_under_row_removal(rng):
 
 def test_licq_holds_implies_unique_or_none(ex1):
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net),
-                           PFSetpoints(p_gen=np.array([0.0, -1.5]),
-                                       q_gen=np.array([0.0, 0.5])))
+    sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
+                           np.array([0.0, 0.5]))
     report = licq_check(ex1.system, sol.state)
     assert report.licq_holds
     kkt = kkt_solve(ex1.system, sol.state, ex1.cost)

@@ -95,7 +95,7 @@ def test_ybus_symmetric_exactly(net):
 def test_ybus_row_sums_equal_lumped_shunts(rng):
     from opfdiag.perturb import lumped_shunts
 
-    net = od.random_network(4, rng, shunts=True)
+    net = od.random_network(4, rng)
     y = build_ybus(net)
     g_lump, b_lump = lumped_shunts(net)
     ones = np.ones(net.n_bus)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import opfdiag as od
 from opfdiag.netmodel import Bus, BusType, Line, Network, build_ybus
-from opfdiag.powerflow import (NonConvergenceError, PFSetpoints, SystemState,
-                               pf_jacobian, pf_residual, solve_power_flow,
+from opfdiag.powerflow import (NonConvergenceError, SystemState, pf_jacobian,
+                               pf_residual, solve_power_flow,
                                state_from_list, state_to_list)
 
 
@@ -113,9 +113,8 @@ def test_lossless_two_bus_injections_antisymmetric(v1, v2, t1, t2, b):
 
 def test_newton_reaches_high_voltage_branch(ex1):
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net),
-                           PFSetpoints(p_gen=ex1.case.gen_p.copy(),
-                                       q_gen=ex1.case.gen_q.copy()))
+    sol = solve_power_flow(net, build_ybus(net), ex1.case.gen_p,
+                           ex1.case.gen_q)
     assert sol.iterations <= 10
     assert abs(sol.state.v[1] - math.sqrt(2.0)) <= 1e-9
     assert abs(sol.state.theta[1] - math.pi / 4.0) <= 1e-9
@@ -125,8 +124,7 @@ def test_newton_reaches_high_voltage_branch(ex1):
 
 def test_newton_flat_profile_is_immediate(ex3):
     net = ex3.case.network
-    sol = solve_power_flow(net, build_ybus(net),
-                           PFSetpoints(p_gen=np.zeros(2), q_gen=np.zeros(2)))
+    sol = solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2))
     assert sol.iterations <= 1
     assert np.abs(sol.state.v - 1.0).max() == 0.0
 
@@ -143,17 +141,16 @@ def test_newton_fails_beyond_transferable_power():
     net = zero_load_two_bus()
     Y = build_ybus(net)
     with pytest.raises(NonConvergenceError) as info:
-        solve_power_flow(net, Y, PFSetpoints(p_gen=np.array([0.0, -2.0]),
-                                             q_gen=np.array([0.0, -2.0])))
+        solve_power_flow(net, Y, np.array([0.0, -2.0]), np.array([0.0, -2.0]))
     assert info.value.history  # iteration trace carried in the error
     for t, expect_ok in ((0.1, True), (0.2, True), (0.25, False), (0.5, False)):
-        setp = PFSetpoints(p_gen=np.array([0.0, -t]), q_gen=np.array([0.0, -t]))
+        setp = (np.array([0.0, -t]), np.array([0.0, -t]))
         if expect_ok:
-            sol = solve_power_flow(net, Y, setp)
+            sol = solve_power_flow(net, Y, *setp)
             assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
         else:
             with pytest.raises(NonConvergenceError):
-                solve_power_flow(net, Y, setp)
+                solve_power_flow(net, Y, *setp)
 
 
 def test_newton_result_feasible_over_random_setpoint_sweep():
@@ -162,9 +159,8 @@ def test_newton_result_feasible_over_random_setpoint_sweep():
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = rng.uniform(0.01, 0.15)
-        sol = solve_power_flow(
-            net, Y, PFSetpoints(p_gen=np.array([0.0, -t]),
-                                q_gen=np.array([0.0, -t])))
+        sol = solve_power_flow(net, Y, np.array([0.0, -t]),
+                               np.array([0.0, -t]))
         assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
 
 
@@ -183,21 +179,13 @@ def test_newton_singular_matrix_flagged_as_degenerate():
     from opfdiag.powerflow import SingularNewtonError
 
     with pytest.raises(SingularNewtonError, match="degeneracy"):
-        solve_power_flow(net, build_ybus(net),
-                         PFSetpoints(p_gen=np.zeros(3), q_gen=np.zeros(3)))
+        solve_power_flow(net, build_ybus(net), np.zeros(3), np.zeros(3))
 
 
 def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
-    net = Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK, v_setpoint=1.0),
-               Bus(id=1, bus_type=BusType.PV, v_setpoint=1.02),
-               Bus(id=2, bus_type=BusType.PQ, p_load=0.4, q_load=0.1)),
-        lines=(Line(0, 1, 0.2, -4.0), Line(1, 2, 0.1, -3.0),
-               Line(0, 2, 0.15, -2.5)))
+    net = pv_three_bus()
     Y = build_ybus(net)
-    setp = PFSetpoints(p_gen=np.array([0.0, 0.3, 0.0]),
-                       q_gen=np.zeros(3))
-    sol = solve_power_flow(net, Y, setp)
+    sol = solve_power_flow(net, Y, np.array([0.0, 0.3, 0.0]), np.zeros(3))
     assert sol.state.v[1] == 1.02
     assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
     # PV real setpoint held, reactive output recovered
@@ -205,6 +193,42 @@ def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
     assert sol.state.q_gen[1] != 0.0
     mask = sol.state.free_mask
     assert not mask[2 * 3 + 1]  # PV voltage eliminated
+
+
+def pv_three_bus():
+    return Network(
+        buses=(Bus(id=0, bus_type=BusType.SLACK, v_setpoint=1.0),
+               Bus(id=1, bus_type=BusType.PV, v_setpoint=1.02),
+               Bus(id=2, bus_type=BusType.PQ, p_load=0.4, q_load=0.1)),
+        lines=(Line(0, 1, 0.2, -4.0), Line(1, 2, 0.1, -3.0),
+               Line(0, 2, 0.15, -2.5)))
+
+
+@pytest.mark.parametrize("name", ["ex1", "pv3"])
+def test_newton_path_is_pinned_bitwise(ex1, name):
+    # iterates recorded from the solver before it moved onto
+    # pf_residual/pf_jacobian; any reordering of the Newton system shows
+    # up here as a changed bit
+    if name == "ex1":
+        net, p_gen, q_gen = ex1.case.network, ex1.case.gen_p, ex1.case.gen_q
+        iterations = 6
+        history = (1.0, 1.9193953882637205, 0.3183378219040571,
+                   0.02214628944001018, 0.0008208778587612819,
+                   2.011318311234689e-06, 1.1308731728831845e-11)
+        flat = [1.0000000000113087, -1.0, -2.795097486796294e-11, 1.0,
+                1.0, 1.4142135623848628, 0.0, 0.7853981633778184]
+    else:
+        net, p_gen, q_gen = pv_three_bus(), np.array([0.0, 0.3, 0.0]), np.zeros(3)
+        iterations = 4
+        history = (0.398, 0.014447718954869557, 4.4692031818088784e-05,
+                   4.430472377858763e-10, 1.2490009027033011e-15)
+        flat = [0.10149047975709251, 0.3, 0.0, -0.04776759957815857,
+                0.18271332577178667, 0.0, 1.0, 1.02, 0.9866175499500538,
+                0.0, 0.013729888547051447, -0.06457711233285712]
+    sol = solve_power_flow(net, build_ybus(net), p_gen, q_gen)
+    assert sol.iterations == iterations
+    assert sol.history == history
+    assert sol.state.flat().tolist() == flat
 
 
 def test_state_round_trip_through_flat_json(ex1):

@@ -4,8 +4,8 @@ AC power flow constraint systems."""
 from .netmodel import (AdmittanceMatrix, Bus, BusType, Case, CaseError,
                        ConstraintSpec, CostTerms, Line, Network, build_ybus,
                        case_to_dict, load_case)
-from .powerflow import (NonConvergenceError, PFSolution, PowerFlowError,
-                        SingularNewtonError, SystemState,
+from .powerflow import (DivergenceError, NonConvergenceError, PFSolution,
+                        PowerFlowError, SingularNewtonError, SystemState,
                         free_mask_from_bus_types, pf_jacobian, pf_residual,
                         solve_power_flow, state_from_list, state_index,
                         state_to_list)

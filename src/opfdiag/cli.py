@@ -30,6 +30,10 @@ EXIT_LICQ_FAILS = 3
 EXIT_INFEASIBLE = 4
 EXIT_REPRO_MISMATCH = 5
 
+# Default of --pf-tol; the flag's own default is None so that a check on
+# the ex2 reduced view, which has no flow equations, can reject it.
+PF_TOL = 1e-10
+
 
 def _finite(text: str) -> float:
     value = finite_number(float(text))
@@ -60,11 +64,15 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _pf_tol(args) -> float:
+    return PF_TOL if args.pf_tol is None else args.pf_tol
+
+
 def _tolerances(args) -> dict:
     return {
         "act_tol": args.act_tol,
         "eq_tol": args.eq_tol,
-        "pf_tol": args.pf_tol,
+        "pf_tol": _pf_tol(args),
         "stat_tol": args.stat_tol,
         "rank_ulp_scale": args.rank_tol_scale,
     }
@@ -100,7 +108,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "(default 1.0; rejected for other inputs)")
     parser.add_argument("--act-tol", type=_positive, default=1e-6)
     parser.add_argument("--eq-tol", type=_positive, default=1e-8)
-    parser.add_argument("--pf-tol", type=_positive, default=1e-10)
+    parser.add_argument("--pf-tol", type=_positive,
+                        help=f"power-flow mismatch tolerance (default {PF_TOL:g})")
     parser.add_argument("--stat-tol", type=_positive, default=1e-8)
     parser.add_argument("--rank-tol-scale", type=_positive, default=2.0 ** -52,
                         help="ulp scale of the relative rank tolerance")
@@ -130,12 +139,12 @@ def _parse_perturb_load(spec: str, n_bus: int) -> tuple[int, float]:
 def cmd_check(args) -> int:
     case, fix = _load_input(args)
     tols = {"act_tol": args.act_tol, "eq_tol": args.eq_tol,
-            "pf_tol": args.pf_tol}
+            "pf_tol": _pf_tol(args)}
 
     if fix is not None and fix.name == "ex2":
-        if args.state or args.perturb_load:
+        if args.state or args.perturb_load or args.pf_tol is not None:
             raise CaseError("ex2 is checked in its reduced (v, theta) view; "
-                            "--state and --perturb-load do not apply")
+                            "--state, --perturb-load and --pf-tol do not apply")
         red = fix.reduced
         cs, state, cost = replace(red.system, **tols), red.point, red.probe_cost
     else:
@@ -162,7 +171,7 @@ def cmd_check(args) -> int:
         else:
             try:
                 state = solve_power_flow(case.network, cs.Y, case.gen_p,
-                                         case.gen_q, pf_tol=args.pf_tol).state
+                                         case.gen_q, pf_tol=tols["pf_tol"]).state
             except PowerFlowError as exc:
                 print(f"power flow failed: {exc}", file=sys.stderr)
                 return EXIT_INFEASIBLE
@@ -190,7 +199,7 @@ def cmd_perturb(args) -> int:
     model = perturb.make_model(args.model, case)
     report = perturb.run_genericity_experiment(
         case, model, trials=args.trials, seed=args.seed,
-        act_tol=args.act_tol, eq_tol=args.eq_tol, pf_tol=args.pf_tol,
+        act_tol=args.act_tol, eq_tol=args.eq_tol, pf_tol=_pf_tol(args),
         rank_ulp_scale=args.rank_tol_scale)
     if args.format == "csv":
         text = report.to_csv()

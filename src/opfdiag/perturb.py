@@ -28,7 +28,7 @@ from . import constraints as con
 from . import cqkit
 from .netmodel import Case, Network, build_ybus
 from .powerflow import (PowerFlowError, SystemState, pf_jacobian, pf_residual,
-                        solve_power_flow)
+                        solve_power_flow, solve_power_flows)
 
 
 class PerturbationError(ValueError):
@@ -321,9 +321,33 @@ class GenericityReport:
         return buf.getvalue()
 
 
+# Byte budget of the stacked 2N x 4N flow Jacobians of one block of Monte
+# Carlo trials; it sets how many trials share one stacked Newton solve
+# (hundreds on two buses, one from about 64 buses up).
+BLOCK_JACOBIAN_BYTES = 1 << 16
+
+
+def _block_size(n_bus: int) -> int:
+    return max(1, BLOCK_JACOBIAN_BYTES // (2 * n_bus * 4 * n_bus * 8))
+
+
 def _trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng([seed, trial])
     return rng.uniform(box[:, 0], box[:, 1])
+
+
+def _solve_block(case: Case, model: PerturbationModel, seed: int,
+                 ts: range, pf_tol: float) -> list[tuple]:
+    """Draw, apply and solve the trials ``ts`` by one stacked Newton solve:
+    (trial, draw, network, admittance, PFSolution or PowerFlowError)."""
+    draws = [_trial_draw(seed, t, model.box) for t in ts]
+    nets = [apply_parameters(model, case, xi).network for xi in draws]
+    ys = [build_ybus(net_t) for net_t in nets]
+    sols = solve_power_flows(
+        case.network, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),
+        np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
+        case.gen_p, case.gen_q, pf_tol=pf_tol)
+    return list(zip(ts, draws, nets, ys, sols))
 
 
 def run_genericity_experiment(
@@ -341,7 +365,10 @@ def run_genericity_experiment(
 
     Per-trial draws use a counter-based seed derived from (seed, trial),
     so results are independent of execution order and reproducible
-    bit-for-bit. Non-convergent draws count as trials, not errors.
+    bit-for-bit. Non-convergent draws count as trials, not errors. Trials
+    are solved in blocks of ``_block_size`` by one stacked Newton solve,
+    with the iterates of a one-trial solve; only one block's draws,
+    networks and admittances are held at a time.
     """
     _expect_dimension(model, case.network)
     cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
@@ -360,37 +387,35 @@ def run_genericity_experiment(
     sigma_mins: list[float] = []
     feasible_count = 0
     licq_pass = 0
-    for t in range(trials):
-        xi = _trial_draw(seed, t, model.box)
-        trial_case = apply_parameters(model, case, xi)
-        net_t = trial_case.network
-        y_t = build_ybus(net_t)
-        try:
-            x_t = solve_power_flow(net_t, y_t, case.gen_p, case.gen_q,
-                                   pf_tol=pf_tol).state
-        except PowerFlowError:
-            records.append(TrialRecord(t, False, False, None, None))
-            continue
-        cs_t = replace(cs, net=net_t, Y=y_t)
-        _, _, feasible = con.evaluate(cs_t, x_t)
-        if not feasible:
-            records.append(TrialRecord(t, True, False, None, None))
-            continue
-        feasible_count += 1
-        report = cqkit.licq_check(cs_t, x_t, rank_ulp_scale=rank_ulp_scale)
-        sigma_mins.append(report.sigma_min)
-        if report.licq_holds:
-            licq_pass += 1
-        else:
-            failures.append({
-                "trial": t,
-                "seed": seed,
-                "xi": xi.tolist(),
-                "state": x_t.flat().tolist(),
-                "cq_report": report.to_dict(),
-            })
-        records.append(TrialRecord(t, True, True, report.licq_holds,
-                                   report.sigma_min))
+    block = _block_size(case.network.n_bus)
+    for start in range(0, trials, block):
+        for t, xi, net_t, y_t, sol in _solve_block(
+                case, model, seed, range(start, min(start + block, trials)),
+                pf_tol):
+            if isinstance(sol, PowerFlowError):
+                records.append(TrialRecord(t, False, False, None, None))
+                continue
+            x_t = sol.state
+            cs_t = replace(cs, net=net_t, Y=y_t)
+            _, _, feasible = con.evaluate(cs_t, x_t)
+            if not feasible:
+                records.append(TrialRecord(t, True, False, None, None))
+                continue
+            feasible_count += 1
+            report = cqkit.licq_check(cs_t, x_t, rank_ulp_scale=rank_ulp_scale)
+            sigma_mins.append(report.sigma_min)
+            if report.licq_holds:
+                licq_pass += 1
+            else:
+                failures.append({
+                    "trial": t,
+                    "seed": seed,
+                    "xi": xi.tolist(),
+                    "state": x_t.flat().tolist(),
+                    "cq_report": report.to_dict(),
+                })
+            records.append(TrialRecord(t, True, True, report.licq_holds,
+                                       report.sigma_min))
 
     return GenericityReport(
         trials=trials,
@@ -428,26 +453,35 @@ class ProbeRow:
 
 def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask,
                          *, tol=1e-11, max_iter=100):
-    """Minimum-norm Gauss-Newton on an equality system over free entries."""
+    """Minimum-norm Gauss-Newton on an equality system over free entries.
+
+    A non-finite residual, at the start or at a trial step, stops the
+    iteration as not converged."""
     flat = flat0.copy()
-    r = residual_fn(flat)
-    for _ in range(max_iter):
-        err = np.abs(r).max() if r.size else 0.0
-        if err <= tol:
-            return flat, True
-        jac = jacobian_fn(flat)[:, mask]
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        t = 1.0
-        while t >= 2.0 ** -30:
-            trial = flat.copy()
-            trial[mask] = flat[mask] + t * step
-            r_try = residual_fn(trial)
-            if np.abs(r_try).max() < err:
-                flat, r = trial, r_try
-                break
-            t /= 2.0
-        else:
-            return flat, False
+    with np.errstate(all="ignore"):
+        r = residual_fn(flat)
+        for _ in range(max_iter):
+            err = np.abs(r).max() if r.size else 0.0
+            if not np.isfinite(err):
+                return flat, False
+            if err <= tol:
+                return flat, True
+            jac = jacobian_fn(flat)[:, mask]
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            t = 1.0
+            while t >= 2.0 ** -30:
+                trial = flat.copy()
+                trial[mask] = flat[mask] + t * step
+                r_try = residual_fn(trial)
+                err_try = np.abs(r_try).max()
+                if not np.isfinite(err_try):
+                    return flat, False
+                if err_try < err:
+                    flat, r = trial, r_try
+                    break
+                t /= 2.0
+            else:
+                return flat, False
     return flat, np.abs(r).max() <= tol
 
 

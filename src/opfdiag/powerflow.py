@@ -40,6 +40,10 @@ class NonConvergenceError(PowerFlowError):
         self.mismatch = mismatch
 
 
+class DivergenceError(NonConvergenceError):
+    """Newton mismatch became non-finite; the iteration stopped there."""
+
+
 class SingularNewtonError(PowerFlowError):
     """Singular Newton matrix; possible degeneracy of the flow equations."""
 
@@ -114,22 +118,62 @@ def free_mask_from_bus_types(net: Network) -> np.ndarray:
     return mask
 
 
+def _injections(Yc: np.ndarray, v: np.ndarray, theta: np.ndarray):
+    """Nodal injections from a complex admittance matrix ``Yc``; every
+    argument may carry leading trial axes."""
+    u = v * np.exp(1j * theta)
+    s = u * np.conj((Yc @ u[..., None])[..., 0])
+    return s.real, s.imag
+
+
+def _residual(Yc: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
+              flat: np.ndarray) -> np.ndarray:
+    """F at flat states (..., 4N); real-power rows first."""
+    n = flat.shape[-1] // 4
+    p_inj, q_inj = _injections(Yc, flat[..., 2 * n:3 * n], flat[..., 3 * n:])
+    return np.concatenate([flat[..., :n] - p_load - p_inj,
+                           flat[..., n:2 * n] - q_load - q_inj], axis=-1)
+
+
+def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """dF/dx at flat states (..., 4N), shape (..., 2N, 4N)."""
+    n = flat.shape[-1] // 4
+    v, theta = flat[..., 2 * n:3 * n], flat[..., 3 * n:]
+    t = theta[..., :, None] - theta[..., None, :]
+    a = G * np.cos(t) + B * np.sin(t)
+    c = G * np.sin(t) - B * np.cos(t)
+    av, cv = (a @ v[..., None])[..., 0], (c @ v[..., None])[..., 0]
+    vv = v[..., :, None] * v[..., None, :]
+    gd = np.diagonal(G, axis1=-2, axis2=-1)
+    bd = np.diagonal(B, axis1=-2, axis2=-1)
+
+    jac = np.zeros(flat.shape[:-1] + (2 * n, 4 * n))
+    k = np.arange(n)
+    jac[..., k, k] = 1.0
+    jac[..., n + k, n + k] = 1.0
+    fp_v, fp_t = jac[..., :n, 2 * n:3 * n], jac[..., :n, 3 * n:]
+    fq_v, fq_t = jac[..., n:, 2 * n:3 * n], jac[..., n:, 3 * n:]
+    fp_v[:] = -v[..., :, None] * a
+    fp_v[..., k, k] = -(av + v * gd)
+    fp_t[:] = -vv * c
+    fp_t[..., k, k] = v * cv + v**2 * bd
+    fq_v[:] = -v[..., :, None] * c
+    fq_v[..., k, k] = -(cv - v * bd)
+    fq_t[:] = vv * a
+    fq_t[..., k, k] = -(v * av - v**2 * gd)
+    return jac
+
+
 def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
     """Nodal complex power flowing from each bus into the network."""
-    u = v * np.exp(1j * theta)
-    s = u * np.conj((Y.G + 1j * Y.B) @ u)
-    return s.real, s.imag
+    return _injections(Y.G + 1j * Y.B, v, theta)
 
 
 def pf_residual(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
     """Evaluate F(x); length 2N, real-power rows first."""
     if x.n_bus != net.n_bus:
         raise ValueError("state dimension does not match network")
-    p_inj, q_inj = injections(Y, x.v, x.theta)
-    return np.concatenate([
-        x.p_gen - net.p_load - p_inj,
-        x.q_gen - net.q_load - q_inj,
-    ])
+    return _residual(Y.G + 1j * Y.B, net.p_load, net.q_load, x.flat())
 
 
 def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
@@ -139,33 +183,9 @@ def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray
     reactive rows' dF_q/dq_gen = I) with zero cross blocks; the v/theta
     blocks are the negated partials of the nodal injections.
     """
-    n = net.n_bus
-    if x.n_bus != n:
+    if x.n_bus != net.n_bus:
         raise ValueError("state dimension does not match network")
-    v, theta = x.v, x.theta
-    t = theta[:, None] - theta[None, :]
-    a = Y.G * np.cos(t) + Y.B * np.sin(t)
-    c = Y.G * np.sin(t) - Y.B * np.cos(t)
-    av, cv = a @ v, c @ v
-    vv = np.outer(v, v)
-    gd = np.diag(Y.G)
-    bd = np.diag(Y.B)
-
-    jac = np.zeros((2 * n, 4 * n))
-    k = np.arange(n)
-    jac[k, k] = 1.0
-    jac[n + k, n + k] = 1.0
-    fp_v, fp_t = jac[:n, 2 * n:3 * n], jac[:n, 3 * n:]
-    fq_v, fq_t = jac[n:, 2 * n:3 * n], jac[n:, 3 * n:]
-    fp_v[:] = -v[:, None] * a
-    np.fill_diagonal(fp_v, -(av + v * gd))
-    fp_t[:] = -vv * c
-    np.fill_diagonal(fp_t, v * cv + v**2 * bd)
-    fq_v[:] = -v[:, None] * c
-    np.fill_diagonal(fq_v, -(cv - v * bd))
-    fq_t[:] = vv * a
-    np.fill_diagonal(fq_t, -(v * av - v**2 * gd))
-    return jac
+    return _jacobian(Y.G, Y.B, x.flat())
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +195,128 @@ class PFSolution:
     history: tuple[float, ...]
 
 
-# Newton step budget of solve_power_flow.
+# Newton step budget of solve_power_flow and solve_power_flows.
 MAX_ITER = 50
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
+    """Stacked solve of ``jac step = rhs``. numpy rejects a whole stack when
+    one matrix is singular; the stack is then solved trial by trial, and
+    each singular trial maps to its LinAlgError."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        pass
+    steps, singular = np.zeros_like(rhs), {}
+    for i in range(rhs.shape[0]):
+        try:
+            steps[i] = np.linalg.solve(jac[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError as exc:
+            singular[i] = exc
+    return steps, singular
+
+
+def solve_power_flows(
+    net: Network,
+    G: np.ndarray,
+    B: np.ndarray,
+    p_load: np.ndarray,
+    q_load: np.ndarray,
+    p_gen: np.ndarray,
+    q_gen: np.ndarray,
+    *,
+    pf_tol: float = 1e-10,
+) -> list[PFSolution | PowerFlowError]:
+    """Plain Newton on a stack of trials that share the bus records of
+    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
+    loads ``p_load[i]``, ``q_load[i]`` (T x N).
+
+    Each trial's iterates are exactly those of ``solve_power_flow`` on its
+    own data: the trials are stacked, never mixed, and a trial leaves the
+    stack when it converges or fails. Returns one ``PFSolution`` or one
+    unraised ``PowerFlowError`` per trial.
+    """
+    n = net.n_bus
+    trials = G.shape[0]
+    mask = free_mask_from_bus_types(net)
+    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
+    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
+    cols = np.concatenate([3 * n + np.flatnonzero(free_t),
+                           2 * n + np.flatnonzero(free_v)])
+
+    v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
+    theta = np.where(free_t, 0.0, [b.theta_setpoint for b in net.buses])
+    x = np.tile(np.concatenate([p_gen, q_gen, v, theta]), (trials, 1))
+    Yc = G + 1j * B
+
+    errs = np.zeros((trials, MAX_ITER + 1))
+    outcome: list = [None] * trials  # iteration count or PowerFlowError
+
+    def history(i: int, iterations: int) -> list[float]:
+        return errs[i, :iterations + 1].tolist()
+
+    live = np.arange(trials)
+    data = (G, B, Yc, p_load, q_load)  # rows of the live trials
+
+    def keep(sel: np.ndarray) -> None:
+        nonlocal live, data
+        if not sel.all():
+            live = live[sel]
+            data = tuple(arr[sel] for arr in data)
+
+    with np.errstate(all="ignore"):
+        for it in range(MAX_ITER + 1):
+            mis = _residual(*data[2:], x[live])[:, rows]
+            err = np.abs(mis).max(axis=1, initial=0.0)
+            errs[live, it] = err
+            going = np.isfinite(err) & (err > pf_tol)
+            for i, e in zip(live[~going], err[~going]):
+                outcome[i] = it if e <= pf_tol else DivergenceError(
+                    f"power flow diverged: non-finite mismatch at "
+                    f"iteration {it}", history(i, it), e)
+            if it == MAX_ITER:
+                for i in live[going]:
+                    outcome[i] = NonConvergenceError(
+                        "power flow did not converge", history(i, it),
+                        errs[i, it])
+                break
+            rhs = -mis[going]
+            keep(going)
+            if not live.size:
+                break
+            steps, singular = _newton_steps(
+                _jacobian(*data[:2], x[live])[:, rows[:, None], cols], rhs)
+            for j, exc in singular.items():
+                outcome[live[j]] = SingularNewtonError(
+                    f"singular Newton matrix at iteration {it} "
+                    "(possible degeneracy of the flow equations)")
+                outcome[live[j]].__cause__ = exc
+            ok = np.ones(live.size, dtype=bool)
+            ok[list(singular)] = False
+            x[live[ok][:, None], cols] += steps[ok]
+            keep(ok)
+
+    # Recover generation at buses whose rows were left out of the Newton
+    # system so the full residual vanishes identically.
+    done = np.array([i for i, o in enumerate(outcome) if isinstance(o, int)],
+                    dtype=int)
+    xd = x[done]
+    p_inj, q_inj = _injections(Yc[done], xd[:, 2 * n:3 * n], xd[:, 3 * n:])
+    xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + p_load[done])
+    xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + q_load[done])
+    final = np.abs(_residual(Yc[done], p_load[done], q_load[done],
+                             xd)).max(axis=1, initial=0.0)
+    for j, i in enumerate(done):
+        it = outcome[i]
+        if final[j] > pf_tol:
+            outcome[i] = NonConvergenceError(
+                "converged reduced system but full residual exceeds tolerance",
+                history(i, it), final[j])
+        else:
+            outcome[i] = PFSolution(state=SystemState.from_flat(xd[j], mask),
+                                    iterations=it,
+                                    history=tuple(history(i, it)))
+    return outcome
 
 
 def solve_power_flow(
@@ -194,57 +334,19 @@ def solve_power_flow(
     the free theta and v entries of ``free_mask_from_bus_types``, the
     equations the P rows of buses with a free theta and the Q rows of buses
     with a free v; each step solves ``J step = -F`` on those rows and
-    columns of ``pf_residual`` and ``pf_jacobian``. The slack bus absorbs
+    columns of the flow residual and Jacobian. The slack bus absorbs
     the power balance and PV reactive output is recovered after
     convergence. No line search or continuation: which solution branch is
     reached depends only on the start point, and failure is reported, not
-    masked.
+    masked: a non-finite mismatch raises ``DivergenceError`` at once.
+
+    This is the one-trial call of ``solve_power_flows``.
     """
-    n = net.n_bus
-    mask = free_mask_from_bus_types(net)
-    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
-    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
-    cols = np.concatenate([3 * n + np.flatnonzero(free_t),
-                           2 * n + np.flatnonzero(free_v)])
-
-    v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
-    theta = np.where(free_t, 0.0, [b.theta_setpoint for b in net.buses])
-    x = np.concatenate([p_gen, q_gen, v, theta])
-
-    history: list[float] = []
-    for iterations in range(MAX_ITER + 1):
-        state = SystemState.from_flat(x, mask)
-        mis = pf_residual(net, Y, state)[rows]
-        err = np.abs(mis).max() if mis.size else 0.0
-        history.append(err)
-        if err <= pf_tol:
-            break
-        if iterations == MAX_ITER:
-            raise NonConvergenceError("power flow did not converge",
-                                      history, err)
-        try:
-            step = np.linalg.solve(
-                pf_jacobian(net, Y, state)[np.ix_(rows, cols)], -mis)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonError(
-                f"singular Newton matrix at iteration {iterations} "
-                "(possible degeneracy of the flow equations)"
-            ) from exc
-        x[cols] += step
-
-    # Recover generation at buses whose rows were left out of the Newton
-    # system so the full residual vanishes identically.
-    p_inj, q_inj = injections(Y, state.v, state.theta)
-    state = SystemState(
-        p_gen=np.where(free_t, state.p_gen, p_inj + net.p_load),
-        q_gen=np.where(free_v, state.q_gen, q_inj + net.q_load),
-        v=state.v, theta=state.theta, free_mask=mask)
-    final = np.abs(pf_residual(net, Y, state)).max()
-    if final > pf_tol:
-        raise NonConvergenceError(
-            "converged reduced system but full residual exceeds tolerance",
-            history, final)
-    return PFSolution(state=state, iterations=iterations, history=tuple(history))
+    (out,) = solve_power_flows(net, Y.G[None], Y.B[None], net.p_load[None],
+                               net.q_load[None], p_gen, q_gen, pf_tol=pf_tol)
+    if isinstance(out, PowerFlowError):
+        raise out
+    return out
 
 
 def state_to_list(x: SystemState) -> list[float]:

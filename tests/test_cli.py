@@ -316,7 +316,8 @@ def test_check_undecodable_file_exits_2(capsys, tmp_path, ex1, flag):
 
 
 @pytest.mark.parametrize("extra", [["--perturb-load", "1:0.5"],
-                                   ["--state", "state.json"]])
+                                   ["--state", "state.json"],
+                                   ["--pf-tol", "1e-8"]])
 def test_check_ex2_rejects_state_and_perturb_load(capsys, extra):
     code, out, err = run(capsys, "check", "--builtin", "ex2", *extra)
     assert code == EXIT_INPUT
@@ -334,6 +335,15 @@ def test_sweep_margin_vanishes_only_at_zero_shift(capsys):
     assert all(r["converged"] for r in rows)
     assert [r["delta"] for r in rows if r["licq_holds"] is False] == [0.0]
     assert all(r["licq_holds"] is True for r in rows if r["delta"] != 0.0)
+
+    # a shift that overflows the residual stops the projection quietly
+    code, out, err = run(capsys, "sweep", "--alpha", "1", "--direction", "1",
+                         "--deltas", "1e300")
+    assert code == EXIT_OK
+    assert err == ""
+    rows = json.loads(out)["rows"]
+    assert [(r["delta"], r["converged"], r["licq_holds"]) for r in rows] == [
+        (-1e300, False, None), (0.0, True, False), (1e300, False, None)]
 
     code, _, err = run(capsys, "sweep", "--direction", "9")
     assert code == EXIT_INPUT

@@ -197,6 +197,17 @@ def test_genericity_experiment_deterministic(ex1):
     assert changed.to_json() != rep1.to_json()
 
 
+@pytest.mark.parametrize("kind", ["load", "shunt", "line"])
+def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
+    model = od.make_model(kind, ex1.case)
+    stacked = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
+    monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
+    assert od.perturb._block_size(ex1.case.network.n_bus) == 1
+    single = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
+    assert stacked.to_json() == single.to_json()
+    assert stacked.to_csv() == single.to_csv()
+
+
 def test_genericity_experiment_zero_trials(ex1):
     model = load_model(ex1.case)
     rep = run_genericity_experiment(ex1.case, model, trials=0, seed=1)

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfdiag as od
-from opfdiag.netmodel import Bus, BusType, Line, Network, build_ybus
-from opfdiag.powerflow import (NonConvergenceError, SystemState, pf_jacobian,
-                               pf_residual, solve_power_flow,
+from opfdiag.netmodel import Bus, BusType, Case, Line, Network, build_ybus
+from opfdiag.perturb import _trial_draw, apply_parameters, make_model
+from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
+                               PowerFlowError, SingularNewtonError,
+                               SystemState, pf_jacobian, pf_residual,
+                               solve_power_flow, solve_power_flows,
                                state_from_list, state_to_list)
 
 
@@ -229,6 +232,80 @@ def test_newton_path_is_pinned_bitwise(ex1, name):
     assert sol.iterations == iterations
     assert sol.history == history
     assert sol.state.flat().tolist() == flat
+
+
+def test_newton_stops_at_non_finite_mismatch():
+    # the first step overshoots to ~1e300 and the next mismatch overflows
+    net = Network(
+        buses=(Bus(id=0, bus_type=BusType.SLACK),
+               Bus(id=1, bus_type=BusType.PQ, p_load=1e300)),
+        lines=(Line(0, 1, g_series=0.0, b_series=-1.0),))
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2))
+    assert isinstance(info.value, NonConvergenceError)
+    assert len(info.value.history) - 1 < MAX_ITER
+    assert not np.isfinite(info.value.mismatch)
+
+
+def solve_stacked(net, ys, nets, p_gen, q_gen):
+    return solve_power_flows(
+        net, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),
+        np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
+        p_gen, q_gen)
+
+
+def assert_same_outcome(stacked, net, Y, p_gen, q_gen):
+    try:
+        solo = solve_power_flow(net, Y, p_gen, q_gen)
+    except PowerFlowError as exc:
+        assert type(stacked) is type(exc)
+        assert stacked.args == exc.args
+        return False
+    assert isinstance(stacked, type(solo))
+    assert stacked.iterations == solo.iterations
+    assert stacked.history == solo.history
+    assert stacked.state.flat().tolist() == solo.state.flat().tolist()
+    return True
+
+
+@pytest.mark.parametrize("source,kind,trials", [
+    ("ex1", "load", 200), ("pv3", "shunt", 60), ("pv3", "line", 60)])
+def test_stacked_newton_matches_one_trial_solves(ex1, source, kind, trials):
+    if source == "ex1":
+        case = ex1.case
+    else:
+        case = Case(network=pv_three_bus(), gen_p=np.array([0.0, 0.3, 0.0]),
+                    gen_q=np.zeros(3))
+    model = make_model(kind, case)
+    nets = [apply_parameters(model, case, _trial_draw(42, t, model.box)).network
+            for t in range(trials)]
+    ys = [build_ybus(net) for net in nets]
+    outs = solve_stacked(case.network, ys, nets, case.gen_p, case.gen_q)
+    converged = [assert_same_outcome(out, net, y, case.gen_p, case.gen_q)
+                 for out, net, y in zip(outs, nets, ys)]
+    if source == "ex1":
+        # the load box reaches beyond the nose curve
+        assert 0 < sum(converged) < trials
+    else:
+        assert all(converged)
+
+
+def test_stacked_newton_isolates_a_singular_trial():
+    net = pv_three_bus()
+    p_gen = np.array([0.0, 0.3, 0.0])
+    Y = build_ybus(net)
+    dead = od.AdmittanceMatrix(G=np.zeros((3, 3)), B=np.zeros((3, 3)))
+    ys = [Y, dead, Y, dead, Y]
+    outs = solve_stacked(net, ys, [net] * 5, p_gen, np.zeros(3))
+    for i in (1, 3):
+        assert isinstance(outs[i], SingularNewtonError)
+        assert "iteration 0" in str(outs[i])
+    for i in (0, 2, 4):
+        assert assert_same_outcome(outs[i], net, Y, p_gen, np.zeros(3))
 
 
 def test_state_round_trip_through_flat_json(ex1):

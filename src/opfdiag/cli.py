@@ -30,11 +30,6 @@ EXIT_LICQ_FAILS = 3
 EXIT_INFEASIBLE = 4
 EXIT_REPRO_MISMATCH = 5
 
-# Default of --pf-tol; the flag's own default is None so that a check on
-# the ex2 reduced view, which has no flow equations, can reject it.
-PF_TOL = 1e-10
-
-
 def _finite(text: str) -> float:
     value = finite_number(float(text))
     if value is None:
@@ -64,18 +59,10 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _pf_tol(args) -> float:
-    return PF_TOL if args.pf_tol is None else args.pf_tol
-
-
-def _tolerances(args) -> dict:
-    return {
-        "act_tol": args.act_tol,
-        "eq_tol": args.eq_tol,
-        "pf_tol": _pf_tol(args),
-        "stat_tol": args.stat_tol,
-        "rank_ulp_scale": args.rank_tol_scale,
-    }
+def _system_tols(args) -> dict:
+    """Tolerances given on the command line; ConstraintSystem's fill the rest."""
+    return {key: getattr(args, key) for key in ("act_tol", "eq_tol", "pf_tol")
+            if getattr(args, key) is not None}
 
 
 def _fixture(name: str | None, alpha: float | None):
@@ -106,12 +93,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=_positive,
                         help="coupling parameter of the ex1 fixture "
                              "(default 1.0; rejected for other inputs)")
-    parser.add_argument("--act-tol", type=_positive, default=1e-6)
-    parser.add_argument("--eq-tol", type=_positive, default=1e-8)
+    # Unset tolerances keep the defaults of ConstraintSystem; --pf-tol must
+    # stay unset on the ex2 reduced view, which has no flow equations.
+    parser.add_argument("--act-tol", type=_positive)
+    parser.add_argument("--eq-tol", type=_positive)
     parser.add_argument("--pf-tol", type=_positive,
-                        help=f"power-flow mismatch tolerance (default {PF_TOL:g})")
-    parser.add_argument("--stat-tol", type=_positive, default=1e-8)
-    parser.add_argument("--rank-tol-scale", type=_positive, default=2.0 ** -52,
+                        help="power-flow mismatch tolerance (default "
+                             f"{con.ConstraintSystem.pf_tol:g})")
+    parser.add_argument("--stat-tol", type=_positive, default=cqkit.DEFAULT_STAT_TOL)
+    parser.add_argument("--rank-tol-scale", type=_positive,
+                        default=cqkit.DEFAULT_RANK_ULP_SCALE,
                         help="ulp scale of the relative rank tolerance")
     parser.add_argument("--out", help="write the JSON report to this path")
 
@@ -138,8 +129,7 @@ def _parse_perturb_load(spec: str, n_bus: int) -> tuple[int, float]:
 
 def cmd_check(args) -> int:
     case, fix = _load_input(args)
-    tols = {"act_tol": args.act_tol, "eq_tol": args.eq_tol,
-            "pf_tol": _pf_tol(args)}
+    tols = _system_tols(args)
 
     if fix is not None and fix.name == "ex2":
         if args.state or args.perturb_load or args.pf_tol is not None:
@@ -163,30 +153,26 @@ def cmd_check(args) -> int:
             state, _, _ = perturb.nearest_feasible_point(case, fix.ground_truth,
                                                          **tols)
             if state is None:
-                print("no feasible point found near the fixture state",
-                      file=sys.stderr)
-                return EXIT_INFEASIBLE
+                raise con.InfeasiblePointError(
+                    "no feasible point found near the fixture state")
         elif fix is not None:
             state = fix.ground_truth
         else:
             try:
                 state = solve_power_flow(case.network, cs.Y, case.gen_p,
-                                         case.gen_q, pf_tol=tols["pf_tol"]).state
+                                         case.gen_q, pf_tol=cs.pf_tol).state
             except PowerFlowError as exc:
-                print(f"power flow failed: {exc}", file=sys.stderr)
-                return EXIT_INFEASIBLE
+                raise con.InfeasiblePointError(
+                    f"power flow failed: {exc}") from exc
         cost = (fix.cost if fix is not None and fix.cost is not None
                 else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
-
-    _, _, feasible = con.evaluate(cs, state)
-    if not feasible:
-        print("state is infeasible for the constraint system", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
     cq = cqkit.licq_check(cs, state, cost, stat_tol=args.stat_tol,
                           rank_ulp_scale=args.rank_tol_scale)
     _emit({
-        "tolerances": _tolerances(args),
+        "tolerances": {"act_tol": cs.act_tol, "eq_tol": cs.eq_tol,
+                       "pf_tol": cs.pf_tol, "stat_tol": args.stat_tol,
+                       "rank_ulp_scale": args.rank_tol_scale},
         "state": con.as_flat_state(cs, state)[0].tolist(),
         "cq": cq.to_dict(),
         "kkt": cq.kkt.to_dict(),
@@ -199,8 +185,7 @@ def cmd_perturb(args) -> int:
     model = perturb.make_model(args.model, case)
     report = perturb.run_genericity_experiment(
         case, model, trials=args.trials, seed=args.seed,
-        act_tol=args.act_tol, eq_tol=args.eq_tol, pf_tol=_pf_tol(args),
-        rank_ulp_scale=args.rank_tol_scale)
+        rank_ulp_scale=args.rank_tol_scale, **_system_tols(args))
     if args.format == "csv":
         text = report.to_csv()
         if args.out:

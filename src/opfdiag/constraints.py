@@ -264,17 +264,45 @@ class ActiveSet:
     """
 
     indices: tuple[int, ...]
-    values: np.ndarray
+
+
+def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
+    """Stacked-row labels: flow p then q rows by bus, every h, the given g."""
+    n = cs.net.n_bus if cs.has_flow else 0
+    return ([f"flow:p:{k}" for k in range(n)] + [f"flow:q:{k}" for k in range(n)]
+            + [f"h:{i}" for i in range(len(cs.h_ops))]
+            + [f"g:{j}" for j in g_indices])
+
+
+class _WorstViolation:
+    """Message of the InfeasiblePointError raised by active_set: the row
+    with the largest excess over its tolerance. It is formatted only when
+    read (the Monte Carlo sweep never reads it), and the flow residual is
+    recomputed then."""
+
+    def __init__(self, cs: ConstraintSystem, x, h_vals, g_vals):
+        self.evaluation = (cs, x, h_vals, g_vals)
+
+    def __str__(self) -> str:
+        cs, x, h_vals, g_vals = self.evaluation
+        flow = pf_residual(cs.net, cs.Y, x) if cs.has_flow else np.zeros(0)
+        rows = zip(row_labels(cs, range(g_vals.size)),
+                   np.concatenate([np.abs(flow), np.abs(h_vals), g_vals]),
+                   ["pf_tol"] * flow.size + ["eq_tol"] * h_vals.size
+                   + ["act_tol"] * g_vals.size)
+        label, value, name = max(rows, key=lambda r: r[1] - getattr(cs, r[2]))
+        if name != "act_tol":
+            label = f"|{label}|"
+        tol = getattr(cs, name)
+        return f"worst violation {label} = {value:.3e} > {name} = {tol:g}"
 
 
 def active_set(cs: ConstraintSystem, x) -> ActiveSet:
-    """Indices j with g_j(x) >= -act_tol. Only defined on feasible points."""
+    """Indices j with g_j(x) >= -act_tol. Only defined on feasible points;
+    at an infeasible one it raises InfeasiblePointError naming the worst
+    violated row."""
     h_vals, g_vals, feasible = evaluate(cs, x)
     if not feasible:
-        raise InfeasiblePointError(
-            "active set requested at an infeasible point "
-            f"(max |h| = {np.abs(h_vals).max() if h_vals.size else 0.0:.3e}, "
-            f"max g = {g_vals.max() if g_vals.size else float('-inf'):.3e})")
-    idx = tuple(int(j) for j in range(g_vals.size)
-                if g_vals[j] >= -cs.act_tol)
-    return ActiveSet(indices=idx, values=g_vals)
+        raise InfeasiblePointError(_WorstViolation(cs, x, h_vals, g_vals))
+    return ActiveSet(tuple(int(j) for j in range(g_vals.size)
+                           if g_vals[j] >= -cs.act_tol))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (ActiveSet, ConstraintSystem, active_set,
-                          as_flat_state)
+                          as_flat_state, row_labels)
 from .netmodel import CostTerms
 from .powerflow import pf_jacobian, state_index
 
@@ -90,25 +90,14 @@ def active_stack(cs: ConstraintSystem, x):
     """
     flat, mask = as_flat_state(cs, x)
     act = active_set(cs, x)
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    if cs.has_flow:
-        n = cs.net.n_bus
-        jac = pf_jacobian(cs.net, cs.Y, x)[:, mask]
-        rows.extend(jac)
-        labels.extend([f"flow:p:{k}" for k in range(n)]
-                      + [f"flow:q:{k}" for k in range(n)])
-    for i, h in enumerate(cs.h_ops):
-        rows.append(h.gradient(flat)[mask])
-        labels.append(f"h:{i}")
-    for j in act.indices:
-        rows.append(cs.g_ops[j].gradient(flat)[mask])
-        labels.append(f"g:{j}")
+    rows = list(pf_jacobian(cs.net, cs.Y, x)[:, mask]) if cs.has_flow else []
+    rows += [h.gradient(flat)[mask] for h in cs.h_ops]
+    rows += [cs.g_ops[j].gradient(flat)[mask] for j in act.indices]
     if rows:
         stack = np.vstack(rows)
     else:
         stack = np.zeros((0, int(mask.sum())))
-    return stack, labels, act, flat, mask
+    return stack, row_labels(cs, act.indices), act, flat, mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +140,11 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
                rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> CQReport:
     """Rank test of the full active stack [grad F; grad h; grad g_J].
 
-    The point must be feasible; the qualification holds iff the stack has
-    full row rank over the free state entries. Without a cost only the
-    singular values are computed. With one, a single SVD with vectors
-    gives the rank and the multiplier set (``CQReport.kkt``, see
+    This is the feasibility test of check, sweep and probe: an infeasible
+    point raises InfeasiblePointError. The qualification holds iff the
+    stack has full row rank over the free state entries. Without a cost
+    only the singular values are computed. With one, a single SVD with
+    vectors gives the rank and the multiplier set (``CQReport.kkt``, see
     ``kkt_solve``); U is full only when m > n, where the left null space
     reaches past the thin columns.
     """
@@ -276,9 +266,10 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
     """Solution set of stack^T y = -grad_f from the SVD of the stack.
 
     The SVD gives the least-squares particular solution and the left null
-    space. Classification: NONE when the residual exceeds stat_tol (the
-    cost gradient leaves the row space); UNIQUE for an empty null space;
-    RAY for a one-dimensional family, reported as vertex + zeta * direction
+    space. Classification: NONE when the residual exceeds
+    stat_tol * max(1, |grad_f|), relative to the cost's scale (the cost
+    gradient leaves the row space); UNIQUE for an empty null space; RAY
+    for a one-dimensional family, reported as vertex + zeta * direction
     with the exact sign-feasible zeta interval; FAMILY(dim) for
     higher-dimensional null spaces, whose sign feasibility is reported
     unresolved.
@@ -298,7 +289,7 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
             lam=y[n2:n2 + n_h], mu=y[n2 + n_h:], active_indices=act.indices,
             nullspace_basis=basis, stationarity_residual=resid, **extra)
 
-    if resid > stat_tol:
+    if resid > stat_tol * max(1.0, float(np.linalg.norm(grad_f))):
         return package(y_min, Classification.NONE, family_dim=nullity)
     if nullity == 0:
         sign_ok = bool((y_min[n2 + n_h:] >= -1e-12).all())
@@ -332,8 +323,7 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
     flat, mask = as_flat_state(cs, x)
     act = active_set(cs, x)
     y = np.asarray(multipliers, dtype=float)
-    n_rows = ((2 * cs.net.n_bus if cs.has_flow else 0)
-              + len(cs.h_ops) + len(act.indices))
+    n_rows = len(row_labels(cs, act.indices))
     if y.size != n_rows:
         raise ValueError(
             f"multiplier vector has {y.size} entries, active stack has "

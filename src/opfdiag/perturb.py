@@ -277,13 +277,23 @@ class GenericityReport:
     rng_seed: int
     model_kind: str
     box: np.ndarray
-    feasible_count: int
-    licq_pass_count: int
-    sigma_min_sorted: tuple[float, ...]
     records: tuple[TrialRecord, ...]
     failures: tuple[dict, ...]
     hypothesis: RankHypothesisReport | None
     tolerances: dict
+
+    @property
+    def feasible_count(self) -> int:
+        return sum(rec.feasible for rec in self.records)
+
+    @property
+    def licq_pass_count(self) -> int:
+        return sum(rec.licq_holds is True for rec in self.records)
+
+    @property
+    def sigma_min_sorted(self) -> tuple[float, ...]:
+        return tuple(sorted(rec.sigma_min for rec in self.records
+                            if rec.feasible))
 
     def to_dict(self) -> dict:
         return {
@@ -356,10 +366,8 @@ def run_genericity_experiment(
     trials: int,
     seed: int,
     *,
-    act_tol: float = 1e-6,
-    eq_tol: float = 1e-8,
-    pf_tol: float = 1e-10,
     rank_ulp_scale: float = cqkit.DEFAULT_RANK_ULP_SCALE,
+    **tols,
 ) -> GenericityReport:
     """Deterministic Monte Carlo sweep over the model's sampling box.
 
@@ -368,45 +376,38 @@ def run_genericity_experiment(
     bit-for-bit. Non-convergent draws count as trials, not errors. Trials
     are solved in blocks of ``_block_size`` by one stacked Newton solve,
     with the iterates of a one-trial solve; only one block's draws,
-    networks and admittances are held at a time.
+    networks and admittances are held at a time. ``tols`` go to
+    ``system_for_case``, and the qualification check decides feasibility.
     """
     _expect_dimension(model, case.network)
-    cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
-                             pf_tol=pf_tol)
+    cs = con.system_for_case(case, **tols)
 
     hypothesis = None
     try:
         x0 = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
-                              pf_tol=pf_tol).state
+                              pf_tol=cs.pf_tol).state
         hypothesis = check_rank_hypothesis(model, case.network, x0)
     except PowerFlowError:
         pass
 
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    sigma_mins: list[float] = []
-    feasible_count = 0
-    licq_pass = 0
     block = _block_size(case.network.n_bus)
     for start in range(0, trials, block):
         for t, xi, net_t, y_t, sol in _solve_block(
                 case, model, seed, range(start, min(start + block, trials)),
-                pf_tol):
+                cs.pf_tol):
             if isinstance(sol, PowerFlowError):
                 records.append(TrialRecord(t, False, False, None, None))
                 continue
             x_t = sol.state
-            cs_t = replace(cs, net=net_t, Y=y_t)
-            _, _, feasible = con.evaluate(cs_t, x_t)
-            if not feasible:
+            try:
+                report = cqkit.licq_check(replace(cs, net=net_t, Y=y_t), x_t,
+                                          rank_ulp_scale=rank_ulp_scale)
+            except con.InfeasiblePointError:
                 records.append(TrialRecord(t, True, False, None, None))
                 continue
-            feasible_count += 1
-            report = cqkit.licq_check(cs_t, x_t, rank_ulp_scale=rank_ulp_scale)
-            sigma_mins.append(report.sigma_min)
-            if report.licq_holds:
-                licq_pass += 1
-            else:
+            if not report.licq_holds:
                 failures.append({
                     "trial": t,
                     "seed": seed,
@@ -422,14 +423,11 @@ def run_genericity_experiment(
         rng_seed=seed,
         model_kind=model.kind.value,
         box=model.box,
-        feasible_count=feasible_count,
-        licq_pass_count=licq_pass,
-        sigma_min_sorted=tuple(sorted(sigma_mins)),
         records=tuple(records),
         failures=tuple(failures),
         hypothesis=hypothesis,
-        tolerances={"act_tol": act_tol, "eq_tol": eq_tol, "pf_tol": pf_tol,
-                    "rank_ulp_scale": rank_ulp_scale},
+        tolerances={"act_tol": cs.act_tol, "eq_tol": cs.eq_tol,
+                    "pf_tol": cs.pf_tol, "rank_ulp_scale": rank_ulp_scale},
     )
 
 
@@ -451,8 +449,12 @@ class ProbeRow:
                 "bound_pinned": self.bound_pinned}
 
 
-def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask,
-                         *, tol=1e-11, max_iter=100):
+# Residual tolerance and step budget of nearest_feasible_point's projection.
+PROJECTION_TOL = 1e-11
+PROJECTION_MAX_ITER = 100
+
+
+def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
     """Minimum-norm Gauss-Newton on an equality system over free entries.
 
     A non-finite residual, at the start or at a trial step, stops the
@@ -460,11 +462,11 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask,
     flat = flat0.copy()
     with np.errstate(all="ignore"):
         r = residual_fn(flat)
-        for _ in range(max_iter):
+        for _ in range(PROJECTION_MAX_ITER):
             err = np.abs(r).max() if r.size else 0.0
             if not np.isfinite(err):
                 return flat, False
-            if err <= tol:
+            if err <= PROJECTION_TOL:
                 return flat, True
             jac = jacobian_fn(flat)[:, mask]
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -482,26 +484,24 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask,
                 t /= 2.0
             else:
                 return flat, False
-    return flat, np.abs(r).max() <= tol
+    return flat, np.abs(r).max() <= PROJECTION_TOL
 
 
 def nearest_feasible_point(
     case: Case,
     x_start: SystemState,
-    *,
-    act_tol: float = 1e-6,
-    eq_tol: float = 1e-8,
-    pf_tol: float = 1e-10,
+    **tols,
 ) -> tuple[SystemState | None, bool, con.ConstraintSystem]:
-    """Feasible point of a case near a start state, by projection.
+    """Point of a case near a start state, by projection.
 
     Two stages of minimum-norm Gauss-Newton: first onto the equality
     manifold {F = 0, h = 0}; if an inequality ends up violated there, a
     second projection with that bound pinned as an equality. Returns
-    (state_or_None, bound_pinned, constraint_system).
+    (state, bound_pinned, constraint_system), state None when Gauss-Newton
+    fails; feasibility is left to the check on ``system_for_case(case,
+    **tols)``.
     """
-    cs = con.system_for_case(case, act_tol=act_tol, eq_tol=eq_tol,
-                             pf_tol=pf_tol)
+    cs = con.system_for_case(case, **tols)
     net, y, h_ops, g_ops = cs.net, cs.Y, cs.h_ops, cs.g_ops
     mask = x_start.free_mask
 
@@ -528,18 +528,14 @@ def nearest_feasible_point(
     if ok:
         g_vals = np.array([g.value(flat) for g in g_ops])
         violated = tuple(int(j) for j in range(g_vals.size)
-                         if g_vals[j] > act_tol)
+                         if g_vals[j] > cs.act_tol)
         if violated:
             pinned = violated
             residual, jacobian = make_fns(pinned)
             flat, ok = _damped_gauss_newton(residual, jacobian, flat, mask)
     if not ok:
         return None, bool(pinned), cs
-    state = SystemState.from_flat(flat, mask)
-    _, _, feasible = con.evaluate(cs, state)
-    if not feasible:
-        return None, bool(pinned), cs
-    return state, bool(pinned), cs
+    return SystemState.from_flat(flat, mask), bool(pinned), cs
 
 
 def shift_load(case: Case, direction: int, delta: float) -> Case:
@@ -565,21 +561,21 @@ def tangency_escape_probe(
     ``direction`` indexes the stacked load vector (p loads then q loads).
     For each delta the load is shifted by delta, the feasible point
     nearest the start is re-solved by projection, and the qualification
-    check runs at the recovered point. A degenerate start stays degenerate
-    only at delta = 0; any interior shift should restore full rank.
+    check runs at the recovered point (an infeasible one gives a
+    not-converged row). A degenerate start stays degenerate only at
+    delta = 0; any interior shift should restore full rank.
     """
     rows: list[ProbeRow] = []
     for delta in deltas:
         case_d = shift_load(case, direction, float(delta))
         state, pinned, cs_d = nearest_feasible_point(case_d, x_start)
-        if state is None:
-            rows.append(ProbeRow(delta=float(delta), converged=False,
-                                 sigma_min=None, licq_holds=None,
-                                 bound_pinned=pinned))
-            continue
-        report = cqkit.licq_check(cs_d, state)
-        rows.append(ProbeRow(delta=float(delta), converged=True,
-                             sigma_min=report.sigma_min,
-                             licq_holds=report.licq_holds,
-                             bound_pinned=pinned))
+        try:
+            report = None if state is None else cqkit.licq_check(cs_d, state)
+        except con.InfeasiblePointError:
+            report = None
+        rows.append(ProbeRow(
+            delta=float(delta), converged=report is not None,
+            sigma_min=None if report is None else report.sigma_min,
+            licq_holds=None if report is None else report.licq_holds,
+            bound_pinned=pinned))
     return rows

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag import constraints as con
 from opfdiag import cqkit
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, main)
@@ -85,6 +86,7 @@ def test_check_ex2_applies_eq_tol(capsys):
     assert code == EXIT_INFEASIBLE
     assert out == ""
     assert "infeasible" in err
+    assert "|h:0| = 5.551e-16 > eq_tol = 1e-30" in err
 
 
 def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
@@ -98,6 +100,35 @@ def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
                        "--state", str(path))
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in err
+    assert "|flow:p:0| = 5.000e-01 > pf_tol = 1e-10" in err
+
+
+def test_check_infeasible_names_violated_cap(capsys, tmp_path, ex1):
+    doc = ex1.case_document()
+    cap = doc["constraints"][1]
+    assert cap["kind"] == "box_upper" and cap["target"]["var"] == "v"
+    cap["params"]["bound"] -= 0.01
+    doc_path = tmp_path / "case.json"
+    doc_path.write_text(json.dumps(doc))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(od.state_to_list(ex1.ground_truth)))
+    code, out, err = run(capsys, "check", "--case", str(doc_path),
+                         "--state", str(state_path))
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert "worst violation g:0 = 1.000e-02 > act_tol = 1e-06" in err
+
+
+def test_check_unsolvable_flow_exits_4(capsys, tmp_path, ex1):
+    # every exit 4 comes from the InfeasiblePointError handler in main
+    doc = ex1.case_document()
+    doc["buses"][1]["p_load"] = -50.0  # far beyond what the line can carry
+    doc_path = tmp_path / "case.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(doc_path))
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("infeasible: power flow failed: ")
 
 
 def test_check_file_case_round_trip(capsys, tmp_path, ex1):
@@ -382,6 +413,38 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
     assert len(svd_calls) == 1
     (m, n), full = svd_calls[0]
     assert not (full and m <= n)
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["check", "--builtin", "ex1"], 1),
+    (["check", "--builtin", "ex2"], 1),
+    (["check", "lattice"], 1),
+    (["check", "--builtin", "ex1", "--perturb-load", "1:+0.05"], 1),
+    # 794 of the 1000 trials converge: 304 feasible, 490 infeasible
+    (["perturb", "--builtin", "ex1", "--model", "load", "--trials", "1000",
+      "--seed", "42"], 794),
+    (["sweep"], 7),
+], ids=["check-ex1", "check-ex2", "check-lattice", "check-perturb-load",
+        "perturb-ex1", "sweep"])
+def test_one_constraint_evaluation_per_point(capsys, tmp_path, monkeypatch,
+                                             lattice_document, argv, points):
+    calls = []
+    real_evaluate = con.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    if "lattice" in argv:
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice_document(3, 3, 0)))
+        argv = ["check", "--case", str(path)]
+    monkeypatch.setattr(con, "evaluate", counting_evaluate)
+    code, out, _ = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_LICQ_FAILS)
+    if argv[0] == "perturb":
+        assert json.loads(out)["feasible_count"] == 304
+    assert len(calls) == points
 
 
 def _relabel(doc: dict, perm: np.ndarray) -> dict:

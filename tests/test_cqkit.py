@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import opfdiag as od
 from opfdiag.constraints import (BoxUpper, ConstraintSystem,
-                                 InfeasiblePointError, LinearEq)
+                                 InfeasiblePointError, LinearEq, evaluate)
 from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
                            kkt_residual, kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
@@ -66,6 +67,34 @@ def test_licq_rejects_infeasible_point(ex1):
                                    ex1.ground_truth.free_mask)
     with pytest.raises(InfeasiblePointError):
         licq_check(ex1.system, bad)
+
+
+def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
+    # licq_check is the only feasibility test of check, sweep and probe, so
+    # its verdict must agree with evaluate's on feasible and infeasible
+    # states alike
+    case = od.load_case(json.dumps(lattice_document(3, 3, 0)))
+    lattice = od.system_for_case(case)
+    x_lattice = solve_power_flow(case.network, lattice.Y, case.gen_p,
+                                 case.gen_q).state
+    rng = np.random.default_rng(6)
+    for cs, x in ((ex1.system, ex1.ground_truth), (lattice, x_lattice)):
+        seen = set()
+        for _ in range(150):
+            scale = 10.0 ** rng.uniform(-14, -3)
+            noise = scale * rng.standard_normal(cs.n_state)
+            noise *= rng.uniform(size=cs.n_state) < 0.5
+            state = od.SystemState.from_flat(x.flat() + noise, x.free_mask)
+            feasible = evaluate(cs, state)[2]
+            try:
+                licq_check(cs, state)
+                raised = False
+            except InfeasiblePointError as exc:
+                assert str(exc).startswith("worst violation ")
+                raised = True
+            assert raised is not feasible
+            seen.add(feasible)
+        assert seen == {True, False}
 
 
 def test_kkt_ray_at_tangent_point(ex1):
@@ -144,11 +173,15 @@ def test_null_space_offsets_preserve_stationarity(ex1, rng):
 
 
 def test_cost_scaling_scales_multipliers(ex1):
+    # the stationarity test is relative to the cost gradient, so a scaled
+    # cost keeps its classification (at 1e8 the residual is 1.2e-7)
     kkt1 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost)
-    factor = 3.7
-    kkt2 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost.scaled(factor))
-    assert kkt2.classification is kkt1.classification
-    assert np.abs(kkt2.particular - factor * kkt1.particular).max() <= 1e-10
+    for factor in (3.7, 1e8):
+        kkt2 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost.scaled(factor))
+        assert kkt2.classification is kkt1.classification
+        scale = factor * np.abs(kkt1.particular).max()
+        assert np.abs(kkt2.particular
+                      - factor * kkt1.particular).max() <= 1e-12 * scale
 
 
 def test_rank_monotone_under_row_removal(rng):

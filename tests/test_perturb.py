@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag.constraints import InfeasiblePointError
+from opfdiag.cqkit import licq_check
 from opfdiag.netmodel import Case, build_ybus
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              apply_parameters, check_rank_hypothesis,
                              line_model, load_model, lumped_shunts,
-                             param_jacobian,
-                             run_genericity_experiment, shunt_model,
-                             tangency_escape_probe)
+                             nearest_feasible_point, param_jacobian,
+                             run_genericity_experiment, shift_load,
+                             shunt_model, tangency_escape_probe)
 
 
 def random_case(rng, n_bus=4):
@@ -279,6 +283,26 @@ def test_tangency_probe_margin_trend_recorded(ex1):
                                  [1e-3, 1e-2, 1e-1], direction=1)
     margins = [r.sigma_min for r in rows]
     assert margins == sorted(margins)
+
+
+def test_probe_leaves_feasibility_to_the_check(ex1):
+    # a cap on the slack's p that holds after the first projection but not
+    # after the second, which pins the voltage cap: the projection returns
+    # its point, the check rejects it and the probe reports no convergence
+    doc = ex1.case_document()
+    doc["constraints"].append({"kind": "box_upper",
+                               "target": {"var": "p", "bus": 0},
+                               "params": {"bound": 1.05}})
+    case = od.load_case(json.dumps(doc))
+    state, pinned, cs = nearest_feasible_point(shift_load(case, 1, 0.01),
+                                               ex1.ground_truth)
+    assert pinned and state is not None
+    with pytest.raises(InfeasiblePointError, match=r"g:1 = 5\.487e-02"):
+        licq_check(cs, state)
+    rows = tangency_escape_probe(case, ex1.ground_truth, [0.0, 0.01],
+                                 direction=1)
+    assert [(r.converged, r.licq_holds, r.bound_pinned) for r in rows] == [
+        (True, False, False), (False, None, True)]
 
 
 def test_probe_rejects_bad_direction(ex1):

@@ -23,7 +23,6 @@ from .perturb import (GenericityReport, ModelKind, PerturbationModel,
                       run_genericity_experiment, shift_load, shunt_model,
                       tangency_escape_probe)
 from .cases import (BUILTIN_NAMES, FixtureBundle, ReducedView, builtin,
-                    example1, example2, example3, random_network,
-                    random_state)
+                    example1, example2, example3)
 
 __version__ = "0.1.0"

@@ -52,9 +52,6 @@ class CostSpec:
             c1[state_index(var, bus, n_bus)] += coef
         return cls(c2=c2, c1=c1)
 
-    def value(self, x: np.ndarray) -> float:
-        return float(0.5 * self.c2 @ (x * x) + self.c1 @ x)
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.c2 * x + self.c1
 
@@ -100,6 +97,15 @@ def active_stack(cs: ConstraintSystem, x):
     return stack, row_labels(cs, act.indices), act, flat, mask
 
 
+def _coo(matrix: np.ndarray) -> dict:
+    """Nonzero entries of a matrix as row-major COO triplets; a reader
+    rebuilds it with ``a = np.zeros(shape); a[rows, cols] = values``.
+    Exact zeros of either sign are left out."""
+    rows, cols = np.nonzero(matrix)
+    return {"shape": list(matrix.shape), "rows": rows.tolist(),
+            "cols": cols.tolist(), "values": matrix[rows, cols].tolist()}
+
+
 @dataclass(frozen=True, eq=False)
 class CQReport:
     """LICQ verdict at one feasible point.
@@ -131,7 +137,7 @@ class CQReport:
             "licq_holds": self.licq_holds,
             "face": list(self.face),
             "row_labels": list(self.row_labels),
-            "active_jacobian": self.active_jacobian.tolist(),
+            "active_jacobian": _coo(self.active_jacobian),
         }
 
 

@@ -382,6 +382,15 @@ def test_sweep_margin_vanishes_only_at_zero_shift(capsys):
 
 
 
+def _check_argv(source, tmp_path, lattice_document) -> list[str]:
+    """Input flags of a check on a builtin fixture or on a 3x3 lattice."""
+    if source != "lattice":
+        return ["--builtin", source]
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice_document(3, 3, 0)))
+    return ["--case", str(path)]
+
+
 @pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
 def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
                                        lattice_document, source):
@@ -398,12 +407,7 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
         stack_calls.append(1)
         return real_stack(*args, **kwargs)
 
-    if source == "lattice":
-        path = tmp_path / "lattice.json"
-        path.write_text(json.dumps(lattice_document(3, 3, 0)))
-        argv = ["--case", str(path)]
-    else:
-        argv = ["--builtin", source]
+    argv = _check_argv(source, tmp_path, lattice_document)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(cqkit, "active_stack", counting_stack)
     code, out, _ = run(capsys, "check", *argv)
@@ -413,6 +417,29 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
     assert len(svd_calls) == 1
     (m, n), full = svd_calls[0]
     assert not (full and m <= n)
+
+
+@pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
+def test_check_report_rebuilds_active_jacobian(capsys, tmp_path, monkeypatch,
+                                               lattice_document, source):
+    reports = []
+    real_check = cqkit.licq_check
+
+    def keeping_check(*args, **kwargs):
+        reports.append(real_check(*args, **kwargs))
+        return reports[-1]
+
+    argv = _check_argv(source, tmp_path, lattice_document)
+    monkeypatch.setattr(cqkit, "licq_check", keeping_check)
+    code, out, _ = run(capsys, "check", *argv)
+    assert code in (EXIT_OK, EXIT_LICQ_FAILS)
+    (report,) = reports
+    coo = json.loads(out)["cq"]["active_jacobian"]
+    assert coo["shape"] == list(report.active_jacobian.shape)
+    assert len(coo["values"]) == np.count_nonzero(report.active_jacobian)
+    rebuilt = np.zeros(coo["shape"])
+    rebuilt[coo["rows"], coo["cols"]] = coo["values"]
+    assert (rebuilt == report.active_jacobian).all()
 
 
 @pytest.mark.parametrize("argv, points", [

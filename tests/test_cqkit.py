@@ -8,7 +8,8 @@ import opfdiag as od
 from opfdiag.constraints import (BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
 from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
-                           kkt_residual, kkt_solve, licq_check, numerical_rank)
+                           CQReport, kkt_residual, kkt_solve, licq_check,
+                           numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.powerflow import solve_power_flow
 
@@ -229,6 +230,8 @@ def test_empty_active_stack():
     assert report.kkt.classification is Classification.UNIQUE
     assert report.kkt.mu_sign_feasible
     assert report.kkt.nullspace_basis.shape == (0, 0)
+    assert report.to_dict()["active_jacobian"] == {
+        "shape": [0, 1], "rows": [], "cols": [], "values": []}
     tilted = CostSpec(c2=np.zeros(1), c1=np.array([0.5]))
     kkt = kkt_solve(cs, np.array([0.0]), tilted)
     assert kkt.classification is Classification.NONE
@@ -268,3 +271,21 @@ def test_cq_report_serializes(ex1):
     import json
 
     json.dumps(payload)  # must be valid JSON content
+
+
+def test_cq_report_writes_nonzero_triplets():
+    # -0.0 compares equal to 0.0, so it is dropped like +0.0: the rebuilt
+    # matrix has +0.0 there and signed zeros are not preserved.
+    a = np.array([[0.0, 2.5, -0.0],
+                  [-1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1e-300]])
+    report = CQReport(active_jacobian=a, row_labels=("a", "b", "c"), m=3,
+                      n_free=3, numerical_rank=3, sigma_min=1e-300,
+                      rank_tol=0.0, licq_holds=True, face=())
+    coo = report.to_dict()["active_jacobian"]
+    assert coo == {"shape": [3, 3], "rows": [0, 1, 2], "cols": [1, 0, 2],
+                   "values": [2.5, -1.0, 1e-300]}
+    rebuilt = np.zeros(coo["shape"])
+    rebuilt[coo["rows"], coo["cols"]] = coo["values"]
+    assert (rebuilt == a).all()
+    assert not np.signbit(rebuilt[0, 2])

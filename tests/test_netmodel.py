@@ -9,6 +9,8 @@ import opfdiag as od
 from opfdiag.netmodel import (Bus, BusType, CaseError, Line, Network,
                               build_ybus, case_to_dict, load_case)
 
+from netgen import random_network
+
 
 def two_bus(b_series=-1.0, **bus1_kwargs):
     return Network(
@@ -95,7 +97,7 @@ def test_ybus_symmetric_exactly(net):
 def test_ybus_row_sums_equal_lumped_shunts(rng):
     from opfdiag.perturb import lumped_shunts
 
-    net = od.random_network(4, rng)
+    net = random_network(4, rng)
     y = build_ybus(net)
     g_lump, b_lump = lumped_shunts(net)
     ones = np.ones(net.n_bus)

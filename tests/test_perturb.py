@@ -14,9 +14,11 @@ from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              run_genericity_experiment, shift_load,
                              shunt_model, tangency_escape_probe)
 
+from netgen import random_network, random_state
+
 
 def random_case(rng, n_bus=4):
-    net = od.random_network(n_bus, rng)
+    net = random_network(n_bus, rng)
     return Case(network=net, gen_p=rng.uniform(-1, 1, n_bus),
                 gen_q=rng.uniform(-1, 1, n_bus))
 
@@ -51,7 +53,7 @@ def test_load_jacobian_is_exact_negative_identity(rng):
     case = random_case(rng)
     model = load_model(case)
     for _ in range(10):
-        x = od.random_state(case.network, rng)
+        x = random_state(case.network, rng)
         jac = param_jacobian(model, case.network, x)
         assert np.array_equal(jac, -np.eye(8))
 
@@ -71,7 +73,7 @@ def test_param_jacobians_match_finite_differences(kind, rng):
     for _ in range(5):
         case = random_case(rng)
         model = od.make_model(kind, case)
-        x = od.random_state(case.network, rng)
+        x = random_state(case.network, rng)
         jac = param_jacobian(model, case.network, x)
         fd = fd_param_jacobian(model, case, x)
         err = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
@@ -91,7 +93,7 @@ def test_line_jacobian_locality(rng):
     case = random_case(rng, n_bus=5)
     net = case.network
     model = line_model(case)
-    x = od.random_state(net, rng)
+    x = random_state(net, rng)
     jac = param_jacobian(model, net, x)
     n, m = net.n_bus, net.n_line
     for j, ln in enumerate(net.lines):
@@ -104,7 +106,7 @@ def test_line_jacobian_locality(rng):
 def test_rank_hypothesis_load_always_satisfied(rng):
     case = random_case(rng)
     model = load_model(case)
-    x = od.random_state(case.network, rng)
+    x = random_state(case.network, rng)
     report = check_rank_hypothesis(model, case.network, x)
     assert report.satisfied and report.rank == 8
 
@@ -142,7 +144,7 @@ def test_shunt_rank_tracks_voltage_threshold():
 
 def test_combined_model_rank_with_full_coverage(rng):
     case = random_case(rng)
-    x = od.random_state(case.network, rng)
+    x = random_state(case.network, rng)
     n = case.network.n_bus
     load_jac = param_jacobian(load_model(case), case.network, x)
     shunt_jac = param_jacobian(shunt_model(case), case.network, x)

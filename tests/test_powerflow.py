@@ -15,6 +15,8 @@ from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                solve_power_flow, solve_power_flows,
                                state_from_list, state_to_list)
 
+from netgen import random_network, random_state
+
 
 def finite_difference_jacobian(net, Y, x, step=1e-6):
     flat = x.flat()
@@ -70,8 +72,8 @@ def test_jacobian_reduced_columns_match_closed_form(ex1):
 
 
 def test_jacobian_generation_blocks_are_exact_identities(rng):
-    net = od.random_network(4, rng)
-    x = od.random_state(net, rng)
+    net = random_network(4, rng)
+    x = random_state(net, rng)
     jac = pf_jacobian(net, build_ybus(net), x)
     n = net.n_bus
     assert np.array_equal(jac[:n, :n], np.eye(n))
@@ -84,9 +86,9 @@ def test_jacobian_matches_finite_differences_100_trials():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):
-        net = od.random_network(3, rng)
+        net = random_network(3, rng)
         Y = build_ybus(net)
-        x = od.random_state(net, rng)
+        x = random_state(net, rng)
         jac = pf_jacobian(net, Y, x)
         fd = finite_difference_jacobian(net, Y, x)
         err = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))

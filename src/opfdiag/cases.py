@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import (ConstraintSystem, VoltageDomainError,
+from .constraints import (ConstraintSystem, require_positive_v,
                           system_for_case)
 from .cqkit import CostSpec
 from .netmodel import (Bus, BusType, Case, CaseError, ConstraintSpec,
@@ -148,33 +148,30 @@ EX2_P_LOAD = -(15.0 * SQRT3 - 23.0) / 8.0
 @dataclass(frozen=True)
 class VoltageLoadCurve:
     """Reduced load coupling h(v, t) = v^2 + v (a sin t - cos t)
-    - a (sqrt(v) + pL) over the two-variable state (v, theta)."""
+    - a (sqrt(v) + pL) over the two-variable state (v, theta); like every
+    constraint it takes one state or a stack of them."""
 
     alpha: float
     p_load: float
     is_equality: bool = True
 
-    def _v(self, x: np.ndarray) -> float:
-        v = float(x[0])
-        if v <= 0.0:
-            raise VoltageDomainError(
-                f"reduced load curve evaluated at v = {v}; requires v > 0")
-        return v
+    def _v(self, x: np.ndarray):
+        return require_positive_v(x[..., 0], "reduced load curve")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
         v = self._v(x)
-        t = float(x[1])
-        return (v * v + v * (self.alpha * math.sin(t) - math.cos(t))
-                - self.alpha * (math.sqrt(v) + self.p_load))
+        t = x[..., 1]
+        return (v * v + v * (self.alpha * np.sin(t) - np.cos(t))
+                - self.alpha * (np.sqrt(v) + self.p_load))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         v = self._v(x)
-        t = float(x[1])
-        return np.array([
-            2.0 * v + self.alpha * math.sin(t) - math.cos(t)
-            - self.alpha / (2.0 * math.sqrt(v)),
-            v * (self.alpha * math.cos(t) + math.sin(t)),
-        ])
+        t = x[..., 1]
+        return np.stack([
+            2.0 * v + self.alpha * np.sin(t) - np.cos(t)
+            - self.alpha / (2.0 * np.sqrt(v)),
+            v * (self.alpha * np.cos(t) + np.sin(t)),
+        ], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -185,16 +182,16 @@ class TransferLimitCurve:
     s2_max: float
     is_equality: bool = False
 
-    def value(self, x: np.ndarray) -> float:
-        v, t = float(x[0]), float(x[1])
-        return v * v * (v * v - 2.0 * v * math.cos(t) + 1.0) - self.s2_max
+    def value(self, x: np.ndarray):
+        v, t = x[..., 0], x[..., 1]
+        return v * v * (v * v - 2.0 * v * np.cos(t) + 1.0) - self.s2_max
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        v, t = float(x[0]), float(x[1])
-        return np.array([
-            4.0 * v ** 3 - 6.0 * v * v * math.cos(t) + 2.0 * v,
-            2.0 * v ** 3 * math.sin(t),
-        ])
+        v, t = x[..., 0], x[..., 1]
+        return np.stack([
+            4.0 * v ** 3 - 6.0 * v * v * np.cos(t) + 2.0 * v,
+            2.0 * v ** 3 * np.sin(t),
+        ], axis=-1)
 
 
 def example2() -> FixtureBundle:

@@ -8,14 +8,13 @@ constraints are swept into the rank analysis rather than silently dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import (AdmittanceMatrix, Case, ConstraintSpec, Network,
                        build_ybus)
-from .powerflow import SystemState, pf_residual, state_index
+from .powerflow import SystemState, _residual, state_index
 
 
 class ConstraintError(ValueError):
@@ -29,10 +28,32 @@ class VoltageDomainError(ConstraintError):
 class InfeasiblePointError(ConstraintError):
     """Operation that requires a feasible point was given an infeasible one."""
 
+    @property
+    def worst_row(self) -> str | None:
+        """Label of the worst violated row, as the message names it, when
+        the feasibility test raised the error; None otherwise."""
+        why = self.args[0] if self.args else None
+        return why.row()[0] if isinstance(why, _WorstViolation) else None
+
 
 # ---------------------------------------------------------------------------
 # Constraint kinds
 # ---------------------------------------------------------------------------
+
+def require_positive_v(v, what: str):
+    """``v`` itself when every entry is positive; otherwise a
+    VoltageDomainError naming the first offending value."""
+    v = np.asarray(v)
+    bad = v[v <= 0.0]
+    if bad.size:
+        raise VoltageDomainError(
+            f"{what} evaluated at v = {float(bad.flat[0])}; requires v > 0")
+    return v
+
+
+# Every constraint's value and gradient take a flat state or a stack of them
+# (a leading trial axis): values come out with shape x.shape[:-1] and
+# gradients with shape x.shape.
 
 @dataclass(frozen=True)
 class BoxUpper:
@@ -42,12 +63,12 @@ class BoxUpper:
     bound: float
     is_equality: bool = False
 
-    def value(self, x: np.ndarray) -> float:
-        return float(x[self.index] - self.bound)
+    def value(self, x: np.ndarray):
+        return x[..., self.index] - self.bound
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
-        g[self.index] = 1.0
+        g = np.zeros(x.shape)
+        g[..., self.index] = 1.0
         return g
 
 
@@ -59,12 +80,12 @@ class BoxLower:
     bound: float
     is_equality: bool = False
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.bound - x[self.index])
+    def value(self, x: np.ndarray):
+        return self.bound - x[..., self.index]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
-        g[self.index] = -1.0
+        g = np.zeros(x.shape)
+        g[..., self.index] = -1.0
         return g
 
 
@@ -76,13 +97,13 @@ class LinearEq:
     offset: float = 0.0
     is_equality: bool = True
 
-    def value(self, x: np.ndarray) -> float:
-        return float(sum(c * x[i] for i, c in self.terms) - self.offset)
+    def value(self, x: np.ndarray):
+        return sum(c * x[..., i] for i, c in self.terms) - self.offset
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
+        g = np.zeros(x.shape)
         for i, c in self.terms:
-            g[i] += c
+            g[..., i] += c
         return g
 
 
@@ -95,17 +116,17 @@ class ApparentPower:
     s2_max: float
     is_equality: bool = False
 
-    def value(self, x: np.ndarray) -> float:
-        p = x[state_index("p", self.bus, self.n_bus)]
-        q = x[state_index("q", self.bus, self.n_bus)]
-        return float(p * p + q * q - self.s2_max)
+    def value(self, x: np.ndarray):
+        p = x[..., state_index("p", self.bus, self.n_bus)]
+        q = x[..., state_index("q", self.bus, self.n_bus)]
+        return p * p + q * q - self.s2_max
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
+        g = np.zeros(x.shape)
         ip = state_index("p", self.bus, self.n_bus)
         iq = state_index("q", self.bus, self.n_bus)
-        g[ip] = 2.0 * x[ip]
-        g[iq] = 2.0 * x[iq]
+        g[..., ip] = 2.0 * x[..., ip]
+        g[..., iq] = 2.0 * x[..., iq]
         return g
 
 
@@ -124,26 +145,23 @@ class ExpLoadEq:
     p_load: float
     is_equality: bool = True
 
-    def _v(self, x: np.ndarray) -> float:
-        v = float(x[state_index("v", self.bus, self.n_bus)])
-        if v <= 0.0:
-            raise VoltageDomainError(
-                f"voltage-dependent load at bus {self.bus} evaluated at "
-                f"v = {v}; requires v > 0")
-        return v
+    def _v(self, x: np.ndarray):
+        return require_positive_v(
+            x[..., state_index("v", self.bus, self.n_bus)],
+            f"voltage-dependent load at bus {self.bus}")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
         v = self._v(x)
-        p = x[state_index("p", self.bus, self.n_bus)]
-        q = x[state_index("q", self.bus, self.n_bus)]
-        return float(q + self.alpha * (p - self.p_load - math.sqrt(v)))
+        p = x[..., state_index("p", self.bus, self.n_bus)]
+        q = x[..., state_index("q", self.bus, self.n_bus)]
+        return q + self.alpha * (p - self.p_load - np.sqrt(v))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         v = self._v(x)
-        g = np.zeros(x.size)
-        g[state_index("p", self.bus, self.n_bus)] = self.alpha
-        g[state_index("q", self.bus, self.n_bus)] = 1.0
-        g[state_index("v", self.bus, self.n_bus)] = -self.alpha / (2.0 * math.sqrt(v))
+        g = np.zeros(x.shape)
+        g[..., state_index("p", self.bus, self.n_bus)] = self.alpha
+        g[..., state_index("q", self.bus, self.n_bus)] = 1.0
+        g[..., state_index("v", self.bus, self.n_bus)] = -self.alpha / (2.0 * np.sqrt(v))
         return g
 
 
@@ -239,20 +257,53 @@ def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
     return flat, mask
 
 
-def evaluate(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Evaluate all constraints; feasibility requires the flow residual
-    within pf_tol, |h| within eq_tol and every g within +act_tol."""
-    flat, _ = as_flat_state(cs, x)
-    h_vals = np.array([h.value(flat) for h in cs.h_ops])
-    g_vals = np.array([g.value(flat) for g in cs.g_ops])
-    feasible = True
+def point_block(cs: ConstraintSystem, x):
+    """One point as a block of the block functions: (flats, mask, flow)
+    with flats of shape (1, n_state) and flow the one-trial flow data
+    (G, B, p_load, q_load) of the system, None without flow equations."""
+    flat, mask = as_flat_state(cs, x)
+    flow = None
     if cs.has_flow:
-        feasible &= bool(np.abs(pf_residual(cs.net, cs.Y, x)).max() <= cs.pf_tol)
-    if h_vals.size:
-        feasible &= bool(np.abs(h_vals).max() <= cs.eq_tol)
-    if g_vals.size:
-        feasible &= bool(g_vals.max() <= cs.act_tol)
-    return h_vals, g_vals, feasible
+        flow = (cs.Y.G[None], cs.Y.B[None], cs.net.p_load[None],
+                cs.net.q_load[None])
+    return flat[None], mask, flow
+
+
+def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow=None):
+    """Evaluate all constraints at a block of T points.
+
+    ``flats`` is T x n_state; ``flow`` holds the points' flow data
+    (G, B, p_load, q_load) with a leading trial axis, None for a system
+    without flow equations. Returns h values (T x I), g values (T x J),
+    feasibility (T,) and the flow residual (T x 2N, None without flow).
+    Feasibility requires the flow residual within pf_tol, |h| within
+    eq_tol and every g within +act_tol.
+    """
+    def values(ops):
+        if not ops:
+            return np.zeros((len(flats), 0))
+        return np.stack([op.value(flats) for op in ops], axis=1)
+
+    h_vals, g_vals = values(cs.h_ops), values(cs.g_ops)
+    feasible = np.ones(len(flats), dtype=bool)
+    resid = None
+    if flow is not None:
+        G, B, p_load, q_load = flow
+        resid = _residual(G + 1j * B, p_load, q_load, flats)
+        feasible &= np.abs(resid).max(axis=1) <= cs.pf_tol
+    if h_vals.shape[1]:
+        feasible &= np.abs(h_vals).max(axis=1) <= cs.eq_tol
+    if g_vals.shape[1]:
+        feasible &= g_vals.max(axis=1) <= cs.act_tol
+    return h_vals, g_vals, feasible, resid
+
+
+def evaluate(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Evaluate all constraints at one point: (h values, g values,
+    feasible); the one-trial call of ``evaluate_points``."""
+    flats, _, flow = point_block(cs, x)
+    h_vals, g_vals, feasible, _ = evaluate_points(cs, flats, flow)
+    return h_vals[0], g_vals[0], bool(feasible[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,17 +326,18 @@ def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
 
 
 class _WorstViolation:
-    """Message of the InfeasiblePointError raised by active_set: the row
-    with the largest excess over its tolerance. It is formatted only when
-    read (the Monte Carlo sweep never reads it), and the flow residual is
-    recomputed then."""
+    """Message of the InfeasiblePointError of an infeasible point: the row
+    with the largest excess over its tolerance, labelled as in the active
+    stack (``|flow:p:k|``, ``|h:i|``, ``g:j``). It is formatted only when
+    read; the Monte Carlo sweep never reads it."""
 
-    def __init__(self, cs: ConstraintSystem, x, h_vals, g_vals):
-        self.evaluation = (cs, x, h_vals, g_vals)
+    def __init__(self, cs: ConstraintSystem, flow, h_vals, g_vals):
+        self.evaluation = (cs, flow, h_vals, g_vals)
 
-    def __str__(self) -> str:
-        cs, x, h_vals, g_vals = self.evaluation
-        flow = pf_residual(cs.net, cs.Y, x) if cs.has_flow else np.zeros(0)
+    def row(self) -> tuple[str, float, str]:
+        """(label, value, tolerance name) of the worst violated row."""
+        cs, flow, h_vals, g_vals = self.evaluation
+        flow = np.zeros(0) if flow is None else flow
         rows = zip(row_labels(cs, range(g_vals.size)),
                    np.concatenate([np.abs(flow), np.abs(h_vals), g_vals]),
                    ["pf_tol"] * flow.size + ["eq_tol"] * h_vals.size
@@ -293,16 +345,43 @@ class _WorstViolation:
         label, value, name = max(rows, key=lambda r: r[1] - getattr(cs, r[2]))
         if name != "act_tol":
             label = f"|{label}|"
-        tol = getattr(cs, name)
+        return label, value, name
+
+    def __str__(self) -> str:
+        label, value, name = self.row()
+        tol = getattr(self.evaluation[0], name)
         return f"worst violation {label} = {value:.3e} > {name} = {tol:g}"
+
+
+def active_sets(cs: ConstraintSystem, flats: np.ndarray,
+                flow=None) -> list:
+    """Per point of a block (see ``evaluate_points``) its ActiveSet, the
+    indices j with g_j(x) >= -act_tol, or at an infeasible point an
+    unraised InfeasiblePointError naming the worst violated row. Points on
+    the same face share one ActiveSet."""
+    h_vals, g_vals, feasible, resid = evaluate_points(cs, flats, flow)
+    active = g_vals >= -cs.act_tol
+    faces: dict[bytes, ActiveSet] = {}
+    out: list = []
+    for i, ok in enumerate(feasible.tolist()):
+        if not ok:
+            out.append(InfeasiblePointError(_WorstViolation(
+                cs, None if resid is None else resid[i], h_vals[i],
+                g_vals[i])))
+            continue
+        key = active[i].tobytes()
+        if key not in faces:
+            faces[key] = ActiveSet(tuple(np.flatnonzero(active[i]).tolist()))
+        out.append(faces[key])
+    return out
 
 
 def active_set(cs: ConstraintSystem, x) -> ActiveSet:
     """Indices j with g_j(x) >= -act_tol. Only defined on feasible points;
     at an infeasible one it raises InfeasiblePointError naming the worst
-    violated row."""
-    h_vals, g_vals, feasible = evaluate(cs, x)
-    if not feasible:
-        raise InfeasiblePointError(_WorstViolation(cs, x, h_vals, g_vals))
-    return ActiveSet(tuple(int(j) for j in range(g_vals.size)
-                           if g_vals[j] >= -cs.act_tol))
+    violated row. The one-trial call of ``active_sets``."""
+    flats, _, flow = point_block(cs, x)
+    (act,) = active_sets(cs, flats, flow)
+    if isinstance(act, InfeasiblePointError):
+        raise act
+    return act

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ActiveSet, ConstraintSystem, active_set,
-                          as_flat_state, row_labels)
+from .constraints import (ActiveSet, ConstraintSystem, InfeasiblePointError,
+                          active_set, active_sets, as_flat_state, point_block,
+                          row_labels)
 from .netmodel import CostTerms
-from .powerflow import pf_jacobian, state_index
+from .powerflow import _jacobian, pf_jacobian, state_index
 
 DEFAULT_RANK_ULP_SCALE = 2.0 ** -52
 DEFAULT_STAT_TOL = 1e-8
@@ -79,22 +80,68 @@ def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SC
     return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
-def active_stack(cs: ConstraintSystem, x):
-    """Stacked active gradients over free columns plus row bookkeeping.
+def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
+                  flow=None):
+    """Active stacks of a block of points that share one free mask, grouped
+    by face (see ``evaluate_points`` for ``flats`` and ``flow``).
 
-    Rows are ordered flow equalities (2N), operational equalities (I),
-    active inequalities (|J|). Returns (A, labels, active, flat, mask).
+    Returns (acts, groups): ``acts[i]`` is point i's ActiveSet or unraised
+    InfeasiblePointError; each group is (points, act, stacks, labels) for
+    the feasible points on one face, ``stacks`` holding their k x m x n
+    stacks over the free columns. Rows are ordered flow equalities (2N),
+    operational equalities (I), active inequalities (|J|); the flow rows
+    of all feasible points come from one batched Jacobian.
     """
-    flat, mask = as_flat_state(cs, x)
-    act = active_set(cs, x)
-    rows = list(pf_jacobian(cs.net, cs.Y, x)[:, mask]) if cs.has_flow else []
-    rows += [h.gradient(flat)[mask] for h in cs.h_ops]
-    rows += [cs.g_ops[j].gradient(flat)[mask] for j in act.indices]
-    if rows:
-        stack = np.vstack(rows)
-    else:
-        stack = np.zeros((0, int(mask.sum())))
-    return stack, row_labels(cs, act.indices), act, flat, mask
+    acts = active_sets(cs, flats, flow)
+    faces: dict[tuple[int, ...], list[int]] = {}
+    for i, act in enumerate(acts):
+        if isinstance(act, ActiveSet):
+            faces.setdefault(act.indices, []).append(i)
+    # the feasible points face by face, so each face's rows are a slice; a
+    # block already in that order (one point always is) is not copied
+    order = np.array([i for points in faces.values() for i in points],
+                     dtype=int)
+    in_order = np.array_equal(order, np.arange(len(flats)))
+
+    def pick(arr):
+        return arr if in_order else arr[order]
+
+    ordered = pick(flats)
+    # compress keeps every row block, and so each stack, C-contiguous: the
+    # BLAS calls on a stack then round as on a freshly assembled matrix
+    jac = None
+    if flow is not None and order.size:
+        jac = _jacobian(pick(flow[0]), pick(flow[1]),
+                        ordered).compress(mask, axis=-1)
+    h_rows = [h.gradient(ordered).compress(mask, axis=-1) for h in cs.h_ops]
+    groups = []
+    start = 0
+    for face, points in faces.items():
+        at = slice(start, start + len(points))
+        start = at.stop
+        rows = [] if jac is None else [jac[at]]
+        rows += [grad[at, None] for grad in h_rows]
+        rows += [cs.g_ops[j].gradient(ordered[at]).compress(mask, axis=-1)
+                 [:, None] for j in face]
+        if rows:
+            stacks = np.concatenate(rows, axis=1)
+        else:
+            stacks = np.zeros((len(points), 0, int(mask.sum())))
+        groups.append((np.array(points), acts[points[0]], stacks,
+                       tuple(row_labels(cs, face))))
+    return acts, groups
+
+
+def active_stack(cs: ConstraintSystem, x):
+    """Stacked active gradients over free columns plus row bookkeeping at
+    one point: (A, labels, active, flat, mask); the one-trial call of
+    ``active_stacks``."""
+    flats, mask, flow = point_block(cs, x)
+    (act,), groups = active_stacks(cs, flats, mask, flow)
+    if isinstance(act, InfeasiblePointError):
+        raise act
+    ((_, _, stacks, labels),) = groups
+    return stacks[0], list(labels), act, flats[0], mask
 
 
 def _coo(matrix: np.ndarray) -> dict:
@@ -141,6 +188,35 @@ class CQReport:
         }
 
 
+def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
+                flow=None, cost: CostSpec | None = None, *,
+                stat_tol: float = DEFAULT_STAT_TOL,
+                rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> list:
+    """``licq_check`` at each point of a block (see ``active_stacks``):
+    its CQReport, or an unraised InfeasiblePointError at an infeasible
+    point. Each face group is factored by one batched SVD."""
+    reports, groups = active_stacks(cs, flats, mask, flow)
+    for points, act, stacks, labels in groups:
+        _, m, n = stacks.shape
+        if cost is None:
+            svals = np.linalg.svd(stacks, compute_uv=False)
+        else:
+            u_mats, svals, vts = np.linalg.svd(stacks, full_matrices=m > n)
+        for k, i in enumerate(points):
+            rank, smin, tol = _rank_from_svals(svals[k], (m, n),
+                                               rank_ulp_scale)
+            kkt = None
+            if cost is not None:
+                kkt = _multiplier_set(
+                    cs, act, stacks[k], cost.gradient(flats[i])[mask],
+                    u_mats[k], svals[k], vts[k], rank, stat_tol)
+            reports[i] = CQReport(
+                active_jacobian=stacks[k], row_labels=labels, m=m, n_free=n,
+                numerical_rank=rank, sigma_min=smin, rank_tol=tol,
+                licq_holds=rank == m, face=act.indices, kkt=kkt)
+    return reports
+
+
 def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
                stat_tol: float = DEFAULT_STAT_TOL,
                rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> CQReport:
@@ -152,30 +228,13 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
     only the singular values are computed. With one, a single SVD with
     vectors gives the rank and the multiplier set (``CQReport.kkt``, see
     ``kkt_solve``); U is full only when m > n, where the left null space
-    reaches past the thin columns.
+    reaches past the thin columns. The one-trial call of ``licq_checks``.
     """
-    stack, labels, act, flat, mask = active_stack(cs, x)
-    m, n = stack.shape
-    kkt = None
-    if cost is None:
-        rank, smin, tol, _ = numerical_rank(stack, ulp_scale=rank_ulp_scale)
-    else:
-        u_mat, svals, vt = np.linalg.svd(stack, full_matrices=m > n)
-        rank, smin, tol = _rank_from_svals(svals, stack.shape, rank_ulp_scale)
-        kkt = _multiplier_set(cs, act, stack, cost.gradient(flat)[mask],
-                              u_mat, svals, vt, rank, stat_tol)
-    return CQReport(
-        active_jacobian=stack,
-        row_labels=tuple(labels),
-        m=m,
-        n_free=int(mask.sum()),
-        numerical_rank=rank,
-        sigma_min=smin,
-        rank_tol=tol,
-        licq_holds=rank == m,
-        face=act.indices,
-        kkt=kkt,
-    )
+    (report,) = licq_checks(cs, *point_block(cs, x), cost, stat_tol=stat_tol,
+                            rank_ulp_scale=rank_ulp_scale)
+    if isinstance(report, InfeasiblePointError):
+        raise report
+    return report
 
 
 class Classification(enum.Enum):

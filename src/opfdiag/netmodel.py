@@ -180,20 +180,51 @@ def build_ybus(net: Network) -> AdmittanceMatrix:
     are the negated series admittance of the connecting line; zero
     elsewhere. The result is symmetric by construction and has exact zero
     row sums when every shunt vanishes.
+
+    This is the one-trial call of ``admittance_stack``.
+    """
+    G, B = admittance_stack(
+        net, np.array([[ln.g_series for ln in net.lines]]),
+        np.array([[ln.b_series for ln in net.lines]]),
+        np.array([[b.g_shunt for b in net.buses]]),
+        np.array([[b.b_shunt for b in net.buses]]))
+    return AdmittanceMatrix(G=G[0], B=B[0])
+
+
+def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
+                     shunt_g: np.ndarray, shunt_b: np.ndarray):
+    """Nodal admittance matrices (G, B), each T x N x N, of trials that share
+    the lines of ``net`` and its line shunts: trial t has series admittances
+    ``series_g[t] + j series_b[t]`` (one per line) and nodal shunts
+    ``shunt_g[t] + j shunt_b[t]``. An argument with a leading axis of 1 is
+    shared by every trial.
+
+    Each entry is summed in the order of a per-line loop (lines in case
+    order, the nodal shunt last), so a trial's matrices are bit for bit
+    those of ``build_ybus`` on its own network.
     """
     n = net.n_bus
-    y = np.zeros((n, n), dtype=complex)
-    for ln in net.lines:
-        ys = complex(ln.g_series, ln.b_series)
-        ysh_half = complex(ln.g_shunt, ln.b_shunt) / 2.0
-        k, l = ln.from_bus, ln.to_bus
-        y[k, k] += ys + ysh_half
-        y[l, l] += ys + ysh_half
-        y[k, l] -= ys
-        y[l, k] -= ys
-    for bus in net.buses:
-        y[bus.id, bus.id] += complex(bus.g_shunt, bus.b_shunt)
-    return AdmittanceMatrix(G=y.real.copy(), B=y.imag.copy())
+    ends = np.array([(ln.from_bus, ln.to_bus) for ln in net.lines],
+                    dtype=int).reshape(-1, 2)
+    halves = [complex(ln.g_shunt, ln.b_shunt) / 2.0 for ln in net.lines]
+    trials = max(len(series_g), len(shunt_g))
+    bus = np.arange(n)
+    out = []
+    for series, half, shunt in (
+            (series_g, [h.real for h in halves], shunt_g),
+            (series_b, [h.imag for h in halves], shunt_b)):
+        y = np.zeros((len(series), n, n))
+        # series admittance plus half the line shunt at both ends of each
+        # line; ufunc.at accumulates repeated buses in index order
+        np.add.at(y, (slice(None), ends.ravel(), ends.ravel()),
+                  np.repeat(series + half, 2, axis=1))
+        y[:, ends[:, 0], ends[:, 1]] -= series
+        y[:, ends[:, 1], ends[:, 0]] -= series
+        if len(y) < trials:
+            y = np.repeat(y, trials, axis=0)
+        y[:, bus, bus] += shunt
+        out.append(y)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,12 @@ import numpy as np
 
 from . import constraints as con
 from . import cqkit
-from .netmodel import Case, Network, build_ybus
-from .powerflow import (PowerFlowError, SystemState, pf_jacobian, pf_residual,
-                        solve_power_flow, solve_power_flows)
+# build_ybus stays one of this module's names: the benchmark's tracer wraps
+# perturb.build_ybus.
+from .netmodel import Case, Network, admittance_stack, build_ybus
+from .powerflow import (PowerFlowError, SystemState, free_mask_from_bus_types,
+                        newton_states, pf_jacobian, pf_residual,
+                        solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -332,9 +335,10 @@ class GenericityReport:
 
 
 # Byte budget of the stacked 2N x 4N flow Jacobians of one block of Monte
-# Carlo trials; it sets how many trials share one stacked Newton solve
-# (hundreds on two buses, one from about 64 buses up).
-BLOCK_JACOBIAN_BYTES = 1 << 16
+# Carlo trials; it sets how many trials share one stacked Newton solve and
+# one batched check (1024 on two buses, so a 1000-trial sweep of a two-bus
+# fixture is one block; one from about 64 buses up).
+BLOCK_JACOBIAN_BYTES = 1 << 18
 
 
 def _block_size(n_bus: int) -> int:
@@ -346,18 +350,35 @@ def _trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1])
 
 
-def _solve_block(case: Case, model: PerturbationModel, seed: int,
-                 ts: range, pf_tol: float) -> list[tuple]:
-    """Draw, apply and solve the trials ``ts`` by one stacked Newton solve:
-    (trial, draw, network, admittance, PFSolution or PowerFlowError)."""
-    draws = [_trial_draw(seed, t, model.box) for t in ts]
-    nets = [apply_parameters(model, case, xi).network for xi in draws]
-    ys = [build_ybus(net_t) for net_t in nets]
-    sols = solve_power_flows(
-        case.network, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),
-        np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
-        case.gen_p, case.gen_q, pf_tol=pf_tol)
-    return list(zip(ts, draws, nets, ys, sols))
+def _flow_of_draws(model: PerturbationModel, case: Case,
+                   cs: con.ConstraintSystem):
+    """Function from a block of parameter draws (T x k) to their flow data
+    (G, B, p_load, q_load), each with a leading trial axis: bit for bit
+    the admittances and loads of ``apply_parameters`` followed by
+    ``build_ybus``."""
+    net = case.network
+    n, m = net.n_bus, net.n_line
+    if model.kind is ModelKind.LOAD:
+        return lambda xis: (np.broadcast_to(cs.Y.G, (len(xis), n, n)),
+                            np.broadcast_to(cs.Y.B, (len(xis), n, n)),
+                            xis[:, :n], xis[:, n:])
+
+    def with_loads(G, B):
+        return (G, B, np.broadcast_to(net.p_load, (len(G), n)),
+                np.broadcast_to(net.q_load, (len(G), n)))
+
+    if model.kind is ModelKind.SHUNT:
+        # xi holds lumped (g, -b); the bus shunts are what remains after the
+        # half line shunts, as apply_parameters writes them
+        series = (np.array([[ln.g_series for ln in net.lines]]),
+                  np.array([[ln.b_series for ln in net.lines]]))
+        g_line, b_line = _add_half_line_shunts(net, np.zeros(n), np.zeros(n))
+        return lambda xis: with_loads(*admittance_stack(
+            net, *series, xis[:, :n] - g_line, -xis[:, n:] - b_line))
+    shunts = (np.array([[b.g_shunt for b in net.buses]]),
+              np.array([[b.b_shunt for b in net.buses]]))
+    return lambda xis: with_loads(*admittance_stack(
+        net, xis[:, :m], xis[:, m:], *shunts))
 
 
 def run_genericity_experiment(
@@ -374,10 +395,13 @@ def run_genericity_experiment(
     Per-trial draws use a counter-based seed derived from (seed, trial),
     so results are independent of execution order and reproducible
     bit-for-bit. Non-convergent draws count as trials, not errors. Trials
-    are solved in blocks of ``_block_size`` by one stacked Newton solve,
-    with the iterates of a one-trial solve; only one block's draws,
-    networks and admittances are held at a time. ``tols`` go to
-    ``system_for_case``, and the qualification check decides feasibility.
+    run in blocks of ``_block_size`` that stay arrays from the draw to the
+    verdict: the draws become stacked admittances and loads, one stacked
+    Newton solve gives the states (the iterates of a one-trial solve), and
+    ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones,
+    one batched SVD per face. Only one block is held at a time. ``tols`` go
+    to ``system_for_case``, and the qualification check decides
+    feasibility.
     """
     _expect_dimension(model, case.network)
     cs = con.system_for_case(case, **tols)
@@ -390,33 +414,39 @@ def run_genericity_experiment(
     except PowerFlowError:
         pass
 
+    mask = free_mask_from_bus_types(case.network)
+    flow_of = _flow_of_draws(model, case, cs)
     records: list[TrialRecord] = []
     failures: list[dict] = []
     block = _block_size(case.network.n_bus)
     for start in range(0, trials, block):
-        for t, xi, net_t, y_t, sol in _solve_block(
-                case, model, seed, range(start, min(start + block, trials)),
-                cs.pf_tol):
-            if isinstance(sol, PowerFlowError):
+        ts = range(start, min(start + block, trials))
+        xis = np.array([_trial_draw(seed, t, model.box) for t in ts])
+        flow = flow_of(xis)
+        x, outcome, _ = newton_states(case.network, *flow, case.gen_p,
+                                      case.gen_q, pf_tol=cs.pf_tol)
+        solved = np.array([i for i, o in enumerate(outcome)
+                           if not isinstance(o, PowerFlowError)], dtype=int)
+        reports = dict(zip(solved.tolist(), cqkit.licq_checks(
+            cs, x[solved], mask, tuple(arr[solved] for arr in flow),
+            rank_ulp_scale=rank_ulp_scale)))
+        for i, t in enumerate(ts):
+            report = reports.get(i)
+            if report is None:
                 records.append(TrialRecord(t, False, False, None, None))
-                continue
-            x_t = sol.state
-            try:
-                report = cqkit.licq_check(replace(cs, net=net_t, Y=y_t), x_t,
-                                          rank_ulp_scale=rank_ulp_scale)
-            except con.InfeasiblePointError:
+            elif isinstance(report, con.InfeasiblePointError):
                 records.append(TrialRecord(t, True, False, None, None))
-                continue
-            if not report.licq_holds:
-                failures.append({
-                    "trial": t,
-                    "seed": seed,
-                    "xi": xi.tolist(),
-                    "state": x_t.flat().tolist(),
-                    "cq_report": report.to_dict(),
-                })
-            records.append(TrialRecord(t, True, True, report.licq_holds,
-                                       report.sigma_min))
+            else:
+                if not report.licq_holds:
+                    failures.append({
+                        "trial": t,
+                        "seed": seed,
+                        "xi": xis[i].tolist(),
+                        "state": x[i].tolist(),
+                        "cq_report": report.to_dict(),
+                    })
+                records.append(TrialRecord(t, True, True, report.licq_holds,
+                                           report.sigma_min))
 
     return GenericityReport(
         trials=trials,
@@ -437,16 +467,22 @@ def run_genericity_experiment(
 
 @dataclass(frozen=True)
 class ProbeRow:
+    """One shift of the tangency probe. ``reason`` is None when the check
+    ran, ``"projection_failed"`` when Gauss-Newton found no point and
+    ``"infeasible:<label>"`` when the check rejected the projected point,
+    the label naming its worst violated row as exit 4 does."""
+
     delta: float
     converged: bool
     sigma_min: float | None
     licq_holds: bool | None
     bound_pinned: bool
+    reason: str | None
 
     def to_dict(self) -> dict:
         return {"delta": self.delta, "converged": self.converged,
                 "sigma_min": self.sigma_min, "licq_holds": self.licq_holds,
-                "bound_pinned": self.bound_pinned}
+                "bound_pinned": self.bound_pinned, "reason": self.reason}
 
 
 # Residual tolerance and step budget of nearest_feasible_point's projection.
@@ -561,21 +597,25 @@ def tangency_escape_probe(
     ``direction`` indexes the stacked load vector (p loads then q loads).
     For each delta the load is shifted by delta, the feasible point
     nearest the start is re-solved by projection, and the qualification
-    check runs at the recovered point (an infeasible one gives a
-    not-converged row). A degenerate start stays degenerate only at
-    delta = 0; any interior shift should restore full rank.
+    check runs at the recovered point. A row without a check is not
+    converged, and its ``reason`` says whether the projection failed or
+    the check found the point infeasible. A degenerate start stays
+    degenerate only at delta = 0; any interior shift should restore full
+    rank.
     """
     rows: list[ProbeRow] = []
     for delta in deltas:
         case_d = shift_load(case, direction, float(delta))
         state, pinned, cs_d = nearest_feasible_point(case_d, x_start)
-        try:
-            report = None if state is None else cqkit.licq_check(cs_d, state)
-        except con.InfeasiblePointError:
-            report = None
+        report, reason = None, "projection_failed"
+        if state is not None:
+            try:
+                report, reason = cqkit.licq_check(cs_d, state), None
+            except con.InfeasiblePointError as exc:
+                reason = f"infeasible:{exc.worst_row}"
         rows.append(ProbeRow(
             delta=float(delta), converged=report is not None,
             sigma_min=None if report is None else report.sigma_min,
             licq_holds=None if report is None else report.licq_holds,
-            bound_pinned=pinned))
+            bound_pinned=pinned, reason=reason))
     return rows

@@ -32,12 +32,16 @@ class NonConvergenceError(PowerFlowError):
     """Newton iteration exhausted without meeting the mismatch tolerance."""
 
     def __init__(self, message: str, history: list[float], mismatch: float):
-        super().__init__(
-            f"{message}: final mismatch {mismatch:.3e} after "
-            f"{len(history)} iterations; trace {['%.3e' % h for h in history]}"
-        )
+        super().__init__(message)
         self.history = history
         self.mismatch = mismatch
+
+    def __str__(self) -> str:
+        # Formatted when read: a Monte Carlo sweep creates one per failed
+        # trial and never reads it.
+        return (f"{self.args[0]}: final mismatch {self.mismatch:.3e} after "
+                f"{len(self.history)} iterations; trace "
+                f"{['%.3e' % h for h in self.history]}")
 
 
 class DivergenceError(NonConvergenceError):
@@ -216,7 +220,7 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
     return steps, singular
 
 
-def solve_power_flows(
+def newton_states(
     net: Network,
     G: np.ndarray,
     B: np.ndarray,
@@ -226,16 +230,11 @@ def solve_power_flows(
     q_gen: np.ndarray,
     *,
     pf_tol: float = 1e-10,
-) -> list[PFSolution | PowerFlowError]:
-    """Plain Newton on a stack of trials that share the bus records of
-    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
-    loads ``p_load[i]``, ``q_load[i]`` (T x N).
-
-    Each trial's iterates are exactly those of ``solve_power_flow`` on its
-    own data: the trials are stacked, never mixed, and a trial leaves the
-    stack when it converges or fails. Returns one ``PFSolution`` or one
-    unraised ``PowerFlowError`` per trial.
-    """
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """Array form of ``solve_power_flows``: the final flat states
+    (T x 4N), per trial its iteration count when it converged or its
+    unraised ``PowerFlowError``, and the mismatch history (T x
+    MAX_ITER + 1, row i valid up to trial i's last iteration)."""
     n = net.n_bus
     trials = G.shape[0]
     mask = free_mask_from_bus_types(net)
@@ -304,19 +303,44 @@ def solve_power_flows(
     p_inj, q_inj = _injections(Yc[done], xd[:, 2 * n:3 * n], xd[:, 3 * n:])
     xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + p_load[done])
     xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + q_load[done])
+    x[done] = xd
     final = np.abs(_residual(Yc[done], p_load[done], q_load[done],
                              xd)).max(axis=1, initial=0.0)
-    for j, i in enumerate(done):
-        it = outcome[i]
-        if final[j] > pf_tol:
+    for i, res in zip(done, final):
+        if res > pf_tol:
             outcome[i] = NonConvergenceError(
                 "converged reduced system but full residual exceeds tolerance",
-                history(i, it), final[j])
-        else:
-            outcome[i] = PFSolution(state=SystemState.from_flat(xd[j], mask),
-                                    iterations=it,
-                                    history=tuple(history(i, it)))
-    return outcome
+                history(i, outcome[i]), res)
+    return x, outcome, errs
+
+
+def solve_power_flows(
+    net: Network,
+    G: np.ndarray,
+    B: np.ndarray,
+    p_load: np.ndarray,
+    q_load: np.ndarray,
+    p_gen: np.ndarray,
+    q_gen: np.ndarray,
+    *,
+    pf_tol: float = 1e-10,
+) -> list[PFSolution | PowerFlowError]:
+    """Plain Newton on a stack of trials that share the bus records of
+    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
+    loads ``p_load[i]``, ``q_load[i]`` (T x N).
+
+    Each trial's iterates are exactly those of ``solve_power_flow`` on its
+    own data: the trials are stacked, never mixed, and a trial leaves the
+    stack when it converges or fails. Returns one ``PFSolution`` or one
+    unraised ``PowerFlowError`` per trial.
+    """
+    x, outcome, errs = newton_states(net, G, B, p_load, q_load, p_gen,
+                                     q_gen, pf_tol=pf_tol)
+    mask = free_mask_from_bus_types(net)
+    return [out if isinstance(out, PowerFlowError) else PFSolution(
+        state=SystemState.from_flat(x[i], mask), iterations=out,
+        history=tuple(errs[i, :out + 1].tolist()))
+        for i, out in enumerate(outcome)]
 
 
 def solve_power_flow(

@@ -394,8 +394,9 @@ def _check_argv(source, tmp_path, lattice_document) -> list[str]:
 @pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
 def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
                                        lattice_document, source):
+    # a check is a block of one point: one stack assembly, one SVD
     svd_calls, stack_calls = [], []
-    real_svd, real_stack = np.linalg.svd, cqkit.active_stack
+    real_svd, real_stack = np.linalg.svd, cqkit.active_stacks
 
     def counting_svd(a, *args, **kwargs):
         full = kwargs.get("full_matrices", args[0] if args else True)
@@ -403,19 +404,20 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
         svd_calls.append((np.shape(a), bool(full and uv)))
         return real_svd(a, *args, **kwargs)
 
-    def counting_stack(*args, **kwargs):
-        stack_calls.append(1)
-        return real_stack(*args, **kwargs)
+    def counting_stack(cs, flats, *args, **kwargs):
+        stack_calls.append(len(flats))
+        return real_stack(cs, flats, *args, **kwargs)
 
     argv = _check_argv(source, tmp_path, lattice_document)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(cqkit, "active_stack", counting_stack)
+    monkeypatch.setattr(cqkit, "active_stacks", counting_stack)
     code, out, _ = run(capsys, "check", *argv)
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     assert "classification" in json.loads(out)["kkt"]
-    assert len(stack_calls) == 1
+    assert stack_calls == [1]
     assert len(svd_calls) == 1
-    (m, n), full = svd_calls[0]
+    (points, m, n), full = svd_calls[0]
+    assert points == 1
     assert not (full and m <= n)
 
 
@@ -455,23 +457,25 @@ def test_check_report_rebuilds_active_jacobian(capsys, tmp_path, monkeypatch,
         "perturb-ex1", "sweep"])
 def test_one_constraint_evaluation_per_point(capsys, tmp_path, monkeypatch,
                                              lattice_document, argv, points):
+    # points evaluated, summed over the blocks of evaluate_points (a check
+    # is a block of one point; the sweep evaluates its converged trials)
     calls = []
-    real_evaluate = con.evaluate
+    real_evaluate = con.evaluate_points
 
-    def counting_evaluate(*args, **kwargs):
-        calls.append(1)
-        return real_evaluate(*args, **kwargs)
+    def counting_evaluate(cs, flats, *args, **kwargs):
+        calls.append(len(flats))
+        return real_evaluate(cs, flats, *args, **kwargs)
 
     if "lattice" in argv:
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(lattice_document(3, 3, 0)))
         argv = ["check", "--case", str(path)]
-    monkeypatch.setattr(con, "evaluate", counting_evaluate)
+    monkeypatch.setattr(con, "evaluate_points", counting_evaluate)
     code, out, _ = run(capsys, *argv)
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     if argv[0] == "perturb":
         assert json.loads(out)["feasible_count"] == 304
-    assert len(calls) == points
+    assert sum(calls) == points
 
 
 def _relabel(doc: dict, perm: np.ndarray) -> dict:

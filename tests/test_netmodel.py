@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,49 @@ def test_ybus_row_sums_equal_lumped_shunts(rng):
     ones = np.ones(net.n_bus)
     assert np.abs(y.G @ ones - g_lump).max() <= 1e-14
     assert np.abs(y.B @ ones - b_lump).max() <= 1e-14
+
+
+def per_line_ybus(net):
+    """Per-line complex accumulation, lines in case order and the nodal
+    shunt last: the summation order the assembly keeps."""
+    y = np.zeros((net.n_bus, net.n_bus), dtype=complex)
+    for ln in net.lines:
+        ys = complex(ln.g_series, ln.b_series)
+        ysh_half = complex(ln.g_shunt, ln.b_shunt) / 2.0
+        k, l = ln.from_bus, ln.to_bus
+        y[k, k] += ys + ysh_half
+        y[l, l] += ys + ysh_half
+        y[k, l] -= ys
+        y[l, k] -= ys
+    for bus in net.buses:
+        y[bus.id, bus.id] += complex(bus.g_shunt, bus.b_shunt)
+    return y
+
+
+@pytest.mark.parametrize("shared_series", [False, True])
+def test_admittance_stack_trials_match_per_line_sums(rng, shared_series):
+    for _ in range(10):
+        net = random_network(8, rng)
+        n, m, trials = net.n_bus, net.n_line, 5
+        series = (rng.uniform(0.0, 2.0, (1 if shared_series else trials, m)),
+                  rng.uniform(-5.0, -0.5, (1 if shared_series else trials, m)))
+        shunts = rng.uniform(-0.3, 0.3, (2, trials, n))
+        G, B = od.netmodel.admittance_stack(net, *series, *shunts)
+        for t in range(trials):
+            s = 0 if shared_series else t
+            trial = Network(
+                buses=tuple(replace(b, g_shunt=float(shunts[0, t, b.id]),
+                                    b_shunt=float(shunts[1, t, b.id]))
+                            for b in net.buses),
+                lines=tuple(replace(ln, g_series=float(series[0][s, j]),
+                                    b_series=float(series[1][s, j]))
+                            for j, ln in enumerate(net.lines)))
+            y = per_line_ybus(trial)
+            assert G[t].tobytes() == y.real.tobytes()
+            assert B[t].tobytes() == y.imag.tobytes()
+        y = per_line_ybus(net)
+        assert build_ybus(net).G.tobytes() == y.real.tobytes()
+        assert build_ybus(net).B.tobytes() == y.imag.tobytes()
 
 
 def test_network_rejects_empty_bus_list():

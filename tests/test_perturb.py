@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ import pytest
 import opfdiag as od
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check
-from opfdiag.netmodel import Case, build_ybus
+from opfdiag.netmodel import Case, ConstraintSpec, build_ybus
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
-                             apply_parameters, check_rank_hypothesis,
-                             line_model, load_model, lumped_shunts,
-                             nearest_feasible_point, param_jacobian,
-                             run_genericity_experiment, shift_load,
-                             shunt_model, tangency_escape_probe)
+                             TrialRecord, apply_parameters,
+                             check_rank_hypothesis, line_model, load_model,
+                             lumped_shunts, nearest_feasible_point,
+                             param_jacobian, run_genericity_experiment,
+                             shift_load, shunt_model, tangency_escape_probe)
 
 from netgen import random_network, random_state
 
@@ -214,6 +215,75 @@ def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
     assert stacked.to_csv() == single.to_csv()
 
 
+def reference_sweep(case, model, trials, seed, **tols):
+    """The sweep's records and failures from a per-trial loop: each draw is
+    written into its own case (apply_parameters), solved alone and checked
+    on its own constraint system."""
+    cs = od.system_for_case(case, **tols)
+    records, failures = [], []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        xi = rng.uniform(model.box[:, 0], model.box[:, 1])
+        net = apply_parameters(model, case, xi).network
+        y = build_ybus(net)
+        try:
+            x = od.solve_power_flow(net, y, case.gen_p, case.gen_q,
+                                    pf_tol=cs.pf_tol).state
+        except od.PowerFlowError:
+            records.append(TrialRecord(t, False, False, None, None))
+            continue
+        try:
+            report = licq_check(replace(cs, net=net, Y=y), x)
+        except InfeasiblePointError:
+            records.append(TrialRecord(t, True, False, None, None))
+            continue
+        if not report.licq_holds:
+            failures.append({"trial": t, "seed": seed, "xi": xi.tolist(),
+                             "state": x.flat().tolist(),
+                             "cq_report": report.to_dict()})
+        records.append(TrialRecord(t, True, True, report.licq_holds,
+                                   report.sigma_min))
+    return records, failures
+
+
+def band_case():
+    """Shunted random network with a voltage band of half-width 0.002
+    around bus 2's nominal voltage, checked with act_tol = 0.004: a trial
+    near the band's centre has both bounds active, so its stack repeats a
+    row and fails LICQ; the others sit on one bound or are infeasible."""
+    net = random_network(5, np.random.default_rng([0, 99]))
+    case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5))
+    v = od.solve_power_flow(net, build_ybus(net), case.gen_p,
+                            case.gen_q).state.v[2]
+    specs = (ConstraintSpec("box_upper", {"var": "v", "bus": 2},
+                            {"bound": float(v) + 0.002}),
+             ConstraintSpec("box_lower", {"var": "v", "bus": 2},
+                            {"bound": float(v) - 0.002}))
+    return replace(case, constraint_specs=specs), {"act_tol": 0.004}
+
+
+@pytest.mark.parametrize("source", ["ex1", "band"])
+@pytest.mark.parametrize("kind", ["load", "shunt", "line"])
+def test_block_sweep_matches_per_trial_reference(ex1, source, kind):
+    case, tols = (ex1.case, {}) if source == "ex1" else band_case()
+    model = od.make_model(kind, case)
+    report = run_genericity_experiment(case, model, trials=200, seed=7, **tols)
+    records, failures = reference_sweep(case, model, 200, 7, **tols)
+    # repr compares sigma_min bit for bit
+    assert [repr(r) for r in report.records] == [repr(r) for r in records]
+    assert (json.dumps(report.failures, sort_keys=True)
+            == json.dumps(failures, sort_keys=True))
+    outcomes = {(r.converged, r.feasible, r.licq_holds) for r in records}
+    if source == "ex1":
+        # no LICQ failure on ex1 (see the tangent-family test)
+        assert outcomes == {(False, False, None), (True, False, None),
+                            (True, True, True)}
+    else:
+        assert {(True, True, True), (True, True, False)} <= outcomes
+        faces = {tuple(f["cq_report"]["face"]) for f in failures}
+        assert faces == {(0, 1)}
+
+
 def test_genericity_experiment_zero_trials(ex1):
     model = load_model(ex1.case)
     rep = run_genericity_experiment(ex1.case, model, trials=0, seed=1)
@@ -301,10 +371,16 @@ def test_probe_leaves_feasibility_to_the_check(ex1):
     assert pinned and state is not None
     with pytest.raises(InfeasiblePointError, match=r"g:1 = 5\.487e-02"):
         licq_check(cs, state)
-    rows = tangency_escape_probe(case, ex1.ground_truth, [0.0, 0.01],
+    # a shift of -3 takes the load past the nose: Gauss-Newton finds no
+    # point, and the row's reason tells the two failures apart
+    rows = tangency_escape_probe(case, ex1.ground_truth, [0.0, 0.01, -3.0],
                                  direction=1)
-    assert [(r.converged, r.licq_holds, r.bound_pinned) for r in rows] == [
-        (True, False, False), (False, None, True)]
+    assert [(r.converged, r.licq_holds, r.bound_pinned, r.reason)
+            for r in rows] == [(True, False, False, None),
+                               (False, None, True, "infeasible:g:1"),
+                               (False, None, False, "projection_failed")]
+    assert [r.to_dict()["reason"] for r in rows] == [
+        None, "infeasible:g:1", "projection_failed"]
 
 
 def test_probe_rejects_bad_direction(ex1):

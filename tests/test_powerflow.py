@@ -253,6 +253,32 @@ def test_newton_stops_at_non_finite_mismatch():
     assert not np.isfinite(info.value.mismatch)
 
 
+def test_nonconvergence_message_text():
+    # the message is formatted when read, with the text of the eager format
+    exc = NonConvergenceError("power flow did not converge",
+                              [1.0, 0.5, 2.5e-3], 2.5e-3)
+    assert str(exc) == (
+        "power flow did not converge: final mismatch 2.500e-03 after 3 "
+        "iterations; trace ['1.000e+00', '5.000e-01', '2.500e-03']")
+    exc = DivergenceError(
+        "power flow diverged: non-finite mismatch at iteration 2",
+        [0.5, 1e300, math.inf], math.inf)
+    assert str(exc) == (
+        "power flow diverged: non-finite mismatch at iteration 2: final "
+        "mismatch inf after 3 iterations; trace ['5.000e-01', '1.000e+300', "
+        "'inf']")
+    net = zero_load_two_bus()
+    with pytest.raises(NonConvergenceError) as info:
+        solve_power_flow(net, build_ybus(net), np.array([0.0, -2.0]),
+                         np.array([0.0, -2.0]))
+    history = info.value.history
+    assert len(history) == MAX_ITER + 1
+    assert str(info.value) == (
+        f"power flow did not converge: final mismatch {history[-1]:.3e} "
+        f"after {MAX_ITER + 1} iterations; trace "
+        f"{['%.3e' % h for h in history]}")
+
+
 def solve_stacked(net, ys, nets, p_gen, q_gen):
     return solve_power_flows(
         net, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),

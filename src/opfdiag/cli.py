@@ -150,8 +150,7 @@ def cmd_check(args) -> int:
                 raise CaseError(f"--state: invalid JSON ({exc})") from exc
             state = state_from_list(values, case.network)
         elif fix is not None and args.perturb_load:
-            state, _, _ = perturb.nearest_feasible_point(case, fix.ground_truth,
-                                                         **tols)
+            state, _ = perturb.nearest_feasible_point(cs, fix.ground_truth)
             if state is None:
                 raise con.InfeasiblePointError(
                     "no feasible point found near the fixture state")

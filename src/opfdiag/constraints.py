@@ -211,12 +211,6 @@ class ConstraintSystem:
     pf_tol: float = 1e-10
 
     @classmethod
-    def for_network(cls, net: Network, Y: AdmittanceMatrix, h_ops=(), g_ops=(),
-                    **tols) -> "ConstraintSystem":
-        return cls(h_ops=tuple(h_ops), g_ops=tuple(g_ops),
-                   n_state=4 * net.n_bus, net=net, Y=Y, **tols)
-
-    @classmethod
     def operational(cls, h_ops, g_ops, n_state: int, **tols) -> "ConstraintSystem":
         return cls(h_ops=tuple(h_ops), g_ops=tuple(g_ops),
                    n_state=n_state, **tols)
@@ -232,10 +226,10 @@ def system_for_case(case: Case, **tols) -> ConstraintSystem:
     within the equality and inequality groups."""
     net = case.network
     ops = [build_operational(s, net.n_bus) for s in case.constraint_specs]
-    return ConstraintSystem.for_network(
-        net, build_ybus(net),
-        tuple(op for op in ops if op.is_equality),
-        tuple(op for op in ops if not op.is_equality), **tols)
+    return ConstraintSystem(
+        h_ops=tuple(op for op in ops if op.is_equality),
+        g_ops=tuple(op for op in ops if not op.is_equality),
+        n_state=4 * net.n_bus, net=net, Y=build_ybus(net), **tols)
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:

@@ -80,6 +80,20 @@ def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SC
     return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
+def face_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
+                jac: np.ndarray | None, face) -> np.ndarray:
+    """Stacks of k points over the free columns, k x m x n, with the rows
+    of the g indices in ``face`` active: the compressed flow rows ``jac``
+    (k x 2N x n, None without flow equations), then every h gradient, then
+    the face's g gradients."""
+    rows = [] if jac is None else [jac]
+    rows += [op.gradient(flats).compress(mask, axis=-1)[:, None]
+             for op in (*cs.h_ops, *(cs.g_ops[j] for j in face))]
+    if not rows:
+        return np.zeros((len(flats), 0, int(mask.sum())))
+    return np.concatenate(rows, axis=1)
+
+
 def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
                   flow=None):
     """Active stacks of a block of points that share one free mask, grouped
@@ -87,10 +101,9 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
 
     Returns (acts, groups): ``acts[i]`` is point i's ActiveSet or unraised
     InfeasiblePointError; each group is (points, act, stacks, labels) for
-    the feasible points on one face, ``stacks`` holding their k x m x n
-    stacks over the free columns. Rows are ordered flow equalities (2N),
-    operational equalities (I), active inequalities (|J|); the flow rows
-    of all feasible points come from one batched Jacobian.
+    the feasible points on one face, ``stacks`` holding their
+    ``face_stacks``; the flow rows of all feasible points come from one
+    batched Jacobian.
     """
     acts = active_sets(cs, flats, flow)
     faces: dict[tuple[int, ...], list[int]] = {}
@@ -113,20 +126,13 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     if flow is not None and order.size:
         jac = _jacobian(pick(flow[0]), pick(flow[1]),
                         ordered).compress(mask, axis=-1)
-    h_rows = [h.gradient(ordered).compress(mask, axis=-1) for h in cs.h_ops]
     groups = []
     start = 0
     for face, points in faces.items():
         at = slice(start, start + len(points))
         start = at.stop
-        rows = [] if jac is None else [jac[at]]
-        rows += [grad[at, None] for grad in h_rows]
-        rows += [cs.g_ops[j].gradient(ordered[at]).compress(mask, axis=-1)
-                 [:, None] for j in face]
-        if rows:
-            stacks = np.concatenate(rows, axis=1)
-        else:
-            stacks = np.zeros((len(points), 0, int(mask.sum())))
+        stacks = face_stacks(cs, ordered[at], mask,
+                             None if jac is None else jac[at], face)
         groups.append((np.array(points), acts[points[0]], stacks,
                        tuple(row_labels(cs, face))))
     return acts, groups

@@ -141,10 +141,6 @@ class Network:
         return len(self.lines)
 
     @property
-    def slack(self) -> int:
-        return next(b.id for b in self.buses if b.bus_type is BusType.SLACK)
-
-    @property
     def p_load(self) -> np.ndarray:
         return np.array([b.p_load for b in self.buses])
 
@@ -163,10 +159,6 @@ class AdmittanceMatrix:
     def __post_init__(self) -> None:
         self.G.setflags(write=False)
         self.B.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.G.shape[0]
 
     def to_dict(self) -> dict:
         return {"G": self.G.tolist(), "B": self.B.tolist()}

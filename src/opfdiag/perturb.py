@@ -29,8 +29,8 @@ from . import cqkit
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (PowerFlowError, SystemState, free_mask_from_bus_types,
-                        newton_states, pf_jacobian, pf_residual,
+from .powerflow import (PowerFlowError, SystemState, _jacobian, _residual,
+                        free_mask_from_bus_types, newton_states,
                         solve_power_flow)
 
 
@@ -491,7 +491,8 @@ PROJECTION_MAX_ITER = 100
 
 
 def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
-    """Minimum-norm Gauss-Newton on an equality system over free entries.
+    """Minimum-norm Gauss-Newton on an equality system over free entries;
+    ``jacobian_fn`` gives its rows over the free columns.
 
     A non-finite residual, at the start or at a trial step, stops the
     iteration as not converged."""
@@ -504,8 +505,7 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
                 return flat, False
             if err <= PROJECTION_TOL:
                 return flat, True
-            jac = jacobian_fn(flat)[:, mask]
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            step, *_ = np.linalg.lstsq(jacobian_fn(flat), -r, rcond=None)
             t = 1.0
             while t >= 2.0 ** -30:
                 trial = flat.copy()
@@ -524,54 +524,43 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
 
 
 def nearest_feasible_point(
-    case: Case,
+    cs: con.ConstraintSystem,
     x_start: SystemState,
-    **tols,
-) -> tuple[SystemState | None, bool, con.ConstraintSystem]:
-    """Point of a case near a start state, by projection.
+) -> tuple[SystemState | None, bool]:
+    """Point of a constraint system with flow equations near a start
+    state, by projection.
 
     Two stages of minimum-norm Gauss-Newton: first onto the equality
     manifold {F = 0, h = 0}; if an inequality ends up violated there, a
-    second projection with that bound pinned as an equality. Returns
-    (state, bound_pinned, constraint_system), state None when Gauss-Newton
-    fails; feasibility is left to the check on ``system_for_case(case,
-    **tols)``.
+    second projection with that bound pinned as an equality. The Jacobian
+    rows are the ``cqkit.face_stacks`` of the pinned bounds. Returns
+    (state, bound_pinned), state None when Gauss-Newton fails; feasibility
+    is left to the check on ``cs``.
     """
-    cs = con.system_for_case(case, **tols)
-    net, y, h_ops, g_ops = cs.net, cs.Y, cs.h_ops, cs.g_ops
-    mask = x_start.free_mask
+    flats, mask, (G, B, p_load, q_load) = con.point_block(cs, x_start)
+    Yc = G + 1j * B
 
     def make_fns(pinned):
+        ops = (*cs.h_ops, *(cs.g_ops[j] for j in pinned))
+
         def residual(flat):
-            state = SystemState.from_flat(flat, mask)
-            parts = [pf_residual(net, y, state)]
-            parts.append(np.array([h.value(flat) for h in h_ops]))
-            parts.append(np.array([g_ops[j].value(flat) for j in pinned]))
-            return np.concatenate([p for p in parts if p.size])
+            return np.concatenate([_residual(Yc, p_load, q_load, flat[None])[0],
+                                   [op.value(flat) for op in ops]])
 
         def jacobian(flat):
-            state = SystemState.from_flat(flat, mask)
-            rows_ = [pf_jacobian(net, y, state)]
-            rows_ += [h.gradient(flat)[None, :] for h in h_ops]
-            rows_ += [g_ops[j].gradient(flat)[None, :] for j in pinned]
-            return np.vstack(rows_)
+            jac = _jacobian(G, B, flat[None]).compress(mask, axis=-1)
+            return cqkit.face_stacks(cs, flat[None], mask, jac, pinned)[0]
 
         return residual, jacobian
 
-    residual, jacobian = make_fns(())
-    flat, ok = _damped_gauss_newton(residual, jacobian, x_start.flat(), mask)
+    flat, ok = _damped_gauss_newton(*make_fns(()), flats[0], mask)
     pinned: tuple[int, ...] = ()
     if ok:
-        g_vals = np.array([g.value(flat) for g in g_ops])
-        violated = tuple(int(j) for j in range(g_vals.size)
-                         if g_vals[j] > cs.act_tol)
-        if violated:
-            pinned = violated
-            residual, jacobian = make_fns(pinned)
-            flat, ok = _damped_gauss_newton(residual, jacobian, flat, mask)
-    if not ok:
-        return None, bool(pinned), cs
-    return SystemState.from_flat(flat, mask), bool(pinned), cs
+        pinned = tuple(j for j, g in enumerate(cs.g_ops)
+                       if g.value(flat) > cs.act_tol)
+        if pinned:
+            flat, ok = _damped_gauss_newton(*make_fns(pinned), flat, mask)
+    return SystemState.from_flat(flat, mask) if ok else None, bool(pinned)
 
 
 def shift_load(case: Case, direction: int, delta: float) -> Case:
@@ -605,12 +594,12 @@ def tangency_escape_probe(
     """
     rows: list[ProbeRow] = []
     for delta in deltas:
-        case_d = shift_load(case, direction, float(delta))
-        state, pinned, cs_d = nearest_feasible_point(case_d, x_start)
+        cs = con.system_for_case(shift_load(case, direction, float(delta)))
+        state, pinned = nearest_feasible_point(cs, x_start)
         report, reason = None, "projection_failed"
         if state is not None:
             try:
-                report, reason = cqkit.licq_check(cs_d, state), None
+                report, reason = cqkit.licq_check(cs, state), None
             except con.InfeasiblePointError as exc:
                 reason = f"infeasible:{exc.worst_row}"
         rows.append(ProbeRow(

@@ -199,7 +199,7 @@ class PFSolution:
     history: tuple[float, ...]
 
 
-# Newton step budget of solve_power_flow and solve_power_flows.
+# Newton step budget of newton_states, per trial.
 MAX_ITER = 50
 
 
@@ -231,10 +231,16 @@ def newton_states(
     *,
     pf_tol: float = 1e-10,
 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """Array form of ``solve_power_flows``: the final flat states
-    (T x 4N), per trial its iteration count when it converged or its
-    unraised ``PowerFlowError``, and the mismatch history (T x
-    MAX_ITER + 1, row i valid up to trial i's last iteration)."""
+    """Plain Newton on a stack of trials that share the bus records of
+    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
+    loads ``p_load[i]``, ``q_load[i]`` (T x N).
+
+    The trials are stacked, never mixed, and a trial leaves the stack when
+    it converges or fails, so each trial's iterates are those of a solve on
+    its own data. Returns the final flat states (T x 4N), per trial its
+    iteration count when it converged or its unraised ``PowerFlowError``,
+    and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
+    i's last iteration)."""
     n = net.n_bus
     trials = G.shape[0]
     mask = free_mask_from_bus_types(net)
@@ -314,35 +320,6 @@ def newton_states(
     return x, outcome, errs
 
 
-def solve_power_flows(
-    net: Network,
-    G: np.ndarray,
-    B: np.ndarray,
-    p_load: np.ndarray,
-    q_load: np.ndarray,
-    p_gen: np.ndarray,
-    q_gen: np.ndarray,
-    *,
-    pf_tol: float = 1e-10,
-) -> list[PFSolution | PowerFlowError]:
-    """Plain Newton on a stack of trials that share the bus records of
-    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
-    loads ``p_load[i]``, ``q_load[i]`` (T x N).
-
-    Each trial's iterates are exactly those of ``solve_power_flow`` on its
-    own data: the trials are stacked, never mixed, and a trial leaves the
-    stack when it converges or fails. Returns one ``PFSolution`` or one
-    unraised ``PowerFlowError`` per trial.
-    """
-    x, outcome, errs = newton_states(net, G, B, p_load, q_load, p_gen,
-                                     q_gen, pf_tol=pf_tol)
-    mask = free_mask_from_bus_types(net)
-    return [out if isinstance(out, PowerFlowError) else PFSolution(
-        state=SystemState.from_flat(x[i], mask), iterations=out,
-        history=tuple(errs[i, :out + 1].tolist()))
-        for i, out in enumerate(outcome)]
-
-
 def solve_power_flow(
     net: Network,
     Y: AdmittanceMatrix,
@@ -364,13 +341,16 @@ def solve_power_flow(
     reached depends only on the start point, and failure is reported, not
     masked: a non-finite mismatch raises ``DivergenceError`` at once.
 
-    This is the one-trial call of ``solve_power_flows``.
+    This is the one-trial call of ``newton_states``.
     """
-    (out,) = solve_power_flows(net, Y.G[None], Y.B[None], net.p_load[None],
-                               net.q_load[None], p_gen, q_gen, pf_tol=pf_tol)
+    x, (out,), errs = newton_states(net, Y.G[None], Y.B[None],
+                                    net.p_load[None], net.q_load[None],
+                                    p_gen, q_gen, pf_tol=pf_tol)
     if isinstance(out, PowerFlowError):
         raise out
-    return out
+    return PFSolution(
+        state=SystemState.from_flat(x[0], free_mask_from_bus_types(net)),
+        iterations=out, history=tuple(errs[0, :out + 1].tolist()))
 
 
 def state_to_list(x: SystemState) -> list[float]:

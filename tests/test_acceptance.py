@@ -222,7 +222,8 @@ def test_criterion_6_kkt_verifier_independence():
         solves.append((fix.system, fix.ground_truth, fix.cost))
 
         shifted = od.shift_load(fix.case, 1, +0.05)
-        state, _, cs = od.nearest_feasible_point(shifted, fix.ground_truth)
+        cs = od.system_for_case(shifted)
+        state, _ = od.nearest_feasible_point(cs, fix.ground_truth)
         assert state is not None
         solves.append((cs, state, fix.cost))
 

@@ -478,6 +478,29 @@ def test_one_constraint_evaluation_per_point(capsys, tmp_path, monkeypatch,
     assert sum(calls) == points
 
 
+def test_perturbed_check_builds_one_system(capsys, monkeypatch):
+    # after its input is loaded, check --perturb-load builds the shifted
+    # case's constraint system once: the projection runs on it too
+    calls = []
+    real_system, real_load = con.system_for_case, od.cli._load_input
+
+    def counting_system(case, **tols):
+        calls.append(case)
+        return real_system(case, **tols)
+
+    def load_then_reset(args):
+        loaded = real_load(args)
+        calls.clear()
+        return loaded
+
+    monkeypatch.setattr(con, "system_for_case", counting_system)
+    monkeypatch.setattr(od.cli, "_load_input", load_then_reset)
+    code, _, _ = run(capsys, "check", "--builtin", "ex1", "--perturb-load",
+                     "1:+0.05")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def _relabel(doc: dict, perm: np.ndarray) -> dict:
     """The case with bus k renamed perm[k]; buses, lines, constraint specs
     and cost terms are listed in the new bus order."""

@@ -54,11 +54,9 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
 def test_licq_trivial_full_rank_from_identity_blocks(ex3):
     # no operational constraints; the generation identity blocks alone
     # give the four flow rows full rank over all eight columns
-    net = ex3.case.network
     state = od.SystemState.from_flat(ex3.ground_truth.flat(),
                                      np.ones(8, dtype=bool))
-    cs = ConstraintSystem.for_network(net, build_ybus(net))
-    report = licq_check(cs, state)
+    report = licq_check(od.system_for_case(ex3.case), state)
     assert report.m == 4 and report.n_free == 8
     assert report.licq_holds
 
@@ -119,7 +117,8 @@ def test_kkt_ray_at_tangent_point(ex1):
 
 def test_kkt_unique_after_interior_load_shift(ex1):
     shifted = od.shift_load(ex1.case, 1, +0.05)
-    state, pinned, cs = od.nearest_feasible_point(shifted, ex1.ground_truth)
+    cs = od.system_for_case(shifted)
+    state, pinned = od.nearest_feasible_point(cs, ex1.ground_truth)
     assert state is not None and pinned
     report = licq_check(cs, state)
     assert report.licq_holds

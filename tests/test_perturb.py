@@ -357,17 +357,22 @@ def test_tangency_probe_margin_trend_recorded(ex1):
     assert margins == sorted(margins)
 
 
-def test_probe_leaves_feasibility_to_the_check(ex1):
-    # a cap on the slack's p that holds after the first projection but not
-    # after the second, which pins the voltage cap: the projection returns
-    # its point, the check rejects it and the probe reports no convergence
+def capped_ex1(ex1):
+    """ex1 with a cap of 1.05 on the slack's p."""
     doc = ex1.case_document()
     doc["constraints"].append({"kind": "box_upper",
                                "target": {"var": "p", "bus": 0},
                                "params": {"bound": 1.05}})
-    case = od.load_case(json.dumps(doc))
-    state, pinned, cs = nearest_feasible_point(shift_load(case, 1, 0.01),
-                                               ex1.ground_truth)
+    return od.load_case(json.dumps(doc))
+
+
+def test_probe_leaves_feasibility_to_the_check(ex1):
+    # a cap on the slack's p that holds after the first projection but not
+    # after the second, which pins the voltage cap: the projection returns
+    # its point, the check rejects it and the probe reports no convergence
+    case = capped_ex1(ex1)
+    cs = od.system_for_case(shift_load(case, 1, 0.01))
+    state, pinned = nearest_feasible_point(cs, ex1.ground_truth)
     assert pinned and state is not None
     with pytest.raises(InfeasiblePointError, match=r"g:1 = 5\.487e-02"):
         licq_check(cs, state)
@@ -381,6 +386,31 @@ def test_probe_leaves_feasibility_to_the_check(ex1):
                                (False, None, False, "projection_failed")]
     assert [r.to_dict()["reason"] for r in rows] == [
         None, "infeasible:g:1", "projection_failed"]
+
+
+@pytest.mark.parametrize("capped, delta, flat, pinned", [
+    (False, 0.05, [1.2472048604328894, -1.1972048604328893,
+                   -0.1972048604328896, 0.8027951395671107, 1.0,
+                   1.4142135623730951, 0.0, 0.5613228780956294], True),
+    (False, 0.01, [1.1048749218090692, -1.0948749218090692,
+                   -0.09487492180906971, 0.9051250781909307, 1.0,
+                   1.4142135623730951, 0.0, 0.6853564497541892], True),
+    (False, -0.3, [1.0664695694848014, -1.3664695694848012,
+                   0.39022128704841247, 0.633530430515199, 1.0,
+                   1.1150377318578895, 0.0, 0.9921773599152077], False),
+    (True, 0.01, [1.1048749218090692, -1.0948749218090692,
+                  -0.09487492180906971, 0.9051250781909307, 1.0,
+                  1.4142135623730951, 0.0, 0.6853564497541892], True),
+], ids=["+0.05", "+0.01", "-0.3", "capped+0.01"])
+def test_projection_is_pinned_bitwise(ex1, capped, delta, flat, pinned):
+    # points recorded from the projection when it assembled its residual
+    # and Jacobian from pf_residual/pf_jacobian and full-width rows; any
+    # reordering of its rows or columns shows up here as a changed bit
+    case = capped_ex1(ex1) if capped else ex1.case
+    cs = od.system_for_case(shift_load(case, 1, delta))
+    state, bound_pinned = nearest_feasible_point(cs, ex1.ground_truth)
+    assert state.flat().tolist() == flat
+    assert bound_pinned is pinned
 
 
 def test_probe_rejects_bad_direction(ex1):

@@ -10,6 +10,13 @@ Multipliers y = (kappa, lambda, mu) solve the stationarity system
 A^T y = -grad f in the least-squares sense; the left null space of A spans
 the solution family. Sign convention: minimize f, g <= 0, mu >= 0,
 grad f + kappa^T grad F + lambda^T grad h + mu^T grad g = 0.
+
+A costed check factors each point once, by Chan's R-SVD (ACM TOMS 8(1),
+1982): one QR of [A^T | -grad f] gives A^T = Q T and c = Q^T (-grad f),
+then one SVD of the m x min(m, n) matrix T^T gives A's singular values and
+left singular vectors, and V^T (-grad f) as W^T c. The n-wide right
+singular vectors V of A are never formed. Without a cost only A's singular
+values are computed, directly.
 """
 
 from __future__ import annotations
@@ -200,22 +207,32 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
                 rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
-    point. Each face group is factored by one batched SVD."""
+    point. Each face group is factored by one batched SVD; with a cost it
+    is Chan's R-SVD (see ``licq_check``)."""
     reports, groups = active_stacks(cs, flats, mask, flow)
     for points, act, stacks, labels in groups:
         _, m, n = stacks.shape
         if cost is None:
             svals = np.linalg.svd(stacks, compute_uv=False)
         else:
-            u_mats, svals, vts = np.linalg.svd(stacks, full_matrices=m > n)
+            # R-SVD (see the module docstring): T is the top min(m, n) rows
+            # of R over A's columns, c = Q^T (-grad f) is R's last column
+            grads = cost.gradient(flats[points])[:, mask]
+            r = np.linalg.qr(np.concatenate(
+                (stacks.transpose(0, 2, 1), -grads[:, :, None]), axis=2),
+                mode="r")
+            p = min(m, n)
+            u_mats, svals, vts = np.linalg.svd(
+                r[:, :p, :m].transpose(0, 2, 1), full_matrices=m > n)
+            projs = r[:, :p, m]
         for k, i in enumerate(points):
             rank, smin, tol = _rank_from_svals(svals[k], (m, n),
                                                rank_ulp_scale)
             kkt = None
             if cost is not None:
-                kkt = _multiplier_set(
-                    cs, act, stacks[k], cost.gradient(flats[i])[mask],
-                    u_mats[k], svals[k], vts[k], rank, stat_tol)
+                kkt = _multiplier_set(cs, act, stacks[k], grads[k], projs[k],
+                                      u_mats[k], svals[k], vts[k], rank,
+                                      stat_tol)
             reports[i] = CQReport(
                 active_jacobian=stacks[k], row_labels=labels, m=m, n_free=n,
                 numerical_rank=rank, sigma_min=smin, rank_tol=tol,
@@ -231,10 +248,14 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
     This is the feasibility test of check, sweep and probe: an infeasible
     point raises InfeasiblePointError. The qualification holds iff the
     stack has full row rank over the free state entries. Without a cost
-    only the singular values are computed. With one, a single SVD with
-    vectors gives the rank and the multiplier set (``CQReport.kkt``, see
-    ``kkt_solve``); U is full only when m > n, where the left null space
-    reaches past the thin columns. The one-trial call of ``licq_checks``.
+    only the singular values are computed. With one, the R-SVD of the
+    module docstring gives the rank and the multiplier set
+    (``CQReport.kkt``, see ``kkt_solve``); the U of T^T is full only when
+    m > n, where the left null space reaches past its min(m, n) columns.
+    ``rank_tol`` is computed with A's shape. ``sigma_min`` agrees with a
+    direct SVD of A to rounding where it exceeds ``rank_tol``, and is
+    rounding noise below it either way. The one-trial call of
+    ``licq_checks``.
     """
     (report,) = licq_checks(cs, *point_block(cs, x), cost, stat_tol=stat_tol,
                             rank_ulp_scale=rank_ulp_scale)
@@ -301,15 +322,17 @@ class MultiplierSet:
         }
 
 
-def _mu_interval(y: np.ndarray, w: np.ndarray, first_mu: int):
+def _mu_interval(y: np.ndarray, w: np.ndarray, first_mu: int,
+                 sign_tol: float):
     """Feasible zeta range keeping every mu component (rows first_mu on)
-    of y + zeta*w >= 0."""
+    of y + zeta*w >= 0; a mu that w leaves fixed may sit sign_tol below
+    zero."""
     lo, hi = -np.inf, np.inf
     feasible = True
     for i in range(first_mu, len(y)):
         wi, yi = w[i], y[i]
         if abs(wi) <= 1e-12:
-            if yi < -1e-12:
+            if yi < -sign_tol:
                 feasible = False
             continue
         bound = -yi / wi
@@ -332,23 +355,27 @@ def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec, *,
 
 
 def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
-                    grad_f: np.ndarray, u_mat: np.ndarray, svals: np.ndarray,
-                    vt: np.ndarray, rank: int, stat_tol: float) -> MultiplierSet:
-    """Solution set of stack^T y = -grad_f from the SVD of the stack.
+                    grad_f: np.ndarray, proj: np.ndarray, u_mat: np.ndarray,
+                    svals: np.ndarray, vt: np.ndarray, rank: int,
+                    stat_tol: float) -> MultiplierSet:
+    """Solution set of stack^T y = -grad_f from the R-SVD of the stack.
 
-    The SVD gives the least-squares particular solution and the left null
-    space. Classification: NONE when the residual exceeds
-    stat_tol * max(1, |grad_f|), relative to the cost's scale (the cost
-    gradient leaves the row space); UNIQUE for an empty null space; RAY
-    for a one-dimensional family, reported as vertex + zeta * direction
-    with the exact sign-feasible zeta interval; FAMILY(dim) for
-    higher-dimensional null spaces, whose sign feasibility is reported
-    unresolved.
+    ``u_mat``, ``svals`` and ``vt`` factor T^T, where stack^T = Q T, and
+    ``proj`` is Q^T (-grad_f) over T's rows; they give the least-squares
+    particular solution and the left null space. Both tolerances are
+    relative to the cost's scale s = max(1, |grad_f|), as the multipliers
+    scale with the cost. Classification: NONE when the residual exceeds
+    stat_tol * s (the cost gradient leaves the row space); UNIQUE for an
+    empty null space, sign feasible when every mu is at least -1e-12 * s;
+    RAY for a one-dimensional family, reported as vertex + zeta * direction
+    with the exact sign-feasible zeta interval (same sign tolerance);
+    FAMILY(dim) for higher-dimensional null spaces, whose sign feasibility
+    is reported unresolved.
     """
     n2 = 2 * cs.net.n_bus if cs.has_flow else 0
     n_h = len(cs.h_ops)
     # Minimum-norm solution of stack^T y = -grad_f.
-    coeffs = vt[:rank] @ (-grad_f) / svals[:rank]
+    coeffs = vt[:rank] @ proj / svals[:rank]
     y_min = u_mat[:, :rank] @ coeffs
     resid = float(np.linalg.norm(stack.T @ y_min + grad_f))
     basis = u_mat[:, rank:]
@@ -360,14 +387,16 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
             lam=y[n2:n2 + n_h], mu=y[n2 + n_h:], active_indices=act.indices,
             nullspace_basis=basis, stationarity_residual=resid, **extra)
 
-    if resid > stat_tol * max(1.0, float(np.linalg.norm(grad_f))):
+    scale = max(1.0, float(np.linalg.norm(grad_f)))
+    sign_tol = 1e-12 * scale
+    if resid > stat_tol * scale:
         return package(y_min, Classification.NONE, family_dim=nullity)
     if nullity == 0:
-        sign_ok = bool((y_min[n2 + n_h:] >= -1e-12).all())
+        sign_ok = bool((y_min[n2 + n_h:] >= -sign_tol).all())
         return package(y_min, Classification.UNIQUE, mu_sign_feasible=sign_ok)
     if nullity == 1:
         w = basis[:, 0]
-        lo, hi, feasible = _mu_interval(y_min, w, n2 + n_h)
+        lo, hi, feasible = _mu_interval(y_min, w, n2 + n_h, sign_tol)
         if not feasible:
             return package(y_min, Classification.RAY, ray_direction=w,
                            family_dim=1, mu_sign_feasible=False)

@@ -394,9 +394,11 @@ def _check_argv(source, tmp_path, lattice_document) -> list[str]:
 @pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
 def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
                                        lattice_document, source):
-    # a check is a block of one point: one stack assembly, one SVD
-    svd_calls, stack_calls = [], []
-    real_svd, real_stack = np.linalg.svd, cqkit.active_stacks
+    # a check is a block of one point: one stack assembly, one QR of
+    # [A^T | -grad f] and one SVD of its m x min(m, n) triangle (R-SVD)
+    svd_calls, qr_calls, stack_calls = [], [], []
+    real_svd, real_qr = np.linalg.svd, np.linalg.qr
+    real_stack = cqkit.active_stacks
 
     def counting_svd(a, *args, **kwargs):
         full = kwargs.get("full_matrices", args[0] if args else True)
@@ -404,21 +406,28 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
         svd_calls.append((np.shape(a), bool(full and uv)))
         return real_svd(a, *args, **kwargs)
 
+    def counting_qr(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
     def counting_stack(cs, flats, *args, **kwargs):
         stack_calls.append(len(flats))
         return real_stack(cs, flats, *args, **kwargs)
 
     argv = _check_argv(source, tmp_path, lattice_document)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(cqkit, "active_stacks", counting_stack)
     code, out, _ = run(capsys, "check", *argv)
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
-    assert "classification" in json.loads(out)["kkt"]
+    payload = json.loads(out)
+    assert "classification" in payload["kkt"]
+    m, n = payload["cq"]["m"], payload["cq"]["n_free"]
     assert stack_calls == [1]
-    assert len(svd_calls) == 1
-    (points, m, n), full = svd_calls[0]
-    assert points == 1
-    assert not (full and m <= n)
+    assert qr_calls == [(1, n, m + 1)]
+    # the SVD input has at most m columns, so no n-wide V is formed, and
+    # its U is full only where the left null space needs it
+    assert svd_calls == [((1, m, min(m, n)), m > n)]
 
 
 @pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])

@@ -7,9 +7,10 @@ import pytest
 import opfdiag as od
 from opfdiag.constraints import (BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
-from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
-                           CQReport, kkt_residual, kkt_solve, licq_check,
-                           numerical_rank)
+from opfdiag.cqkit import (DEFAULT_RANK_ULP_SCALE, DEFAULT_STAT_TOL,
+                           Classification, CostSpec, CQReport, _multiplier_set,
+                           _rank_from_svals, active_stack, kkt_residual,
+                           kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.powerflow import solve_power_flow
 
@@ -27,6 +28,14 @@ def _checked_null_space(cs, x, cost):
     if kkt.classification in (Classification.UNIQUE, Classification.RAY):
         assert kkt_residual(cs, x, cost, kkt.particular) <= DEFAULT_STAT_TOL
     return kkt
+
+
+def _lattice_point(doc):
+    """System of a lattice case document and its solved power flow."""
+    case = od.load_case(json.dumps(doc))
+    cs = od.system_for_case(case)
+    x = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q).state
+    return case, cs, x
 
 
 def test_licq_fails_at_tangent_point(ex1):
@@ -72,10 +81,7 @@ def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
     # licq_check is the only feasibility test of check, sweep and probe, so
     # its verdict must agree with evaluate's on feasible and infeasible
     # states alike
-    case = od.load_case(json.dumps(lattice_document(3, 3, 0)))
-    lattice = od.system_for_case(case)
-    x_lattice = solve_power_flow(case.network, lattice.Y, case.gen_p,
-                                 case.gen_q).state
+    _, lattice, x_lattice = _lattice_point(lattice_document(3, 3, 0))
     rng = np.random.default_rng(6)
     for cs, x in ((ex1.system, ex1.ground_truth), (lattice, x_lattice)):
         seen = set()
@@ -182,6 +188,110 @@ def test_cost_scaling_scales_multipliers(ex1):
         scale = factor * np.abs(kkt1.particular).max()
         assert np.abs(kkt2.particular
                       - factor * kkt1.particular).max() <= 1e-12 * scale
+
+
+def _planted_cost(doc, seed, zero_mu):
+    """Solved lattice point, a linear cost with c1[free] = -A^T y, and the
+    planted multipliers y: kappa and lambda standard normal, mu drawn in
+    [0.1, 1] or, with zero_mu, 0 on the weakly active caps."""
+    case, cs, x = _lattice_point(doc)
+    a, _, _, _, mask = active_stack(cs, x)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(a.shape[0])
+    first_mu = 2 * case.network.n_bus + len(cs.h_ops)
+    assert a.shape[0] > first_mu  # the caps are active
+    y[first_mu:] = 0.0 if zero_mu else rng.uniform(0.1, 1.0,
+                                                   a.shape[0] - first_mu)
+    c1 = np.zeros(cs.n_state)
+    c1[mask] = -a.T @ y
+    return cs, x, CostSpec(c2=np.zeros(cs.n_state), c1=c1), y
+
+
+def test_mu_sign_test_is_relative_to_cost_scale(lattice_document):
+    # every mu is 0, so its computed value is rounding noise that grows
+    # with the cost (-3e-6 at scale 1e8); the sign test must scale with it
+    for seed in range(10):
+        cs, x, cost, _ = _planted_cost(lattice_document(8, 8, seed), seed,
+                                       zero_mu=True)
+        for factor in (1.0, 1e4, 1e8):
+            kkt = kkt_solve(cs, x, cost.scaled(factor))
+            assert kkt.classification is Classification.UNIQUE
+            assert kkt.mu_sign_feasible, (seed, factor, kkt.mu.min())
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 8), (10, 6)])
+def test_planted_multipliers_recovered_at_network_size(lattice_document,
+                                                       rows, cols):
+    for seed in range(3):
+        cs, x, cost, y = _planted_cost(lattice_document(rows, cols, seed),
+                                       seed, zero_mu=False)
+        kkt = kkt_solve(cs, x, cost)
+        assert kkt.classification is Classification.UNIQUE
+        assert kkt.mu_sign_feasible
+        assert np.abs(kkt.particular - y).max() <= 1e-10 * np.abs(y).max()
+        scaled = kkt_solve(cs, x, cost.scaled(1e8))
+        assert scaled.classification is Classification.UNIQUE
+        assert scaled.mu_sign_feasible
+        assert (np.abs(scaled.particular - 1e8 * kkt.particular).max()
+                <= 1e-10 * 1e8 * np.abs(kkt.particular).max())
+
+
+def _rsvd_cases(ex1, ex2, lattice_document):
+    """(name, system, point, cost, classification) of the cases the R-SVD
+    is compared on: m < n, m = n, m > n and m = 0 stacks."""
+    shifted = od.system_for_case(od.shift_load(ex1.case, 1, +0.05))
+    shifted_x, _ = od.nearest_feasible_point(shifted, ex1.ground_truth)
+    h = LinearEq(terms=((0, 1.0),), offset=0.0)
+    box = ConstraintSystem.operational(
+        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
+    case, lattice, lattice_x = _lattice_point(lattice_document(3, 3, 0))
+    red = ex2.reduced
+    return [
+        ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
+        ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
+        ("ex2-reduced", red.system, red.point, red.probe_cost,
+         Classification.NONE),
+        ("family", ConstraintSystem.operational((h, h, h), (), n_state=2),
+         np.array([0.0, 0.3]), CostSpec(c2=np.zeros(2), c1=np.array([1.0, 0.0])),
+         Classification.FAMILY),
+        ("empty", box, np.array([0.0]),
+         CostSpec(c2=np.zeros(1), c1=np.zeros(1)), Classification.UNIQUE),
+        ("lattice", lattice, lattice_x,
+         CostSpec.from_terms(case.cost, case.network.n_bus),
+         Classification.NONE),
+    ]
+
+
+def test_rsvd_matches_direct_svd(ex1, ex2, lattice_document):
+    # reference: the multiplier set from a direct SVD of the active stack,
+    # whose V^T projects -grad f itself
+    for name, cs, x, cost, want in _rsvd_cases(ex1, ex2, lattice_document):
+        report = licq_check(cs, x, cost)
+        a, _, act, flat, mask = active_stack(cs, x)
+        assert np.array_equal(a, report.active_jacobian)
+        m, n = a.shape
+        grad = cost.gradient(flat)[mask]
+        u, s, vt = np.linalg.svd(a, full_matrices=m > n)
+        rank, smin, tol = _rank_from_svals(s, (m, n), DEFAULT_RANK_ULP_SCALE)
+        ref = _multiplier_set(cs, act, a, grad, -grad, u, s, vt, rank,
+                              DEFAULT_STAT_TOL)
+        kkt = report.kkt
+        assert kkt.classification is ref.classification is want, name
+        assert report.numerical_rank == rank, name
+        assert kkt.family_dim == ref.family_dim, name
+        assert kkt.mu_sign_feasible == ref.mu_sign_feasible, name
+        assert report.rank_tol == pytest.approx(tol, rel=1e-12, abs=0.0)
+        if smin > tol:
+            assert report.sigma_min == pytest.approx(smin, rel=1e-12), name
+        else:
+            assert report.sigma_min <= report.rank_tol, name
+        size = max(1.0, np.abs(ref.particular).max(initial=0.0))
+        assert np.abs(kkt.particular - ref.particular).max(
+            initial=0.0) <= 1e-12 * size, name
+        basis, ref_basis = kkt.nullspace_basis, ref.nullspace_basis
+        assert basis.shape == ref_basis.shape, name
+        assert np.abs(basis @ basis.T - ref_basis @ ref_basis.T).max(
+            initial=0.0) <= 1e-12, name
 
 
 def test_rank_monotone_under_row_removal(rng):

@@ -1,6 +1,6 @@
 """LICQ rank testing and KKT multiplier computation and classification.
 
-The active constraint Jacobian stacks the flow rows, the operational
+The active constraint Jacobian A stacks the flow rows, the operational
 equality rows and the active inequality rows, restricted to the free state
 entries. Rank is determined from singular values with a relative tolerance
 sigma_max * max(m, n) * ulp_scale so the smallest singular value doubles as
@@ -11,12 +11,13 @@ A^T y = -grad f in the least-squares sense; the left null space of A spans
 the solution family. Sign convention: minimize f, g <= 0, mu >= 0,
 grad f + kappa^T grad F + lambda^T grad h + mu^T grad g = 0.
 
-A costed check factors each point once, by Chan's R-SVD (ACM TOMS 8(1),
-1982): one QR of [A^T | -grad f] gives A^T = Q T and c = Q^T (-grad f),
-then one SVD of the m x min(m, n) matrix T^T gives A's singular values and
-left singular vectors, and V^T (-grad f) as W^T c. The n-wide right
-singular vectors V of A are never formed. Without a cost only A's singular
-values are computed, directly.
+Both are decided on the reduced matrix R, not on A. A flow row whose
+generation entry is free (a pivot row) has dF/d(p_gen, q_gen) = I over the
+free generation columns. With the pivot rows [I, X] and the other rows
+[O_g, O_z] (generation columns first, then the rest z), one column and one
+row elimination turn A into diag(I_p, R) with R = O_z - O_g X, so
+rank(A) = p + rank(R): LICQ asks whether the operational rows meet the
+flow manifold transversally. Where R has no rows nothing is factored.
 """
 
 from __future__ import annotations
@@ -170,8 +171,11 @@ def _coo(matrix: np.ndarray) -> dict:
 class CQReport:
     """LICQ verdict at one feasible point.
 
-    ``sigma_min`` of the active Jacobian is the degeneracy margin: it is
-    zero (below ``rank_tol``) exactly when the qualification fails.
+    ``sigma_min`` is the degeneracy margin, the smallest singular value of
+    diag(I_p, R) (see the module docstring): min(1, sigma_min(R)), exactly
+    1.0 when R has no rows, and sigma_min(A) without flow rows. It is zero
+    (below ``rank_tol``) exactly when the qualification fails. ``rank_tol``
+    is that matrix's sigma_max * max(m, n) * ulp_scale, with A's shape.
     ``kkt`` is the multiplier set when the check was given a cost; it is
     not part of ``to_dict``.
     """
@@ -207,34 +211,48 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
                 rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
-    point. Each face group is factored by one batched SVD; with a cost it
-    is Chan's R-SVD (see ``licq_check``)."""
+    point. Each face group forms its reduced matrices R (module docstring)
+    with one batched matmul and factors them with one batched SVD, values
+    only without a cost, thin with one; a group whose R has no rows
+    factors nothing."""
     reports, groups = active_stacks(cs, flats, mask, flow)
+    # pivot row j owns free column j; R takes the flow rows whose
+    # generation entry is fixed and every operational row
+    n_flow = 2 * cs.net.n_bus if cs.has_flow else 0
+    pivots = np.flatnonzero(mask[:n_flow])
+    p = pivots.size
     for points, act, stacks, labels in groups:
-        _, m, n = stacks.shape
-        if cost is None:
-            svals = np.linalg.svd(stacks, compute_uv=False)
-        else:
-            # R-SVD (see the module docstring): T is the top min(m, n) rows
-            # of R over A's columns, c = Q^T (-grad f) is R's last column
+        k, m, n = stacks.shape
+        others = np.concatenate((np.flatnonzero(~mask[:n_flow]),
+                                 np.arange(n_flow, m)))
+        x_mats = stacks[:, pivots, p:]
+        o_rows = stacks[:, others]
+        r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
+        r, n_z = r_mats.shape[1:]
+        if cost is not None:
             grads = cost.gradient(flats[points])[:, mask]
-            r = np.linalg.qr(np.concatenate(
-                (stacks.transpose(0, 2, 1), -grads[:, :, None]), axis=2),
-                mode="r")
-            p = min(m, n)
-            u_mats, svals, vts = np.linalg.svd(
-                r[:, :p, :m].transpose(0, 2, 1), full_matrices=m > n)
-            projs = r[:, :p, m]
-        for k, i in enumerate(points):
-            rank, smin, tol = _rank_from_svals(svals[k], (m, n),
+        if r == 0:
+            u_mats, svals, vts = (np.zeros((k, 0, 0)), np.zeros((k, 0)),
+                                  np.zeros((k, 0, n_z)))
+        elif cost is None:
+            svals = np.linalg.svd(r_mats, compute_uv=False)
+        else:
+            u_mats, svals, vts = np.linalg.svd(r_mats, full_matrices=r > n_z)
+        # singular values of diag(I_p, R), descending
+        merged = np.sort(np.concatenate((np.ones((k, p)), svals), axis=1),
+                         axis=1)[:, ::-1]
+        for j, i in enumerate(points):
+            rank, smin, tol = _rank_from_svals(merged[j], (m, n),
                                                rank_ulp_scale)
             kkt = None
             if cost is not None:
-                kkt = _multiplier_set(cs, act, stacks[k], grads[k], projs[k],
-                                      u_mats[k], svals[k], vts[k], rank,
+                y, basis = _reduced_solution(
+                    stacks[j], grads[j], pivots, others, x_mats[j],
+                    u_mats[j], svals[j], vts[j], int((svals[j] > tol).sum()))
+                kkt = _multiplier_set(cs, act, stacks[j], grads[j], y, basis,
                                       stat_tol)
             reports[i] = CQReport(
-                active_jacobian=stacks[k], row_labels=labels, m=m, n_free=n,
+                active_jacobian=stacks[j], row_labels=labels, m=m, n_free=n,
                 numerical_rank=rank, sigma_min=smin, rank_tol=tol,
                 licq_holds=rank == m, face=act.indices, kkt=kkt)
     return reports
@@ -247,15 +265,13 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
 
     This is the feasibility test of check, sweep and probe: an infeasible
     point raises InfeasiblePointError. The qualification holds iff the
-    stack has full row rank over the free state entries. Without a cost
-    only the singular values are computed. With one, the R-SVD of the
-    module docstring gives the rank and the multiplier set
-    (``CQReport.kkt``, see ``kkt_solve``); the U of T^T is full only when
-    m > n, where the left null space reaches past its min(m, n) columns.
-    ``rank_tol`` is computed with A's shape. ``sigma_min`` agrees with a
-    direct SVD of A to rounding where it exceeds ``rank_tol``, and is
-    rounding noise below it either way. The one-trial call of
-    ``licq_checks``.
+    stack has full row rank over the free state entries, decided as
+    p + rank(R) (module docstring). Without a cost only R's singular values
+    are computed. With one, R's thin SVD also gives the multiplier set
+    (``CQReport.kkt``, see ``kkt_solve``); its U is full only when R has
+    more rows than columns, where the left null space reaches past its
+    thin columns. See ``CQReport`` for ``sigma_min`` and ``rank_tol``. The
+    one-trial call of ``licq_checks``.
     """
     (report,) = licq_checks(cs, *point_block(cs, x), cost, stat_tol=stat_tol,
                             rank_ulp_scale=rank_ulp_scale)
@@ -275,8 +291,9 @@ class Classification(enum.Enum):
 class MultiplierSet:
     """Solution set of the stationarity system at one feasible point.
 
-    ``particular`` stacks (kappa, lambda, mu) for the active rows; for a
-    one-dimensional family it is the vertex of the sign-feasible ray or
+    ``particular`` stacks (kappa, lambda, mu) for the active rows; at NONE
+    it is the reduced least-squares solution (see ``_reduced_solution``),
+    otherwise the minimum-norm one; for a one-dimensional family it is the vertex of the sign-feasible ray or
     segment and ``ray_direction``/``zeta_interval`` describe the family as
     particular + zeta * direction with zeta in the interval. Inactive
     inequalities carry no entry: complementary slackness is structural.
@@ -354,32 +371,56 @@ def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec, *,
                       rank_ulp_scale=rank_ulp_scale).kkt
 
 
-def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
-                    grad_f: np.ndarray, proj: np.ndarray, u_mat: np.ndarray,
-                    svals: np.ndarray, vt: np.ndarray, rank: int,
-                    stat_tol: float) -> MultiplierSet:
-    """Solution set of stack^T y = -grad_f from the R-SVD of the stack.
+def _reduced_solution(stack: np.ndarray, grad_f: np.ndarray,
+                      pivots: np.ndarray, others: np.ndarray,
+                      x_mat: np.ndarray, u_mat: np.ndarray, svals: np.ndarray,
+                      vt: np.ndarray, rank: int):
+    """Least-squares multipliers y of stack^T y = -grad_f and an orthonormal
+    basis of the left null space of the stack, from the thin SVD
+    u_mat, svals, vt of R and its numerical rank.
 
-    ``u_mat``, ``svals`` and ``vt`` factor T^T, where stack^T = Q T, and
-    ``proj`` is Q^T (-grad_f) over T's rows; they give the least-squares
-    particular solution and the left null space. Both tolerances are
-    relative to the cost's scale s = max(1, |grad_f|), as the multipliers
-    scale with the cost. Classification: NONE when the residual exceeds
-    stat_tol * s (the cost gradient leaves the row space); UNIQUE for an
-    empty null space, sign feasible when every mu is at least -1e-12 * s;
-    RAY for a one-dimensional family, reported as vertex + zeta * direction
-    with the exact sign-feasible zeta interval (same sign tolerance);
-    FAMILY(dim) for higher-dimensional null spaces, whose sign feasibility
-    is reported unresolved.
+    nu, on the other rows, is the minimum-norm least-squares solution of
+    R^T nu = -(grad_z f - X^T grad_g f), and kappa = -grad_g f - O_g^T nu
+    on the pivot rows, which leaves no residual in the generation columns.
+    The null space is {(-O_g^T w, w) : R^T w = 0}; its lifted basis has a
+    Gram matrix I + (O_g^T W)^T (O_g^T W), which is well conditioned, so a
+    Cholesky factor orthonormalizes it.
+    """
+    p = pivots.size
+    o_g = stack[others, :p]
+    grad_g = grad_f[:p]
+    nu = u_mat[:, :rank] @ (vt[:rank] @ (x_mat.T @ grad_g - grad_f[p:])
+                            / svals[:rank])
+    w = u_mat[:, rank:]
+    y = np.empty(stack.shape[0])
+    y[pivots], y[others] = -grad_g - o_g.T @ nu, nu
+    lifted = np.empty((stack.shape[0], w.shape[1]))
+    lifted[pivots], lifted[others] = -o_g.T @ w, w
+    chol = np.linalg.cholesky(lifted.T @ lifted)
+    return y, np.linalg.solve(chol, lifted.T).T
+
+
+def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
+                    grad_f: np.ndarray, y: np.ndarray, basis: np.ndarray,
+                    stat_tol: float) -> MultiplierSet:
+    """Solution set of stack^T y = -grad_f from a least-squares solution y
+    and an orthonormal basis of the stack's left null space.
+
+    The residual |stack^T y + grad_f| is taken from the stack. Outside NONE
+    the particular solution is the minimum-norm one, y - B B^T y. Both
+    tolerances are relative to the cost's scale s = max(1, |grad_f|), as
+    the multipliers scale with the cost. Classification: NONE when the
+    residual exceeds stat_tol * s (the cost gradient leaves the row space),
+    reported with y itself; UNIQUE for an empty null space, sign feasible
+    when every mu is at least -1e-12 * s; RAY for a one-dimensional family,
+    reported as vertex + zeta * direction with the exact sign-feasible zeta
+    interval (same sign tolerance); FAMILY(dim) for higher-dimensional null
+    spaces, whose sign feasibility is reported unresolved.
     """
     n2 = 2 * cs.net.n_bus if cs.has_flow else 0
     n_h = len(cs.h_ops)
-    # Minimum-norm solution of stack^T y = -grad_f.
-    coeffs = vt[:rank] @ proj / svals[:rank]
-    y_min = u_mat[:, :rank] @ coeffs
-    resid = float(np.linalg.norm(stack.T @ y_min + grad_f))
-    basis = u_mat[:, rank:]
-    nullity = stack.shape[0] - rank
+    resid = float(np.linalg.norm(stack.T @ y + grad_f))
+    nullity = basis.shape[1]
 
     def package(y, classification, **extra):
         return MultiplierSet(
@@ -390,7 +431,8 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
     scale = max(1.0, float(np.linalg.norm(grad_f)))
     sign_tol = 1e-12 * scale
     if resid > stat_tol * scale:
-        return package(y_min, Classification.NONE, family_dim=nullity)
+        return package(y, Classification.NONE, family_dim=nullity)
+    y_min = y - basis @ (basis.T @ y)
     if nullity == 0:
         sign_ok = bool((y_min[n2 + n_h:] >= -sign_tol).all())
         return package(y_min, Classification.UNIQUE, mu_sign_feasible=sign_ok)

@@ -399,7 +399,7 @@ def run_genericity_experiment(
     verdict: the draws become stacked admittances and loads, one stacked
     Newton solve gives the states (the iterates of a one-trial solve), and
     ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones,
-    one batched SVD per face. Only one block is held at a time. ``tols`` go
+    at most one batched SVD of the reduced matrices per face. Only one block is held at a time. ``tols`` go
     to ``system_for_case``, and the qualification check decides
     feasibility.
     """

@@ -391,11 +391,12 @@ def _check_argv(source, tmp_path, lattice_document) -> list[str]:
     return ["--case", str(path)]
 
 
-@pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])
+@pytest.mark.parametrize("source", ["ex1", "ex2", "ex3", "lattice"])
 def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
                                        lattice_document, source):
-    # a check is a block of one point: one stack assembly, one QR of
-    # [A^T | -grad f] and one SVD of its m x min(m, n) triangle (R-SVD)
+    # a check is a block of one point: one stack assembly and at most one
+    # thin SVD, of the reduced matrix R (r x n_z), none where R has no rows
+    # (ex3); there is no QR
     svd_calls, qr_calls, stack_calls = [], [], []
     real_svd, real_qr = np.linalg.svd, np.linalg.qr
     real_stack = cqkit.active_stacks
@@ -422,12 +423,15 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     payload = json.loads(out)
     assert "classification" in payload["kkt"]
-    m, n = payload["cq"]["m"], payload["cq"]["n_free"]
     assert stack_calls == [1]
-    assert qr_calls == [(1, n, m + 1)]
-    # the SVD input has at most m columns, so no n-wide V is formed, and
-    # its U is full only where the left null space needs it
-    assert svd_calls == [((1, m, min(m, n)), m > n)]
+    assert qr_calls == []
+    # every flow row is a pivot row, so R has the operational rows: none
+    # at ex3, the four equalities and four active caps of the lattice
+    cq = payload["cq"]
+    p = sum(label.startswith("flow:") for label in cq["row_labels"])
+    r, n_z = cq["m"] - p, cq["n_free"] - p
+    assert r == {"ex1": 2, "ex2": 2, "ex3": 0, "lattice": 8}[source]
+    assert svd_calls == ([((1, r, n_z), r > n_z)] if r else [])
 
 
 @pytest.mark.parametrize("source", ["ex1", "ex2", "lattice"])

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from opfdiag.constraints import (BoxUpper, ConstraintSystem,
+from netgen import random_network, random_state
+from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
 from opfdiag.cqkit import (DEFAULT_RANK_ULP_SCALE, DEFAULT_STAT_TOL,
                            Classification, CostSpec, CQReport, _multiplier_set,
                            _rank_from_svals, active_stack, kkt_residual,
                            kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
-from opfdiag.powerflow import solve_power_flow
+from opfdiag.powerflow import (free_mask_from_bus_types, injections,
+                               solve_power_flow)
 
 
 def _checked_null_space(cs, x, cost):
@@ -236,16 +238,44 @@ def test_planted_multipliers_recovered_at_network_size(lattice_document,
                 <= 1e-10 * 1e8 * np.abs(kkt.particular).max())
 
 
-def _rsvd_cases(ex1, ex2, lattice_document):
-    """(name, system, point, cost, classification) of the cases the R-SVD
-    is compared on: m < n, m = n, m > n and m = 0 stacks."""
+def _flow_point(net, rng):
+    """System of a network's flow equations alone and a flow solution by
+    construction: random voltages, generation set to load plus injection,
+    every entry free (so n_z = 2N and R has no rows)."""
+    x = random_state(net, rng)
+    Y = build_ybus(net)
+    p_inj, q_inj = injections(Y, x.v, x.theta)
+    x = od.SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
+                       v=x.v, theta=x.theta, free_mask=x.free_mask)
+    return ConstraintSystem(h_ops=(), g_ops=(), n_state=4 * net.n_bus,
+                            net=net, Y=Y), x
+
+
+def _planted(cs, x, rng):
+    """Linear cost with c1[free] = -A^T y for standard normal y."""
+    a, _, _, _, mask = active_stack(cs, x)
+    c1 = np.zeros(cs.n_state)
+    c1[mask] = -a.T @ rng.standard_normal(a.shape[0])
+    return CostSpec(c2=np.zeros(cs.n_state), c1=c1)
+
+
+def _reduced_cases(ex1, ex2, lattice_document):
+    """(name, system, point, cost, classification) of the cases the reduced
+    check is compared on: m < n, m = n, m > n and m = 0 stacks, R with and
+    without rows, and a flow row whose generation entry is fixed."""
     shifted = od.system_for_case(od.shift_load(ex1.case, 1, +0.05))
     shifted_x, _ = od.nearest_feasible_point(shifted, ex1.ground_truth)
     h = LinearEq(terms=((0, 1.0),), offset=0.0)
     box = ConstraintSystem.operational(
         (), (BoxUpper(index=0, bound=1.0),), n_state=1)
     case, lattice, lattice_x = _lattice_point(lattice_document(3, 3, 0))
+    big, big_lattice, big_x = _lattice_point(lattice_document(6, 6, 0))
     red = ex2.reduced
+    rng = np.random.default_rng(11)
+    flow, flow_x = _flow_point(random_network(4, rng), rng)
+    mask = ex1.ground_truth.free_mask.copy()
+    mask[0] = False  # p_gen at bus 0: its flow row joins R
+    pinned_x = od.SystemState.from_flat(ex1.ground_truth.flat(), mask)
     return [
         ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
         ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
@@ -259,39 +289,123 @@ def _rsvd_cases(ex1, ex2, lattice_document):
         ("lattice", lattice, lattice_x,
          CostSpec.from_terms(case.cost, case.network.n_bus),
          Classification.NONE),
+        ("lattice-6x6", big_lattice, big_x,
+         CostSpec.from_terms(big.cost, big.network.n_bus),
+         Classification.NONE),
+        ("netgen-all-free", flow, flow_x, _planted(flow, flow_x, rng),
+         Classification.UNIQUE),
+        ("ex1-fixed-gen", ex1.system, pinned_x, ex1.cost, Classification.RAY),
     ]
 
 
-def test_rsvd_matches_direct_svd(ex1, ex2, lattice_document):
-    # reference: the multiplier set from a direct SVD of the active stack,
-    # whose V^T projects -grad f itself
-    for name, cs, x, cost, want in _rsvd_cases(ex1, ex2, lattice_document):
+def _diag_of_reduced(a, mask, n_flow):
+    """diag(I_p, R) of a stack, built directly from its rows and columns."""
+    pivots = np.flatnonzero(mask[:n_flow])
+    p = pivots.size
+    others = np.setdiff1d(np.arange(a.shape[0]), pivots)
+    r = a[others, p:] - a[others, :p] @ a[pivots, p:]
+    out = np.zeros(a.shape)
+    out[:p, :p] = np.eye(p)
+    out[p:, p:] = r
+    return out
+
+
+def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
+    # reference: the least-squares multipliers and left null space from a
+    # direct SVD of the active stack, classified by the same rules
+    for name, cs, x, cost, want in _reduced_cases(ex1, ex2, lattice_document):
         report = licq_check(cs, x, cost)
         a, _, act, flat, mask = active_stack(cs, x)
         assert np.array_equal(a, report.active_jacobian)
         m, n = a.shape
         grad = cost.gradient(flat)[mask]
         u, s, vt = np.linalg.svd(a, full_matrices=m > n)
-        rank, smin, tol = _rank_from_svals(s, (m, n), DEFAULT_RANK_ULP_SCALE)
-        ref = _multiplier_set(cs, act, a, grad, -grad, u, s, vt, rank,
+        rank, _, _ = _rank_from_svals(s, (m, n), DEFAULT_RANK_ULP_SCALE)
+        y = u[:, :rank] @ (vt[:rank] @ -grad / s[:rank])
+        ref = _multiplier_set(cs, act, a, grad, y, u[:, rank:],
                               DEFAULT_STAT_TOL)
         kkt = report.kkt
         assert kkt.classification is ref.classification is want, name
         assert report.numerical_rank == rank, name
+        assert report.licq_holds is (rank == m), name
         assert kkt.family_dim == ref.family_dim, name
         assert kkt.mu_sign_feasible == ref.mu_sign_feasible, name
-        assert report.rank_tol == pytest.approx(tol, rel=1e-12, abs=0.0)
-        if smin > tol:
-            assert report.sigma_min == pytest.approx(smin, rel=1e-12), name
+        n_flow = 2 * cs.net.n_bus if cs.has_flow else 0
+        d_s = np.linalg.svd(_diag_of_reduced(a, mask, n_flow),
+                            compute_uv=False)
+        _, d_min, d_tol = _rank_from_svals(d_s, (m, n), DEFAULT_RANK_ULP_SCALE)
+        assert report.rank_tol == pytest.approx(d_tol, rel=1e-12, abs=0.0)
+        if d_min > d_tol:
+            assert report.sigma_min == pytest.approx(d_min, rel=1e-12), name
         else:
             assert report.sigma_min <= report.rank_tol, name
-        size = max(1.0, np.abs(ref.particular).max(initial=0.0))
-        assert np.abs(kkt.particular - ref.particular).max(
-            initial=0.0) <= 1e-12 * size, name
         basis, ref_basis = kkt.nullspace_basis, ref.nullspace_basis
         assert basis.shape == ref_basis.shape, name
+        if want is Classification.NONE:
+            continue
+        size = max(1.0, np.abs(ref.particular).max(initial=0.0))
+        assert np.abs(kkt.particular - ref.particular).max(
+            initial=0.0) <= 1e-10 * size, name
         assert np.abs(basis @ basis.T - ref_basis @ ref_basis.T).max(
-            initial=0.0) <= 1e-12, name
+            initial=0.0) <= 1e-10, name
+        if want is Classification.RAY:
+            sign = 1.0
+            if kkt.zeta_interval == (-np.inf, np.inf):
+                sign = np.sign(kkt.ray_direction @ ref.ray_direction)
+            assert np.abs(sign * kkt.ray_direction - ref.ray_direction).max(
+            ) <= 1e-10, name
+            assert kkt.zeta_interval == pytest.approx(ref.zeta_interval,
+                                                      rel=1e-10), name
+
+
+def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
+    # the reduced rank p + rank(R) against a direct SVD of the stack, on
+    # solved lattices and on random networks with random active rows
+    points = []
+    for side in range(2, 7):
+        for seed in range(10):
+            _, cs, x = _lattice_point(lattice_document(side, side, seed))
+            points.append((cs, x))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        net = random_network(int(rng.integers(2, 7)), rng)
+        flow, x = _flow_point(net, rng)
+        x = od.SystemState.from_flat(x.flat(), free_mask_from_bus_types(net))
+        flat, n = x.flat(), net.n_bus
+        h_ops, g_ops = [], []
+        for _ in range(int(rng.integers(0, n + 1))):
+            kind = rng.integers(3)
+            if kind == 0:
+                i = int(rng.integers(4 * n))
+                g_ops.append(BoxUpper(index=i, bound=float(flat[i])))
+            elif kind == 1:
+                idx = rng.choice(4 * n, size=3, replace=False)
+                coef = rng.standard_normal(3)
+                h_ops.append(LinearEq(
+                    terms=tuple(zip(idx.tolist(), coef.tolist())),
+                    offset=float(coef @ flat[idx])))
+            else:
+                bus = int(rng.integers(n))
+                g_ops.append(ApparentPower(bus=bus, n_bus=n, s2_max=float(
+                    flat[bus] ** 2 + flat[n + bus] ** 2)))
+        points.append((ConstraintSystem(
+            h_ops=tuple(h_ops), g_ops=tuple(g_ops), n_state=4 * n, net=net,
+            Y=flow.Y), x))
+    # a planted duplicate of an equality row: both paths see the dependent
+    # row (3x3 lattice, m = 26 < n = 34 without it)
+    cs, x = points[10]
+    points.append((ConstraintSystem(
+        h_ops=cs.h_ops + cs.h_ops[:1], g_ops=cs.g_ops, n_state=cs.n_state,
+        net=cs.net, Y=cs.Y), x))
+    with_rows = 0
+    for cs, x in points:
+        report = licq_check(cs, x)
+        with_rows += report.m > 2 * cs.net.n_bus
+        assert report.numerical_rank == numerical_rank(
+            report.active_jacobian)[0]
+    assert with_rows > len(points) // 2
+    assert not report.licq_holds and report.m < report.n_free
+    assert report.numerical_rank == report.m - 1
 
 
 def test_rank_monotone_under_row_removal(rng):

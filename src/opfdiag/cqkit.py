@@ -31,7 +31,7 @@ from .constraints import (ActiveSet, ConstraintSystem, InfeasiblePointError,
                           active_set, active_sets, as_flat_state, point_block,
                           row_labels)
 from .netmodel import CostTerms
-from .powerflow import _jacobian, pf_jacobian, state_index
+from .powerflow import flow_jacobian, pf_jacobian, state_index
 
 DEFAULT_RANK_ULP_SCALE = 2.0 ** -52
 DEFAULT_STAT_TOL = 1e-8
@@ -128,12 +128,13 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
         return arr if in_order else arr[order]
 
     ordered = pick(flats)
-    # compress keeps every row block, and so each stack, C-contiguous: the
-    # BLAS calls on a stack then round as on a freshly assembled matrix
+    # flow_jacobian returns every row block, and so each stack,
+    # C-contiguous: the BLAS calls on a stack then round as on a freshly
+    # assembled matrix
     jac = None
     if flow is not None and order.size:
-        jac = _jacobian(pick(flow[0]), pick(flow[1]),
-                        ordered).compress(mask, axis=-1)
+        jac = flow_jacobian(cs.net, pick(flow[0]), pick(flow[1]), ordered,
+                            None, mask)
     groups = []
     start = 0
     for face, points in faces.items():

@@ -29,9 +29,9 @@ from . import cqkit
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (PowerFlowError, SystemState, _jacobian, _residual,
-                        free_mask_from_bus_types, newton_states,
-                        solve_power_flow)
+from .powerflow import (BLOCK_JACOBIAN_BYTES, PowerFlowError, SystemState,
+                        _residual, flow_jacobian, free_mask_from_bus_types,
+                        newton_states, solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -334,14 +334,11 @@ class GenericityReport:
         return buf.getvalue()
 
 
-# Byte budget of the stacked 2N x 4N flow Jacobians of one block of Monte
-# Carlo trials; it sets how many trials share one stacked Newton solve and
-# one batched check (1024 on two buses, so a 1000-trial sweep of a two-bus
-# fixture is one block; one from about 64 buses up).
-BLOCK_JACOBIAN_BYTES = 1 << 18
-
-
 def _block_size(n_bus: int) -> int:
+    """Trials of one Monte Carlo block: as many whose stacked 2N x 4N flow
+    Jacobians fit ``BLOCK_JACOBIAN_BYTES`` share one stacked Newton solve
+    and one batched check (1024 on two buses, so a 1000-trial sweep of a
+    two-bus fixture is one block; one from 46 buses up)."""
     return max(1, BLOCK_JACOBIAN_BYTES // (2 * n_bus * 4 * n_bus * 8))
 
 
@@ -548,7 +545,7 @@ def nearest_feasible_point(
                                    [op.value(flat) for op in ops]])
 
         def jacobian(flat):
-            jac = _jacobian(G, B, flat[None]).compress(mask, axis=-1)
+            jac = flow_jacobian(cs.net, G, B, flat[None], None, mask)
             return cqkit.face_stacks(cs, flat[None], mask, jac, pinned)[0]
 
         return residual, jacobian

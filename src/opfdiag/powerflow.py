@@ -12,6 +12,12 @@ The residual is
 so real row k reads  p_gen_k - p_load_k - sum_l v_k v_l (G_kl cos t_kl +
 B_kl sin t_kl)  with t_kl = theta_k - theta_l, and the reactive row uses
 (G_kl sin t_kl - B_kl cos t_kl).
+
+Rows of its Jacobian come from ``flow_jacobian`` by one rule on the bus
+count: up to N = 64, where a one-trial dense 2N x 4N Jacobian fits
+``BLOCK_JACOBIAN_BYTES``, they are gathered from the dense ``_jacobian``;
+above, only the selected entries are assembled from the line list in
+O(N + M) per trial, since G_kl and B_kl vanish off the M lines.
 """
 
 from __future__ import annotations
@@ -168,6 +174,95 @@ def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return jac
 
 
+# Byte budget of the dense float64 flow Jacobians built at once: one
+# trial's in ``flow_jacobian`` (N <= 64), a Monte Carlo block's in
+# ``perturb._block_size``.
+BLOCK_JACOBIAN_BYTES = 1 << 18
+
+
+def flow_jacobian(net: Network, G: np.ndarray, B: np.ndarray,
+                  flat: np.ndarray, rows: np.ndarray | None,
+                  cols: np.ndarray) -> np.ndarray:
+    """``_jacobian(G, B, flat)[..., rows, cols]`` for T x 4N states of
+    trials on the lines of ``net`` (G, B: T x N x N, zero off the lines
+    and the diagonal, as ``admittance_stack`` builds them). ``rows`` is
+    an index array over the 2N flow rows, or None for all of them with
+    ``cols`` a boolean mask over the 4N columns; else ``cols`` is an index
+    array too.
+
+    Up to N = 64, where one trial's dense Jacobian fits
+    ``BLOCK_JACOBIAN_BYTES``, this gathers from ``_jacobian``; above, from
+    ``_line_jacobian``.
+    """
+    n = net.n_bus
+    if 2 * n * 4 * n * 8 > BLOCK_JACOBIAN_BYTES:
+        return _line_jacobian(net, G, B, flat, rows, cols)
+    jac = _jacobian(G, B, flat)
+    if rows is None:
+        return jac.compress(cols, axis=-1)
+    return jac[..., rows[:, None], cols]
+
+
+def _line_jacobian(net: Network, G: np.ndarray, B: np.ndarray,
+                   flat: np.ndarray, rows: np.ndarray | None,
+                   cols: np.ndarray) -> np.ndarray:
+    """``flow_jacobian`` assembled in O(T (N + M)) from the M lines of
+    ``net``: the off-diagonal entries over both directions of each line,
+    the diagonal ones from per-bus sums of the same terms, and the
+    generation identities, scattered into one zeroed T x rows x cols
+    array. The per-bus sums run in another order than the dense matmul,
+    so diagonal entries may differ from ``_jacobian`` in the last bits."""
+    n = net.n_bus
+    trials = flat.shape[0]
+    ends = np.array([(ln.from_bus, ln.to_bus) for ln in net.lines],
+                    dtype=int).reshape(-1, 2)
+    k = np.concatenate((ends[:, 0], ends[:, 1]))
+    l = np.concatenate((ends[:, 1], ends[:, 0]))
+    bus = np.arange(n)
+    v, theta = flat[:, 2 * n:3 * n], flat[:, 3 * n:]
+    t = theta[:, k] - theta[:, l]
+    g, b = G[:, k, l], B[:, k, l]
+    a = g * np.cos(t) + b * np.sin(t)
+    c = g * np.sin(t) - b * np.cos(t)
+    vk, vl = v[:, k], v[:, l]
+    vv = vk * vl
+    gd, bd = G[:, bus, bus], B[:, bus, bus]
+
+    # per-bus sums of a_kl v_l and c_kl v_l, the l = k terms (a_kk = G_kk,
+    # c_kk = -B_kk) included
+    at_bus = (np.arange(trials)[:, None] * n + k).ravel()
+
+    def bus_sum(vals):
+        return np.bincount(at_bus, vals.ravel(),
+                           minlength=trials * n).reshape(trials, n)
+
+    av = gd * v + bus_sum(a * vl)
+    cv = bus_sum(c * vl) - bd * v
+    values = np.concatenate((
+        -vk * a, -vv * c, -vk * c, vv * a,
+        -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
+        -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
+    at_row = np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
+                             bus, n + bus))
+    at_col = np.concatenate((2 * n + l, 3 * n + l, 2 * n + l, 3 * n + l,
+                             2 * n + bus, 3 * n + bus, 2 * n + bus,
+                             3 * n + bus, bus, n + bus))
+
+    def positions(sel, size):
+        pos = np.full(size, -1)
+        picked = np.arange(size)[slice(None) if sel is None else sel]
+        pos[picked] = np.arange(picked.size)
+        return pos, picked.size
+
+    row_pos, n_rows = positions(rows, 2 * n)
+    col_pos, n_cols = positions(cols, 4 * n)
+    r, q = row_pos[at_row], col_pos[at_col]
+    kept = (r >= 0) & (q >= 0)
+    out = np.zeros((trials, n_rows * n_cols))
+    out[:, r[kept] * n_cols + q[kept]] = values[:, kept]
+    return out.reshape(trials, n_rows, n_cols)
+
+
 def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
     """Nodal complex power flowing from each bus into the network."""
     return _injections(Y.G + 1j * Y.B, v, theta)
@@ -240,7 +335,12 @@ def newton_states(
     its own data. Returns the final flat states (T x 4N), per trial its
     iteration count when it converged or its unraised ``PowerFlowError``,
     and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
-    i's last iteration)."""
+    i's last iteration).
+
+    Each step's Newton matrix comes from ``flow_jacobian``: a gather from
+    the dense 2N x 4N Jacobian up to N = 64, an O(N + M) assembly from the
+    line list above, whose iterates may differ from the dense ones in the
+    last bits."""
     n = net.n_bus
     trials = G.shape[0]
     mask = free_mask_from_bus_types(net)
@@ -290,7 +390,7 @@ def newton_states(
             if not live.size:
                 break
             steps, singular = _newton_steps(
-                _jacobian(*data[:2], x[live])[:, rows[:, None], cols], rhs)
+                flow_jacobian(net, *data[:2], x[live], rows, cols), rhs)
             for j, exc in singular.items():
                 outcome[live[j]] = SingularNewtonError(
                     f"singular Newton matrix at iteration {it} "

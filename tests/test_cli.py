@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,3 +572,14 @@ def test_check_verdict_invariant_under_bus_relabelling(capsys, tmp_path,
     for key in ("classification", "family_dim"):
         assert kkt0[key] == kkt1[key], key
     assert cq0["sigma_min"] == pytest.approx(cq1["sigma_min"], rel=1e-9)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the set-up cost of a CLI call is the import of opfdiag.cli; scipy's
+    # import alone costs more than a network-scale check saves by it
+    src = str(Path(od.__file__).parents[1])
+    code = ("import sys, opfdiag.cli; sys.exit(' '.join(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy') or None)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfdiag as od
-from opfdiag.netmodel import Bus, BusType, Case, Line, Network, build_ybus
+from opfdiag import cqkit, powerflow
+from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from opfdiag.constraints import system_for_case
+from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
+                          active_stack, kkt_residual, licq_check)
+from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
+                              admittance_stack, build_ybus, load_case)
 from opfdiag.perturb import _trial_draw, apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
-                               SystemState, newton_states, pf_jacobian,
-                               pf_residual, solve_power_flow,
-                               state_from_list, state_to_list)
+                               SystemState, _jacobian, _line_jacobian,
+                               free_mask_from_bus_types, injections,
+                               newton_states, pf_jacobian, pf_residual,
+                               solve_power_flow, state_from_list,
+                               state_to_list)
 
 from netgen import random_network, random_state
 
@@ -361,3 +370,167 @@ def test_free_mask_from_bus_types(ex1):
 def test_state_arrays_are_read_only(ex1):
     with pytest.raises(ValueError):
         ex1.ground_truth.v[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# Flow Jacobian rows: dense gather up to N = 64, line-list assembly above
+# ---------------------------------------------------------------------------
+
+def newton_selection(net):
+    """Rows and columns of the Newton matrix, in newton_states' order."""
+    n = net.n_bus
+    mask = free_mask_from_bus_types(net)
+    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
+    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
+    cols = np.concatenate([3 * n + np.flatnonzero(free_t),
+                           2 * n + np.flatnonzero(free_v)])
+    return rows, cols
+
+
+def with_pv_bus(net, bus):
+    buses = list(net.buses)
+    buses[bus] = replace(buses[bus], bus_type=BusType.PV, v_setpoint=1.03)
+    return Network(buses=tuple(buses), lines=net.lines)
+
+
+@pytest.mark.parametrize("n_bus", [3, 20, 70])
+def test_line_jacobian_matches_dense_rows(n_bus):
+    rng = np.random.default_rng([11, n_bus])
+    net = with_pv_bus(random_network(n_bus, rng), n_bus - 1)
+    trials = 3
+    # per-trial series admittances, the nodal and line shunts of net
+    G, B = admittance_stack(
+        net, rng.uniform(0.0, 2.0, (trials, net.n_line)),
+        rng.uniform(-5.0, -0.5, (trials, net.n_line)),
+        np.array([[b.g_shunt for b in net.buses]]),
+        np.array([[b.b_shunt for b in net.buses]]))
+    flats = np.array([random_state(net, rng).flat() for _ in range(trials)])
+    flats[1, 2 * n_bus + n_bus // 2] = 0.0  # one v_k = 0
+    mask = free_mask_from_bus_types(net)
+    rows, cols = newton_selection(net)
+    dense = _jacobian(G, B, flats)
+    for sel_rows, sel_cols, ref in (
+            (rows, cols, dense[..., rows[:, None], cols]),
+            (None, mask, dense.compress(mask, axis=-1))):
+        got = _line_jacobian(net, G, B, flats, sel_rows, sel_cols)
+        assert got.shape == ref.shape
+        assert np.isfinite(got).all()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def counting_dense_jacobian(monkeypatch):
+    """Calls of powerflow._jacobian, each tagged with the stage that made
+    it: "newton" inside newton_states, "stack" inside cqkit.active_stacks."""
+    calls, stage = [], []
+    real_jac, real_newton = powerflow._jacobian, powerflow.newton_states
+    real_stacks = cqkit.active_stacks
+
+    def staged(name, real):
+        def run(*args, **kwargs):
+            stage.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stage.pop()
+        return run
+
+    def counting(*args, **kwargs):
+        calls.append(stage[-1] if stage else None)
+        return real_jac(*args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "_jacobian", counting)
+    monkeypatch.setattr(powerflow, "newton_states", staged("newton", real_newton))
+    monkeypatch.setattr(cqkit, "active_stacks", staged("stack", real_stacks))
+    return calls
+
+
+@pytest.mark.parametrize("side, dense", [(8, True), (9, False)])
+def test_check_builds_dense_jacobian_up_to_64_buses(
+        capsys, tmp_path, monkeypatch, lattice_document, side, dense):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice_document(side, side, 0)))
+    calls = counting_dense_jacobian(monkeypatch)
+    assert main(["check", "--case", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    if dense:
+        assert set(calls) == {"newton", "stack"}
+        assert calls.count("stack") == 1
+    else:
+        assert calls == []
+
+
+def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
+    """Plain Newton of solve_power_flow from pf_residual, pf_jacobian and
+    np.linalg.solve: (flat state, iterations)."""
+    n = net.n_bus
+    mask = free_mask_from_bus_types(net)
+    rows, cols = newton_selection(net)
+    flat = np.concatenate([p_gen, q_gen, np.ones(n), np.zeros(n)])
+    flat[2 * n:] = np.where(mask[2 * n:], flat[2 * n:],
+                            [b.v_setpoint for b in net.buses]
+                            + [b.theta_setpoint for b in net.buses])
+    for it in range(MAX_ITER + 1):
+        x = SystemState.from_flat(flat, mask)
+        mis = pf_residual(net, Y, x)[rows]
+        if np.abs(mis).max() <= tol:
+            break
+        jac = pf_jacobian(net, Y, x)[rows[:, None], cols]
+        flat[cols] += np.linalg.solve(jac, -mis)
+    p_inj, q_inj = injections(Y, flat[2 * n:3 * n], flat[3 * n:])
+    flat[:n] = np.where(mask[3 * n:], flat[:n], p_inj + net.p_load)
+    flat[n:2 * n] = np.where(mask[2 * n:3 * n], flat[n:2 * n],
+                             q_inj + net.q_load)
+    return flat, it
+
+
+@pytest.mark.parametrize("side", [9, 12])
+def test_line_list_side_matches_dense_reference(lattice_document, monkeypatch,
+                                                side):
+    case = load_case(lattice_document(side, side, 0))
+    net = case.network
+    Y = build_ybus(net)
+    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q)
+    flat, iterations = dense_newton(net, Y, case.gen_p, case.gen_q)
+    assert sol.iterations == iterations
+    assert np.abs(sol.state.flat() - flat).max() <= 1e-12
+
+    # the case's cost leaves the row space (NONE); a planted one,
+    # c1 = -A^T y, makes the point a KKT point (UNIQUE)
+    cs = system_for_case(case)
+    a, _, _, _, mask = active_stack(cs, sol.state)
+    planted = np.zeros(cs.n_state)
+    planted[mask] = -a.T @ np.random.default_rng(side).standard_normal(len(a))
+    costs = (CostSpec.from_terms(case.cost, net.n_bus),
+             CostSpec(c2=np.zeros(cs.n_state), c1=planted))
+    got = [licq_check(cs, sol.state, cost) for cost in costs]
+    # the same checks with the dense side forced
+    monkeypatch.setattr(powerflow, "BLOCK_JACOBIAN_BYTES", 1 << 40)
+    ref = [licq_check(cs, sol.state, cost) for cost in costs]
+    for g, r in zip(got, ref):
+        assert g.licq_holds and r.licq_holds
+        assert g.numerical_rank == r.numerical_rank
+        assert g.face == r.face
+        assert g.kkt.classification is r.kkt.classification
+        assert g.kkt.family_dim == r.kkt.family_dim
+    assert [g.kkt.classification for g in got] == [Classification.NONE,
+                                                   Classification.UNIQUE]
+    assert (kkt_residual(cs, sol.state, costs[1], got[1].kkt.particular)
+            <= DEFAULT_STAT_TOL)
+
+
+def test_cut_off_bus_still_singular_on_line_list_side(
+        capsys, tmp_path, lattice_document):
+    doc = lattice_document(9, 9, 0)
+    cut = 80
+    doc["lines"] = [ln for ln in doc["lines"] if cut not in (ln["from"], ln["to"])]
+    with pytest.warns(UserWarning, match="not connected"):
+        case = load_case(doc)
+    with pytest.raises(SingularNewtonError):
+        solve_power_flow(case.network, build_ybus(case.network), case.gen_p,
+                         case.gen_q)
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="not connected"):
+        code = main(["check", "--case", str(path)])
+    assert code == EXIT_INFEASIBLE
+    assert "singular Newton matrix" in capsys.readouterr().err

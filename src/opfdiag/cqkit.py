@@ -31,7 +31,7 @@ from .constraints import (ActiveSet, ConstraintSystem, InfeasiblePointError,
                           active_set, active_sets, as_flat_state, point_block,
                           row_labels)
 from .netmodel import CostTerms
-from .powerflow import flow_jacobian, pf_jacobian, state_index
+from .powerflow import flow_rows, pf_jacobian, state_index
 
 DEFAULT_RANK_ULP_SCALE = 2.0 ** -52
 DEFAULT_STAT_TOL = 1e-8
@@ -93,10 +93,14 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     """Stacks of k points over the free columns, k x m x n, with the rows
     of the g indices in ``face`` active: the compressed flow rows ``jac``
     (k x 2N x n, None without flow equations), then every h gradient, then
-    the face's g gradients."""
+    the face's g gradients; ``jac`` itself, not a copy, when the face adds
+    no operational row."""
+    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
+    if not ops and jac is not None:
+        return jac
     rows = [] if jac is None else [jac]
     rows += [op.gradient(flats).compress(mask, axis=-1)[:, None]
-             for op in (*cs.h_ops, *(cs.g_ops[j] for j in face))]
+             for op in ops]
     if not rows:
         return np.zeros((len(flats), 0, int(mask.sum())))
     return np.concatenate(rows, axis=1)
@@ -128,13 +132,12 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
         return arr if in_order else arr[order]
 
     ordered = pick(flats)
-    # flow_jacobian returns every row block, and so each stack,
-    # C-contiguous: the BLAS calls on a stack then round as on a freshly
-    # assembled matrix
+    # flow_rows returns every row block, and so each stack, C-contiguous:
+    # the BLAS calls on a stack then round as on a freshly assembled matrix
     jac = None
     if flow is not None and order.size:
-        jac = flow_jacobian(cs.net, pick(flow[0]), pick(flow[1]), ordered,
-                            None, mask)
+        jac = flow_rows(cs.net, None, mask)(pick(flow[0]), pick(flow[1]),
+                                            ordered)
     groups = []
     start = 0
     for face, points in faces.items():

@@ -29,9 +29,9 @@ from . import cqkit
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (BLOCK_JACOBIAN_BYTES, PowerFlowError, SystemState,
-                        _residual, flow_jacobian, free_mask_from_bus_types,
-                        newton_states, solve_power_flow)
+from .powerflow import (PowerFlowError, SystemState, _residual, flow_rows,
+                        free_mask_from_bus_types, newton_states,
+                        solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -334,11 +334,19 @@ class GenericityReport:
         return buf.getvalue()
 
 
+# Byte budget of a Monte Carlo block, counted in 2N x 4N float64 flow
+# Jacobians per trial.
+BLOCK_JACOBIAN_BYTES = 1 << 19
+
+
 def _block_size(n_bus: int) -> int:
-    """Trials of one Monte Carlo block: as many whose stacked 2N x 4N flow
-    Jacobians fit ``BLOCK_JACOBIAN_BYTES`` share one stacked Newton solve
-    and one batched check (1024 on two buses, so a 1000-trial sweep of a
-    two-bus fixture is one block; one from 46 buses up)."""
+    """Trials of one Monte Carlo block: as many whose 2N x 4N float64 flow
+    Jacobians would fit ``BLOCK_JACOBIAN_BYTES`` share one stacked Newton
+    solve and one batched check. That is 2048 on two buses, so a 1000-trial
+    sweep of a two-bus fixture is one block, 2 on 64 buses, and one from
+    65 buses up. The flow rows themselves come from the line list, so the
+    block's largest arrays are its N x N admittances, Newton matrices and
+    stacks."""
     return max(1, BLOCK_JACOBIAN_BYTES // (2 * n_bus * 4 * n_bus * 8))
 
 
@@ -395,10 +403,11 @@ def run_genericity_experiment(
     run in blocks of ``_block_size`` that stay arrays from the draw to the
     verdict: the draws become stacked admittances and loads, one stacked
     Newton solve gives the states (the iterates of a one-trial solve), and
-    ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones,
-    at most one batched SVD of the reduced matrices per face. Only one block is held at a time. ``tols`` go
-    to ``system_for_case``, and the qualification check decides
-    feasibility.
+    ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones
+    (the block's arrays themselves when every trial converged), at most
+    one batched SVD of the reduced matrices per face. Only one block is
+    held at a time. ``tols`` go to ``system_for_case``, and the
+    qualification check decides feasibility.
     """
     _expect_dimension(model, case.network)
     cs = con.system_for_case(case, **tols)
@@ -424,9 +433,11 @@ def run_genericity_experiment(
                                       case.gen_q, pf_tol=cs.pf_tol)
         solved = np.array([i for i, o in enumerate(outcome)
                            if not isinstance(o, PowerFlowError)], dtype=int)
+        states = x
+        if solved.size < len(ts):
+            states, flow = x[solved], tuple(arr[solved] for arr in flow)
         reports = dict(zip(solved.tolist(), cqkit.licq_checks(
-            cs, x[solved], mask, tuple(arr[solved] for arr in flow),
-            rank_ulp_scale=rank_ulp_scale)))
+            cs, states, mask, flow, rank_ulp_scale=rank_ulp_scale)))
         for i, t in enumerate(ts):
             report = reports.get(i)
             if report is None:
@@ -536,6 +547,7 @@ def nearest_feasible_point(
     """
     flats, mask, (G, B, p_load, q_load) = con.point_block(cs, x_start)
     Yc = G + 1j * B
+    flow_jac = flow_rows(cs.net, None, mask)
 
     def make_fns(pinned):
         ops = (*cs.h_ops, *(cs.g_ops[j] for j in pinned))
@@ -545,7 +557,7 @@ def nearest_feasible_point(
                                    [op.value(flat) for op in ops]])
 
         def jacobian(flat):
-            jac = flow_jacobian(cs.net, G, B, flat[None], None, mask)
+            jac = flow_jac(G, B, flat[None])
             return cqkit.face_stacks(cs, flat[None], mask, jac, pinned)[0]
 
         return residual, jacobian

@@ -13,11 +13,11 @@ so real row k reads  p_gen_k - p_load_k - sum_l v_k v_l (G_kl cos t_kl +
 B_kl sin t_kl)  with t_kl = theta_k - theta_l, and the reactive row uses
 (G_kl sin t_kl - B_kl cos t_kl).
 
-Rows of its Jacobian come from ``flow_jacobian`` by one rule on the bus
-count: up to N = 64, where a one-trial dense 2N x 4N Jacobian fits
-``BLOCK_JACOBIAN_BYTES``, they are gathered from the dense ``_jacobian``;
-above, only the selected entries are assembled from the line list in
-O(N + M) per trial, since G_kl and B_kl vanish off the M lines.
+The Newton matrix, the check's stack and the projection take their rows
+of its Jacobian from ``flow_rows``, which assembles only the selected
+entries from the line list in O(N + M) per trial, since G_kl and B_kl
+vanish off the M lines. The dense 2N x 4N ``_jacobian`` is the reference
+behind ``pf_jacobian``.
 """
 
 from __future__ import annotations
@@ -174,74 +174,28 @@ def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return jac
 
 
-# Byte budget of the dense float64 flow Jacobians built at once: one
-# trial's in ``flow_jacobian`` (N <= 64), a Monte Carlo block's in
-# ``perturb._block_size``.
-BLOCK_JACOBIAN_BYTES = 1 << 18
+def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
+    """Plan of the flow Jacobian rows ``_jacobian(G, B, flat)[..., rows,
+    cols]`` on the lines of ``net``: returns the function from T trials'
+    G, B (T x N x N, zero off the lines and the diagonal, as
+    ``admittance_stack`` builds them) and flat states (T x 4N) to their
+    T x |rows| x |cols| rows. ``rows`` is an index array over the 2N flow
+    rows, or None for all of them with ``cols`` a boolean mask over the
+    4N columns; else ``cols`` is an index array too.
 
-
-def flow_jacobian(net: Network, G: np.ndarray, B: np.ndarray,
-                  flat: np.ndarray, rows: np.ndarray | None,
-                  cols: np.ndarray) -> np.ndarray:
-    """``_jacobian(G, B, flat)[..., rows, cols]`` for T x 4N states of
-    trials on the lines of ``net`` (G, B: T x N x N, zero off the lines
-    and the diagonal, as ``admittance_stack`` builds them). ``rows`` is
-    an index array over the 2N flow rows, or None for all of them with
-    ``cols`` a boolean mask over the 4N columns; else ``cols`` is an index
-    array too.
-
-    Up to N = 64, where one trial's dense Jacobian fits
-    ``BLOCK_JACOBIAN_BYTES``, this gathers from ``_jacobian``; above, from
-    ``_line_jacobian``.
-    """
+    The plan holds the line ends and the scatter index of the selected
+    entries, so a call costs O(T (N + M)) for the M lines: the
+    off-diagonal entries over both directions of each line, the diagonal
+    ones from per-bus sums of the same terms, and the generation
+    identities, scattered into one zeroed array. The per-bus sums run in
+    another order than the dense matmul, so diagonal entries may differ
+    from ``_jacobian`` in the last bits."""
     n = net.n_bus
-    if 2 * n * 4 * n * 8 > BLOCK_JACOBIAN_BYTES:
-        return _line_jacobian(net, G, B, flat, rows, cols)
-    jac = _jacobian(G, B, flat)
-    if rows is None:
-        return jac.compress(cols, axis=-1)
-    return jac[..., rows[:, None], cols]
-
-
-def _line_jacobian(net: Network, G: np.ndarray, B: np.ndarray,
-                   flat: np.ndarray, rows: np.ndarray | None,
-                   cols: np.ndarray) -> np.ndarray:
-    """``flow_jacobian`` assembled in O(T (N + M)) from the M lines of
-    ``net``: the off-diagonal entries over both directions of each line,
-    the diagonal ones from per-bus sums of the same terms, and the
-    generation identities, scattered into one zeroed T x rows x cols
-    array. The per-bus sums run in another order than the dense matmul,
-    so diagonal entries may differ from ``_jacobian`` in the last bits."""
-    n = net.n_bus
-    trials = flat.shape[0]
     ends = np.array([(ln.from_bus, ln.to_bus) for ln in net.lines],
                     dtype=int).reshape(-1, 2)
     k = np.concatenate((ends[:, 0], ends[:, 1]))
     l = np.concatenate((ends[:, 1], ends[:, 0]))
     bus = np.arange(n)
-    v, theta = flat[:, 2 * n:3 * n], flat[:, 3 * n:]
-    t = theta[:, k] - theta[:, l]
-    g, b = G[:, k, l], B[:, k, l]
-    a = g * np.cos(t) + b * np.sin(t)
-    c = g * np.sin(t) - b * np.cos(t)
-    vk, vl = v[:, k], v[:, l]
-    vv = vk * vl
-    gd, bd = G[:, bus, bus], B[:, bus, bus]
-
-    # per-bus sums of a_kl v_l and c_kl v_l, the l = k terms (a_kk = G_kk,
-    # c_kk = -B_kk) included
-    at_bus = (np.arange(trials)[:, None] * n + k).ravel()
-
-    def bus_sum(vals):
-        return np.bincount(at_bus, vals.ravel(),
-                           minlength=trials * n).reshape(trials, n)
-
-    av = gd * v + bus_sum(a * vl)
-    cv = bus_sum(c * vl) - bd * v
-    values = np.concatenate((
-        -vk * a, -vv * c, -vk * c, vv * a,
-        -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
-        -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
     at_row = np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
                              bus, n + bus))
     at_col = np.concatenate((2 * n + l, 3 * n + l, 2 * n + l, 3 * n + l,
@@ -257,10 +211,41 @@ def _line_jacobian(net: Network, G: np.ndarray, B: np.ndarray,
     row_pos, n_rows = positions(rows, 2 * n)
     col_pos, n_cols = positions(cols, 4 * n)
     r, q = row_pos[at_row], col_pos[at_col]
-    kept = (r >= 0) & (q >= 0)
-    out = np.zeros((trials, n_rows * n_cols))
-    out[:, r[kept] * n_cols + q[kept]] = values[:, kept]
-    return out.reshape(trials, n_rows, n_cols)
+    kept = np.flatnonzero((r >= 0) & (q >= 0))
+    at_out = r[kept] * n_cols + q[kept]
+
+    def jacobian_rows(G: np.ndarray, B: np.ndarray,
+                      flat: np.ndarray) -> np.ndarray:
+        trials = flat.shape[0]
+        v, theta = flat[:, 2 * n:3 * n], flat[:, 3 * n:]
+        t = theta[:, k] - theta[:, l]
+        g, b = G[:, k, l], B[:, k, l]
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        a = g * cos_t + b * sin_t
+        c = g * sin_t - b * cos_t
+        vk, vl = v[:, k], v[:, l]
+        vv = vk * vl
+        gd, bd = G[:, bus, bus], B[:, bus, bus]
+
+        # per-bus sums of a_kl v_l and c_kl v_l, the l = k terms
+        # (a_kk = G_kk, c_kk = -B_kk) included
+        at_bus = (np.arange(trials)[:, None] * n + k).ravel()
+
+        def bus_sum(vals):
+            return np.bincount(at_bus, vals.ravel(),
+                               minlength=trials * n).reshape(trials, n)
+
+        av = gd * v + bus_sum(a * vl)
+        cv = bus_sum(c * vl) - bd * v
+        values = np.concatenate((
+            -vk * a, -vv * c, -vk * c, vv * a,
+            -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
+            -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
+        out = np.zeros((trials, n_rows * n_cols))
+        out[:, at_out] = values[:, kept]
+        return out.reshape(trials, n_rows, n_cols)
+
+    return jacobian_rows
 
 
 def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
@@ -337,10 +322,9 @@ def newton_states(
     and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
     i's last iteration).
 
-    Each step's Newton matrix comes from ``flow_jacobian``: a gather from
-    the dense 2N x 4N Jacobian up to N = 64, an O(N + M) assembly from the
-    line list above, whose iterates may differ from the dense ones in the
-    last bits."""
+    Each step's Newton matrix comes from one ``flow_rows`` plan, an
+    O(N + M) assembly from the line list whose iterates may differ from
+    those of the dense ``pf_jacobian`` in the last bits."""
     n = net.n_bus
     trials = G.shape[0]
     mask = free_mask_from_bus_types(net)
@@ -348,6 +332,7 @@ def newton_states(
     rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
     cols = np.concatenate([3 * n + np.flatnonzero(free_t),
                            2 * n + np.flatnonzero(free_v)])
+    newton_matrix = flow_rows(net, rows, cols)
 
     v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
     theta = np.where(free_t, 0.0, [b.theta_setpoint for b in net.buses])
@@ -390,7 +375,7 @@ def newton_states(
             if not live.size:
                 break
             steps, singular = _newton_steps(
-                flow_jacobian(net, *data[:2], x[live], rows, cols), rhs)
+                newton_matrix(*data[:2], x[live]), rhs)
             for j, exc in singular.items():
                 outcome[live[j]] = SingularNewtonError(
                     f"singular Newton matrix at iteration {it} "

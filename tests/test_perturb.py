@@ -215,6 +215,20 @@ def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
     assert stacked.to_csv() == single.to_csv()
 
 
+def test_grid_shunt_sweep_independent_of_block_size(lattice_document,
+                                                    monkeypatch):
+    # N = 64: two trials a block by default, the last block of one
+    case = od.load_case(lattice_document(8, 8, 0))
+    model = shunt_model(case)
+    assert od.perturb._block_size(case.network.n_bus) == 2
+    stacked = run_genericity_experiment(case, model, trials=5, seed=3)
+    monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
+    assert od.perturb._block_size(case.network.n_bus) == 1
+    single = run_genericity_experiment(case, model, trials=5, seed=3)
+    assert stacked.to_json() == single.to_json()
+    assert stacked.to_csv() == single.to_csv()
+
+
 def reference_sweep(case, model, trials, seed, **tols):
     """The sweep's records and failures from a per-trial loop: each draw is
     written into its own case (apply_parameters), solved alone and checked

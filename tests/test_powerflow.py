@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfdiag as od
-from opfdiag import cqkit, powerflow
+from opfdiag import powerflow
 from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from opfdiag.constraints import system_for_case
 from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
@@ -18,8 +18,8 @@ from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
 from opfdiag.perturb import _trial_draw, apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
-                               SystemState, _jacobian, _line_jacobian,
-                               free_mask_from_bus_types, injections,
+                               SystemState, _jacobian,
+                               free_mask_from_bus_types, flow_rows, injections,
                                newton_states, pf_jacobian, pf_residual,
                                solve_power_flow, state_from_list,
                                state_to_list)
@@ -373,7 +373,7 @@ def test_state_arrays_are_read_only(ex1):
 
 
 # ---------------------------------------------------------------------------
-# Flow Jacobian rows: dense gather up to N = 64, line-list assembly above
+# Flow Jacobian rows: line-list assembly against the dense reference
 # ---------------------------------------------------------------------------
 
 def newton_selection(net):
@@ -393,10 +393,17 @@ def with_pv_bus(net, bus):
     return Network(buses=tuple(buses), lines=net.lines)
 
 
-@pytest.mark.parametrize("n_bus", [3, 20, 70])
-def test_line_jacobian_matches_dense_rows(n_bus):
-    rng = np.random.default_rng([11, n_bus])
-    net = with_pv_bus(random_network(n_bus, rng), n_bus - 1)
+@pytest.mark.parametrize("network", [3, 20, 64, 70, "ex1", "ex2", "ex3"])
+def test_line_jacobian_matches_dense_rows(network):
+    if isinstance(network, str):
+        # the two-bus fixtures: one line, a complete graph
+        fix = od.builtin(network)
+        net = fix.case.network
+        rng = np.random.default_rng([11, 2, ord(network[-1])])
+    else:
+        rng = np.random.default_rng([11, network])
+        net = with_pv_bus(random_network(network, rng), network - 1)
+    n_bus = net.n_bus
     trials = 3
     # per-trial series admittances, the nodal and line shunts of net
     G, B = admittance_stack(
@@ -406,57 +413,49 @@ def test_line_jacobian_matches_dense_rows(n_bus):
         np.array([[b.b_shunt for b in net.buses]]))
     flats = np.array([random_state(net, rng).flat() for _ in range(trials)])
     flats[1, 2 * n_bus + n_bus // 2] = 0.0  # one v_k = 0
+    if isinstance(network, str):
+        # trial 0: the fixture's own admittances at its ground truth
+        Y = build_ybus(net)
+        G[0], B[0], flats[0] = Y.G, Y.B, fix.ground_truth.flat()
     mask = free_mask_from_bus_types(net)
     rows, cols = newton_selection(net)
     dense = _jacobian(G, B, flats)
     for sel_rows, sel_cols, ref in (
             (rows, cols, dense[..., rows[:, None], cols]),
             (None, mask, dense.compress(mask, axis=-1))):
-        got = _line_jacobian(net, G, B, flats, sel_rows, sel_cols)
+        got = flow_rows(net, sel_rows, sel_cols)(G, B, flats)
         assert got.shape == ref.shape
         assert np.isfinite(got).all()
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def counting_dense_jacobian(monkeypatch):
-    """Calls of powerflow._jacobian, each tagged with the stage that made
-    it: "newton" inside newton_states, "stack" inside cqkit.active_stacks."""
-    calls, stage = [], []
-    real_jac, real_newton = powerflow._jacobian, powerflow.newton_states
-    real_stacks = cqkit.active_stacks
+@pytest.mark.parametrize("argv", [
+    ["check", "--case", "{lattice8}"],
+    ["check", "--case", "{lattice9}"],
+    ["perturb", "--case", "{lattice8}", "--model", "shunt", "--trials", "5",
+     "--seed", "0", "--out", "{out}"],
+    ["check", "--builtin", "ex1", "--perturb-load", "1:+0.05"],
+], ids=["check-8x8", "check-9x9", "shunt-sweep-8x8", "check-perturb-load"])
+def test_flow_rows_never_build_the_dense_jacobian(
+        capsys, tmp_path, monkeypatch, lattice_document, argv):
+    # Newton, the check's stack and the projection take their flow rows
+    # from the line list at every size; the dense 2N x 4N Jacobian is only
+    # the reference behind pf_jacobian
+    paths = {"out": tmp_path / "sweep.json"}
+    for side in (8, 9):
+        paths[f"lattice{side}"] = tmp_path / f"lattice{side}.json"
+        paths[f"lattice{side}"].write_text(
+            json.dumps(lattice_document(side, side, 0)))
+    calls, real = [], powerflow._jacobian
 
-    def staged(name, real):
-        def run(*args, **kwargs):
-            stage.append(name)
-            try:
-                return real(*args, **kwargs)
-            finally:
-                stage.pop()
-        return run
-
-    def counting(*args, **kwargs):
-        calls.append(stage[-1] if stage else None)
-        return real_jac(*args, **kwargs)
+    def counting(G, B, flat):
+        calls.append(flat.shape)
+        return real(G, B, flat)
 
     monkeypatch.setattr(powerflow, "_jacobian", counting)
-    monkeypatch.setattr(powerflow, "newton_states", staged("newton", real_newton))
-    monkeypatch.setattr(cqkit, "active_stacks", staged("stack", real_stacks))
-    return calls
-
-
-@pytest.mark.parametrize("side, dense", [(8, True), (9, False)])
-def test_check_builds_dense_jacobian_up_to_64_buses(
-        capsys, tmp_path, monkeypatch, lattice_document, side, dense):
-    path = tmp_path / "lattice.json"
-    path.write_text(json.dumps(lattice_document(side, side, 0)))
-    calls = counting_dense_jacobian(monkeypatch)
-    assert main(["check", "--case", str(path)]) == EXIT_OK
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_OK
     capsys.readouterr()
-    if dense:
-        assert set(calls) == {"newton", "stack"}
-        assert calls.count("stack") == 1
-    else:
-        assert calls == []
+    assert calls == []
 
 
 def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
@@ -483,9 +482,8 @@ def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
     return flat, it
 
 
-@pytest.mark.parametrize("side", [9, 12])
-def test_line_list_side_matches_dense_reference(lattice_document, monkeypatch,
-                                                side):
+@pytest.mark.parametrize("side", [8, 9, 12])
+def test_line_list_side_matches_dense_reference(lattice_document, side):
     case = load_case(lattice_document(side, side, 0))
     net = case.network
     Y = build_ybus(net)
@@ -494,18 +492,22 @@ def test_line_list_side_matches_dense_reference(lattice_document, monkeypatch,
     assert sol.iterations == iterations
     assert np.abs(sol.state.flat() - flat).max() <= 1e-12
 
-    # the case's cost leaves the row space (NONE); a planted one,
-    # c1 = -A^T y, makes the point a KKT point (UNIQUE)
+    # the stack's flow rows against the dense Jacobian at the same point
     cs = system_for_case(case)
     a, _, _, _, mask = active_stack(cs, sol.state)
+    dense = pf_jacobian(net, Y, sol.state).compress(mask, axis=1)
+    assert np.abs(a[:2 * net.n_bus] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    # the case's cost leaves the row space (NONE); a planted one,
+    # c1 = -A^T y, makes the point a KKT point (UNIQUE)
     planted = np.zeros(cs.n_state)
     planted[mask] = -a.T @ np.random.default_rng(side).standard_normal(len(a))
     costs = (CostSpec.from_terms(case.cost, net.n_bus),
              CostSpec(c2=np.zeros(cs.n_state), c1=planted))
     got = [licq_check(cs, sol.state, cost) for cost in costs]
-    # the same checks with the dense side forced
-    monkeypatch.setattr(powerflow, "BLOCK_JACOBIAN_BYTES", 1 << 40)
-    ref = [licq_check(cs, sol.state, cost) for cost in costs]
+    # the same checks at the state of the dense Newton reference
+    ref_state = SystemState.from_flat(flat, mask)
+    ref = [licq_check(cs, ref_state, cost) for cost in costs]
     for g, r in zip(got, ref):
         assert g.licq_holds and r.licq_holds
         assert g.numerical_rank == r.numerical_rank

@@ -350,9 +350,124 @@ def _block_size(n_bus: int) -> int:
     return max(1, BLOCK_JACOBIAN_BYTES // (2 * n_bus * 4 * n_bus * 8))
 
 
-def _trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng([seed, trial])
-    return rng.uniform(box[:, 0], box[:, 1])
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier (pcg64.h) as 64-bit halves. Arrays are uint32 in
+# the hash and uint64 in PCG64, where products wrap as in C.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
+_LOW32 = 0xFFFFFFFF
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays. Its hash constant
+    advances by the same steps for every trial, so it is a Python int."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _LOW32
+        value = value * np.uint32(const)
+        return value ^ value >> _XSHIFT
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> _XSHIFT
+
+
+def _seed_pool(seed: int, ts: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, t]).pool`` of every trial t < 2**32 of ``ts``,
+    as four uint32 arrays. The entropy words are those of ``seed``, low
+    word first (one word 0 for seed 0), then t."""
+    words = [seed & _LOW32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _LOW32)
+    entropy = [np.full(len(ts), w, np.uint32) for w in words]
+    entropy.append(ts.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(len(ts), np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # entropy words past the pool's size are mixed into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> list[np.ndarray]:
+    """``generate_state(4, np.uint64)`` of the pools: four uint64 arrays,
+    each word paired from two uint32 words, low word first."""
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64)
+             for i in range(2 * _POOL_SIZE)]
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """(hi, lo) + (add_hi, add_lo) mod 2**128 on uint64 arrays."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (hi, lo)
+    uint64 arrays. The high word of lo * multiplier's low half is summed
+    from 32-bit halves, whose products fit 64 bits."""
+    lo0, lo1 = lo & _LOW32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> 32
+    mid = lo1 * m0 + (lo0 * m0 >> 32)
+    carry = ((mid & _LOW32) + lo0 * m1) >> 32
+    hi = (lo1 * m1 + (mid >> 32) + carry
+          + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI)
+    return _add128(hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _pcg64_seeded(seed: int, ts: np.ndarray):
+    """State and increment of ``PCG64(SeedSequence([seed, t]))`` for every
+    t of ``ts``, as (hi, lo) uint64 arrays. With the initial state and
+    sequence from ``generate_state``, inc = (sequence << 1) | 1; PCG64
+    steps state 0, adds the initial state and steps again, and state 0
+    steps to inc."""
+    s_hi, s_lo, i_hi, i_lo = _generate_state(_seed_pool(seed, ts))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _draws(seed: int, trials: int, box: np.ndarray) -> np.ndarray:
+    """Every draw of a sweep, trials x k: row t is
+    ``np.random.default_rng([seed, t]).uniform(box[:, 0], box[:, 1])``
+    bit for bit, for all trials at once. Per coordinate: one PCG64 step,
+    the XSL-RR output, its top 53 bits as a double u in [0, 1), and
+    lo + (hi - lo) * u, the product and the sum each rounded as numpy's
+    ``uniform`` rounds them. A trial is one entropy word, so there are at
+    most 2**32 trials."""
+    if seed < 0:
+        raise PerturbationError(f"seed must be non-negative, got {seed}")
+    if trials > 2**32:
+        raise PerturbationError(f"at most 2**32 trials, got {trials}")
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(
+        seed, np.arange(trials, dtype=np.uint64))
+    low, span = box[:, 0], box[:, 1] - box[:, 0]
+    out = np.empty((trials, len(box)))
+    for j in range(len(box)):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        bits = x >> rot | x << (-rot & 63)
+        out[:, j] = low[j] + span[j] * ((bits >> 11) * 2.0 ** -53)
+    return out
 
 
 def _flow_of_draws(model: PerturbationModel, case: Case,
@@ -397,19 +512,23 @@ def run_genericity_experiment(
 ) -> GenericityReport:
     """Deterministic Monte Carlo sweep over the model's sampling box.
 
-    Per-trial draws use a counter-based seed derived from (seed, trial),
-    so results are independent of execution order and reproducible
-    bit-for-bit. Non-convergent draws count as trials, not errors. Trials
-    run in blocks of ``_block_size`` that stay arrays from the draw to the
-    verdict: the draws become stacked admittances and loads, one stacked
+    Trial t draws ``np.random.default_rng([seed, t]).uniform`` over the
+    box, a counter-based seed, so results are independent of execution
+    order and reproducible bit-for-bit; ``_draws`` computes every trial's
+    draw in one call, and ``seed`` must be non-negative. Non-convergent
+    draws count as trials, not errors. Trials run in blocks of
+    ``_block_size`` that stay arrays from the draw to the verdict: a
+    block's draws become stacked admittances and loads, one stacked
     Newton solve gives the states (the iterates of a one-trial solve), and
     ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones
     (the block's arrays themselves when every trial converged), at most
-    one batched SVD of the reduced matrices per face. Only one block is
-    held at a time. ``tols`` go to ``system_for_case``, and the
-    qualification check decides feasibility.
+    one batched SVD of the reduced matrices per face. Apart from the
+    sweep's trials x k draws, only one block is held at a time. ``tols``
+    go to ``system_for_case``, and the qualification check decides
+    feasibility.
     """
     _expect_dimension(model, case.network)
+    draws = _draws(seed, trials, model.box)
     cs = con.system_for_case(case, **tols)
 
     hypothesis = None
@@ -427,7 +546,7 @@ def run_genericity_experiment(
     block = _block_size(case.network.n_bus)
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        xis = np.array([_trial_draw(seed, t, model.box) for t in ts])
+        xis = draws[ts.start:ts.stop]
         flow = flow_of(xis)
         x, outcome, _ = newton_states(case.network, *flow, case.gen_p,
                                       case.gen_q, pf_tol=cs.pf_tol)

@@ -1,4 +1,5 @@
-"""Seeded random desk-scale networks and states for property tests."""
+"""Seeded random desk-scale networks and states for property tests, and
+the per-trial reference draw of the Monte Carlo sweep."""
 
 import numpy as np
 
@@ -45,3 +46,9 @@ def random_state(net: Network, rng: np.random.Generator) -> SystemState:
         theta=rng.uniform(-1.0, 1.0, n),
         free_mask=np.ones(4 * n, dtype=bool),
     )
+
+
+def trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
+    """Parameter draw of one sweep trial from its own generator: what
+    ``perturb._draws`` computes for every trial at once."""
+    return np.random.default_rng([seed, trial]).uniform(box[:, 0], box[:, 1])

@@ -222,6 +222,18 @@ def test_perturb_deterministic_across_runs(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("seed_args,env", [(["--seed", "-1"], None),
+                                            ([], "-1")])
+def test_perturb_negative_seed_exits_2(capsys, monkeypatch, seed_args, env):
+    if env is not None:
+        monkeypatch.setenv("CQA_SEED", env)
+    code, out, err = run(capsys, "perturb", "--builtin", "ex1", "--model",
+                         "load", "--trials", "2", *seed_args)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "seed" in err and "Traceback" not in err
+
+
 def test_perturb_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CQA_SEED", "99")
     code, out, _ = run(capsys, "perturb", "--builtin", "ex1",

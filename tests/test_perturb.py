@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check
 from opfdiag.netmodel import Case, ConstraintSpec, build_ybus
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
-                             TrialRecord, apply_parameters,
+                             TrialRecord, _draws, _generate_state,
+                             _pcg64_seeded, _seed_pool, apply_parameters,
                              check_rank_hypothesis, line_model, load_model,
                              lumped_shunts, nearest_feasible_point,
                              param_jacobian, run_genericity_experiment,
                              shift_load, shunt_model, tangency_escape_probe)
 
-from netgen import random_network, random_state
+from netgen import random_network, random_state, trial_draw
 
 
 def random_case(rng, n_bus=4):
@@ -236,8 +238,7 @@ def reference_sweep(case, model, trials, seed, **tols):
     cs = od.system_for_case(case, **tols)
     records, failures = [], []
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        xi = rng.uniform(model.box[:, 0], model.box[:, 1])
+        xi = trial_draw(seed, t, model.box)
         net = apply_parameters(model, case, xi).network
         y = build_ybus(net)
         try:
@@ -296,6 +297,80 @@ def test_block_sweep_matches_per_trial_reference(ex1, source, kind):
         assert {(True, True, True), (True, True, False)} <= outcomes
         faces = {tuple(f["cq_report"]["face"]) for f in failures}
         assert faces == {(0, 1)}
+
+
+def test_block_sweep_matches_reference_on_a_multiword_seed(ex1):
+    # a seed of two 32-bit words puts the trial at the third entropy word
+    model = shunt_model(ex1.case)
+    seed = 123456789012345
+    report = run_genericity_experiment(ex1.case, model, trials=20, seed=seed)
+    records, failures = reference_sweep(ex1.case, model, 20, seed)
+    assert [repr(r) for r in report.records] == [repr(r) for r in records]
+    assert list(report.failures) == failures == []
+
+
+# Every bench/reference.json seed, then seeds of two, two and four 32-bit
+# words; with four, the trial is an entropy word past SeedSequence's pool.
+DRAW_SEEDS = [*range(32), 42, 2**32, 2**40 + 1, 2**100 + 7]
+
+
+def draw_box(rng, k):
+    """k intervals with negative lows and widths from 1e-9 to 10."""
+    low = -rng.uniform(0.0, 10.0, k)
+    return np.column_stack([low, low + 10.0 ** rng.uniform(-9.0, 1.0, k)])
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draws_are_default_rng_uniform_bit_for_bit(seed):
+    # numpy does not promise that uniform computes lo + (hi - lo) * u
+    # unfused; on a platform whose kernel fuses the multiply-add this test
+    # fails instead of the sweep's draws drifting silently
+    rng = np.random.default_rng([seed, 1])
+    for k in (1, 4, 9, 128):
+        box = draw_box(rng, k)
+        expected = np.array([trial_draw(seed, t, box) for t in range(1000)])
+        assert np.array_equal(_draws(seed, 1000, box).view(np.uint64),
+                              expected.view(np.uint64)), k
+
+
+def test_draw_boxes_tell_a_fused_uniform_apart():
+    # rounded once instead of twice, lo + (hi - lo) * u comes out different
+    # in some draws of draw_box's intervals, so the bit-for-bit test would
+    # see a fused kernel
+    box = draw_box(np.random.default_rng([0, 1]), 128)
+    unit = np.tile([0.0, 1.0], (128, 1))
+    u = np.array([trial_draw(0, t, unit) for t in range(20)])
+    fused = np.array([[float(Fraction(lo) + Fraction(hi - lo) * Fraction(x))
+                       for (lo, hi), x in zip(box, row)] for row in u])
+    assert (fused != _draws(0, 20, box)).any()
+
+
+def test_draws_reject_a_negative_seed_and_a_two_word_trial():
+    box = np.array([[0.0, 1.0]])
+    with pytest.raises(PerturbationError, match="seed"):
+        _draws(-1, 1, box)
+    # trial 2**32 would take two entropy words, the kernel gives it one
+    with pytest.raises(PerturbationError, match="2\\*\\*32"):
+        _draws(0, 2**32 + 1, box)
+
+
+# seeds of one to four 32-bit words: the pool is zero-filled, exactly
+# filled, or mixed with the trial past its size
+@pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64, 2**100 + 7,
+                                  2**128 - 1])
+def test_draw_stages_match_seed_sequence_and_pcg64(seed):
+    ts = np.array([0, 1, 2, 999, 2**32 - 1], dtype=np.uint64)
+    pool = _seed_pool(seed, ts)
+    words = _generate_state(pool)
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(seed, ts)
+    for i, t in enumerate(ts.tolist()):
+        ss = np.random.SeedSequence([seed, t])
+        assert [int(p[i]) for p in pool] == ss.pool.tolist()
+        assert ([int(w[i]) for w in words]
+                == ss.generate_state(4, np.uint64).tolist())
+        state = np.random.PCG64(ss).state["state"]
+        assert int(hi[i]) << 64 | int(lo[i]) == state["state"]
+        assert int(inc_hi[i]) << 64 | int(inc_lo[i]) == state["inc"]
 
 
 def test_genericity_experiment_zero_trials(ex1):

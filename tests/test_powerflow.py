@@ -15,7 +15,7 @@ from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
                           active_stack, kkt_residual, licq_check)
 from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
                               admittance_stack, build_ybus, load_case)
-from opfdiag.perturb import _trial_draw, apply_parameters, make_model
+from opfdiag.perturb import apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
                                SystemState, _jacobian,
@@ -24,7 +24,7 @@ from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                solve_power_flow, state_from_list,
                                state_to_list)
 
-from netgen import random_network, random_state
+from netgen import random_network, random_state, trial_draw
 
 
 def finite_difference_jacobian(net, Y, x, step=1e-6):
@@ -326,7 +326,7 @@ def test_stacked_newton_matches_one_trial_solves(ex1, source, kind, trials):
         case = Case(network=pv_three_bus(), gen_p=np.array([0.0, 0.3, 0.0]),
                     gen_q=np.zeros(3))
     model = make_model(kind, case)
-    nets = [apply_parameters(model, case, _trial_draw(42, t, model.box)).network
+    nets = [apply_parameters(model, case, trial_draw(42, t, model.box)).network
             for t in range(trials)]
     ys = [build_ybus(net) for net in nets]
     outs = solve_stacked(case.network, ys, nets, case.gen_p, case.gen_q)

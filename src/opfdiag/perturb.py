@@ -358,9 +358,13 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = 16
 _POOL_SIZE = 4
+_LOW32 = 0xFFFFFFFF
 _PCG_MULT_HI = np.uint64(2549297995355413924)
 _PCG_MULT_LO = np.uint64(4865540595714422341)
-_LOW32 = 0xFFFFFFFF
+# 32-bit halves of _PCG_MULT_LO, split on Python ints: every operation in
+# the kernel then has an array operand, whose dtype numpy keeps
+_PCG_MULT_LO0 = np.uint64(4865540595714422341 & _LOW32)
+_PCG_MULT_LO1 = np.uint64(4865540595714422341 >> 32)
 
 
 def _hasher(init: int, mult: int):
@@ -426,7 +430,7 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     uint64 arrays. The high word of lo * multiplier's low half is summed
     from 32-bit halves, whose products fit 64 bits."""
     lo0, lo1 = lo & _LOW32, lo >> 32
-    m0, m1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> 32
+    m0, m1 = _PCG_MULT_LO0, _PCG_MULT_LO1
     mid = lo1 * m0 + (lo0 * m0 >> 32)
     carry = ((mid & _LOW32) + lo0 * m1) >> 32
     hi = (lo1 * m1 + (mid >> 32) + carry
@@ -446,28 +450,49 @@ def _pcg64_seeded(seed: int, ts: np.ndarray):
     return hi, lo, inc_hi, inc_lo
 
 
-def _draws(seed: int, trials: int, box: np.ndarray) -> np.ndarray:
-    """Every draw of a sweep, trials x k: row t is
-    ``np.random.default_rng([seed, t]).uniform(box[:, 0], box[:, 1])``
-    bit for bit, for all trials at once. Per coordinate: one PCG64 step,
-    the XSL-RR output, its top 53 bits as a double u in [0, 1), and
-    lo + (hi - lo) * u, the product and the sum each rounded as numpy's
-    ``uniform`` rounds them. A trial is one entropy word, so there are at
-    most 2**32 trials."""
+def _check_sweep(seed: int, trials: int) -> None:
+    """A sweep's seed and trial count: both non-negative, and at most
+    2**32 trials, since a trial is one entropy word."""
     if seed < 0:
         raise PerturbationError(f"seed must be non-negative, got {seed}")
+    if trials < 0:
+        raise PerturbationError(
+            f"trials must be non-negative, got {trials}")
     if trials > 2**32:
         raise PerturbationError(f"at most 2**32 trials, got {trials}")
+
+
+def _draws(seed: int, ts: range, box: np.ndarray) -> np.ndarray:
+    """The draws of trials ``ts``, a range of non-negative trials, as
+    len(ts) x k: the row of trial t is
+    ``np.random.default_rng([seed, t]).uniform(box[:, 0], box[:, 1])`` bit
+    for bit, for all trials at once. Per coordinate: one PCG64 step, the
+    XSL-RR output, its top 53 bits as a double u in [0, 1), and
+    lo + (hi - lo) * u, the product and the sum each rounded as numpy's
+    ``uniform`` rounds them."""
+    _check_sweep(seed, ts.stop)
     hi, lo, inc_hi, inc_lo = _pcg64_seeded(
-        seed, np.arange(trials, dtype=np.uint64))
+        seed, np.arange(ts.start, ts.stop, dtype=np.uint64))
     low, span = box[:, 0], box[:, 1] - box[:, 0]
-    out = np.empty((trials, len(box)))
+    out = np.empty((len(ts), len(box)))
     for j in range(len(box)):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58
         bits = x >> rot | x << (-rot & 63)
         out[:, j] = low[j] + span[j] * ((bits >> 11) * 2.0 ** -53)
     return out
+
+
+# Byte budget of the draws one ``_draws`` call of a sweep computes, rounded
+# down to whole blocks but at least one block: a 1000-trial sweep of ex1
+# (k = 4) is one call, and the draws held do not grow with the trials.
+DRAW_CHUNK_BYTES = 1 << 20
+
+
+def _draw_chunk(block: int, k: int) -> int:
+    """Trials of one ``_draws`` call: whole blocks of ``block`` trials whose
+    k draws each fit ``DRAW_CHUNK_BYTES``, at least one block."""
+    return block * max(1, DRAW_CHUNK_BYTES // (8 * k * block))
 
 
 def _flow_of_draws(model: PerturbationModel, case: Case,
@@ -514,21 +539,22 @@ def run_genericity_experiment(
 
     Trial t draws ``np.random.default_rng([seed, t]).uniform`` over the
     box, a counter-based seed, so results are independent of execution
-    order and reproducible bit-for-bit; ``_draws`` computes every trial's
-    draw in one call, and ``seed`` must be non-negative. Non-convergent
-    draws count as trials, not errors. Trials run in blocks of
-    ``_block_size`` that stay arrays from the draw to the verdict: a
-    block's draws become stacked admittances and loads, one stacked
-    Newton solve gives the states (the iterates of a one-trial solve), and
+    order and reproducible bit-for-bit; ``_draws`` computes the draws of
+    many trials in one call, and ``seed`` and ``trials`` must be
+    non-negative. Non-convergent draws count as trials, not errors.
+    Trials run in blocks of ``_block_size`` that stay arrays from the draw
+    to the verdict: a block's draws become stacked admittances and loads,
+    one stacked Newton solve gives the states (the iterates of a one-trial
+    solve), and
     ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones
     (the block's arrays themselves when every trial converged), at most
-    one batched SVD of the reduced matrices per face. Apart from the
-    sweep's trials x k draws, only one block is held at a time. ``tols``
-    go to ``system_for_case``, and the qualification check decides
+    one batched SVD of the reduced matrices per face. Only one block, and
+    the draws of one ``_draw_chunk`` of blocks, are held at a time.
+    ``tols`` go to ``system_for_case``, and the qualification check decides
     feasibility.
     """
     _expect_dimension(model, case.network)
-    draws = _draws(seed, trials, model.box)
+    _check_sweep(seed, trials)
     cs = con.system_for_case(case, **tols)
 
     hypothesis = None
@@ -544,9 +570,13 @@ def run_genericity_experiment(
     records: list[TrialRecord] = []
     failures: list[dict] = []
     block = _block_size(case.network.n_bus)
+    chunk = _draw_chunk(block, len(model.box))
     for start in range(0, trials, block):
+        if start % chunk == 0:
+            draws = _draws(seed, range(start, min(start + chunk, trials)),
+                           model.box)
         ts = range(start, min(start + block, trials))
-        xis = draws[ts.start:ts.stop]
+        xis = draws[start % chunk:][:len(ts)]
         flow = flow_of(xis)
         x, outcome, _ = newton_states(case.network, *flow, case.gen_p,
                                       case.gen_q, pf_tol=cs.pf_tol)

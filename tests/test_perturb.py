@@ -231,6 +231,32 @@ def test_grid_shunt_sweep_independent_of_block_size(lattice_document,
     assert stacked.to_csv() == single.to_csv()
 
 
+def test_genericity_report_independent_of_draw_chunks(ex1, monkeypatch):
+    # blocks of 7 trials, draws in chunks of 21: a 300-trial sweep makes 15
+    # _draws calls, the last chunk and block partial
+    model = shunt_model(ex1.case)
+    whole = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
+    monkeypatch.setattr(od.perturb, "_block_size", lambda n_bus: 7)
+    monkeypatch.setattr(od.perturb, "DRAW_CHUNK_BYTES",
+                        8 * len(model.box) * 7 * 3)
+    assert od.perturb._draw_chunk(7, len(model.box)) == 21
+    calls = []
+    draws = od.perturb._draws
+    monkeypatch.setattr(od.perturb, "_draws",
+                        lambda *a: calls.append(a[1]) or draws(*a))
+    chunked = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
+    assert calls[-2:] == [range(273, 294), range(294, 300)]
+    assert len(calls) == 15
+    assert whole.to_json() == chunked.to_json()
+    assert whole.to_csv() == chunked.to_csv()
+
+
+def test_draw_chunk_bounds_the_draws_by_bytes_not_trials():
+    assert od.perturb._draw_chunk(2048, 4) == 32768      # ex1: one call
+    assert od.perturb._draw_chunk(2, 128) == 1024        # 8x8 grid shunt
+    assert od.perturb._draw_chunk(1, 10**6) == 1         # at least a block
+
+
 def reference_sweep(case, model, trials, seed, **tols):
     """The sweep's records and failures from a per-trial loop: each draw is
     written into its own case (apply_parameters), solved alone and checked
@@ -329,8 +355,11 @@ def test_draws_are_default_rng_uniform_bit_for_bit(seed):
     for k in (1, 4, 9, 128):
         box = draw_box(rng, k)
         expected = np.array([trial_draw(seed, t, box) for t in range(1000)])
-        assert np.array_equal(_draws(seed, 1000, box).view(np.uint64),
+        assert np.array_equal(_draws(seed, range(1000), box).view(np.uint64),
                               expected.view(np.uint64)), k
+        # a later range gives the same rows as the whole sweep
+        assert np.array_equal(_draws(seed, range(400, 1000), box),
+                              expected[400:]), k
 
 
 def test_draw_boxes_tell_a_fused_uniform_apart():
@@ -342,16 +371,25 @@ def test_draw_boxes_tell_a_fused_uniform_apart():
     u = np.array([trial_draw(0, t, unit) for t in range(20)])
     fused = np.array([[float(Fraction(lo) + Fraction(hi - lo) * Fraction(x))
                        for (lo, hi), x in zip(box, row)] for row in u])
-    assert (fused != _draws(0, 20, box)).any()
+    assert (fused != _draws(0, range(20), box)).any()
 
 
 def test_draws_reject_a_negative_seed_and_a_two_word_trial():
     box = np.array([[0.0, 1.0]])
     with pytest.raises(PerturbationError, match="seed"):
-        _draws(-1, 1, box)
+        _draws(-1, range(1), box)
     # trial 2**32 would take two entropy words, the kernel gives it one
     with pytest.raises(PerturbationError, match="2\\*\\*32"):
-        _draws(0, 2**32 + 1, box)
+        _draws(0, range(2**32 + 1), box)
+
+
+@pytest.mark.parametrize("trials, seed, match", [
+    (-1, 1, "trials"), (0, -1, "seed"), (2**32 + 1, 1, "2\\*\\*32")])
+def test_genericity_experiment_rejects_bad_trials_and_seed(ex1, trials, seed,
+                                                           match):
+    with pytest.raises(PerturbationError, match=match):
+        run_genericity_experiment(ex1.case, load_model(ex1.case),
+                                  trials=trials, seed=seed)
 
 
 # seeds of one to four 32-bit words: the pool is zero-filled, exactly

@@ -1,28 +1,23 @@
 """Diagnostics for constraint qualification and KKT multiplier geometry in
-AC power flow constraint systems."""
+AC power flow constraint systems. The package exports the loaders, the
+check, the sweep, the probe and the error types the CLI maps to exit codes;
+every other name is imported from its submodule."""
 
-from .netmodel import (AdmittanceMatrix, Bus, BusType, Case, CaseError,
-                       ConstraintSpec, CostTerms, Line, Network, build_ybus,
-                       case_to_dict, load_case)
-from .powerflow import (DivergenceError, NonConvergenceError, PFSolution,
-                        PowerFlowError, SingularNewtonError, SystemState,
-                        free_mask_from_bus_types, pf_jacobian, pf_residual,
-                        solve_power_flow, state_from_list, state_index,
-                        state_to_list)
-from .constraints import (ActiveSet, ApparentPower, BoxLower, BoxUpper,
-                          ConstraintError, ConstraintSystem, ExpLoadEq,
-                          InfeasiblePointError, LinearEq, VoltageDomainError,
-                          active_set, build_operational, evaluate,
-                          system_for_case)
-from .cqkit import (Classification, CostSpec, CQReport, MultiplierSet,
-                    kkt_residual, kkt_solve, licq_check, numerical_rank)
-from .perturb import (GenericityReport, ModelKind, PerturbationModel,
-                      ProbeRow, RankHypothesisReport, check_rank_hypothesis,
-                      load_model, line_model, make_model,
-                      nearest_feasible_point, param_jacobian,
-                      run_genericity_experiment, shift_load, shunt_model,
+from .netmodel import CaseError, load_case
+from .powerflow import PowerFlowError, solve_power_flow, state_from_list
+from .constraints import ConstraintError, InfeasiblePointError, system_for_case
+from .cqkit import CostSpec, licq_check
+from .perturb import (PerturbationError, make_model, run_genericity_experiment,
                       tangency_escape_probe)
-from .cases import (BUILTIN_NAMES, FixtureBundle, ReducedView, builtin,
-                    example1, example2, example3)
+from .cases import BUILTIN_NAMES, builtin
+
+__all__ = [
+    "load_case", "CaseError", "builtin", "BUILTIN_NAMES",
+    "system_for_case", "ConstraintError", "InfeasiblePointError",
+    "solve_power_flow", "state_from_list", "PowerFlowError",
+    "licq_check", "CostSpec",
+    "make_model", "run_genericity_experiment", "tangency_escape_probe",
+    "PerturbationError",
+]
 
 __version__ = "0.1.0"

@@ -56,11 +56,6 @@ class FixtureBundle:
     expected: dict
     reduced: ReducedView | None = None
 
-    def case_document(self) -> dict:
-        from .netmodel import case_to_dict
-
-        return case_to_dict(self.case)
-
 
 def _two_bus_network(p_loads=(0.0, 0.0), q_loads=(0.0, 0.0)) -> Network:
     return Network(

@@ -236,21 +236,26 @@ def _repro_ex1(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
                               - np.array(fix.expected["ray_vertex"])).max())
     checks.append(("ray vertex matches to 1e-8", vertex_err <= 1e-8,
                    f"max err {vertex_err:.3e}"))
-    want = np.array(fix.expected["ray_direction"])
-    have = kkt.ray_direction
-    dir_err = float(np.abs(have / np.linalg.norm(have)
-                           - want / np.linalg.norm(want)).max())
-    checks.append(("ray direction proportional to expected to 1e-8",
-                   dir_err <= 1e-8, f"max err {dir_err:.3e}"))
+    dir_label = "ray direction proportional to expected to 1e-8"
     row = fix.expected["price_row"]
     bound = fix.expected["price_upper_bound"]
-    price_ok = (abs(kkt.particular[row] - bound) <= 1e-8
-                and kkt.ray_direction[row] < 0
-                and kkt.zeta_interval == (0.0, np.inf))
-    checks.append((f"nodal price multiplier interval is (-inf, {bound}]",
-                   price_ok,
-                   f"vertex value {kkt.particular[row]:.12g}, "
-                   f"direction component {kkt.ray_direction[row]:.6g}"))
+    price_label = f"nodal price multiplier interval is (-inf, {bound}]"
+    if kkt.classification is not cqkit.Classification.RAY:
+        # no ray, so no direction to compare: both checks fail
+        detail = f"classification {kkt.classification.value}, no ray direction"
+        checks += [(dir_label, False, detail), (price_label, False, detail)]
+    else:
+        want = np.array(fix.expected["ray_direction"])
+        have = kkt.ray_direction
+        dir_err = float(np.abs(have / np.linalg.norm(have)
+                               - want / np.linalg.norm(want)).max())
+        checks.append((dir_label, dir_err <= 1e-8, f"max err {dir_err:.3e}"))
+        price_ok = (abs(kkt.particular[row] - bound) <= 1e-8
+                    and kkt.ray_direction[row] < 0
+                    and kkt.zeta_interval == (0.0, np.inf))
+        checks.append((price_label, price_ok,
+                       f"vertex value {kkt.particular[row]:.12g}, "
+                       f"direction component {kkt.ray_direction[row]:.6g}"))
     summary = (f"rank {cq.numerical_rank}/{cq.m}, "
                f"{kkt.classification.value}, nodal price <= {bound:g}")
     payload = {"cq": cq.to_dict(), "kkt": kkt.to_dict()}

@@ -64,9 +64,6 @@ class CostSpec:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.c2 * x + self.c1
 
-    def scaled(self, factor: float) -> "CostSpec":
-        return CostSpec(c2=factor * self.c2, c1=factor * self.c1)
-
 
 def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
                      ulp_scale: float) -> tuple[int, float, float]:

@@ -443,52 +443,3 @@ def load_case(text: str | bytes | dict) -> Case:
     return Case(network=net, gen_p=gen_p, gen_q=gen_q,
                 constraint_specs=specs, cost=cost, base_mva=base)
 
-
-def case_to_dict(case: Case) -> dict:
-    """Serialize a case back to its document form (inverse of load_case)."""
-    doc: dict = {
-        "buses": [
-            {
-                "id": b.id,
-                "type": b.bus_type.value,
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-                "g_shunt": b.g_shunt,
-                "b_shunt": b.b_shunt,
-                "v_setpoint": b.v_setpoint,
-                "theta_setpoint": b.theta_setpoint,
-            }
-            for b in case.network.buses
-        ],
-        "lines": [
-            {
-                "from": ln.from_bus,
-                "to": ln.to_bus,
-                "g_series": ln.g_series,
-                "b_series": ln.b_series,
-                "g_shunt": ln.g_shunt,
-                "b_shunt": ln.b_shunt,
-            }
-            for ln in case.network.lines
-        ],
-        "generators": [
-            {"bus": k, "p": float(case.gen_p[k]), "q": float(case.gen_q[k])}
-            for k in range(case.network.n_bus)
-            if case.gen_p[k] != 0.0 or case.gen_q[k] != 0.0
-        ],
-        "constraints": [
-            {"kind": s.kind, "target": s.target, "params": s.params}
-            for s in case.constraint_specs
-        ],
-        "cost": {
-            "quadratic": [
-                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.quadratic
-            ],
-            "linear": [
-                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.linear
-            ],
-        },
-    }
-    if case.base_mva is not None:
-        doc["base_mva"] = case.base_mva
-    return doc

@@ -491,8 +491,9 @@ DRAW_CHUNK_BYTES = 1 << 20
 
 def _draw_chunk(block: int, k: int) -> int:
     """Trials of one ``_draws`` call: whole blocks of ``block`` trials whose
-    k draws each fit ``DRAW_CHUNK_BYTES``, at least one block."""
-    return block * max(1, DRAW_CHUNK_BYTES // (8 * k * block))
+    k draws each fit ``DRAW_CHUNK_BYTES``, at least one block; k = 0 (a
+    network without lines) counts as k = 1."""
+    return block * max(1, DRAW_CHUNK_BYTES // (8 * max(k, 1) * block))
 
 
 def _flow_of_draws(model: PerturbationModel, case: Case,

@@ -248,11 +248,6 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
     return jacobian_rows
 
 
-def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
-    """Nodal complex power flowing from each bus into the network."""
-    return _injections(Y.G + 1j * Y.B, v, theta)
-
-
 def pf_residual(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
     """Evaluate F(x); length 2N, real-power rows first."""
     if x.n_bus != net.n_bus:
@@ -438,13 +433,9 @@ def solve_power_flow(
         iterations=out, history=tuple(errs[0, :out + 1].tolist()))
 
 
-def state_to_list(x: SystemState) -> list[float]:
-    """Flat JSON form, (p_gen, q_gen, v, theta) order."""
-    return [float(t) for t in x.flat()]
-
-
 def state_from_list(values, net: Network) -> SystemState:
-    """Inverse of state_to_list: a flat array of 4N finite numbers."""
+    """A state from its flat JSON form, (p_gen, q_gen, v, theta) order: an
+    array of 4N finite numbers."""
     vec = [finite_number(t) for t in values] if isinstance(values, list) else None
     if vec is None or None in vec:
         raise CaseError("state must be a flat JSON array of finite numbers")

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-import opfdiag as od
+from opfdiag.cases import example1, example2, example3
 
 
 @pytest.fixture
 def ex1():
-    return od.example1(1.0)
+    return example1(1.0)
 
 
 @pytest.fixture
 def ex2():
-    return od.example2()
+    return example2()
 
 
 @pytest.fixture
 def ex3():
-    return od.example3()
+    return example3()
 
 
 @pytest.fixture

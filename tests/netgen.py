@@ -1,10 +1,11 @@
-"""Seeded random desk-scale networks and states for property tests, and
-the per-trial reference draw of the Monte Carlo sweep."""
+"""Seeded random desk-scale networks and states for property tests, the
+per-trial reference draw of the Monte Carlo sweep, and the test-side
+inverses of case loading and of the flow model."""
 
 import numpy as np
 
-from opfdiag.netmodel import Bus, BusType, Line, Network
-from opfdiag.powerflow import SystemState
+from opfdiag.netmodel import AdmittanceMatrix, Bus, BusType, Case, Line, Network
+from opfdiag.powerflow import SystemState, _injections
 
 
 def random_network(n_bus: int, rng: np.random.Generator) -> Network:
@@ -52,3 +53,58 @@ def trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
     """Parameter draw of one sweep trial from its own generator: what
     ``perturb._draws`` computes for every trial at once."""
     return np.random.default_rng([seed, trial]).uniform(box[:, 0], box[:, 1])
+
+
+def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
+    """Nodal complex power flowing from each bus into the network."""
+    return _injections(Y.G + 1j * Y.B, v, theta)
+
+
+def case_document(case: Case) -> dict:
+    """Serialize a case back to its document form (inverse of load_case)."""
+    doc: dict = {
+        "buses": [
+            {
+                "id": b.id,
+                "type": b.bus_type.value,
+                "p_load": b.p_load,
+                "q_load": b.q_load,
+                "g_shunt": b.g_shunt,
+                "b_shunt": b.b_shunt,
+                "v_setpoint": b.v_setpoint,
+                "theta_setpoint": b.theta_setpoint,
+            }
+            for b in case.network.buses
+        ],
+        "lines": [
+            {
+                "from": ln.from_bus,
+                "to": ln.to_bus,
+                "g_series": ln.g_series,
+                "b_series": ln.b_series,
+                "g_shunt": ln.g_shunt,
+                "b_shunt": ln.b_shunt,
+            }
+            for ln in case.network.lines
+        ],
+        "generators": [
+            {"bus": k, "p": float(case.gen_p[k]), "q": float(case.gen_q[k])}
+            for k in range(case.network.n_bus)
+            if case.gen_p[k] != 0.0 or case.gen_q[k] != 0.0
+        ],
+        "constraints": [
+            {"kind": s.kind, "target": s.target, "params": s.params}
+            for s in case.constraint_specs
+        ],
+        "cost": {
+            "quadratic": [
+                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.quadratic
+            ],
+            "linear": [
+                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.linear
+            ],
+        },
+    }
+    if case.base_mva is not None:
+        doc["base_mva"] = case.base_mva
+    return doc

@@ -10,10 +10,16 @@ from contextlib import contextmanager
 import numpy as np
 
 import opfdiag as od
-from opfdiag.constraints import evaluate
-from opfdiag.cqkit import Classification, kkt_residual, kkt_solve, licq_check
+from opfdiag.cases import example1, example2, example3
+from opfdiag.constraints import (ApparentPower, BoxUpper, ExpLoadEq, LinearEq,
+                                 evaluate)
+from opfdiag.cqkit import (Classification, kkt_residual, kkt_solve, licq_check,
+                           numerical_rank)
 from opfdiag.netmodel import build_ybus
-from opfdiag.powerflow import SystemState, pf_residual, solve_power_flow
+from opfdiag.perturb import (line_model, load_model, nearest_feasible_point,
+                             param_jacobian, shift_load, shunt_model)
+from opfdiag.powerflow import (SystemState, pf_jacobian, pf_residual,
+                               solve_power_flow)
 
 from netgen import random_network, random_state
 
@@ -33,7 +39,7 @@ def criterion(number: int, label: str):
 def test_criterion_1_tangent_dispatch_reproduction():
     with criterion(1, "tangent dispatch reproduction (alpha in {1, 2, 0.5})"):
         for alpha in (1.0, 2.0, 0.5):
-            fix = od.example1(alpha)
+            fix = example1(alpha)
             net = fix.case.network
             y = build_ybus(net)
 
@@ -68,7 +74,7 @@ def test_criterion_1_tangent_dispatch_reproduction():
 
 def test_criterion_2_crossing_pair_reproduction():
     with criterion(2, "tangent crossing pair reproduction"):
-        red = od.example2().reduced
+        red = example2().reduced
         h_vals, g_vals, feasible = evaluate(red.system, red.point)
         assert feasible
         assert abs(h_vals[0]) <= 1e-9
@@ -94,34 +100,34 @@ def test_criterion_2_crossing_pair_reproduction():
 def test_criterion_3_parameter_jacobian_rank_checks():
     with criterion(3, "parameter Jacobian exact values and ranks"):
         rng = np.random.default_rng(17)
-        fix = od.example1(1.0)
+        fix = example1(1.0)
         net = fix.case.network
-        load = od.load_model(fix.case)
+        load = load_model(fix.case)
         for _ in range(10):
             x = random_state(net, rng)
-            assert np.array_equal(od.param_jacobian(load, net, x),
+            assert np.array_equal(param_jacobian(load, net, x),
                                   -np.eye(4))
 
-        shunt = od.shunt_model(fix.case)
-        jac = od.param_jacobian(shunt, net, fix.ground_truth)
+        shunt = shunt_model(fix.case)
+        jac = param_jacobian(shunt, net, fix.ground_truth)
         v2 = fix.ground_truth.v ** 2
         expected_diag = np.concatenate([-v2, -v2])
         assert np.abs(np.diag(jac) - expected_diag).max() <= 1e-14
         assert np.abs(jac - np.diag(np.diag(jac))).max() == 0.0
 
-        flat = od.example3()
-        line = od.line_model(flat.case)
-        jac_line = od.param_jacobian(line, flat.case.network,
-                                     flat.ground_truth)
+        flat = example3()
+        line = line_model(flat.case)
+        jac_line = param_jacobian(line, flat.case.network,
+                                  flat.ground_truth)
         assert np.abs(jac_line).max() <= 1e-14
-        rank, *_ = od.numerical_rank(jac_line)
+        rank, *_ = numerical_rank(jac_line)
         assert rank == 0
 
 
 def test_criterion_4_genericity_corroboration():
     with criterion(4, "Monte Carlo genericity and tangency escape sweep"):
-        fix = od.example1(1.0)
-        model = od.load_model(fix.case)  # +/- 10 percent default box
+        fix = example1(1.0)
+        model = load_model(fix.case)  # +/- 10 percent default box
         report = od.run_genericity_experiment(fix.case, model,
                                               trials=1000, seed=MC_SEED)
         assert report.feasible_count > 0
@@ -149,7 +155,7 @@ def test_criterion_5_numerical_hygiene():
             net = random_network(3, rng)
             y = build_ybus(net)
             x = random_state(net, rng)
-            jac = od.pf_jacobian(net, y, x)
+            jac = pf_jacobian(net, y, x)
             flat = x.flat()
             fd = np.zeros_like(jac)
             for j in range(flat.size):
@@ -164,15 +170,15 @@ def test_criterion_5_numerical_hygiene():
             worst = max(worst, err.max())
 
             ops = [
-                od.BoxUpper(index=int(rng.integers(0, flat.size)),
-                            bound=float(rng.uniform(-1, 1))),
-                od.LinearEq(terms=((int(rng.integers(0, flat.size)),
-                                    float(rng.uniform(-2, 2))),),
-                            offset=0.0),
-                od.ApparentPower(bus=int(rng.integers(0, 3)), n_bus=3,
-                                 s2_max=1.0),
-                od.ExpLoadEq(bus=int(rng.integers(0, 3)), n_bus=3,
-                             alpha=float(rng.uniform(0.1, 2.0)), p_load=0.0),
+                BoxUpper(index=int(rng.integers(0, flat.size)),
+                         bound=float(rng.uniform(-1, 1))),
+                LinearEq(terms=((int(rng.integers(0, flat.size)),
+                                 float(rng.uniform(-2, 2))),),
+                         offset=0.0),
+                ApparentPower(bus=int(rng.integers(0, 3)), n_bus=3,
+                              s2_max=1.0),
+                ExpLoadEq(bus=int(rng.integers(0, 3)), n_bus=3,
+                          alpha=float(rng.uniform(0.1, 2.0)), p_load=0.0),
             ]
             probe = flat.copy()
             probe[6:9] = rng.uniform(0.1, 1.5, 3)  # keep sqrt in domain
@@ -189,11 +195,11 @@ def test_criterion_5_numerical_hygiene():
         assert worst <= 1e-6
 
         for fix, setp in (
-            (od.example1(1.0), None),
-            (od.example1(2.0), None),
-            (od.example1(0.5), None),
-            (od.example2(), None),
-            (od.example3(), None),
+            (example1(1.0), None),
+            (example1(2.0), None),
+            (example1(0.5), None),
+            (example2(), None),
+            (example3(), None),
         ):
             net = fix.case.network
             sol = solve_power_flow(net, build_ybus(net), fix.case.gen_p,
@@ -202,8 +208,8 @@ def test_criterion_5_numerical_hygiene():
             assert np.abs(pf_residual(net, build_ybus(net),
                                       sol.state)).max() <= 1e-10
 
-        fix = od.example1(1.0)
-        model = od.load_model(fix.case)
+        fix = example1(1.0)
+        model = load_model(fix.case)
         rep1 = od.run_genericity_experiment(fix.case, model, trials=100,
                                             seed=MC_SEED)
         rep2 = od.run_genericity_experiment(fix.case, model, trials=100,
@@ -218,16 +224,16 @@ def test_criterion_6_kkt_verifier_independence():
         stat_tol = 1e-8
         solves = []
 
-        fix = od.example1(1.0)
+        fix = example1(1.0)
         solves.append((fix.system, fix.ground_truth, fix.cost))
 
-        shifted = od.shift_load(fix.case, 1, +0.05)
+        shifted = shift_load(fix.case, 1, +0.05)
         cs = od.system_for_case(shifted)
-        state, _ = od.nearest_feasible_point(cs, fix.ground_truth)
+        state, _ = nearest_feasible_point(cs, fix.ground_truth)
         assert state is not None
         solves.append((cs, state, fix.cost))
 
-        red = od.example2().reduced
+        red = example2().reduced
         # a probe cost inside the constraint span admits multipliers
         inside = od.CostSpec(
             c2=np.zeros(2),

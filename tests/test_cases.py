@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from opfdiag.constraints import evaluate
+from opfdiag.cases import example1, example3
+from opfdiag.constraints import build_operational, evaluate
 from opfdiag.netmodel import Bus, BusType, CaseError, Line, Network, build_ybus
-from opfdiag.powerflow import pf_residual
+from opfdiag.powerflow import SystemState, pf_residual
+from netgen import case_document
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5])
 def test_ex1_ground_truth_reverifies_through_public_apis(alpha):
-    fix = od.example1(alpha)
+    fix = example1(alpha)
     net = fix.case.network
     x = fix.ground_truth
     assert np.abs(pf_residual(net, build_ybus(net), x)).max() <= 1e-12
@@ -27,7 +29,7 @@ def test_ex1_ground_truth_reverifies_through_public_apis(alpha):
 
 
 def test_ex1_alpha_one_coordinates():
-    fix = od.example1(1.0)
+    fix = example1(1.0)
     x = fix.ground_truth
     assert abs(x.v[1] - math.sqrt(2.0)) <= 1e-15
     assert abs(x.theta[1] - math.pi / 4.0) <= 1e-15
@@ -36,7 +38,7 @@ def test_ex1_alpha_one_coordinates():
 
 
 def test_ex1_alpha_two_ray_data():
-    fix = od.example1(2.0)
+    fix = example1(2.0)
     assert abs(fix.expected["v_bar"] - math.sqrt(5.0)) <= 1e-15
     assert fix.expected["ray_direction"] == [0.0, -2.0, 0.0, 1.0, -1.0,
                                              math.sqrt(5.0)]
@@ -44,9 +46,9 @@ def test_ex1_alpha_two_ray_data():
 
 def test_ex1_rejects_nonpositive_alpha():
     with pytest.raises(CaseError):
-        od.example1(0.0)
+        example1(0.0)
     with pytest.raises(CaseError):
-        od.example1(-1.0)
+        example1(-1.0)
 
 
 def test_ex2_full_state_ground_truth_reverifies(ex2):
@@ -84,13 +86,13 @@ def test_ex3_flat_profile_and_variants(ex3):
     assert np.abs(pf_residual(net, y, ex3.ground_truth)).max() == 0.0
     # any uniform scaling of the profile stays in the admittance null
     # space, so it remains an exact solution
-    scaled = od.SystemState(
+    scaled = SystemState(
         p_gen=np.zeros(2), q_gen=np.zeros(2),
         v=1.05 * np.ones(2), theta=np.zeros(2),
         free_mask=ex3.ground_truth.free_mask)
     assert np.abs(pf_residual(net, y, scaled)).max() <= 1e-15
     # a non-uniform profile is what breaks the solution: flatness matters
-    tilted = od.SystemState(
+    tilted = SystemState(
         p_gen=np.zeros(2), q_gen=np.zeros(2),
         v=np.array([1.05, 1.0]), theta=np.zeros(2),
         free_mask=ex3.ground_truth.free_mask)
@@ -103,19 +105,19 @@ def test_ex3_rejects_networks_with_shunts():
                Bus(id=1, bus_type=BusType.PQ)),
         lines=(Line(0, 1, 0.0, -1.0),))
     with pytest.raises(CaseError, match="shunt"):
-        od.example3(with_bus_shunt)
+        example3(with_bus_shunt)
     with_line_shunt = Network(
         buses=(Bus(id=0, bus_type=BusType.SLACK),
                Bus(id=1, bus_type=BusType.PQ)),
         lines=(Line(0, 1, 0.0, -1.0, g_shunt=0.0, b_shunt=0.04),))
     with pytest.raises(CaseError, match="shunt"):
-        od.example3(with_line_shunt)
+        example3(with_line_shunt)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
 def test_fixture_documents_load_back_identically(name):
     fix = od.builtin(name)
-    doc = fix.case_document()
+    doc = case_document(fix.case)
     case = od.load_case(json.dumps(doc))
     assert case.network == fix.case.network
     assert np.array_equal(case.gen_p, fix.case.gen_p)
@@ -130,8 +132,8 @@ def test_builtin_rejects_unknown_name():
 
 def test_document_path_equals_programmatic_path(ex1):
     # constraints built from the serialized document behave identically
-    case = od.load_case(json.dumps(ex1.case_document()))
-    ops = [od.build_operational(s, case.network.n_bus)
+    case = od.load_case(json.dumps(case_document(ex1.case)))
+    ops = [build_operational(s, case.network.n_bus)
            for s in case.constraint_specs]
     flat = ex1.ground_truth.flat()
     for op, fixture_op in zip(ops, list(ex1.system.h_ops) + list(ex1.system.g_ops)):

@@ -10,7 +10,9 @@ import opfdiag as od
 from opfdiag import constraints as con
 from opfdiag import cqkit
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
-                         EXIT_OK, main)
+                         EXIT_OK, EXIT_REPRO_MISMATCH, main)
+
+from netgen import case_document
 
 
 def run(capsys, *argv):
@@ -93,12 +95,12 @@ def test_check_ex2_applies_eq_tol(capsys):
 
 
 def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
-    state = np.array(od.state_to_list(ex1.ground_truth))
+    state = np.array(ex1.ground_truth.flat().tolist())
     state[0] += 0.5  # break the slack real balance
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state.tolist()))
     doc_path = tmp_path / "case.json"
-    doc_path.write_text(json.dumps(ex1.case_document()))
+    doc_path.write_text(json.dumps(case_document(ex1.case)))
     code, _, err = run(capsys, "check", "--case", str(doc_path),
                        "--state", str(path))
     assert code == EXIT_INFEASIBLE
@@ -107,14 +109,14 @@ def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
 
 
 def test_check_infeasible_names_violated_cap(capsys, tmp_path, ex1):
-    doc = ex1.case_document()
+    doc = case_document(ex1.case)
     cap = doc["constraints"][1]
     assert cap["kind"] == "box_upper" and cap["target"]["var"] == "v"
     cap["params"]["bound"] -= 0.01
     doc_path = tmp_path / "case.json"
     doc_path.write_text(json.dumps(doc))
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps(od.state_to_list(ex1.ground_truth)))
+    state_path.write_text(json.dumps(ex1.ground_truth.flat().tolist()))
     code, out, err = run(capsys, "check", "--case", str(doc_path),
                          "--state", str(state_path))
     assert code == EXIT_INFEASIBLE
@@ -124,7 +126,7 @@ def test_check_infeasible_names_violated_cap(capsys, tmp_path, ex1):
 
 def test_check_unsolvable_flow_exits_4(capsys, tmp_path, ex1):
     # every exit 4 comes from the InfeasiblePointError handler in main
-    doc = ex1.case_document()
+    doc = case_document(ex1.case)
     doc["buses"][1]["p_load"] = -50.0  # far beyond what the line can carry
     doc_path = tmp_path / "case.json"
     doc_path.write_text(json.dumps(doc))
@@ -136,7 +138,7 @@ def test_check_unsolvable_flow_exits_4(capsys, tmp_path, ex1):
 
 def test_check_file_case_round_trip(capsys, tmp_path, ex1):
     doc_path = tmp_path / "case.json"
-    doc_path.write_text(json.dumps(ex1.case_document()))
+    doc_path.write_text(json.dumps(case_document(ex1.case)))
     code, out, _ = run(capsys, "check", "--case", str(doc_path))
     payload = json.loads(out)
     # the re-solved point sits a solver tolerance away from the exact
@@ -149,9 +151,9 @@ def test_check_file_case_round_trip(capsys, tmp_path, ex1):
 
 def test_check_file_case_with_exact_state(capsys, tmp_path, ex1):
     doc_path = tmp_path / "case.json"
-    doc_path.write_text(json.dumps(ex1.case_document()))
+    doc_path.write_text(json.dumps(case_document(ex1.case)))
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps(od.state_to_list(ex1.ground_truth)))
+    state_path.write_text(json.dumps(ex1.ground_truth.flat().tolist()))
     code, out, _ = run(capsys, "check", "--case", str(doc_path),
                        "--state", str(state_path))
     assert code == EXIT_LICQ_FAILS
@@ -212,6 +214,24 @@ def test_perturb_line_model_flagged(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["hypothesis"]["satisfied"] is False
+
+
+@pytest.mark.parametrize("buses", [
+    [{"id": 0, "type": "slack"}],
+    [{"id": 0, "type": "slack"}, {"id": 1, "type": "pq"}],
+])
+@pytest.mark.filterwarnings("ignore:line graph is not connected")
+def test_perturb_line_model_on_a_network_without_lines(capsys, tmp_path,
+                                                       buses):
+    # the line model then draws k = 0 parameters per trial
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"buses": buses, "lines": []}))
+    code, out, err = run(capsys, "perturb", "--case", str(path),
+                         "--model", "line", "--trials", "3")
+    assert code == EXIT_OK
+    assert "Traceback" not in err
+    if len(buses) == 1:
+        assert json.loads(out)["feasible_count"] == 3
 
 
 def test_perturb_deterministic_across_runs(capsys):
@@ -278,6 +298,16 @@ def test_repro_writes_machine_payload(capsys, tmp_path):
     assert all(c["ok"] for c in payload["checks"])
 
 
+def test_repro_ex1_without_a_ray_is_a_mismatch(capsys):
+    # at alpha = 1e8 the multipliers are UNIQUE, so there is no ray
+    # direction to compare and the direction and price checks fail
+    code, out, err = run(capsys, "repro", "ex1", "--alpha", "1e8")
+    assert code == EXIT_REPRO_MISMATCH
+    assert "failed assertions" in err
+    assert "Traceback" not in err
+    assert "classification UNIQUE, no ray direction" in out
+
+
 def test_tolerance_flags_must_be_positive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--builtin", "ex1", "--act-tol", "-1"])
@@ -313,7 +343,7 @@ def test_nonfinite_numeric_flags_exit_2(capsys, argv):
 ])
 def test_alpha_outside_ex1_exits_2(capsys, tmp_path, ex1, argv):
     case = tmp_path / "case.json"
-    case.write_text(json.dumps(ex1.case_document()))
+    case.write_text(json.dumps(case_document(ex1.case)))
     code, out, err = run(capsys, *[a.replace("{case}", str(case)) for a in argv])
     assert code == EXIT_INPUT
     assert out == ""
@@ -353,7 +383,7 @@ def test_check_undecodable_file_exits_2(capsys, tmp_path, ex1, flag):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe\x00[")
     case = tmp_path / "case.json"
-    case.write_text(json.dumps(ex1.case_document()))
+    case.write_text(json.dumps(case_document(ex1.case)))
     argv = (["--case", str(bad)] if flag == "--case"
             else ["--case", str(case), "--state", str(bad)])
     code, _, err = run(capsys, "check", *argv)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import opfdiag as od
 from opfdiag.constraints import (ApparentPower, BoxLower, BoxUpper,
                                  ConstraintSystem, ExpLoadEq,
                                  ConstraintError, InfeasiblePointError,
                                  LinearEq, VoltageDomainError, active_set,
                                  evaluate)
 from opfdiag.cqkit import active_stack, licq_check
-from opfdiag.powerflow import state_index
+from opfdiag.powerflow import SystemState, state_index
 
 
 def test_ex2_reduced_values_vanish_at_crossing(ex2):
@@ -167,7 +166,7 @@ def test_face_label_is_pure_function_of_active_set():
 
 
 def test_evaluate_reports_flow_infeasibility(ex1):
-    bad = od.SystemState.from_flat(
+    bad = SystemState.from_flat(
         ex1.ground_truth.flat() + np.eye(8)[2] * 0.1,
         ex1.ground_truth.free_mask)
     _, _, feasible = evaluate(ex1.system, bad)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from netgen import random_network, random_state
+from netgen import injections, random_network, random_state
 from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
 from opfdiag.cqkit import (DEFAULT_RANK_ULP_SCALE, DEFAULT_STAT_TOL,
@@ -13,7 +13,8 @@ from opfdiag.cqkit import (DEFAULT_RANK_ULP_SCALE, DEFAULT_STAT_TOL,
                            _rank_from_svals, active_stack, kkt_residual,
                            kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
-from opfdiag.powerflow import (free_mask_from_bus_types, injections,
+from opfdiag.perturb import nearest_feasible_point, shift_load
+from opfdiag.powerflow import (SystemState, free_mask_from_bus_types,
                                solve_power_flow)
 
 
@@ -65,16 +66,16 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
 def test_licq_trivial_full_rank_from_identity_blocks(ex3):
     # no operational constraints; the generation identity blocks alone
     # give the four flow rows full rank over all eight columns
-    state = od.SystemState.from_flat(ex3.ground_truth.flat(),
-                                     np.ones(8, dtype=bool))
+    state = SystemState.from_flat(ex3.ground_truth.flat(),
+                                  np.ones(8, dtype=bool))
     report = licq_check(od.system_for_case(ex3.case), state)
     assert report.m == 4 and report.n_free == 8
     assert report.licq_holds
 
 
 def test_licq_rejects_infeasible_point(ex1):
-    bad = od.SystemState.from_flat(ex1.ground_truth.flat() + 0.05,
-                                   ex1.ground_truth.free_mask)
+    bad = SystemState.from_flat(ex1.ground_truth.flat() + 0.05,
+                                ex1.ground_truth.free_mask)
     with pytest.raises(InfeasiblePointError):
         licq_check(ex1.system, bad)
 
@@ -91,7 +92,7 @@ def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
             scale = 10.0 ** rng.uniform(-14, -3)
             noise = scale * rng.standard_normal(cs.n_state)
             noise *= rng.uniform(size=cs.n_state) < 0.5
-            state = od.SystemState.from_flat(x.flat() + noise, x.free_mask)
+            state = SystemState.from_flat(x.flat() + noise, x.free_mask)
             feasible = evaluate(cs, state)[2]
             try:
                 licq_check(cs, state)
@@ -124,9 +125,9 @@ def test_kkt_ray_at_tangent_point(ex1):
 
 
 def test_kkt_unique_after_interior_load_shift(ex1):
-    shifted = od.shift_load(ex1.case, 1, +0.05)
+    shifted = shift_load(ex1.case, 1, +0.05)
     cs = od.system_for_case(shifted)
-    state, pinned = od.nearest_feasible_point(cs, ex1.ground_truth)
+    state, pinned = nearest_feasible_point(cs, ex1.ground_truth)
     assert state is not None and pinned
     report = licq_check(cs, state)
     assert report.licq_holds
@@ -185,7 +186,8 @@ def test_cost_scaling_scales_multipliers(ex1):
     # cost keeps its classification (at 1e8 the residual is 1.2e-7)
     kkt1 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost)
     for factor in (3.7, 1e8):
-        kkt2 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost.scaled(factor))
+        scaled = CostSpec(c2=factor * ex1.cost.c2, c1=factor * ex1.cost.c1)
+        kkt2 = kkt_solve(ex1.system, ex1.ground_truth, scaled)
         assert kkt2.classification is kkt1.classification
         scale = factor * np.abs(kkt1.particular).max()
         assert np.abs(kkt2.particular
@@ -216,7 +218,8 @@ def test_mu_sign_test_is_relative_to_cost_scale(lattice_document):
         cs, x, cost, _ = _planted_cost(lattice_document(8, 8, seed), seed,
                                        zero_mu=True)
         for factor in (1.0, 1e4, 1e8):
-            kkt = kkt_solve(cs, x, cost.scaled(factor))
+            kkt = kkt_solve(cs, x, CostSpec(c2=factor * cost.c2,
+                                            c1=factor * cost.c1))
             assert kkt.classification is Classification.UNIQUE
             assert kkt.mu_sign_feasible, (seed, factor, kkt.mu.min())
 
@@ -231,7 +234,7 @@ def test_planted_multipliers_recovered_at_network_size(lattice_document,
         assert kkt.classification is Classification.UNIQUE
         assert kkt.mu_sign_feasible
         assert np.abs(kkt.particular - y).max() <= 1e-10 * np.abs(y).max()
-        scaled = kkt_solve(cs, x, cost.scaled(1e8))
+        scaled = kkt_solve(cs, x, CostSpec(c2=1e8 * cost.c2, c1=1e8 * cost.c1))
         assert scaled.classification is Classification.UNIQUE
         assert scaled.mu_sign_feasible
         assert (np.abs(scaled.particular - 1e8 * kkt.particular).max()
@@ -245,8 +248,8 @@ def _flow_point(net, rng):
     x = random_state(net, rng)
     Y = build_ybus(net)
     p_inj, q_inj = injections(Y, x.v, x.theta)
-    x = od.SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
-                       v=x.v, theta=x.theta, free_mask=x.free_mask)
+    x = SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
+                    v=x.v, theta=x.theta, free_mask=x.free_mask)
     return ConstraintSystem(h_ops=(), g_ops=(), n_state=4 * net.n_bus,
                             net=net, Y=Y), x
 
@@ -263,8 +266,8 @@ def _reduced_cases(ex1, ex2, lattice_document):
     """(name, system, point, cost, classification) of the cases the reduced
     check is compared on: m < n, m = n, m > n and m = 0 stacks, R with and
     without rows, and a flow row whose generation entry is fixed."""
-    shifted = od.system_for_case(od.shift_load(ex1.case, 1, +0.05))
-    shifted_x, _ = od.nearest_feasible_point(shifted, ex1.ground_truth)
+    shifted = od.system_for_case(shift_load(ex1.case, 1, +0.05))
+    shifted_x, _ = nearest_feasible_point(shifted, ex1.ground_truth)
     h = LinearEq(terms=((0, 1.0),), offset=0.0)
     box = ConstraintSystem.operational(
         (), (BoxUpper(index=0, bound=1.0),), n_state=1)
@@ -275,7 +278,7 @@ def _reduced_cases(ex1, ex2, lattice_document):
     flow, flow_x = _flow_point(random_network(4, rng), rng)
     mask = ex1.ground_truth.free_mask.copy()
     mask[0] = False  # p_gen at bus 0: its flow row joins R
-    pinned_x = od.SystemState.from_flat(ex1.ground_truth.flat(), mask)
+    pinned_x = SystemState.from_flat(ex1.ground_truth.flat(), mask)
     return [
         ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
         ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
@@ -370,7 +373,7 @@ def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
     for _ in range(20):
         net = random_network(int(rng.integers(2, 7)), rng)
         flow, x = _flow_point(net, rng)
-        x = od.SystemState.from_flat(x.flat(), free_mask_from_bus_types(net))
+        x = SystemState.from_flat(x.flat(), free_mask_from_bus_types(net))
         flat, n = x.flat(), net.n_bus
         h_ops, g_ops = [], []
         for _ in range(int(rng.integers(0, n + 1))):

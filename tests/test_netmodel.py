@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfdiag as od
-from opfdiag.netmodel import (Bus, BusType, CaseError, Line, Network,
-                              build_ybus, case_to_dict, load_case)
+from opfdiag.cases import example1
+from opfdiag.netmodel import (Bus, BusType, Case, CaseError, Line, Network,
+                              build_ybus, load_case)
 
-from netgen import random_network
+from netgen import case_document, random_network
 
 
 def two_bus(b_series=-1.0, **bus1_kwargs):
@@ -176,7 +177,7 @@ def test_network_warns_on_disconnected_graph():
 
 
 def test_load_case_builtin_document_matches_fixture(ex1):
-    case = load_case(json.dumps(ex1.case_document()))
+    case = load_case(json.dumps(case_document(ex1.case)))
     line = case.network.lines[0]
     assert line.g_series == 0.0 and line.b_series == -1.0
     assert case.network.n_bus == 2
@@ -210,9 +211,9 @@ def test_load_case_rejects_invalid_json():
 
 
 def test_round_trip_bit_equality(ex1):
-    doc = ex1.case_document()
+    doc = case_document(ex1.case)
     case = load_case(json.dumps(doc))
-    again = load_case(json.dumps(case_to_dict(case)))
+    again = load_case(json.dumps(case_document(case)))
     assert case.network == again.network
     assert np.array_equal(case.gen_p, again.gen_p)
     assert np.array_equal(case.gen_q, again.gen_q)
@@ -228,7 +229,7 @@ def test_admittance_matrix_is_read_only():
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_load_case_rejects_nonfinite_numbers(ex1, literal):
-    text = json.dumps(ex1.case_document()).replace(
+    text = json.dumps(case_document(ex1.case)).replace(
         '"p_load": -2.0', f'"p_load": {literal}')
     assert literal in text
     with pytest.raises(CaseError, match=r"buses\[1\]\.p_load.*finite"):
@@ -250,7 +251,7 @@ def _leaf_paths(node, path=()):
     return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
 
 
-EX1_DOC = od.example1(1.0).case_document()
+EX1_DOC = case_document(example1(1.0).case)
 malformed_leaves = st.one_of(
     st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")),
     st.text(), st.none(), st.booleans(),
@@ -272,4 +273,4 @@ def test_load_case_fuzzed_leaf_returns_case_or_case_error(path, value):
         case = load_case(json.dumps(doc))
     except CaseError:
         return
-    assert isinstance(case, od.Case)
+    assert isinstance(case, Case)

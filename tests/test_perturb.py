@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
-from opfdiag.cqkit import licq_check
+from opfdiag.cqkit import licq_check, numerical_rank
 from opfdiag.netmodel import Case, ConstraintSpec, build_ybus
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              TrialRecord, _draws, _generate_state,
@@ -16,8 +17,9 @@ from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              lumped_shunts, nearest_feasible_point,
                              param_jacobian, run_genericity_experiment,
                              shift_load, shunt_model, tangency_escape_probe)
+from opfdiag.powerflow import SystemState, pf_residual
 
-from netgen import random_network, random_state, trial_draw
+from netgen import case_document, random_network, random_state, trial_draw
 
 
 def random_case(rng, n_bus=4):
@@ -46,8 +48,8 @@ def fd_param_jacobian(model, case, x, step=1e-6):
         dn[j] -= step
         cu = apply_parameters(model, case, up)
         cd = apply_parameters(model, case, dn)
-        cols.append((od.pf_residual(cu.network, build_ybus(cu.network), x)
-                     - od.pf_residual(cd.network, build_ybus(cd.network), x))
+        cols.append((pf_residual(cu.network, build_ybus(cu.network), x)
+                     - pf_residual(cd.network, build_ybus(cd.network), x))
                     / (2.0 * step))
     return np.column_stack(cols)
 
@@ -62,7 +64,7 @@ def test_load_jacobian_is_exact_negative_identity(rng):
 
 
 def test_shunt_jacobian_diagonal_is_negated_squared_voltage():
-    fix = od.example1(1.0)
+    fix = example1(1.0)
     model = shunt_model(fix.case)
     jac = param_jacobian(model, fix.case.network, fix.ground_truth)
     # v = (1, sqrt(2)) so the two diagonal blocks carry (-1, -2)
@@ -88,7 +90,7 @@ def test_line_jacobian_zero_at_flat_no_load(ex3):
     model = line_model(ex3.case)
     jac = param_jacobian(model, ex3.case.network, ex3.ground_truth)
     assert np.abs(jac).max() <= 1e-14
-    rank, *_ = od.numerical_rank(jac)
+    rank, *_ = numerical_rank(jac)
     assert rank == 0
 
 
@@ -115,9 +117,9 @@ def test_rank_hypothesis_load_always_satisfied(rng):
 
 
 def test_rank_hypothesis_shunt_premise_flag():
-    fix = od.example1(1.0)
+    fix = example1(1.0)
     model = shunt_model(fix.case)
-    collapsed = od.SystemState(
+    collapsed = SystemState(
         p_gen=fix.ground_truth.p_gen, q_gen=fix.ground_truth.q_gen,
         v=np.array([1.0, 0.0]), theta=fix.ground_truth.theta,
         free_mask=fix.ground_truth.free_mask)
@@ -133,14 +135,14 @@ def test_rank_hypothesis_line_flat_not_satisfied(ex3):
 
 
 def test_shunt_rank_tracks_voltage_threshold():
-    fix = od.example1(1.0)
+    fix = example1(1.0)
     model = shunt_model(fix.case)
-    tiny = od.SystemState(
+    tiny = SystemState(
         p_gen=fix.ground_truth.p_gen, q_gen=fix.ground_truth.q_gen,
         v=np.array([1.0, 1e-12]), theta=fix.ground_truth.theta,
         free_mask=fix.ground_truth.free_mask)
     jac = param_jacobian(model, fix.case.network, tiny)
-    rank, _, tol, svals = od.numerical_rank(jac)
+    rank, _, tol, svals = numerical_rank(jac)
     assert rank < 4
     assert (tiny.v.min() ** 2) <= tol
 
@@ -158,10 +160,10 @@ def test_combined_model_rank_with_full_coverage(rng):
             [load_jac[:, [k, n + k]] for k in load_buses]
             + [shunt_jac[:, [k, n + k]] for k in shunt_buses])
 
-    rank, *_ = od.numerical_rank(combined([0, 1], [2, 3]))
+    rank, *_ = numerical_rank(combined([0, 1], [2, 3]))
     assert rank == 8
     # dropping coverage of one bus loses two rows of reach
-    rank_partial, *_ = od.numerical_rank(combined([0, 1], [2]))
+    rank_partial, *_ = numerical_rank(combined([0, 1], [2]))
     assert rank_partial == 6
 
 
@@ -255,6 +257,7 @@ def test_draw_chunk_bounds_the_draws_by_bytes_not_trials():
     assert od.perturb._draw_chunk(2048, 4) == 32768      # ex1: one call
     assert od.perturb._draw_chunk(2, 128) == 1024        # 8x8 grid shunt
     assert od.perturb._draw_chunk(1, 10**6) == 1         # at least a block
+    assert od.perturb._draw_chunk(1, 0) >= 1             # no lines: k = 0
 
 
 def reference_sweep(case, model, trials, seed, **tols):
@@ -486,7 +489,7 @@ def test_tangency_probe_margin_trend_recorded(ex1):
 
 def capped_ex1(ex1):
     """ex1 with a cap of 1.05 on the slack's p."""
-    doc = ex1.case_document()
+    doc = case_document(ex1.case)
     doc["constraints"].append({"kind": "box_upper",
                                "target": {"var": "p", "bus": 0},
                                "params": {"bound": 1.05}})

@@ -13,18 +13,17 @@ from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from opfdiag.constraints import system_for_case
 from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
                           active_stack, kkt_residual, licq_check)
-from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
-                              admittance_stack, build_ybus, load_case)
+from opfdiag.netmodel import (AdmittanceMatrix, Bus, BusType, Case, Line,
+                              Network, admittance_stack, build_ybus, load_case)
 from opfdiag.perturb import apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
                                SystemState, _jacobian,
-                               free_mask_from_bus_types, flow_rows, injections,
+                               free_mask_from_bus_types, flow_rows,
                                newton_states, pf_jacobian, pf_residual,
-                               solve_power_flow, state_from_list,
-                               state_to_list)
+                               solve_power_flow, state_from_list)
 
-from netgen import random_network, random_state, trial_draw
+from netgen import injections, random_network, random_state, trial_draw
 
 
 def finite_difference_jacobian(net, Y, x, step=1e-6):
@@ -118,8 +117,6 @@ def test_lossless_two_bus_injections_antisymmetric(v1, v2, t1, t2, b):
     net = Network(
         buses=(Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ)),
         lines=(Line(0, 1, g_series=0.0, b_series=b),))
-    from opfdiag.powerflow import injections
-
     p_inj, _ = injections(build_ybus(net), np.array([v1, v2]),
                           np.array([t1, t2]))
     assert abs(p_inj[0] + p_inj[1]) <= 1e-12
@@ -343,7 +340,7 @@ def test_stacked_newton_isolates_a_singular_trial():
     net = pv_three_bus()
     p_gen = np.array([0.0, 0.3, 0.0])
     Y = build_ybus(net)
-    dead = od.AdmittanceMatrix(G=np.zeros((3, 3)), B=np.zeros((3, 3)))
+    dead = AdmittanceMatrix(G=np.zeros((3, 3)), B=np.zeros((3, 3)))
     ys = [Y, dead, Y, dead, Y]
     outs = solve_stacked(net, ys, [net] * 5, p_gen, np.zeros(3))
     for i in (1, 3):
@@ -355,14 +352,14 @@ def test_stacked_newton_isolates_a_singular_trial():
 
 def test_state_round_trip_through_flat_json(ex1):
     net = ex1.case.network
-    text = json.dumps(state_to_list(ex1.ground_truth))
+    text = json.dumps(ex1.ground_truth.flat().tolist())
     back = state_from_list(json.loads(text), net)
     assert np.array_equal(back.flat(), ex1.ground_truth.flat())
     assert np.array_equal(back.free_mask, ex1.ground_truth.free_mask)
 
 
 def test_free_mask_from_bus_types(ex1):
-    mask = od.free_mask_from_bus_types(ex1.case.network)
+    mask = free_mask_from_bus_types(ex1.case.network)
     # slack v and theta eliminated; all generation entries free
     assert mask.tolist() == [True, True, True, True, False, True, False, True]
 

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 ok / qualification holds, 2 input
 error, 3 qualification fails, 4 infeasible point, 5 reproduction
-mismatch. Reports are JSON-first and embed the tolerances and seed used.
+mismatch. Reports are JSON-first; check and perturb embed their tolerances.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +61,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _system_tols(args) -> dict:
     """Tolerances given on the command line; ConstraintSystem's fill the rest."""
-    return {key: getattr(args, key) for key in ("act_tol", "eq_tol", "pf_tol")
-            if getattr(args, key) is not None}
+    return {f.name: getattr(args, f.name) for f in fields(con.ConstraintSystem)
+            if getattr(args, f.name, None) is not None}
 
 
 def _fixture(name: str | None, alpha: float | None):
@@ -93,6 +93,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=_positive,
                         help="coupling parameter of the ex1 fixture "
                              "(default 1.0; rejected for other inputs)")
+    parser.add_argument("--out", help="write the JSON report to this path")
+
+
+def _add_tolerances(parser: argparse.ArgumentParser, *, stat_tol: bool) -> None:
     # Unset tolerances keep the defaults of ConstraintSystem; --pf-tol must
     # stay unset on the ex2 reduced view, which has no flow equations.
     parser.add_argument("--act-tol", type=_positive)
@@ -100,11 +104,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pf-tol", type=_positive,
                         help="power-flow mismatch tolerance (default "
                              f"{con.ConstraintSystem.pf_tol:g})")
-    parser.add_argument("--stat-tol", type=_positive, default=cqkit.DEFAULT_STAT_TOL)
+    if stat_tol:
+        parser.add_argument("--stat-tol", type=_positive)
     parser.add_argument("--rank-tol-scale", type=_positive,
-                        default=cqkit.DEFAULT_RANK_ULP_SCALE,
+                        dest="rank_ulp_scale",
                         help="ulp scale of the relative rank tolerance")
-    parser.add_argument("--out", help="write the JSON report to this path")
 
 
 def cmd_ybus(args) -> int:
@@ -166,12 +170,9 @@ def cmd_check(args) -> int:
         cost = (fix.cost if fix is not None and fix.cost is not None
                 else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
 
-    cq = cqkit.licq_check(cs, state, cost, stat_tol=args.stat_tol,
-                          rank_ulp_scale=args.rank_tol_scale)
+    cq = cqkit.licq_check(cs, state, cost)
     _emit({
-        "tolerances": {"act_tol": cs.act_tol, "eq_tol": cs.eq_tol,
-                       "pf_tol": cs.pf_tol, "stat_tol": args.stat_tol,
-                       "rank_ulp_scale": args.rank_tol_scale},
+        "tolerances": cs.tolerances,
         "state": con.as_flat_state(cs, state)[0].tolist(),
         "cq": cq.to_dict(),
         "kkt": cq.kkt.to_dict(),
@@ -183,8 +184,7 @@ def cmd_perturb(args) -> int:
     case, fix = _load_input(args)
     model = perturb.make_model(args.model, case)
     report = perturb.run_genericity_experiment(
-        case, model, trials=args.trials, seed=args.seed,
-        rank_ulp_scale=args.rank_tol_scale, **_system_tols(args))
+        case, model, trials=args.trials, seed=args.seed, **_system_tols(args))
     if args.format == "csv":
         text = report.to_csv()
         if args.out:
@@ -301,7 +301,7 @@ def _repro_ex3(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     model = perturb.line_model(fix.case)
     jac = perturb.param_jacobian(model, net, fix.ground_truth)
     max_entry = float(np.abs(jac).max()) if jac.size else 0.0
-    hyp = perturb.check_rank_hypothesis(model, net, fix.ground_truth)
+    hyp = perturb.check_rank_hypothesis(model, fix.system, fix.ground_truth)
     checks.append(("line parameter Jacobian vanishes (entries <= 1e-14)",
                    max_entry <= 1e-14, f"max entry {max_entry:.3e}"))
     want = fix.expected["line_param_rank"]
@@ -348,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="qualification check and multiplier classification")
     _add_common(p_check)
+    _add_tolerances(p_check, stat_tol=True)
     p_check.add_argument("--state", help="path to a flat JSON state vector")
     p_check.add_argument("--perturb-load", metavar="BUS:DELTA",
                          help="shift one bus's real load before checking")
@@ -355,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pert = sub.add_parser("perturb", help="Monte Carlo genericity experiment")
     _add_common(p_pert)
+    _add_tolerances(p_pert, stat_tol=False)
     p_pert.add_argument("--model", choices=["load", "shunt", "line"],
                         required=True)
     p_pert.add_argument("--trials", type=_count, default=1000)

@@ -199,6 +199,8 @@ class ConstraintSystem:
 
     ``net``/``Y`` may be None for purely operational systems (no flow
     block), in which case states are plain vectors of length ``n_state``.
+
+    Its ``tolerances`` decide every check, sweep and report made on it.
     """
 
     h_ops: tuple
@@ -209,6 +211,8 @@ class ConstraintSystem:
     act_tol: float = 1e-6
     eq_tol: float = 1e-8
     pf_tol: float = 1e-10
+    stat_tol: float = 1e-8
+    rank_ulp_scale: float = 2.0 ** -52
 
     @classmethod
     def operational(cls, h_ops, g_ops, n_state: int, **tols) -> "ConstraintSystem":
@@ -218,6 +222,12 @@ class ConstraintSystem:
     @property
     def has_flow(self) -> bool:
         return self.net is not None
+
+    @property
+    def tolerances(self) -> dict:
+        """The five tolerances by name: the block a report writes."""
+        return {name: getattr(self, name) for name in
+                ("act_tol", "eq_tol", "pf_tol", "stat_tol", "rank_ulp_scale")}
 
 
 def system_for_case(case: Case, **tols) -> ConstraintSystem:

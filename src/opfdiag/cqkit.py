@@ -4,7 +4,7 @@ The active constraint Jacobian A stacks the flow rows, the operational
 equality rows and the active inequality rows, restricted to the free state
 entries. Rank is determined from singular values with a relative tolerance
 sigma_max * max(m, n) * ulp_scale so the smallest singular value doubles as
-a degeneracy margin.
+a degeneracy margin; checks read ulp_scale from ConstraintSystem.
 
 Multipliers y = (kappa, lambda, mu) solve the stationarity system
 A^T y = -grad f in the least-squares sense; the left null space of A spans
@@ -32,9 +32,6 @@ from .constraints import (ActiveSet, ConstraintSystem, InfeasiblePointError,
                           row_labels)
 from .netmodel import CostTerms
 from .powerflow import flow_rows, pf_jacobian, state_index
-
-DEFAULT_RANK_ULP_SCALE = 2.0 ** -52
-DEFAULT_STAT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +72,8 @@ def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
     return int((svals > tol).sum()), float(svals[-1]), tol
 
 
-def numerical_rank(matrix: np.ndarray, *, ulp_scale: float = DEFAULT_RANK_ULP_SCALE):
+def numerical_rank(matrix: np.ndarray, *,
+                   ulp_scale: float = ConstraintSystem.rank_ulp_scale):
     """Singular-value rank with relative tolerance.
 
     Returns (rank, sigma_min, tol, singular_values); sigma_min is the
@@ -207,9 +205,7 @@ class CQReport:
 
 
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                flow=None, cost: CostSpec | None = None, *,
-                stat_tol: float = DEFAULT_STAT_TOL,
-                rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> list:
+                flow=None, cost: CostSpec | None = None) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
     point. Each face group forms its reduced matrices R (module docstring)
@@ -244,14 +240,13 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
                          axis=1)[:, ::-1]
         for j, i in enumerate(points):
             rank, smin, tol = _rank_from_svals(merged[j], (m, n),
-                                               rank_ulp_scale)
+                                               cs.rank_ulp_scale)
             kkt = None
             if cost is not None:
                 y, basis = _reduced_solution(
                     stacks[j], grads[j], pivots, others, x_mats[j],
                     u_mats[j], svals[j], vts[j], int((svals[j] > tol).sum()))
-                kkt = _multiplier_set(cs, act, stacks[j], grads[j], y, basis,
-                                      stat_tol)
+                kkt = _multiplier_set(cs, act, stacks[j], grads[j], y, basis)
             reports[i] = CQReport(
                 active_jacobian=stacks[j], row_labels=labels, m=m, n_free=n,
                 numerical_rank=rank, sigma_min=smin, rank_tol=tol,
@@ -259,9 +254,7 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     return reports
 
 
-def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
-               stat_tol: float = DEFAULT_STAT_TOL,
-               rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> CQReport:
+def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None) -> CQReport:
     """Rank test of the full active stack [grad F; grad h; grad g_J].
 
     This is the feasibility test of check, sweep and probe: an infeasible
@@ -274,8 +267,7 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None, *,
     thin columns. See ``CQReport`` for ``sigma_min`` and ``rank_tol``. The
     one-trial call of ``licq_checks``.
     """
-    (report,) = licq_checks(cs, *point_block(cs, x), cost, stat_tol=stat_tol,
-                            rank_ulp_scale=rank_ulp_scale)
+    (report,) = licq_checks(cs, *point_block(cs, x), cost)
     if isinstance(report, InfeasiblePointError):
         raise report
     return report
@@ -363,13 +355,10 @@ def _mu_interval(y: np.ndarray, w: np.ndarray, first_mu: int,
     return lo, hi, feasible
 
 
-def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec, *,
-              stat_tol: float = DEFAULT_STAT_TOL,
-              rank_ulp_scale: float = DEFAULT_RANK_ULP_SCALE) -> MultiplierSet:
+def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec) -> MultiplierSet:
     """Solve and classify the stationarity system at a feasible point: the
     multiplier set of ``licq_check`` with this cost."""
-    return licq_check(cs, x, cost, stat_tol=stat_tol,
-                      rank_ulp_scale=rank_ulp_scale).kkt
+    return licq_check(cs, x, cost).kkt
 
 
 def _reduced_solution(stack: np.ndarray, grad_f: np.ndarray,
@@ -402,8 +391,8 @@ def _reduced_solution(stack: np.ndarray, grad_f: np.ndarray,
 
 
 def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
-                    grad_f: np.ndarray, y: np.ndarray, basis: np.ndarray,
-                    stat_tol: float) -> MultiplierSet:
+                    grad_f: np.ndarray, y: np.ndarray,
+                    basis: np.ndarray) -> MultiplierSet:
     """Solution set of stack^T y = -grad_f from a least-squares solution y
     and an orthonormal basis of the stack's left null space.
 
@@ -411,7 +400,7 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
     the particular solution is the minimum-norm one, y - B B^T y. Both
     tolerances are relative to the cost's scale s = max(1, |grad_f|), as
     the multipliers scale with the cost. Classification: NONE when the
-    residual exceeds stat_tol * s (the cost gradient leaves the row space),
+    residual exceeds cs.stat_tol * s (the cost gradient leaves the row space),
     reported with y itself; UNIQUE for an empty null space, sign feasible
     when every mu is at least -1e-12 * s; RAY for a one-dimensional family,
     reported as vertex + zeta * direction with the exact sign-feasible zeta
@@ -431,7 +420,7 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
 
     scale = max(1.0, float(np.linalg.norm(grad_f)))
     sign_tol = 1e-12 * scale
-    if resid > stat_tol * scale:
+    if resid > cs.stat_tol * scale:
         return package(y, Classification.NONE, family_dim=nullity)
     y_min = y - basis @ (basis.T @ y)
     if nullity == 0:

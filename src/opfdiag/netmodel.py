@@ -116,7 +116,7 @@ class Network:
                 )
             seen.add(pair)
         if n > 1 and not self._connected():
-            warnings.warn("line graph is not connected", stacklevel=2)
+            warnings.warn("line graph is not connected", stacklevel=3)
 
     def _connected(self) -> bool:
         adj: dict[int, list[int]] = {k: [] for k in range(self.n_bus)}

@@ -196,18 +196,17 @@ class RankHypothesisReport:
         }
 
 
-def check_rank_hypothesis(model: PerturbationModel, net: Network,
+def check_rank_hypothesis(model: PerturbationModel, cs: con.ConstraintSystem,
                           x: SystemState) -> RankHypothesisReport:
-    """Numerical rank of the parameter Jacobian against the required 2N.
+    """Rank of the parameter Jacobian at ``cs.rank_ulp_scale`` against 2N.
 
     For the shunt model the premise min_k v_k > 0 is reported alongside;
     it is exactly what full rank hinges on.
     """
+    net = cs.net
     jac = param_jacobian(model, net, x)
-    rank, _, _, _ = cqkit.numerical_rank(jac)
-    premise = None
-    if model.kind is ModelKind.SHUNT:
-        premise = bool(x.v.min() > 0.0)
+    rank, _, _, _ = cqkit.numerical_rank(jac, ulp_scale=cs.rank_ulp_scale)
+    premise = bool(x.v.min() > 0.0) if model.kind is ModelKind.SHUNT else None
     return RankHypothesisReport(kind=model.kind, rank=rank,
                                 required=2 * net.n_bus,
                                 satisfied=rank == 2 * net.n_bus,
@@ -532,8 +531,6 @@ def run_genericity_experiment(
     model: PerturbationModel,
     trials: int,
     seed: int,
-    *,
-    rank_ulp_scale: float = cqkit.DEFAULT_RANK_ULP_SCALE,
     **tols,
 ) -> GenericityReport:
     """Deterministic Monte Carlo sweep over the model's sampling box.
@@ -551,8 +548,8 @@ def run_genericity_experiment(
     (the block's arrays themselves when every trial converged), at most
     one batched SVD of the reduced matrices per face. Only one block, and
     the draws of one ``_draw_chunk`` of blocks, are held at a time.
-    ``tols`` go to ``system_for_case``, and the qualification check decides
-    feasibility.
+    ``tols`` go to ``system_for_case``, whose tolerances decide
+    feasibility, LICQ and the rank hypothesis.
     """
     _expect_dimension(model, case.network)
     _check_sweep(seed, trials)
@@ -562,7 +559,7 @@ def run_genericity_experiment(
     try:
         x0 = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
                               pf_tol=cs.pf_tol).state
-        hypothesis = check_rank_hypothesis(model, case.network, x0)
+        hypothesis = check_rank_hypothesis(model, cs, x0)
     except PowerFlowError:
         pass
 
@@ -586,8 +583,7 @@ def run_genericity_experiment(
         states = x
         if solved.size < len(ts):
             states, flow = x[solved], tuple(arr[solved] for arr in flow)
-        reports = dict(zip(solved.tolist(), cqkit.licq_checks(
-            cs, states, mask, flow, rank_ulp_scale=rank_ulp_scale)))
+        reports = dict(zip(solved.tolist(), cqkit.licq_checks(cs, states, mask, flow)))
         for i, t in enumerate(ts):
             report = reports.get(i)
             if report is None:
@@ -614,8 +610,8 @@ def run_genericity_experiment(
         records=tuple(records),
         failures=tuple(failures),
         hypothesis=hypothesis,
-        tolerances={"act_tol": cs.act_tol, "eq_tol": cs.eq_tol,
-                    "pf_tol": cs.pf_tol, "rank_ulp_scale": rank_ulp_scale},
+        # a sweep classifies no cost, so its report leaves out stat_tol
+        tolerances={k: v for k, v in cs.tolerances.items() if k != "stat_tol"},
     )
 
 

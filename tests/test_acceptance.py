@@ -6,6 +6,7 @@ lines on the terminal.
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -241,7 +242,7 @@ def test_criterion_6_kkt_verifier_independence():
         solves.append((red.system, red.point, inside))
 
         for cs_i, x_i, cost_i in solves:
-            result = kkt_solve(cs_i, x_i, cost_i, stat_tol=stat_tol)
+            result = kkt_solve(replace(cs_i, stat_tol=stat_tol), x_i, cost_i)
             assert result.classification is not Classification.NONE
             base = kkt_residual(cs_i, x_i, cost_i, result.particular)
             assert base <= stat_tol + 1e-12

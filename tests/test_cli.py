@@ -94,6 +94,65 @@ def test_check_ex2_applies_eq_tol(capsys):
     assert "|h:0| = 5.551e-16 > eq_tol = 1e-30" in err
 
 
+def test_check_ex1_applies_rank_tol_scale(capsys):
+    # a rank tolerance far below the rounding of the stack counts the
+    # degenerate ex1 stack as full rank, with unique multipliers
+    code, out, _ = run(capsys, "check", "--builtin", "ex1",
+                       "--rank-tol-scale", "1e-30")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["cq"]["numerical_rank"], payload["cq"]["m"]) == (6, 6)
+    assert payload["kkt"]["classification"] == "UNIQUE"
+    assert payload["tolerances"]["rank_ulp_scale"] == 1e-30
+
+
+def test_check_ex2_applies_stat_tol(capsys):
+    # the probe cost leaves the row space by a residual of 0.627: no
+    # multipliers at the default stat_tol, a ray once stat_tol admits it
+    code, out, _ = run(capsys, "check", "--builtin", "ex2")
+    kkt = json.loads(out)["kkt"]
+    assert kkt["classification"] == "NONE"
+    assert kkt["stationarity_residual"] == pytest.approx(0.627, abs=5e-4)
+    code, out, _ = run(capsys, "check", "--builtin", "ex2", "--stat-tol", "10")
+    assert code == EXIT_LICQ_FAILS
+    payload = json.loads(out)
+    assert payload["kkt"]["classification"] == "RAY"
+    assert payload["tolerances"]["stat_tol"] == 10.0
+
+
+def test_perturb_hypothesis_applies_rank_tol_scale(capsys, tmp_path):
+    # at the nominal v = (1, sqrt 2) the shunt Jacobian -diag(v^2) has
+    # singular values 2, 2, 1, 1; a scale of 0.2 sets the rank tolerance
+    # to 2 * 4 * 0.2 = 1.6, so the hypothesis gets rank 2, as no trial's
+    # stack passes LICQ at that scale
+    path = tmp_path / "h.json"
+    code, _, _ = run(capsys, "perturb", "--builtin", "ex1", "--model",
+                     "shunt", "--trials", "20", "--seed", "0",
+                     "--rank-tol-scale", "0.2", "--out", str(path))
+    assert code == EXIT_OK
+    report = json.loads(path.read_text())
+    assert report["tolerances"]["rank_ulp_scale"] == 0.2
+    assert report["licq_pass_count"] == 0 < report["feasible_count"]
+    assert report["hypothesis"]["rank"] == 2
+    assert report["hypothesis"]["satisfied"] is False
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ybus", "--builtin", "ex1", "--eq-tol", "1e-3"], "--eq-tol"),
+    (["ybus", "--builtin", "ex1", "--rank-tol-scale", "1e-3"],
+     "--rank-tol-scale"),
+    (["perturb", "--builtin", "ex1", "--model", "load", "--trials", "2",
+      "--stat-tol", "1"], "--stat-tol"),
+])
+def test_unread_tolerance_option_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == EXIT_INPUT
+    assert out == ""
+    assert flag in err
+
+
 def test_check_infeasible_state_exits_4(capsys, tmp_path, ex1):
     state = np.array(ex1.ground_truth.flat().tolist())
     state[0] += 0.5  # break the slack real balance

@@ -8,8 +8,7 @@ import opfdiag as od
 from netgen import injections, random_network, random_state
 from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
-from opfdiag.cqkit import (DEFAULT_RANK_ULP_SCALE, DEFAULT_STAT_TOL,
-                           Classification, CostSpec, CQReport, _multiplier_set,
+from opfdiag.cqkit import (Classification, CostSpec, CQReport, _multiplier_set,
                            _rank_from_svals, active_stack, kkt_residual,
                            kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
@@ -29,7 +28,7 @@ def _checked_null_space(cs, x, cost):
     assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(
         initial=0.0) <= 1e-12
     if kkt.classification in (Classification.UNIQUE, Classification.RAY):
-        assert kkt_residual(cs, x, cost, kkt.particular) <= DEFAULT_STAT_TOL
+        assert kkt_residual(cs, x, cost, kkt.particular) <= ConstraintSystem.stat_tol
     return kkt
 
 
@@ -323,10 +322,9 @@ def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
         m, n = a.shape
         grad = cost.gradient(flat)[mask]
         u, s, vt = np.linalg.svd(a, full_matrices=m > n)
-        rank, _, _ = _rank_from_svals(s, (m, n), DEFAULT_RANK_ULP_SCALE)
+        rank, _, _ = _rank_from_svals(s, (m, n), ConstraintSystem.rank_ulp_scale)
         y = u[:, :rank] @ (vt[:rank] @ -grad / s[:rank])
-        ref = _multiplier_set(cs, act, a, grad, y, u[:, rank:],
-                              DEFAULT_STAT_TOL)
+        ref = _multiplier_set(cs, act, a, grad, y, u[:, rank:])
         kkt = report.kkt
         assert kkt.classification is ref.classification is want, name
         assert report.numerical_rank == rank, name
@@ -336,7 +334,8 @@ def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
         n_flow = 2 * cs.net.n_bus if cs.has_flow else 0
         d_s = np.linalg.svd(_diag_of_reduced(a, mask, n_flow),
                             compute_uv=False)
-        _, d_min, d_tol = _rank_from_svals(d_s, (m, n), DEFAULT_RANK_ULP_SCALE)
+        _, d_min, d_tol = _rank_from_svals(d_s, (m, n),
+                                           ConstraintSystem.rank_ulp_scale)
         assert report.rank_tol == pytest.approx(d_tol, rel=1e-12, abs=0.0)
         if d_min > d_tol:
             assert report.sigma_min == pytest.approx(d_min, rel=1e-12), name

@@ -176,6 +176,15 @@ def test_network_warns_on_disconnected_graph():
         Network(buses=buses, lines=(Line(0, 1, 0.0, -1.0),))
 
 
+def test_disconnected_graph_warning_names_the_caller():
+    # the warning points past the dataclass-generated __init__ at the code
+    # that built the network
+    buses = (Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ))
+    with pytest.warns(UserWarning, match="not connected") as record:
+        Network(buses=buses, lines=())
+    assert record[0].filename == __file__
+
+
 def test_load_case_builtin_document_matches_fixture(ex1):
     case = load_case(json.dumps(case_document(ex1.case)))
     line = case.network.lines[0]

@@ -112,7 +112,7 @@ def test_rank_hypothesis_load_always_satisfied(rng):
     case = random_case(rng)
     model = load_model(case)
     x = random_state(case.network, rng)
-    report = check_rank_hypothesis(model, case.network, x)
+    report = check_rank_hypothesis(model, od.system_for_case(case), x)
     assert report.satisfied and report.rank == 8
 
 
@@ -123,14 +123,14 @@ def test_rank_hypothesis_shunt_premise_flag():
         p_gen=fix.ground_truth.p_gen, q_gen=fix.ground_truth.q_gen,
         v=np.array([1.0, 0.0]), theta=fix.ground_truth.theta,
         free_mask=fix.ground_truth.free_mask)
-    report = check_rank_hypothesis(model, fix.case.network, collapsed)
+    report = check_rank_hypothesis(model, fix.system, collapsed)
     assert not report.satisfied
     assert report.voltage_premise_ok is False
 
 
 def test_rank_hypothesis_line_flat_not_satisfied(ex3):
     model = line_model(ex3.case)
-    report = check_rank_hypothesis(model, ex3.case.network, ex3.ground_truth)
+    report = check_rank_hypothesis(model, ex3.system, ex3.ground_truth)
     assert not report.satisfied and report.rank == 0
 
 

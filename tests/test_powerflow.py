@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import opfdiag as od
 from opfdiag import powerflow
 from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
-from opfdiag.constraints import system_for_case
-from opfdiag.cqkit import (DEFAULT_STAT_TOL, Classification, CostSpec,
-                          active_stack, kkt_residual, licq_check)
+from opfdiag.constraints import ConstraintSystem, system_for_case
+from opfdiag.cqkit import (Classification, CostSpec, active_stack,
+                          kkt_residual, licq_check)
 from opfdiag.netmodel import (AdmittanceMatrix, Bus, BusType, Case, Line,
                               Network, admittance_stack, build_ybus, load_case)
 from opfdiag.perturb import apply_parameters, make_model
@@ -514,7 +514,7 @@ def test_line_list_side_matches_dense_reference(lattice_document, side):
     assert [g.kkt.classification for g in got] == [Classification.NONE,
                                                    Classification.UNIQUE]
     assert (kkt_residual(cs, sol.state, costs[1], got[1].kkt.particular)
-            <= DEFAULT_STAT_TOL)
+            <= ConstraintSystem.stat_tol)
 
 
 def test_cut_off_bus_still_singular_on_line_list_side(

@@ -5,9 +5,10 @@ Three two-bus fixtures cover the degeneracy geometries of interest:
 * ``example1``: a dispatch problem whose voltage cap is tangent to the
   feasibility envelope at the operating point, so the active constraint
   stack drops rank by one and the multipliers form a ray.
-* ``example2``: two operational constraints whose level curves cross over
-  while mutually tangent, so the operational stack alone is rank
-  deficient and suitable cost gradients admit no multipliers at all.
+* ``example2``: two operational constraints whose level curves on the
+  flow manifold cross while mutually tangent, so the check's reduced
+  matrix R has rank 1 of 2 and suitable cost gradients admit no
+  multipliers at all.
 * ``example3``: the structural no-load flat-profile degeneracy of a
   shunt-free network, where series line parameters have no first-order
   effect on the residual.
@@ -24,26 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import (ConstraintSystem, require_positive_v,
-                          system_for_case)
+from .constraints import ConstraintSystem, system_for_case
 from .cqkit import CostSpec
 from .netmodel import (Bus, BusType, Case, CaseError, ConstraintSpec,
                        CostTerms, Line, Network)
 from .powerflow import SystemState, free_mask_from_bus_types
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedView:
-    """Two-variable (v2, theta2) restriction of a fixture.
-
-    The flow equations are folded into the constraint functions by the
-    closed-form elimination of the generation variables, so the system
-    consists of operational constraints only.
-    """
-
-    system: ConstraintSystem
-    point: np.ndarray
-    probe_cost: CostSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +40,6 @@ class FixtureBundle:
     cost: CostSpec | None
     ground_truth: SystemState
     expected: dict
-    reduced: ReducedView | None = None
 
 
 def _two_bus_network(p_loads=(0.0, 0.0), q_loads=(0.0, 0.0)) -> Network:
@@ -140,64 +125,16 @@ EX2_S2_MAX = 2.0 - SQRT3
 EX2_P_LOAD = -(15.0 * SQRT3 - 23.0) / 8.0
 
 
-@dataclass(frozen=True)
-class VoltageLoadCurve:
-    """Reduced load coupling h(v, t) = v^2 + v (a sin t - cos t)
-    - a (sqrt(v) + pL) over the two-variable state (v, theta); like every
-    constraint it takes one state or a stack of them."""
-
-    alpha: float
-    p_load: float
-    is_equality: bool = True
-
-    def _v(self, x: np.ndarray):
-        return require_positive_v(x[..., 0], "reduced load curve")
-
-    def value(self, x: np.ndarray):
-        v = self._v(x)
-        t = x[..., 1]
-        return (v * v + v * (self.alpha * np.sin(t) - np.cos(t))
-                - self.alpha * (np.sqrt(v) + self.p_load))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        v = self._v(x)
-        t = x[..., 1]
-        return np.stack([
-            2.0 * v + self.alpha * np.sin(t) - np.cos(t)
-            - self.alpha / (2.0 * np.sqrt(v)),
-            v * (self.alpha * np.cos(t) + np.sin(t)),
-        ], axis=-1)
-
-
-@dataclass(frozen=True)
-class TransferLimitCurve:
-    """Reduced apparent-power cap g(v, t) = v^2 (v^2 - 2 v cos t + 1)
-    - s2_max over the two-variable state (v, theta)."""
-
-    s2_max: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        v, t = x[..., 0], x[..., 1]
-        return v * v * (v * v - 2.0 * v * np.cos(t) + 1.0) - self.s2_max
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        v, t = x[..., 0], x[..., 1]
-        return np.stack([
-            4.0 * v ** 3 - 6.0 * v * v * np.cos(t) + 2.0 * v,
-            2.0 * v ** 3 * np.sin(t),
-        ], axis=-1)
-
-
 def example2() -> FixtureBundle:
     """Two-bus system with mutually tangent crossing constraints.
 
-    A voltage-dependent load coupling and an apparent-power cap both pass
-    through (v2, theta2) = (1, pi/6) with parallel gradients, so the
-    operational stack alone is rank deficient there. The authoritative
-    analysis runs in the reduced (v2, theta2) coordinates; the full-state
-    view carries the same constraints as catalog kinds, with the
-    generation entries recovered from the flow equations.
+    A voltage-dependent load coupling at bus 1 and an apparent-power cap on
+    its generation both hold at (v2, theta2) = (1, pi/6), the generation
+    entries following from the flow equations there. Restricted to the
+    flow manifold their gradients are parallel: the check's reduced matrix
+    R = O_z - O_g X (see ``cqkit``) has rank 1, so the 6x6 active stack has
+    rank 5. The cost theta2 leaves the row space by a stationarity residual
+    of about 0.627, so it admits no multipliers.
     """
     net = _two_bus_network()
     specs = (
@@ -211,12 +148,13 @@ def example2() -> FixtureBundle:
     q2 = v2 * v2 - v2 * math.cos(t2)
     p1 = -v2 * math.sin(t2)
     q1 = 1.0 - v2 * math.cos(t2)
+    cost_terms = CostTerms(linear=(("theta", 1, 1.0),))
     case = Case(
         network=net,
         gen_p=np.array([0.0, p2]),
         gen_q=np.array([0.0, q2]),
         constraint_specs=specs,
-        cost=CostTerms(),
+        cost=cost_terms,
     )
     ground_truth = SystemState(
         p_gen=np.array([p1, p2]),
@@ -225,22 +163,13 @@ def example2() -> FixtureBundle:
         theta=np.array([0.0, t2]),
         free_mask=free_mask_from_bus_types(net),
     )
-    reduced_system = ConstraintSystem.operational(
-        (VoltageLoadCurve(alpha=EX2_ALPHA, p_load=EX2_P_LOAD),),
-        (TransferLimitCurve(s2_max=EX2_S2_MAX),),
-        n_state=2,
-    )
-    reduced = ReducedView(
-        system=reduced_system,
-        point=np.array([v2, t2]),
-        probe_cost=CostSpec(c2=np.zeros(2), c1=np.array([0.0, 1.0])),
-    )
-    # ground truth of the reduced view: rank of its two-row stack and a
-    # floor on the probe cost's stationarity residual
-    expected = {"m": 2, "rank": 1, "residual_lower_bound": 0.1}
+    # rank of the active stack and a floor on the cost's stationarity
+    # residual
+    expected = {"m": 6, "rank": 5, "residual_lower_bound": 0.1}
     return FixtureBundle(
-        name="ex2", case=case, system=system_for_case(case), cost=None,
-        ground_truth=ground_truth, expected=expected, reduced=reduced,
+        name="ex2", case=case, system=system_for_case(case),
+        cost=CostSpec.from_terms(cost_terms, net.n_bus),
+        ground_truth=ground_truth, expected=expected,
     )
 
 

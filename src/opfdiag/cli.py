@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_tolerances(parser: argparse.ArgumentParser, *, stat_tol: bool) -> None:
-    # Unset tolerances keep the defaults of ConstraintSystem; --pf-tol must
-    # stay unset on the ex2 reduced view, which has no flow equations.
+    # Unset tolerances keep the defaults of ConstraintSystem.
     parser.add_argument("--act-tol", type=_positive)
     parser.add_argument("--eq-tol", type=_positive)
     parser.add_argument("--pf-tol", type=_positive,
@@ -133,42 +132,31 @@ def _parse_perturb_load(spec: str, n_bus: int) -> tuple[int, float]:
 
 def cmd_check(args) -> int:
     case, fix = _load_input(args)
-    tols = _system_tols(args)
-
-    if fix is not None and fix.name == "ex2":
-        if args.state or args.perturb_load or args.pf_tol is not None:
-            raise CaseError("ex2 is checked in its reduced (v, theta) view; "
-                            "--state, --perturb-load and --pf-tol do not apply")
-        red = fix.reduced
-        cs, state, cost = replace(red.system, **tols), red.point, red.probe_cost
+    if args.perturb_load:
+        bus, delta = _parse_perturb_load(args.perturb_load, case.network.n_bus)
+        case = perturb.shift_load(case, bus, delta)
+    cs = con.system_for_case(case, **_system_tols(args))
+    if args.state:
+        try:
+            values = json.loads(Path(args.state).read_text())
+        except ValueError as exc:
+            raise CaseError(f"--state: invalid JSON ({exc})") from exc
+        state = state_from_list(values, case.network)
+    elif fix is not None and args.perturb_load:
+        state, _ = perturb.nearest_feasible_point(cs, fix.ground_truth)
+        if state is None:
+            raise con.InfeasiblePointError(
+                "no feasible point found near the fixture state")
+    elif fix is not None:
+        state = fix.ground_truth
     else:
-        if args.perturb_load:
-            bus, delta = _parse_perturb_load(args.perturb_load,
-                                             case.network.n_bus)
-            case = perturb.shift_load(case, bus, delta)
-        cs = con.system_for_case(case, **tols)
-        if args.state:
-            try:
-                values = json.loads(Path(args.state).read_text())
-            except ValueError as exc:
-                raise CaseError(f"--state: invalid JSON ({exc})") from exc
-            state = state_from_list(values, case.network)
-        elif fix is not None and args.perturb_load:
-            state, _ = perturb.nearest_feasible_point(cs, fix.ground_truth)
-            if state is None:
-                raise con.InfeasiblePointError(
-                    "no feasible point found near the fixture state")
-        elif fix is not None:
-            state = fix.ground_truth
-        else:
-            try:
-                state = solve_power_flow(case.network, cs.Y, case.gen_p,
-                                         case.gen_q, pf_tol=cs.pf_tol).state
-            except PowerFlowError as exc:
-                raise con.InfeasiblePointError(
-                    f"power flow failed: {exc}") from exc
-        cost = (fix.cost if fix is not None and fix.cost is not None
-                else cqkit.CostSpec.from_terms(case.cost, case.network.n_bus))
+        try:
+            state = solve_power_flow(case.network, cs.Y, case.gen_p,
+                                     case.gen_q, pf_tol=cs.pf_tol).state
+        except PowerFlowError as exc:
+            raise con.InfeasiblePointError(
+                f"power flow failed: {exc}") from exc
+    cost = cqkit.CostSpec.from_terms(case.cost, case.network.n_bus)
 
     cq = cqkit.licq_check(cs, state, cost)
     _emit({
@@ -263,33 +251,33 @@ def _repro_ex1(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
 
 
 def _repro_ex2(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
-    red = fix.reduced
     want = fix.expected
     checks: list[tuple[str, bool, str]] = []
-    h_vals, g_vals, _ = con.evaluate(red.system, red.point)
+    h_vals, g_vals, _ = con.evaluate(fix.system, fix.ground_truth)
     checks.append(("constraint values vanish at the crossing point to 1e-9",
                    abs(h_vals[0]) <= 1e-9 and abs(g_vals[0]) <= 1e-9,
                    f"h = {h_vals[0]:.3e}, g = {g_vals[0]:.3e}"))
-    grad_h = red.system.h_ops[0].gradient(red.point)
-    grad_g = red.system.g_ops[0].gradient(red.point)
-    angle = _norm_angle(grad_h, grad_g)
-    checks.append(("gradient parallelism angle <= 1e-6 rad", angle <= 1e-6,
-                   f"angle = {angle:.3e}"))
-    fixed = cqkit.licq_check(red.system, red.point, red.probe_cost)
-    kkt = fixed.kkt
-    checks.append((f"fixed-constraint qualification fails "
-                   f"(rank {want['rank']} of {want['m']})",
-                   not fixed.licq_holds and fixed.numerical_rank == want["rank"]
-                   and fixed.m == want["m"],
-                   f"rank {fixed.numerical_rank}/{fixed.m}"))
+    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.cost)
+    # the first p rows, the flow rows, are [I, X] over the generation
+    # columns, so the rows of R are the operational gradients restricted
+    # to the flow manifold
+    a, p = cq.active_jacobian, 2 * fix.case.network.n_bus
+    r = a[p:, p:] - a[p:, :p] @ a[:p, p:]
+    angle = _norm_angle(r[0], r[1])
+    checks.append(("gradient parallelism angle on the flow manifold "
+                   "<= 1e-6 rad", angle <= 1e-6, f"angle = {angle:.3e}"))
+    kkt = cq.kkt
+    checks.append((f"qualification fails (rank {want['rank']} of {want['m']})",
+                   not cq.licq_holds and cq.numerical_rank == want["rank"]
+                   and cq.m == want["m"],
+                   f"rank {cq.numerical_rank}/{cq.m}"))
     floor = want["residual_lower_bound"]
-    checks.append((f"no multipliers for the probe cost (residual >= {floor})",
+    checks.append((f"no multipliers for the cost (residual >= {floor})",
                    kkt.classification is cqkit.Classification.NONE
                    and kkt.stationarity_residual >= floor,
                    f"residual {kkt.stationarity_residual:.6f}"))
     summary = f"tangent constraints, {kkt.classification.value}"
-    return checks, summary, {"fixed_rank": fixed.numerical_rank,
-                             "kkt": kkt.to_dict()}
+    return checks, summary, {"rank": cq.numerical_rank, "kkt": kkt.to_dict()}
 
 
 def _repro_ex3(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:

@@ -648,11 +648,17 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
     """Minimum-norm Gauss-Newton on an equality system over free entries;
     ``jacobian_fn`` gives its rows over the free columns.
 
-    A non-finite residual, at the start or at a trial step, stops the
-    iteration as not converged."""
+    A residual that is non-finite or leaves a constraint's domain, at the
+    start or at a trial step, stops the iteration as not converged."""
+    def residual(flat):
+        try:
+            return residual_fn(flat)
+        except con.VoltageDomainError:
+            return np.array([np.nan])
+
     flat = flat0.copy()
     with np.errstate(all="ignore"):
-        r = residual_fn(flat)
+        r = residual(flat)
         for _ in range(PROJECTION_MAX_ITER):
             err = np.abs(r).max() if r.size else 0.0
             if not np.isfinite(err):
@@ -664,7 +670,7 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
             while t >= 2.0 ** -30:
                 trial = flat.copy()
                 trial[mask] = flat[mask] + t * step
-                r_try = residual_fn(trial)
+                r_try = residual(trial)
                 err_try = np.abs(r_try).max()
                 if not np.isfinite(err_try):
                     return flat, False

@@ -304,7 +304,7 @@ def newton_states(
     p_gen: np.ndarray,
     q_gen: np.ndarray,
     *,
-    pf_tol: float = 1e-10,
+    pf_tol: float,
 ) -> tuple[np.ndarray, list, np.ndarray]:
     """Plain Newton on a stack of trials that share the bus records of
     ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
@@ -406,7 +406,7 @@ def solve_power_flow(
     p_gen: np.ndarray,
     q_gen: np.ndarray,
     *,
-    pf_tol: float = 1e-10,
+    pf_tol: float,
 ) -> PFSolution:
     """Plain Newton on the flow equations of the free voltage entries.
 

@@ -1,6 +1,7 @@
 """Seeded random desk-scale networks and states for property tests, the
-per-trial reference draw of the Monte Carlo sweep, and the test-side
-inverses of case loading and of the flow model."""
+per-trial reference draw of the Monte Carlo sweep, the test-side inverses
+of case loading and of the flow model, and the reduced matrix of an
+active stack."""
 
 import numpy as np
 
@@ -58,6 +59,16 @@ def trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
 def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
     """Nodal complex power flowing from each bus into the network."""
     return _injections(Y.G + 1j * Y.B, v, theta)
+
+
+def reduced_rows(a: np.ndarray, mask: np.ndarray, n_flow: int) -> np.ndarray:
+    """R = O_z - O_g X of an active stack ``a`` over the free columns
+    ``mask``: the flow rows whose generation entry is free are the pivot
+    rows [I, X], every other row is [O_g, O_z]."""
+    pivots = np.flatnonzero(mask[:n_flow])
+    p = pivots.size
+    others = np.setdiff1d(np.arange(a.shape[0]), pivots)
+    return a[others, p:] - a[others, :p] @ a[pivots, p:]
 
 
 def case_document(case: Case) -> dict:

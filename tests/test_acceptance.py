@@ -14,15 +14,15 @@ import opfdiag as od
 from opfdiag.cases import example1, example2, example3
 from opfdiag.constraints import (ApparentPower, BoxUpper, ExpLoadEq, LinearEq,
                                  evaluate)
-from opfdiag.cqkit import (Classification, kkt_residual, kkt_solve, licq_check,
-                           numerical_rank)
+from opfdiag.cqkit import (Classification, active_stack, kkt_residual,
+                           kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import (line_model, load_model, nearest_feasible_point,
                              param_jacobian, shift_load, shunt_model)
 from opfdiag.powerflow import (SystemState, pf_jacobian, pf_residual,
                                solve_power_flow)
 
-from netgen import random_network, random_state
+from netgen import random_network, random_state, reduced_rows
 
 MC_SEED = 42
 
@@ -75,25 +75,28 @@ def test_criterion_1_tangent_dispatch_reproduction():
 
 def test_criterion_2_crossing_pair_reproduction():
     with criterion(2, "tangent crossing pair reproduction"):
-        red = example2().reduced
-        h_vals, g_vals, feasible = evaluate(red.system, red.point)
+        fix = example2()
+        x = fix.ground_truth
+        h_vals, g_vals, feasible = evaluate(fix.system, x)
         assert feasible
         assert abs(h_vals[0]) <= 1e-9
         assert abs(g_vals[0]) <= 1e-9
 
-        grad_h = red.system.h_ops[0].gradient(red.point)
-        grad_g = red.system.g_ops[0].gradient(red.point)
+        # the gradients of h and g restricted to the flow manifold: the
+        # rows of the check's reduced matrix R
+        a, _, _, _, mask = active_stack(fix.system, x)
+        grad_h, grad_g = reduced_rows(a, mask, 2 * fix.case.network.n_bus)
         unit_h = grad_h / np.linalg.norm(grad_h)
         unit_g = grad_g / np.linalg.norm(grad_g)
         angle = math.asin(min(1.0, abs(unit_h[0] * unit_g[1]
                                        - unit_h[1] * unit_g[0])))
         assert angle <= 1e-6
 
-        fixed = licq_check(red.system, red.point)
+        fixed = licq_check(fix.system, x)
         assert not fixed.licq_holds
-        assert fixed.numerical_rank == 1 and fixed.m == 2
+        assert fixed.numerical_rank == 5 and fixed.m == 6
 
-        kkt = kkt_solve(red.system, red.point, red.probe_cost)
+        kkt = kkt_solve(fix.system, x, fix.cost)
         assert kkt.classification is Classification.NONE
         assert kkt.stationarity_residual >= 0.1
 
@@ -234,12 +237,12 @@ def test_criterion_6_kkt_verifier_independence():
         assert state is not None
         solves.append((cs, state, fix.cost))
 
-        red = example2().reduced
-        # a probe cost inside the constraint span admits multipliers
+        fix = example2()
+        # a cost inside the constraint span admits multipliers
         inside = od.CostSpec(
-            c2=np.zeros(2),
-            c1=red.system.g_ops[0].gradient(red.point).copy())
-        solves.append((red.system, red.point, inside))
+            c2=np.zeros(8),
+            c1=fix.system.g_ops[0].gradient(fix.ground_truth.flat()).copy())
+        solves.append((fix.system, fix.ground_truth, inside))
 
         for cs_i, x_i, cost_i in solves:
             result = kkt_solve(replace(cs_i, stat_tol=stat_tol), x_i, cost_i)

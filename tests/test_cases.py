@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from opfdiag.cases import example1, example3
+from opfdiag.cases import EX2_ALPHA, example1, example3
 from opfdiag.constraints import build_operational, evaluate
+from opfdiag.cqkit import active_stack
 from opfdiag.netmodel import Bus, BusType, CaseError, Line, Network, build_ybus
 from opfdiag.powerflow import SystemState, pf_residual
-from netgen import case_document
+from netgen import case_document, reduced_rows
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5])
@@ -61,10 +62,15 @@ def test_ex2_full_state_ground_truth_reverifies(ex2):
     assert abs(g_vals[0]) <= 1e-12
 
 
+def ex2_reduced_rows(ex2):
+    """Rows of the check's reduced matrix R at ex2's ground truth, over
+    (v2, theta2): the h row, then the g row."""
+    a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
+    return reduced_rows(a, mask, 2 * ex2.case.network.n_bus)
+
+
 def test_ex2_reduced_gradients_parallel(ex2):
-    red = ex2.reduced
-    gh = red.system.h_ops[0].gradient(red.point)
-    gg = red.system.g_ops[0].gradient(red.point)
+    gh, gg = ex2_reduced_rows(ex2)
     unit_h = gh / np.linalg.norm(gh)
     unit_g = gg / np.linalg.norm(gg)
     angle = math.asin(min(1.0, abs(unit_h[0] * unit_g[1]
@@ -72,8 +78,21 @@ def test_ex2_reduced_gradients_parallel(ex2):
     assert angle <= 1e-6
 
 
+def test_ex2_reduced_rows_match_closed_form_gradients(ex2):
+    # eliminating generation by the flow equations turns the load coupling
+    # and the apparent-power cap into functions of (v, t) alone:
+    # h = v^2 + v (a sin t - cos t) - a (sqrt(v) + pL) and
+    # g = v^2 (v^2 - 2 v cos t + 1) - s2_max; their gradients are R's rows
+    a, v, t = EX2_ALPHA, ex2.ground_truth.v[1], ex2.ground_truth.theta[1]
+    grad_h = [2 * v + a * math.sin(t) - math.cos(t) - a / (2 * math.sqrt(v)),
+              v * (a * math.cos(t) + math.sin(t))]
+    grad_g = [4 * v ** 3 - 6 * v * v * math.cos(t) + 2 * v,
+              2 * v ** 3 * math.sin(t)]
+    assert np.abs(ex2_reduced_rows(ex2) - [grad_h, grad_g]).max() <= 1e-12
+
+
 def test_ex2_full_view_also_rank_deficient(ex2):
-    # the reduced tangency is the image of a rank drop of the full stack
+    # the tangency of R's two rows is a rank drop of the full stack
     report = od.licq_check(ex2.system, ex2.ground_truth)
     assert report.m == 6
     assert report.numerical_rank == 5

@@ -78,20 +78,20 @@ def test_check_ex2_reduced_fixed_failure(capsys):
     assert code == EXIT_LICQ_FAILS
     payload = json.loads(out)
     assert payload["cq"]["licq_holds"] is False
-    assert payload["cq"]["numerical_rank"] == 1
+    assert payload["cq"]["numerical_rank"] == 5
     assert payload["kkt"]["classification"] == "NONE"
     assert payload["kkt"]["stationarity_residual"] >= 0.1
 
 
 def test_check_ex2_applies_eq_tol(capsys):
-    # |h| is about 5.6e-16 at the crossing point, so an equality tolerance
+    # |h| is about 4.4e-16 at the crossing point, so an equality tolerance
     # below that makes the point infeasible
     code, out, err = run(capsys, "check", "--builtin", "ex2",
                          "--eq-tol", "1e-30")
     assert code == EXIT_INFEASIBLE
     assert out == ""
     assert "infeasible" in err
-    assert "|h:0| = 5.551e-16 > eq_tol = 1e-30" in err
+    assert "|h:0| = 4.441e-16 > eq_tol = 1e-30" in err
 
 
 def test_check_ex1_applies_rank_tol_scale(capsys):
@@ -107,7 +107,7 @@ def test_check_ex1_applies_rank_tol_scale(capsys):
 
 
 def test_check_ex2_applies_stat_tol(capsys):
-    # the probe cost leaves the row space by a residual of 0.627: no
+    # ex2's cost theta2 leaves the row space by a residual of 0.627: no
     # multipliers at the default stat_tol, a ray once stat_tol admits it
     code, out, _ = run(capsys, "check", "--builtin", "ex2")
     kkt = json.loads(out)["kkt"]
@@ -450,14 +450,39 @@ def test_check_undecodable_file_exits_2(capsys, tmp_path, ex1, flag):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("extra", [["--perturb-load", "1:0.5"],
-                                   ["--state", "state.json"],
-                                   ["--pf-tol", "1e-8"]])
-def test_check_ex2_rejects_state_and_perturb_load(capsys, extra):
-    code, out, err = run(capsys, "check", "--builtin", "ex2", *extra)
-    assert code == EXIT_INPUT
+def test_check_ex2_applies_pf_tol(capsys):
+    # the flow residual at the crossing point is about 5.6e-17, so a flow
+    # tolerance below that makes the point infeasible
+    code, out, err = run(capsys, "check", "--builtin", "ex2",
+                         "--pf-tol", "1e-20")
+    assert code == EXIT_INFEASIBLE
     assert out == ""
-    assert "reduced (v, theta) view" in err
+    assert "|flow:q:1| = 5.551e-17 > pf_tol = 1e-20" in err
+
+
+def test_check_ex2_state_gives_the_fixture_report(capsys, tmp_path, ex2):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(ex2.ground_truth.flat().tolist()))
+    code, out, _ = run(capsys, "check", "--builtin", "ex2")
+    assert code == EXIT_LICQ_FAILS
+    assert run(capsys, "check", "--builtin", "ex2",
+               "--state", str(path)) == (code, out, "")
+
+
+def test_check_ex2_perturbed_load(capsys):
+    # a lower load moves off the tangency; a higher one sends the
+    # projection out of the load coupling's domain v > 0, which ends it as
+    # not converged, not as an input error
+    code, out, _ = run(capsys, "check", "--builtin", "ex2",
+                       "--perturb-load", "1:-0.05")
+    assert code == EXIT_OK
+    assert json.loads(out)["cq"]["licq_holds"] is True
+    code, out, err = run(capsys, "check", "--builtin", "ex2",
+                         "--perturb-load", "1:+0.05")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err == ("infeasible: no feasible point found near the fixture "
+                   "state\n")
 
 
 def test_sweep_margin_vanishes_only_at_zero_shift(capsys):

@@ -13,7 +13,7 @@ from opfdiag.powerflow import SystemState, state_index
 
 
 def test_ex2_reduced_values_vanish_at_crossing(ex2):
-    h_vals, g_vals, feasible = evaluate(ex2.reduced.system, ex2.reduced.point)
+    h_vals, g_vals, feasible = evaluate(ex2.system, ex2.ground_truth)
     assert abs(h_vals[0]) <= 1e-9
     assert abs(g_vals[0]) <= 1e-9
     assert feasible
@@ -82,10 +82,10 @@ def test_fixed_licq_duplicated_constraint_fails(ex1):
 
 
 def test_fixed_licq_ex2_reduced_tangency_fails(ex2):
-    red = ex2.reduced
-    report = licq_check(red.system, red.point)
+    # the tangency on the flow manifold: R has rank 1 of 2, the stack 5 of 6
+    report = licq_check(ex2.system, ex2.ground_truth)
     assert not report.licq_holds
-    assert report.numerical_rank == 1 and report.m == 2
+    assert report.numerical_rank == 5 and report.m == 6
     assert report.sigma_min <= 1e-12
 
 

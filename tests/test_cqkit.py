@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from netgen import injections, random_network, random_state
+from netgen import injections, random_network, random_state, reduced_rows
 from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate)
 from opfdiag.cqkit import (Classification, CostSpec, CQReport, _multiplier_set,
@@ -36,7 +36,8 @@ def _lattice_point(doc):
     """System of a lattice case document and its solved power flow."""
     case = od.load_case(json.dumps(doc))
     cs = od.system_for_case(case)
-    x = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q).state
+    x = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
+                         pf_tol=1e-10).state
     return case, cs, x
 
 
@@ -53,7 +54,7 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
     # five remaining rows are independent
     net = ex1.case.network
     sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
-                           np.array([0.0, 0.5]))
+                           np.array([0.0, 0.5]), pf_tol=1e-10)
     assert sol.state.v[1] < ex1.expected["v_bar"] - 1e-3
     report = licq_check(ex1.system, sol.state)
     assert report.m == 5
@@ -137,13 +138,13 @@ def test_kkt_unique_after_interior_load_shift(ex1):
 
 
 def test_kkt_none_for_probe_cost_on_tangent_pair(ex2):
-    red = ex2.reduced
-    kkt = kkt_solve(red.system, red.point, red.probe_cost)
+    kkt = kkt_solve(ex2.system, ex2.ground_truth, ex2.cost)
     assert kkt.classification is Classification.NONE
     assert kkt.stationarity_residual >= 0.1
-    # independent oracle: distance from the probe gradient to the common
-    # span of the two parallel constraint gradients
-    direction = red.system.g_ops[0].gradient(red.point)
+    # independent oracle: distance from the reduced cost gradient (0, 1)
+    # over (v2, theta2) to the common span of the two parallel rows of R
+    a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
+    direction = reduced_rows(a, mask, 4)[1]
     unit = direction / np.linalg.norm(direction)
     expected = np.linalg.norm(np.array([0.0, 1.0]) - (unit[1]) * unit)
     assert abs(kkt.stationarity_residual - expected) <= 1e-12
@@ -272,7 +273,6 @@ def _reduced_cases(ex1, ex2, lattice_document):
         (), (BoxUpper(index=0, bound=1.0),), n_state=1)
     case, lattice, lattice_x = _lattice_point(lattice_document(3, 3, 0))
     big, big_lattice, big_x = _lattice_point(lattice_document(6, 6, 0))
-    red = ex2.reduced
     rng = np.random.default_rng(11)
     flow, flow_x = _flow_point(random_network(4, rng), rng)
     mask = ex1.ground_truth.free_mask.copy()
@@ -281,8 +281,7 @@ def _reduced_cases(ex1, ex2, lattice_document):
     return [
         ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
         ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
-        ("ex2-reduced", red.system, red.point, red.probe_cost,
-         Classification.NONE),
+        ("ex2", ex2.system, ex2.ground_truth, ex2.cost, Classification.NONE),
         ("family", ConstraintSystem.operational((h, h, h), (), n_state=2),
          np.array([0.0, 0.3]), CostSpec(c2=np.zeros(2), c1=np.array([1.0, 0.0])),
          Classification.FAMILY),
@@ -302,13 +301,10 @@ def _reduced_cases(ex1, ex2, lattice_document):
 
 def _diag_of_reduced(a, mask, n_flow):
     """diag(I_p, R) of a stack, built directly from its rows and columns."""
-    pivots = np.flatnonzero(mask[:n_flow])
-    p = pivots.size
-    others = np.setdiff1d(np.arange(a.shape[0]), pivots)
-    r = a[others, p:] - a[others, :p] @ a[pivots, p:]
+    p = np.count_nonzero(mask[:n_flow])
     out = np.zeros(a.shape)
     out[:p, :p] = np.eye(p)
-    out[p:, p:] = r
+    out[p:, p:] = reduced_rows(a, mask, n_flow)
     return out
 
 
@@ -427,7 +423,7 @@ def test_rank_monotone_under_row_removal(rng):
 def test_licq_holds_implies_unique_or_none(ex1):
     net = ex1.case.network
     sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
-                           np.array([0.0, 0.5]))
+                           np.array([0.0, 0.5]), pf_tol=1e-10)
     report = licq_check(ex1.system, sol.state)
     assert report.licq_holds
     kkt = kkt_solve(ex1.system, sol.state, ex1.cost)

@@ -298,7 +298,7 @@ def band_case():
     net = random_network(5, np.random.default_rng([0, 99]))
     case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5))
     v = od.solve_power_flow(net, build_ybus(net), case.gen_p,
-                            case.gen_q).state.v[2]
+                            case.gen_q, pf_tol=1e-10).state.v[2]
     specs = (ConstraintSpec("box_upper", {"var": "v", "bus": 2},
                             {"bound": float(v) + 0.002}),
              ConstraintSpec("box_lower", {"var": "v", "bus": 2},
@@ -516,6 +516,16 @@ def test_probe_leaves_feasibility_to_the_check(ex1):
                                (False, None, False, "projection_failed")]
     assert [r.to_dict()["reason"] for r in rows] == [
         None, "infeasible:g:1", "projection_failed"]
+
+
+def test_probe_stops_where_the_projection_leaves_a_domain(ex2):
+    # at +0.05 a Gauss-Newton trial step of the pinned projection reaches
+    # v2 < 0, outside the load coupling's domain: the row is not converged
+    rows = tangency_escape_probe(ex2.case, ex2.ground_truth,
+                                 [-0.05, 0.0, 0.05], direction=1)
+    assert [(r.delta, r.converged, r.licq_holds, r.reason) for r in rows] == [
+        (-0.05, True, True, None), (0.0, True, False, None),
+        (0.05, False, None, "projection_failed")]
 
 
 @pytest.mark.parametrize("capped, delta, flat, pinned", [

@@ -125,7 +125,7 @@ def test_lossless_two_bus_injections_antisymmetric(v1, v2, t1, t2, b):
 def test_newton_reaches_high_voltage_branch(ex1):
     net = ex1.case.network
     sol = solve_power_flow(net, build_ybus(net), ex1.case.gen_p,
-                           ex1.case.gen_q)
+                           ex1.case.gen_q, pf_tol=1e-10)
     assert sol.iterations <= 10
     assert abs(sol.state.v[1] - math.sqrt(2.0)) <= 1e-9
     assert abs(sol.state.theta[1] - math.pi / 4.0) <= 1e-9
@@ -135,7 +135,8 @@ def test_newton_reaches_high_voltage_branch(ex1):
 
 def test_newton_flat_profile_is_immediate(ex3):
     net = ex3.case.network
-    sol = solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2))
+    sol = solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2),
+                           pf_tol=1e-10)
     assert sol.iterations <= 1
     assert np.abs(sol.state.v - 1.0).max() == 0.0
 
@@ -152,16 +153,17 @@ def test_newton_fails_beyond_transferable_power():
     net = zero_load_two_bus()
     Y = build_ybus(net)
     with pytest.raises(NonConvergenceError) as info:
-        solve_power_flow(net, Y, np.array([0.0, -2.0]), np.array([0.0, -2.0]))
+        solve_power_flow(net, Y, np.array([0.0, -2.0]), np.array([0.0, -2.0]),
+                         pf_tol=1e-10)
     assert info.value.history  # iteration trace carried in the error
     for t, expect_ok in ((0.1, True), (0.2, True), (0.25, False), (0.5, False)):
         setp = (np.array([0.0, -t]), np.array([0.0, -t]))
         if expect_ok:
-            sol = solve_power_flow(net, Y, *setp)
+            sol = solve_power_flow(net, Y, *setp, pf_tol=1e-10)
             assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
         else:
             with pytest.raises(NonConvergenceError):
-                solve_power_flow(net, Y, *setp)
+                solve_power_flow(net, Y, *setp, pf_tol=1e-10)
 
 
 def test_newton_result_feasible_over_random_setpoint_sweep():
@@ -171,7 +173,7 @@ def test_newton_result_feasible_over_random_setpoint_sweep():
     for _ in range(20):
         t = rng.uniform(0.01, 0.15)
         sol = solve_power_flow(net, Y, np.array([0.0, -t]),
-                               np.array([0.0, -t]))
+                               np.array([0.0, -t]), pf_tol=1e-10)
         assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
 
 
@@ -190,13 +192,15 @@ def test_newton_singular_matrix_flagged_as_degenerate():
     from opfdiag.powerflow import SingularNewtonError
 
     with pytest.raises(SingularNewtonError, match="degeneracy"):
-        solve_power_flow(net, build_ybus(net), np.zeros(3), np.zeros(3))
+        solve_power_flow(net, build_ybus(net), np.zeros(3), np.zeros(3),
+                         pf_tol=1e-10)
 
 
 def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
     net = pv_three_bus()
     Y = build_ybus(net)
-    sol = solve_power_flow(net, Y, np.array([0.0, 0.3, 0.0]), np.zeros(3))
+    sol = solve_power_flow(net, Y, np.array([0.0, 0.3, 0.0]), np.zeros(3),
+                           pf_tol=1e-10)
     assert sol.state.v[1] == 1.02
     assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
     # PV real setpoint held, reactive output recovered
@@ -236,7 +240,7 @@ def test_newton_path_is_pinned_bitwise(ex1, name):
         flat = [0.10149047975709251, 0.3, 0.0, -0.04776759957815857,
                 0.18271332577178667, 0.0, 1.0, 1.02, 0.9866175499500538,
                 0.0, 0.013729888547051447, -0.06457711233285712]
-    sol = solve_power_flow(net, build_ybus(net), p_gen, q_gen)
+    sol = solve_power_flow(net, build_ybus(net), p_gen, q_gen, pf_tol=1e-10)
     assert sol.iterations == iterations
     assert sol.history == history
     assert sol.state.flat().tolist() == flat
@@ -253,7 +257,8 @@ def test_newton_stops_at_non_finite_mismatch():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as info:
-            solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2))
+            solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2),
+                             pf_tol=1e-10)
     assert isinstance(info.value, NonConvergenceError)
     assert len(info.value.history) - 1 < MAX_ITER
     assert not np.isfinite(info.value.mismatch)
@@ -276,7 +281,7 @@ def test_nonconvergence_message_text():
     net = zero_load_two_bus()
     with pytest.raises(NonConvergenceError) as info:
         solve_power_flow(net, build_ybus(net), np.array([0.0, -2.0]),
-                         np.array([0.0, -2.0]))
+                         np.array([0.0, -2.0]), pf_tol=1e-10)
     history = info.value.history
     assert len(history) == MAX_ITER + 1
     assert str(info.value) == (
@@ -291,14 +296,14 @@ def solve_stacked(net, ys, nets, p_gen, q_gen):
     x, outcome, errs = newton_states(
         net, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),
         np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
-        p_gen, q_gen)
+        p_gen, q_gen, pf_tol=1e-10)
     return list(zip(x, outcome, errs))
 
 
 def assert_same_outcome(stacked, net, Y, p_gen, q_gen):
     x, out, errs = stacked
     try:
-        solo = solve_power_flow(net, Y, p_gen, q_gen)
+        solo = solve_power_flow(net, Y, p_gen, q_gen, pf_tol=1e-10)
     except PowerFlowError as exc:
         assert type(out) is type(exc)
         assert out.args == exc.args
@@ -484,7 +489,7 @@ def test_line_list_side_matches_dense_reference(lattice_document, side):
     case = load_case(lattice_document(side, side, 0))
     net = case.network
     Y = build_ybus(net)
-    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q)
+    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q, pf_tol=1e-10)
     flat, iterations = dense_newton(net, Y, case.gen_p, case.gen_q)
     assert sol.iterations == iterations
     assert np.abs(sol.state.flat() - flat).max() <= 1e-12
@@ -526,7 +531,7 @@ def test_cut_off_bus_still_singular_on_line_list_side(
         case = load_case(doc)
     with pytest.raises(SingularNewtonError):
         solve_power_flow(case.network, build_ybus(case.network), case.gen_p,
-                         case.gen_q)
+                         case.gen_q, pf_tol=1e-10)
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(doc))
     with pytest.warns(UserWarning, match="not connected"):

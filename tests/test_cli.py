@@ -450,6 +450,32 @@ def test_check_undecodable_file_exits_2(capsys, tmp_path, ex1, flag):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("extra", [["--perturb-load", "1:0.5"],
+                                   ["--state", "state.json"],
+                                   ["--pf-tol", "1e-8"]])
+def test_check_ex2_rejects_state_and_perturb_load(capsys, tmp_path,
+                                                  monkeypatch, ex2, extra):
+    # ex2 was once checked on a reduced (v, theta) view that rejected these
+    # flags with an input error; on its full-state system each one now
+    # reaches the check: the fixture state and a looser flow tolerance give
+    # the fixture's report, and a load 0.5 higher has no feasible point
+    monkeypatch.chdir(tmp_path)
+    Path("state.json").write_text(json.dumps(ex2.ground_truth.flat().tolist()))
+    fixture = run(capsys, "check", "--builtin", "ex2")
+    code, out, err = run(capsys, "check", "--builtin", "ex2", *extra)
+    assert code != EXIT_INPUT
+    assert "reduced (v, theta) view" not in err
+    if extra[0] == "--perturb-load":
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err.startswith("infeasible:")
+        return
+    assert (code, err) == (fixture[0], fixture[2])
+    payload, expected = json.loads(out), json.loads(fixture[1])
+    if extra[0] == "--pf-tol":
+        expected["tolerances"]["pf_tol"] = 1e-8
+    assert payload == expected
+
+
 def test_check_ex2_applies_pf_tol(capsys):
     # the flow residual at the crossing point is about 5.6e-17, so a flow
     # tolerance below that makes the point infeasible

@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
     cq = cqkit.licq_check(cs, state, cost)
     _emit({
         "tolerances": cs.tolerances,
-        "state": con.as_flat_state(cs, state)[0].tolist(),
+        "state": state.flat().tolist(),
         "cq": cq.to_dict(),
         "kkt": cq.kkt.to_dict(),
     }, args.out)

@@ -135,8 +135,10 @@ class ExpLoadEq:
     """h(x) = q_k + alpha * (p_k - p_load - sqrt(v_k)) = 0 at one bus.
 
     A voltage-dependent load coupling with constant power factor on the
-    non-fixed component; requires v_k > 0 for the square root to be
-    differentiable, enforced with a hard error.
+    non-fixed component; its domain is v_k > 0, where the square root is
+    differentiable. Outside it the value is NaN, which fails every
+    feasibility test, and the gradient, taken only at feasible points,
+    raises VoltageDomainError.
     """
 
     bus: int
@@ -145,19 +147,17 @@ class ExpLoadEq:
     p_load: float
     is_equality: bool = True
 
-    def _v(self, x: np.ndarray):
-        return require_positive_v(
-            x[..., state_index("v", self.bus, self.n_bus)],
-            f"voltage-dependent load at bus {self.bus}")
-
     def value(self, x: np.ndarray):
-        v = self._v(x)
+        v = x[..., state_index("v", self.bus, self.n_bus)]
         p = x[..., state_index("p", self.bus, self.n_bus)]
         q = x[..., state_index("q", self.bus, self.n_bus)]
-        return q + self.alpha * (p - self.p_load - np.sqrt(v))
+        root = np.sqrt(np.where(v > 0.0, v, np.nan))
+        return q + self.alpha * (p - self.p_load - root)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        v = self._v(x)
+        v = require_positive_v(
+            x[..., state_index("v", self.bus, self.n_bus)],
+            f"voltage-dependent load at bus {self.bus}")
         g = np.zeros(x.shape)
         g[..., state_index("p", self.bus, self.n_bus)] = self.alpha
         g[..., state_index("q", self.bus, self.n_bus)] = 1.0
@@ -195,33 +195,21 @@ def build_operational(spec: ConstraintSpec, n_bus: int):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Flow equalities plus operational equalities h and inequalities g.
-
-    ``net``/``Y`` may be None for purely operational systems (no flow
-    block), in which case states are plain vectors of length ``n_state``.
+    """The flow equations F of ``net`` (admittance ``Y``) plus operational
+    equalities h and inequalities g over its 4N-entry state.
 
     Its ``tolerances`` decide every check, sweep and report made on it.
     """
 
     h_ops: tuple
     g_ops: tuple
-    n_state: int
-    net: Network | None = None
-    Y: AdmittanceMatrix | None = None
+    net: Network
+    Y: AdmittanceMatrix
     act_tol: float = 1e-6
     eq_tol: float = 1e-8
     pf_tol: float = 1e-10
     stat_tol: float = 1e-8
     rank_ulp_scale: float = 2.0 ** -52
-
-    @classmethod
-    def operational(cls, h_ops, g_ops, n_state: int, **tols) -> "ConstraintSystem":
-        return cls(h_ops=tuple(h_ops), g_ops=tuple(g_ops),
-                   n_state=n_state, **tols)
-
-    @property
-    def has_flow(self) -> bool:
-        return self.net is not None
 
     @property
     def tolerances(self) -> dict:
@@ -239,49 +227,42 @@ def system_for_case(case: Case, **tols) -> ConstraintSystem:
     return ConstraintSystem(
         h_ops=tuple(op for op in ops if op.is_equality),
         g_ops=tuple(op for op in ops if not op.is_equality),
-        n_state=4 * net.n_bus, net=net, Y=build_ybus(net), **tols)
+        net=net, Y=build_ybus(net), **tols)
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a state to (flat, free_mask): a SystemState for a system
-    with flow equations, a plain vector (all entries free) otherwise."""
-    if isinstance(x, SystemState):
-        flat = x.flat()
-        mask = x.free_mask
-    elif cs.has_flow:
+    """Normalize a SystemState of the system's network to (flat,
+    free_mask)."""
+    if not isinstance(x, SystemState):
         raise ConstraintError(
-            "a system with flow equations takes a SystemState, not a plain "
-            "vector")
-    else:
-        flat = np.asarray(x, dtype=float)
-        mask = np.ones(flat.size, dtype=bool)
-    if flat.size != cs.n_state:
+            "a constraint system takes a SystemState, not a plain vector")
+    flat = x.flat()
+    if flat.size != 4 * cs.net.n_bus:
         raise ConstraintError(
-            f"state has {flat.size} entries, system expects {cs.n_state}")
-    return flat, mask
+            f"state has {flat.size} entries, system expects "
+            f"{4 * cs.net.n_bus}")
+    return flat, x.free_mask
 
 
 def point_block(cs: ConstraintSystem, x):
     """One point as a block of the block functions: (flats, mask, flow)
-    with flats of shape (1, n_state) and flow the one-trial flow data
-    (G, B, p_load, q_load) of the system, None without flow equations."""
+    with flats of shape (1, 4N) and flow the one-trial flow data
+    (G, B, p_load, q_load) of the system."""
     flat, mask = as_flat_state(cs, x)
-    flow = None
-    if cs.has_flow:
-        flow = (cs.Y.G[None], cs.Y.B[None], cs.net.p_load[None],
-                cs.net.q_load[None])
+    flow = (cs.Y.G[None], cs.Y.B[None], cs.net.p_load[None],
+            cs.net.q_load[None])
     return flat[None], mask, flow
 
 
-def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow=None):
+def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow):
     """Evaluate all constraints at a block of T points.
 
-    ``flats`` is T x n_state; ``flow`` holds the points' flow data
-    (G, B, p_load, q_load) with a leading trial axis, None for a system
-    without flow equations. Returns h values (T x I), g values (T x J),
-    feasibility (T,) and the flow residual (T x 2N, None without flow).
-    Feasibility requires the flow residual within pf_tol, |h| within
-    eq_tol and every g within +act_tol.
+    ``flats`` is T x 4N; ``flow`` holds the points' flow data
+    (G, B, p_load, q_load) with a leading trial axis. Returns h values
+    (T x I), g values (T x J), feasibility (T,) and the flow residual
+    (T x 2N). Feasibility requires the flow residual within pf_tol, |h|
+    within eq_tol and every g within +act_tol; a NaN value, as at a point
+    outside a constraint's domain, fails it.
     """
     def values(ops):
         if not ops:
@@ -289,12 +270,9 @@ def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow=None):
         return np.stack([op.value(flats) for op in ops], axis=1)
 
     h_vals, g_vals = values(cs.h_ops), values(cs.g_ops)
-    feasible = np.ones(len(flats), dtype=bool)
-    resid = None
-    if flow is not None:
-        G, B, p_load, q_load = flow
-        resid = _residual(G + 1j * B, p_load, q_load, flats)
-        feasible &= np.abs(resid).max(axis=1) <= cs.pf_tol
+    G, B, p_load, q_load = flow
+    resid = _residual(G + 1j * B, p_load, q_load, flats)
+    feasible = np.abs(resid).max(axis=1) <= cs.pf_tol
     if h_vals.shape[1]:
         feasible &= np.abs(h_vals).max(axis=1) <= cs.eq_tol
     if g_vals.shape[1]:
@@ -323,7 +301,7 @@ class ActiveSet:
 
 def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
     """Stacked-row labels: flow p then q rows by bus, every h, the given g."""
-    n = cs.net.n_bus if cs.has_flow else 0
+    n = cs.net.n_bus
     return ([f"flow:p:{k}" for k in range(n)] + [f"flow:q:{k}" for k in range(n)]
             + [f"h:{i}" for i in range(len(cs.h_ops))]
             + [f"g:{j}" for j in g_indices])
@@ -332,8 +310,9 @@ def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
 class _WorstViolation:
     """Message of the InfeasiblePointError of an infeasible point: the row
     with the largest excess over its tolerance, labelled as in the active
-    stack (``|flow:p:k|``, ``|h:i|``, ``g:j``). It is formatted only when
-    read; the Monte Carlo sweep never reads it."""
+    stack (``|flow:p:k|``, ``|h:i|``, ``g:j``); a NaN row, a value outside
+    its constraint's domain, is the worst. It is formatted only when read;
+    the Monte Carlo sweep never reads it."""
 
     def __init__(self, cs: ConstraintSystem, flow, h_vals, g_vals):
         self.evaluation = (cs, flow, h_vals, g_vals)
@@ -341,12 +320,12 @@ class _WorstViolation:
     def row(self) -> tuple[str, float, str]:
         """(label, value, tolerance name) of the worst violated row."""
         cs, flow, h_vals, g_vals = self.evaluation
-        flow = np.zeros(0) if flow is None else flow
         rows = zip(row_labels(cs, range(g_vals.size)),
                    np.concatenate([np.abs(flow), np.abs(h_vals), g_vals]),
                    ["pf_tol"] * flow.size + ["eq_tol"] * h_vals.size
                    + ["act_tol"] * g_vals.size)
-        label, value, name = max(rows, key=lambda r: r[1] - getattr(cs, r[2]))
+        label, value, name = max(rows, key=lambda r: np.inf if np.isnan(r[1])
+                                 else r[1] - getattr(cs, r[2]))
         if name != "act_tol":
             label = f"|{label}|"
         return label, value, name
@@ -357,8 +336,7 @@ class _WorstViolation:
         return f"worst violation {label} = {value:.3e} > {name} = {tol:g}"
 
 
-def active_sets(cs: ConstraintSystem, flats: np.ndarray,
-                flow=None) -> list:
+def active_sets(cs: ConstraintSystem, flats: np.ndarray, flow) -> list:
     """Per point of a block (see ``evaluate_points``) its ActiveSet, the
     indices j with g_j(x) >= -act_tol, or at an infeasible point an
     unraised InfeasiblePointError naming the worst violated row. Points on
@@ -370,8 +348,7 @@ def active_sets(cs: ConstraintSystem, flats: np.ndarray,
     for i, ok in enumerate(feasible.tolist()):
         if not ok:
             out.append(InfeasiblePointError(_WorstViolation(
-                cs, None if resid is None else resid[i], h_vals[i],
-                g_vals[i])))
+                cs, resid[i], h_vals[i], g_vals[i])))
             continue
         key = active[i].tobytes()
         if key not in faces:

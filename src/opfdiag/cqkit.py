@@ -84,25 +84,21 @@ def numerical_rank(matrix: np.ndarray, *,
 
 
 def face_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                jac: np.ndarray | None, face) -> np.ndarray:
+                jac: np.ndarray, face) -> np.ndarray:
     """Stacks of k points over the free columns, k x m x n, with the rows
     of the g indices in ``face`` active: the compressed flow rows ``jac``
-    (k x 2N x n, None without flow equations), then every h gradient, then
-    the face's g gradients; ``jac`` itself, not a copy, when the face adds
-    no operational row."""
+    (k x 2N x n), then every h gradient, then the face's g gradients;
+    ``jac`` itself, not a copy, when the face adds no operational row."""
     ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
-    if not ops and jac is not None:
+    if not ops:
         return jac
-    rows = [] if jac is None else [jac]
-    rows += [op.gradient(flats).compress(mask, axis=-1)[:, None]
-             for op in ops]
-    if not rows:
-        return np.zeros((len(flats), 0, int(mask.sum())))
-    return np.concatenate(rows, axis=1)
+    return np.concatenate(
+        [jac, *(op.gradient(flats).compress(mask, axis=-1)[:, None]
+                for op in ops)], axis=1)
 
 
 def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                  flow=None):
+                  flow):
     """Active stacks of a block of points that share one free mask, grouped
     by face (see ``evaluate_points`` for ``flats`` and ``flow``).
 
@@ -121,6 +117,9 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     # block already in that order (one point always is) is not copied
     order = np.array([i for points in faces.values() for i in points],
                      dtype=int)
+    if not order.size:
+        # no feasible point: no flow rows are planned
+        return acts, []
     in_order = np.array_equal(order, np.arange(len(flats)))
 
     def pick(arr):
@@ -129,17 +128,13 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     ordered = pick(flats)
     # flow_rows returns every row block, and so each stack, C-contiguous:
     # the BLAS calls on a stack then round as on a freshly assembled matrix
-    jac = None
-    if flow is not None and order.size:
-        jac = flow_rows(cs.net, None, mask)(pick(flow[0]), pick(flow[1]),
-                                            ordered)
+    jac = flow_rows(cs.net, None, mask)(pick(flow[0]), pick(flow[1]), ordered)
     groups = []
     start = 0
     for face, points in faces.items():
         at = slice(start, start + len(points))
         start = at.stop
-        stacks = face_stacks(cs, ordered[at], mask,
-                             None if jac is None else jac[at], face)
+        stacks = face_stacks(cs, ordered[at], mask, jac[at], face)
         groups.append((np.array(points), acts[points[0]], stacks,
                        tuple(row_labels(cs, face))))
     return acts, groups
@@ -172,9 +167,9 @@ class CQReport:
 
     ``sigma_min`` is the degeneracy margin, the smallest singular value of
     diag(I_p, R) (see the module docstring): min(1, sigma_min(R)), exactly
-    1.0 when R has no rows, and sigma_min(A) without flow rows. It is zero
-    (below ``rank_tol``) exactly when the qualification fails. ``rank_tol``
-    is that matrix's sigma_max * max(m, n) * ulp_scale, with A's shape.
+    1.0 when R has no rows. It is zero (below ``rank_tol``) exactly when the
+    qualification fails. ``rank_tol`` is that matrix's
+    sigma_max * max(m, n) * ulp_scale, with A's shape.
     ``kkt`` is the multiplier set when the check was given a cost; it is
     not part of ``to_dict``.
     """
@@ -205,7 +200,7 @@ class CQReport:
 
 
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                flow=None, cost: CostSpec | None = None) -> list:
+                flow, cost: CostSpec | None = None) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
     point. Each face group forms its reduced matrices R (module docstring)
@@ -215,7 +210,7 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     reports, groups = active_stacks(cs, flats, mask, flow)
     # pivot row j owns free column j; R takes the flow rows whose
     # generation entry is fixed and every operational row
-    n_flow = 2 * cs.net.n_bus if cs.has_flow else 0
+    n_flow = 2 * cs.net.n_bus
     pivots = np.flatnonzero(mask[:n_flow])
     p = pivots.size
     for points, act, stacks, labels in groups:
@@ -407,7 +402,7 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
     interval (same sign tolerance); FAMILY(dim) for higher-dimensional null
     spaces, whose sign feasibility is reported unresolved.
     """
-    n2 = 2 * cs.net.n_bus if cs.has_flow else 0
+    n2 = 2 * cs.net.n_bus
     n_h = len(cs.h_ops)
     resid = float(np.linalg.norm(stack.T @ y + grad_f))
     nullity = basis.shape[1]
@@ -448,9 +443,10 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
                  multipliers: np.ndarray) -> float:
     """Independent stationarity check: || grad f + A^T y ||_2.
 
-    Rebuilds the active gradient rows directly and accumulates the
-    weighted sum without any factorization, so it verifies kkt_solve
-    output through a separate code path.
+    Rebuilds the active gradient rows directly, the flow rows from the
+    dense ``pf_jacobian``, and accumulates the weighted sum without any
+    factorization, so it verifies kkt_solve output through a separate code
+    path.
     """
     flat, mask = as_flat_state(cs, x)
     act = active_set(cs, x)
@@ -462,11 +458,9 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
             f"{n_rows} rows")
     total = cost.gradient(flat)[mask].astype(float)
     pos = 0
-    if cs.has_flow:
-        jac = pf_jacobian(cs.net, cs.Y, x)[:, mask]
-        for row in jac:
-            total += y[pos] * row
-            pos += 1
+    for row in pf_jacobian(cs.net, cs.Y, x)[:, mask]:
+        total += y[pos] * row
+        pos += 1
     for h in cs.h_ops:
         total += y[pos] * h.gradient(flat)[mask]
         pos += 1

@@ -644,18 +644,12 @@ PROJECTION_TOL = 1e-11
 PROJECTION_MAX_ITER = 100
 
 
-def _damped_gauss_newton(residual_fn, jacobian_fn, flat0, mask):
+def _damped_gauss_newton(residual, jacobian_fn, flat0, mask):
     """Minimum-norm Gauss-Newton on an equality system over free entries;
     ``jacobian_fn`` gives its rows over the free columns.
 
-    A residual that is non-finite or leaves a constraint's domain, at the
+    A residual that is non-finite, as outside a constraint's domain, at the
     start or at a trial step, stops the iteration as not converged."""
-    def residual(flat):
-        try:
-            return residual_fn(flat)
-        except con.VoltageDomainError:
-            return np.array([np.nan])
-
     flat = flat0.copy()
     with np.errstate(all="ignore"):
         r = residual(flat)
@@ -687,8 +681,7 @@ def nearest_feasible_point(
     cs: con.ConstraintSystem,
     x_start: SystemState,
 ) -> tuple[SystemState | None, bool]:
-    """Point of a constraint system with flow equations near a start
-    state, by projection.
+    """Point of a constraint system near a start state, by projection.
 
     Two stages of minimum-norm Gauss-Newton: first onto the equality
     manifold {F = 0, h = 0}; if an inequality ends up violated there, a

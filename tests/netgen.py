@@ -61,11 +61,11 @@ def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
     return _injections(Y.G + 1j * Y.B, v, theta)
 
 
-def reduced_rows(a: np.ndarray, mask: np.ndarray, n_flow: int) -> np.ndarray:
+def reduced_rows(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """R = O_z - O_g X of an active stack ``a`` over the free columns
-    ``mask``: the flow rows whose generation entry is free are the pivot
-    rows [I, X], every other row is [O_g, O_z]."""
-    pivots = np.flatnonzero(mask[:n_flow])
+    ``mask`` of a 4N-entry state: the flow rows whose generation entry is
+    free are the pivot rows [I, X], every other row is [O_g, O_z]."""
+    pivots = np.flatnonzero(mask[:mask.size // 2])
     p = pivots.size
     others = np.setdiff1d(np.arange(a.shape[0]), pivots)
     return a[others, p:] - a[others, :p] @ a[pivots, p:]

@@ -85,7 +85,7 @@ def test_criterion_2_crossing_pair_reproduction():
         # the gradients of h and g restricted to the flow manifold: the
         # rows of the check's reduced matrix R
         a, _, _, _, mask = active_stack(fix.system, x)
-        grad_h, grad_g = reduced_rows(a, mask, 2 * fix.case.network.n_bus)
+        grad_h, grad_g = reduced_rows(a, mask)
         unit_h = grad_h / np.linalg.norm(grad_h)
         unit_g = grad_g / np.linalg.norm(grad_g)
         angle = math.asin(min(1.0, abs(unit_h[0] * unit_g[1]

@@ -66,7 +66,7 @@ def ex2_reduced_rows(ex2):
     """Rows of the check's reduced matrix R at ex2's ground truth, over
     (v2, theta2): the h row, then the g row."""
     a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
-    return reduced_rows(a, mask, 2 * ex2.case.network.n_bus)
+    return reduced_rows(a, mask)
 
 
 def test_ex2_reduced_gradients_parallel(ex2):

@@ -195,6 +195,43 @@ def test_check_unsolvable_flow_exits_4(capsys, tmp_path, ex1):
     assert err.startswith("infeasible: power flow failed: ")
 
 
+# Newton in polar form may converge to v < 0, the same complex voltage as
+# (-v, theta + pi); on this case it does at bus 1, where the voltage-dependent
+# load is outside its domain v > 0
+NEGATIVE_V_CASE = {
+    "buses": [{"id": 0, "type": "slack"},
+              {"id": 1, "type": "pq", "p_load": -1.3569, "q_load": -2.587}],
+    "lines": [{"from": 0, "to": 1, "g_series": 0.0, "b_series": -1.0}],
+    "constraints": [{"kind": "exp_load_eq", "target": {"bus": 1},
+                     "params": {"alpha": 1.0, "p_load": 0.0}}],
+}
+
+
+def test_check_outside_a_constraint_domain_exits_4(capsys, tmp_path):
+    # a point outside a constraint's domain is infeasible, not an input error
+    case = od.load_case(json.dumps(NEGATIVE_V_CASE))
+    state = od.solve_power_flow(case.network, od.system_for_case(case).Y,
+                                case.gen_p, case.gen_q, pf_tol=1e-10).state
+    assert state.v[1] < 0.0
+    path = tmp_path / "negv.json"
+    path.write_text(json.dumps(NEGATIVE_V_CASE))
+    code, out, err = run(capsys, "check", "--case", str(path))
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err == "infeasible: worst violation |h:0| = nan > eq_tol = 1e-08\n"
+
+
+def test_sweep_counts_points_outside_a_constraint_domain(capsys, tmp_path):
+    path = tmp_path / "negv.json"
+    path.write_text(json.dumps(NEGATIVE_V_CASE))
+    code, out, err = run(capsys, "perturb", "--case", str(path), "--model",
+                         "load", "--trials", "50", "--seed", "0")
+    assert code == EXIT_OK
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["trials"] == 50 and payload["feasible_count"] == 0
+
+
 def test_check_file_case_round_trip(capsys, tmp_path, ex1):
     doc_path = tmp_path / "case.json"
     doc_path.write_text(json.dumps(case_document(ex1.case)))
@@ -702,23 +739,49 @@ def _relabel(doc: dict, perm: np.ndarray) -> dict:
     }
 
 
+def _reverse_lines(doc: dict) -> dict:
+    """The case with every line's from and to ends swapped."""
+    return {**doc, "lines": [{**ln, "from": ln["to"], "to": ln["from"]}
+                             for ln in doc["lines"]]}
+
+
+@pytest.mark.parametrize("transform", ["relabel", "reverse_lines"])
 def test_check_verdict_invariant_under_bus_relabelling(capsys, tmp_path,
-                                                       lattice_document):
+                                                       lattice_document,
+                                                       transform):
     doc = lattice_document(8, 7, 3)
     n = len(doc["buses"])
     assert n >= 50
-    perm = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(n - 1)))
-    assert (perm != np.arange(n)).any()
+    perm = np.arange(n)
+    if transform == "relabel":
+        perm = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(n - 1)))
+        assert (perm != np.arange(n)).any()
+        other = _relabel(doc, perm)
+    else:
+        other = _reverse_lines(doc)
+        assert other["lines"] != doc["lines"]
     reports = []
-    for i, case in enumerate((doc, _relabel(doc, perm))):
+    # each case's new bus b is bus back[b] of the original, and the
+    # original's bus k is column cols[k] of its state
+    for i, (case, back, cols) in enumerate(
+            ((doc, np.arange(n), np.arange(n)), (other, np.argsort(perm), perm))):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(case))
         code, out, _ = run(capsys, "check", "--case", str(path))
         payload = json.loads(out)
-        reports.append((code, payload["cq"], payload["kkt"]))
-    (code0, cq0, kkt0), (code1, cq1, kkt1) = reports
+        # the active inequalities by kind, variable and original bus
+        caps = [c for c in case["constraints"] if c["kind"] != "linear_eq"]
+        face = sorted((caps[j]["kind"], caps[j]["target"]["var"],
+                       int(back[caps[j]["target"]["bus"]]))
+                      for j in payload["cq"]["face"])
+        # the state in the original bus order
+        state = np.array(payload["state"]).reshape(4, n)[:, cols]
+        reports.append((code, payload["cq"], payload["kkt"], face, state))
+    (code0, cq0, kkt0, face0, x0), (code1, cq1, kkt1, face1, x1) = reports
     assert code0 == code1
     assert len(cq0["face"]) == len(cq1["face"]) > 0
+    assert face0 == face1
+    assert np.abs(x0 - x1).max() <= 1e-12
     for key in ("licq_holds", "numerical_rank", "m", "n_free"):
         assert cq0[key] == cq1[key], key
     for key in ("classification", "family_dim"):

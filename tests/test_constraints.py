@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfdiag.constraints import (ApparentPower, BoxLower, BoxUpper,
-                                 ConstraintSystem, ExpLoadEq,
+from opfdiag.cases import example1
+from opfdiag.constraints import (ApparentPower, BoxLower, BoxUpper, ExpLoadEq,
                                  ConstraintError, InfeasiblePointError,
                                  LinearEq, VoltageDomainError, active_set,
                                  evaluate)
-from opfdiag.cqkit import active_stack, licq_check
+from opfdiag.cqkit import active_stack, licq_check, numerical_rank
 from opfdiag.powerflow import SystemState, state_index
 
 
@@ -24,10 +26,16 @@ def test_ex1_voltage_bound_exact_at_cap(ex1):
     assert g.value(ex1.ground_truth.flat()) == 0.0
 
 
-def test_box_upper_infinite_bound_never_active():
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=np.inf),), n_state=2)
-    act = active_set(cs, np.array([1e12, 0.0]))
+def _boxed(ex1, *g_ops, **tols):
+    """ex1's flow system with the given inequalities and no equality; its
+    ground truth is a flow solution, so boxes placed relative to its
+    entries decide feasibility and activity there."""
+    return replace(ex1.system, h_ops=(), g_ops=g_ops, **tols)
+
+
+def test_box_upper_infinite_bound_never_active(ex1):
+    cs = _boxed(ex1, BoxUpper(index=0, bound=np.inf))
+    act = active_set(cs, ex1.ground_truth)
     assert act.indices == ()
 
 
@@ -36,27 +44,28 @@ def test_active_set_ex1(ex1):
     assert act.indices == (0,)
 
 
-def test_active_set_interior_point_empty():
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0), BoxLower(index=1, bound=-1.0)),
-        n_state=2)
-    act = active_set(cs, np.array([0.2, 0.3]))
+def test_active_set_interior_point_empty(ex1):
+    x = ex1.ground_truth.flat()
+    cs = _boxed(ex1, BoxUpper(index=0, bound=x[0] + 0.8),
+                BoxLower(index=1, bound=x[1] - 1.3))
+    act = active_set(cs, ex1.ground_truth)
     assert act.indices == ()
 
 
-def test_active_set_inclusive_boundary_rule():
-    # value exactly -act_tol / 2 counts as active
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0),), n_state=1, act_tol=1e-6)
-    act = active_set(cs, np.array([1.0 - 5e-7]))
+def test_active_set_inclusive_boundary_rule(ex1):
+    # value -act_tol / 2 counts as active
+    x = ex1.ground_truth.flat()
+    cs = _boxed(ex1, BoxUpper(index=0, bound=x[0] + 5e-7), act_tol=1e-6)
+    act = active_set(cs, ex1.ground_truth)
     assert act.indices == (0,)
 
 
-def test_active_set_rejects_infeasible_point():
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
-    with pytest.raises(InfeasiblePointError):
-        active_set(cs, np.array([2.0]))
+def test_active_set_rejects_infeasible_point(ex1):
+    x = ex1.ground_truth.flat()
+    cs = _boxed(ex1, BoxUpper(index=0, bound=x[0] - 1.0))
+    with pytest.raises(InfeasiblePointError) as err:
+        active_set(cs, ex1.ground_truth)
+    assert err.value.worst_row == "g:0"
 
 
 def test_fixed_licq_ex1_rows_and_rank(ex1):
@@ -66,19 +75,16 @@ def test_fixed_licq_ex1_rows_and_rank(ex1):
     g_row = ex1.system.g_ops[0].gradient(flat)[mask]
     assert h_row.tolist() == [0.0, -1.0, 0.0, 1.0, 0.0, 0.0]
     assert g_row.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
-    # the operational constraints alone, without the flow equations
-    fixed = ConstraintSystem.operational(ex1.system.h_ops, ex1.system.g_ops,
-                                         n_state=8)
-    report = licq_check(fixed, ex1.ground_truth)
-    assert report.licq_holds and report.numerical_rank == 2
+    # the two operational rows alone are independent; the stack with the
+    # flow rows is not (test_fixed_licq_ex2_reduced_tangency_fails for ex2)
+    assert numerical_rank(np.vstack([h_row, g_row]))[0] == 2
 
 
 def test_fixed_licq_duplicated_constraint_fails(ex1):
     h = ex1.system.h_ops[0]
-    fixed = ConstraintSystem.operational((h, h), ex1.system.g_ops, n_state=8)
-    report = licq_check(fixed, ex1.ground_truth)
+    report = licq_check(replace(ex1.system, h_ops=(h, h)), ex1.ground_truth)
     assert not report.licq_holds
-    assert report.numerical_rank == 2 and report.m == 3
+    assert report.numerical_rank == 5 and report.m == 7
 
 
 def test_fixed_licq_ex2_reduced_tangency_fails(ex2):
@@ -90,12 +96,16 @@ def test_fixed_licq_ex2_reduced_tangency_fails(ex2):
 
 
 def test_exp_load_domain_error_at_nonpositive_voltage():
+    # outside the domain the value is NaN, so the point is infeasible; the
+    # gradient, only taken at feasible points, raises
     op = ExpLoadEq(bus=0, n_bus=1, alpha=1.0, p_load=0.0)
-    x = np.array([0.0, 0.0, -0.5, 0.0])
-    with pytest.raises(VoltageDomainError):
-        op.value(x)
-    with pytest.raises(VoltageDomainError):
-        op.gradient(x)
+    for v in (-0.5, 0.0):
+        x = np.array([0.0, 0.0, v, 0.0])
+        assert np.isnan(op.value(x))
+        with pytest.raises(VoltageDomainError):
+            op.gradient(x)
+    values = op.value(np.array([[0.0, 0.0, -0.5, 0.0], [0.0, 0.0, 4.0, 0.0]]))
+    assert np.isnan(values[0]) and values[1] == -2.0
 
 
 def _fd_gradient(op, x, step=1e-6):
@@ -144,23 +154,27 @@ def test_all_kind_gradients_match_finite_differences_100_trials():
        factor=st.floats(min_value=1.0, max_value=1e4))
 def test_enlarging_activity_tolerance_never_shrinks_active_set(
         values, eps_small, factor):
-    n = len(values)
-    ops = tuple(BoxUpper(index=i, bound=-v) for i, v in enumerate(values))
-    x = np.zeros(n)
-    small = ConstraintSystem.operational((), ops, n_state=n, act_tol=eps_small)
-    large = ConstraintSystem.operational((), ops, n_state=n,
-                                         act_tol=eps_small * factor)
-    before = set(active_set(small, x).indices)
-    after = set(active_set(large, x).indices)
+    # box i sits at value values[i] <= 0 on entry i of ex1's ground truth
+    ex1 = example1(1.0)
+    x = ex1.ground_truth.flat()
+    ops = tuple(BoxUpper(index=i, bound=x[i] - v) for i, v in enumerate(values))
+    small = _boxed(ex1, *ops, act_tol=eps_small)
+    large = _boxed(ex1, *ops, act_tol=eps_small * factor)
+    before = set(active_set(small, ex1.ground_truth).indices)
+    after = set(active_set(large, ex1.ground_truth).indices)
     assert before <= after
 
 
-def test_face_label_is_pure_function_of_active_set():
-    ops = tuple(BoxUpper(index=i, bound=float(i)) for i in range(3))
-    cs = ConstraintSystem.operational((), ops, n_state=3)
-    x1 = np.array([0.0, 1.0, 1.0])
-    x2 = np.array([0.0, 1.0, 0.5])
-    a1, a2 = active_set(cs, x1), active_set(cs, x2)
+def test_face_label_is_pure_function_of_active_set(ex1):
+    # boxes 0 and 1 at the point's entries, box 2 slack by 1 or by 1.5
+    x = ex1.ground_truth.flat()
+    faces = []
+    for slack in (1.0, 1.5):
+        cs = _boxed(ex1, BoxUpper(index=0, bound=x[0]),
+                    BoxUpper(index=1, bound=x[1]),
+                    BoxUpper(index=2, bound=x[2] + slack))
+        faces.append(active_set(cs, ex1.ground_truth))
+    a1, a2 = faces
     assert a1.indices == (0, 1) and a2.indices == (0, 1)
     assert a1.indices == a2.indices
 
@@ -174,7 +188,7 @@ def test_evaluate_reports_flow_infeasibility(ex1):
 
 
 def test_flow_system_rejects_plain_vector(ex1):
-    # a plain vector carries no free mask; a flow system needs a SystemState
+    # a plain vector carries no free mask; every system takes a SystemState
     flat = ex1.ground_truth.flat()
     for call in (evaluate, active_set, active_stack):
         with pytest.raises(ConstraintError, match="SystemState"):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
         seen = set()
         for _ in range(150):
             scale = 10.0 ** rng.uniform(-14, -3)
-            noise = scale * rng.standard_normal(cs.n_state)
-            noise *= rng.uniform(size=cs.n_state) < 0.5
+            noise = scale * rng.standard_normal(4 * cs.net.n_bus)
+            noise *= rng.uniform(size=noise.size) < 0.5
             state = SystemState.from_flat(x.flat() + noise, x.free_mask)
             feasible = evaluate(cs, state)[2]
             try:
@@ -144,7 +145,7 @@ def test_kkt_none_for_probe_cost_on_tangent_pair(ex2):
     # independent oracle: distance from the reduced cost gradient (0, 1)
     # over (v2, theta2) to the common span of the two parallel rows of R
     a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
-    direction = reduced_rows(a, mask, 4)[1]
+    direction = reduced_rows(a, mask)[1]
     unit = direction / np.linalg.norm(direction)
     expected = np.linalg.norm(np.array([0.0, 1.0]) - (unit[1]) * unit)
     assert abs(kkt.stationarity_residual - expected) <= 1e-12
@@ -206,9 +207,9 @@ def _planted_cost(doc, seed, zero_mu):
     assert a.shape[0] > first_mu  # the caps are active
     y[first_mu:] = 0.0 if zero_mu else rng.uniform(0.1, 1.0,
                                                    a.shape[0] - first_mu)
-    c1 = np.zeros(cs.n_state)
+    c1 = np.zeros(mask.size)
     c1[mask] = -a.T @ y
-    return cs, x, CostSpec(c2=np.zeros(cs.n_state), c1=c1), y
+    return cs, x, CostSpec(c2=np.zeros(mask.size), c1=c1), y
 
 
 def test_mu_sign_test_is_relative_to_cost_scale(lattice_document):
@@ -250,27 +251,36 @@ def _flow_point(net, rng):
     p_inj, q_inj = injections(Y, x.v, x.theta)
     x = SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
                     v=x.v, theta=x.theta, free_mask=x.free_mask)
-    return ConstraintSystem(h_ops=(), g_ops=(), n_state=4 * net.n_bus,
-                            net=net, Y=Y), x
+    return ConstraintSystem(h_ops=(), g_ops=(), net=net, Y=Y), x
 
 
 def _planted(cs, x, rng):
     """Linear cost with c1[free] = -A^T y for standard normal y."""
     a, _, _, _, mask = active_stack(cs, x)
-    c1 = np.zeros(cs.n_state)
+    c1 = np.zeros(mask.size)
     c1[mask] = -a.T @ rng.standard_normal(a.shape[0])
-    return CostSpec(c2=np.zeros(cs.n_state), c1=c1)
+    return CostSpec(c2=np.zeros(mask.size), c1=c1)
+
+
+def _tripled_h(ex1):
+    """ex1 with its equality row three times: m = 8 > n = 6, rank 5."""
+    h = ex1.system.h_ops[0]
+    return replace(ex1.system, h_ops=(h, h, h))
+
+
+def _no_operational(ex1):
+    """ex1's flow equations alone: m = 4, every row a pivot row, so R has
+    no rows."""
+    return replace(ex1.system, h_ops=(), g_ops=())
 
 
 def _reduced_cases(ex1, ex2, lattice_document):
     """(name, system, point, cost, classification) of the cases the reduced
-    check is compared on: m < n, m = n, m > n and m = 0 stacks, R with and
+    check is compared on: m < n, m = n and m > n stacks, R with and
     without rows, and a flow row whose generation entry is fixed."""
     shifted = od.system_for_case(shift_load(ex1.case, 1, +0.05))
     shifted_x, _ = nearest_feasible_point(shifted, ex1.ground_truth)
-    h = LinearEq(terms=((0, 1.0),), offset=0.0)
-    box = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
+    tripled = _tripled_h(ex1)
     case, lattice, lattice_x = _lattice_point(lattice_document(3, 3, 0))
     big, big_lattice, big_x = _lattice_point(lattice_document(6, 6, 0))
     rng = np.random.default_rng(11)
@@ -282,11 +292,11 @@ def _reduced_cases(ex1, ex2, lattice_document):
         ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
         ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
         ("ex2", ex2.system, ex2.ground_truth, ex2.cost, Classification.NONE),
-        ("family", ConstraintSystem.operational((h, h, h), (), n_state=2),
-         np.array([0.0, 0.3]), CostSpec(c2=np.zeros(2), c1=np.array([1.0, 0.0])),
+        ("family", tripled, ex1.ground_truth,
+         _planted(tripled, ex1.ground_truth, np.random.default_rng(3)),
          Classification.FAMILY),
-        ("empty", box, np.array([0.0]),
-         CostSpec(c2=np.zeros(1), c1=np.zeros(1)), Classification.UNIQUE),
+        ("no-rows", _no_operational(ex1), ex1.ground_truth,
+         CostSpec(c2=np.zeros(8), c1=np.zeros(8)), Classification.UNIQUE),
         ("lattice", lattice, lattice_x,
          CostSpec.from_terms(case.cost, case.network.n_bus),
          Classification.NONE),
@@ -299,12 +309,12 @@ def _reduced_cases(ex1, ex2, lattice_document):
     ]
 
 
-def _diag_of_reduced(a, mask, n_flow):
+def _diag_of_reduced(a, mask):
     """diag(I_p, R) of a stack, built directly from its rows and columns."""
-    p = np.count_nonzero(mask[:n_flow])
+    p = np.count_nonzero(mask[:mask.size // 2])
     out = np.zeros(a.shape)
     out[:p, :p] = np.eye(p)
-    out[p:, p:] = reduced_rows(a, mask, n_flow)
+    out[p:, p:] = reduced_rows(a, mask)
     return out
 
 
@@ -327,9 +337,7 @@ def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
         assert report.licq_holds is (rank == m), name
         assert kkt.family_dim == ref.family_dim, name
         assert kkt.mu_sign_feasible == ref.mu_sign_feasible, name
-        n_flow = 2 * cs.net.n_bus if cs.has_flow else 0
-        d_s = np.linalg.svd(_diag_of_reduced(a, mask, n_flow),
-                            compute_uv=False)
+        d_s = np.linalg.svd(_diag_of_reduced(a, mask), compute_uv=False)
         _, d_min, d_tol = _rank_from_svals(d_s, (m, n),
                                            ConstraintSystem.rank_ulp_scale)
         assert report.rank_tol == pytest.approx(d_tol, rel=1e-12, abs=0.0)
@@ -387,14 +395,11 @@ def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
                 g_ops.append(ApparentPower(bus=bus, n_bus=n, s2_max=float(
                     flat[bus] ** 2 + flat[n + bus] ** 2)))
         points.append((ConstraintSystem(
-            h_ops=tuple(h_ops), g_ops=tuple(g_ops), n_state=4 * n, net=net,
-            Y=flow.Y), x))
+            h_ops=tuple(h_ops), g_ops=tuple(g_ops), net=net, Y=flow.Y), x))
     # a planted duplicate of an equality row: both paths see the dependent
     # row (3x3 lattice, m = 26 < n = 34 without it)
     cs, x = points[10]
-    points.append((ConstraintSystem(
-        h_ops=cs.h_ops + cs.h_ops[:1], g_ops=cs.g_ops, n_state=cs.n_state,
-        net=cs.net, Y=cs.Y), x))
+    points.append((replace(cs, h_ops=cs.h_ops + cs.h_ops[:1]), x))
     with_rows = 0
     for cs, x in points:
         report = licq_check(cs, x)
@@ -430,45 +435,49 @@ def test_licq_holds_implies_unique_or_none(ex1):
     assert kkt.classification in (Classification.UNIQUE, Classification.NONE)
 
 
-def test_unique_multiplier_on_simple_active_box():
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
-    cost = CostSpec(c2=np.zeros(1), c1=np.array([-1.0]))
-    kkt = _checked_null_space(cs, np.array([1.0]), cost)
+def test_unique_multiplier_on_simple_active_box(ex1):
+    # a cap on p_gen[1] at its value; the cost c1 = -A^T e_box makes its
+    # multiplier exactly 1 and every flow multiplier 0
+    x = ex1.ground_truth
+    cs = replace(ex1.system, h_ops=(),
+                 g_ops=(BoxUpper(index=1, bound=x.p_gen[1]),))
+    cost = CostSpec(c2=np.zeros(8), c1=-np.eye(8)[1])
+    kkt = _checked_null_space(cs, x, cost)
     assert kkt.classification is Classification.UNIQUE
-    assert abs(kkt.mu[0] - 1.0) <= 1e-12
+    assert np.abs(kkt.mu - [1.0]).max() <= 1e-12
     assert kkt.mu_sign_feasible
 
 
-def test_empty_active_stack():
-    # the cap is slack at x = 0, so no row is active
-    cs = ConstraintSystem.operational(
-        (), (BoxUpper(index=0, bound=1.0),), n_state=1)
-    zero = CostSpec(c2=np.zeros(1), c1=np.zeros(1))
-    report = licq_check(cs, np.array([0.0]), zero)
-    assert report.m == 0 and report.licq_holds
-    assert report.sigma_min == np.inf and report.rank_tol == 0.0
+def test_empty_active_stack(ex1):
+    # no operational row: the four flow rows are pivot rows, R has no rows
+    # and nothing is factored
+    cs = _no_operational(ex1)
+    zero = CostSpec(c2=np.zeros(8), c1=np.zeros(8))
+    report = licq_check(cs, ex1.ground_truth, zero)
+    assert report.m == 4 and report.licq_holds
+    assert report.sigma_min == 1.0
+    assert report.row_labels == ("flow:p:0", "flow:p:1", "flow:q:0",
+                                 "flow:q:1")
     assert report.kkt.classification is Classification.UNIQUE
     assert report.kkt.mu_sign_feasible
-    assert report.kkt.nullspace_basis.shape == (0, 0)
-    assert report.to_dict()["active_jacobian"] == {
-        "shape": [0, 1], "rows": [], "cols": [], "values": []}
-    tilted = CostSpec(c2=np.zeros(1), c1=np.array([0.5]))
-    kkt = kkt_solve(cs, np.array([0.0]), tilted)
+    assert report.kkt.nullspace_basis.shape == (4, 0)
+    # a cost on theta_1, which no flow multiplier can balance
+    tilted = CostSpec(c2=np.zeros(8), c1=0.5 * np.eye(8)[7])
+    kkt = kkt_solve(cs, ex1.ground_truth, tilted)
     assert kkt.classification is Classification.NONE
     assert kkt.stationarity_residual == 0.5
-    assert kkt.particular.shape == (0,) and kkt.mu_sign_feasible is None
+    assert kkt.particular.shape == (4,) and kkt.mu.shape == (0,)
+    assert kkt.mu_sign_feasible is None
 
 
-def test_family_classification_for_higher_nullity():
-    h = LinearEq(terms=((0, 1.0),), offset=0.0)
-    cs = ConstraintSystem.operational((h, h, h), (), n_state=2)
-    cost = CostSpec(c2=np.zeros(2), c1=np.array([1.0, 0.0]))
-    # m = 3 > n = 2: the null space needs U past its thin columns
-    kkt = _checked_null_space(cs, np.array([0.0, 0.3]), cost)
+def test_family_classification_for_higher_nullity(ex1):
+    cs = _tripled_h(ex1)
+    cost = _planted(cs, ex1.ground_truth, np.random.default_rng(3))
+    # m = 8 > n = 6: the null space needs U past its thin columns
+    kkt = _checked_null_space(cs, ex1.ground_truth, cost)
     assert kkt.classification is Classification.FAMILY
-    assert kkt.family_dim == 2
-    assert kkt.nullspace_basis.shape == (3, 2)
+    assert kkt.family_dim == 3
+    assert kkt.nullspace_basis.shape == (8, 3)
     assert kkt.stationarity_residual <= 1e-12
 
 

@@ -29,7 +29,7 @@ from .constraints import ConstraintSystem, system_for_case
 from .cqkit import CostSpec
 from .netmodel import (Bus, BusType, Case, CaseError, ConstraintSpec,
                        CostTerms, Line, Network)
-from .powerflow import SystemState, free_mask_from_bus_types
+from .powerflow import SystemState
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,6 @@ def example1(alpha: float) -> FixtureBundle:
         q_gen=np.array([0.0, alpha * alpha]),
         v=np.array([1.0, v_bar]),
         theta=np.array([0.0, math.atan(alpha)]),
-        free_mask=free_mask_from_bus_types(net),
     )
     expected = {
         "v_bar": v_bar,
@@ -161,7 +160,6 @@ def example2() -> FixtureBundle:
         q_gen=np.array([q1, q2]),
         v=np.array([1.0, v2]),
         theta=np.array([0.0, t2]),
-        free_mask=free_mask_from_bus_types(net),
     )
     # rank of the active stack and a floor on the cost's stationarity
     # residual
@@ -203,7 +201,6 @@ def example3(net: Network | None = None) -> FixtureBundle:
     ground_truth = SystemState(
         p_gen=np.zeros(n), q_gen=np.zeros(n),
         v=np.ones(n), theta=np.zeros(n),
-        free_mask=free_mask_from_bus_types(net),
     )
     return FixtureBundle(
         name="ex3", case=case, system=system_for_case(case), cost=None,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .netmodel import (AdmittanceMatrix, Case, ConstraintSpec, Network,
                        build_ybus)
-from .powerflow import SystemState, _residual, state_index
+from .powerflow import (SystemState, _residual, free_mask_from_bus_types,
+                        state_index)
 
 
 class ConstraintError(ValueError):
@@ -212,6 +213,11 @@ class ConstraintSystem:
     rank_ulp_scale: float = 2.0 ** -52
 
     @property
+    def free_mask(self) -> np.ndarray:
+        """The network's free state entries (``free_mask_from_bus_types``)."""
+        return free_mask_from_bus_types(self.net)
+
+    @property
     def tolerances(self) -> dict:
         """The five tolerances by name: the block a report writes."""
         return {name: getattr(self, name) for name in
@@ -230,9 +236,8 @@ def system_for_case(case: Case, **tols) -> ConstraintSystem:
         net=net, Y=build_ybus(net), **tols)
 
 
-def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a SystemState of the system's network to (flat,
-    free_mask)."""
+def as_flat_state(cs: ConstraintSystem, x) -> np.ndarray:
+    """The flat 4N-vector of a SystemState of the system's network."""
     if not isinstance(x, SystemState):
         raise ConstraintError(
             "a constraint system takes a SystemState, not a plain vector")
@@ -241,17 +246,16 @@ def as_flat_state(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray]:
         raise ConstraintError(
             f"state has {flat.size} entries, system expects "
             f"{4 * cs.net.n_bus}")
-    return flat, x.free_mask
+    return flat
 
 
 def point_block(cs: ConstraintSystem, x):
-    """One point as a block of the block functions: (flats, mask, flow)
-    with flats of shape (1, 4N) and flow the one-trial flow data
+    """One point as a block of the block functions: (flats, flow) with
+    flats of shape (1, 4N) and flow the one-trial flow data
     (G, B, p_load, q_load) of the system."""
-    flat, mask = as_flat_state(cs, x)
     flow = (cs.Y.G[None], cs.Y.B[None], cs.net.p_load[None],
             cs.net.q_load[None])
-    return flat[None], mask, flow
+    return as_flat_state(cs, x)[None], flow
 
 
 def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow):
@@ -283,20 +287,8 @@ def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow):
 def evaluate(cs: ConstraintSystem, x) -> tuple[np.ndarray, np.ndarray, bool]:
     """Evaluate all constraints at one point: (h values, g values,
     feasible); the one-trial call of ``evaluate_points``."""
-    flats, _, flow = point_block(cs, x)
-    h_vals, g_vals, feasible, _ = evaluate_points(cs, flats, flow)
+    h_vals, g_vals, feasible, _ = evaluate_points(cs, *point_block(cs, x))
     return h_vals[0], g_vals[0], bool(feasible[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveSet:
-    """Active inequality indices at a feasible point.
-
-    ``indices`` is sorted; it is a pure function of the index set and
-    labels which face of the feasible region the point sits on.
-    """
-
-    indices: tuple[int, ...]
 
 
 def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
@@ -337,13 +329,13 @@ class _WorstViolation:
 
 
 def active_sets(cs: ConstraintSystem, flats: np.ndarray, flow) -> list:
-    """Per point of a block (see ``evaluate_points``) its ActiveSet, the
-    indices j with g_j(x) >= -act_tol, or at an infeasible point an
-    unraised InfeasiblePointError naming the worst violated row. Points on
-    the same face share one ActiveSet."""
+    """Per point of a block (see ``evaluate_points``) its face, the sorted
+    tuple of the indices j with g_j(x) >= -act_tol, or at an infeasible
+    point an unraised InfeasiblePointError naming the worst violated row.
+    Points on the same face share one tuple."""
     h_vals, g_vals, feasible, resid = evaluate_points(cs, flats, flow)
     active = g_vals >= -cs.act_tol
-    faces: dict[bytes, ActiveSet] = {}
+    faces: dict[bytes, tuple[int, ...]] = {}
     out: list = []
     for i, ok in enumerate(feasible.tolist()):
         if not ok:
@@ -352,17 +344,16 @@ def active_sets(cs: ConstraintSystem, flats: np.ndarray, flow) -> list:
             continue
         key = active[i].tobytes()
         if key not in faces:
-            faces[key] = ActiveSet(tuple(np.flatnonzero(active[i]).tolist()))
+            faces[key] = tuple(np.flatnonzero(active[i]).tolist())
         out.append(faces[key])
     return out
 
 
-def active_set(cs: ConstraintSystem, x) -> ActiveSet:
-    """Indices j with g_j(x) >= -act_tol. Only defined on feasible points;
-    at an infeasible one it raises InfeasiblePointError naming the worst
-    violated row. The one-trial call of ``active_sets``."""
-    flats, _, flow = point_block(cs, x)
-    (act,) = active_sets(cs, flats, flow)
+def active_set(cs: ConstraintSystem, x) -> tuple[int, ...]:
+    """Sorted indices j with g_j(x) >= -act_tol. Only defined on feasible
+    points; at an infeasible one it raises InfeasiblePointError naming the
+    worst violated row. The one-trial call of ``active_sets``."""
+    (act,) = active_sets(cs, *point_block(cs, x))
     if isinstance(act, InfeasiblePointError):
         raise act
     return act

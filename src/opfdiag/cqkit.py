@@ -11,13 +11,14 @@ A^T y = -grad f in the least-squares sense; the left null space of A spans
 the solution family. Sign convention: minimize f, g <= 0, mu >= 0,
 grad f + kappa^T grad F + lambda^T grad h + mu^T grad g = 0.
 
-Both are decided on the reduced matrix R, not on A. A flow row whose
-generation entry is free (a pivot row) has dF/d(p_gen, q_gen) = I over the
-free generation columns. With the pivot rows [I, X] and the other rows
-[O_g, O_z] (generation columns first, then the rest z), one column and one
-row elimination turn A into diag(I_p, R) with R = O_z - O_g X, so
-rank(A) = p + rank(R): LICQ asks whether the operational rows meet the
-flow manifold transversally. Where R has no rows nothing is factored.
+Both are decided on the reduced matrix R, not on A. The network's mask
+frees every generation entry, so the 2N flow rows are the pivot rows: their
+first 2N free columns, dF/d(p_gen, q_gen), are I. With the flow rows
+[I, X] and the operational rows [O_g, O_z] (generation columns first, then
+the rest z), one column and one row elimination turn A into diag(I_p, R)
+with p = 2N and R = O_z - O_g X, so rank(A) = p + rank(R): LICQ asks
+whether the operational rows meet the flow manifold transversally. Where R
+has no rows nothing is factored.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ActiveSet, ConstraintSystem, InfeasiblePointError,
-                          active_set, active_sets, as_flat_state, point_block,
-                          row_labels)
+from .constraints import (ConstraintSystem, InfeasiblePointError, active_set,
+                          active_sets, as_flat_state, point_block, row_labels)
 from .netmodel import CostTerms
 from .powerflow import flow_rows, pf_jacobian, state_index
 
@@ -83,8 +83,8 @@ def numerical_rank(matrix: np.ndarray, *,
     return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
-def face_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                jac: np.ndarray, face) -> np.ndarray:
+def face_stacks(cs: ConstraintSystem, flats: np.ndarray, jac: np.ndarray,
+                face) -> np.ndarray:
     """Stacks of k points over the free columns, k x m x n, with the rows
     of the g indices in ``face`` active: the compressed flow rows ``jac``
     (k x 2N x n), then every h gradient, then the face's g gradients;
@@ -92,18 +92,18 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
     if not ops:
         return jac
+    mask = cs.free_mask
     return np.concatenate(
         [jac, *(op.gradient(flats).compress(mask, axis=-1)[:, None]
                 for op in ops)], axis=1)
 
 
-def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                  flow):
-    """Active stacks of a block of points that share one free mask, grouped
-    by face (see ``evaluate_points`` for ``flats`` and ``flow``).
+def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
+    """Active stacks of a block of points over the system's free columns,
+    grouped by face (see ``evaluate_points`` for ``flats`` and ``flow``).
 
-    Returns (acts, groups): ``acts[i]`` is point i's ActiveSet or unraised
-    InfeasiblePointError; each group is (points, act, stacks, labels) for
+    Returns (acts, groups): ``acts[i]`` is point i's face or unraised
+    InfeasiblePointError; each group is (points, face, stacks, labels) for
     the feasible points on one face, ``stacks`` holding their
     ``face_stacks``; the flow rows of all feasible points come from one
     batched Jacobian.
@@ -111,8 +111,8 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     acts = active_sets(cs, flats, flow)
     faces: dict[tuple[int, ...], list[int]] = {}
     for i, act in enumerate(acts):
-        if isinstance(act, ActiveSet):
-            faces.setdefault(act.indices, []).append(i)
+        if not isinstance(act, InfeasiblePointError):
+            faces.setdefault(act, []).append(i)
     # the feasible points face by face, so each face's rows are a slice; a
     # block already in that order (one point always is) is not copied
     order = np.array([i for points in faces.values() for i in points],
@@ -128,28 +128,29 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
     ordered = pick(flats)
     # flow_rows returns every row block, and so each stack, C-contiguous:
     # the BLAS calls on a stack then round as on a freshly assembled matrix
-    jac = flow_rows(cs.net, None, mask)(pick(flow[0]), pick(flow[1]), ordered)
+    jac = flow_rows(cs.net, None, cs.free_mask)(pick(flow[0]), pick(flow[1]),
+                                                ordered)
     groups = []
     start = 0
     for face, points in faces.items():
         at = slice(start, start + len(points))
         start = at.stop
-        stacks = face_stacks(cs, ordered[at], mask, jac[at], face)
-        groups.append((np.array(points), acts[points[0]], stacks,
+        stacks = face_stacks(cs, ordered[at], jac[at], face)
+        groups.append((np.array(points), face, stacks,
                        tuple(row_labels(cs, face))))
     return acts, groups
 
 
 def active_stack(cs: ConstraintSystem, x):
     """Stacked active gradients over free columns plus row bookkeeping at
-    one point: (A, labels, active, flat, mask); the one-trial call of
-    ``active_stacks``."""
-    flats, mask, flow = point_block(cs, x)
-    (act,), groups = active_stacks(cs, flats, mask, flow)
+    one point: (A, labels, face, flat, mask), ``mask`` the system's
+    ``free_mask``; the one-trial call of ``active_stacks``."""
+    flats, flow = point_block(cs, x)
+    (act,), groups = active_stacks(cs, flats, flow)
     if isinstance(act, InfeasiblePointError):
         raise act
     ((_, _, stacks, labels),) = groups
-    return stacks[0], list(labels), act, flats[0], mask
+    return stacks[0], list(labels), act, flats[0], cs.free_mask
 
 
 def _coo(matrix: np.ndarray) -> dict:
@@ -166,7 +167,7 @@ class CQReport:
     """LICQ verdict at one feasible point.
 
     ``sigma_min`` is the degeneracy margin, the smallest singular value of
-    diag(I_p, R) (see the module docstring): min(1, sigma_min(R)), exactly
+    diag(I_2N, R) (see the module docstring): min(1, sigma_min(R)), exactly
     1.0 when R has no rows. It is zero (below ``rank_tol``) exactly when the
     qualification fails. ``rank_tol`` is that matrix's
     sigma_max * max(m, n) * ulp_scale, with A's shape.
@@ -199,30 +200,25 @@ class CQReport:
         }
 
 
-def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
-                flow, cost: CostSpec | None = None) -> list:
+def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
+                cost: CostSpec | None = None) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
     point. Each face group forms its reduced matrices R (module docstring)
     with one batched matmul and factors them with one batched SVD, values
     only without a cost, thin with one; a group whose R has no rows
     factors nothing."""
-    reports, groups = active_stacks(cs, flats, mask, flow)
-    # pivot row j owns free column j; R takes the flow rows whose
-    # generation entry is fixed and every operational row
-    n_flow = 2 * cs.net.n_bus
-    pivots = np.flatnonzero(mask[:n_flow])
-    p = pivots.size
-    for points, act, stacks, labels in groups:
+    reports, groups = active_stacks(cs, flats, flow)
+    p = 2 * cs.net.n_bus
+    for points, face, stacks, labels in groups:
         k, m, n = stacks.shape
-        others = np.concatenate((np.flatnonzero(~mask[:n_flow]),
-                                 np.arange(n_flow, m)))
-        x_mats = stacks[:, pivots, p:]
-        o_rows = stacks[:, others]
+        # contiguous copies: the BLAS calls round as on assembled matrices
+        x_mats = stacks[:, :p, p:].copy()
+        o_rows = stacks[:, p:].copy()
         r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
         r, n_z = r_mats.shape[1:]
         if cost is not None:
-            grads = cost.gradient(flats[points])[:, mask]
+            grads = cost.gradient(flats[points])[:, cs.free_mask]
         if r == 0:
             u_mats, svals, vts = (np.zeros((k, 0, 0)), np.zeros((k, 0)),
                                   np.zeros((k, 0, n_z)))
@@ -239,13 +235,13 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, mask: np.ndarray,
             kkt = None
             if cost is not None:
                 y, basis = _reduced_solution(
-                    stacks[j], grads[j], pivots, others, x_mats[j],
-                    u_mats[j], svals[j], vts[j], int((svals[j] > tol).sum()))
-                kkt = _multiplier_set(cs, act, stacks[j], grads[j], y, basis)
+                    o_rows[j], grads[j], x_mats[j], u_mats[j], svals[j],
+                    vts[j], int((svals[j] > tol).sum()))
+                kkt = _multiplier_set(cs, face, stacks[j], grads[j], y, basis)
             reports[i] = CQReport(
                 active_jacobian=stacks[j], row_labels=labels, m=m, n_free=n,
                 numerical_rank=rank, sigma_min=smin, rank_tol=tol,
-                licq_holds=rank == m, face=act.indices, kkt=kkt)
+                licq_holds=rank == m, face=face, kkt=kkt)
     return reports
 
 
@@ -356,37 +352,34 @@ def kkt_solve(cs: ConstraintSystem, x, cost: CostSpec) -> MultiplierSet:
     return licq_check(cs, x, cost).kkt
 
 
-def _reduced_solution(stack: np.ndarray, grad_f: np.ndarray,
-                      pivots: np.ndarray, others: np.ndarray,
+def _reduced_solution(o_rows: np.ndarray, grad_f: np.ndarray,
                       x_mat: np.ndarray, u_mat: np.ndarray, svals: np.ndarray,
                       vt: np.ndarray, rank: int):
-    """Least-squares multipliers y of stack^T y = -grad_f and an orthonormal
-    basis of the left null space of the stack, from the thin SVD
-    u_mat, svals, vt of R and its numerical rank.
+    """Least-squares multipliers y of A^T y = -grad_f and an orthonormal
+    basis of the left null space of the stack A = [I, X; O_g, O_z] from
+    ``o_rows`` = [O_g, O_z], X and the thin SVD u_mat, svals, vt of R.
 
-    nu, on the other rows, is the minimum-norm least-squares solution of
-    R^T nu = -(grad_z f - X^T grad_g f), and kappa = -grad_g f - O_g^T nu
-    on the pivot rows, which leaves no residual in the generation columns.
+    nu, on the operational rows, is the minimum-norm least-squares solution
+    of R^T nu = -(grad_z f - X^T grad_g f), and kappa = -grad_g f - O_g^T nu
+    on the flow rows, which leaves no residual in the generation columns.
     The null space is {(-O_g^T w, w) : R^T w = 0}; its lifted basis has a
     Gram matrix I + (O_g^T W)^T (O_g^T W), which is well conditioned, so a
     Cholesky factor orthonormalizes it.
     """
-    p = pivots.size
-    o_g = stack[others, :p]
+    p = x_mat.shape[0]
+    o_g = o_rows[:, :p]
     grad_g = grad_f[:p]
     nu = u_mat[:, :rank] @ (vt[:rank] @ (x_mat.T @ grad_g - grad_f[p:])
                             / svals[:rank])
     w = u_mat[:, rank:]
-    y = np.empty(stack.shape[0])
-    y[pivots], y[others] = -grad_g - o_g.T @ nu, nu
-    lifted = np.empty((stack.shape[0], w.shape[1]))
-    lifted[pivots], lifted[others] = -o_g.T @ w, w
+    y = np.concatenate((-grad_g - o_g.T @ nu, nu))
+    lifted = np.concatenate((-o_g.T @ w, w))
     chol = np.linalg.cholesky(lifted.T @ lifted)
     return y, np.linalg.solve(chol, lifted.T).T
 
 
-def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
-                    grad_f: np.ndarray, y: np.ndarray,
+def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
+                    stack: np.ndarray, grad_f: np.ndarray, y: np.ndarray,
                     basis: np.ndarray) -> MultiplierSet:
     """Solution set of stack^T y = -grad_f from a least-squares solution y
     and an orthonormal basis of the stack's left null space.
@@ -410,7 +403,7 @@ def _multiplier_set(cs: ConstraintSystem, act: ActiveSet, stack: np.ndarray,
     def package(y, classification, **extra):
         return MultiplierSet(
             classification=classification, particular=y, kappa=y[:n2],
-            lam=y[n2:n2 + n_h], mu=y[n2 + n_h:], active_indices=act.indices,
+            lam=y[n2:n2 + n_h], mu=y[n2 + n_h:], active_indices=face,
             nullspace_basis=basis, stationarity_residual=resid, **extra)
 
     scale = max(1.0, float(np.linalg.norm(grad_f)))
@@ -448,10 +441,10 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
     factorization, so it verifies kkt_solve output through a separate code
     path.
     """
-    flat, mask = as_flat_state(cs, x)
-    act = active_set(cs, x)
+    flat, mask = as_flat_state(cs, x), cs.free_mask
+    face = active_set(cs, x)
     y = np.asarray(multipliers, dtype=float)
-    n_rows = len(row_labels(cs, act.indices))
+    n_rows = len(row_labels(cs, face))
     if y.size != n_rows:
         raise ValueError(
             f"multiplier vector has {y.size} entries, active stack has "
@@ -464,7 +457,7 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
     for h in cs.h_ops:
         total += y[pos] * h.gradient(flat)[mask]
         pos += 1
-    for j in act.indices:
+    for j in face:
         total += y[pos] * cs.g_ops[j].gradient(flat)[mask]
         pos += 1
     return float(np.linalg.norm(total))

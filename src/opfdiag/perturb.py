@@ -30,8 +30,7 @@ from . import cqkit
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
 from .powerflow import (PowerFlowError, SystemState, _residual, flow_rows,
-                        free_mask_from_bus_types, newton_states,
-                        solve_power_flow)
+                        newton_states, solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -563,7 +562,6 @@ def run_genericity_experiment(
     except PowerFlowError:
         pass
 
-    mask = free_mask_from_bus_types(case.network)
     flow_of = _flow_of_draws(model, case, cs)
     records: list[TrialRecord] = []
     failures: list[dict] = []
@@ -583,7 +581,7 @@ def run_genericity_experiment(
         states = x
         if solved.size < len(ts):
             states, flow = x[solved], tuple(arr[solved] for arr in flow)
-        reports = dict(zip(solved.tolist(), cqkit.licq_checks(cs, states, mask, flow)))
+        reports = dict(zip(solved.tolist(), cqkit.licq_checks(cs, states, flow)))
         for i, t in enumerate(ts):
             report = reports.get(i)
             if report is None:
@@ -690,7 +688,8 @@ def nearest_feasible_point(
     (state, bound_pinned), state None when Gauss-Newton fails; feasibility
     is left to the check on ``cs``.
     """
-    flats, mask, (G, B, p_load, q_load) = con.point_block(cs, x_start)
+    flats, (G, B, p_load, q_load) = con.point_block(cs, x_start)
+    mask = cs.free_mask
     Yc = G + 1j * B
     flow_jac = flow_rows(cs.net, None, mask)
 
@@ -703,7 +702,7 @@ def nearest_feasible_point(
 
         def jacobian(flat):
             jac = flow_jac(G, B, flat[None])
-            return cqkit.face_stacks(cs, flat[None], mask, jac, pinned)[0]
+            return cqkit.face_stacks(cs, flat[None], jac, pinned)[0]
 
         return residual, jacobian
 
@@ -714,7 +713,7 @@ def nearest_feasible_point(
                        if g.value(flat) > cs.act_tol)
         if pinned:
             flat, ok = _damped_gauss_newton(*make_fns(pinned), flat, mask)
-    return SystemState.from_flat(flat, mask) if ok else None, bool(pinned)
+    return SystemState.from_flat(flat) if ok else None, bool(pinned)
 
 
 def shift_load(case: Case, direction: int, delta: float) -> Case:

@@ -70,27 +70,23 @@ def state_index(var: str, bus: int, n_bus: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """State x = (p_gen, q_gen, v, theta) plus a free/fixed entry mask.
-
-    ``free_mask`` marks which scalar entries of the flattened 4N-vector are
-    optimization variables; eliminated entries (e.g. the slack voltage and
-    angle) are False. Instances are immutable; the arrays are locked.
+    """State x = (p_gen, q_gen, v, theta), a point of the 4N-entry state
+    space. Which entries are free is the network's decision
+    (``free_mask_from_bus_types``). Instances are immutable; the arrays are
+    locked.
     """
 
     p_gen: np.ndarray
     q_gen: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    free_mask: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.v.shape[0]
         for arr in (self.p_gen, self.q_gen, self.v, self.theta):
             if arr.shape != (n,):
                 raise ValueError("state blocks must share a common bus count")
-        if self.free_mask.shape != (4 * n,):
-            raise ValueError("free_mask must cover all 4N scalar entries")
-        for arr in (self.p_gen, self.q_gen, self.v, self.theta, self.free_mask):
+        for arr in (self.p_gen, self.q_gen, self.v, self.theta):
             arr.setflags(write=False)
 
     @property
@@ -101,7 +97,7 @@ class SystemState:
         return np.concatenate([self.p_gen, self.q_gen, self.v, self.theta])
 
     @classmethod
-    def from_flat(cls, vec: np.ndarray, free_mask: np.ndarray) -> "SystemState":
+    def from_flat(cls, vec: np.ndarray) -> "SystemState":
         vec = np.asarray(vec, dtype=float)
         if vec.ndim != 1 or vec.size % 4:
             raise ValueError("flat state must be a 1-D vector of length 4N")
@@ -111,12 +107,11 @@ class SystemState:
             q_gen=vec[n:2 * n].copy(),
             v=vec[2 * n:3 * n].copy(),
             theta=vec[3 * n:].copy(),
-            free_mask=np.asarray(free_mask, dtype=bool).copy(),
         )
 
 
 def free_mask_from_bus_types(net: Network) -> np.ndarray:
-    """Default elimination mask: slack v and theta fixed, PV v fixed."""
+    """Free state entries: all but the slack's v and theta and PV v."""
     n = net.n_bus
     mask = np.ones(4 * n, dtype=bool)
     for bus in net.buses:
@@ -429,7 +424,7 @@ def solve_power_flow(
     if isinstance(out, PowerFlowError):
         raise out
     return PFSolution(
-        state=SystemState.from_flat(x[0], free_mask_from_bus_types(net)),
+        state=SystemState.from_flat(x[0]),
         iterations=out, history=tuple(errs[0, :out + 1].tolist()))
 
 
@@ -442,4 +437,4 @@ def state_from_list(values, net: Network) -> SystemState:
     if len(vec) != 4 * net.n_bus:
         raise CaseError(
             f"state vector must have length {4 * net.n_bus}, got {len(vec)}")
-    return SystemState.from_flat(np.array(vec), free_mask_from_bus_types(net))
+    return SystemState.from_flat(np.array(vec))

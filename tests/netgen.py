@@ -46,7 +46,6 @@ def random_state(net: Network, rng: np.random.Generator) -> SystemState:
         q_gen=rng.uniform(-1.0, 1.0, n),
         v=rng.uniform(0.7, 1.3, n),
         theta=rng.uniform(-1.0, 1.0, n),
-        free_mask=np.ones(4 * n, dtype=bool),
     )
 
 
@@ -61,14 +60,12 @@ def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
     return _injections(Y.G + 1j * Y.B, v, theta)
 
 
-def reduced_rows(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """R = O_z - O_g X of an active stack ``a`` over the free columns
-    ``mask`` of a 4N-entry state: the flow rows whose generation entry is
-    free are the pivot rows [I, X], every other row is [O_g, O_z]."""
-    pivots = np.flatnonzero(mask[:mask.size // 2])
-    p = pivots.size
-    others = np.setdiff1d(np.arange(a.shape[0]), pivots)
-    return a[others, p:] - a[others, :p] @ a[pivots, p:]
+def reduced_rows(a: np.ndarray, n_bus: int) -> np.ndarray:
+    """R = O_z - O_g X of an active stack ``a`` of an N-bus network over
+    its free columns: the 2N flow rows are [I, X], every other row is
+    [O_g, O_z]."""
+    p = 2 * n_bus
+    return a[p:, p:] - a[p:, :p] @ a[:p, p:]
 
 
 def case_document(case: Case) -> dict:

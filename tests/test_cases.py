@@ -65,8 +65,8 @@ def test_ex2_full_state_ground_truth_reverifies(ex2):
 def ex2_reduced_rows(ex2):
     """Rows of the check's reduced matrix R at ex2's ground truth, over
     (v2, theta2): the h row, then the g row."""
-    a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
-    return reduced_rows(a, mask)
+    a = active_stack(ex2.system, ex2.ground_truth)[0]
+    return reduced_rows(a, ex2.case.network.n_bus)
 
 
 def test_ex2_reduced_gradients_parallel(ex2):
@@ -107,14 +107,12 @@ def test_ex3_flat_profile_and_variants(ex3):
     # space, so it remains an exact solution
     scaled = SystemState(
         p_gen=np.zeros(2), q_gen=np.zeros(2),
-        v=1.05 * np.ones(2), theta=np.zeros(2),
-        free_mask=ex3.ground_truth.free_mask)
+        v=1.05 * np.ones(2), theta=np.zeros(2))
     assert np.abs(pf_residual(net, y, scaled)).max() <= 1e-15
     # a non-uniform profile is what breaks the solution: flatness matters
     tilted = SystemState(
         p_gen=np.zeros(2), q_gen=np.zeros(2),
-        v=np.array([1.05, 1.0]), theta=np.zeros(2),
-        free_mask=ex3.ground_truth.free_mask)
+        v=np.array([1.05, 1.0]), theta=np.zeros(2))
     assert np.abs(pf_residual(net, y, tilted)).max() > 1e-6
 
 

@@ -523,13 +523,26 @@ def test_check_ex2_applies_pf_tol(capsys):
     assert "|flow:q:1| = 5.551e-17 > pf_tol = 1e-20" in err
 
 
-def test_check_ex2_state_gives_the_fixture_report(capsys, tmp_path, ex2):
+@pytest.mark.parametrize("source, want", [
+    ("ex1", EXIT_LICQ_FAILS), ("ex2", EXIT_LICQ_FAILS),
+    ("lattice-6x6", EXIT_OK)], ids=["ex1", "ex2", "lattice-6x6"])
+def test_check_state_file_reproduces_the_report(capsys, tmp_path,
+                                                lattice_document, source,
+                                                want):
+    # the state a report writes, read back with --state, gives the same
+    # report: at a fixture's ground truth and at a solved case whose
+    # reduced matrix R has rows
+    if source == "lattice-6x6":
+        case = tmp_path / "lattice.json"
+        case.write_text(json.dumps(lattice_document(6, 6, 0)))
+        argv = ("check", "--case", str(case))
+    else:
+        argv = ("check", "--builtin", source)
+    code, out, _ = run(capsys, *argv)
+    assert code == want
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(ex2.ground_truth.flat().tolist()))
-    code, out, _ = run(capsys, "check", "--builtin", "ex2")
-    assert code == EXIT_LICQ_FAILS
-    assert run(capsys, "check", "--builtin", "ex2",
-               "--state", str(path)) == (code, out, "")
+    path.write_text(json.dumps(json.loads(out)["state"]))
+    assert run(capsys, *argv, "--state", str(path)) == (code, out, "")
 
 
 def test_check_ex2_perturbed_load(capsys):

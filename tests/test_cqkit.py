@@ -14,8 +14,7 @@ from opfdiag.cqkit import (Classification, CostSpec, CQReport, _multiplier_set,
                            kkt_solve, licq_check, numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import nearest_feasible_point, shift_load
-from opfdiag.powerflow import (SystemState, free_mask_from_bus_types,
-                               solve_power_flow)
+from opfdiag.powerflow import SystemState, solve_power_flow
 
 
 def _checked_null_space(cs, x, cost):
@@ -66,17 +65,14 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
 
 def test_licq_trivial_full_rank_from_identity_blocks(ex3):
     # no operational constraints; the generation identity blocks alone
-    # give the four flow rows full rank over all eight columns
-    state = SystemState.from_flat(ex3.ground_truth.flat(),
-                                  np.ones(8, dtype=bool))
-    report = licq_check(od.system_for_case(ex3.case), state)
-    assert report.m == 4 and report.n_free == 8
+    # give the four flow rows full rank over ex3's six free columns
+    report = licq_check(ex3.system, ex3.ground_truth)
+    assert report.m == 4 and report.n_free == 6
     assert report.licq_holds
 
 
 def test_licq_rejects_infeasible_point(ex1):
-    bad = SystemState.from_flat(ex1.ground_truth.flat() + 0.05,
-                                ex1.ground_truth.free_mask)
+    bad = SystemState.from_flat(ex1.ground_truth.flat() + 0.05)
     with pytest.raises(InfeasiblePointError):
         licq_check(ex1.system, bad)
 
@@ -93,7 +89,7 @@ def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
             scale = 10.0 ** rng.uniform(-14, -3)
             noise = scale * rng.standard_normal(4 * cs.net.n_bus)
             noise *= rng.uniform(size=noise.size) < 0.5
-            state = SystemState.from_flat(x.flat() + noise, x.free_mask)
+            state = SystemState.from_flat(x.flat() + noise)
             feasible = evaluate(cs, state)[2]
             try:
                 licq_check(cs, state)
@@ -144,8 +140,8 @@ def test_kkt_none_for_probe_cost_on_tangent_pair(ex2):
     assert kkt.stationarity_residual >= 0.1
     # independent oracle: distance from the reduced cost gradient (0, 1)
     # over (v2, theta2) to the common span of the two parallel rows of R
-    a, _, _, _, mask = active_stack(ex2.system, ex2.ground_truth)
-    direction = reduced_rows(a, mask)[1]
+    a = active_stack(ex2.system, ex2.ground_truth)[0]
+    direction = reduced_rows(a, ex2.case.network.n_bus)[1]
     unit = direction / np.linalg.norm(direction)
     expected = np.linalg.norm(np.array([0.0, 1.0]) - (unit[1]) * unit)
     assert abs(kkt.stationarity_residual - expected) <= 1e-12
@@ -244,13 +240,13 @@ def test_planted_multipliers_recovered_at_network_size(lattice_document,
 
 def _flow_point(net, rng):
     """System of a network's flow equations alone and a flow solution by
-    construction: random voltages, generation set to load plus injection,
-    every entry free (so n_z = 2N and R has no rows)."""
+    construction: random voltages, generation set to load plus injection
+    (R has no rows)."""
     x = random_state(net, rng)
     Y = build_ybus(net)
     p_inj, q_inj = injections(Y, x.v, x.theta)
     x = SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
-                    v=x.v, theta=x.theta, free_mask=x.free_mask)
+                    v=x.v, theta=x.theta)
     return ConstraintSystem(h_ops=(), g_ops=(), net=net, Y=Y), x
 
 
@@ -277,7 +273,7 @@ def _no_operational(ex1):
 def _reduced_cases(ex1, ex2, lattice_document):
     """(name, system, point, cost, classification) of the cases the reduced
     check is compared on: m < n, m = n and m > n stacks, R with and
-    without rows, and a flow row whose generation entry is fixed."""
+    without rows, and a generation entry pinned by an equality row."""
     shifted = od.system_for_case(shift_load(ex1.case, 1, +0.05))
     shifted_x, _ = nearest_feasible_point(shifted, ex1.ground_truth)
     tripled = _tripled_h(ex1)
@@ -285,9 +281,9 @@ def _reduced_cases(ex1, ex2, lattice_document):
     big, big_lattice, big_x = _lattice_point(lattice_document(6, 6, 0))
     rng = np.random.default_rng(11)
     flow, flow_x = _flow_point(random_network(4, rng), rng)
-    mask = ex1.ground_truth.free_mask.copy()
-    mask[0] = False  # p_gen at bus 0: its flow row joins R
-    pinned_x = SystemState.from_flat(ex1.ground_truth.flat(), mask)
+    # p_gen at bus 0 held at its value: the row joins R, which is 3 x 2
+    pinned = replace(ex1.system, h_ops=(*ex1.system.h_ops, LinearEq(
+        terms=((0, 1.0),), offset=float(ex1.ground_truth.p_gen[0]))))
     return [
         ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
         ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
@@ -303,18 +299,20 @@ def _reduced_cases(ex1, ex2, lattice_document):
         ("lattice-6x6", big_lattice, big_x,
          CostSpec.from_terms(big.cost, big.network.n_bus),
          Classification.NONE),
-        ("netgen-all-free", flow, flow_x, _planted(flow, flow_x, rng),
+        ("netgen-flow", flow, flow_x, _planted(flow, flow_x, rng),
          Classification.UNIQUE),
-        ("ex1-fixed-gen", ex1.system, pinned_x, ex1.cost, Classification.RAY),
+        ("ex1-pinned-gen", pinned, ex1.ground_truth, ex1.cost,
+         Classification.RAY),
     ]
 
 
-def _diag_of_reduced(a, mask):
-    """diag(I_p, R) of a stack, built directly from its rows and columns."""
-    p = np.count_nonzero(mask[:mask.size // 2])
+def _diag_of_reduced(a, n_bus):
+    """diag(I_p, R) of a stack of an N-bus network, p = 2N, built directly
+    from its rows and columns."""
+    p = 2 * n_bus
     out = np.zeros(a.shape)
     out[:p, :p] = np.eye(p)
-    out[p:, p:] = reduced_rows(a, mask)
+    out[p:, p:] = reduced_rows(a, n_bus)
     return out
 
 
@@ -337,7 +335,7 @@ def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
         assert report.licq_holds is (rank == m), name
         assert kkt.family_dim == ref.family_dim, name
         assert kkt.mu_sign_feasible == ref.mu_sign_feasible, name
-        d_s = np.linalg.svd(_diag_of_reduced(a, mask), compute_uv=False)
+        d_s = np.linalg.svd(_diag_of_reduced(a, cs.net.n_bus), compute_uv=False)
         _, d_min, d_tol = _rank_from_svals(d_s, (m, n),
                                            ConstraintSystem.rank_ulp_scale)
         assert report.rank_tol == pytest.approx(d_tol, rel=1e-12, abs=0.0)
@@ -376,7 +374,6 @@ def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
     for _ in range(20):
         net = random_network(int(rng.integers(2, 7)), rng)
         flow, x = _flow_point(net, rng)
-        x = SystemState.from_flat(x.flat(), free_mask_from_bus_types(net))
         flat, n = x.flat(), net.n_bus
         h_ops, g_ops = [], []
         for _ in range(int(rng.integers(0, n + 1))):

@@ -121,8 +121,7 @@ def test_rank_hypothesis_shunt_premise_flag():
     model = shunt_model(fix.case)
     collapsed = SystemState(
         p_gen=fix.ground_truth.p_gen, q_gen=fix.ground_truth.q_gen,
-        v=np.array([1.0, 0.0]), theta=fix.ground_truth.theta,
-        free_mask=fix.ground_truth.free_mask)
+        v=np.array([1.0, 0.0]), theta=fix.ground_truth.theta)
     report = check_rank_hypothesis(model, fix.system, collapsed)
     assert not report.satisfied
     assert report.voltage_premise_ok is False
@@ -139,8 +138,7 @@ def test_shunt_rank_tracks_voltage_threshold():
     model = shunt_model(fix.case)
     tiny = SystemState(
         p_gen=fix.ground_truth.p_gen, q_gen=fix.ground_truth.q_gen,
-        v=np.array([1.0, 1e-12]), theta=fix.ground_truth.theta,
-        free_mask=fix.ground_truth.free_mask)
+        v=np.array([1.0, 1e-12]), theta=fix.ground_truth.theta)
     jac = param_jacobian(model, fix.case.network, tiny)
     rank, _, tol, svals = numerical_rank(jac)
     assert rank < 4

@@ -34,8 +34,8 @@ def finite_difference_jacobian(net, Y, x, step=1e-6):
         up[j] += step
         dn[j] -= step
         fd[:, j] = (
-            pf_residual(net, Y, SystemState.from_flat(up, x.free_mask))
-            - pf_residual(net, Y, SystemState.from_flat(dn, x.free_mask))
+            pf_residual(net, Y, SystemState.from_flat(up))
+            - pf_residual(net, Y, SystemState.from_flat(dn))
         ) / (2.0 * step)
     return fd
 
@@ -56,8 +56,7 @@ def test_residual_single_isolated_bus_cancels():
     net = Network(buses=(Bus(id=0, bus_type=BusType.SLACK,
                              p_load=0.3, q_load=-0.2),), lines=())
     x = SystemState(p_gen=np.array([0.3]), q_gen=np.array([-0.2]),
-                    v=np.array([1.0]), theta=np.array([0.0]),
-                    free_mask=np.ones(4, dtype=bool))
+                    v=np.array([1.0]), theta=np.array([0.0]))
     r = pf_residual(net, build_ybus(net), x)
     assert np.abs(r).max() == 0.0
 
@@ -67,7 +66,7 @@ def test_jacobian_reduced_columns_match_closed_form(ex1):
     # where sin = cos = sqrt(2)/2 and v2 = sqrt(2)
     net = ex1.case.network
     jac = pf_jacobian(net, build_ybus(net), ex1.ground_truth)
-    reduced = jac[:, ex1.ground_truth.free_mask]
+    reduced = jac[:, ex1.system.free_mask]
     s = math.sqrt(2.0) / 2.0
     v2 = math.sqrt(2.0)
     expected = np.array([
@@ -206,7 +205,7 @@ def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
     # PV real setpoint held, reactive output recovered
     assert sol.state.p_gen[1] == 0.3
     assert sol.state.q_gen[1] != 0.0
-    mask = sol.state.free_mask
+    mask = free_mask_from_bus_types(net)
     assert not mask[2 * 3 + 1]  # PV voltage eliminated
 
 
@@ -360,7 +359,6 @@ def test_state_round_trip_through_flat_json(ex1):
     text = json.dumps(ex1.ground_truth.flat().tolist())
     back = state_from_list(json.loads(text), net)
     assert np.array_equal(back.flat(), ex1.ground_truth.flat())
-    assert np.array_equal(back.free_mask, ex1.ground_truth.free_mask)
 
 
 def test_free_mask_from_bus_types(ex1):
@@ -471,7 +469,7 @@ def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
                             [b.v_setpoint for b in net.buses]
                             + [b.theta_setpoint for b in net.buses])
     for it in range(MAX_ITER + 1):
-        x = SystemState.from_flat(flat, mask)
+        x = SystemState.from_flat(flat)
         mis = pf_residual(net, Y, x)[rows]
         if np.abs(mis).max() <= tol:
             break
@@ -508,7 +506,7 @@ def test_line_list_side_matches_dense_reference(lattice_document, side):
              CostSpec(c2=np.zeros(mask.size), c1=planted))
     got = [licq_check(cs, sol.state, cost) for cost in costs]
     # the same checks at the state of the dense Newton reference
-    ref_state = SystemState.from_flat(flat, mask)
+    ref_state = SystemState.from_flat(flat)
     ref = [licq_check(cs, ref_state, cost) for cost in costs]
     for g, r in zip(got, ref):
         assert g.licq_holds and r.licq_holds

@@ -14,8 +14,7 @@ import numpy as np
 
 from .netmodel import (AdmittanceMatrix, Case, ConstraintSpec, Network,
                        build_ybus)
-from .powerflow import (SystemState, _residual, free_mask_from_bus_types,
-                        state_index)
+from .powerflow import SystemState, _residual, state_index
 
 
 class ConstraintError(ValueError):
@@ -211,11 +210,6 @@ class ConstraintSystem:
     pf_tol: float = 1e-10
     stat_tol: float = 1e-8
     rank_ulp_scale: float = 2.0 ** -52
-
-    @property
-    def free_mask(self) -> np.ndarray:
-        """The network's free state entries (``free_mask_from_bus_types``)."""
-        return free_mask_from_bus_types(self.net)
 
     @property
     def tolerances(self) -> dict:

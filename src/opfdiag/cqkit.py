@@ -92,7 +92,7 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, jac: np.ndarray,
     ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
     if not ops:
         return jac
-    mask = cs.free_mask
+    mask = cs.net.free_mask
     return np.concatenate(
         [jac, *(op.gradient(flats).compress(mask, axis=-1)[:, None]
                 for op in ops)], axis=1)
@@ -128,8 +128,8 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
     ordered = pick(flats)
     # flow_rows returns every row block, and so each stack, C-contiguous:
     # the BLAS calls on a stack then round as on a freshly assembled matrix
-    jac = flow_rows(cs.net, None, cs.free_mask)(pick(flow[0]), pick(flow[1]),
-                                                ordered)
+    plan = flow_rows(cs.net, None, cs.net.free_mask)
+    jac = plan(pick(flow[0]), pick(flow[1]), ordered)
     groups = []
     start = 0
     for face, points in faces.items():
@@ -143,14 +143,14 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
 
 def active_stack(cs: ConstraintSystem, x):
     """Stacked active gradients over free columns plus row bookkeeping at
-    one point: (A, labels, face, flat, mask), ``mask`` the system's
+    one point: (A, labels, face, flat, mask), ``mask`` the network's
     ``free_mask``; the one-trial call of ``active_stacks``."""
     flats, flow = point_block(cs, x)
     (act,), groups = active_stacks(cs, flats, flow)
     if isinstance(act, InfeasiblePointError):
         raise act
     ((_, _, stacks, labels),) = groups
-    return stacks[0], list(labels), act, flats[0], cs.free_mask
+    return stacks[0], list(labels), act, flats[0], cs.net.free_mask
 
 
 def _coo(matrix: np.ndarray) -> dict:
@@ -218,7 +218,7 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
         r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
         r, n_z = r_mats.shape[1:]
         if cost is not None:
-            grads = cost.gradient(flats[points])[:, cs.free_mask]
+            grads = cost.gradient(flats[points])[:, cs.net.free_mask]
         if r == 0:
             u_mats, svals, vts = (np.zeros((k, 0, 0)), np.zeros((k, 0)),
                                   np.zeros((k, 0, n_z)))
@@ -441,7 +441,7 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
     factorization, so it verifies kkt_solve output through a separate code
     path.
     """
-    flat, mask = as_flat_state(cs, x), cs.free_mask
+    flat, mask = as_flat_state(cs, x), cs.net.free_mask
     face = active_set(cs, x)
     y = np.asarray(multipliers, dtype=float)
     n_rows = len(row_labels(cs, face))

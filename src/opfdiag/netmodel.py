@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,25 @@ class Network:
     def q_load(self) -> np.ndarray:
         return np.array([b.q_load for b in self.buses])
 
+    @cached_property
+    def free_mask(self) -> np.ndarray:
+        """Free entries of the flat state (p_gen, q_gen, v, theta), locked:
+        all but the slack's v and theta and PV v."""
+        free_v = [b.bus_type is BusType.PQ for b in self.buses]
+        free_t = [b.bus_type is not BusType.SLACK for b in self.buses]
+        mask = np.concatenate([np.ones(2 * self.n_bus, dtype=bool), free_v,
+                               free_t])
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def line_ends(self) -> np.ndarray:
+        """Each line's (from_bus, to_bus), M x 2 in case order, locked."""
+        ends = np.array([(ln.from_bus, ln.to_bus) for ln in self.lines],
+                        dtype=int).reshape(-1, 2)
+        ends.setflags(write=False)
+        return ends
+
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
@@ -196,8 +216,7 @@ def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
     those of ``build_ybus`` on its own network.
     """
     n = net.n_bus
-    ends = np.array([(ln.from_bus, ln.to_bus) for ln in net.lines],
-                    dtype=int).reshape(-1, 2)
+    ends = net.line_ends
     halves = [complex(ln.g_shunt, ln.b_shunt) / 2.0 for ln in net.lines]
     trials = max(len(series_g), len(shunt_g))
     bus = np.arange(n)

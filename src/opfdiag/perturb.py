@@ -29,8 +29,8 @@ from . import cqkit
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (PowerFlowError, SystemState, _residual, flow_rows,
-                        newton_states, solve_power_flow)
+from .powerflow import (PowerFlowError, SystemState, flow_rows, newton_states,
+                        solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -642,27 +642,38 @@ PROJECTION_TOL = 1e-11
 PROJECTION_MAX_ITER = 100
 
 
-def _damped_gauss_newton(residual, jacobian_fn, flat0, mask):
-    """Minimum-norm Gauss-Newton on an equality system over free entries;
-    ``jacobian_fn`` gives its rows over the free columns.
+def _face_residual(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
+    """F, h and the g rows of ``face`` at one flat state."""
+    h_vals, g_vals, _, resid = con.evaluate_points(cs, flat[None], flow)
+    return np.concatenate([resid[0], h_vals[0], g_vals[0, face]])
+
+
+def _gauss_newton(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
+    """Minimum-norm Gauss-Newton from one flat state, with its one-trial
+    ``flow`` data, onto {F = 0, h = 0, g_face = 0} over the free entries;
+    the rows are the ``cqkit.face_stacks`` of ``face``. Returns (flat,
+    converged).
 
     A residual that is non-finite, as outside a constraint's domain, at the
     start or at a trial step, stops the iteration as not converged."""
-    flat = flat0.copy()
+    mask = cs.net.free_mask
+    plan = flow_rows(cs.net, None, mask)
     with np.errstate(all="ignore"):
-        r = residual(flat)
+        r = _face_residual(cs, flat, flow, face)
         for _ in range(PROJECTION_MAX_ITER):
-            err = np.abs(r).max() if r.size else 0.0
+            err = np.abs(r).max()
             if not np.isfinite(err):
                 return flat, False
             if err <= PROJECTION_TOL:
                 return flat, True
-            step, *_ = np.linalg.lstsq(jacobian_fn(flat), -r, rcond=None)
+            rows = cqkit.face_stacks(cs, flat[None],
+                                     plan(*flow[:2], flat[None]), face)[0]
+            step, *_ = np.linalg.lstsq(rows, -r, rcond=None)
             t = 1.0
             while t >= 2.0 ** -30:
                 trial = flat.copy()
                 trial[mask] = flat[mask] + t * step
-                r_try = residual(trial)
+                r_try = _face_residual(cs, trial, flow, face)
                 err_try = np.abs(r_try).max()
                 if not np.isfinite(err_try):
                     return flat, False
@@ -681,39 +692,20 @@ def nearest_feasible_point(
 ) -> tuple[SystemState | None, bool]:
     """Point of a constraint system near a start state, by projection.
 
-    Two stages of minimum-norm Gauss-Newton: first onto the equality
-    manifold {F = 0, h = 0}; if an inequality ends up violated there, a
-    second projection with that bound pinned as an equality. The Jacobian
-    rows are the ``cqkit.face_stacks`` of the pinned bounds. Returns
+    Two stages of ``_gauss_newton``: onto {F = 0, h = 0}, then, if bounds
+    end up violated there, with those bounds pinned as equalities. Returns
     (state, bound_pinned), state None when Gauss-Newton fails; feasibility
     is left to the check on ``cs``.
     """
-    flats, (G, B, p_load, q_load) = con.point_block(cs, x_start)
-    mask = cs.free_mask
-    Yc = G + 1j * B
-    flow_jac = flow_rows(cs.net, None, mask)
-
-    def make_fns(pinned):
-        ops = (*cs.h_ops, *(cs.g_ops[j] for j in pinned))
-
-        def residual(flat):
-            return np.concatenate([_residual(Yc, p_load, q_load, flat[None])[0],
-                                   [op.value(flat) for op in ops]])
-
-        def jacobian(flat):
-            jac = flow_jac(G, B, flat[None])
-            return cqkit.face_stacks(cs, flat[None], jac, pinned)[0]
-
-        return residual, jacobian
-
-    flat, ok = _damped_gauss_newton(*make_fns(()), flats[0], mask)
-    pinned: tuple[int, ...] = ()
-    if ok:
-        pinned = tuple(j for j, g in enumerate(cs.g_ops)
-                       if g.value(flat) > cs.act_tol)
-        if pinned:
-            flat, ok = _damped_gauss_newton(*make_fns(pinned), flat, mask)
-    return SystemState.from_flat(flat) if ok else None, bool(pinned)
+    flats, flow = con.point_block(cs, x_start)
+    flat, ok = _gauss_newton(cs, flats[0], flow, [])
+    if not ok:
+        return None, False
+    _, g_vals, _, _ = con.evaluate_points(cs, flat[None], flow)
+    pinned = np.flatnonzero(g_vals[0] > cs.act_tol)
+    if pinned.size:
+        flat, ok = _gauss_newton(cs, flat, flow, pinned)
+    return SystemState.from_flat(flat) if ok else None, bool(pinned.size)
 
 
 def shift_load(case: Case, direction: int, delta: float) -> Case:

@@ -72,7 +72,7 @@ def state_index(var: str, bus: int, n_bus: int) -> int:
 class SystemState:
     """State x = (p_gen, q_gen, v, theta), a point of the 4N-entry state
     space. Which entries are free is the network's decision
-    (``free_mask_from_bus_types``). Instances are immutable; the arrays are
+    (``Network.free_mask``). Instances are immutable; the arrays are
     locked.
     """
 
@@ -108,19 +108,6 @@ class SystemState:
             v=vec[2 * n:3 * n].copy(),
             theta=vec[3 * n:].copy(),
         )
-
-
-def free_mask_from_bus_types(net: Network) -> np.ndarray:
-    """Free state entries: all but the slack's v and theta and PV v."""
-    n = net.n_bus
-    mask = np.ones(4 * n, dtype=bool)
-    for bus in net.buses:
-        if bus.bus_type is BusType.SLACK:
-            mask[2 * n + bus.id] = False
-            mask[3 * n + bus.id] = False
-        elif bus.bus_type is BusType.PV:
-            mask[2 * n + bus.id] = False
-    return mask
 
 
 def _injections(Yc: np.ndarray, v: np.ndarray, theta: np.ndarray):
@@ -186,8 +173,7 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
     another order than the dense matmul, so diagonal entries may differ
     from ``_jacobian`` in the last bits."""
     n = net.n_bus
-    ends = np.array([(ln.from_bus, ln.to_bus) for ln in net.lines],
-                    dtype=int).reshape(-1, 2)
+    ends = net.line_ends
     k = np.concatenate((ends[:, 0], ends[:, 1]))
     l = np.concatenate((ends[:, 1], ends[:, 0]))
     bus = np.arange(n)
@@ -317,15 +303,17 @@ def newton_states(
     those of the dense ``pf_jacobian`` in the last bits."""
     n = net.n_bus
     trials = G.shape[0]
-    mask = free_mask_from_bus_types(net)
+    mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
     rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
     cols = np.concatenate([3 * n + np.flatnonzero(free_t),
                            2 * n + np.flatnonzero(free_v)])
     newton_matrix = flow_rows(net, rows, cols)
 
+    # every angle starts at the slack's; F sees only angle differences
+    slack = next(b for b in net.buses if b.bus_type is BusType.SLACK)
     v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
-    theta = np.where(free_t, 0.0, [b.theta_setpoint for b in net.buses])
+    theta = np.full(n, slack.theta_setpoint)
     x = np.tile(np.concatenate([p_gen, q_gen, v, theta]), (trials, 1))
     Yc = G + 1j * B
 
@@ -407,14 +395,16 @@ def solve_power_flow(
 
     ``p_gen`` is scheduled at non-slack buses and ``q_gen`` at PQ buses;
     slack and PV voltage data come from the bus records. The unknowns are
-    the free theta and v entries of ``free_mask_from_bus_types``, the
+    the free theta and v entries of ``Network.free_mask``, the
     equations the P rows of buses with a free theta and the Q rows of buses
     with a free v; each step solves ``J step = -F`` on those rows and
     columns of the flow residual and Jacobian. The slack bus absorbs
     the power balance and PV reactive output is recovered after
-    convergence. No line search or continuation: which solution branch is
-    reached depends only on the start point, and failure is reported, not
-    masked: a non-finite mismatch raises ``DivergenceError`` at once.
+    convergence. Newton starts from v = 1 at PQ buses and every angle at
+    the slack's ``theta_setpoint``. No line search or continuation: which
+    solution branch is reached depends only on that start, and failure is
+    reported, not masked: a non-finite mismatch raises ``DivergenceError``
+    at once.
 
     This is the one-trial call of ``newton_states``.
     """

@@ -675,25 +675,34 @@ def test_check_report_rebuilds_active_jacobian(capsys, tmp_path, monkeypatch,
         "perturb-ex1", "sweep"])
 def test_one_constraint_evaluation_per_point(capsys, tmp_path, monkeypatch,
                                              lattice_document, argv, points):
-    # points evaluated, summed over the blocks of evaluate_points (a check
-    # is a block of one point; the sweep evaluates its converged trials)
-    calls = []
-    real_evaluate = con.evaluate_points
+    # points given to the feasibility decision, summed over the blocks of
+    # cqkit.active_sets (a check is a block of one point; the sweep decides
+    # its converged trials); without a projection, which evaluates its own
+    # iterates, these are all the points evaluate_points sees
+    decided, evaluated = [], []
+    real_sets, real_evaluate = cqkit.active_sets, con.evaluate_points
+
+    def counting_sets(cs, flats, *args, **kwargs):
+        decided.append(len(flats))
+        return real_sets(cs, flats, *args, **kwargs)
 
     def counting_evaluate(cs, flats, *args, **kwargs):
-        calls.append(len(flats))
+        evaluated.append(len(flats))
         return real_evaluate(cs, flats, *args, **kwargs)
 
     if "lattice" in argv:
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(lattice_document(3, 3, 0)))
         argv = ["check", "--case", str(path)]
+    monkeypatch.setattr(cqkit, "active_sets", counting_sets)
     monkeypatch.setattr(con, "evaluate_points", counting_evaluate)
     code, out, _ = run(capsys, *argv)
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     if argv[0] == "perturb":
         assert json.loads(out)["feasible_count"] == 304
-    assert sum(calls) == points
+    assert sum(decided) == points
+    if argv[0] != "sweep" and "--perturb-load" not in argv:
+        assert sum(evaluated) == points
 
 
 def test_perturbed_check_builds_one_system(capsys, monkeypatch):
@@ -800,6 +809,50 @@ def test_check_verdict_invariant_under_bus_relabelling(capsys, tmp_path,
     for key in ("classification", "family_dim"):
         assert kkt0[key] == kkt1[key], key
     assert cq0["sigma_min"] == pytest.approx(cq1["sigma_min"], rel=1e-9)
+
+
+@pytest.mark.parametrize("shift", [0.3, -1.0, 2.5])
+def test_check_verdict_invariant_under_slack_angle_shift(capsys, tmp_path,
+                                                         lattice_document,
+                                                         shift):
+    # the flow equations see only angle differences: moving the slack's
+    # reference angle by c moves every angle of the solution by c and
+    # leaves the verdict, the face and the margin as they were
+    doc = lattice_document(6, 6, 0)
+    assert doc["buses"][0]["type"] == "slack"
+    shifted = {**doc, "buses": [{**doc["buses"][0], "theta_setpoint": shift},
+                                *doc["buses"][1:]]}
+    paths = []
+    for i, case in enumerate((doc, shifted)):
+        paths.append(tmp_path / f"case{i}.json")
+        paths[-1].write_text(json.dumps(case))
+    code, out, _ = run(capsys, "check", "--case", str(paths[0]))
+    base = json.loads(out)
+    n = len(doc["buses"])
+    moved = np.array(base["state"])
+    moved[3 * n:] += shift
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(moved.tolist()))
+    # solved from the shifted setpoint, and read back from a shifted state
+    for extra in ([], ["--state", str(state)]):
+        got_code, out, _ = run(capsys, "check", "--case", str(paths[1]), *extra)
+        assert got_code == code == EXIT_OK
+        got = json.loads(out)
+        for key in ("face", "numerical_rank", "licq_holds"):
+            assert got["cq"][key] == base["cq"][key], key
+        assert got["kkt"]["classification"] == base["kkt"]["classification"]
+        assert abs(got["cq"]["sigma_min"] - base["cq"]["sigma_min"]) <= 1e-12
+        back = np.array(got["state"])
+        back[3 * n:] -= shift
+        assert np.abs(back - np.array(base["state"])).max() <= 1e-12
+    counts = []
+    for path in paths:
+        code, out, _ = run(capsys, "perturb", "--case", str(path), "--model",
+                           "load", "--trials", "20", "--seed", "0")
+        report = json.loads(out)
+        counts.append([report[key] for key in (
+            "feasible_count", "licq_pass_count", "licq_failure_count")])
+    assert counts[0] == counts[1] == [20, 20, 0]
 
 
 def test_cli_import_leaves_scipy_unloaded():

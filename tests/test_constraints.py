@@ -66,7 +66,7 @@ def test_active_set_rejects_infeasible_point(ex1):
 
 def test_fixed_licq_ex1_rows_and_rank(ex1):
     flat = ex1.ground_truth.flat()
-    mask = ex1.system.free_mask
+    mask = ex1.system.net.free_mask
     h_row = ex1.system.h_ops[0].gradient(flat)[mask]
     g_row = ex1.system.g_ops[0].gradient(flat)[mask]
     assert h_row.tolist() == [0.0, -1.0, 0.0, 1.0, 0.0, 0.0]

@@ -551,6 +551,33 @@ def test_projection_is_pinned_bitwise(ex1, capped, delta, flat, pinned):
     assert bound_pinned is pinned
 
 
+@pytest.mark.parametrize("side, bus, delta, pinned, face", [
+    (3, 1, 0.05, True, (2, 5, 8, 11)),
+    (3, 1, -0.05, False, ()),
+    (3, 8, 0.2, True, (2, 5, 8, 11)),
+    (6, 1, 0.05, True, (2, 5, 8, 11)),
+    (6, 1, -0.05, False, ()),
+    (6, 35, 0.2, True, (5, 8, 11)),
+], ids=["3x3-bus1+0.05", "3x3-bus1-0.05", "3x3-last+0.2", "6x6-bus1+0.05",
+        "6x6-bus1-0.05", "6x6-last+0.2"])
+def test_projection_beyond_two_buses(lattice_document, side, bus, delta,
+                                     pinned, face):
+    # from a lattice's solved point onto the case with one p load shifted:
+    # where the first projection pushes p above the caps of buses 1 to 4
+    # (g:2, g:5, g:8, g:11), the second pins them, and the check accepts
+    # the point with LICQ on its face
+    case = od.load_case(lattice_document(side, side, 0))
+    base = od.system_for_case(case)
+    x0 = od.solve_power_flow(case.network, base.Y, case.gen_p, case.gen_q,
+                             pf_tol=base.pf_tol).state
+    cs = od.system_for_case(shift_load(case, bus, delta))
+    state, bound_pinned = nearest_feasible_point(cs, x0)
+    assert bound_pinned is pinned
+    report = licq_check(cs, state)
+    assert report.face == face
+    assert report.licq_holds
+
+
 def test_probe_rejects_bad_direction(ex1):
     with pytest.raises(PerturbationError, match="direction"):
         tangency_escape_probe(ex1.case, ex1.ground_truth, [0.0], direction=9)

@@ -18,8 +18,7 @@ from opfdiag.netmodel import (AdmittanceMatrix, Bus, BusType, Case, Line,
 from opfdiag.perturb import apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
-                               SystemState, _jacobian,
-                               free_mask_from_bus_types, flow_rows,
+                               SystemState, _jacobian, flow_rows,
                                newton_states, pf_jacobian, pf_residual,
                                solve_power_flow, state_from_list)
 
@@ -66,7 +65,7 @@ def test_jacobian_reduced_columns_match_closed_form(ex1):
     # where sin = cos = sqrt(2)/2 and v2 = sqrt(2)
     net = ex1.case.network
     jac = pf_jacobian(net, build_ybus(net), ex1.ground_truth)
-    reduced = jac[:, ex1.system.free_mask]
+    reduced = jac[:, net.free_mask]
     s = math.sqrt(2.0) / 2.0
     v2 = math.sqrt(2.0)
     expected = np.array([
@@ -205,7 +204,7 @@ def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
     # PV real setpoint held, reactive output recovered
     assert sol.state.p_gen[1] == 0.3
     assert sol.state.q_gen[1] != 0.0
-    mask = free_mask_from_bus_types(net)
+    mask = net.free_mask
     assert not mask[2 * 3 + 1]  # PV voltage eliminated
 
 
@@ -361,10 +360,15 @@ def test_state_round_trip_through_flat_json(ex1):
     assert np.array_equal(back.flat(), ex1.ground_truth.flat())
 
 
-def test_free_mask_from_bus_types(ex1):
-    mask = free_mask_from_bus_types(ex1.case.network)
+def test_network_free_mask(ex1):
+    net = ex1.case.network
     # slack v and theta eliminated; all generation entries free
-    assert mask.tolist() == [True, True, True, True, False, True, False, True]
+    assert net.free_mask.tolist() == [True, True, True, True, False, True,
+                                      False, True]
+    # computed once per network and locked
+    assert net.free_mask is net.free_mask
+    with pytest.raises(ValueError):
+        net.free_mask[0] = False
 
 
 def test_state_arrays_are_read_only(ex1):
@@ -379,7 +383,7 @@ def test_state_arrays_are_read_only(ex1):
 def newton_selection(net):
     """Rows and columns of the Newton matrix, in newton_states' order."""
     n = net.n_bus
-    mask = free_mask_from_bus_types(net)
+    mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
     rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
     cols = np.concatenate([3 * n + np.flatnonzero(free_t),
@@ -417,7 +421,7 @@ def test_line_jacobian_matches_dense_rows(network):
         # trial 0: the fixture's own admittances at its ground truth
         Y = build_ybus(net)
         G[0], B[0], flats[0] = Y.G, Y.B, fix.ground_truth.flat()
-    mask = free_mask_from_bus_types(net)
+    mask = net.free_mask
     rows, cols = newton_selection(net)
     dense = _jacobian(G, B, flats)
     for sel_rows, sel_cols, ref in (
@@ -462,12 +466,14 @@ def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
     """Plain Newton of solve_power_flow from pf_residual, pf_jacobian and
     np.linalg.solve: (flat state, iterations)."""
     n = net.n_bus
-    mask = free_mask_from_bus_types(net)
+    mask = net.free_mask
     rows, cols = newton_selection(net)
-    flat = np.concatenate([p_gen, q_gen, np.ones(n), np.zeros(n)])
-    flat[2 * n:] = np.where(mask[2 * n:], flat[2 * n:],
-                            [b.v_setpoint for b in net.buses]
-                            + [b.theta_setpoint for b in net.buses])
+    # v = 1 at PQ buses, the setpoints elsewhere; every angle at the slack's
+    slack = next(b for b in net.buses if b.bus_type is BusType.SLACK)
+    flat = np.concatenate([p_gen, q_gen, np.ones(n),
+                           np.full(n, slack.theta_setpoint)])
+    flat[2 * n:3 * n] = np.where(mask[2 * n:3 * n], 1.0,
+                                 [b.v_setpoint for b in net.buses])
     for it in range(MAX_ITER + 1):
         x = SystemState.from_flat(flat)
         mis = pf_residual(net, Y, x)[rows]

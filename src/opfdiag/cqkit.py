@@ -18,13 +18,17 @@ first 2N free columns, dF/d(p_gen, q_gen), are I. With the flow rows
 the rest z), one column and one row elimination turn A into diag(I_p, R)
 with p = 2N and R = O_z - O_g X, so rank(A) = p + rank(R): LICQ asks
 whether the operational rows meet the flow manifold transversally. Where R
-has no rows nothing is factored.
+has no rows nothing is factored: A = [I, X] has rank p by structure, and a
+check without a cost then does not assemble A unless its report is read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import getitem
 
 import numpy as np
 
@@ -98,47 +102,48 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, jac: np.ndarray,
                 for op in ops)], axis=1)
 
 
-def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
-    """Active stacks of a block of points over the system's free columns,
-    grouped by face (see ``evaluate_points`` for ``flats`` and ``flow``).
+def _block_slice(points: np.ndarray):
+    """``points`` of a block as a slice where they are one ascending run,
+    so that indexing with it gives views, not copies."""
+    if np.array_equal(points, np.arange(points[0], points[-1] + 1)):
+        return slice(points[0], points[-1] + 1)
+    return points
 
-    Returns (acts, groups): ``acts[i]`` is point i's face or unraised
-    InfeasiblePointError; each group is (points, face, stacks, labels) for
-    the feasible points on one face, ``stacks`` holding their
-    ``face_stacks``; the flow rows of all feasible points come from one
-    batched Jacobian.
+
+def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
+    """Faces of a block of points and the assembly of their active stacks
+    over the system's free columns (see ``evaluate_points`` for ``flats``
+    and ``flow``).
+
+    Returns (acts, groups, assemble): ``acts[i]`` is point i's face or
+    unraised InfeasiblePointError; each group is (points, face, labels)
+    for the feasible points on one face; ``assemble(face, points)`` gives
+    the ``face_stacks`` of those block points. Nothing is assembled, and
+    no flow rows are planned, until ``assemble`` is called; its flow rows
+    come from one plan, and a point's rows do not depend on the others
+    assembled with it.
     """
     acts = active_sets(cs, flats, flow)
     faces: dict[tuple[int, ...], list[int]] = {}
     for i, act in enumerate(acts):
         if not isinstance(act, InfeasiblePointError):
             faces.setdefault(act, []).append(i)
-    # the feasible points face by face, so each face's rows are a slice; a
-    # block already in that order (one point always is) is not copied
-    order = np.array([i for points in faces.values() for i in points],
-                     dtype=int)
-    if not order.size:
-        # no feasible point: no flow rows are planned
-        return acts, []
-    in_order = np.array_equal(order, np.arange(len(flats)))
+    groups = [(np.array(points), face, tuple(row_labels(cs, face)))
+              for face, points in faces.items()]
+    plan = None
 
-    def pick(arr):
-        return arr if in_order else arr[order]
+    def assemble(face, points: np.ndarray) -> np.ndarray:
+        nonlocal plan
+        if plan is None:
+            plan = flow_rows(cs.net, None, cs.net.free_mask)
+        # flow_rows returns every row block, and so each stack, C-contiguous:
+        # the BLAS calls on a stack then round as on a freshly assembled
+        # matrix; points in one run (one point always is) are not copied
+        at = _block_slice(points)
+        return face_stacks(cs, flats[at], plan(flow[0][at], flow[1][at],
+                                               flats[at]), face)
 
-    ordered = pick(flats)
-    # flow_rows returns every row block, and so each stack, C-contiguous:
-    # the BLAS calls on a stack then round as on a freshly assembled matrix
-    plan = flow_rows(cs.net, None, cs.net.free_mask)
-    jac = plan(pick(flow[0]), pick(flow[1]), ordered)
-    groups = []
-    start = 0
-    for face, points in faces.items():
-        at = slice(start, start + len(points))
-        start = at.stop
-        stacks = face_stacks(cs, ordered[at], jac[at], face)
-        groups.append((np.array(points), face, stacks,
-                       tuple(row_labels(cs, face))))
-    return acts, groups
+    return acts, groups, assemble
 
 
 def active_stack(cs: ConstraintSystem, x):
@@ -146,11 +151,12 @@ def active_stack(cs: ConstraintSystem, x):
     one point: (A, labels, face, flat, mask), ``mask`` the network's
     ``free_mask``; the one-trial call of ``active_stacks``."""
     flats, flow = point_block(cs, x)
-    (act,), groups = active_stacks(cs, flats, flow)
+    (act,), groups, assemble = active_stacks(cs, flats, flow)
     if isinstance(act, InfeasiblePointError):
         raise act
-    ((_, _, stacks, labels),) = groups
-    return stacks[0], list(labels), act, flats[0], cs.net.free_mask
+    ((points, _, labels),) = groups
+    return (assemble(act, points)[0], list(labels), act, flats[0],
+            cs.net.free_mask)
 
 
 def _coo(matrix: np.ndarray) -> dict:
@@ -171,11 +177,13 @@ class CQReport:
     1.0 when R has no rows. It is zero (below ``rank_tol``) exactly when the
     qualification fails. ``rank_tol`` is that matrix's
     sigma_max * max(m, n) * ulp_scale, with A's shape.
+    ``active_jacobian`` is the active stack A, taken from ``assemble`` at
+    its first read: a report decided by structure assembles it only then.
     ``kkt`` is the multiplier set when the check was given a cost; it is
     not part of ``to_dict``.
     """
 
-    active_jacobian: np.ndarray
+    assemble: Callable[[], np.ndarray] = field(repr=False)
     row_labels: tuple[str, ...]
     m: int
     n_free: int
@@ -185,6 +193,10 @@ class CQReport:
     licq_holds: bool
     face: tuple[int, ...]
     kkt: MultiplierSet | None = None
+
+    @cached_property
+    def active_jacobian(self) -> np.ndarray:
+        return self.assemble()
 
     def to_dict(self) -> dict:
         return {
@@ -200,23 +212,46 @@ class CQReport:
         }
 
 
+def _point_stack(assemble, face: tuple[int, ...], i: int) -> np.ndarray:
+    """Block point i's active stack on ``face``, assembled alone."""
+    return assemble(face, np.array([i]))[0]
+
+
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                 cost: CostSpec | None = None) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
-    point. Each face group forms its reduced matrices R (module docstring)
-    with one batched matmul and factors them with one batched SVD, values
-    only without a cost, thin with one; a group whose R has no rows
-    factors nothing."""
-    reports, groups = active_stacks(cs, flats, flow)
+    point. Without a cost, a face group whose R has no rows (no h row, an
+    empty face) is decided by structure: its stacks are the flow rows
+    [I, X] of rank 2N, so nothing is assembled or factored, and each
+    report assembles its own stack when it is read. Every other group
+    forms its reduced matrices R (module docstring) with one batched
+    matmul and factors them with one batched SVD, values only without a
+    cost, thin with one; a costed group whose R has no rows factors
+    nothing."""
+    reports, groups, assemble = active_stacks(cs, flats, flow)
     p = 2 * cs.net.n_bus
-    for points, face, stacks, labels in groups:
+    n_free = int(np.count_nonzero(cs.net.free_mask))
+    for points, face, labels in groups:
+        r = len(cs.h_ops) + len(face)
+        if cost is None and r == 0:
+            rank, smin, tol = _rank_from_svals(np.ones(p), (p, n_free),
+                                               cs.rank_ulp_scale)
+            for i in points:
+                reports[i] = CQReport(
+                    assemble=partial(_point_stack, assemble, face, i),
+                    row_labels=labels, m=p, n_free=n_free,
+                    numerical_rank=rank, sigma_min=smin, rank_tol=tol,
+                    licq_holds=rank == p, face=face)
+            continue
+        stacks = assemble(face, points)
         k, m, n = stacks.shape
-        # contiguous copies: the BLAS calls round as on assembled matrices
-        x_mats = stacks[:, :p, p:].copy()
+        # contiguous copies: the BLAS calls round as on assembled matrices;
+        # X is copied only where R has rows, as without them it meets vt[:0]
+        x_mats = stacks[:, :p, p:].copy() if r else stacks[:, :p, p:]
         o_rows = stacks[:, p:].copy()
         r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
-        r, n_z = r_mats.shape[1:]
+        n_z = r_mats.shape[2]
         if cost is not None:
             grads = cost.gradient(flats[points])[:, cs.net.free_mask]
         if r == 0:
@@ -239,8 +274,8 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                     vts[j], int((svals[j] > tol).sum()))
                 kkt = _multiplier_set(cs, face, stacks[j], grads[j], y, basis)
             reports[i] = CQReport(
-                active_jacobian=stacks[j], row_labels=labels, m=m, n_free=n,
-                numerical_rank=rank, sigma_min=smin, rank_tol=tol,
+                assemble=partial(getitem, stacks, j), row_labels=labels, m=m,
+                n_free=n, numerical_rank=rank, sigma_min=smin, rank_tol=tol,
                 licq_holds=rank == m, face=face, kkt=kkt)
     return reports
 

@@ -381,12 +381,19 @@ def _parse_cost(doc: dict, n_bus: int) -> CostTerms:
     return CostTerms(quadratic=tuple(quad), linear=tuple(lin))
 
 
+# Setpoints a bus type ignores: a PQ bus's voltage is free, and Newton
+# starts every angle at the slack's.
+_UNREAD_SETPOINTS = {"slack": (), "pv": ("theta_setpoint",),
+                     "pq": ("v_setpoint", "theta_setpoint")}
+
+
 def load_case(text: str | bytes | dict) -> Case:
     """Parse and validate a JSON case document.
 
     Schema violations raise :class:`CaseError` naming the offending JSON
-    path; network invariant violations raise :class:`CaseError` naming the
-    invariant.
+    path, as does a setpoint its bus type ignores (``v_setpoint`` at a PQ
+    bus, ``theta_setpoint`` anywhere but the slack); network invariant
+    violations raise :class:`CaseError` naming the invariant.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -407,6 +414,9 @@ def load_case(text: str | bytes | dict) -> Case:
         btype = entry.get("type")
         _expect(btype in ("slack", "pv", "pq"), f"{path}.type",
                 f"expected one of slack|pv|pq, got {btype!r}")
+        for key in _UNREAD_SETPOINTS[btype]:
+            _expect(key not in entry, f"{path}.{key}",
+                    f"a {btype} bus has no {key}")
         buses.append(Bus(
             id=_int(entry, "id", path),
             bus_type=BusType(btype),

@@ -199,12 +199,22 @@ def check_rank_hypothesis(model: PerturbationModel, cs: con.ConstraintSystem,
                           x: SystemState) -> RankHypothesisReport:
     """Rank of the parameter Jacobian at ``cs.rank_ulp_scale`` against 2N.
 
-    For the shunt model the premise min_k v_k > 0 is reported alongside;
-    it is exactly what full rank hinges on.
+    The singular values of the LOAD and SHUNT Jacobians are known by
+    structure (``param_jacobian``): 2N ones, and each v^2 twice; only the
+    LINE Jacobian is factored. For the shunt model the premise
+    min_k v_k > 0 is reported alongside; it is exactly what full rank
+    hinges on.
     """
     net = cs.net
-    jac = param_jacobian(model, net, x)
-    rank, _, _, _ = cqkit.numerical_rank(jac, ulp_scale=cs.rank_ulp_scale)
+    _expect_dimension(model, net)
+    if model.kind is ModelKind.LOAD:
+        svals = np.ones(2 * net.n_bus)
+    elif model.kind is ModelKind.SHUNT:
+        svals = np.sort(np.tile(x.v ** 2, 2))[::-1]
+    else:
+        svals = np.linalg.svd(param_jacobian(model, net, x), compute_uv=False)
+    rank, _, _ = cqkit._rank_from_svals(svals, (2 * net.n_bus, model.dimension),
+                                        cs.rank_ulp_scale)
     premise = bool(x.v.min() > 0.0) if model.kind is ModelKind.SHUNT else None
     return RankHypothesisReport(kind=model.kind, rank=rank,
                                 required=2 * net.n_bus,
@@ -332,20 +342,21 @@ class GenericityReport:
         return buf.getvalue()
 
 
-# Byte budget of a Monte Carlo block, counted in 2N x 4N float64 flow
-# Jacobians per trial.
-BLOCK_JACOBIAN_BYTES = 1 << 19
+# Byte budget of a Monte Carlo block, counted as 64 N^2 bytes per trial:
+# its Newton matrix and its G, B and complex Yc admittances.
+BLOCK_JACOBIAN_BYTES = 1 << 21
 
 
 def _block_size(n_bus: int) -> int:
-    """Trials of one Monte Carlo block: as many whose 2N x 4N float64 flow
-    Jacobians would fit ``BLOCK_JACOBIAN_BYTES`` share one stacked Newton
-    solve and one batched check. That is 2048 on two buses, so a 1000-trial
-    sweep of a two-bus fixture is one block, 2 on 64 buses, and one from
-    65 buses up. The flow rows themselves come from the line list, so the
-    block's largest arrays are its N x N admittances, Newton matrices and
-    stacks."""
-    return max(1, BLOCK_JACOBIAN_BYTES // (2 * n_bus * 4 * n_bus * 8))
+    """Trials of one Monte Carlo block: as many as fit
+    ``BLOCK_JACOBIAN_BYTES`` at 64 N^2 bytes each share one stacked Newton
+    solve and one batched check. That is 8192 on two buses, so a 1000-trial
+    sweep of a two-bus fixture is one block, 8 on 64 buses, and one from
+    129 buses up. The flow rows come from the line list, and a check whose
+    reduced matrix has no rows assembles no stack (``cqkit.licq_checks``),
+    so the block's largest arrays are its N x N admittances and Newton
+    matrices."""
+    return max(1, BLOCK_JACOBIAN_BYTES // (64 * n_bus ** 2))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -545,7 +556,8 @@ def run_genericity_experiment(
     solve), and
     ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones
     (the block's arrays themselves when every trial converged), at most
-    one batched SVD of the reduced matrices per face. Only one block, and
+    one batched SVD of the reduced matrices per face, and on a face without
+    operational rows no stack at all. Only one block, and
     the draws of one ``_draw_chunk`` of blocks, are held at a time.
     ``tols`` go to ``system_for_case``, whose tolerances decide
     feasibility, LICQ and the rank hypothesis.

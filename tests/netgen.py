@@ -68,22 +68,23 @@ def reduced_rows(a: np.ndarray, n_bus: int) -> np.ndarray:
     return a[p:, p:] - a[p:, :p] @ a[:p, p:]
 
 
+def _bus_document(bus: Bus) -> dict:
+    """A bus entry with the setpoints its type reads: v at SLACK and PV
+    buses, theta at the SLACK bus only."""
+    doc = {"id": bus.id, "type": bus.bus_type.value, "p_load": bus.p_load,
+           "q_load": bus.q_load, "g_shunt": bus.g_shunt,
+           "b_shunt": bus.b_shunt}
+    if bus.bus_type is not BusType.PQ:
+        doc["v_setpoint"] = bus.v_setpoint
+    if bus.bus_type is BusType.SLACK:
+        doc["theta_setpoint"] = bus.theta_setpoint
+    return doc
+
+
 def case_document(case: Case) -> dict:
     """Serialize a case back to its document form (inverse of load_case)."""
     doc: dict = {
-        "buses": [
-            {
-                "id": b.id,
-                "type": b.bus_type.value,
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-                "g_shunt": b.g_shunt,
-                "b_shunt": b.b_shunt,
-                "v_setpoint": b.v_setpoint,
-                "theta_setpoint": b.theta_setpoint,
-            }
-            for b in case.network.buses
-        ],
+        "buses": [_bus_document(b) for b in case.network.buses],
         "lines": [
             {
                 "from": ln.from_bus,

@@ -183,6 +183,19 @@ def test_check_infeasible_names_violated_cap(capsys, tmp_path, ex1):
     assert "worst violation g:0 = 1.000e-02 > act_tol = 1e-06" in err
 
 
+def test_check_rejects_a_setpoint_the_bus_type_ignores(capsys, tmp_path, ex1):
+    doc = case_document(ex1.case)
+    assert doc["buses"][1]["type"] == "pq"
+    doc["buses"][1].update(v_setpoint=3.0, theta_setpoint=5.0)
+    doc_path = tmp_path / "case.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(doc_path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "buses[1].v_setpoint" in err
+    assert "Traceback" not in err
+
+
 def test_check_unsolvable_flow_exits_4(capsys, tmp_path, ex1):
     # every exit 4 comes from the InfeasiblePointError handler in main
     doc = case_document(ex1.case)

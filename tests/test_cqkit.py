@@ -7,11 +7,13 @@ import pytest
 
 import opfdiag as od
 from netgen import injections, random_network, random_state, reduced_rows
+from opfdiag import cqkit
 from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
-                                 InfeasiblePointError, LinearEq, evaluate)
+                                 InfeasiblePointError, LinearEq, evaluate,
+                                 point_block)
 from opfdiag.cqkit import (Classification, CostSpec, CQReport, _multiplier_set,
                            _rank_from_svals, active_stack, kkt_residual,
-                           kkt_solve, licq_check, numerical_rank)
+                           kkt_solve, licq_check, licq_checks, numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import nearest_feasible_point, shift_load
 from opfdiag.powerflow import SystemState, solve_power_flow
@@ -490,6 +492,71 @@ def test_costed_check_matches_values_only_check(ex1):
     assert b == a
 
 
+def _face_free_block(lattice_document, k, rng):
+    """A 4x4 lattice with its voltage bands alone and a block of k flow
+    solutions by construction strictly inside them: every point is feasible
+    on the empty face, so R has no rows. Returns (cs, states, flats, flow)."""
+    doc = lattice_document(4, 4, 0)
+    doc["constraints"] = [c for c in doc["constraints"]
+                          if c["target"] and c["target"]["var"] == "v"]
+    cs = od.system_for_case(od.load_case(doc))
+    net = cs.net
+    states = []
+    for _ in range(k):
+        v = rng.uniform(0.95, 1.05, net.n_bus)
+        theta = rng.uniform(-0.2, 0.2, net.n_bus)
+        p_inj, q_inj = injections(cs.Y, v, theta)
+        states.append(SystemState(p_gen=net.p_load + p_inj,
+                                  q_gen=net.q_load + q_inj, v=v, theta=theta))
+    flats = np.stack([x.flat() for x in states])
+    flow = tuple(np.repeat(a, k, axis=0) for a in point_block(cs, states[0])[1])
+    return cs, states, flats, flow
+
+
+def test_face_free_block_without_cost_assembles_nothing(lattice_document, rng,
+                                                        monkeypatch):
+    # no h row and an empty face: the verdict is decided by structure, and
+    # a report's stack is assembled only when it is read, bit for bit the
+    # one-point stack
+    cs, states, flats, flow = _face_free_block(lattice_document, 5, rng)
+    plans, svds = [], []
+    real_plan, real_svd = cqkit.flow_rows, np.linalg.svd
+    monkeypatch.setattr(cqkit, "flow_rows",
+                        lambda *a: plans.append(a) or real_plan(*a))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: svds.append(a) or real_svd(*a, **kw))
+    reports = licq_checks(cs, flats, flow)
+    assert plans == [] and svds == []
+    assert all(r.face == () and r.licq_holds and r.m == 32 for r in reports)
+    stacks = [r.active_jacobian for r in reports]
+    assert len(plans) == 1      # one plan for the block, made at first read
+    for stack, x in zip(stacks, states):
+        a = active_stack(cs, x)[0]
+        assert stack.shape == a.shape and stack.tobytes() == a.tobytes()
+    assert all(r.active_jacobian is s for r, s in zip(reports, stacks))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -52, 1e-3, 0.2])
+def test_structural_reports_match_the_costed_path(lattice_document, rng,
+                                                  scale):
+    # the costed check assembles the stacks and merges R's (absent) singular
+    # values with the p unit ones: the structural verdict is the same at any
+    # rank scale, and at 0.2 the unit values fall under the tolerance
+    cs, _, flats, flow = _face_free_block(lattice_document, 4, rng)
+    cs = replace(cs, rank_ulp_scale=scale)
+    n = flats.shape[1]
+    cost = CostSpec(c2=np.ones(n), c1=np.zeros(n))
+    structural = licq_checks(cs, flats, flow)
+    costed = licq_checks(cs, flats, flow, cost)
+    for a, b in zip(structural, costed):
+        assert a.kkt is None and b.kkt is not None
+        for name in ("m", "n_free", "numerical_rank", "sigma_min",
+                     "rank_tol", "licq_holds"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert a.sigma_min == 1.0
+        assert a.licq_holds is (scale != 0.2)
+
+
 def test_cq_report_serializes(ex1):
     report = licq_check(ex1.system, ex1.ground_truth)
     payload = report.to_dict()
@@ -506,7 +573,7 @@ def test_cq_report_writes_nonzero_triplets():
     a = np.array([[0.0, 2.5, -0.0],
                   [-1.0, 0.0, 0.0],
                   [0.0, 0.0, 1e-300]])
-    report = CQReport(active_jacobian=a, row_labels=("a", "b", "c"), m=3,
+    report = CQReport(assemble=lambda: a, row_labels=("a", "b", "c"), m=3,
                       n_free=3, numerical_rank=3, sigma_min=1e-300,
                       rank_tol=0.0, licq_holds=True, face=())
     coo = report.to_dict()["active_jacobian"]

@@ -214,6 +214,25 @@ def test_load_case_schema_error_names_path():
         load_case(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bus, key", [(1, "theta_setpoint"),
+                                      (2, "v_setpoint"), (2, "theta_setpoint")])
+def test_load_case_rejects_setpoints_the_bus_type_ignores(bus, key):
+    # a PV bus reads v_setpoint alone, a PQ bus neither: Newton starts every
+    # angle at the slack's
+    doc = {"buses": [{"id": 0, "type": "slack", "v_setpoint": 1.02,
+                      "theta_setpoint": -0.5},
+                     {"id": 1, "type": "pv", "v_setpoint": 1.01},
+                     {"id": 2, "type": "pq"}],
+           "lines": [{"from": 0, "to": 1, "g_series": 0.0, "b_series": -1.0},
+                     {"from": 1, "to": 2, "g_series": 0.0, "b_series": -1.0}]}
+    case = load_case(json.dumps(doc))
+    assert [b.v_setpoint for b in case.network.buses] == [1.02, 1.01, 1.0]
+    assert case.network.buses[0].theta_setpoint == -0.5
+    doc["buses"][bus][key] = 1.0
+    with pytest.raises(CaseError, match=rf"^buses\[{bus}\]\.{key}: "):
+        load_case(json.dumps(doc))
+
+
 def test_load_case_rejects_invalid_json():
     with pytest.raises(CaseError, match="invalid JSON"):
         load_case("{not json")

@@ -133,6 +133,35 @@ def test_rank_hypothesis_line_flat_not_satisfied(ex3):
     assert not report.satisfied and report.rank == 0
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -52, 1e-3, "split", 0.2])
+@pytest.mark.parametrize("source", ["ex1", "grid"])
+def test_rank_hypothesis_by_structure_matches_the_svd(ex1, lattice_document,
+                                                      source, scale):
+    # LOAD and SHUNT take their singular values from structure, LINE from
+    # an SVD: each rank is numerical_rank of the parameter Jacobian, also
+    # at scales that drop some values (ex1 at 0.2: diag(1, 2, 1, 2) has
+    # rank 2) and at one that splits the grid's v^2 values in the middle
+    case = ex1.case if source == "ex1" else od.load_case(lattice_document(8, 8, 0))
+    net = case.network
+    x = od.solve_power_flow(net, build_ybus(net), case.gen_p, case.gen_q,
+                            pf_tol=1e-10).state
+    split = scale == "split"
+    if split:
+        v2 = x.v ** 2
+        scale = np.median(v2) / v2.max() / (2 * net.n_bus)
+    cs = od.system_for_case(case, rank_ulp_scale=scale)
+    ranks = []
+    for model in (load_model(case), shunt_model(case), line_model(case)):
+        jac = param_jacobian(model, net, x)
+        rank = numerical_rank(jac, ulp_scale=scale)[0]
+        assert check_rank_hypothesis(model, cs, x).rank == rank
+        ranks.append(rank)
+    if split:
+        assert 0 < ranks[1] < 2 * net.n_bus
+    if source == "ex1" and scale == 0.2:
+        assert ranks[1] == 2
+
+
 def test_shunt_rank_tracks_voltage_threshold():
     fix = example1(1.0)
     model = shunt_model(fix.case)
@@ -219,14 +248,36 @@ def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
 
 def test_grid_shunt_sweep_independent_of_block_size(lattice_document,
                                                     monkeypatch):
-    # N = 64: two trials a block by default, the last block of one
+    # N = 64: eight trials a block by default, the last block of five
     case = od.load_case(lattice_document(8, 8, 0))
     model = shunt_model(case)
-    assert od.perturb._block_size(case.network.n_bus) == 2
-    stacked = run_genericity_experiment(case, model, trials=5, seed=3)
+    assert od.perturb._block_size(case.network.n_bus) == 8
+    stacked = run_genericity_experiment(case, model, trials=13, seed=3)
     monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
     assert od.perturb._block_size(case.network.n_bus) == 1
-    single = run_genericity_experiment(case, model, trials=5, seed=3)
+    single = run_genericity_experiment(case, model, trials=13, seed=3)
+    assert stacked.to_json() == single.to_json()
+    assert stacked.to_csv() == single.to_csv()
+
+
+def test_face_free_sweep_failures_independent_of_block_size(lattice_document,
+                                                           monkeypatch):
+    # the 8x8 lattice with its voltage bands alone: every feasible trial is
+    # decided by structure, and at rank scale 0.2 fails LICQ; each failure
+    # assembles its own stack for the report, bit for bit as in a block of
+    # one trial
+    doc = lattice_document(8, 8, 0)
+    doc["constraints"] = [c for c in doc["constraints"]
+                          if c["target"] and c["target"]["var"] == "v"]
+    case = od.load_case(doc)
+    model = shunt_model(case)
+    stacked = run_genericity_experiment(case, model, trials=13, seed=3,
+                                        rank_ulp_scale=0.2)
+    assert stacked.licq_pass_count == 0
+    assert len(stacked.failures) == stacked.feasible_count == 12
+    monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
+    single = run_genericity_experiment(case, model, trials=13, seed=3,
+                                       rank_ulp_scale=0.2)
     assert stacked.to_json() == single.to_json()
     assert stacked.to_csv() == single.to_csv()
 

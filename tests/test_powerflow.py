@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfdiag as od
-from opfdiag import powerflow
+from opfdiag import _blas, powerflow
 from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from opfdiag.constraints import ConstraintSystem, system_for_case
 from opfdiag.cqkit import (Classification, CostSpec, active_stack,
@@ -542,3 +542,42 @@ def test_cut_off_bus_still_singular_on_line_list_side(
         code = main(["check", "--case", str(path)])
     assert code == EXIT_INFEASIBLE
     assert "singular Newton matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("serial_buses, expect_serial", [(64, True), (63, False)])
+def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
+        lattice_document, monkeypatch, serial_buses, expect_serial):
+    fns = _blas._openblas()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+    get, _ = fns
+    before = get()
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(powerflow, "SERIAL_BLAS_BUSES", serial_buses)
+    case = load_case(lattice_document(8, 8, 0))
+    net = case.network
+    sol = solve_power_flow(net, build_ybus(net), case.gen_p, case.gen_q,
+                           pf_tol=1e-10)
+    assert len(seen) == sol.iterations
+    assert set(seen) == {1 if expect_serial else before}
+    assert get() == before
+
+
+def test_serial_blas_restores_the_thread_count_on_error():
+    fns = _blas._openblas()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+    get, _ = fns
+    before = get()
+    with pytest.raises(np.linalg.LinAlgError):
+        with _blas.serial():
+            assert get() == 1
+            np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+    assert get() == before

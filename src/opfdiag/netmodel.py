@@ -2,8 +2,9 @@
 
 All quantities are per-unit. Complex admittances are carried as explicit
 (conductance, susceptance) pairs in every public type; complex arithmetic
-is confined to implementation internals. Bus ordering everywhere is the
-case-file order and is never re-sorted.
+is confined to implementation internals. Every array indexed by bus is in
+case-file order and is never re-sorted; ``Network.bus_order`` only orders
+the unknowns inside a Newton solve.
 """
 
 from __future__ import annotations
@@ -167,6 +168,39 @@ class Network:
                         dtype=int).reshape(-1, 2)
         ends.setflags(write=False)
         return ends
+
+    @cached_property
+    def bus_order(self) -> np.ndarray:
+        """Bus ids in reverse Cuthill-McKee order of the line graph, locked.
+
+        Each connected component is searched breadth first from its bus of
+        least degree; a bus's unvisited neighbours join the queue by
+        degree, then by id. Neighbours in the graph then lie close in the
+        order however the case numbers its buses, which keeps the Newton
+        matrix banded (``powerflow.newton_states``)."""
+        n = self.n_bus
+        ends = self.line_ends
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        degree = np.bincount(src, minlength=n)
+        by = np.lexsort((dst, degree[dst], src))
+        nbrs = [a.tolist() for a in np.split(dst[by], np.cumsum(degree)[:-1])]
+        seen = [False] * n
+        visited: list[int] = []
+        for start in np.lexsort((np.arange(n), degree)).tolist():
+            if seen[start]:
+                continue
+            seen[start] = True
+            queue = [start]
+            for k in queue:  # the queue grows while it is read
+                for l in nbrs[k]:
+                    if not seen[l]:
+                        seen[l] = True
+                        queue.append(l)
+            visited += queue
+        order = np.array(visited[::-1], dtype=int)
+        order.setflags(write=False)
+        return order
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,12 +113,14 @@ class SystemState:
 
 
 # Largest bus count whose admittance products and Newton solves run on one
-# BLAS thread. OpenBLAS threads the complex products from 64 buses and the
-# LU from order 100. On two cores a Monte Carlo sweep of a meshed grid ran
-# 5-15% faster on one thread up to 256 buses and 12% slower at 576, and
-# with the second core busy every threaded call waits on a descheduled
-# thread: 3-5x slower at 64 buses. One thread also makes the Newton
-# iterates independent of the core count.
+# BLAS thread. OpenBLAS threads the complex products from 64 buses, and the
+# dense LU from order 100, which only a wide-band network still reaches
+# there (``_newton_system`` solves lattices from 7 x 7 up banded). On two
+# cores a Monte Carlo sweep of a meshed grid ran 5-15% faster on one
+# thread up to 256 buses and 12% slower at 576, and with the second core
+# busy every threaded call waits on a descheduled thread: 3-5x slower at
+# 64 buses. One thread also makes the Newton iterates independent of the
+# core count.
 SERIAL_BLAS_BUSES = 256
 
 
@@ -174,7 +176,8 @@ def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return jac
 
 
-def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
+def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
+              band: tuple[int, int] | None = None):
     """Plan of the flow Jacobian rows ``_jacobian(G, B, flat)[..., rows,
     cols]`` on the lines of ``net``: returns the function from T trials'
     G, B (T x N x N, zero off the lines and the diagonal, as
@@ -189,7 +192,13 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
     ones from per-bus sums of the same terms, and the generation
     identities, scattered into one zeroed array. The per-bus sums run in
     another order than the dense matmul, so diagonal entries may differ
-    from ``_jacobian`` in the last bits."""
+    from ``_jacobian`` in the last bits.
+
+    With ``band`` = (kl, ku), the selected m rows and m columns form a
+    square matrix with kl sub- and ku superdiagonals, and the plan writes
+    it straight into LAPACK band storage, T x m x (2 kl + ku + 1), entry
+    (r, q) at ``[q, kl + ku + r - q]`` (``_blas.band_solver``); the
+    function then takes a workspace ``out`` of that shape to refill."""
     n = net.n_bus
     ends = net.line_ends
     k = np.concatenate((ends[:, 0], ends[:, 1]))
@@ -211,10 +220,19 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
     col_pos, n_cols = positions(cols, 4 * n)
     r, q = row_pos[at_row], col_pos[at_col]
     kept = np.flatnonzero((r >= 0) & (q >= 0))
-    at_out = r[kept] * n_cols + q[kept]
+    r, q = r[kept], q[kept]
+    if band is None:
+        shape, at_out = (n_rows, n_cols), r * n_cols + q
+    else:
+        kl, ku = band
+        if n_rows != n_cols or (r - q).max(initial=0) > kl or (
+                q - r).max(initial=0) > ku:
+            raise ValueError(f"selected rows exceed the band {band}")
+        shape = (n_cols, 2 * kl + ku + 1)
+        at_out = q * shape[1] + kl + ku + r - q
 
-    def jacobian_rows(G: np.ndarray, B: np.ndarray,
-                      flat: np.ndarray) -> np.ndarray:
+    def jacobian_rows(G: np.ndarray, B: np.ndarray, flat: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
         trials = flat.shape[0]
         v, theta = flat[:, 2 * n:3 * n], flat[:, 3 * n:]
         t = theta[:, k] - theta[:, l]
@@ -240,9 +258,12 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray):
             -vk * a, -vv * c, -vk * c, vv * a,
             -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
             -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
-        out = np.zeros((trials, n_rows * n_cols))
-        out[:, at_out] = values[:, kept]
-        return out.reshape(trials, n_rows, n_cols)
+        if out is None:
+            out = np.zeros((trials, *shape))
+        else:
+            out.fill(0.0)
+        out.reshape(trials, -1)[:, at_out] = values[:, kept]
+        return out
 
     return jacobian_rows
 
@@ -277,10 +298,22 @@ class PFSolution:
 MAX_ITER = 50
 
 
-def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
-    """Stacked solve of ``jac step = rhs``. numpy rejects a whole stack when
-    one matrix is singular; the stack is then solved trial by trial, and
-    each singular trial maps to its LinAlgError."""
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray,
+                  band: tuple[int, int] | None = None):
+    """Solve ``jac step = rhs`` for a stack of trials: (steps, singular),
+    ``singular`` mapping each trial whose matrix is singular to its
+    LinAlgError.
+
+    With ``band`` = (kl, ku), ``jac`` is the stack in LAPACK band storage
+    and each trial is one ``dgbsv`` call that overwrites ``jac`` and
+    ``rhs``; the steps are ``rhs``. Else one batched dense solve; numpy
+    rejects a whole stack when one matrix is singular, and the stack is
+    then solved trial by trial."""
+    if band is not None:
+        infos = _blas.band_solver()(*band, jac, rhs)
+        return rhs, {i: np.linalg.LinAlgError(
+            f"Singular matrix: U({info}, {info}) is exactly zero")
+            for i, info in enumerate(infos.tolist()) if info}
     try:
         return np.linalg.solve(jac, rhs[..., None])[..., 0], {}
     except np.linalg.LinAlgError:
@@ -292,6 +325,44 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
         except np.linalg.LinAlgError as exc:
             singular[i] = exc
     return steps, singular
+
+
+def _newton_system(net: Network):
+    """Rows and columns of the Newton matrix, and its band (kl, ku) when
+    the banded solve takes it, else None.
+
+    The unknowns are the free theta and v entries, each paired with the P
+    or Q row of its bus. In ``Network.bus_order`` with each bus's theta
+    and v adjacent, a line (k, l) puts entries only where the unknowns of
+    k and l meet, so kl and ku come from the line list. A band of width
+    w = 2 kl + ku + 1 is solved banded when 2 w < m, the order of the
+    matrix: on lattices from 7 x 7 up, where one ``dgbsv`` a trial takes
+    28 us against 72 us a trial of the batched dense LU (1.1 ms against
+    38 ms on 24 x 24; one BLAS thread on 2 vCPUs). Otherwise, and where
+    numpy's BLAS has no ``dgbsv``, the rows and columns stay in blocks,
+    every theta and then every v, for the batched dense solve."""
+    n = net.n_bus
+    mask = net.free_mask
+    order = net.bus_order
+    cols = np.stack((3 * n + order, 2 * n + order), axis=1).ravel()
+    cols = cols[mask[cols]]
+    pos = np.full(4 * n, cols.size)
+    pos[cols] = np.arange(cols.size)
+    at = pos[2 * n:].reshape(2, n)  # (v, theta) positions of each bus
+    low = at.min(axis=0)
+    high = np.where(at < cols.size, at, -1).max(axis=0)
+    ends = net.line_ends
+    k = np.concatenate((ends[:, 0], ends[:, 1], np.arange(n)))
+    l = np.concatenate((ends[:, 1], ends[:, 0], np.arange(n)))
+    meet = (high[k] >= 0) & (high[l] >= 0)
+    kl = int((high[k] - low[l])[meet].max(initial=0))
+    ku = int((high[l] - low[k])[meet].max(initial=0))
+    if 2 * (2 * kl + ku + 1) < cols.size and _blas.band_solver() is not None:
+        return np.where(cols >= 3 * n, cols - 3 * n, cols - n), cols, (kl, ku)
+    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
+    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
+    return rows, np.concatenate([3 * n + np.flatnonzero(free_t),
+                                 2 * n + np.flatnonzero(free_v)]), None
 
 
 def newton_states(
@@ -318,15 +389,19 @@ def newton_states(
 
     Each step's Newton matrix comes from one ``flow_rows`` plan, an
     O(N + M) assembly from the line list whose iterates may differ from
-    those of the dense ``pf_jacobian`` in the last bits."""
+    those of the dense ``pf_jacobian`` in the last bits. Where its band is
+    narrow (``_newton_system``) the plan writes LAPACK band storage into
+    one workspace for the block and each trial's step is one ``dgbsv``;
+    otherwise one batched dense solve takes the block."""
     n = net.n_bus
     trials = G.shape[0]
     mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
-    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
-    cols = np.concatenate([3 * n + np.flatnonzero(free_t),
-                           2 * n + np.flatnonzero(free_v)])
-    newton_matrix = flow_rows(net, rows, cols)
+    rows, cols, band = _newton_system(net)
+    newton_matrix = flow_rows(net, rows, cols, band)
+    # the block's one band storage, refilled at every step
+    work = None if band is None else np.empty(
+        (trials, cols.size, 2 * band[0] + band[1] + 1))
 
     # every angle starts at the slack's; F sees only angle differences
     slack = next(b for b in net.buses if b.bus_type is BusType.SLACK)
@@ -370,9 +445,10 @@ def newton_states(
             keep(going)
             if not live.size:
                 break
+            jac = newton_matrix(*data[:2], x[live],
+                                None if work is None else work[:live.size])
             with _serial_blas(n):
-                steps, singular = _newton_steps(
-                    newton_matrix(*data[:2], x[live]), rhs)
+                steps, singular = _newton_steps(jac, rhs, band)
             for j, exc in singular.items():
                 outcome[live[j]] = SingularNewtonError(
                     f"singular Newton matrix at iteration {it} "
@@ -388,12 +464,13 @@ def newton_states(
     done = np.array([i for i, o in enumerate(outcome) if isinstance(o, int)],
                     dtype=int)
     xd = x[done]
-    p_inj, q_inj = _injections(Yc[done], xd[:, 2 * n:3 * n], xd[:, 3 * n:])
-    xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + p_load[done])
-    xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + q_load[done])
+    at = slice(None) if done.size == trials else done  # no copy when all are
+    Yd, pd, qd = Yc[at], p_load[at], q_load[at]
+    p_inj, q_inj = _injections(Yd, xd[:, 2 * n:3 * n], xd[:, 3 * n:])
+    xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + pd)
+    xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + qd)
     x[done] = xd
-    final = np.abs(_residual(Yc[done], p_load[done], q_load[done],
-                             xd)).max(axis=1, initial=0.0)
+    final = np.abs(_residual(Yd, pd, qd, xd)).max(axis=1, initial=0.0)
     for i, res in zip(done, final):
         if res > pf_tol:
             outcome[i] = NonConvergenceError(

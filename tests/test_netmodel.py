@@ -302,3 +302,16 @@ def test_load_case_fuzzed_leaf_returns_case_or_case_error(path, value):
     except CaseError:
         return
     assert isinstance(case, Case)
+
+
+def test_bus_order_follows_the_lines_not_the_ids():
+    # the path 0 - 3 - 1 - 4 and the isolated bus 2: each component from its
+    # bus of least degree, ties by id, and the whole order reversed
+    buses = tuple(Bus(id=k, bus_type=BusType.SLACK if k == 0 else BusType.PQ)
+                  for k in range(5))
+    lines = tuple(Line(from_bus=k, to_bus=l, g_series=1.0, b_series=-5.0)
+                  for k, l in ((0, 3), (3, 1), (1, 4)))
+    with pytest.warns(UserWarning, match="not connected"):
+        net = Network(buses=buses, lines=lines)
+    assert net.bus_order.tolist() == [4, 1, 3, 0, 2]
+    assert not net.bus_order.flags.writeable

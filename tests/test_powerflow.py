@@ -381,7 +381,8 @@ def test_state_arrays_are_read_only(ex1):
 # ---------------------------------------------------------------------------
 
 def newton_selection(net):
-    """Rows and columns of the Newton matrix, in newton_states' order."""
+    """Rows and columns of the Newton matrix in the order of newton_states'
+    batched dense solve."""
     n = net.n_bus
     mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
@@ -526,16 +527,34 @@ def test_line_list_side_matches_dense_reference(lattice_document, side):
             <= ConstraintSystem.stat_tol)
 
 
+def banded_solves(monkeypatch):
+    """Spy on the band solver: the LAPACK info of every call, in order."""
+    solver = _blas.band_solver()
+    if solver is None:
+        pytest.skip("numpy's BLAS has no dgbsv of its wheel's OpenBLAS")
+    infos = []
+
+    def spy(kl, ku, ab, b):
+        infos.append(solver(kl, ku, ab, b).tolist())
+        return np.array(infos[-1])
+
+    monkeypatch.setattr(_blas, "band_solver", lambda: spy)
+    return infos
+
+
 def test_cut_off_bus_still_singular_on_line_list_side(
-        capsys, tmp_path, lattice_document):
+        capsys, tmp_path, monkeypatch, lattice_document):
     doc = lattice_document(9, 9, 0)
     cut = 80
     doc["lines"] = [ln for ln in doc["lines"] if cut not in (ln["from"], ln["to"])]
     with pytest.warns(UserWarning, match="not connected"):
         case = load_case(doc)
+    infos = banded_solves(monkeypatch)
     with pytest.raises(SingularNewtonError):
         solve_power_flow(case.network, build_ybus(case.network), case.gen_p,
                          case.gen_q, pf_tol=1e-10)
+    # dgbsv found the zero pivot of the cut-off bus
+    assert len(infos) == 1 and infos[0][0] > 0
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(doc))
     with pytest.warns(UserWarning, match="not connected"):
@@ -553,13 +572,15 @@ def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
     get, _ = fns
     before = get()
     seen = []
-    solve = np.linalg.solve
+    solve = powerflow._newton_steps
 
-    def spy(*args, **kwargs):
+    def spy(jac, rhs, band=None):
+        # the 8 x 8 lattice is solved banded
+        assert band is not None
         seen.append(get())
-        return solve(*args, **kwargs)
+        return solve(jac, rhs, band)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(powerflow, "_newton_steps", spy)
     monkeypatch.setattr(powerflow, "SERIAL_BLAS_BUSES", serial_buses)
     case = load_case(lattice_document(8, 8, 0))
     net = case.network
@@ -581,3 +602,92 @@ def test_serial_blas_restores_the_thread_count_on_error():
             assert get() == 1
             np.linalg.solve(np.zeros((2, 2)), np.ones(2))
     assert get() == before
+
+
+def shuffled_document(doc, seed):
+    """The case document with its bus ids permuted."""
+    new = np.random.default_rng(seed).permutation(len(doc["buses"])).tolist()
+
+    def moved(obj):
+        if isinstance(obj, dict):
+            return {key: new[val] if key in ("id", "bus", "from", "to")
+                    else moved(val) for key, val in obj.items()}
+        return [moved(val) for val in obj] if isinstance(obj, list) else obj
+
+    out = moved(doc)
+    out["buses"].sort(key=lambda bus: bus["id"])
+    return out, new
+
+
+def from_band(ab, kl, ku):
+    """Dense T x m x m matrices from their LAPACK band storage."""
+    trials, m, _ = ab.shape
+    dense = np.zeros((trials, m, m))
+    for q in range(m):
+        for r in range(max(0, q - ku), min(m, q + kl + 1)):
+            dense[:, r, q] = ab[:, q, kl + ku + r - q]
+    return dense
+
+
+@pytest.mark.parametrize("side, shuffle", [(8, None), (12, None), (9, 5)])
+def test_banded_newton_matches_dense_reference(lattice_document, side,
+                                               shuffle):
+    if _blas.band_solver() is None:
+        pytest.skip("numpy's BLAS has no dgbsv of its wheel's OpenBLAS")
+    doc = lattice_document(side, side, 0)
+    band = powerflow._newton_system(load_case(doc).network)[2]
+    if shuffle is not None:
+        doc, new = shuffled_document(doc, shuffle)
+        # the bus order undoes the numbering: the same band within one
+        # bus, two unknowns
+        shuffled_band = powerflow._newton_system(load_case(doc).network)[2]
+        assert np.abs(np.subtract(shuffled_band, band)).max() <= 2
+        band = shuffled_band
+    assert band is not None
+    case = load_case(doc)
+    net = case.network
+    Y = build_ybus(net)
+    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q, pf_tol=1e-10)
+    flat, iterations = dense_newton(net, Y, case.gen_p, case.gen_q)
+    assert sol.iterations == iterations
+    assert np.abs(sol.state.flat() - flat).max() <= 1e-12
+    if shuffle is not None:
+        # the state of the ordered grid, bus by bus
+        ordered = load_case(lattice_document(side, side, 0))
+        ref = solve_power_flow(ordered.network, build_ybus(ordered.network),
+                               ordered.gen_p, ordered.gen_q, pf_tol=1e-10)
+        at = (np.arange(4)[:, None] * net.n_bus + np.array(new)).ravel()
+        assert np.abs(sol.state.flat()[at] - ref.state.flat()).max() <= 1e-12
+
+    # the band storage holds the dense Newton rows and nothing else
+    rows, cols, (kl, ku) = powerflow._newton_system(net)
+    x = sol.state.flat()[None]
+    ab = flow_rows(net, rows, cols, (kl, ku))(Y.G[None], Y.B[None], x)
+    assert ab.shape == (1, cols.size, 2 * kl + ku + 1)
+    ref = _jacobian(Y.G[None], Y.B[None], x)[:, rows[:, None], cols]
+    assert not ab[:, :, :kl].any()
+    assert np.abs(from_band(ab, kl, ku) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_trial_of_a_banded_block(monkeypatch, lattice_document):
+    case = load_case(lattice_document(9, 9, 0))
+    net = case.network
+    rng = np.random.default_rng(13)
+    nets = [replace(net, buses=tuple(
+        replace(b, p_load=b.p_load + d) for b, d in
+        zip(net.buses, rng.uniform(-0.01, 0.01, net.n_bus))))
+        for _ in range(13)]
+    # trial 6 keeps every line, but those of bus 80 carry no admittance
+    cut = 80
+    nets[6] = replace(nets[6], lines=tuple(
+        replace(ln, g_series=0.0, b_series=0.0)
+        if cut in (ln.from_bus, ln.to_bus) else ln for ln in net.lines))
+    ys = [build_ybus(n) for n in nets]
+    infos = banded_solves(monkeypatch)
+    stacked = solve_stacked(net, ys, nets, case.gen_p, case.gen_q)
+    assert [i for i, (_, out, _) in enumerate(stacked)
+            if isinstance(out, SingularNewtonError)] == [6]
+    assert sum(info > 0 for call in infos for info in call) == 1
+    assert infos[0][6] > 0
+    for trial, n, y in zip(stacked, nets, ys):
+        assert_same_outcome(trial, n, y, case.gen_p, case.gen_q)

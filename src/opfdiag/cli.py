@@ -20,6 +20,7 @@ import numpy as np
 from . import cases as fixtures
 from . import constraints as con
 from . import cqkit, perturb
+from ._jsontext import dumps
 from .netmodel import Case, CaseError, build_ybus, finite_number, load_case
 from .powerflow import (PowerFlowError, pf_residual, state_from_list,
                         solve_power_flow)
@@ -52,7 +53,7 @@ def _count(text: str) -> int:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = dumps(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -313,8 +314,7 @@ def cmd_repro(args) -> int:
                "checks": [{"label": l, "ok": f, "detail": d}
                           for l, f, d in checks], **payload}
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(payload, args.out)
     if not ok:
         failed = [l for l, f, _ in checks if not f]
         print(f"failed assertions: {failed}", file=sys.stderr)

@@ -20,6 +20,12 @@ with p = 2N and R = O_z - O_g X, so rank(A) = p + rank(R): LICQ asks
 whether the operational rows meet the flow manifold transversally. Where R
 has no rows nothing is factored: A = [I, X] has rank p by structure, and a
 check without a cost then does not assemble A unless its report is read.
+
+A is held sparse, as row-major COO triplets (``Stacks``), from the plan of
+its flow rows (``powerflow.flow_rows``) to the report, so a check pays for
+A's nonzeros. Dense blocks X and O are built only where R has rows, for
+the product R = O_z - O_g X and the reduced solution; the stationarity
+residual is summed over the triplets.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,19 +93,65 @@ def numerical_rank(matrix: np.ndarray, *,
     return (*_rank_from_svals(svals, matrix.shape, ulp_scale), svals)
 
 
-def face_stacks(cs: ConstraintSystem, flats: np.ndarray, jac: np.ndarray,
-                face) -> np.ndarray:
-    """Stacks of k points over the free columns, k x m x n, with the rows
-    of the g indices in ``face`` active: the compressed flow rows ``jac``
-    (k x 2N x n), then every h gradient, then the face's g gradients;
-    ``jac`` itself, not a copy, when the face adds no operational row."""
-    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
-    if not ops:
-        return jac
+class Stacks(NamedTuple):
+    """Active stacks as row-major COO triplets: entry (rows[e], cols[e])
+    of a stack of ``shape`` is ``values[..., e]``, one value per point
+    along the leading axes of ``values`` (none for one stack), and every
+    other entry is +0.0. A pattern may hold explicit zeros of either sign,
+    so the dense stacks, built only by ``dense``, are bitwise the
+    assembled ones."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def point(self, j: int) -> "Stacks":
+        """The stack of point j of a block."""
+        return self._replace(values=self.values[j])
+
+    def dense(self) -> np.ndarray:
+        """The stacks as C-contiguous arrays, ``values.shape[:-1] +
+        shape``."""
+        out = np.zeros(self.values.shape[:-1] + self.shape)
+        out[..., self.rows, self.cols] = self.values
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y of one stack A, summed over its entries."""
+        return np.bincount(self.cols, self.values * y[self.rows],
+                           minlength=self.shape[1])
+
+    def to_dict(self) -> dict:
+        """Nonzero entries of one stack as row-major COO triplets; a
+        reader rebuilds it with ``a = np.zeros(shape); a[rows, cols] =
+        values``. Exact zeros of either sign are left out."""
+        keep = np.flatnonzero(self.values)
+        return {"shape": list(self.shape), "rows": self.rows[keep].tolist(),
+                "cols": self.cols[keep].tolist(),
+                "values": self.values[keep].tolist()}
+
+
+def face_stacks(cs: ConstraintSystem, flats: np.ndarray, flow,
+                face) -> Stacks:
+    """Stacks of k points over the free columns, with the rows of the g
+    indices in ``face`` active: the flow rows ``flow``, triplets of a
+    ``flow_rows`` plan with ``coo`` (k x nnz values), then every h
+    gradient, then the face's g gradients. An operational row keeps each
+    entry that is not +0.0 at some point of the block."""
+    rows, cols, values = flow
     mask = cs.net.free_mask
-    return np.concatenate(
-        [jac, *(op.gradient(flats).compress(mask, axis=-1)[:, None]
-                for op in ops)], axis=1)
+    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
+    p = 2 * cs.net.n_bus
+    shape = (p + len(ops), int(np.count_nonzero(mask)))
+    if not ops:
+        return Stacks(shape, rows, cols, values)
+    grads = np.stack([op.gradient(flats).compress(mask, axis=-1)
+                      for op in ops], axis=1)
+    at_r, at_c = np.nonzero(((grads != 0) | np.signbit(grads)).any(axis=0))
+    return Stacks(shape, np.concatenate((rows, p + at_r)),
+                  np.concatenate((cols, at_c)),
+                  np.concatenate((values, grads[:, at_r, at_c]), axis=1))
 
 
 def _block_slice(points: np.ndarray):
@@ -118,10 +170,10 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
     Returns (acts, groups, assemble): ``acts[i]`` is point i's face or
     unraised InfeasiblePointError; each group is (points, face, labels)
     for the feasible points on one face; ``assemble(face, points)`` gives
-    the ``face_stacks`` of those block points. Nothing is assembled, and
-    no flow rows are planned, until ``assemble`` is called; its flow rows
-    come from one plan, and a point's rows do not depend on the others
-    assembled with it.
+    the ``face_stacks`` of those block points, as triplets. Nothing is
+    assembled, and no flow rows are planned, until ``assemble`` is
+    called; its flow rows come from one plan, and a point's entries do
+    not depend on the others assembled with it.
     """
     acts = active_sets(cs, flats, flow)
     faces: dict[tuple[int, ...], list[int]] = {}
@@ -132,13 +184,11 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
               for face, points in faces.items()]
     plan = None
 
-    def assemble(face, points: np.ndarray) -> np.ndarray:
+    def assemble(face, points: np.ndarray) -> Stacks:
         nonlocal plan
         if plan is None:
-            plan = flow_rows(cs.net, None, cs.net.free_mask)
-        # flow_rows returns every row block, and so each stack, C-contiguous:
-        # the BLAS calls on a stack then round as on a freshly assembled
-        # matrix; points in one run (one point always is) are not copied
+            plan = flow_rows(cs.net, None, cs.net.free_mask, coo=True)
+        # points in one run (one point always is) are not copied
         at = _block_slice(points)
         return face_stacks(cs, flats[at], plan(flow[0][at], flow[1][at],
                                                flats[at]), face)
@@ -148,24 +198,15 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
 
 def active_stack(cs: ConstraintSystem, x):
     """Stacked active gradients over free columns plus row bookkeeping at
-    one point: (A, labels, face, flat, mask), ``mask`` the network's
-    ``free_mask``; the one-trial call of ``active_stacks``."""
+    one point: (A, labels, face, flat, mask), A dense and ``mask`` the
+    network's ``free_mask``; the one-trial call of ``active_stacks``."""
     flats, flow = point_block(cs, x)
     (act,), groups, assemble = active_stacks(cs, flats, flow)
     if isinstance(act, InfeasiblePointError):
         raise act
     ((points, _, labels),) = groups
-    return (assemble(act, points)[0], list(labels), act, flats[0],
+    return (assemble(act, points).dense()[0], list(labels), act, flats[0],
             cs.net.free_mask)
-
-
-def _coo(matrix: np.ndarray) -> dict:
-    """Nonzero entries of a matrix as row-major COO triplets; a reader
-    rebuilds it with ``a = np.zeros(shape); a[rows, cols] = values``.
-    Exact zeros of either sign are left out."""
-    rows, cols = np.nonzero(matrix)
-    return {"shape": list(matrix.shape), "rows": rows.tolist(),
-            "cols": cols.tolist(), "values": matrix[rows, cols].tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +218,15 @@ class CQReport:
     1.0 when R has no rows. It is zero (below ``rank_tol``) exactly when the
     qualification fails. ``rank_tol`` is that matrix's
     sigma_max * max(m, n) * ulp_scale, with A's shape.
-    ``active_jacobian`` is the active stack A, taken from ``assemble`` at
-    its first read: a report decided by structure assembles it only then.
-    ``kkt`` is the multiplier set when the check was given a cost; it is
-    not part of ``to_dict``.
+    ``stack`` is the active stack A as triplets (``Stacks``), taken from
+    ``assemble`` at its first read: a report decided by structure
+    assembles it only then. ``active_jacobian`` is A densified from
+    ``stack`` when read; ``to_dict`` writes the triplets. ``kkt`` is the
+    multiplier set when the check was given a cost; it is not part of
+    ``to_dict``.
     """
 
-    assemble: Callable[[], np.ndarray] = field(repr=False)
+    assemble: Callable[[], Stacks] = field(repr=False)
     row_labels: tuple[str, ...]
     m: int
     n_free: int
@@ -195,8 +238,12 @@ class CQReport:
     kkt: MultiplierSet | None = None
 
     @cached_property
-    def active_jacobian(self) -> np.ndarray:
+    def stack(self) -> Stacks:
         return self.assemble()
+
+    @cached_property
+    def active_jacobian(self) -> np.ndarray:
+        return self.stack.dense()
 
     def to_dict(self) -> dict:
         return {
@@ -208,13 +255,13 @@ class CQReport:
             "licq_holds": self.licq_holds,
             "face": list(self.face),
             "row_labels": list(self.row_labels),
-            "active_jacobian": _coo(self.active_jacobian),
+            "active_jacobian": self.stack.to_dict(),
         }
 
 
-def _point_stack(assemble, face: tuple[int, ...], i: int) -> np.ndarray:
+def _point_stack(assemble, face: tuple[int, ...], i: int) -> Stacks:
     """Block point i's active stack on ``face``, assembled alone."""
-    return assemble(face, np.array([i]))[0]
+    return assemble(face, np.array([i])).point(0)
 
 
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
@@ -225,10 +272,12 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
     empty face) is decided by structure: its stacks are the flow rows
     [I, X] of rank 2N, so nothing is assembled or factored, and each
     report assembles its own stack when it is read. Every other group
-    forms its reduced matrices R (module docstring) with one batched
-    matmul and factors them with one batched SVD, values only without a
-    cost, thin with one; a costed group whose R has no rows factors
-    nothing."""
+    assembles its stacks as triplets. Where R has rows, the group's dense
+    stacks give R (module docstring) with one batched matmul, and one
+    batched SVD factors them, values only without a cost, thin with one.
+    A costed group whose R has no rows factors nothing and holds no dense
+    stack: its multipliers are -grad f on the flow rows, with an empty
+    null space."""
     reports, groups, assemble = active_stacks(cs, flats, flow)
     p = 2 * cs.net.n_bus
     n_free = int(np.count_nonzero(cs.net.free_mask))
@@ -244,23 +293,24 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                     numerical_rank=rank, sigma_min=smin, rank_tol=tol,
                     licq_holds=rank == p, face=face)
             continue
-        stacks = assemble(face, points)
-        k, m, n = stacks.shape
-        # contiguous copies: the BLAS calls round as on assembled matrices;
-        # X is copied only where R has rows, as without them it meets vt[:0]
-        x_mats = stacks[:, :p, p:].copy() if r else stacks[:, :p, p:]
-        o_rows = stacks[:, p:].copy()
-        r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
-        n_z = r_mats.shape[2]
+        block = assemble(face, points)
+        k, (m, n) = len(points), block.shape
         if cost is not None:
             grads = cost.gradient(flats[points])[:, cs.net.free_mask]
         if r == 0:
-            u_mats, svals, vts = (np.zeros((k, 0, 0)), np.zeros((k, 0)),
-                                  np.zeros((k, 0, n_z)))
-        elif cost is None:
-            svals = np.linalg.svd(r_mats, compute_uv=False)
+            svals = np.zeros((k, 0))
         else:
-            u_mats, svals, vts = np.linalg.svd(r_mats, full_matrices=r > n_z)
+            # contiguous copies: the BLAS calls round as on assembled
+            # matrices
+            stacks = block.dense()
+            x_mats = stacks[:, :p, p:].copy()
+            o_rows = stacks[:, p:].copy()
+            r_mats = o_rows[:, :, p:] - o_rows[:, :, :p] @ x_mats
+            if cost is None:
+                svals = np.linalg.svd(r_mats, compute_uv=False)
+            else:
+                u_mats, svals, vts = np.linalg.svd(
+                    r_mats, full_matrices=r > r_mats.shape[2])
         # singular values of diag(I_p, R), descending
         merged = np.sort(np.concatenate((np.ones((k, p)), svals), axis=1),
                          axis=1)[:, ::-1]
@@ -269,12 +319,18 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                                                cs.rank_ulp_scale)
             kkt = None
             if cost is not None:
-                y, basis = _reduced_solution(
-                    o_rows[j], grads[j], x_mats[j], u_mats[j], svals[j],
-                    vts[j], int((svals[j] > tol).sum()))
-                kkt = _multiplier_set(cs, face, stacks[j], grads[j], y, basis)
+                if r:
+                    y, basis = _reduced_solution(
+                        o_rows[j], grads[j], x_mats[j], u_mats[j], svals[j],
+                        vts[j], int((svals[j] > tol).sum()))
+                else:
+                    # A = [I, X] has full row rank: -grad f on the generation
+                    # columns solves it, and its left null space is empty
+                    y, basis = -grads[j, :p], np.zeros((p, 0))
+                kkt = _multiplier_set(cs, face, block.point(j), grads[j], y,
+                                      basis)
             reports[i] = CQReport(
-                assemble=partial(getitem, stacks, j), row_labels=labels, m=m,
+                assemble=partial(block.point, j), row_labels=labels, m=m,
                 n_free=n, numerical_rank=rank, sigma_min=smin, rank_tol=tol,
                 licq_holds=rank == m, face=face, kkt=kkt)
     return reports
@@ -392,7 +448,8 @@ def _reduced_solution(o_rows: np.ndarray, grad_f: np.ndarray,
                       vt: np.ndarray, rank: int):
     """Least-squares multipliers y of A^T y = -grad_f and an orthonormal
     basis of the left null space of the stack A = [I, X; O_g, O_z] from
-    ``o_rows`` = [O_g, O_z], X and the thin SVD u_mat, svals, vt of R.
+    ``o_rows`` = [O_g, O_z], X and the thin SVD u_mat, svals, vt of R,
+    where R has rows.
 
     nu, on the operational rows, is the minimum-norm least-squares solution
     of R^T nu = -(grad_z f - X^T grad_g f), and kappa = -grad_g f - O_g^T nu
@@ -414,12 +471,13 @@ def _reduced_solution(o_rows: np.ndarray, grad_f: np.ndarray,
 
 
 def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
-                    stack: np.ndarray, grad_f: np.ndarray, y: np.ndarray,
+                    stack: Stacks, grad_f: np.ndarray, y: np.ndarray,
                     basis: np.ndarray) -> MultiplierSet:
     """Solution set of stack^T y = -grad_f from a least-squares solution y
     and an orthonormal basis of the stack's left null space.
 
-    The residual |stack^T y + grad_f| is taken from the stack. Outside NONE
+    The residual |stack^T y + grad_f| is taken from the stack's triplets,
+    a sum over its entries (``Stacks.rmatvec``). Outside NONE
     the particular solution is the minimum-norm one, y - B B^T y. Both
     tolerances are relative to the cost's scale s = max(1, |grad_f|), as
     the multipliers scale with the cost. Classification: NONE when the
@@ -432,7 +490,7 @@ def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
     """
     n2 = 2 * cs.net.n_bus
     n_h = len(cs.h_ops)
-    resid = float(np.linalg.norm(stack.T @ y + grad_f))
+    resid = float(np.linalg.norm(stack.rmatvec(y) + grad_f))
     nullity = basis.shape[1]
 
     def package(y, classification, **extra):

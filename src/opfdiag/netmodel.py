@@ -318,6 +318,9 @@ class Case:
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
+    # for formatted messages the callers test ``cond`` themselves: a case
+    # of N buses makes O(N) checks, and a message is formatted only when
+    # its check fails
     if not cond:
         raise CaseError(f"{path}: {msg}")
 
@@ -340,8 +343,9 @@ def _number(doc: dict, key: str, path: str, default: float | None = None) -> flo
             raise CaseError(f"{path}.{key}: required number is missing")
         return default
     val = finite_number(doc[key])
-    _expect(val is not None, f"{path}.{key}",
-            f"expected a finite number, got {doc[key]!r}")
+    if val is None:
+        raise CaseError(
+            f"{path}.{key}: expected a finite number, got {doc[key]!r}")
     return val
 
 
@@ -349,18 +353,20 @@ def _int(doc: dict, key: str, path: str) -> int:
     if key not in doc:
         raise CaseError(f"{path}.{key}: required integer is missing")
     val = doc[key]
-    _expect(isinstance(val, int) and not isinstance(val, bool),
-            f"{path}.{key}", f"expected an integer, got {val!r}")
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise CaseError(f"{path}.{key}: expected an integer, got {val!r}")
     return val
 
 
 def _var_bus(entry: dict, path: str, n_bus: int) -> tuple[str, int]:
     _expect(isinstance(entry, dict), path, "expected an object")
     var = entry.get("var")
-    _expect(var in _STATE_VARS, f"{path}.var",
-            f"expected one of {'|'.join(_STATE_VARS)}, got {var!r}")
+    if var not in _STATE_VARS:
+        raise CaseError(f"{path}.var: expected one of "
+                        f"{'|'.join(_STATE_VARS)}, got {var!r}")
     bus = _int(entry, "bus", path)
-    _expect(0 <= bus < n_bus, f"{path}.bus", f"bus {bus} does not exist")
+    if not 0 <= bus < n_bus:
+        raise CaseError(f"{path}.bus: bus {bus} does not exist")
     return var, bus
 
 
@@ -369,10 +375,12 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int) -> ConstraintSpec:
     _expect(isinstance(entry, dict), path, "expected an object")
     kind = entry.get("kind")
     kinds = ("box_upper", "box_lower", "linear_eq", "apparent_power", "exp_load_eq")
-    _expect(kind in kinds, f"{path}.kind",
-            f"expected one of {'|'.join(kinds)}, got {kind!r}")
+    if kind not in kinds:
+        raise CaseError(f"{path}.kind: expected one of {'|'.join(kinds)}, "
+                        f"got {kind!r}")
     params = entry.get("params")
-    _expect(isinstance(params, dict), f"{path}.params", "expected an object")
+    if not isinstance(params, dict):
+        raise CaseError(f"{path}.params: expected an object")
     target = entry.get("target")
 
     if kind in ("box_upper", "box_lower"):
@@ -381,8 +389,8 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int) -> ConstraintSpec:
         return ConstraintSpec(kind, {"var": var, "bus": bus}, {"bound": bound})
     if kind == "linear_eq":
         terms = params.get("terms")
-        _expect(isinstance(terms, list) and terms,
-                f"{path}.params.terms", "expected a non-empty array")
+        if not (isinstance(terms, list) and terms):
+            raise CaseError(f"{path}.params.terms: expected a non-empty array")
         parsed = []
         for j, term in enumerate(terms):
             var, bus = _var_bus(term, f"{path}.params.terms[{j}]", n_bus)
@@ -391,9 +399,11 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int) -> ConstraintSpec:
         offset = _number(params, "offset", f"{path}.params", default=0.0)
         return ConstraintSpec(kind, None, {"terms": parsed, "offset": offset})
     # apparent_power / exp_load_eq target a bus
-    _expect(isinstance(target, dict), f"{path}.target", "expected an object")
+    if not isinstance(target, dict):
+        raise CaseError(f"{path}.target: expected an object")
     bus = _int(target, "bus", f"{path}.target")
-    _expect(0 <= bus < n_bus, f"{path}.target.bus", f"bus {bus} does not exist")
+    if not 0 <= bus < n_bus:
+        raise CaseError(f"{path}.target.bus: bus {bus} does not exist")
     if kind == "apparent_power":
         s2 = _number(params, "s2_max", f"{path}.params")
         return ConstraintSpec(kind, {"bus": bus}, {"s2_max": s2})
@@ -407,7 +417,8 @@ def _parse_cost(doc: dict, n_bus: int) -> CostTerms:
     lin: list[tuple[str, int, float]] = []
     for key, sink in (("quadratic", quad), ("linear", lin)):
         entries = doc.get(key, [])
-        _expect(isinstance(entries, list), f"cost.{key}", "expected an array")
+        if not isinstance(entries, list):
+            raise CaseError(f"cost.{key}: expected an array")
         for j, term in enumerate(entries):
             var, bus = _var_bus(term, f"cost.{key}[{j}]", n_bus)
             coef = _number(term, "coef", f"cost.{key}[{j}]")
@@ -446,11 +457,12 @@ def load_case(text: str | bytes | dict) -> Case:
         path = f"buses[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         btype = entry.get("type")
-        _expect(btype in ("slack", "pv", "pq"), f"{path}.type",
-                f"expected one of slack|pv|pq, got {btype!r}")
+        if btype not in ("slack", "pv", "pq"):
+            raise CaseError(f"{path}.type: expected one of slack|pv|pq, "
+                            f"got {btype!r}")
         for key in _UNREAD_SETPOINTS[btype]:
-            _expect(key not in entry, f"{path}.{key}",
-                    f"a {btype} bus has no {key}")
+            if key in entry:
+                raise CaseError(f"{path}.{key}: a {btype} bus has no {key}")
         buses.append(Bus(
             id=_int(entry, "id", path),
             bus_type=BusType(btype),
@@ -487,7 +499,8 @@ def load_case(text: str | bytes | dict) -> Case:
         path = f"generators[{j}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         bus = _int(entry, "bus", path)
-        _expect(0 <= bus < net.n_bus, f"{path}.bus", f"bus {bus} does not exist")
+        if not 0 <= bus < net.n_bus:
+            raise CaseError(f"{path}.bus: bus {bus} does not exist")
         gen_p[bus] = _number(entry, "p", path, 0.0)
         gen_q[bus] = _number(entry, "q", path, 0.0)
 

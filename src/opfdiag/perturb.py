@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import constraints as con
 from . import cqkit
+from ._jsontext import dumps
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
@@ -325,7 +325,7 @@ class GenericityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -669,7 +669,7 @@ def _gauss_newton(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
     A residual that is non-finite, as outside a constraint's domain, at the
     start or at a trial step, stops the iteration as not converged."""
     mask = cs.net.free_mask
-    plan = flow_rows(cs.net, None, mask)
+    plan = flow_rows(cs.net, None, mask, coo=True)
     with np.errstate(all="ignore"):
         r = _face_residual(cs, flat, flow, face)
         for _ in range(PROJECTION_MAX_ITER):
@@ -679,7 +679,8 @@ def _gauss_newton(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
             if err <= PROJECTION_TOL:
                 return flat, True
             rows = cqkit.face_stacks(cs, flat[None],
-                                     plan(*flow[:2], flat[None]), face)[0]
+                                     plan(*flow[:2], flat[None]),
+                                     face).dense()[0]
             step, *_ = np.linalg.lstsq(rows, -r, rcond=None)
             t = 1.0
             while t >= 2.0 ** -30:

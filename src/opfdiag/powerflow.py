@@ -177,7 +177,7 @@ def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
-              band: tuple[int, int] | None = None):
+              band: tuple[int, int] | None = None, *, coo: bool = False):
     """Plan of the flow Jacobian rows ``_jacobian(G, B, flat)[..., rows,
     cols]`` on the lines of ``net``: returns the function from T trials'
     G, B (T x N x N, zero off the lines and the diagonal, as
@@ -186,13 +186,18 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
     rows, or None for all of them with ``cols`` a boolean mask over the
     4N columns; else ``cols`` is an index array too.
 
-    The plan holds the line ends and the scatter index of the selected
-    entries, so a call costs O(T (N + M)) for the M lines: the
-    off-diagonal entries over both directions of each line, the diagonal
-    ones from per-bus sums of the same terms, and the generation
-    identities, scattered into one zeroed array. The per-bus sums run in
+    The plan holds the line ends and the selected entries, so a call
+    costs O(T (N + M)) for the M lines: the off-diagonal entries over both
+    directions of each line, the diagonal ones from per-bus sums of the
+    same terms, and the generation identities. The per-bus sums run in
     another order than the dense matmul, so diagonal entries may differ
-    from ``_jacobian`` in the last bits.
+    from ``_jacobian`` in the last bits. The entries come in one of three
+    storages. By default they are scattered into one zeroed array. With
+    ``coo`` the function returns them as triplets (r, q, values): the
+    plan's row and column indices, sorted row-major once per plan and
+    shared by every trial, and the T x nnz values of entry (r[e], q[e]).
+    These are the plan's explicit entries, zeros of either sign included,
+    so the dense rows are ``out[:, r, q] = values`` on zeros.
 
     With ``band`` = (kl, ku), the selected m rows and m columns form a
     square matrix with kl sub- and ku superdiagonals, and the plan writes
@@ -220,6 +225,10 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
     col_pos, n_cols = positions(cols, 4 * n)
     r, q = row_pos[at_row], col_pos[at_col]
     kept = np.flatnonzero((r >= 0) & (q >= 0))
+    if coo:
+        # no two entries share a position: a network has no self-loop and
+        # no parallel line
+        kept = kept[np.argsort(r[kept] * n_cols + q[kept])]
     r, q = r[kept], q[kept]
     if band is None:
         shape, at_out = (n_rows, n_cols), r * n_cols + q
@@ -258,6 +267,8 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
             -vk * a, -vv * c, -vk * c, vv * a,
             -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
             -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
+        if coo:
+            return r, q, values[:, kept]
         if out is None:
             out = np.zeros((trials, *shape))
         else:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag import cli, cqkit, perturb
 from opfdiag import constraints as con
-from opfdiag import cqkit
+from opfdiag._jsontext import dumps
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, EXIT_REPRO_MISMATCH, main)
 
@@ -877,3 +878,64 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "ex1"],
+    ["check", "--builtin", "ex3"],
+    ["check", "LATTICE"],
+    ["check", "--builtin", "ex1", "--perturb-load", "1:+0.05"],
+    ["perturb", "--builtin", "ex1", "--model", "load", "--trials", "60",
+     "--seed", "42"],
+    ["perturb", "--builtin", "ex1", "--model", "shunt", "--trials", "20",
+     "--seed", "0", "--rank-tol-scale", "0.2"],
+    ["perturb", "--builtin", "ex3", "--model", "line", "--trials", "5",
+     "--seed", "7"],
+    ["repro", "ex1", "--out", "OUT"],
+    ["repro", "ex3", "--out", "OUT"],
+    ["sweep"],
+    ["ybus", "--builtin", "ex2"],
+])
+def test_reports_are_the_indented_stdlib_text(capsys, monkeypatch, tmp_path,
+                                              lattice_document, argv):
+    # every report payload the commands write, written by the one writer,
+    # is byte for byte json.dumps(indent=2, sort_keys=True)
+    payloads = []
+
+    def keeping(obj):
+        payloads.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", keeping)
+    monkeypatch.setattr(perturb, "dumps", keeping)
+    lattice = _check_argv("lattice", tmp_path, lattice_document)
+    argv = [b for a in argv for b in {"LATTICE": lattice,
+                                      "OUT": [str(tmp_path / "out.json")]
+                                      }.get(a, [a])]
+    code, out, _ = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_LICQ_FAILS)
+    (payload,) = payloads
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert dumps(payload) == text
+    written = (tmp_path / "out.json").read_text() if "repro" in argv else out
+    assert written == text + "\n"
+    if "perturb" in argv and "0.2" in argv:
+        assert payload["failures"]
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], [[]], [[], []], {"a": {}, "b": []},
+    {"nullspace_basis": [[], [], []]},
+    [1, 2.5, None, True, False, -0.0, 1e-300, 10 ** 20],
+    [float("nan"), float("inf"), float("-inf"), 0.1],
+    [np.float64(0.1), np.float64(-2.0), 3],
+    (1, (2, 3), [4.0, [None]]),
+    [[1, "a, b"], ["x", ", ", 2.0], {"k": [1, 2]}, "tail"],
+    ["comma, inside", "ünïcode ✓", "quote \" and \\ and \n"],
+    {"z": 1, "a": [{"b": [1, {"c": []}]}], "é, ü": "v, w", "": None},
+    {"mixed": [1, "1", [1.5, None], {"x": [True]}]},
+    {"outer": {2: [1, 2], 1: {"b": [0.5, "s"]}}, "list": [{3: None}]},
+    "just, a string", 3.25, None, True, np.float64(2.5),
+])
+def test_writer_is_the_indented_stdlib_text(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,13 @@ from opfdiag import cqkit
 from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
                                  InfeasiblePointError, LinearEq, evaluate,
                                  point_block)
-from opfdiag.cqkit import (Classification, CostSpec, CQReport, _multiplier_set,
-                           _rank_from_svals, active_stack, kkt_residual,
-                           kkt_solve, licq_check, licq_checks, numerical_rank)
+from opfdiag.cqkit import (Classification, CostSpec, CQReport, Stacks,
+                           _multiplier_set, _rank_from_svals, active_stack,
+                           kkt_residual, kkt_solve, licq_check, licq_checks,
+                           numerical_rank)
 from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import nearest_feasible_point, shift_load
-from opfdiag.powerflow import SystemState, solve_power_flow
+from opfdiag.powerflow import SystemState, flow_rows, solve_power_flow
 
 
 def _checked_null_space(cs, x, cost):
@@ -330,7 +332,9 @@ def test_reduced_check_matches_direct_svd(ex1, ex2, lattice_document):
         u, s, vt = np.linalg.svd(a, full_matrices=m > n)
         rank, _, _ = _rank_from_svals(s, (m, n), ConstraintSystem.rank_ulp_scale)
         y = u[:, :rank] @ (vt[:rank] @ -grad / s[:rank])
-        ref = _multiplier_set(cs, act, a, grad, y, u[:, rank:])
+        at = np.nonzero(a)
+        ref = _multiplier_set(cs, act, Stacks(a.shape, *at, a[at]), grad, y,
+                              u[:, rank:])
         kkt = report.kkt
         assert kkt.classification is ref.classification is want, name
         assert report.numerical_rank == rank, name
@@ -492,13 +496,19 @@ def test_costed_check_matches_values_only_check(ex1):
     assert b == a
 
 
+def _bands_only(doc):
+    """A lattice document with its voltage bands alone: at the solved
+    point no band is active, so R has no rows."""
+    doc["constraints"] = [c for c in doc["constraints"]
+                          if c["target"] and c["target"]["var"] == "v"]
+    return doc
+
+
 def _face_free_block(lattice_document, k, rng):
     """A 4x4 lattice with its voltage bands alone and a block of k flow
     solutions by construction strictly inside them: every point is feasible
     on the empty face, so R has no rows. Returns (cs, states, flats, flow)."""
-    doc = lattice_document(4, 4, 0)
-    doc["constraints"] = [c for c in doc["constraints"]
-                          if c["target"] and c["target"]["var"] == "v"]
+    doc = _bands_only(lattice_document(4, 4, 0))
     cs = od.system_for_case(od.load_case(doc))
     net = cs.net
     states = []
@@ -522,7 +532,7 @@ def test_face_free_block_without_cost_assembles_nothing(lattice_document, rng,
     plans, svds = [], []
     real_plan, real_svd = cqkit.flow_rows, np.linalg.svd
     monkeypatch.setattr(cqkit, "flow_rows",
-                        lambda *a: plans.append(a) or real_plan(*a))
+                        lambda *a, **kw: plans.append(a) or real_plan(*a, **kw))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **kw: svds.append(a) or real_svd(*a, **kw))
     reports = licq_checks(cs, flats, flow)
@@ -568,14 +578,18 @@ def test_cq_report_serializes(ex1):
 
 
 def test_cq_report_writes_nonzero_triplets():
-    # -0.0 compares equal to 0.0, so it is dropped like +0.0: the rebuilt
-    # matrix has +0.0 there and signed zeros are not preserved.
+    # every entry is an explicit triplet; -0.0 compares equal to 0.0, so
+    # it is dropped like +0.0: the rebuilt matrix has +0.0 there and signed
+    # zeros are not preserved, while the report's own stack keeps them
     a = np.array([[0.0, 2.5, -0.0],
                   [-1.0, 0.0, 0.0],
                   [0.0, 0.0, 1e-300]])
-    report = CQReport(assemble=lambda: a, row_labels=("a", "b", "c"), m=3,
-                      n_free=3, numerical_rank=3, sigma_min=1e-300,
-                      rank_tol=0.0, licq_holds=True, face=())
+    rows, cols = np.divmod(np.arange(9), 3)
+    report = CQReport(assemble=lambda: Stacks((3, 3), rows, cols, a.ravel()),
+                      row_labels=("a", "b", "c"), m=3, n_free=3,
+                      numerical_rank=3, sigma_min=1e-300, rank_tol=0.0,
+                      licq_holds=True, face=())
+    assert report.active_jacobian.tobytes() == a.tobytes()
     coo = report.to_dict()["active_jacobian"]
     assert coo == {"shape": [3, 3], "rows": [0, 1, 2], "cols": [1, 0, 2],
                    "values": [2.5, -1.0, 1e-300]}
@@ -583,3 +597,94 @@ def test_cq_report_writes_nonzero_triplets():
     rebuilt[coo["rows"], coo["cols"]] = coo["values"]
     assert (rebuilt == a).all()
     assert not np.signbit(rebuilt[0, 2])
+
+
+def _sparse_cases(ex1, ex2, ex3, lattice_document):
+    """(name, system, point, cost) of the sparse-stack tests: the three
+    fixtures, ex3 with a zero apparent-power cap at a point where p_gen[1]
+    is -0.0 (its gradient row holds a -0.0), and the 6x6 lattice with its
+    linear_eq pins (R has rows) and with its voltage bands alone (R has no
+    rows)."""
+    points = [(name, fix.case, fix.system, fix.ground_truth)
+              for name, fix in (("ex1", ex1), ("ex2", ex2), ("ex3", ex3))]
+    flat = ex3.ground_truth.flat()
+    flat[1] = -0.0
+    points.append(("ex3-signed-cap", ex3.case, replace(
+        ex3.system, g_ops=(ApparentPower(bus=1, n_bus=2, s2_max=0.0),)),
+        SystemState.from_flat(flat)))
+    for name, doc in (
+            ("lattice-pinned", lattice_document(6, 6, 0)),
+            ("lattice-bands", _bands_only(lattice_document(6, 6, 0)))):
+        points.append((name, *_lattice_point(doc)))
+    # each case's own cost, as ``check`` reads it
+    return [(name, cs, x, CostSpec.from_terms(case.cost, case.network.n_bus))
+            for name, case, cs, x in points]
+
+
+def _dense_stack(cs, x, face):
+    """The active stack assembled dense: the flow rows scattered by
+    ``flow_rows`` into a zeroed array, then every h and face g gradient."""
+    flat, mask = x.flat(), cs.net.free_mask
+    flow = flow_rows(cs.net, None, mask)(cs.Y.G[None], cs.Y.B[None],
+                                         flat[None])[0]
+    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
+    return np.concatenate([flow, *(op.gradient(flat)[mask][None]
+                                   for op in ops)])
+
+
+def test_sparse_stack_is_the_dense_stack(ex1, ex2, ex3, lattice_document):
+    # the report holds its stack as triplets with the plan's explicit
+    # entries, so the densified stack is bitwise the dense assembly, -0.0
+    # entries included (ex3 has three); the written triplets are the
+    # dense stack's nonzeros, row-major
+    signed_zeros = {}
+    for name, cs, x, cost in _sparse_cases(ex1, ex2, ex3, lattice_document):
+        report = licq_check(cs, x, cost)
+        a = _dense_stack(cs, x, report.face)
+        for got in (report.active_jacobian, active_stack(cs, x)[0]):
+            assert got.shape == a.shape and got.tobytes() == a.tobytes(), name
+        signed_zeros[name] = int(np.signbit(a[a == 0]).sum())
+        stack = report.stack
+        assert stack.shape == a.shape, name
+        assert (np.diff(stack.rows * a.shape[1] + stack.cols) > 0).all(), name
+        coo = report.to_dict()["active_jacobian"]
+        rows, cols = np.nonzero(a)
+        assert coo == {"shape": list(a.shape), "rows": rows.tolist(),
+                       "cols": cols.tolist(),
+                       "values": a[rows, cols].tolist()}, name
+    assert signed_zeros["ex3"] == 3 and signed_zeros["ex3-signed-cap"] == 4
+    # R has rows on the pinned lattice and none with the bands alone
+    assert {name: licq_check(cs, x).m > 2 * cs.net.n_bus for name, cs, x, _
+            in _sparse_cases(ex1, ex2, ex3, lattice_document)} == {
+        "ex1": True, "ex2": True, "ex3": False, "ex3-signed-cap": True,
+        "lattice-pinned": True, "lattice-bands": False}
+
+
+def test_stationarity_residual_matches_the_dense_product(ex1, ex2, ex3,
+                                                         lattice_document):
+    # the residual summed over the triplets against the dense
+    # |A^T y + grad f| of ``kkt_residual``, relative to the cost scale
+    # max(1, |grad f|), the scale of the classification's tolerances
+    for name, cs, x, cost in _sparse_cases(ex1, ex2, ex3, lattice_document):
+        kkt = licq_check(cs, x, cost).kkt
+        grad = cost.gradient(x.flat())[cs.net.free_mask]
+        scale = max(1.0, float(np.linalg.norm(grad)))
+        dense = kkt_residual(cs, x, cost, kkt.particular)
+        assert abs(kkt.stationarity_residual - dense) <= 1e-12 * scale, name
+
+
+def test_costed_check_without_reduced_rows_holds_no_dense_stack(
+        lattice_document):
+    # a 24x24 lattice: a costed check whose R has no rows keeps its stack
+    # as triplets and allocates no dense 1152 x 2302 stack (21 MB)
+    case, cs, x = _lattice_point(_bands_only(lattice_document(24, 24, 0)))
+    cost = CostSpec.from_terms(case.cost, case.network.n_bus)
+    tracemalloc.start()
+    try:
+        report = licq_check(cs, x, cost)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.m, report.n_free, report.face) == (1152, 2302, ())
+    assert report.kkt is not None and report.licq_holds
+    assert peak < report.m * report.n_free * 8 / 3

@@ -432,6 +432,14 @@ def test_line_jacobian_matches_dense_rows(network):
         assert got.shape == ref.shape
         assert np.isfinite(got).all()
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the same entries as row-major triplets: scattered on zeros they
+        # are bitwise the dense storage
+        r, q, values = flow_rows(net, sel_rows, sel_cols, coo=True)(
+            G, B, flats)
+        assert (np.diff(r * got.shape[-1] + q) > 0).all()
+        rebuilt = np.zeros(got.shape)
+        rebuilt[:, r, q] = values
+        assert rebuilt.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,11 +9,11 @@ constraints are swept into the rank analysis rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .netmodel import (AdmittanceMatrix, Case, ConstraintSpec, Network,
-                       build_ybus)
+from .netmodel import Case, ConstraintSpec, Network
 from .powerflow import SystemState, _residual, state_index
 
 
@@ -195,8 +195,8 @@ def build_operational(spec: ConstraintSpec, n_bus: int):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """The flow equations F of ``net`` (admittance ``Y``) plus operational
-    equalities h and inequalities g over its 4N-entry state.
+    """The flow equations F of ``net`` plus operational equalities h and
+    inequalities g over its 4N-entry state.
 
     Its ``tolerances`` decide every check, sweep and report made on it.
     """
@@ -204,7 +204,6 @@ class ConstraintSystem:
     h_ops: tuple
     g_ops: tuple
     net: Network
-    Y: AdmittanceMatrix
     act_tol: float = 1e-6
     eq_tol: float = 1e-8
     pf_tol: float = 1e-10
@@ -217,6 +216,40 @@ class ConstraintSystem:
         return {name: getattr(self, name) for name in
                 ("act_tol", "eq_tol", "pf_tol", "stat_tol", "rank_ulp_scale")}
 
+    @cached_property
+    def _value_plans(self) -> tuple:
+        """How ``evaluate_points`` fills the h and the g values: a
+        ``_value_plan`` of each group, made once per system."""
+        return _value_plan(self.h_ops), _value_plan(self.g_ops)
+
+
+def _value_plan(ops) -> tuple:
+    """(width, upper, lower, others) of the value columns of ``ops``: the
+    columns, state indices and bounds of its BoxUpper ops and of its
+    BoxLower ops, one gather each, and every other op with its column."""
+    def boxes(kind):
+        cols = [j for j, op in enumerate(ops) if type(op) is kind]
+        return (np.array(cols, dtype=int),
+                np.array([ops[j].index for j in cols], dtype=int),
+                np.array([ops[j].bound for j in cols]))
+
+    others = [(j, op) for j, op in enumerate(ops)
+              if type(op) not in (BoxUpper, BoxLower)]
+    return len(ops), boxes(BoxUpper), boxes(BoxLower), others
+
+
+def _values(plan, flats: np.ndarray) -> np.ndarray:
+    """Values (T x width) of a ``_value_plan``'s ops at T flat states, in
+    declaration order: each box kind in one gather, bit for bit its ops'
+    ``value``, every other op by its own."""
+    width, (up, up_at, up_bound), (low, low_at, low_bound), others = plan
+    out = np.empty((len(flats), width))
+    out[:, up] = flats[:, up_at] - up_bound
+    out[:, low] = low_bound - flats[:, low_at]
+    for j, op in others:
+        out[:, j] = op.value(flats)
+    return out
+
 
 def system_for_case(case: Case, **tols) -> ConstraintSystem:
     """Constraint system of a case: its flow equations plus the operational
@@ -227,7 +260,7 @@ def system_for_case(case: Case, **tols) -> ConstraintSystem:
     return ConstraintSystem(
         h_ops=tuple(op for op in ops if op.is_equality),
         g_ops=tuple(op for op in ops if not op.is_equality),
-        net=net, Y=build_ybus(net), **tols)
+        net=net, **tols)
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> np.ndarray:
@@ -246,9 +279,9 @@ def as_flat_state(cs: ConstraintSystem, x) -> np.ndarray:
 def point_block(cs: ConstraintSystem, x):
     """One point as a block of the block functions: (flats, flow) with
     flats of shape (1, 4N) and flow the one-trial flow data
-    (G, B, p_load, q_load) of the system."""
-    flow = (cs.Y.G[None], cs.Y.B[None], cs.net.p_load[None],
-            cs.net.q_load[None])
+    (g, b, p_load, q_load) of the system: its network's line lists
+    (``Network.admittances``) and loads."""
+    flow = (*cs.net.admittances, cs.net.p_load[None], cs.net.q_load[None])
     return as_flat_state(cs, x)[None], flow
 
 
@@ -256,20 +289,16 @@ def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow):
     """Evaluate all constraints at a block of T points.
 
     ``flats`` is T x 4N; ``flow`` holds the points' flow data
-    (G, B, p_load, q_load) with a leading trial axis. Returns h values
-    (T x I), g values (T x J), feasibility (T,) and the flow residual
-    (T x 2N). Feasibility requires the flow residual within pf_tol, |h|
-    within eq_tol and every g within +act_tol; a NaN value, as at a point
-    outside a constraint's domain, fails it.
+    (g, b, p_load, q_load) with a leading trial axis, g and b the line
+    lists of their admittances (``netmodel.admittance_stack``). Returns h
+    values (T x I), g values (T x J), feasibility (T,) and the flow
+    residual (T x 2N). Feasibility requires the flow residual within
+    pf_tol, |h| within eq_tol and every g within +act_tol; a NaN value, as
+    at a point outside a constraint's domain, fails it.
     """
-    def values(ops):
-        if not ops:
-            return np.zeros((len(flats), 0))
-        return np.stack([op.value(flats) for op in ops], axis=1)
-
-    h_vals, g_vals = values(cs.h_ops), values(cs.g_ops)
-    G, B, p_load, q_load = flow
-    resid = _residual(G + 1j * B, p_load, q_load, flats)
+    h_vals, g_vals = (_values(plan, flats) for plan in cs._value_plans)
+    g, b, p_load, q_load = flow
+    resid = _residual(cs.net, g + 1j * b, p_load, q_load, flats)
     feasible = np.abs(resid).max(axis=1) <= cs.pf_tol
     if h_vals.shape[1]:
         feasible &= np.abs(h_vals).max(axis=1) <= cs.eq_tol

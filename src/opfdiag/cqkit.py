@@ -530,9 +530,9 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
     """Independent stationarity check: || grad f + A^T y ||_2.
 
     Rebuilds the active gradient rows directly, the flow rows from the
-    dense ``pf_jacobian``, and accumulates the weighted sum without any
-    factorization, so it verifies kkt_solve output through a separate code
-    path.
+    dense ``pf_jacobian`` (of ``build_ybus``), and accumulates the weighted
+    sum without any factorization, so it verifies kkt_solve output through
+    a separate code path.
     """
     flat, mask = as_flat_state(cs, x), cs.net.free_mask
     face = active_set(cs, x)
@@ -544,7 +544,7 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
             f"{n_rows} rows")
     total = cost.gradient(flat)[mask].astype(float)
     pos = 0
-    for row in pf_jacobian(cs.net, cs.Y, x)[:, mask]:
+    for row in pf_jacobian(cs.net, x)[:, mask]:
         total += y[pos] * row
         pos += 1
     for h in cs.h_ops:

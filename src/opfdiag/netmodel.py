@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,6 +171,42 @@ class Network:
         return ends
 
     @cached_property
+    def directions(self) -> "LineDirections":
+        """Both directions (k, l) of every line, grouped by bus k, locked.
+
+        A bus's directions keep the case order of their lines, those that
+        leave it first. The flow residual and the flow rows sum their per
+        line terms by bus over these groups (``powerflow``)."""
+        ends = self.line_ends
+        m = self.n_line
+        bus = np.concatenate((ends[:, 0], ends[:, 1]))
+        by = np.argsort(bus, kind="stable")
+        bus = bus[by]
+        starts = np.flatnonzero(np.diff(bus, prepend=-1))
+        at = bus[starts]
+        out = LineDirections(
+            bus, np.concatenate((ends[:, 1], ends[:, 0]))[by],
+            np.concatenate((np.arange(m), np.arange(m)))[by], starts,
+            slice(None) if at.size == self.n_bus else at)
+        for arr in out:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        return out
+
+    @cached_property
+    def admittances(self) -> tuple[np.ndarray, np.ndarray]:
+        """The network's nodal admittance matrix as its line list (g, b),
+        each 1 x (M + N) (``admittance_stack``), locked."""
+        g, b = admittance_stack(
+            self, np.array([[ln.g_series for ln in self.lines]]),
+            np.array([[ln.b_series for ln in self.lines]]),
+            np.array([[bus.g_shunt for bus in self.buses]]),
+            np.array([[bus.b_shunt for bus in self.buses]]))
+        g.setflags(write=False)
+        b.setflags(write=False)
+        return g, b
+
+    @cached_property
     def bus_order(self) -> np.ndarray:
         """Bus ids in reverse Cuthill-McKee order of the line graph, locked.
 
@@ -179,9 +216,7 @@ class Network:
         order however the case numbers its buses, which keeps the Newton
         matrix banded (``powerflow.newton_states``)."""
         n = self.n_bus
-        ends = self.line_ends
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        src, dst = self.directions[:2]
         degree = np.bincount(src, minlength=n)
         by = np.lexsort((dst, degree[dst], src))
         nbrs = [a.tolist() for a in np.split(dst[by], np.cumsum(degree)[:-1])]
@@ -203,6 +238,20 @@ class Network:
         return order
 
 
+class LineDirections(NamedTuple):
+    """``Network.directions``: direction e runs from ``bus[e]`` to
+    ``other[e]`` along line ``line[e]``, with ``bus`` ascending. ``starts``
+    holds the first direction of each bus that has one, and ``at`` those
+    buses: all of them, as a slice, in a network without an isolated
+    bus."""
+
+    bus: np.ndarray
+    other: np.ndarray
+    line: np.ndarray
+    starts: np.ndarray
+    at: np.ndarray | slice
+
+
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
     """Nodal admittance matrix split into real parts Y = G + jB."""
@@ -219,55 +268,60 @@ class AdmittanceMatrix:
 
 
 def build_ybus(net: Network) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix.
+    """The nodal admittance matrix, dense: the network's line list
+    (``Network.admittances``) scattered into N x N arrays, zero off the
+    lines and the diagonal. Diagonal entries collect the nodal shunt plus,
+    over incident lines, the series admittance and half the line shunt;
+    off-diagonal entries are the negated series admittance of the
+    connecting line. The result is symmetric by construction and has exact
+    zero row sums when every shunt vanishes.
 
-    Diagonal entries collect the nodal shunt plus, over incident lines,
-    the series admittance and half the line shunt; off-diagonal entries
-    are the negated series admittance of the connecting line; zero
-    elsewhere. The result is symmetric by construction and has exact zero
-    row sums when every shunt vanishes.
-
-    This is the one-trial call of ``admittance_stack``.
+    Only ``opfdiag ybus`` and the dense references (``pf_jacobian``,
+    ``cqkit.kkt_residual``) build it; every other path takes the line
+    list.
     """
-    G, B = admittance_stack(
-        net, np.array([[ln.g_series for ln in net.lines]]),
-        np.array([[ln.b_series for ln in net.lines]]),
-        np.array([[b.g_shunt for b in net.buses]]),
-        np.array([[b.b_shunt for b in net.buses]]))
-    return AdmittanceMatrix(G=G[0], B=B[0])
+    n, m = net.n_bus, net.n_line
+    ends, bus = net.line_ends, np.arange(n)
+    out = []
+    for y in net.admittances:
+        dense = np.zeros((n, n))
+        dense[ends[:, 0], ends[:, 1]] = y[0, :m]
+        dense[ends[:, 1], ends[:, 0]] = y[0, :m]
+        dense[bus, bus] = y[0, m:]
+        out.append(dense)
+    return AdmittanceMatrix(G=out[0], B=out[1])
 
 
 def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
                      shunt_g: np.ndarray, shunt_b: np.ndarray):
-    """Nodal admittance matrices (G, B), each T x N x N, of trials that share
-    the lines of ``net`` and its line shunts: trial t has series admittances
+    """Nodal admittance matrices of T trials as line lists (g, b), each
+    T x (M + N): first each line's off-diagonal entry, the negated series
+    admittance, then the N diagonal entries. The trials share the lines of
+    ``net`` and its line shunts: trial t has series admittances
     ``series_g[t] + j series_b[t]`` (one per line) and nodal shunts
     ``shunt_g[t] + j shunt_b[t]``. An argument with a leading axis of 1 is
     shared by every trial.
 
-    Each entry is summed in the order of a per-line loop (lines in case
-    order, the nodal shunt last), so a trial's matrices are bit for bit
-    those of ``build_ybus`` on its own network.
+    Each diagonal entry is summed in the order of a per-line loop (lines in
+    case order, the nodal shunt last), so a trial's entries are bit for bit
+    the nonzeros of ``build_ybus`` on its own network.
     """
-    n = net.n_bus
+    n, m = net.n_bus, net.n_line
     ends = net.line_ends
     halves = [complex(ln.g_shunt, ln.b_shunt) / 2.0 for ln in net.lines]
     trials = max(len(series_g), len(shunt_g))
-    bus = np.arange(n)
     out = []
     for series, half, shunt in (
             (series_g, [h.real for h in halves], shunt_g),
             (series_b, [h.imag for h in halves], shunt_b)):
-        y = np.zeros((len(series), n, n))
+        diag = np.zeros((len(series), n))
         # series admittance plus half the line shunt at both ends of each
         # line; ufunc.at accumulates repeated buses in index order
-        np.add.at(y, (slice(None), ends.ravel(), ends.ravel()),
+        np.add.at(diag, (slice(None), ends.ravel()),
                   np.repeat(series + half, 2, axis=1))
-        y[:, ends[:, 0], ends[:, 1]] -= series
-        y[:, ends[:, 1], ends[:, 0]] -= series
-        if len(y) < trials:
-            y = np.repeat(y, trials, axis=0)
-        y[:, bus, bus] += shunt
+        y = np.empty((trials, m + n))
+        y[:, :m] = 0.0 - series
+        y[:, m:] = diag + shunt
         out.append(y)
     return out[0], out[1]
 

@@ -29,8 +29,8 @@ from ._jsontext import dumps
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (PowerFlowError, SystemState, flow_rows, newton_states,
-                        solve_power_flow)
+from .powerflow import (MAX_ITER, PowerFlowError, SystemState, _newton_system,
+                        flow_rows, newton_states, solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -342,21 +342,28 @@ class GenericityReport:
         return buf.getvalue()
 
 
-# Byte budget of a Monte Carlo block, counted as 64 N^2 bytes per trial:
-# its Newton matrix and its G, B and complex Yc admittances.
+# Byte budget of a Monte Carlo block, counted over the arrays each of its
+# trials holds (``_block_size``).
 BLOCK_JACOBIAN_BYTES = 1 << 21
 
 
-def _block_size(n_bus: int) -> int:
-    """Trials of one Monte Carlo block: as many as fit
-    ``BLOCK_JACOBIAN_BYTES`` at 64 N^2 bytes each share one stacked Newton
-    solve and one batched check. That is 8192 on two buses, so a 1000-trial
-    sweep of a two-bus fixture is one block, 8 on 64 buses, and one from
-    129 buses up. The flow rows come from the line list, and a check whose
-    reduced matrix has no rows assembles no stack (``cqkit.licq_checks``),
-    so the block's largest arrays are its N x N admittances and Newton
-    matrices."""
-    return max(1, BLOCK_JACOBIAN_BYTES // (64 * n_bus ** 2))
+def _block_size(net: Network) -> int:
+    """Trials of one Monte Carlo block on ``net``: as many as fit
+    ``BLOCK_JACOBIAN_BYTES`` share one stacked Newton solve and one batched
+    check. A trial holds, at 8 bytes an entry, its Newton matrix of order
+    m, in band storage m (2 kl + ku + 1) or dense m^2
+    (``powerflow._newton_system``); its flow data, the line lists g and b
+    (2 (M + N)) and the loads (2N); its state (4N); and its mismatch
+    history (``MAX_ITER`` + 1). A check whose reduced matrix has no rows
+    assembles no stack (``cqkit.licq_checks``). That is about 3600 trials
+    on two buses, so a 1000-trial sweep of a two-bus fixture is one block,
+    35 on the 8 x 8 lattice and one on the 24 x 24 lattice."""
+    n, lines = net.n_bus, net.n_line
+    _, cols, band = _newton_system(net)
+    m = cols.size
+    newton = m * m if band is None else m * (2 * band[0] + band[1] + 1)
+    entries = newton + 2 * (lines + n) + 2 * n + 4 * n + MAX_ITER + 1
+    return max(1, BLOCK_JACOBIAN_BYTES // (8 * entries))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -505,22 +512,23 @@ def _draw_chunk(block: int, k: int) -> int:
     return block * max(1, DRAW_CHUNK_BYTES // (8 * max(k, 1) * block))
 
 
-def _flow_of_draws(model: PerturbationModel, case: Case,
-                   cs: con.ConstraintSystem):
+def _flow_of_draws(model: PerturbationModel, case: Case):
     """Function from a block of parameter draws (T x k) to their flow data
-    (G, B, p_load, q_load), each with a leading trial axis: bit for bit
-    the admittances and loads of ``apply_parameters`` followed by
-    ``build_ybus``."""
+    (g, b, p_load, q_load), each with a leading trial axis, g and b the
+    line lists of ``netmodel.admittance_stack``: bit for bit the
+    admittances and loads of ``apply_parameters`` followed by
+    ``build_ybus``, at the nonzeros."""
     net = case.network
     n, m = net.n_bus, net.n_line
     if model.kind is ModelKind.LOAD:
-        return lambda xis: (np.broadcast_to(cs.Y.G, (len(xis), n, n)),
-                            np.broadcast_to(cs.Y.B, (len(xis), n, n)),
+        g, b = net.admittances
+        return lambda xis: (np.broadcast_to(g, (len(xis), m + n)),
+                            np.broadcast_to(b, (len(xis), m + n)),
                             xis[:, :n], xis[:, n:])
 
-    def with_loads(G, B):
-        return (G, B, np.broadcast_to(net.p_load, (len(G), n)),
-                np.broadcast_to(net.q_load, (len(G), n)))
+    def with_loads(g, b):
+        return (g, b, np.broadcast_to(net.p_load, (len(g), n)),
+                np.broadcast_to(net.q_load, (len(g), n)))
 
     if model.kind is ModelKind.SHUNT:
         # xi holds lumped (g, -b); the bus shunts are what remains after the
@@ -551,14 +559,13 @@ def run_genericity_experiment(
     many trials in one call, and ``seed`` and ``trials`` must be
     non-negative. Non-convergent draws count as trials, not errors.
     Trials run in blocks of ``_block_size`` that stay arrays from the draw
-    to the verdict: a block's draws become stacked admittances and loads,
-    one stacked Newton solve gives the states (the iterates of a one-trial
-    solve), and
-    ``cqkit.licq_checks`` tests feasibility and LICQ on the converged ones
-    (the block's arrays themselves when every trial converged), at most
-    one batched SVD of the reduced matrices per face, and on a face without
-    operational rows no stack at all. Only one block, and
-    the draws of one ``_draw_chunk`` of blocks, are held at a time.
+    to the verdict: a block's draws become stacked line-list admittances
+    and loads, one stacked Newton solve gives the states (the iterates of a
+    one-trial solve), and ``cqkit.licq_checks`` tests feasibility and LICQ
+    on the converged ones (the block's arrays themselves when every trial
+    converged), at most one batched SVD of the reduced matrices per face,
+    and on a face without operational rows no stack at all. Only one block,
+    and the draws of one ``_draw_chunk`` of blocks, are held at a time.
     ``tols`` go to ``system_for_case``, whose tolerances decide
     feasibility, LICQ and the rank hypothesis.
     """
@@ -568,16 +575,16 @@ def run_genericity_experiment(
 
     hypothesis = None
     try:
-        x0 = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
+        x0 = solve_power_flow(case.network, case.gen_p, case.gen_q,
                               pf_tol=cs.pf_tol).state
         hypothesis = check_rank_hypothesis(model, cs, x0)
     except PowerFlowError:
         pass
 
-    flow_of = _flow_of_draws(model, case, cs)
+    flow_of = _flow_of_draws(model, case)
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    block = _block_size(case.network.n_bus)
+    block = _block_size(case.network)
     chunk = _draw_chunk(block, len(model.box))
     for start in range(0, trials, block):
         if start % chunk == 0:

@@ -13,11 +13,13 @@ so real row k reads  p_gen_k - p_load_k - sum_l v_k v_l (G_kl cos t_kl +
 B_kl sin t_kl)  with t_kl = theta_k - theta_l, and the reactive row uses
 (G_kl sin t_kl - B_kl cos t_kl).
 
-The Newton matrix, the check's stack and the projection take their rows
-of its Jacobian from ``flow_rows``, which assembles only the selected
-entries from the line list in O(N + M) per trial, since G_kl and B_kl
-vanish off the M lines. The dense 2N x 4N ``_jacobian`` is the reference
-behind ``pf_jacobian``.
+Y is carried as its line list (``netmodel.admittance_stack``), since G_kl
+and B_kl vanish off the M lines and the diagonal: the residual sums Y u
+over both directions of each line, and the Newton matrix, the check's
+stack and the projection take their rows of the Jacobian from
+``flow_rows``, which assembles only the selected entries; each costs
+O(N + M) per trial. The dense 2N x 4N ``_jacobian`` of ``build_ybus`` is
+the reference behind ``pf_jacobian``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .netmodel import (AdmittanceMatrix, BusType, CaseError, Network,
-                       finite_number)
+from .netmodel import BusType, CaseError, Network, build_ybus, finite_number
 
 
 class PowerFlowError(RuntimeError):
@@ -112,15 +113,14 @@ class SystemState:
         )
 
 
-# Largest bus count whose admittance products and Newton solves run on one
-# BLAS thread. OpenBLAS threads the complex products from 64 buses, and the
-# dense LU from order 100, which only a wide-band network still reaches
-# there (``_newton_system`` solves lattices from 7 x 7 up banded). On two
-# cores a Monte Carlo sweep of a meshed grid ran 5-15% faster on one
-# thread up to 256 buses and 12% slower at 576, and with the second core
-# busy every threaded call waits on a descheduled thread: 3-5x slower at
-# 64 buses. One thread also makes the Newton iterates independent of the
-# core count.
+# Largest bus count whose Newton solves run on one BLAS thread. OpenBLAS
+# threads the dense LU from order 100, which only a wide-band network
+# still reaches there (``_newton_system`` solves lattices from 7 x 7 up
+# banded). On two cores a Monte Carlo sweep of a meshed grid ran 5-15%
+# faster on one thread up to 256 buses and 12% slower at 576, and with the
+# second core busy every threaded call waits on a descheduled thread: 3-5x
+# slower at 64 buses. One thread also makes the Newton iterates
+# independent of the core count. The flow residual makes no BLAS call.
 SERIAL_BLAS_BUSES = 256
 
 
@@ -128,23 +128,36 @@ def _serial_blas(n_bus: int):
     return _blas.serial() if n_bus <= SERIAL_BLAS_BUSES else nullcontext()
 
 
-def _injections(Yc: np.ndarray, v: np.ndarray, theta: np.ndarray):
-    """Nodal injections from a complex admittance matrix ``Yc``; every
-    argument may carry leading trial axes."""
+def _add_bus_sums(net: Network, out: np.ndarray, terms: np.ndarray) -> None:
+    """Add to ``out`` (T x N) the per-bus sums of ``terms`` (T x 2M), one
+    term per direction of ``Network.directions``, each bus's in its order."""
+    d = net.directions
+    out[:, d.at] += np.add.reduceat(terms, d.starts, axis=1)
+
+
+def _injections(net: Network, y: np.ndarray, v: np.ndarray,
+                theta: np.ndarray):
+    """Nodal injections (p, q), each T x N, at voltages v, theta (T x N)
+    under the complex line lists ``y`` = g + jb (T x (M + N),
+    ``netmodel.admittance_stack``). Y u is the diagonal term plus per-bus
+    sums over both directions of each line: O(T (N + M)) and no BLAS
+    call."""
+    m, d = net.n_line, net.directions
     u = v * np.exp(1j * theta)
-    with _serial_blas(u.shape[-1]):
-        yu = (Yc @ u[..., None])[..., 0]
+    yu = y[:, m:] * u
+    _add_bus_sums(net, yu, y[:, d.line] * u[:, d.other])
     s = u * np.conj(yu)
     return s.real, s.imag
 
 
-def _residual(Yc: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
+def _residual(net: Network, y, p_load: np.ndarray, q_load: np.ndarray,
               flat: np.ndarray) -> np.ndarray:
-    """F at flat states (..., 4N); real-power rows first."""
-    n = flat.shape[-1] // 4
-    p_inj, q_inj = _injections(Yc, flat[..., 2 * n:3 * n], flat[..., 3 * n:])
-    return np.concatenate([flat[..., :n] - p_load - p_inj,
-                           flat[..., n:2 * n] - q_load - q_inj], axis=-1)
+    """F at flat states (T x 4N) under the complex line lists ``y`` of
+    ``_injections``; real-power rows first."""
+    n = net.n_bus
+    p_inj, q_inj = _injections(net, y, flat[:, 2 * n:3 * n], flat[:, 3 * n:])
+    return np.concatenate([flat[:, :n] - p_load - p_inj,
+                           flat[:, n:2 * n] - q_load - q_inj], axis=1)
 
 
 def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -180,34 +193,32 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
               band: tuple[int, int] | None = None, *, coo: bool = False):
     """Plan of the flow Jacobian rows ``_jacobian(G, B, flat)[..., rows,
     cols]`` on the lines of ``net``: returns the function from T trials'
-    G, B (T x N x N, zero off the lines and the diagonal, as
-    ``admittance_stack`` builds them) and flat states (T x 4N) to their
-    T x |rows| x |cols| rows. ``rows`` is an index array over the 2N flow
-    rows, or None for all of them with ``cols`` a boolean mask over the
-    4N columns; else ``cols`` is an index array too.
+    line lists g, b (T x (M + N), ``netmodel.admittance_stack``) and flat
+    states (T x 4N) to their T x |rows| x |cols| rows. ``rows`` is an index
+    array over the 2N flow rows, or None for all of them with ``cols`` a
+    boolean mask over the 4N columns; else ``cols`` is an index array too.
 
-    The plan holds the line ends and the selected entries, so a call
+    The plan holds the line directions and the selected entries, so a call
     costs O(T (N + M)) for the M lines: the off-diagonal entries over both
-    directions of each line, the diagonal ones from per-bus sums of the
-    same terms, and the generation identities. The per-bus sums run in
-    another order than the dense matmul, so diagonal entries may differ
-    from ``_jacobian`` in the last bits. The entries come in one of three
-    storages. By default they are scattered into one zeroed array. With
-    ``coo`` the function returns them as triplets (r, q, values): the
-    plan's row and column indices, sorted row-major once per plan and
-    shared by every trial, and the T x nnz values of entry (r[e], q[e]).
-    These are the plan's explicit entries, zeros of either sign included,
-    so the dense rows are ``out[:, r, q] = values`` on zeros.
+    directions of each line, read from g and b per line, the diagonal ones
+    from per-bus sums of the same terms, and the generation identities.
+    The per-bus sums run in another order than the dense matmul, so
+    diagonal entries may differ from ``_jacobian`` in the last bits. The
+    entries come in one of three storages. By default they are scattered
+    into one zeroed array. With ``coo`` the function returns them as
+    triplets (r, q, values): the plan's row and column indices, sorted
+    row-major once per plan and shared by every trial, and the T x nnz
+    values of entry (r[e], q[e]). These are the plan's explicit entries,
+    zeros of either sign included, so the dense rows are ``out[:, r, q] =
+    values`` on zeros.
 
     With ``band`` = (kl, ku), the selected m rows and m columns form a
     square matrix with kl sub- and ku superdiagonals, and the plan writes
     it straight into LAPACK band storage, T x m x (2 kl + ku + 1), entry
     (r, q) at ``[q, kl + ku + r - q]`` (``_blas.band_solver``); the
     function then takes a workspace ``out`` of that shape to refill."""
-    n = net.n_bus
-    ends = net.line_ends
-    k = np.concatenate((ends[:, 0], ends[:, 1]))
-    l = np.concatenate((ends[:, 1], ends[:, 0]))
+    n, m = net.n_bus, net.n_line
+    k, l, line = net.directions[:3]
     bus = np.arange(n)
     at_row = np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
                              bus, n + bus))
@@ -239,55 +250,78 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
             raise ValueError(f"selected rows exceed the band {band}")
         shape = (n_cols, 2 * kl + ku + 1)
         at_out = q * shape[1] + kl + ku + r - q
+    # the kept entries of each block of values that jacobian_rows writes,
+    # and where each goes in the storage
+    dest = np.arange(kept.size) if coo else at_out
+    edges = np.cumsum([0, *[2 * m] * 4, *[n] * 4, 2 * n])
+    scatter = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside = (kept >= lo) & (kept < hi)
+        scatter.append((kept[inside] - lo, dest[inside]))
 
-    def jacobian_rows(G: np.ndarray, B: np.ndarray, flat: np.ndarray,
+    def line_terms(g, b, theta):
+        # a_kl and c_kl of each direction; the temporaries end here
+        t = theta[:, k] - theta[:, l]
+        g_kl, b_kl = g[:, line], b[:, line]
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        return g_kl * cos_t + b_kl * sin_t, g_kl * sin_t - b_kl * cos_t
+
+    def jacobian_rows(g: np.ndarray, b: np.ndarray, flat: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
         trials = flat.shape[0]
+        if coo:
+            store = np.empty((trials, kept.size))
+        else:
+            if out is None:
+                out = np.zeros((trials, *shape))
+            else:
+                out.fill(0.0)
+            store = out.reshape(trials, -1)
+
+        def put(block, values):
+            # one block at a time: no array holds every entry twice
+            src, dst = scatter[block]
+            store[:, dst] = values[:, src]
+
         v, theta = flat[:, 2 * n:3 * n], flat[:, 3 * n:]
-        t = theta[:, k] - theta[:, l]
-        g, b = G[:, k, l], B[:, k, l]
-        cos_t, sin_t = np.cos(t), np.sin(t)
-        a = g * cos_t + b * sin_t
-        c = g * sin_t - b * cos_t
+        a, c = line_terms(g, b, theta)
         vk, vl = v[:, k], v[:, l]
         vv = vk * vl
-        gd, bd = G[:, bus, bus], B[:, bus, bus]
-
+        put(0, -vk * a)
+        put(1, -vv * c)
+        put(2, -vk * c)
+        put(3, vv * a)
+        gd, bd = g[:, m:], b[:, m:]
         # per-bus sums of a_kl v_l and c_kl v_l, the l = k terms
         # (a_kk = G_kk, c_kk = -B_kk) included
-        at_bus = (np.arange(trials)[:, None] * n + k).ravel()
-
-        def bus_sum(vals):
-            return np.bincount(at_bus, vals.ravel(),
-                               minlength=trials * n).reshape(trials, n)
-
-        av = gd * v + bus_sum(a * vl)
-        cv = bus_sum(c * vl) - bd * v
-        values = np.concatenate((
-            -vk * a, -vv * c, -vk * c, vv * a,
-            -(av + v * gd), v * cv + v**2 * bd, -(cv - v * bd),
-            -(v * av - v**2 * gd), np.ones((trials, 2 * n))), axis=1)
-        if coo:
-            return r, q, values[:, kept]
-        if out is None:
-            out = np.zeros((trials, *shape))
-        else:
-            out.fill(0.0)
-        out.reshape(trials, -1)[:, at_out] = values[:, kept]
-        return out
+        av = gd * v
+        _add_bus_sums(net, av, a * vl)
+        cv = -(bd * v)
+        _add_bus_sums(net, cv, c * vl)
+        put(4, -(av + v * gd))
+        put(5, v * cv + v**2 * bd)
+        put(6, -(cv - v * bd))
+        put(7, -(v * av - v**2 * gd))
+        store[:, scatter[8][1]] = 1.0
+        return (r, q, store) if coo else out
 
     return jacobian_rows
 
 
-def pf_residual(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
-    """Evaluate F(x); length 2N, real-power rows first."""
+def pf_residual(net: Network, x: SystemState) -> np.ndarray:
+    """Evaluate F(x) on the network's own admittances; length 2N,
+    real-power rows first."""
     if x.n_bus != net.n_bus:
         raise ValueError("state dimension does not match network")
-    return _residual(Y.G + 1j * Y.B, net.p_load, net.q_load, x.flat())
+    g, b = net.admittances
+    return _residual(net, g + 1j * b, net.p_load, net.q_load,
+                     x.flat()[None])[0]
 
 
-def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray:
-    """Analytic 2N x 4N Jacobian of F in flat-state column order.
+def pf_jacobian(net: Network, x: SystemState) -> np.ndarray:
+    """Analytic 2N x 4N Jacobian of F in flat-state column order, from the
+    dense ``build_ybus``: the reference the line-list rows of
+    ``flow_rows`` are tested against.
 
     The generation blocks are exact identities (dF_p/dp_gen = I and the
     reactive rows' dF_q/dq_gen = I) with zero cross blocks; the v/theta
@@ -295,6 +329,7 @@ def pf_jacobian(net: Network, Y: AdmittanceMatrix, x: SystemState) -> np.ndarray
     """
     if x.n_bus != net.n_bus:
         raise ValueError("state dimension does not match network")
+    Y = build_ybus(net)
     return _jacobian(Y.G, Y.B, x.flat())
 
 
@@ -378,8 +413,8 @@ def _newton_system(net: Network):
 
 def newton_states(
     net: Network,
-    G: np.ndarray,
-    B: np.ndarray,
+    g: np.ndarray,
+    b: np.ndarray,
     p_load: np.ndarray,
     q_load: np.ndarray,
     p_gen: np.ndarray,
@@ -388,8 +423,9 @@ def newton_states(
     pf_tol: float,
 ) -> tuple[np.ndarray, list, np.ndarray]:
     """Plain Newton on a stack of trials that share the bus records of
-    ``net``: trial i has admittances ``G[i] + 1j B[i]`` (T x N x N) and
-    loads ``p_load[i]``, ``q_load[i]`` (T x N).
+    ``net``: trial i has the admittances of the line lists ``g[i]``,
+    ``b[i]`` (T x (M + N), ``netmodel.admittance_stack``) and loads
+    ``p_load[i]``, ``q_load[i]`` (T x N).
 
     The trials are stacked, never mixed, and a trial leaves the stack when
     it converges or fails, so each trial's iterates are those of a solve on
@@ -398,14 +434,14 @@ def newton_states(
     and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
     i's last iteration).
 
-    Each step's Newton matrix comes from one ``flow_rows`` plan, an
-    O(N + M) assembly from the line list whose iterates may differ from
-    those of the dense ``pf_jacobian`` in the last bits. Where its band is
-    narrow (``_newton_system``) the plan writes LAPACK band storage into
-    one workspace for the block and each trial's step is one ``dgbsv``;
-    otherwise one batched dense solve takes the block."""
+    The residual and each step's Newton matrix (one ``flow_rows`` plan)
+    are O(N + M) per trial from the line list; their iterates may differ
+    from those of the dense ``pf_jacobian`` in the last bits. Where the
+    band is narrow (``_newton_system``) the plan writes LAPACK band storage
+    into one workspace for the block and each trial's step is one
+    ``dgbsv``; otherwise one batched dense solve takes the block."""
     n = net.n_bus
-    trials = G.shape[0]
+    trials = g.shape[0]
     mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
     rows, cols, band = _newton_system(net)
@@ -415,11 +451,11 @@ def newton_states(
         (trials, cols.size, 2 * band[0] + band[1] + 1))
 
     # every angle starts at the slack's; F sees only angle differences
-    slack = next(b for b in net.buses if b.bus_type is BusType.SLACK)
-    v = np.where(free_v, 1.0, [b.v_setpoint for b in net.buses])
+    slack = next(bus for bus in net.buses if bus.bus_type is BusType.SLACK)
+    v = np.where(free_v, 1.0, [bus.v_setpoint for bus in net.buses])
     theta = np.full(n, slack.theta_setpoint)
     x = np.tile(np.concatenate([p_gen, q_gen, v, theta]), (trials, 1))
-    Yc = G + 1j * B
+    y = g + 1j * b
 
     errs = np.zeros((trials, MAX_ITER + 1))
     outcome: list = [None] * trials  # iteration count or PowerFlowError
@@ -428,7 +464,7 @@ def newton_states(
         return errs[i, :iterations + 1].tolist()
 
     live = np.arange(trials)
-    data = (G, B, Yc, p_load, q_load)  # rows of the live trials
+    data = (g, b, y, p_load, q_load)  # rows of the live trials
 
     def keep(sel: np.ndarray) -> None:
         nonlocal live, data
@@ -438,7 +474,7 @@ def newton_states(
 
     with np.errstate(all="ignore"):
         for it in range(MAX_ITER + 1):
-            mis = _residual(*data[2:], x[live])[:, rows]
+            mis = _residual(net, *data[2:], x[live])[:, rows]
             err = np.abs(mis).max(axis=1, initial=0.0)
             errs[live, it] = err
             going = np.isfinite(err) & (err > pf_tol)
@@ -476,12 +512,12 @@ def newton_states(
                     dtype=int)
     xd = x[done]
     at = slice(None) if done.size == trials else done  # no copy when all are
-    Yd, pd, qd = Yc[at], p_load[at], q_load[at]
-    p_inj, q_inj = _injections(Yd, xd[:, 2 * n:3 * n], xd[:, 3 * n:])
+    yd, pd, qd = y[at], p_load[at], q_load[at]
+    p_inj, q_inj = _injections(net, yd, xd[:, 2 * n:3 * n], xd[:, 3 * n:])
     xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + pd)
     xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + qd)
     x[done] = xd
-    final = np.abs(_residual(Yd, pd, qd, xd)).max(axis=1, initial=0.0)
+    final = np.abs(_residual(net, yd, pd, qd, xd)).max(axis=1, initial=0.0)
     for i, res in zip(done, final):
         if res > pf_tol:
             outcome[i] = NonConvergenceError(
@@ -492,13 +528,13 @@ def newton_states(
 
 def solve_power_flow(
     net: Network,
-    Y: AdmittanceMatrix,
     p_gen: np.ndarray,
     q_gen: np.ndarray,
     *,
     pf_tol: float,
 ) -> PFSolution:
-    """Plain Newton on the flow equations of the free voltage entries.
+    """Plain Newton on the flow equations of the free voltage entries of
+    ``net``, under its own admittances and loads.
 
     ``p_gen`` is scheduled at non-slack buses and ``q_gen`` at PQ buses;
     slack and PV voltage data come from the bus records. The unknowns are
@@ -515,9 +551,9 @@ def solve_power_flow(
 
     This is the one-trial call of ``newton_states``.
     """
-    x, (out,), errs = newton_states(net, Y.G[None], Y.B[None],
-                                    net.p_load[None], net.q_load[None],
-                                    p_gen, q_gen, pf_tol=pf_tol)
+    x, (out,), errs = newton_states(net, *net.admittances, net.p_load[None],
+                                    net.q_load[None], p_gen, q_gen,
+                                    pf_tol=pf_tol)
     if isinstance(out, PowerFlowError):
         raise out
     return PFSolution(

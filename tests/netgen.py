@@ -1,11 +1,11 @@
 """Seeded random desk-scale networks and states for property tests, the
 per-trial reference draw of the Monte Carlo sweep, the test-side inverses
-of case loading and of the flow model, and the reduced matrix of an
-active stack."""
+of case loading and of the flow model, the dense references of the
+line-list admittances, and the reduced matrix of an active stack."""
 
 import numpy as np
 
-from opfdiag.netmodel import AdmittanceMatrix, Bus, BusType, Case, Line, Network
+from opfdiag.netmodel import Bus, BusType, Case, Line, Network
 from opfdiag.powerflow import SystemState, _injections
 
 
@@ -55,9 +55,39 @@ def trial_draw(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
     return np.random.default_rng([seed, trial]).uniform(box[:, 0], box[:, 1])
 
 
-def injections(Y: AdmittanceMatrix, v: np.ndarray, theta: np.ndarray):
-    """Nodal complex power flowing from each bus into the network."""
-    return _injections(Y.G + 1j * Y.B, v, theta)
+def injections(net: Network, v: np.ndarray, theta: np.ndarray):
+    """Nodal power (p, q) flowing from each bus into the network at one
+    voltage profile, under the network's own admittances."""
+    g, b = net.admittances
+    p, q = _injections(net, g + 1j * b, v[None], theta[None])
+    return p[0], q[0]
+
+
+def dense_admittances(net: Network, g: np.ndarray, b: np.ndarray):
+    """The T x N x N matrices (G, B) of line lists g, b (T x (M + N)),
+    zero off the lines and the diagonal."""
+    n, m = net.n_bus, net.n_line
+    ends, bus = net.line_ends, np.arange(n)
+    out = []
+    for y in (g, b):
+        dense = np.zeros((len(y), n, n))
+        dense[:, ends[:, 0], ends[:, 1]] = y[:, :m]
+        dense[:, ends[:, 1], ends[:, 0]] = y[:, :m]
+        dense[:, bus, bus] = y[:, m:]
+        out.append(dense)
+    return out
+
+
+def dense_residual(G: np.ndarray, B: np.ndarray, p_load: np.ndarray,
+                   q_load: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """F at flat states (T x 4N) from dense admittance matrices, Y u as one
+    complex matrix product with Yc = G + jB: the reference of the
+    line-list residual."""
+    n = flat.shape[-1] // 4
+    u = flat[:, 2 * n:3 * n] * np.exp(1j * flat[:, 3 * n:])
+    s = u * np.conj(((G + 1j * B) @ u[..., None])[..., 0])
+    return np.concatenate([flat[:, :n] - p_load - s.real,
+                           flat[:, n:2 * n] - q_load - s.imag], axis=1)
 
 
 def reduced_rows(a: np.ndarray, n_bus: int) -> np.ndarray:

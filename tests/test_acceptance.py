@@ -16,7 +16,6 @@ from opfdiag.constraints import (ApparentPower, BoxUpper, ExpLoadEq, LinearEq,
                                  evaluate)
 from opfdiag.cqkit import (Classification, active_stack, kkt_residual,
                            kkt_solve, licq_check, numerical_rank)
-from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import (line_model, load_model, nearest_feasible_point,
                              param_jacobian, shift_load, shunt_model)
 from opfdiag.powerflow import (SystemState, pf_jacobian, pf_residual,
@@ -42,9 +41,8 @@ def test_criterion_1_tangent_dispatch_reproduction():
         for alpha in (1.0, 2.0, 0.5):
             fix = example1(alpha)
             net = fix.case.network
-            y = build_ybus(net)
 
-            residual = np.abs(pf_residual(net, y, fix.ground_truth)).max()
+            residual = np.abs(pf_residual(net, fix.ground_truth)).max()
             assert residual <= 1e-12
 
             cq = licq_check(fix.system, fix.ground_truth)
@@ -157,9 +155,8 @@ def test_criterion_5_numerical_hygiene():
         worst = 0.0
         for _ in range(100):
             net = random_network(3, rng)
-            y = build_ybus(net)
             x = random_state(net, rng)
-            jac = pf_jacobian(net, y, x)
+            jac = pf_jacobian(net, x)
             flat = x.flat()
             fd = np.zeros_like(jac)
             for j in range(flat.size):
@@ -167,8 +164,8 @@ def test_criterion_5_numerical_hygiene():
                 up[j] += step
                 dn[j] -= step
                 fd[:, j] = (
-                    pf_residual(net, y, SystemState.from_flat(up))
-                    - pf_residual(net, y, SystemState.from_flat(dn))
+                    pf_residual(net, SystemState.from_flat(up))
+                    - pf_residual(net, SystemState.from_flat(dn))
                 ) / (2.0 * step)
             err = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
             worst = max(worst, err.max())
@@ -206,11 +203,10 @@ def test_criterion_5_numerical_hygiene():
             (example3(), None),
         ):
             net = fix.case.network
-            sol = solve_power_flow(net, build_ybus(net), fix.case.gen_p,
+            sol = solve_power_flow(net, fix.case.gen_p,
                                    fix.case.gen_q, pf_tol=1e-10)
             assert sol.iterations <= 10
-            assert np.abs(pf_residual(net, build_ybus(net),
-                                      sol.state)).max() <= 1e-10
+            assert np.abs(pf_residual(net, sol.state)).max() <= 1e-10
 
         fix = example1(1.0)
         model = load_model(fix.case)

@@ -224,8 +224,8 @@ NEGATIVE_V_CASE = {
 def test_check_outside_a_constraint_domain_exits_4(capsys, tmp_path):
     # a point outside a constraint's domain is infeasible, not an input error
     case = od.load_case(json.dumps(NEGATIVE_V_CASE))
-    state = od.solve_power_flow(case.network, od.system_for_case(case).Y,
-                                case.gen_p, case.gen_q, pf_tol=1e-10).state
+    state = od.solve_power_flow(case.network, case.gen_p, case.gen_q,
+                                pf_tol=1e-10).state
     assert state.v[1] < 0.0
     path = tmp_path / "negv.json"
     path.write_text(json.dumps(NEGATIVE_V_CASE))

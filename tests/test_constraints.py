@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from opfdiag.cases import example1
 from opfdiag.constraints import (ApparentPower, BoxLower, BoxUpper, ExpLoadEq,
-                                 ConstraintError, InfeasiblePointError,
-                                 LinearEq, VoltageDomainError, active_set,
-                                 evaluate)
+                                 ConstraintError, ConstraintSystem,
+                                 InfeasiblePointError, LinearEq,
+                                 VoltageDomainError, active_set, evaluate,
+                                 evaluate_points, point_block)
 from opfdiag.cqkit import active_stack, licq_check, numerical_rank
 from opfdiag.powerflow import SystemState, state_index
+
+from netgen import random_network, random_state
 
 
 def test_ex2_reduced_values_vanish_at_crossing(ex2):
@@ -197,3 +200,29 @@ def test_state_index_layout():
     assert state_index("theta", 1, 2) == 7
     with pytest.raises(ValueError):
         state_index("w", 0, 2)
+
+
+def test_box_rows_gathered_bitwise_in_declaration_order(rng):
+    # evaluate_points takes every BoxUpper and every BoxLower value in one
+    # gather per kind; interleaved with the other kinds, each column is
+    # bit for bit its op's own value, in declaration order
+    n = 3
+    ops = (BoxUpper(index=2 * n, bound=1.1),
+           ApparentPower(bus=1, n_bus=n, s2_max=2.0),
+           BoxLower(index=2 * n + 1, bound=0.9),
+           BoxUpper(index=0, bound=-0.3),
+           ExpLoadEq(bus=2, n_bus=n, alpha=0.7, p_load=0.1),
+           BoxLower(index=3 * n + 2, bound=-0.2),
+           LinearEq(terms=((1, 2.0), (n + 2, -1.5)), offset=0.25))
+    net = random_network(n, rng)
+    cs = ConstraintSystem(h_ops=ops[4:], g_ops=ops, net=net)
+    flats = np.array([random_state(net, rng).flat() for _ in range(4)])
+    flats[1, 2 * n + 2] = -0.5  # outside the voltage-dependent load's domain
+    flow = tuple(np.repeat(a, 4, axis=0) for a in point_block(
+        cs, SystemState.from_flat(flats[0]))[1])
+    h_vals, g_vals, _, _ = evaluate_points(cs, flats, flow)
+    for vals, group in ((h_vals, cs.h_ops), (g_vals, cs.g_ops)):
+        ref = np.stack([op.value(flats) for op in group], axis=1)
+        assert vals.shape == ref.shape
+        assert vals.tobytes() == ref.tobytes()
+    assert np.isnan(g_vals[1, 4]) and np.isnan(h_vals[1, 0])

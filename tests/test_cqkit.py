@@ -16,7 +16,6 @@ from opfdiag.cqkit import (Classification, CostSpec, CQReport, Stacks,
                            _multiplier_set, _rank_from_svals, active_stack,
                            kkt_residual, kkt_solve, licq_check, licq_checks,
                            numerical_rank)
-from opfdiag.netmodel import build_ybus
 from opfdiag.perturb import nearest_feasible_point, shift_load
 from opfdiag.powerflow import SystemState, flow_rows, solve_power_flow
 
@@ -40,7 +39,7 @@ def _lattice_point(doc):
     """System of a lattice case document and its solved power flow."""
     case = od.load_case(json.dumps(doc))
     cs = od.system_for_case(case)
-    x = solve_power_flow(case.network, cs.Y, case.gen_p, case.gen_q,
+    x = solve_power_flow(case.network, case.gen_p, case.gen_q,
                          pf_tol=1e-10).state
     return case, cs, x
 
@@ -57,7 +56,7 @@ def test_licq_holds_with_inactive_voltage_bound(ex1):
     # same system, lighter transfer: the cap stays strictly slack and the
     # five remaining rows are independent
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
+    sol = solve_power_flow(net, np.array([0.0, -1.5]),
                            np.array([0.0, 0.5]), pf_tol=1e-10)
     assert sol.state.v[1] < ex1.expected["v_bar"] - 1e-3
     report = licq_check(ex1.system, sol.state)
@@ -247,11 +246,10 @@ def _flow_point(net, rng):
     construction: random voltages, generation set to load plus injection
     (R has no rows)."""
     x = random_state(net, rng)
-    Y = build_ybus(net)
-    p_inj, q_inj = injections(Y, x.v, x.theta)
+    p_inj, q_inj = injections(net, x.v, x.theta)
     x = SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
                     v=x.v, theta=x.theta)
-    return ConstraintSystem(h_ops=(), g_ops=(), net=net, Y=Y), x
+    return ConstraintSystem(h_ops=(), g_ops=(), net=net), x
 
 
 def _planted(cs, x, rng):
@@ -398,7 +396,7 @@ def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
                 g_ops.append(ApparentPower(bus=bus, n_bus=n, s2_max=float(
                     flat[bus] ** 2 + flat[n + bus] ** 2)))
         points.append((ConstraintSystem(
-            h_ops=tuple(h_ops), g_ops=tuple(g_ops), net=net, Y=flow.Y), x))
+            h_ops=tuple(h_ops), g_ops=tuple(g_ops), net=net), x))
     # a planted duplicate of an equality row: both paths see the dependent
     # row (3x3 lattice, m = 26 < n = 34 without it)
     cs, x = points[10]
@@ -430,7 +428,7 @@ def test_rank_monotone_under_row_removal(rng):
 
 def test_licq_holds_implies_unique_or_none(ex1):
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net), np.array([0.0, -1.5]),
+    sol = solve_power_flow(net, np.array([0.0, -1.5]),
                            np.array([0.0, 0.5]), pf_tol=1e-10)
     report = licq_check(ex1.system, sol.state)
     assert report.licq_holds
@@ -515,7 +513,7 @@ def _face_free_block(lattice_document, k, rng):
     for _ in range(k):
         v = rng.uniform(0.95, 1.05, net.n_bus)
         theta = rng.uniform(-0.2, 0.2, net.n_bus)
-        p_inj, q_inj = injections(cs.Y, v, theta)
+        p_inj, q_inj = injections(net, v, theta)
         states.append(SystemState(p_gen=net.p_load + p_inj,
                                   q_gen=net.q_load + q_inj, v=v, theta=theta))
     flats = np.stack([x.flat() for x in states])
@@ -625,7 +623,7 @@ def _dense_stack(cs, x, face):
     """The active stack assembled dense: the flow rows scattered by
     ``flow_rows`` into a zeroed array, then every h and face g gradient."""
     flat, mask = x.flat(), cs.net.free_mask
-    flow = flow_rows(cs.net, None, mask)(cs.Y.G[None], cs.Y.B[None],
+    flow = flow_rows(cs.net, None, mask)(*cs.net.admittances,
                                          flat[None])[0]
     ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
     return np.concatenate([flow, *(op.gradient(flat)[mask][None]

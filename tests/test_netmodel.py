@@ -124,6 +124,14 @@ def per_line_ybus(net):
     return y
 
 
+def line_list_of(net, y):
+    """The nonzero pattern of ``build_ybus``, read from a dense matrix y
+    in line-list order: each line's off-diagonal entry, then the
+    diagonal."""
+    ends = net.line_ends
+    return np.concatenate((y[ends[:, 0], ends[:, 1]], np.diagonal(y)))
+
+
 @pytest.mark.parametrize("shared_series", [False, True])
 def test_admittance_stack_trials_match_per_line_sums(rng, shared_series):
     for _ in range(10):
@@ -132,20 +140,26 @@ def test_admittance_stack_trials_match_per_line_sums(rng, shared_series):
         series = (rng.uniform(0.0, 2.0, (1 if shared_series else trials, m)),
                   rng.uniform(-5.0, -0.5, (1 if shared_series else trials, m)))
         shunts = rng.uniform(-0.3, 0.3, (2, trials, n))
-        G, B = od.netmodel.admittance_stack(net, *series, *shunts)
+        g, b = od.netmodel.admittance_stack(net, *series, *shunts)
+        assert g.shape == b.shape == (trials, m + n)
         for t in range(trials):
             s = 0 if shared_series else t
             trial = Network(
-                buses=tuple(replace(b, g_shunt=float(shunts[0, t, b.id]),
-                                    b_shunt=float(shunts[1, t, b.id]))
-                            for b in net.buses),
+                buses=tuple(replace(bus, g_shunt=float(shunts[0, t, bus.id]),
+                                    b_shunt=float(shunts[1, t, bus.id]))
+                            for bus in net.buses),
                 lines=tuple(replace(ln, g_series=float(series[0][s, j]),
                                     b_series=float(series[1][s, j]))
                             for j, ln in enumerate(net.lines)))
             y = per_line_ybus(trial)
-            assert G[t].tobytes() == y.real.tobytes()
-            assert B[t].tobytes() == y.imag.tobytes()
+            assert g[t].tobytes() == line_list_of(net, y.real).tobytes()
+            assert b[t].tobytes() == line_list_of(net, y.imag).tobytes()
+        # the network's own line list, and its dense matrix: the per-line
+        # sums, zero off the lines and the diagonal
         y = per_line_ybus(net)
+        g, b = net.admittances
+        assert g.tobytes() == line_list_of(net, y.real).tobytes()
+        assert b.tobytes() == line_list_of(net, y.imag).tobytes()
         assert build_ybus(net).G.tobytes() == y.real.tobytes()
         assert build_ybus(net).B.tobytes() == y.imag.tobytes()
 

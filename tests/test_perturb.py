@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import opfdiag as od
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
-from opfdiag.netmodel import Case, ConstraintSpec, build_ybus
+from opfdiag.netmodel import Case, ConstraintSpec
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              TrialRecord, _draws, _generate_state,
                              _pcg64_seeded, _seed_pool, apply_parameters,
@@ -48,8 +49,8 @@ def fd_param_jacobian(model, case, x, step=1e-6):
         dn[j] -= step
         cu = apply_parameters(model, case, up)
         cd = apply_parameters(model, case, dn)
-        cols.append((pf_residual(cu.network, build_ybus(cu.network), x)
-                     - pf_residual(cd.network, build_ybus(cd.network), x))
+        cols.append((pf_residual(cu.network, x)
+                     - pf_residual(cd.network, x))
                     / (2.0 * step))
     return np.column_stack(cols)
 
@@ -143,8 +144,7 @@ def test_rank_hypothesis_by_structure_matches_the_svd(ex1, lattice_document,
     # rank 2) and at one that splits the grid's v^2 values in the middle
     case = ex1.case if source == "ex1" else od.load_case(lattice_document(8, 8, 0))
     net = case.network
-    x = od.solve_power_flow(net, build_ybus(net), case.gen_p, case.gen_q,
-                            pf_tol=1e-10).state
+    x = od.solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=1e-10).state
     split = scale == "split"
     if split:
         v2 = x.v ** 2
@@ -240,7 +240,7 @@ def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
     model = od.make_model(kind, ex1.case)
     stacked = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
     monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
-    assert od.perturb._block_size(ex1.case.network.n_bus) == 1
+    assert od.perturb._block_size(ex1.case.network) == 1
     single = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
     assert stacked.to_json() == single.to_json()
     assert stacked.to_csv() == single.to_csv()
@@ -248,14 +248,14 @@ def test_genericity_report_independent_of_block_size(ex1, monkeypatch, kind):
 
 def test_grid_shunt_sweep_independent_of_block_size(lattice_document,
                                                     monkeypatch):
-    # N = 64: eight trials a block by default, the last block of five
+    # N = 64: 35 trials a block by default, the last block of five
     case = od.load_case(lattice_document(8, 8, 0))
     model = shunt_model(case)
-    assert od.perturb._block_size(case.network.n_bus) == 8
-    stacked = run_genericity_experiment(case, model, trials=13, seed=3)
+    assert od.perturb._block_size(case.network) == 35
+    stacked = run_genericity_experiment(case, model, trials=40, seed=3)
     monkeypatch.setattr(od.perturb, "BLOCK_JACOBIAN_BYTES", 1)
-    assert od.perturb._block_size(case.network.n_bus) == 1
-    single = run_genericity_experiment(case, model, trials=13, seed=3)
+    assert od.perturb._block_size(case.network) == 1
+    single = run_genericity_experiment(case, model, trials=40, seed=3)
     assert stacked.to_json() == single.to_json()
     assert stacked.to_csv() == single.to_csv()
 
@@ -282,12 +282,44 @@ def test_face_free_sweep_failures_independent_of_block_size(lattice_document,
     assert stacked.to_csv() == single.to_csv()
 
 
+def test_sweep_block_holds_no_dense_admittances(lattice_document):
+    # a 32-trial block of the 8x8 lattice under the shunt model, with its
+    # voltage bands alone (no face, no h row): its flow data are line
+    # lists, so beyond its Newton matrices (the band storage _block_size
+    # counts) a block holds less than the dense G, B and complex Yc of an
+    # 8-trial block did, 32 N^2 bytes a trial
+    doc = lattice_document(8, 8, 0)
+    doc["constraints"] = [c for c in doc["constraints"]
+                          if c["target"] and c["target"]["var"] == "v"]
+    case = od.load_case(doc)
+    net, trials = case.network, 32
+    cs = od.system_for_case(case)
+    model = shunt_model(case)
+    flow = od.perturb._flow_of_draws(model, case)(
+        od.perturb._draws(3, range(trials), model.box))
+    _, cols, band = od.perturb._newton_system(net)
+    newton = cols.size * (cols.size if band is None
+                          else 2 * band[0] + band[1] + 1)
+    tracemalloc.start()
+    try:
+        x, outcome, _ = od.perturb.newton_states(
+            net, *flow, case.gen_p, case.gen_q, pf_tol=cs.pf_tol)
+        reports = od.cqkit.licq_checks(cs, x, flow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(o, int) for o in outcome)
+    assert sum(r.licq_holds for r in reports
+               if not isinstance(r, InfeasiblePointError)) > trials // 2
+    assert peak - trials * newton * 8 < 8 * 32 * net.n_bus ** 2
+
+
 def test_genericity_report_independent_of_draw_chunks(ex1, monkeypatch):
     # blocks of 7 trials, draws in chunks of 21: a 300-trial sweep makes 15
     # _draws calls, the last chunk and block partial
     model = shunt_model(ex1.case)
     whole = run_genericity_experiment(ex1.case, model, trials=300, seed=7)
-    monkeypatch.setattr(od.perturb, "_block_size", lambda n_bus: 7)
+    monkeypatch.setattr(od.perturb, "_block_size", lambda net: 7)
     monkeypatch.setattr(od.perturb, "DRAW_CHUNK_BYTES",
                         8 * len(model.box) * 7 * 3)
     assert od.perturb._draw_chunk(7, len(model.box)) == 21
@@ -318,15 +350,14 @@ def reference_sweep(case, model, trials, seed, **tols):
     for t in range(trials):
         xi = trial_draw(seed, t, model.box)
         net = apply_parameters(model, case, xi).network
-        y = build_ybus(net)
         try:
-            x = od.solve_power_flow(net, y, case.gen_p, case.gen_q,
+            x = od.solve_power_flow(net, case.gen_p, case.gen_q,
                                     pf_tol=cs.pf_tol).state
         except od.PowerFlowError:
             records.append(TrialRecord(t, False, False, None, None))
             continue
         try:
-            report = licq_check(replace(cs, net=net, Y=y), x)
+            report = licq_check(replace(cs, net=net), x)
         except InfeasiblePointError:
             records.append(TrialRecord(t, True, False, None, None))
             continue
@@ -346,7 +377,7 @@ def band_case():
     row and fails LICQ; the others sit on one bound or are infeasible."""
     net = random_network(5, np.random.default_rng([0, 99]))
     case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5))
-    v = od.solve_power_flow(net, build_ybus(net), case.gen_p,
+    v = od.solve_power_flow(net, case.gen_p,
                             case.gen_q, pf_tol=1e-10).state.v[2]
     specs = (ConstraintSpec("box_upper", {"var": "v", "bus": 2},
                             {"bound": float(v) + 0.002}),
@@ -619,7 +650,7 @@ def test_projection_beyond_two_buses(lattice_document, side, bus, delta,
     # the point with LICQ on its face
     case = od.load_case(lattice_document(side, side, 0))
     base = od.system_for_case(case)
-    x0 = od.solve_power_flow(case.network, base.Y, case.gen_p, case.gen_q,
+    x0 = od.solve_power_flow(case.network, case.gen_p, case.gen_q,
                              pf_tol=base.pf_tol).state
     cs = od.system_for_case(shift_load(case, bus, delta))
     state, bound_pinned = nearest_feasible_point(cs, x0)

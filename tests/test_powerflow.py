@@ -13,8 +13,8 @@ from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from opfdiag.constraints import ConstraintSystem, system_for_case
 from opfdiag.cqkit import (Classification, CostSpec, active_stack,
                           kkt_residual, licq_check)
-from opfdiag.netmodel import (AdmittanceMatrix, Bus, BusType, Case, Line,
-                              Network, admittance_stack, build_ybus, load_case)
+from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
+                              admittance_stack, build_ybus, load_case)
 from opfdiag.perturb import apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                PowerFlowError, SingularNewtonError,
@@ -22,10 +22,11 @@ from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                newton_states, pf_jacobian, pf_residual,
                                solve_power_flow, state_from_list)
 
-from netgen import injections, random_network, random_state, trial_draw
+from netgen import (dense_admittances, dense_residual, injections,
+                    random_network, random_state, trial_draw)
 
 
-def finite_difference_jacobian(net, Y, x, step=1e-6):
+def finite_difference_jacobian(net, x, step=1e-6):
     flat = x.flat()
     fd = np.zeros((2 * net.n_bus, flat.size))
     for j in range(flat.size):
@@ -33,21 +34,21 @@ def finite_difference_jacobian(net, Y, x, step=1e-6):
         up[j] += step
         dn[j] -= step
         fd[:, j] = (
-            pf_residual(net, Y, SystemState.from_flat(up))
-            - pf_residual(net, Y, SystemState.from_flat(dn))
+            pf_residual(net, SystemState.from_flat(up))
+            - pf_residual(net, SystemState.from_flat(dn))
         ) / (2.0 * step)
     return fd
 
 
 def test_residual_vanishes_at_ex1_operating_point(ex1):
     net = ex1.case.network
-    r = pf_residual(net, build_ybus(net), ex1.ground_truth)
+    r = pf_residual(net, ex1.ground_truth)
     assert np.abs(r).max() <= 1e-12
 
 
 def test_residual_zero_at_flat_no_load_profile(ex3):
     net = ex3.case.network
-    r = pf_residual(net, build_ybus(net), ex3.ground_truth)
+    r = pf_residual(net, ex3.ground_truth)
     assert np.abs(r).max() == 0.0
 
 
@@ -56,7 +57,7 @@ def test_residual_single_isolated_bus_cancels():
                              p_load=0.3, q_load=-0.2),), lines=())
     x = SystemState(p_gen=np.array([0.3]), q_gen=np.array([-0.2]),
                     v=np.array([1.0]), theta=np.array([0.0]))
-    r = pf_residual(net, build_ybus(net), x)
+    r = pf_residual(net, x)
     assert np.abs(r).max() == 0.0
 
 
@@ -64,7 +65,7 @@ def test_jacobian_reduced_columns_match_closed_form(ex1):
     # 4 flow rows over (p1, p2, q1, q2, v2, th2) at the tangent point,
     # where sin = cos = sqrt(2)/2 and v2 = sqrt(2)
     net = ex1.case.network
-    jac = pf_jacobian(net, build_ybus(net), ex1.ground_truth)
+    jac = pf_jacobian(net, ex1.ground_truth)
     reduced = jac[:, net.free_mask]
     s = math.sqrt(2.0) / 2.0
     v2 = math.sqrt(2.0)
@@ -80,7 +81,7 @@ def test_jacobian_reduced_columns_match_closed_form(ex1):
 def test_jacobian_generation_blocks_are_exact_identities(rng):
     net = random_network(4, rng)
     x = random_state(net, rng)
-    jac = pf_jacobian(net, build_ybus(net), x)
+    jac = pf_jacobian(net, x)
     n = net.n_bus
     assert np.array_equal(jac[:n, :n], np.eye(n))
     assert np.array_equal(jac[n:, n:2 * n], np.eye(n))
@@ -93,10 +94,9 @@ def test_jacobian_matches_finite_differences_100_trials():
     worst = 0.0
     for _ in range(100):
         net = random_network(3, rng)
-        Y = build_ybus(net)
         x = random_state(net, rng)
-        jac = pf_jacobian(net, Y, x)
-        fd = finite_difference_jacobian(net, Y, x)
+        jac = pf_jacobian(net, x)
+        fd = finite_difference_jacobian(net, x)
         err = np.abs(jac - fd) / np.maximum(1.0, np.abs(jac))
         worst = max(worst, err.max())
     assert worst <= 1e-6
@@ -115,26 +115,24 @@ def test_lossless_two_bus_injections_antisymmetric(v1, v2, t1, t2, b):
     net = Network(
         buses=(Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ)),
         lines=(Line(0, 1, g_series=0.0, b_series=b),))
-    p_inj, _ = injections(build_ybus(net), np.array([v1, v2]),
+    p_inj, _ = injections(net, np.array([v1, v2]),
                           np.array([t1, t2]))
     assert abs(p_inj[0] + p_inj[1]) <= 1e-12
 
 
 def test_newton_reaches_high_voltage_branch(ex1):
     net = ex1.case.network
-    sol = solve_power_flow(net, build_ybus(net), ex1.case.gen_p,
-                           ex1.case.gen_q, pf_tol=1e-10)
+    sol = solve_power_flow(net, ex1.case.gen_p, ex1.case.gen_q, pf_tol=1e-10)
     assert sol.iterations <= 10
     assert abs(sol.state.v[1] - math.sqrt(2.0)) <= 1e-9
     assert abs(sol.state.theta[1] - math.pi / 4.0) <= 1e-9
     # the post-condition re-checked through the residual path
-    assert np.abs(pf_residual(net, build_ybus(net), sol.state)).max() <= 1e-10
+    assert np.abs(pf_residual(net, sol.state)).max() <= 1e-10
 
 
 def test_newton_flat_profile_is_immediate(ex3):
     net = ex3.case.network
-    sol = solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2),
-                           pf_tol=1e-10)
+    sol = solve_power_flow(net, np.zeros(2), np.zeros(2), pf_tol=1e-10)
     assert sol.iterations <= 1
     assert np.abs(sol.state.v - 1.0).max() == 0.0
 
@@ -149,30 +147,28 @@ def test_newton_fails_beyond_transferable_power():
     # under q = p coupling the nose sits at (sqrt(2) - 1) / 2 ~ 0.2071;
     # verified by the parameter sweep below
     net = zero_load_two_bus()
-    Y = build_ybus(net)
     with pytest.raises(NonConvergenceError) as info:
-        solve_power_flow(net, Y, np.array([0.0, -2.0]), np.array([0.0, -2.0]),
+        solve_power_flow(net, np.array([0.0, -2.0]), np.array([0.0, -2.0]),
                          pf_tol=1e-10)
     assert info.value.history  # iteration trace carried in the error
     for t, expect_ok in ((0.1, True), (0.2, True), (0.25, False), (0.5, False)):
         setp = (np.array([0.0, -t]), np.array([0.0, -t]))
         if expect_ok:
-            sol = solve_power_flow(net, Y, *setp, pf_tol=1e-10)
-            assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
+            sol = solve_power_flow(net, *setp, pf_tol=1e-10)
+            assert np.abs(pf_residual(net, sol.state)).max() <= 1e-10
         else:
             with pytest.raises(NonConvergenceError):
-                solve_power_flow(net, Y, *setp, pf_tol=1e-10)
+                solve_power_flow(net, *setp, pf_tol=1e-10)
 
 
 def test_newton_result_feasible_over_random_setpoint_sweep():
     net = zero_load_two_bus()
-    Y = build_ybus(net)
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = rng.uniform(0.01, 0.15)
-        sol = solve_power_flow(net, Y, np.array([0.0, -t]),
+        sol = solve_power_flow(net, np.array([0.0, -t]),
                                np.array([0.0, -t]), pf_tol=1e-10)
-        assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
+        assert np.abs(pf_residual(net, sol.state)).max() <= 1e-10
 
 
 def test_newton_singular_matrix_flagged_as_degenerate():
@@ -190,17 +186,15 @@ def test_newton_singular_matrix_flagged_as_degenerate():
     from opfdiag.powerflow import SingularNewtonError
 
     with pytest.raises(SingularNewtonError, match="degeneracy"):
-        solve_power_flow(net, build_ybus(net), np.zeros(3), np.zeros(3),
-                         pf_tol=1e-10)
+        solve_power_flow(net, np.zeros(3), np.zeros(3), pf_tol=1e-10)
 
 
 def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
     net = pv_three_bus()
-    Y = build_ybus(net)
-    sol = solve_power_flow(net, Y, np.array([0.0, 0.3, 0.0]), np.zeros(3),
+    sol = solve_power_flow(net, np.array([0.0, 0.3, 0.0]), np.zeros(3),
                            pf_tol=1e-10)
     assert sol.state.v[1] == 1.02
-    assert np.abs(pf_residual(net, Y, sol.state)).max() <= 1e-10
+    assert np.abs(pf_residual(net, sol.state)).max() <= 1e-10
     # PV real setpoint held, reactive output recovered
     assert sol.state.p_gen[1] == 0.3
     assert sol.state.q_gen[1] != 0.0
@@ -235,10 +229,12 @@ def test_newton_path_is_pinned_bitwise(ex1, name):
         iterations = 4
         history = (0.398, 0.014447718954869557, 4.4692031818088784e-05,
                    4.430472377858763e-10, 1.2490009027033011e-15)
-        flat = [0.10149047975709251, 0.3, 0.0, -0.04776759957815857,
-                0.18271332577178667, 0.0, 1.0, 1.02, 0.9866175499500538,
+        # the generation recovered at the slack and PV buses, re-recorded
+        # when the flow residual moved onto the line list
+        flat = [0.10149047975709252, 0.3, 0.0, -0.047767599578158126,
+                0.18271332577178623, 0.0, 1.0, 1.02, 0.9866175499500538,
                 0.0, 0.013729888547051447, -0.06457711233285712]
-    sol = solve_power_flow(net, build_ybus(net), p_gen, q_gen, pf_tol=1e-10)
+    sol = solve_power_flow(net, p_gen, q_gen, pf_tol=1e-10)
     assert sol.iterations == iterations
     assert sol.history == history
     assert sol.state.flat().tolist() == flat
@@ -255,8 +251,7 @@ def test_newton_stops_at_non_finite_mismatch():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as info:
-            solve_power_flow(net, build_ybus(net), np.zeros(2), np.zeros(2),
-                             pf_tol=1e-10)
+            solve_power_flow(net, np.zeros(2), np.zeros(2), pf_tol=1e-10)
     assert isinstance(info.value, NonConvergenceError)
     assert len(info.value.history) - 1 < MAX_ITER
     assert not np.isfinite(info.value.mismatch)
@@ -278,7 +273,7 @@ def test_nonconvergence_message_text():
         "'inf']")
     net = zero_load_two_bus()
     with pytest.raises(NonConvergenceError) as info:
-        solve_power_flow(net, build_ybus(net), np.array([0.0, -2.0]),
+        solve_power_flow(net, np.array([0.0, -2.0]),
                          np.array([0.0, -2.0]), pf_tol=1e-10)
     history = info.value.history
     assert len(history) == MAX_ITER + 1
@@ -288,20 +283,22 @@ def test_nonconvergence_message_text():
         f"{['%.3e' % h for h in history]}")
 
 
-def solve_stacked(net, ys, nets, p_gen, q_gen):
-    """newton_states on the stacked trials, as (state row, outcome,
-    history row) per trial."""
+def solve_stacked(net, nets, p_gen, q_gen):
+    """newton_states on the stacked trials, one per network of ``nets``
+    (the lines of ``net`` with their own admittances and loads), as (state
+    row, outcome, history row) per trial."""
     x, outcome, errs = newton_states(
-        net, np.stack([y.G for y in ys]), np.stack([y.B for y in ys]),
+        net, np.concatenate([n.admittances[0] for n in nets]),
+        np.concatenate([n.admittances[1] for n in nets]),
         np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
         p_gen, q_gen, pf_tol=1e-10)
     return list(zip(x, outcome, errs))
 
 
-def assert_same_outcome(stacked, net, Y, p_gen, q_gen):
+def assert_same_outcome(stacked, net, p_gen, q_gen):
     x, out, errs = stacked
     try:
-        solo = solve_power_flow(net, Y, p_gen, q_gen, pf_tol=1e-10)
+        solo = solve_power_flow(net, p_gen, q_gen, pf_tol=1e-10)
     except PowerFlowError as exc:
         assert type(out) is type(exc)
         assert out.args == exc.args
@@ -328,10 +325,9 @@ def test_stacked_newton_matches_one_trial_solves(ex1, source, kind, trials):
     model = make_model(kind, case)
     nets = [apply_parameters(model, case, trial_draw(42, t, model.box)).network
             for t in range(trials)]
-    ys = [build_ybus(net) for net in nets]
-    outs = solve_stacked(case.network, ys, nets, case.gen_p, case.gen_q)
-    converged = [assert_same_outcome(out, net, y, case.gen_p, case.gen_q)
-                 for out, net, y in zip(outs, nets, ys)]
+    outs = solve_stacked(case.network, nets, case.gen_p, case.gen_q)
+    converged = [assert_same_outcome(out, net, case.gen_p, case.gen_q)
+                 for out, net in zip(outs, nets)]
     if source == "ex1":
         # the load box reaches beyond the nose curve
         assert 0 < sum(converged) < trials
@@ -342,15 +338,16 @@ def test_stacked_newton_matches_one_trial_solves(ex1, source, kind, trials):
 def test_stacked_newton_isolates_a_singular_trial():
     net = pv_three_bus()
     p_gen = np.array([0.0, 0.3, 0.0])
-    Y = build_ybus(net)
-    dead = AdmittanceMatrix(G=np.zeros((3, 3)), B=np.zeros((3, 3)))
-    ys = [Y, dead, Y, dead, Y]
-    outs = solve_stacked(net, ys, [net] * 5, p_gen, np.zeros(3))
+    # the same lines without admittance, and no shunt: Y = 0
+    dead = replace(net, lines=tuple(replace(ln, g_series=0.0, b_series=0.0)
+                                    for ln in net.lines))
+    assert not build_ybus(dead).G.any() and not build_ybus(dead).B.any()
+    outs = solve_stacked(net, [net, dead, net, dead, net], p_gen, np.zeros(3))
     for i in (1, 3):
         assert isinstance(outs[i][1], SingularNewtonError)
         assert "iteration 0" in str(outs[i][1])
     for i in (0, 2, 4):
-        assert assert_same_outcome(outs[i], net, Y, p_gen, np.zeros(3))
+        assert assert_same_outcome(outs[i], net, p_gen, np.zeros(3))
 
 
 def test_state_round_trip_through_flat_json(ex1):
@@ -398,6 +395,62 @@ def with_pv_bus(net, bus):
     return Network(buses=tuple(buses), lines=net.lines)
 
 
+def charged_lattice(doc, rng):
+    """The lattice case with a shunt at every bus and line charging on
+    every line."""
+    for bus in doc["buses"]:
+        bus["g_shunt"] = rng.uniform(0.0, 0.05)
+        bus["b_shunt"] = rng.uniform(-0.05, 0.05)
+    for ln in doc["lines"]:
+        ln["g_shunt"] = rng.uniform(0.0, 0.02)
+        ln["b_shunt"] = rng.uniform(0.0, 0.1)
+    return load_case(doc).network
+
+
+@pytest.mark.parametrize("network", ["lattice-4x5", "lattice-7x7",
+                                     "random-12", "isolated-bus", "no-lines",
+                                     "shared-lines"])
+def test_line_list_residual_matches_dense_product(lattice_document, network):
+    # Y u as the diagonal term plus per-bus sums over both directions of
+    # each line, against one complex matrix product with the dense Yc
+    rng = np.random.default_rng([29, len(network)])
+    trials = 4
+    if network == "random-12":
+        net = random_network(12, rng)
+    elif network in ("isolated-bus", "no-lines"):
+        base = random_network(6, rng)
+        lone = Bus(id=6, bus_type=BusType.PQ, g_shunt=0.2, b_shunt=-0.1)
+        with pytest.warns(UserWarning, match="not connected"):
+            net = (Network(buses=base.buses, lines=())
+                   if network == "no-lines" else
+                   Network(buses=(*base.buses, lone), lines=base.lines))
+    else:
+        rows, cols = (4, 4) if network == "shared-lines" else map(
+            int, network.split("-")[1].split("x"))
+        net = charged_lattice(lattice_document(rows, cols, 1), rng)
+    if network == "shared-lines":
+        # a leading axis of 1: every trial shares the network's admittances
+        g, b = net.admittances
+    else:
+        # per-trial series admittances and nodal shunts, the network's line
+        # charging
+        g, b = admittance_stack(
+            net, rng.uniform(0.5, 1.5, (trials, net.n_line)),
+            rng.uniform(-8.0, -4.0, (trials, net.n_line)),
+            rng.uniform(0.0, 0.1, (trials, net.n_bus)),
+            rng.uniform(-0.1, 0.1, (trials, net.n_bus)))
+    p_load = rng.uniform(-1.0, 1.0, (trials, net.n_bus))
+    q_load = rng.uniform(-1.0, 1.0, (trials, net.n_bus))
+    flats = np.array([random_state(net, rng).flat() for _ in range(trials)])
+    got = powerflow._residual(net, g + 1j * b, p_load, q_load, flats)
+    G, B = dense_admittances(net, g, b)
+    ref = dense_residual(G, B, p_load, q_load, flats)
+    assert got.shape == ref.shape == (trials, 2 * net.n_bus)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # without lines Y is diagonal, and both take d_k u_k alone
+    assert net.n_line or np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("network", [3, 20, 64, 70, "ex1", "ex2", "ex3"])
 def test_line_jacobian_matches_dense_rows(network):
     if isinstance(network, str):
@@ -411,31 +464,31 @@ def test_line_jacobian_matches_dense_rows(network):
     n_bus = net.n_bus
     trials = 3
     # per-trial series admittances, the nodal and line shunts of net
-    G, B = admittance_stack(
+    g, b = admittance_stack(
         net, rng.uniform(0.0, 2.0, (trials, net.n_line)),
         rng.uniform(-5.0, -0.5, (trials, net.n_line)),
-        np.array([[b.g_shunt for b in net.buses]]),
-        np.array([[b.b_shunt for b in net.buses]]))
+        np.array([[bus.g_shunt for bus in net.buses]]),
+        np.array([[bus.b_shunt for bus in net.buses]]))
     flats = np.array([random_state(net, rng).flat() for _ in range(trials)])
     flats[1, 2 * n_bus + n_bus // 2] = 0.0  # one v_k = 0
     if isinstance(network, str):
         # trial 0: the fixture's own admittances at its ground truth
-        Y = build_ybus(net)
-        G[0], B[0], flats[0] = Y.G, Y.B, fix.ground_truth.flat()
+        g[0], b[0] = net.admittances[0][0], net.admittances[1][0]
+        flats[0] = fix.ground_truth.flat()
     mask = net.free_mask
     rows, cols = newton_selection(net)
-    dense = _jacobian(G, B, flats)
+    dense = _jacobian(*dense_admittances(net, g, b), flats)
     for sel_rows, sel_cols, ref in (
             (rows, cols, dense[..., rows[:, None], cols]),
             (None, mask, dense.compress(mask, axis=-1))):
-        got = flow_rows(net, sel_rows, sel_cols)(G, B, flats)
+        got = flow_rows(net, sel_rows, sel_cols)(g, b, flats)
         assert got.shape == ref.shape
         assert np.isfinite(got).all()
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         # the same entries as row-major triplets: scattered on zeros they
         # are bitwise the dense storage
         r, q, values = flow_rows(net, sel_rows, sel_cols, coo=True)(
-            G, B, flats)
+            g, b, flats)
         assert (np.diff(r * got.shape[-1] + q) > 0).all()
         rebuilt = np.zeros(got.shape)
         rebuilt[:, r, q] = values
@@ -471,10 +524,17 @@ def test_flow_rows_never_build_the_dense_jacobian(
     assert calls == []
 
 
-def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
-    """Plain Newton of solve_power_flow from pf_residual, pf_jacobian and
-    np.linalg.solve: (flat state, iterations)."""
+def dense_newton(net, p_gen, q_gen, tol=1e-10):
+    """Plain Newton of solve_power_flow from the dense residual of
+    ``build_ybus`` (netgen), pf_jacobian and np.linalg.solve: (flat state,
+    iterations)."""
     n = net.n_bus
+    Y = build_ybus(net)
+
+    def residual(flat):
+        return dense_residual(Y.G[None], Y.B[None], net.p_load, net.q_load,
+                              flat[None])[0]
+
     mask = net.free_mask
     rows, cols = newton_selection(net)
     # v = 1 at PQ buses, the setpoints elsewhere; every angle at the slack's
@@ -485,15 +545,15 @@ def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
                                  [b.v_setpoint for b in net.buses])
     for it in range(MAX_ITER + 1):
         x = SystemState.from_flat(flat)
-        mis = pf_residual(net, Y, x)[rows]
+        mis = residual(flat)[rows]
         if np.abs(mis).max() <= tol:
             break
-        jac = pf_jacobian(net, Y, x)[rows[:, None], cols]
+        jac = pf_jacobian(net, x)[rows[:, None], cols]
         flat[cols] += np.linalg.solve(jac, -mis)
-    p_inj, q_inj = injections(Y, flat[2 * n:3 * n], flat[3 * n:])
-    flat[:n] = np.where(mask[3 * n:], flat[:n], p_inj + net.p_load)
-    flat[n:2 * n] = np.where(mask[2 * n:3 * n], flat[n:2 * n],
-                             q_inj + net.q_load)
+    # without generation F = -(load + injection)
+    served = -residual(np.concatenate([np.zeros(2 * n), flat[2 * n:]]))
+    flat[:n] = np.where(mask[3 * n:], flat[:n], served[:n])
+    flat[n:2 * n] = np.where(mask[2 * n:3 * n], flat[n:2 * n], served[n:])
     return flat, it
 
 
@@ -501,16 +561,15 @@ def dense_newton(net, Y, p_gen, q_gen, tol=1e-10):
 def test_line_list_side_matches_dense_reference(lattice_document, side):
     case = load_case(lattice_document(side, side, 0))
     net = case.network
-    Y = build_ybus(net)
-    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q, pf_tol=1e-10)
-    flat, iterations = dense_newton(net, Y, case.gen_p, case.gen_q)
+    sol = solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=1e-10)
+    flat, iterations = dense_newton(net, case.gen_p, case.gen_q)
     assert sol.iterations == iterations
     assert np.abs(sol.state.flat() - flat).max() <= 1e-12
 
     # the stack's flow rows against the dense Jacobian at the same point
     cs = system_for_case(case)
     a, _, _, _, mask = active_stack(cs, sol.state)
-    dense = pf_jacobian(net, Y, sol.state).compress(mask, axis=1)
+    dense = pf_jacobian(net, sol.state).compress(mask, axis=1)
     assert np.abs(a[:2 * net.n_bus] - dense).max() <= 1e-12 * np.abs(dense).max()
 
     # the case's cost leaves the row space (NONE); a planted one,
@@ -559,8 +618,7 @@ def test_cut_off_bus_still_singular_on_line_list_side(
         case = load_case(doc)
     infos = banded_solves(monkeypatch)
     with pytest.raises(SingularNewtonError):
-        solve_power_flow(case.network, build_ybus(case.network), case.gen_p,
-                         case.gen_q, pf_tol=1e-10)
+        solve_power_flow(case.network, case.gen_p, case.gen_q, pf_tol=1e-10)
     # dgbsv found the zero pivot of the cut-off bus
     assert len(infos) == 1 and infos[0][0] > 0
     path = tmp_path / "cut.json"
@@ -592,8 +650,7 @@ def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
     monkeypatch.setattr(powerflow, "SERIAL_BLAS_BUSES", serial_buses)
     case = load_case(lattice_document(8, 8, 0))
     net = case.network
-    sol = solve_power_flow(net, build_ybus(net), case.gen_p, case.gen_q,
-                           pf_tol=1e-10)
+    sol = solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=1e-10)
     assert len(seen) == sol.iterations
     assert set(seen) == {1 if expect_serial else before}
     assert get() == before
@@ -654,25 +711,24 @@ def test_banded_newton_matches_dense_reference(lattice_document, side,
     assert band is not None
     case = load_case(doc)
     net = case.network
-    Y = build_ybus(net)
-    sol = solve_power_flow(net, Y, case.gen_p, case.gen_q, pf_tol=1e-10)
-    flat, iterations = dense_newton(net, Y, case.gen_p, case.gen_q)
+    sol = solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=1e-10)
+    flat, iterations = dense_newton(net, case.gen_p, case.gen_q)
     assert sol.iterations == iterations
     assert np.abs(sol.state.flat() - flat).max() <= 1e-12
     if shuffle is not None:
         # the state of the ordered grid, bus by bus
         ordered = load_case(lattice_document(side, side, 0))
-        ref = solve_power_flow(ordered.network, build_ybus(ordered.network),
-                               ordered.gen_p, ordered.gen_q, pf_tol=1e-10)
+        ref = solve_power_flow(ordered.network, ordered.gen_p,
+                               ordered.gen_q, pf_tol=1e-10)
         at = (np.arange(4)[:, None] * net.n_bus + np.array(new)).ravel()
         assert np.abs(sol.state.flat()[at] - ref.state.flat()).max() <= 1e-12
 
     # the band storage holds the dense Newton rows and nothing else
     rows, cols, (kl, ku) = powerflow._newton_system(net)
     x = sol.state.flat()[None]
-    ab = flow_rows(net, rows, cols, (kl, ku))(Y.G[None], Y.B[None], x)
+    ab = flow_rows(net, rows, cols, (kl, ku))(*net.admittances, x)
     assert ab.shape == (1, cols.size, 2 * kl + ku + 1)
-    ref = _jacobian(Y.G[None], Y.B[None], x)[:, rows[:, None], cols]
+    ref = pf_jacobian(net, sol.state)[None, rows[:, None], cols]
     assert not ab[:, :, :kl].any()
     assert np.abs(from_band(ab, kl, ku) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -690,12 +746,11 @@ def test_singular_trial_of_a_banded_block(monkeypatch, lattice_document):
     nets[6] = replace(nets[6], lines=tuple(
         replace(ln, g_series=0.0, b_series=0.0)
         if cut in (ln.from_bus, ln.to_bus) else ln for ln in net.lines))
-    ys = [build_ybus(n) for n in nets]
     infos = banded_solves(monkeypatch)
-    stacked = solve_stacked(net, ys, nets, case.gen_p, case.gen_q)
+    stacked = solve_stacked(net, nets, case.gen_p, case.gen_q)
     assert [i for i, (_, out, _) in enumerate(stacked)
             if isinstance(out, SingularNewtonError)] == [6]
     assert sum(info > 0 for call in infos for info in call) == 1
     assert infos[0][6] > 0
-    for trial, n, y in zip(stacked, nets, ys):
-        assert_same_outcome(trial, n, y, case.gen_p, case.gen_q)
+    for trial, n in zip(stacked, nets):
+        assert_same_outcome(trial, n, case.gen_p, case.gen_q)

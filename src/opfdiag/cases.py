@@ -21,7 +21,7 @@ evaluation APIs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,12 @@ class FixtureBundle:
     expected: dict
 
 
-def _two_bus_network(p_loads=(0.0, 0.0), q_loads=(0.0, 0.0)) -> Network:
+def _two_bus_network(p_loads=(0.0, 0.0)) -> Network:
     return Network(
         buses=(
             Bus(id=0, bus_type=BusType.SLACK, p_load=p_loads[0],
-                q_load=q_loads[0], v_setpoint=1.0, theta_setpoint=0.0),
-            Bus(id=1, bus_type=BusType.PQ, p_load=p_loads[1],
-                q_load=q_loads[1]),
+                v_setpoint=1.0, theta_setpoint=0.0),
+            Bus(id=1, bus_type=BusType.PQ, p_load=p_loads[1]),
         ),
         lines=(Line(from_bus=0, to_bus=1, g_series=0.0, b_series=-1.0),),
     )
@@ -171,33 +170,17 @@ def example2() -> FixtureBundle:
     )
 
 
-def example3(net: Network | None = None) -> FixtureBundle:
-    """Flat no-load profile of a shunt-free network.
+def example3() -> FixtureBundle:
+    """Flat no-load profile of the shunt-free two-bus network.
 
     With every shunt absent, the all-ones voltage vector carries no
     current, so the flat profile with zero injections is an exact flow
     solution and series line parameters have no first-order effect on the
     residual there (the line perturbation model has rank 0).
     """
-    if net is None:
-        net = _two_bus_network()
-    for bus in net.buses:
-        if bus.g_shunt != 0.0 or bus.b_shunt != 0.0:
-            raise CaseError(
-                f"example3 requires a shunt-free network; bus {bus.id} "
-                "carries a nodal shunt")
-    for j, ln in enumerate(net.lines):
-        if ln.g_shunt != 0.0 or ln.b_shunt != 0.0:
-            raise CaseError(
-                f"example3 requires a shunt-free network; line {j} "
-                "carries a line shunt")
-    buses = tuple(replace(b, p_load=0.0, q_load=0.0,
-                          v_setpoint=1.0, theta_setpoint=0.0)
-                  for b in net.buses)
-    net = Network(buses=buses, lines=net.lines)
+    net = _two_bus_network()
     n = net.n_bus
-    case = Case(network=net, gen_p=np.zeros(n), gen_q=np.zeros(n),
-                constraint_specs=(), cost=CostTerms())
+    case = Case(network=net, gen_p=np.zeros(n), gen_q=np.zeros(n))
     ground_truth = SystemState(
         p_gen=np.zeros(n), q_gen=np.zeros(n),
         v=np.ones(n), theta=np.zeros(n),

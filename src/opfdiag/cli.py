@@ -113,8 +113,8 @@ def _add_tolerances(parser: argparse.ArgumentParser, *, stat_tol: bool) -> None:
 
 def cmd_ybus(args) -> int:
     case, _ = _load_input(args)
-    y = build_ybus(case.network)
-    _emit(y.to_dict(), args.out)
+    G, B = build_ybus(case.network)
+    _emit({"G": G.tolist(), "B": B.tolist()}, args.out)
     return EXIT_OK
 
 

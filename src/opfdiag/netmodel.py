@@ -75,7 +75,8 @@ class Network:
     exactly one slack bus, sequential 0-based bus ids, line endpoints in
     range and distinct, at most one line per unordered pair, positive
     voltage setpoints where applicable. Disconnected line graphs produce
-    a warning, not an error.
+    a warning, not an error: one breadth-first search of the line graph
+    (``components``) finds them and gives ``bus_order``.
     """
 
     buses: tuple[Bus, ...]
@@ -118,22 +119,8 @@ class Network:
                     "parallel lines must be pre-aggregated"
                 )
             seen.add(pair)
-        if n > 1 and not self._connected():
+        if len(self.components) > 1:
             warnings.warn("line graph is not connected", stacklevel=3)
-
-    def _connected(self) -> bool:
-        adj: dict[int, list[int]] = {k: [] for k in range(self.n_bus)}
-        for ln in self.lines:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.n_bus
 
     @property
     def n_bus(self) -> int:
@@ -207,21 +194,18 @@ class Network:
         return g, b
 
     @cached_property
-    def bus_order(self) -> np.ndarray:
-        """Bus ids in reverse Cuthill-McKee order of the line graph, locked.
-
-        Each connected component is searched breadth first from its bus of
-        least degree; a bus's unvisited neighbours join the queue by
-        degree, then by id. Neighbours in the graph then lie close in the
-        order however the case numbers its buses, which keeps the Newton
-        matrix banded (``powerflow.newton_states``)."""
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components of the line graph, the one graph search of
+        a network: each breadth first from its bus of least degree, taken
+        in that order, a bus's unvisited neighbours queued by degree, then
+        by id."""
         n = self.n_bus
         src, dst = self.directions[:2]
         degree = np.bincount(src, minlength=n)
         by = np.lexsort((dst, degree[dst], src))
         nbrs = [a.tolist() for a in np.split(dst[by], np.cumsum(degree)[:-1])]
         seen = [False] * n
-        visited: list[int] = []
+        found = []
         for start in np.lexsort((np.arange(n), degree)).tolist():
             if seen[start]:
                 continue
@@ -232,8 +216,17 @@ class Network:
                     if not seen[l]:
                         seen[l] = True
                         queue.append(l)
-            visited += queue
-        order = np.array(visited[::-1], dtype=int)
+            found.append(tuple(queue))
+        return tuple(found)
+
+    @cached_property
+    def bus_order(self) -> np.ndarray:
+        """Bus ids in reverse Cuthill-McKee order of the line graph, locked:
+        the breadth-first ``components`` one after another, reversed.
+        Neighbours in the graph then lie close in the order however the
+        case numbers its buses, which keeps the Newton matrix banded
+        (``powerflow.newton_states``)."""
+        order = np.array([k for comp in self.components for k in comp][::-1])
         order.setflags(write=False)
         return order
 
@@ -252,29 +245,14 @@ class LineDirections(NamedTuple):
     at: np.ndarray | slice
 
 
-@dataclass(frozen=True, eq=False)
-class AdmittanceMatrix:
-    """Nodal admittance matrix split into real parts Y = G + jB."""
-
-    G: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.G.setflags(write=False)
-        self.B.setflags(write=False)
-
-    def to_dict(self) -> dict:
-        return {"G": self.G.tolist(), "B": self.B.tolist()}
-
-
-def build_ybus(net: Network) -> AdmittanceMatrix:
-    """The nodal admittance matrix, dense: the network's line list
-    (``Network.admittances``) scattered into N x N arrays, zero off the
-    lines and the diagonal. Diagonal entries collect the nodal shunt plus,
-    over incident lines, the series admittance and half the line shunt;
-    off-diagonal entries are the negated series admittance of the
-    connecting line. The result is symmetric by construction and has exact
-    zero row sums when every shunt vanishes.
+def build_ybus(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """The nodal admittance matrix Y = G + jB, dense, as the pair (G, B):
+    the network's line list (``Network.admittances``) scattered into N x N
+    arrays, zero off the lines and the diagonal. Diagonal entries collect
+    the nodal shunt plus, over incident lines, the series admittance and
+    half the line shunt; off-diagonal entries are the negated series
+    admittance of the connecting line. The result is symmetric by
+    construction and has exact zero row sums when every shunt vanishes.
 
     Only ``opfdiag ybus`` and the dense references (``pf_jacobian``,
     ``cqkit.kkt_residual``) build it; every other path takes the line
@@ -289,7 +267,7 @@ def build_ybus(net: Network) -> AdmittanceMatrix:
         dense[ends[:, 1], ends[:, 0]] = y[0, :m]
         dense[bus, bus] = y[0, m:]
         out.append(dense)
-    return AdmittanceMatrix(G=out[0], B=out[1])
+    return out[0], out[1]
 
 
 def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
@@ -364,7 +342,6 @@ class Case:
     gen_q: np.ndarray
     constraint_specs: tuple[ConstraintSpec, ...] = ()
     cost: CostTerms = CostTerms()
-    base_mva: float | None = None
 
     def __post_init__(self) -> None:
         self.gen_p.setflags(write=False)
@@ -566,10 +543,10 @@ def load_case(text: str | bytes | dict) -> Case:
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")
     cost = _parse_cost(raw_cost, net.n_bus)
 
-    base = doc.get("base_mva")
-    if base is not None:
-        base = _number(doc, "base_mva", "$")
+    # every quantity is per-unit: the base is validated, never read
+    if doc.get("base_mva") is not None:
+        _number(doc, "base_mva", "$")
 
     return Case(network=net, gen_p=gen_p, gen_q=gen_q,
-                constraint_specs=specs, cost=cost, base_mva=base)
+                constraint_specs=specs, cost=cost)
 

@@ -114,12 +114,12 @@ class SystemState:
 
 
 # Largest bus count whose Newton solves run on one BLAS thread. OpenBLAS
-# threads the dense LU from order 100, which only a wide-band network
-# still reaches there (``_newton_system`` solves lattices from 7 x 7 up
-# banded). On two cores a Monte Carlo sweep of a meshed grid ran 5-15%
-# faster on one thread up to 256 buses and 12% slower at 576, and with the
-# second core busy every threaded call waits on a descheduled thread: 3-5x
-# slower at 64 buses. One thread also makes the Newton iterates
+# threads the dense LU from order 100, which up to here only a wide-band
+# network reaches (``_newton_system`` solves lattices from 7 x 7 up
+# banded). On 2 vCPUs a shunt sweep of a ring with N/2 random chords ran
+# 10-40% faster on one thread at 64 buses, 0-7% at 128 and 256, and 3x
+# faster with the other core busy, where each threaded call waits on a
+# descheduled thread. One thread also makes the Newton iterates
 # independent of the core count. The flow residual makes no BLAS call.
 SERIAL_BLAS_BUSES = 256
 
@@ -329,8 +329,8 @@ def pf_jacobian(net: Network, x: SystemState) -> np.ndarray:
     """
     if x.n_bus != net.n_bus:
         raise ValueError("state dimension does not match network")
-    Y = build_ybus(net)
-    return _jacobian(Y.G, Y.B, x.flat())
+    G, B = build_ybus(net)
+    return _jacobian(G, B, x.flat())
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,27 @@ def random_network(n_bus: int, rng: np.random.Generator) -> Network:
     return Network(buses=tuple(buses), lines=lines)
 
 
+def ring_network(n_bus: int, seed: int) -> Network:
+    """Shunt-free ring of ``n_bus`` buses plus n_bus / 2 seeded random
+    chords, small balanced loads and the slack at bus 0: a meshed network
+    whose Newton matrix is too wide a band to solve banded, so Newton takes
+    the dense LU."""
+    rng = np.random.default_rng([seed, n_bus])
+    pairs = {tuple(sorted((k, (k + 1) % n_bus))) for k in range(n_bus)}
+    while len(pairs) < n_bus + n_bus // 2:
+        pairs.add(tuple(sorted(rng.choice(n_bus, 2, replace=False).tolist())))
+    load = rng.uniform(-0.03, 0.03, (2, n_bus))
+    load -= load.mean(axis=1, keepdims=True)
+    buses = tuple(Bus(id=k, bus_type=BusType.SLACK if k == 0 else BusType.PQ,
+                      p_load=float(load[0, k]), q_load=float(load[1, k]))
+                  for k in range(n_bus))
+    lines = tuple(Line(from_bus=k, to_bus=l,
+                       g_series=float(rng.uniform(0.5, 1.5)),
+                       b_series=float(rng.uniform(-8.0, -4.0)))
+                  for k, l in sorted(pairs))
+    return Network(buses=buses, lines=lines)
+
+
 def random_state(net: Network, rng: np.random.Generator) -> SystemState:
     n = net.n_bus
     return SystemState(
@@ -113,7 +134,7 @@ def _bus_document(bus: Bus) -> dict:
 
 def case_document(case: Case) -> dict:
     """Serialize a case back to its document form (inverse of load_case)."""
-    doc: dict = {
+    return {
         "buses": [_bus_document(b) for b in case.network.buses],
         "lines": [
             {
@@ -144,6 +165,3 @@ def case_document(case: Case) -> dict:
             ],
         },
     }
-    if case.base_mva is not None:
-        doc["base_mva"] = case.base_mva
-    return doc

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from opfdiag.cases import EX2_ALPHA, example1, example3
+from opfdiag.cases import EX2_ALPHA, example1
 from opfdiag.constraints import build_operational, evaluate
 from opfdiag.cqkit import active_stack
-from opfdiag.netmodel import Bus, BusType, CaseError, Line, Network
+from opfdiag.netmodel import CaseError
 from opfdiag.powerflow import SystemState, pf_residual
 from netgen import case_document, reduced_rows
 
@@ -113,21 +113,6 @@ def test_ex3_flat_profile_and_variants(ex3):
         p_gen=np.zeros(2), q_gen=np.zeros(2),
         v=np.array([1.05, 1.0]), theta=np.zeros(2))
     assert np.abs(pf_residual(net, tilted)).max() > 1e-6
-
-
-def test_ex3_rejects_networks_with_shunts():
-    with_bus_shunt = Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK, b_shunt=0.1),
-               Bus(id=1, bus_type=BusType.PQ)),
-        lines=(Line(0, 1, 0.0, -1.0),))
-    with pytest.raises(CaseError, match="shunt"):
-        example3(with_bus_shunt)
-    with_line_shunt = Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK),
-               Bus(id=1, bus_type=BusType.PQ)),
-        lines=(Line(0, 1, 0.0, -1.0, g_shunt=0.0, b_shunt=0.04),))
-    with pytest.raises(CaseError, match="shunt"):
-        example3(with_line_shunt)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])

@@ -48,6 +48,24 @@ def test_ybus_malformed_case_exits_2(capsys, tmp_path):
     assert "buses[0].type" in err
 
 
+@pytest.mark.parametrize("base, valid", [
+    ("100.0", True), ("null", True),
+    ("NaN", False), ("1e400", False), ('"100"', False), ("true", False)])
+def test_unread_base_mva_is_validated(capsys, tmp_path, base, valid):
+    # every quantity is per-unit: no base is read, but one that is neither
+    # a finite number nor null is an input error
+    path = tmp_path / "one.json"
+    path.write_text('{"buses": [{"id": 0, "type": "slack", "g_shunt": 0.1}], '
+                    f'"lines": [], "base_mva": {base}}}')
+    code, out, err = run(capsys, "ybus", "--case", str(path))
+    if valid:
+        assert code == EXIT_OK
+        assert json.loads(out) == {"G": [[0.1]], "B": [[0.0]]}
+    else:
+        assert code == EXIT_INPUT
+        assert "$.base_mva: expected a finite number" in err
+
+
 def test_check_requires_an_input(capsys):
     code, _, err = run(capsys, "check")
     assert code == EXIT_INPUT

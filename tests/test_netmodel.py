@@ -24,18 +24,18 @@ def two_bus(b_series=-1.0, **bus1_kwargs):
 
 def test_ybus_two_bus_unit_susceptance():
     # hand application of the three-case entry formula
-    y = build_ybus(two_bus())
-    assert np.array_equal(y.G, np.zeros((2, 2)))
-    assert np.array_equal(y.B, np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    G, B = build_ybus(two_bus())
+    assert np.array_equal(G, np.zeros((2, 2)))
+    assert np.array_equal(B, np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
 
 def test_ybus_single_bus_shunt_only():
     net = Network(
         buses=(Bus(id=0, bus_type=BusType.SLACK, g_shunt=0.1, b_shunt=0.2),),
         lines=())
-    y = build_ybus(net)
-    assert y.G.tolist() == [[0.1]]
-    assert y.B.tolist() == [[0.2]]
+    G, B = build_ybus(net)
+    assert G.tolist() == [[0.1]]
+    assert B.tolist() == [[0.2]]
 
 
 def test_ybus_duplicate_line_rejected():
@@ -72,39 +72,39 @@ def shunt_free_networks(draw, values=admittances):
 def test_ybus_shunt_free_row_sums_exactly_zero(net):
     # exact whenever the admittance sums round nowhere, which dyadic
     # rationals of a shared scale guarantee
-    y = build_ybus(net)
+    G, B = build_ybus(net)
     ones = np.ones(net.n_bus)
-    assert np.abs(y.G @ ones).max() == 0.0
-    assert np.abs(y.B @ ones).max() == 0.0
+    assert np.abs(G @ ones).max() == 0.0
+    assert np.abs(B @ ones).max() == 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(shunt_free_networks())
 def test_ybus_shunt_free_row_sums_vanish_to_machine_precision(net):
-    y = build_ybus(net)
+    G, B = build_ybus(net)
     ones = np.ones(net.n_bus)
-    scale = max(1.0, np.abs(y.G).max(), np.abs(y.B).max())
-    assert np.abs(y.G @ ones).max() <= 4e-16 * scale * net.n_bus
-    assert np.abs(y.B @ ones).max() <= 4e-16 * scale * net.n_bus
+    scale = max(1.0, np.abs(G).max(), np.abs(B).max())
+    assert np.abs(G @ ones).max() <= 4e-16 * scale * net.n_bus
+    assert np.abs(B @ ones).max() <= 4e-16 * scale * net.n_bus
 
 
 @settings(max_examples=50, deadline=None)
 @given(shunt_free_networks())
 def test_ybus_symmetric_exactly(net):
-    y = build_ybus(net)
-    assert np.array_equal(y.G, y.G.T)
-    assert np.array_equal(y.B, y.B.T)
+    G, B = build_ybus(net)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(B, B.T)
 
 
 def test_ybus_row_sums_equal_lumped_shunts(rng):
     from opfdiag.perturb import lumped_shunts
 
     net = random_network(4, rng)
-    y = build_ybus(net)
+    G, B = build_ybus(net)
     g_lump, b_lump = lumped_shunts(net)
     ones = np.ones(net.n_bus)
-    assert np.abs(y.G @ ones - g_lump).max() <= 1e-14
-    assert np.abs(y.B @ ones - b_lump).max() <= 1e-14
+    assert np.abs(G @ ones - g_lump).max() <= 1e-14
+    assert np.abs(B @ ones - b_lump).max() <= 1e-14
 
 
 def per_line_ybus(net):
@@ -160,8 +160,9 @@ def test_admittance_stack_trials_match_per_line_sums(rng, shared_series):
         g, b = net.admittances
         assert g.tobytes() == line_list_of(net, y.real).tobytes()
         assert b.tobytes() == line_list_of(net, y.imag).tobytes()
-        assert build_ybus(net).G.tobytes() == y.real.tobytes()
-        assert build_ybus(net).B.tobytes() == y.imag.tobytes()
+        G, B = build_ybus(net)
+        assert G.tobytes() == y.real.tobytes()
+        assert B.tobytes() == y.imag.tobytes()
 
 
 def test_network_rejects_empty_bus_list():
@@ -263,12 +264,6 @@ def test_round_trip_bit_equality(ex1):
     assert case.cost == again.cost
 
 
-def test_admittance_matrix_is_read_only():
-    y = build_ybus(two_bus())
-    with pytest.raises(ValueError):
-        y.G[0, 0] = 99.0
-
-
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_load_case_rejects_nonfinite_numbers(ex1, literal):
     text = json.dumps(case_document(ex1.case)).replace(
@@ -320,12 +315,14 @@ def test_load_case_fuzzed_leaf_returns_case_or_case_error(path, value):
 
 def test_bus_order_follows_the_lines_not_the_ids():
     # the path 0 - 3 - 1 - 4 and the isolated bus 2: each component from its
-    # bus of least degree, ties by id, and the whole order reversed
+    # bus of least degree, ties by id, and the components' whole order
+    # reversed
     buses = tuple(Bus(id=k, bus_type=BusType.SLACK if k == 0 else BusType.PQ)
                   for k in range(5))
     lines = tuple(Line(from_bus=k, to_bus=l, g_series=1.0, b_series=-5.0)
                   for k, l in ((0, 3), (3, 1), (1, 4)))
     with pytest.warns(UserWarning, match="not connected"):
         net = Network(buses=buses, lines=lines)
+    assert net.components == ((2,), (0, 3, 1, 4))
     assert net.bus_order.tolist() == [4, 1, 3, 0, 2]
     assert not net.bus_order.flags.writeable

@@ -23,7 +23,7 @@ from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
                                solve_power_flow, state_from_list)
 
 from netgen import (dense_admittances, dense_residual, injections,
-                    random_network, random_state, trial_draw)
+                    random_network, random_state, ring_network, trial_draw)
 
 
 def finite_difference_jacobian(net, x, step=1e-6):
@@ -341,7 +341,8 @@ def test_stacked_newton_isolates_a_singular_trial():
     # the same lines without admittance, and no shunt: Y = 0
     dead = replace(net, lines=tuple(replace(ln, g_series=0.0, b_series=0.0)
                                     for ln in net.lines))
-    assert not build_ybus(dead).G.any() and not build_ybus(dead).B.any()
+    G, B = build_ybus(dead)
+    assert not G.any() and not B.any()
     outs = solve_stacked(net, [net, dead, net, dead, net], p_gen, np.zeros(3))
     for i in (1, 3):
         assert isinstance(outs[i][1], SingularNewtonError)
@@ -529,10 +530,10 @@ def dense_newton(net, p_gen, q_gen, tol=1e-10):
     ``build_ybus`` (netgen), pf_jacobian and np.linalg.solve: (flat state,
     iterations)."""
     n = net.n_bus
-    Y = build_ybus(net)
+    G, B = build_ybus(net)
 
     def residual(flat):
-        return dense_residual(Y.G[None], Y.B[None], net.p_load, net.q_load,
+        return dense_residual(G[None], B[None], net.p_load, net.q_load,
                               flat[None])[0]
 
     mask = net.free_mask
@@ -629,9 +630,14 @@ def test_cut_off_bus_still_singular_on_line_list_side(
     assert "singular Newton matrix" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("serial_buses, expect_serial", [(64, True), (63, False)])
+@pytest.mark.parametrize("network, serial_buses, expect_serial", [
+    pytest.param("lattice", 64, True, id="64-True"),
+    pytest.param("lattice", 63, False, id="63-False"),
+    pytest.param("ring", 64, True, id="ring-64-True"),
+    pytest.param("ring", 63, False, id="ring-63-False"),
+])
 def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
-        lattice_document, monkeypatch, serial_buses, expect_serial):
+        lattice_document, monkeypatch, network, serial_buses, expect_serial):
     fns = _blas._openblas()
     if fns is None:
         pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
@@ -641,17 +647,22 @@ def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
     solve = powerflow._newton_steps
 
     def spy(jac, rhs, band=None):
-        # the 8 x 8 lattice is solved banded
-        assert band is not None
+        # the 8 x 8 lattice is solved banded, the 64-bus ring with chords
+        # by the dense LU, which OpenBLAS threads
+        assert (band is not None) == (network == "lattice")
         seen.append(get())
         return solve(jac, rhs, band)
 
     monkeypatch.setattr(powerflow, "_newton_steps", spy)
     monkeypatch.setattr(powerflow, "SERIAL_BLAS_BUSES", serial_buses)
-    case = load_case(lattice_document(8, 8, 0))
-    net = case.network
-    sol = solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=1e-10)
-    assert len(seen) == sol.iterations
+    if network == "lattice":
+        case = load_case(lattice_document(8, 8, 0))
+        net, p_gen, q_gen = case.network, case.gen_p, case.gen_q
+    else:
+        net = ring_network(64, 0)
+        p_gen = q_gen = np.zeros(64)
+    sol = solve_power_flow(net, p_gen, q_gen, pf_tol=1e-10)
+    assert len(seen) == sol.iterations > 0
     assert set(seen) == {1 if expect_serial else before}
     assert get() == before
 

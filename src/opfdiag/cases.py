@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, system_for_case
-from .cqkit import CostSpec
-from .netmodel import (Bus, BusType, Case, CaseError, ConstraintSpec,
-                       CostTerms, Line, Network)
+from .netmodel import (ApparentPower, BoxUpper, Bus, BusType, Case, CaseError,
+                       CostSpec, ExpLoadEq, Line, LinearEq, Network,
+                       state_index)
 from .powerflow import SystemState
 
 
@@ -37,7 +37,6 @@ class FixtureBundle:
     name: str
     case: Case
     system: ConstraintSystem
-    cost: CostSpec | None
     ground_truth: SystemState
     expected: dict
 
@@ -72,24 +71,19 @@ def example1(alpha: float) -> FixtureBundle:
         raise CaseError(f"example1 requires alpha > 0, got {alpha}")
     v_bar = math.sqrt(alpha * alpha + 1.0)
     net = _two_bus_network(p_loads=(2.0 * alpha, -2.0 * alpha))
-    specs = (
-        ConstraintSpec("linear_eq", None, {
-            "terms": [
-                {"var": "q", "bus": 1, "coef": 1.0},
-                {"var": "p", "bus": 1, "coef": -alpha},
-            ],
-            "offset": 2.0 * alpha * alpha,
-        }),
-        ConstraintSpec("box_upper", {"var": "v", "bus": 1}, {"bound": v_bar}),
-    )
-    cost_terms = CostTerms(quadratic=(("p", 0, 1.0),),
-                           linear=(("p", 1, alpha),))
+    unit = np.eye(8)  # rows: the flat states' unit vectors
     case = Case(
         network=net,
         gen_p=np.array([0.0, -alpha]),
         gen_q=np.array([0.0, alpha * alpha]),
-        constraint_specs=specs,
-        cost=cost_terms,
+        constraints=(
+            LinearEq(terms=((state_index("q", 1, 2), 1.0),
+                            (state_index("p", 1, 2), -alpha)),
+                     offset=2.0 * alpha * alpha),
+            BoxUpper(index=state_index("v", 1, 2), bound=v_bar),
+        ),
+        cost=CostSpec(c2=unit[state_index("p", 0, 2)],
+                      c1=alpha * unit[state_index("p", 1, 2)]),
     )
     ground_truth = SystemState(
         p_gen=np.array([alpha, -alpha]),
@@ -110,7 +104,6 @@ def example1(alpha: float) -> FixtureBundle:
     }
     return FixtureBundle(
         name="ex1", case=case, system=system_for_case(case),
-        cost=CostSpec.from_terms(cost_terms, net.n_bus),
         ground_truth=ground_truth, expected=expected,
     )
 
@@ -135,24 +128,21 @@ def example2() -> FixtureBundle:
     of about 0.627, so it admits no multipliers.
     """
     net = _two_bus_network()
-    specs = (
-        ConstraintSpec("exp_load_eq", {"bus": 1},
-                       {"alpha": EX2_ALPHA, "p_load": EX2_P_LOAD}),
-        ConstraintSpec("apparent_power", {"bus": 1}, {"s2_max": EX2_S2_MAX}),
-    )
     v2, t2 = 1.0, math.pi / 6.0
     # generation recovered from the flow equations at (v2, t2)
     p2 = v2 * math.sin(t2)
     q2 = v2 * v2 - v2 * math.cos(t2)
     p1 = -v2 * math.sin(t2)
     q1 = 1.0 - v2 * math.cos(t2)
-    cost_terms = CostTerms(linear=(("theta", 1, 1.0),))
     case = Case(
         network=net,
         gen_p=np.array([0.0, p2]),
         gen_q=np.array([0.0, q2]),
-        constraint_specs=specs,
-        cost=cost_terms,
+        constraints=(
+            ExpLoadEq(bus=1, n_bus=2, alpha=EX2_ALPHA, p_load=EX2_P_LOAD),
+            ApparentPower(bus=1, n_bus=2, s2_max=EX2_S2_MAX),
+        ),
+        cost=CostSpec(c2=np.zeros(8), c1=np.eye(8)[state_index("theta", 1, 2)]),
     )
     ground_truth = SystemState(
         p_gen=np.array([p1, p2]),
@@ -165,7 +155,6 @@ def example2() -> FixtureBundle:
     expected = {"m": 6, "rank": 5, "residual_lower_bound": 0.1}
     return FixtureBundle(
         name="ex2", case=case, system=system_for_case(case),
-        cost=CostSpec.from_terms(cost_terms, net.n_bus),
         ground_truth=ground_truth, expected=expected,
     )
 
@@ -186,7 +175,7 @@ def example3() -> FixtureBundle:
         v=np.ones(n), theta=np.zeros(n),
     )
     return FixtureBundle(
-        name="ex3", case=case, system=system_for_case(case), cost=None,
+        name="ex3", case=case, system=system_for_case(case),
         ground_truth=ground_truth,
         expected={"line_param_rank": 0},
     )

@@ -157,9 +157,7 @@ def cmd_check(args) -> int:
         except PowerFlowError as exc:
             raise con.InfeasiblePointError(
                 f"power flow failed: {exc}") from exc
-    cost = cqkit.CostSpec.from_terms(case.cost, case.network.n_bus)
-
-    cq = cqkit.licq_check(cs, state, cost)
+    cq = cqkit.licq_check(cs, state, case.cost)
     _emit({
         "tolerances": cs.tolerances,
         "state": state.flat().tolist(),
@@ -211,7 +209,7 @@ def _repro_ex1(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     res = np.abs(pf_residual(fix.case.network, fix.ground_truth)).max()
     checks.append(("flow residual at the operating point <= 1e-12",
                    res <= 1e-12, f"|F|_inf = {res:.3e}"))
-    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.cost)
+    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.case.cost)
     kkt = cq.kkt
     checks.append((f"active stack rank {fix.expected['rank']}/{fix.expected['m']}",
                    cq.numerical_rank == fix.expected["rank"]
@@ -257,7 +255,7 @@ def _repro_ex2(fix) -> tuple[list[tuple[str, bool, str]], str, dict]:
     checks.append(("constraint values vanish at the crossing point to 1e-9",
                    abs(h_vals[0]) <= 1e-9 and abs(g_vals[0]) <= 1e-9,
                    f"h = {h_vals[0]:.3e}, g = {g_vals[0]:.3e}"))
-    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.cost)
+    cq = cqkit.licq_check(fix.system, fix.ground_truth, fix.case.cost)
     # the first p rows, the flow rows, are [I, X] over the generation
     # columns, so the rows of R are the operational gradients restricted
     # to the flow manifold

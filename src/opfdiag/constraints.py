@@ -1,9 +1,10 @@
-"""Operational constraint catalog, constraint systems and active sets.
+"""Constraint systems, feasibility and active sets.
 
-The catalog is closed: five constraint kinds, each with an exact analytic
-gradient over the full flat state. Active-set membership uses an inclusive
-tolerance rule (g_j >= -act_tol counts as active) so near-active
-constraints are swept into the rank analysis rather than silently dropped.
+A system joins a network's flow equations to the operational constraints
+of its case, objects of the closed catalog in ``netmodel`` (imported here
+under their old path). Active-set membership uses an inclusive tolerance
+rule (g_j >= -act_tol counts as active) so near-active constraints are
+swept into the rank analysis rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -13,16 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import Case, ConstraintSpec, Network
-from .powerflow import SystemState, _residual, state_index
-
-
-class ConstraintError(ValueError):
-    pass
-
-
-class VoltageDomainError(ConstraintError):
-    """Constraint evaluated outside its differentiable domain (v <= 0)."""
+from .netmodel import (ApparentPower, BoxLower, BoxUpper, Case, ConstraintError,
+                       ExpLoadEq, LinearEq, Network, VoltageDomainError)
+from .powerflow import SystemState, _residual
 
 
 class InfeasiblePointError(ConstraintError):
@@ -34,159 +28,6 @@ class InfeasiblePointError(ConstraintError):
         the feasibility test raised the error; None otherwise."""
         why = self.args[0] if self.args else None
         return why.row()[0] if isinstance(why, _WorstViolation) else None
-
-
-# ---------------------------------------------------------------------------
-# Constraint kinds
-# ---------------------------------------------------------------------------
-
-def require_positive_v(v, what: str):
-    """``v`` itself when every entry is positive; otherwise a
-    VoltageDomainError naming the first offending value."""
-    v = np.asarray(v)
-    bad = v[v <= 0.0]
-    if bad.size:
-        raise VoltageDomainError(
-            f"{what} evaluated at v = {float(bad.flat[0])}; requires v > 0")
-    return v
-
-
-# Every constraint's value and gradient take a flat state or a stack of them
-# (a leading trial axis): values come out with shape x.shape[:-1] and
-# gradients with shape x.shape.
-
-@dataclass(frozen=True)
-class BoxUpper:
-    """g(x) = x[index] - bound <= 0."""
-
-    index: int
-    bound: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        return x[..., self.index] - self.bound
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        g[..., self.index] = 1.0
-        return g
-
-
-@dataclass(frozen=True)
-class BoxLower:
-    """g(x) = bound - x[index] <= 0."""
-
-    index: int
-    bound: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        return self.bound - x[..., self.index]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        g[..., self.index] = -1.0
-        return g
-
-
-@dataclass(frozen=True)
-class LinearEq:
-    """h(x) = sum_i a_i x_i - offset = 0 with sparse coefficients."""
-
-    terms: tuple[tuple[int, float], ...]
-    offset: float = 0.0
-    is_equality: bool = True
-
-    def value(self, x: np.ndarray):
-        return sum(c * x[..., i] for i, c in self.terms) - self.offset
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        for i, c in self.terms:
-            g[..., i] += c
-        return g
-
-
-@dataclass(frozen=True)
-class ApparentPower:
-    """g(x) = p_k^2 + q_k^2 - s2_max <= 0 at one bus."""
-
-    bus: int
-    n_bus: int
-    s2_max: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        p = x[..., state_index("p", self.bus, self.n_bus)]
-        q = x[..., state_index("q", self.bus, self.n_bus)]
-        return p * p + q * q - self.s2_max
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        ip = state_index("p", self.bus, self.n_bus)
-        iq = state_index("q", self.bus, self.n_bus)
-        g[..., ip] = 2.0 * x[..., ip]
-        g[..., iq] = 2.0 * x[..., iq]
-        return g
-
-
-@dataclass(frozen=True)
-class ExpLoadEq:
-    """h(x) = q_k + alpha * (p_k - p_load - sqrt(v_k)) = 0 at one bus.
-
-    A voltage-dependent load coupling with constant power factor on the
-    non-fixed component; its domain is v_k > 0, where the square root is
-    differentiable. Outside it the value is NaN, which fails every
-    feasibility test, and the gradient, taken only at feasible points,
-    raises VoltageDomainError.
-    """
-
-    bus: int
-    n_bus: int
-    alpha: float
-    p_load: float
-    is_equality: bool = True
-
-    def value(self, x: np.ndarray):
-        v = x[..., state_index("v", self.bus, self.n_bus)]
-        p = x[..., state_index("p", self.bus, self.n_bus)]
-        q = x[..., state_index("q", self.bus, self.n_bus)]
-        root = np.sqrt(np.where(v > 0.0, v, np.nan))
-        return q + self.alpha * (p - self.p_load - root)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        v = require_positive_v(
-            x[..., state_index("v", self.bus, self.n_bus)],
-            f"voltage-dependent load at bus {self.bus}")
-        g = np.zeros(x.shape)
-        g[..., state_index("p", self.bus, self.n_bus)] = self.alpha
-        g[..., state_index("q", self.bus, self.n_bus)] = 1.0
-        g[..., state_index("v", self.bus, self.n_bus)] = -self.alpha / (2.0 * np.sqrt(v))
-        return g
-
-
-def build_operational(spec: ConstraintSpec, n_bus: int):
-    """Turn a declarative case entry into an evaluable constraint."""
-    if spec.kind == "box_upper":
-        idx = state_index(spec.target["var"], spec.target["bus"], n_bus)
-        return BoxUpper(index=idx, bound=spec.params["bound"])
-    if spec.kind == "box_lower":
-        idx = state_index(spec.target["var"], spec.target["bus"], n_bus)
-        return BoxLower(index=idx, bound=spec.params["bound"])
-    if spec.kind == "linear_eq":
-        terms = tuple(
-            (state_index(t["var"], t["bus"], n_bus), float(t["coef"]))
-            for t in spec.params["terms"]
-        )
-        return LinearEq(terms=terms, offset=float(spec.params["offset"]))
-    if spec.kind == "apparent_power":
-        return ApparentPower(bus=spec.target["bus"], n_bus=n_bus,
-                             s2_max=float(spec.params["s2_max"]))
-    if spec.kind == "exp_load_eq":
-        return ExpLoadEq(bus=spec.target["bus"], n_bus=n_bus,
-                         alpha=float(spec.params["alpha"]),
-                         p_load=float(spec.params["p_load"]))
-    raise ConstraintError(f"unknown constraint kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +93,14 @@ def _values(plan, flats: np.ndarray) -> np.ndarray:
 
 
 def system_for_case(case: Case, **tols) -> ConstraintSystem:
-    """Constraint system of a case: its flow equations plus the operational
-    constraints declared in ``case.constraint_specs``, in declaration order
-    within the equality and inequality groups."""
-    net = case.network
-    ops = [build_operational(s, net.n_bus) for s in case.constraint_specs]
+    """Constraint system of a case: its flow equations plus its operational
+    constraints, in declaration order within the equality and inequality
+    groups."""
+    ops = case.constraints
     return ConstraintSystem(
         h_ops=tuple(op for op in ops if op.is_equality),
         g_ops=tuple(op for op in ops if not op.is_equality),
-        net=net, **tols)
+        net=case.network, **tols)
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> np.ndarray:

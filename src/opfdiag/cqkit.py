@@ -7,8 +7,9 @@ sigma_max * max(m, n) * ulp_scale so the smallest singular value doubles as
 a degeneracy margin; checks read ulp_scale from ConstraintSystem.
 
 Multipliers y = (kappa, lambda, mu) solve the stationarity system
-A^T y = -grad f in the least-squares sense; the left null space of A spans
-the solution family. Sign convention: minimize f, g <= 0, mu >= 0,
+A^T y = -grad f in the least-squares sense (f a ``netmodel.CostSpec``);
+the left null space of A spans the solution family. Sign convention:
+minimize f, g <= 0, mu >= 0,
 grad f + kappa^T grad F + lambda^T grad h + mu^T grad g = 0.
 
 Both are decided on the reduced matrix R, not on A. The network's mask
@@ -40,36 +41,8 @@ import numpy as np
 
 from .constraints import (ConstraintSystem, InfeasiblePointError, active_set,
                           active_sets, as_flat_state, point_block, row_labels)
-from .netmodel import CostTerms
-from .powerflow import flow_rows, pf_jacobian, state_index
-
-
-@dataclass(frozen=True, eq=False)
-class CostSpec:
-    """Separable quadratic cost f(x) = sum_i (c2_i x_i^2 / 2 + c1_i x_i)."""
-
-    c2: np.ndarray
-    c1: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.c2.shape != self.c1.shape:
-            raise ValueError("c2 and c1 must have equal length")
-        self.c2.setflags(write=False)
-        self.c1.setflags(write=False)
-
-    @classmethod
-    def from_terms(cls, terms: CostTerms, n_bus: int) -> "CostSpec":
-        n = 4 * n_bus
-        c2 = np.zeros(n)
-        c1 = np.zeros(n)
-        for var, bus, coef in terms.quadratic:
-            c2[state_index(var, bus, n_bus)] += coef
-        for var, bus, coef in terms.linear:
-            c1[state_index(var, bus, n_bus)] += coef
-        return cls(c2=c2, c1=c1)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.c2 * x + self.c1
+from .netmodel import CostSpec
+from .powerflow import flow_rows, pf_jacobian
 
 
 def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],

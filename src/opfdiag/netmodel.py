@@ -1,4 +1,11 @@
-"""Power network data model and nodal admittance matrix construction.
+"""Power network data model, nodal admittance matrix construction and case
+documents.
+
+A case document is parsed once (``load_case``) into what a check
+evaluates: a ``Case`` holds the network, the generator setpoints, the
+operational constraints as objects of the closed catalog (``BoxUpper``,
+``BoxLower``, ``LinearEq``, ``ApparentPower``, ``ExpLoadEq``) and the cost
+as a ``CostSpec``, all over the flat state of ``state_index``.
 
 All quantities are per-unit. Complex admittances are carried as explicit
 (conductance, susceptance) pairs in every public type; complex arithmetic
@@ -305,47 +312,195 @@ def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Case documents
+# The flat state, the constraint catalog and the cost
 # ---------------------------------------------------------------------------
 
 _STATE_VARS = ("p", "q", "v", "theta")
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Declarative operational-constraint entry from a case document.
+def state_index(var: str, bus: int, n_bus: int) -> int:
+    """Flat-state index of a named entry; order is (p, q, v, theta)."""
+    if var not in _STATE_VARS:
+        raise ValueError(f"unknown state variable {var!r}")
+    if not 0 <= bus < n_bus:
+        raise ValueError(f"bus {bus} out of range for {n_bus}-bus system")
+    return _STATE_VARS.index(var) * n_bus + bus
 
-    ``kind`` is one of box_upper / box_lower / linear_eq / apparent_power /
-    exp_load_eq; ``target`` and ``params`` are kind-specific and are turned
-    into evaluable constraints by the constraints module.
+
+class ConstraintError(ValueError):
+    pass
+
+
+class VoltageDomainError(ConstraintError):
+    """Constraint evaluated outside its differentiable domain (v <= 0)."""
+
+
+def require_positive_v(v, what: str):
+    """``v`` itself when every entry is positive; otherwise a
+    VoltageDomainError naming the first offending value."""
+    v = np.asarray(v)
+    bad = v[v <= 0.0]
+    if bad.size:
+        raise VoltageDomainError(
+            f"{what} evaluated at v = {float(bad.flat[0])}; requires v > 0")
+    return v
+
+
+# The catalog is closed: five constraint kinds, each with an exact analytic
+# gradient over the full flat state. Every constraint's value and gradient
+# take a flat state or a stack of them (a leading trial axis): values come
+# out with shape x.shape[:-1] and gradients with shape x.shape.
+
+@dataclass(frozen=True)
+class BoxUpper:
+    """g(x) = x[index] - bound <= 0."""
+
+    index: int
+    bound: float
+    is_equality: bool = False
+
+    def value(self, x: np.ndarray):
+        return x[..., self.index] - self.bound
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        g = np.zeros(x.shape)
+        g[..., self.index] = 1.0
+        return g
+
+
+@dataclass(frozen=True)
+class BoxLower:
+    """g(x) = bound - x[index] <= 0."""
+
+    index: int
+    bound: float
+    is_equality: bool = False
+
+    def value(self, x: np.ndarray):
+        return self.bound - x[..., self.index]
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        g = np.zeros(x.shape)
+        g[..., self.index] = -1.0
+        return g
+
+
+@dataclass(frozen=True)
+class LinearEq:
+    """h(x) = sum_i a_i x_i - offset = 0 with sparse coefficients."""
+
+    terms: tuple[tuple[int, float], ...]
+    offset: float = 0.0
+    is_equality: bool = True
+
+    def value(self, x: np.ndarray):
+        return sum(c * x[..., i] for i, c in self.terms) - self.offset
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        g = np.zeros(x.shape)
+        for i, c in self.terms:
+            g[..., i] += c
+        return g
+
+
+@dataclass(frozen=True)
+class ApparentPower:
+    """g(x) = p_k^2 + q_k^2 - s2_max <= 0 at one bus."""
+
+    bus: int
+    n_bus: int
+    s2_max: float
+    is_equality: bool = False
+
+    def value(self, x: np.ndarray):
+        p = x[..., state_index("p", self.bus, self.n_bus)]
+        q = x[..., state_index("q", self.bus, self.n_bus)]
+        return p * p + q * q - self.s2_max
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        g = np.zeros(x.shape)
+        ip = state_index("p", self.bus, self.n_bus)
+        iq = state_index("q", self.bus, self.n_bus)
+        g[..., ip] = 2.0 * x[..., ip]
+        g[..., iq] = 2.0 * x[..., iq]
+        return g
+
+
+@dataclass(frozen=True)
+class ExpLoadEq:
+    """h(x) = q_k + alpha * (p_k - p_load - sqrt(v_k)) = 0 at one bus.
+
+    A voltage-dependent load coupling with constant power factor on the
+    non-fixed component; its domain is v_k > 0, where the square root is
+    differentiable. Outside it the value is NaN, which fails every
+    feasibility test, and the gradient, taken only at feasible points,
+    raises VoltageDomainError.
     """
 
-    kind: str
-    target: dict | None
-    params: dict
+    bus: int
+    n_bus: int
+    alpha: float
+    p_load: float
+    is_equality: bool = True
 
+    def value(self, x: np.ndarray):
+        v = x[..., state_index("v", self.bus, self.n_bus)]
+        p = x[..., state_index("p", self.bus, self.n_bus)]
+        q = x[..., state_index("q", self.bus, self.n_bus)]
+        root = np.sqrt(np.where(v > 0.0, v, np.nan))
+        return q + self.alpha * (p - self.p_load - root)
 
-@dataclass(frozen=True)
-class CostTerms:
-    """Declarative quadratic-plus-linear cost: sum of 1/2*c2*x^2 + c1*x terms."""
-
-    quadratic: tuple[tuple[str, int, float], ...] = ()
-    linear: tuple[tuple[str, int, float], ...] = ()
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        v = require_positive_v(
+            x[..., state_index("v", self.bus, self.n_bus)],
+            f"voltage-dependent load at bus {self.bus}")
+        g = np.zeros(x.shape)
+        g[..., state_index("p", self.bus, self.n_bus)] = self.alpha
+        g[..., state_index("q", self.bus, self.n_bus)] = 1.0
+        g[..., state_index("v", self.bus, self.n_bus)] = -self.alpha / (2.0 * np.sqrt(v))
+        return g
 
 
 @dataclass(frozen=True, eq=False)
+class CostSpec:
+    """Separable quadratic cost f(x) = sum_i (c2_i x_i^2 / 2 + c1_i x_i)."""
+
+    c2: np.ndarray
+    c1: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.c2.shape != self.c1.shape:
+            raise ValueError("c2 and c1 must have equal length")
+        self.c2.setflags(write=False)
+        self.c1.setflags(write=False)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.c2 * x + self.c1
+
+
+# ---------------------------------------------------------------------------
+# Case documents
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
 class Case:
-    """Validated case bundle: network, generator setpoints, declarative specs."""
+    """Validated case bundle: network, generator setpoints, the operational
+    constraints (catalog objects, in declaration order) and the cost, the
+    zero cost when none is given."""
 
     network: Network
     gen_p: np.ndarray
     gen_q: np.ndarray
-    constraint_specs: tuple[ConstraintSpec, ...] = ()
-    cost: CostTerms = CostTerms()
+    constraints: tuple = ()
+    cost: CostSpec | None = None
 
     def __post_init__(self) -> None:
         self.gen_p.setflags(write=False)
         self.gen_q.setflags(write=False)
+        if self.cost is None:
+            n = 4 * self.network.n_bus
+            object.__setattr__(self, "cost",
+                               CostSpec(c2=np.zeros(n), c1=np.zeros(n)))
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -389,72 +544,75 @@ def _int(doc: dict, key: str, path: str) -> int:
     return val
 
 
-def _var_bus(entry: dict, path: str, n_bus: int) -> tuple[str, int]:
+def _bus(doc: dict, path: str, n_bus: int) -> int:
+    bus = _int(doc, "bus", path)
+    if not 0 <= bus < n_bus:
+        raise CaseError(f"{path}.bus: bus {bus} does not exist")
+    return bus
+
+
+def _state_entry(entry: dict, path: str, n_bus: int) -> int:
+    """Flat-state index of a {var, bus} entry."""
     _expect(isinstance(entry, dict), path, "expected an object")
     var = entry.get("var")
     if var not in _STATE_VARS:
         raise CaseError(f"{path}.var: expected one of "
                         f"{'|'.join(_STATE_VARS)}, got {var!r}")
-    bus = _int(entry, "bus", path)
-    if not 0 <= bus < n_bus:
-        raise CaseError(f"{path}.bus: bus {bus} does not exist")
-    return var, bus
+    return state_index(var, _bus(entry, path, n_bus), n_bus)
 
 
-def _parse_constraint(entry: dict, idx: int, n_bus: int) -> ConstraintSpec:
+_KINDS = ("box_upper", "box_lower", "linear_eq", "apparent_power", "exp_load_eq")
+
+
+def _parse_constraint(entry: dict, idx: int, n_bus: int):
     path = f"constraints[{idx}]"
     _expect(isinstance(entry, dict), path, "expected an object")
     kind = entry.get("kind")
-    kinds = ("box_upper", "box_lower", "linear_eq", "apparent_power", "exp_load_eq")
-    if kind not in kinds:
-        raise CaseError(f"{path}.kind: expected one of {'|'.join(kinds)}, "
+    if kind not in _KINDS:
+        raise CaseError(f"{path}.kind: expected one of {'|'.join(_KINDS)}, "
                         f"got {kind!r}")
     params = entry.get("params")
     if not isinstance(params, dict):
         raise CaseError(f"{path}.params: expected an object")
     target = entry.get("target")
+    at = f"{path}.params"
 
     if kind in ("box_upper", "box_lower"):
-        var, bus = _var_bus(target, f"{path}.target", n_bus)
-        bound = _number(params, "bound", f"{path}.params")
-        return ConstraintSpec(kind, {"var": var, "bus": bus}, {"bound": bound})
+        index = _state_entry(target, f"{path}.target", n_bus)
+        box = BoxUpper if kind == "box_upper" else BoxLower
+        return box(index=index, bound=_number(params, "bound", at))
     if kind == "linear_eq":
         terms = params.get("terms")
         if not (isinstance(terms, list) and terms):
-            raise CaseError(f"{path}.params.terms: expected a non-empty array")
-        parsed = []
-        for j, term in enumerate(terms):
-            var, bus = _var_bus(term, f"{path}.params.terms[{j}]", n_bus)
-            coef = _number(term, "coef", f"{path}.params.terms[{j}]")
-            parsed.append({"var": var, "bus": bus, "coef": coef})
-        offset = _number(params, "offset", f"{path}.params", default=0.0)
-        return ConstraintSpec(kind, None, {"terms": parsed, "offset": offset})
+            raise CaseError(f"{at}.terms: expected a non-empty array")
+        parsed = tuple((_state_entry(term, f"{at}.terms[{j}]", n_bus),
+                        _number(term, "coef", f"{at}.terms[{j}]"))
+                       for j, term in enumerate(terms))
+        return LinearEq(terms=parsed,
+                        offset=_number(params, "offset", at, default=0.0))
     # apparent_power / exp_load_eq target a bus
     if not isinstance(target, dict):
         raise CaseError(f"{path}.target: expected an object")
-    bus = _int(target, "bus", f"{path}.target")
-    if not 0 <= bus < n_bus:
-        raise CaseError(f"{path}.target.bus: bus {bus} does not exist")
+    bus = _bus(target, f"{path}.target", n_bus)
     if kind == "apparent_power":
-        s2 = _number(params, "s2_max", f"{path}.params")
-        return ConstraintSpec(kind, {"bus": bus}, {"s2_max": s2})
-    alpha = _number(params, "alpha", f"{path}.params")
-    p_load = _number(params, "p_load", f"{path}.params")
-    return ConstraintSpec(kind, {"bus": bus}, {"alpha": alpha, "p_load": p_load})
+        return ApparentPower(bus=bus, n_bus=n_bus,
+                             s2_max=_number(params, "s2_max", at))
+    return ExpLoadEq(bus=bus, n_bus=n_bus, alpha=_number(params, "alpha", at),
+                     p_load=_number(params, "p_load", at))
 
 
-def _parse_cost(doc: dict, n_bus: int) -> CostTerms:
-    quad: list[tuple[str, int, float]] = []
-    lin: list[tuple[str, int, float]] = []
-    for key, sink in (("quadratic", quad), ("linear", lin)):
+def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
+    """The cost of a document: each term's coefficient added into its
+    state entry of c2 (quadratic) or c1 (linear), in document order."""
+    c2, c1 = np.zeros(4 * n_bus), np.zeros(4 * n_bus)
+    for key, sink in (("quadratic", c2), ("linear", c1)):
         entries = doc.get(key, [])
         if not isinstance(entries, list):
             raise CaseError(f"cost.{key}: expected an array")
         for j, term in enumerate(entries):
-            var, bus = _var_bus(term, f"cost.{key}[{j}]", n_bus)
-            coef = _number(term, "coef", f"cost.{key}[{j}]")
-            sink.append((var, bus, coef))
-    return CostTerms(quadratic=tuple(quad), linear=tuple(lin))
+            index = _state_entry(term, f"cost.{key}[{j}]", n_bus)
+            sink[index] += _number(term, "coef", f"cost.{key}[{j}]")
+    return CostSpec(c2=c2, c1=c1)
 
 
 # Setpoints a bus type ignores: a PQ bus's voltage is free, and Newton
@@ -464,12 +622,15 @@ _UNREAD_SETPOINTS = {"slack": (), "pv": ("theta_setpoint",),
 
 
 def load_case(text: str | bytes | dict) -> Case:
-    """Parse and validate a JSON case document.
+    """Parse and validate a JSON case document, in one pass, into the
+    objects a check evaluates (``Case``).
 
     Schema violations raise :class:`CaseError` naming the offending JSON
     path, as does a setpoint its bus type ignores (``v_setpoint`` at a PQ
     bus, ``theta_setpoint`` anywhere but the slack); network invariant
-    violations raise :class:`CaseError` naming the invariant.
+    violations raise :class:`CaseError` naming the invariant. A bus takes
+    at most one ``generators`` entry; a second one is rejected by path, as
+    parallel lines are.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -526,18 +687,22 @@ def load_case(text: str | bytes | dict) -> Case:
     gen_q = np.zeros(net.n_bus)
     raw_gens = doc.get("generators", [])
     _expect(isinstance(raw_gens, list), "generators", "expected an array")
+    with_gen = set()
     for j, entry in enumerate(raw_gens):
         path = f"generators[{j}]"
         _expect(isinstance(entry, dict), path, "expected an object")
-        bus = _int(entry, "bus", path)
-        if not 0 <= bus < net.n_bus:
-            raise CaseError(f"{path}.bus: bus {bus} does not exist")
+        bus = _bus(entry, path, net.n_bus)
+        if bus in with_gen:
+            raise CaseError(f"{path}.bus: a second generator at bus {bus}; "
+                            "generators at one bus must be pre-aggregated")
+        with_gen.add(bus)
         gen_p[bus] = _number(entry, "p", path, 0.0)
         gen_q[bus] = _number(entry, "q", path, 0.0)
 
     raw_cons = doc.get("constraints", [])
     _expect(isinstance(raw_cons, list), "constraints", "expected an array")
-    specs = tuple(_parse_constraint(e, i, net.n_bus) for i, e in enumerate(raw_cons))
+    constraints = tuple(_parse_constraint(e, i, net.n_bus)
+                        for i, e in enumerate(raw_cons))
 
     raw_cost = doc.get("cost", {})
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")
@@ -548,5 +713,5 @@ def load_case(text: str | bytes | dict) -> Case:
         _number(doc, "base_mva", "$")
 
     return Case(network=net, gen_p=gen_p, gen_q=gen_q,
-                constraint_specs=specs, cost=cost)
+                constraints=constraints, cost=cost)
 

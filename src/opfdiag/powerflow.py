@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .netmodel import BusType, CaseError, Network, build_ybus, finite_number
+from .netmodel import (BusType, CaseError, Network, build_ybus, finite_number,
+                       state_index)
 
 
 class PowerFlowError(RuntimeError):
@@ -59,16 +60,6 @@ class DivergenceError(NonConvergenceError):
 
 class SingularNewtonError(PowerFlowError):
     """Singular Newton matrix; possible degeneracy of the flow equations."""
-
-
-def state_index(var: str, bus: int, n_bus: int) -> int:
-    """Flat-state index of a named entry; order is (p, q, v, theta)."""
-    offsets = {"p": 0, "q": 1, "v": 2, "theta": 3}
-    if var not in offsets:
-        raise ValueError(f"unknown state variable {var!r}")
-    if not 0 <= bus < n_bus:
-        raise ValueError(f"bus {bus} out of range for {n_bus}-bus system")
-    return offsets[var] * n_bus + bus
 
 
 @dataclass(frozen=True, eq=False)

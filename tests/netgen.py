@@ -5,7 +5,8 @@ line-list admittances, and the reduced matrix of an active stack."""
 
 import numpy as np
 
-from opfdiag.netmodel import Bus, BusType, Case, Line, Network
+from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Bus, BusType,
+                              Case, Line, LinearEq, Network)
 from opfdiag.powerflow import SystemState, _injections
 
 
@@ -132,8 +133,69 @@ def _bus_document(bus: Bus) -> dict:
     return doc
 
 
+def all_kinds_document() -> dict:
+    """Three-bus case document with every constraint kind, a linear_eq
+    whose term repeats and a cost whose quadratic term repeats. The
+    operating point of its setpoints satisfies every constraint, and so
+    does every shunt draw: the load curve has alpha = 0, so it reads
+    q_2 = 0, a setpoint of the PQ bus, as the linear_eq reads p_2."""
+    return {
+        "buses": [{"id": 0, "type": "slack"},
+                  {"id": 1, "type": "pv", "p_load": 0.1, "v_setpoint": 1.02},
+                  {"id": 2, "type": "pq", "p_load": 0.3, "q_load": 0.1,
+                   "b_shunt": 0.05}],
+        "lines": [{"from": 0, "to": 1, "g_series": 1.0, "b_series": -8.0},
+                  {"from": 1, "to": 2, "g_series": 1.0, "b_series": -6.0},
+                  {"from": 0, "to": 2, "g_series": 0.5, "b_series": -4.0}],
+        "generators": [{"bus": 1, "p": 0.4}, {"bus": 2, "p": -0.25, "q": 0.0}],
+        "constraints": [
+            {"kind": "box_upper", "target": {"var": "v", "bus": 2},
+             "params": {"bound": 1.1}},
+            {"kind": "linear_eq", "params": {
+                "terms": [{"var": "p", "bus": 2, "coef": 1.0},
+                          {"var": "p", "bus": 2, "coef": 1.0}],
+                "offset": -0.5}},
+            {"kind": "apparent_power", "target": {"bus": 0},
+             "params": {"s2_max": 1.0}},
+            {"kind": "box_lower", "target": {"var": "v", "bus": 2},
+             "params": {"bound": 0.9}},
+            {"kind": "exp_load_eq", "target": {"bus": 2},
+             "params": {"alpha": 0.0, "p_load": 0.0}},
+        ],
+        "cost": {"quadratic": [{"var": "p", "bus": 0, "coef": 0.1},
+                               {"var": "p", "bus": 0, "coef": 0.2}],
+                 "linear": [{"var": "theta", "bus": 2, "coef": 1.0},
+                            {"var": "q", "bus": 1, "coef": 0.5}]},
+    }
+
+
+def _state_entry(index: int, n_bus: int) -> dict:
+    """The {var, bus} entry of a flat-state index (inverse of state_index)."""
+    block, bus = divmod(int(index), n_bus)
+    return {"var": ("p", "q", "v", "theta")[block], "bus": bus}
+
+
+def _constraint_document(op, n_bus: int) -> dict:
+    """A catalog object's constraints entry."""
+    if isinstance(op, (BoxUpper, BoxLower)):
+        return {"kind": "box_upper" if isinstance(op, BoxUpper) else "box_lower",
+                "target": _state_entry(op.index, n_bus),
+                "params": {"bound": op.bound}}
+    if isinstance(op, LinearEq):
+        return {"kind": "linear_eq", "target": None, "params": {
+            "terms": [{**_state_entry(i, n_bus), "coef": c} for i, c in op.terms],
+            "offset": op.offset}}
+    if isinstance(op, ApparentPower):
+        return {"kind": "apparent_power", "target": {"bus": op.bus},
+                "params": {"s2_max": op.s2_max}}
+    return {"kind": "exp_load_eq", "target": {"bus": op.bus},
+            "params": {"alpha": op.alpha, "p_load": op.p_load}}
+
+
 def case_document(case: Case) -> dict:
-    """Serialize a case back to its document form (inverse of load_case)."""
+    """Serialize a case back to its document form (inverse of load_case):
+    one cost term per nonzero entry of its CostSpec arrays."""
+    n = case.network.n_bus
     return {
         "buses": [_bus_document(b) for b in case.network.buses],
         "lines": [
@@ -149,19 +211,14 @@ def case_document(case: Case) -> dict:
         ],
         "generators": [
             {"bus": k, "p": float(case.gen_p[k]), "q": float(case.gen_q[k])}
-            for k in range(case.network.n_bus)
+            for k in range(n)
             if case.gen_p[k] != 0.0 or case.gen_q[k] != 0.0
         ],
-        "constraints": [
-            {"kind": s.kind, "target": s.target, "params": s.params}
-            for s in case.constraint_specs
-        ],
+        "constraints": [_constraint_document(op, n) for op in case.constraints],
         "cost": {
-            "quadratic": [
-                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.quadratic
-            ],
-            "linear": [
-                {"var": v, "bus": b, "coef": c} for v, b, c in case.cost.linear
-            ],
+            key: [{**_state_entry(i, n), "coef": float(coef[i])}
+                  for i in np.flatnonzero(coef)]
+            for key, coef in (("quadratic", case.cost.c2),
+                              ("linear", case.cost.c1))
         },
     }

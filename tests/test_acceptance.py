@@ -51,7 +51,7 @@ def test_criterion_1_tangent_dispatch_reproduction():
             assert cq.sigma_min <= cq.rank_tol
             assert not cq.licq_holds
 
-            kkt = kkt_solve(fix.system, fix.ground_truth, fix.cost)
+            kkt = kkt_solve(fix.system, fix.ground_truth, fix.case.cost)
             assert kkt.classification is Classification.RAY
             vertex = np.array([-alpha, -alpha, 0.0, 0.0, 0.0, 0.0])
             assert np.abs(kkt.particular - vertex).max() <= 1e-8
@@ -94,7 +94,7 @@ def test_criterion_2_crossing_pair_reproduction():
         assert not fixed.licq_holds
         assert fixed.numerical_rank == 5 and fixed.m == 6
 
-        kkt = kkt_solve(fix.system, x, fix.cost)
+        kkt = kkt_solve(fix.system, x, fix.case.cost)
         assert kkt.classification is Classification.NONE
         assert kkt.stationarity_residual >= 0.1
 
@@ -225,13 +225,13 @@ def test_criterion_6_kkt_verifier_independence():
         solves = []
 
         fix = example1(1.0)
-        solves.append((fix.system, fix.ground_truth, fix.cost))
+        solves.append((fix.system, fix.ground_truth, fix.case.cost))
 
         shifted = shift_load(fix.case, 1, +0.05)
         cs = od.system_for_case(shifted)
         state, _ = nearest_feasible_point(cs, fix.ground_truth)
         assert state is not None
-        solves.append((cs, state, fix.cost))
+        solves.append((cs, state, fix.case.cost))
 
         fix = example2()
         # a cost inside the constraint span admits multipliers

@@ -6,11 +6,12 @@ import pytest
 
 import opfdiag as od
 from opfdiag.cases import EX2_ALPHA, example1
-from opfdiag.constraints import build_operational, evaluate
+from opfdiag.constraints import evaluate
 from opfdiag.cqkit import active_stack
-from opfdiag.netmodel import CaseError
+from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, CaseError,
+                              ExpLoadEq, LinearEq, state_index)
 from opfdiag.powerflow import SystemState, pf_residual
-from netgen import case_document, reduced_rows
+from netgen import all_kinds_document, case_document, reduced_rows
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5])
@@ -123,7 +124,10 @@ def test_fixture_documents_load_back_identically(name):
     assert case.network == fix.case.network
     assert np.array_equal(case.gen_p, fix.case.gen_p)
     assert np.array_equal(case.gen_q, fix.case.gen_q)
-    assert case.constraint_specs == fix.case.constraint_specs
+    assert case.constraints == fix.case.constraints
+    for got, want in ((case.cost.c2, fix.case.cost.c2),
+                      (case.cost.c1, fix.case.cost.c1)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_builtin_rejects_unknown_name():
@@ -134,9 +138,31 @@ def test_builtin_rejects_unknown_name():
 def test_document_path_equals_programmatic_path(ex1):
     # constraints built from the serialized document behave identically
     case = od.load_case(json.dumps(case_document(ex1.case)))
-    ops = [build_operational(s, case.network.n_bus)
-           for s in case.constraint_specs]
+    assert case.constraints == ex1.case.constraints
     flat = ex1.ground_truth.flat()
-    for op, fixture_op in zip(ops, list(ex1.system.h_ops) + list(ex1.system.g_ops)):
+    for op, fixture_op in zip(case.constraints,
+                              list(ex1.system.h_ops) + list(ex1.system.g_ops)):
         assert op.value(flat) == fixture_op.value(flat)
         assert np.array_equal(op.gradient(flat), fixture_op.gradient(flat))
+
+    # every kind, a repeated linear_eq term and a repeated cost term: the
+    # objects of a hand-built case, in declaration order, and each cost
+    # entry the sum of its terms in document order
+    case = od.load_case(json.dumps(all_kinds_document()))
+    v2, p2 = state_index("v", 2, 3), state_index("p", 2, 3)
+    assert case.constraints == (
+        BoxUpper(index=v2, bound=1.1),
+        LinearEq(terms=((p2, 1.0), (p2, 1.0)), offset=-0.5),
+        ApparentPower(bus=0, n_bus=3, s2_max=1.0),
+        BoxLower(index=v2, bound=0.9),
+        ExpLoadEq(bus=2, n_bus=3, alpha=0.0, p_load=0.0))
+    c2, c1 = np.zeros(12), np.zeros(12)
+    c2[state_index("p", 0, 3)] = 0.0 + 0.1 + 0.2
+    c1[state_index("theta", 2, 3)] = 1.0
+    c1[state_index("q", 1, 3)] = 0.5
+    assert case.cost.c2.tobytes() == c2.tobytes()
+    assert case.cost.c1.tobytes() == c1.tobytes()
+    assert case.cost.c2[0] != 0.3
+    cs = od.system_for_case(case)
+    assert cs.h_ops == case.constraints[1::3]
+    assert cs.g_ops == (case.constraints[0], *case.constraints[2:4])

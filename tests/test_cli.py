@@ -13,7 +13,7 @@ from opfdiag._jsontext import dumps
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, EXIT_REPRO_MISMATCH, main)
 
-from netgen import case_document
+from netgen import all_kinds_document, case_document
 
 
 def run(capsys, *argv):
@@ -46,6 +46,16 @@ def test_ybus_malformed_case_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "ybus", "--case", str(path))
     assert code == EXIT_INPUT
     assert "buses[0].type" in err
+
+
+def test_second_generator_at_a_bus_exits_2(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    doc = all_kinds_document()
+    doc["generators"] = [{"bus": 1, "p": 0.1, "q": 0.05}, {"bus": 1, "p": 0.2}]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "generators[1].bus: a second generator at bus 1" in err
 
 
 @pytest.mark.parametrize("base, valid", [

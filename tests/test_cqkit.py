@@ -106,7 +106,7 @@ def test_check_raises_exactly_at_infeasible_points(ex1, lattice_document):
 
 
 def test_kkt_ray_at_tangent_point(ex1):
-    kkt = _checked_null_space(ex1.system, ex1.ground_truth, ex1.cost)
+    kkt = _checked_null_space(ex1.system, ex1.ground_truth, ex1.case.cost)
     assert kkt.nullspace_basis.shape == (6, 1)  # m = n = 6
     assert kkt.classification is Classification.RAY
     assert kkt.family_dim == 1
@@ -131,14 +131,14 @@ def test_kkt_unique_after_interior_load_shift(ex1):
     assert state is not None and pinned
     report = licq_check(cs, state)
     assert report.licq_holds
-    kkt = kkt_solve(cs, state, ex1.cost)
+    kkt = kkt_solve(cs, state, ex1.case.cost)
     assert kkt.classification is Classification.UNIQUE
     assert kkt.stationarity_residual <= 1e-8
     assert kkt.nullspace_basis.shape[1] == 0
 
 
 def test_kkt_none_for_probe_cost_on_tangent_pair(ex2):
-    kkt = kkt_solve(ex2.system, ex2.ground_truth, ex2.cost)
+    kkt = kkt_solve(ex2.system, ex2.ground_truth, ex2.case.cost)
     assert kkt.classification is Classification.NONE
     assert kkt.stationarity_residual >= 0.1
     # independent oracle: distance from the reduced cost gradient (0, 1)
@@ -154,7 +154,7 @@ def test_kkt_residual_confirms_ray_members(ex1):
     vertex = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     direction = np.array([0.0, -1.0, 0.0, 1.0, -1.0, math.sqrt(2.0)])
     for zeta in (0.0, 7.0):
-        resid = kkt_residual(ex1.system, ex1.ground_truth, ex1.cost,
+        resid = kkt_residual(ex1.system, ex1.ground_truth, ex1.case.cost,
                              vertex + zeta * direction)
         assert resid <= 1e-10
 
@@ -167,16 +167,16 @@ def test_kkt_residual_zero_cost_zero_multipliers(ex1):
 
 def test_kkt_residual_rejects_wrong_dimension(ex1):
     with pytest.raises(ValueError, match="stack has 6 rows"):
-        kkt_residual(ex1.system, ex1.ground_truth, ex1.cost, np.zeros(4))
+        kkt_residual(ex1.system, ex1.ground_truth, ex1.case.cost, np.zeros(4))
 
 
 def test_null_space_offsets_preserve_stationarity(ex1, rng):
-    kkt = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost)
+    kkt = kkt_solve(ex1.system, ex1.ground_truth, ex1.case.cost)
     base = kkt.stationarity_residual
     for _ in range(10):
         z = rng.uniform(-1.0, 1.0, kkt.nullspace_basis.shape[1])
         y = kkt.particular + kkt.nullspace_basis @ z
-        resid = kkt_residual(ex1.system, ex1.ground_truth, ex1.cost, y)
+        resid = kkt_residual(ex1.system, ex1.ground_truth, ex1.case.cost, y)
         assert resid <= 1e-8 + 1e-12
         assert abs(resid - base) <= 1e-12
 
@@ -184,9 +184,10 @@ def test_null_space_offsets_preserve_stationarity(ex1, rng):
 def test_cost_scaling_scales_multipliers(ex1):
     # the stationarity test is relative to the cost gradient, so a scaled
     # cost keeps its classification (at 1e8 the residual is 1.2e-7)
-    kkt1 = kkt_solve(ex1.system, ex1.ground_truth, ex1.cost)
+    cost = ex1.case.cost
+    kkt1 = kkt_solve(ex1.system, ex1.ground_truth, cost)
     for factor in (3.7, 1e8):
-        scaled = CostSpec(c2=factor * ex1.cost.c2, c1=factor * ex1.cost.c1)
+        scaled = CostSpec(c2=factor * cost.c2, c1=factor * cost.c1)
         kkt2 = kkt_solve(ex1.system, ex1.ground_truth, scaled)
         assert kkt2.classification is kkt1.classification
         scale = factor * np.abs(kkt1.particular).max()
@@ -287,23 +288,22 @@ def _reduced_cases(ex1, ex2, lattice_document):
     pinned = replace(ex1.system, h_ops=(*ex1.system.h_ops, LinearEq(
         terms=((0, 1.0),), offset=float(ex1.ground_truth.p_gen[0]))))
     return [
-        ("ex1", ex1.system, ex1.ground_truth, ex1.cost, Classification.RAY),
-        ("ex1-shifted", shifted, shifted_x, ex1.cost, Classification.UNIQUE),
-        ("ex2", ex2.system, ex2.ground_truth, ex2.cost, Classification.NONE),
+        ("ex1", ex1.system, ex1.ground_truth, ex1.case.cost,
+         Classification.RAY),
+        ("ex1-shifted", shifted, shifted_x, ex1.case.cost,
+         Classification.UNIQUE),
+        ("ex2", ex2.system, ex2.ground_truth, ex2.case.cost,
+         Classification.NONE),
         ("family", tripled, ex1.ground_truth,
          _planted(tripled, ex1.ground_truth, np.random.default_rng(3)),
          Classification.FAMILY),
         ("no-rows", _no_operational(ex1), ex1.ground_truth,
          CostSpec(c2=np.zeros(8), c1=np.zeros(8)), Classification.UNIQUE),
-        ("lattice", lattice, lattice_x,
-         CostSpec.from_terms(case.cost, case.network.n_bus),
-         Classification.NONE),
-        ("lattice-6x6", big_lattice, big_x,
-         CostSpec.from_terms(big.cost, big.network.n_bus),
-         Classification.NONE),
+        ("lattice", lattice, lattice_x, case.cost, Classification.NONE),
+        ("lattice-6x6", big_lattice, big_x, big.cost, Classification.NONE),
         ("netgen-flow", flow, flow_x, _planted(flow, flow_x, rng),
          Classification.UNIQUE),
-        ("ex1-pinned-gen", pinned, ex1.ground_truth, ex1.cost,
+        ("ex1-pinned-gen", pinned, ex1.ground_truth, ex1.case.cost,
          Classification.RAY),
     ]
 
@@ -432,7 +432,7 @@ def test_licq_holds_implies_unique_or_none(ex1):
                            np.array([0.0, 0.5]), pf_tol=1e-10)
     report = licq_check(ex1.system, sol.state)
     assert report.licq_holds
-    kkt = kkt_solve(ex1.system, sol.state, ex1.cost)
+    kkt = kkt_solve(ex1.system, sol.state, ex1.case.cost)
     assert kkt.classification in (Classification.UNIQUE, Classification.NONE)
 
 
@@ -484,7 +484,7 @@ def test_family_classification_for_higher_nullity(ex1):
 
 def test_costed_check_matches_values_only_check(ex1):
     plain = licq_check(ex1.system, ex1.ground_truth)
-    costed = licq_check(ex1.system, ex1.ground_truth, ex1.cost)
+    costed = licq_check(ex1.system, ex1.ground_truth, ex1.case.cost)
     assert plain.kkt is None
     assert costed.kkt.classification is Classification.RAY
     a, b = plain.to_dict(), costed.to_dict()
@@ -615,8 +615,7 @@ def _sparse_cases(ex1, ex2, ex3, lattice_document):
             ("lattice-bands", _bands_only(lattice_document(6, 6, 0)))):
         points.append((name, *_lattice_point(doc)))
     # each case's own cost, as ``check`` reads it
-    return [(name, cs, x, CostSpec.from_terms(case.cost, case.network.n_bus))
-            for name, case, cs, x in points]
+    return [(name, cs, x, case.cost) for name, case, cs, x in points]
 
 
 def _dense_stack(cs, x, face):
@@ -676,10 +675,9 @@ def test_costed_check_without_reduced_rows_holds_no_dense_stack(
     # a 24x24 lattice: a costed check whose R has no rows keeps its stack
     # as triplets and allocates no dense 1152 x 2302 stack (21 MB)
     case, cs, x = _lattice_point(_bands_only(lattice_document(24, 24, 0)))
-    cost = CostSpec.from_terms(case.cost, case.network.n_bus)
     tracemalloc.start()
     try:
-        report = licq_check(cs, x, cost)
+        report = licq_check(cs, x, case.cost)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

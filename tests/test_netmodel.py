@@ -11,7 +11,7 @@ from opfdiag.cases import example1
 from opfdiag.netmodel import (Bus, BusType, Case, CaseError, Line, Network,
                               build_ybus, load_case)
 
-from netgen import case_document, random_network
+from netgen import all_kinds_document, case_document, random_network
 
 
 def two_bus(b_series=-1.0, **bus1_kwargs):
@@ -253,15 +253,150 @@ def test_load_case_rejects_invalid_json():
         load_case("{not json")
 
 
+MISSING = object()
+KINDS = "box_upper|box_lower|linear_eq|apparent_power|exp_load_eq"
+# (path into all_kinds_document, new value or MISSING, CaseError text);
+# constraints[0] is box_upper, [1] linear_eq, [2] apparent_power,
+# [3] box_lower, [4] exp_load_eq
+ENTRY_ERRORS = [
+    (("constraints",), {}, "constraints: expected an array"),
+    (("constraints", 0), [], "constraints[0]: expected an object"),
+    (("constraints", 0, "kind"), MISSING,
+     f"constraints[0].kind: expected one of {KINDS}, got None"),
+    (("constraints", 3, "kind"), "box",
+     f"constraints[3].kind: expected one of {KINDS}, got 'box'"),
+    (("constraints", 0, "params"), MISSING,
+     "constraints[0].params: expected an object"),
+    (("constraints", 4, "params"), [1], "constraints[4].params: expected an object"),
+    (("constraints", 0, "target"), None, "constraints[0].target: expected an object"),
+    (("constraints", 0, "target", "var"), MISSING,
+     "constraints[0].target.var: expected one of p|q|v|theta, got None"),
+    (("constraints", 3, "target", "var"), "w",
+     "constraints[3].target.var: expected one of p|q|v|theta, got 'w'"),
+    (("constraints", 0, "target", "bus"), MISSING,
+     "constraints[0].target.bus: required integer is missing"),
+    (("constraints", 3, "target", "bus"), 1.0,
+     "constraints[3].target.bus: expected an integer, got 1.0"),
+    (("constraints", 0, "target", "bus"), 3,
+     "constraints[0].target.bus: bus 3 does not exist"),
+    (("constraints", 3, "target", "bus"), -1,
+     "constraints[3].target.bus: bus -1 does not exist"),
+    (("constraints", 0, "params", "bound"), MISSING,
+     "constraints[0].params.bound: required number is missing"),
+    (("constraints", 3, "params", "bound"), "1",
+     "constraints[3].params.bound: expected a finite number, got '1'"),
+    (("constraints", 0, "params", "bound"), float("nan"),
+     "constraints[0].params.bound: expected a finite number, got nan"),
+    (("constraints", 1, "params", "terms"), MISSING,
+     "constraints[1].params.terms: expected a non-empty array"),
+    (("constraints", 1, "params", "terms"), [],
+     "constraints[1].params.terms: expected a non-empty array"),
+    (("constraints", 1, "params", "terms", 1), "p",
+     "constraints[1].params.terms[1]: expected an object"),
+    (("constraints", 1, "params", "terms", 1, "var"), "P",
+     "constraints[1].params.terms[1].var: expected one of p|q|v|theta, got 'P'"),
+    (("constraints", 1, "params", "terms", 0, "bus"), True,
+     "constraints[1].params.terms[0].bus: expected an integer, got True"),
+    (("constraints", 1, "params", "terms", 0, "bus"), 7,
+     "constraints[1].params.terms[0].bus: bus 7 does not exist"),
+    (("constraints", 1, "params", "terms", 1, "coef"), MISSING,
+     "constraints[1].params.terms[1].coef: required number is missing"),
+    (("constraints", 1, "params", "terms", 0, "coef"), None,
+     "constraints[1].params.terms[0].coef: expected a finite number, got None"),
+    (("constraints", 1, "params", "offset"), None,
+     "constraints[1].params.offset: expected a finite number, got None"),
+    (("constraints", 1, "params", "offset"), float("inf"),
+     "constraints[1].params.offset: expected a finite number, got inf"),
+    (("constraints", 2, "target"), MISSING,
+     "constraints[2].target: expected an object"),
+    (("constraints", 4, "target"), [2], "constraints[4].target: expected an object"),
+    (("constraints", 2, "target", "bus"), MISSING,
+     "constraints[2].target.bus: required integer is missing"),
+    (("constraints", 4, "target", "bus"), 3,
+     "constraints[4].target.bus: bus 3 does not exist"),
+    (("constraints", 2, "params", "s2_max"), MISSING,
+     "constraints[2].params.s2_max: required number is missing"),
+    (("constraints", 2, "params", "s2_max"), [1.0],
+     "constraints[2].params.s2_max: expected a finite number, got [1.0]"),
+    (("constraints", 4, "params", "alpha"), MISSING,
+     "constraints[4].params.alpha: required number is missing"),
+    (("constraints", 4, "params", "alpha"), False,
+     "constraints[4].params.alpha: expected a finite number, got False"),
+    (("constraints", 4, "params", "p_load"), MISSING,
+     "constraints[4].params.p_load: required number is missing"),
+    (("constraints", 4, "params", "p_load"), "x",
+     "constraints[4].params.p_load: expected a finite number, got 'x'"),
+    (("cost",), [], "cost: expected an object"),
+    (("cost", "quadratic"), {}, "cost.quadratic: expected an array"),
+    (("cost", "linear"), None, "cost.linear: expected an array"),
+    (("cost", "quadratic", 1), 0.2, "cost.quadratic[1]: expected an object"),
+    (("cost", "linear", 0, "var"), "x",
+     "cost.linear[0].var: expected one of p|q|v|theta, got 'x'"),
+    (("cost", "quadratic", 0, "bus"), MISSING,
+     "cost.quadratic[0].bus: required integer is missing"),
+    (("cost", "linear", 1, "bus"), 3, "cost.linear[1].bus: bus 3 does not exist"),
+    (("cost", "quadratic", 1, "coef"), MISSING,
+     "cost.quadratic[1].coef: required number is missing"),
+    (("cost", "linear", 0, "coef"), "1",
+     "cost.linear[0].coef: expected a finite number, got '1'"),
+    (("generators",), {}, "generators: expected an array"),
+    (("generators", 0), 1, "generators[0]: expected an object"),
+    (("generators", 0, "bus"), MISSING,
+     "generators[0].bus: required integer is missing"),
+    (("generators", 1, "bus"), "2",
+     "generators[1].bus: expected an integer, got '2'"),
+    (("generators", 1, "bus"), 3, "generators[1].bus: bus 3 does not exist"),
+    (("generators", 0, "p"), None,
+     "generators[0].p: expected a finite number, got None"),
+    (("generators", 1, "q"), "0",
+     "generators[1].q: expected a finite number, got '0'"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", ENTRY_ERRORS,
+                         ids=[m.split(":")[0] for _, _, m in ENTRY_ERRORS])
+def test_load_case_entry_error_text(path, value, message):
+    doc = all_kinds_document()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_round_trip_bit_equality(ex1):
-    doc = case_document(ex1.case)
+    # the all-kinds document repeats a linear_eq term and a cost term: its
+    # case serializes the summed cost entry, which loads back bit for bit
+    for doc in (case_document(ex1.case), all_kinds_document()):
+        case = load_case(json.dumps(doc))
+        again = load_case(json.dumps(case_document(case)))
+        assert case.network == again.network
+        assert np.array_equal(case.gen_p, again.gen_p)
+        assert np.array_equal(case.gen_q, again.gen_q)
+        assert case.constraints == again.constraints
+        for got, want in ((again.cost.c2, case.cost.c2),
+                          (again.cost.c1, case.cost.c1)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_load_case_rejects_a_second_generator_at_a_bus():
+    # one generators entry per bus, as one line per bus pair: a repeat
+    # would replace the first entry, its unstated q included
+    doc = all_kinds_document()
+    doc["generators"] = [{"bus": 1, "p": 0.1, "q": 0.05}, {"bus": 1, "p": 0.2}]
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == ("generators[1].bus: a second generator at bus 1; "
+                              "generators at one bus must be pre-aggregated")
+    doc["generators"] = [{"bus": 1, "p": 0.1, "q": 0.05}, {"bus": 2, "p": 0.2}]
     case = load_case(json.dumps(doc))
-    again = load_case(json.dumps(case_document(case)))
-    assert case.network == again.network
-    assert np.array_equal(case.gen_p, again.gen_p)
-    assert np.array_equal(case.gen_q, again.gen_q)
-    assert case.constraint_specs == again.constraint_specs
-    assert case.cost == again.cost
+    assert case.gen_p.tolist() == [0.0, 0.1, 0.2]
+    assert case.gen_q.tolist() == [0.0, 0.05, 0.0]
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -10,7 +10,7 @@ import opfdiag as od
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
-from opfdiag.netmodel import Case, ConstraintSpec
+from opfdiag.netmodel import BoxLower, BoxUpper, Case, state_index
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              TrialRecord, _draws, _generate_state,
                              _pcg64_seeded, _seed_pool, apply_parameters,
@@ -379,11 +379,10 @@ def band_case():
     case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5))
     v = od.solve_power_flow(net, case.gen_p,
                             case.gen_q, pf_tol=1e-10).state.v[2]
-    specs = (ConstraintSpec("box_upper", {"var": "v", "bus": 2},
-                            {"bound": float(v) + 0.002}),
-             ConstraintSpec("box_lower", {"var": "v", "bus": 2},
-                            {"bound": float(v) - 0.002}))
-    return replace(case, constraint_specs=specs), {"act_tol": 0.004}
+    at = state_index("v", 2, 5)
+    band = (BoxUpper(index=at, bound=float(v) + 0.002),
+            BoxLower(index=at, bound=float(v) - 0.002))
+    return replace(case, constraints=band), {"act_tol": 0.004}
 
 
 @pytest.mark.parametrize("source", ["ex1", "band"])

@@ -577,8 +577,7 @@ def test_line_list_side_matches_dense_reference(lattice_document, side):
     # c1 = -A^T y, makes the point a KKT point (UNIQUE)
     planted = np.zeros(mask.size)
     planted[mask] = -a.T @ np.random.default_rng(side).standard_normal(len(a))
-    costs = (CostSpec.from_terms(case.cost, net.n_bus),
-             CostSpec(c2=np.zeros(mask.size), c1=planted))
+    costs = (case.cost, CostSpec(c2=np.zeros(mask.size), c1=planted))
     got = [licq_check(cs, sol.state, cost) for cost in costs]
     # the same checks at the state of the dense Newton reference
     ref_state = SystemState.from_flat(flat)

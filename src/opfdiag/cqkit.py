@@ -46,13 +46,19 @@ from .powerflow import flow_rows, pf_jacobian
 
 
 def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
-                     ulp_scale: float) -> tuple[int, float, float]:
+                     ulp_scale: float):
     """Rank, sigma_min and tolerance sigma_max * max(m, n) * ulp_scale from
-    the descending singular values of an m x n matrix (0, inf, 0 if empty)."""
-    if svals.size == 0:
-        return 0, np.inf, 0.0
-    tol = float(svals[0] * max(shape) * ulp_scale) if svals[0] > 0 else 0.0
-    return int((svals > tol).sum()), float(svals[-1]), tol
+    the descending singular values of an m x n matrix (0, inf, 0 if empty).
+    For a stack of k such matrices (``svals`` k x s) the three are lists of
+    k values, each the value of its row alone."""
+    if svals.shape[-1] == 0:
+        k = svals.shape[:-1]
+        return (np.zeros(k, int).tolist(), np.full(k, np.inf).tolist(),
+                np.zeros(k).tolist())
+    top = svals[..., 0]
+    tol = np.where(top > 0, top * max(shape) * ulp_scale, 0.0)
+    rank = (svals > tol[..., None]).sum(axis=-1)
+    return rank.tolist(), svals[..., -1].tolist(), tol.tolist()
 
 
 def numerical_rank(matrix: np.ndarray, *,
@@ -287,9 +293,10 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
         # singular values of diag(I_p, R), descending
         merged = np.sort(np.concatenate((np.ones((k, p)), svals), axis=1),
                          axis=1)[:, ::-1]
-        for j, i in enumerate(points):
-            rank, smin, tol = _rank_from_svals(merged[j], (m, n),
-                                               cs.rank_ulp_scale)
+        ranks, smins, tols = _rank_from_svals(merged, (m, n),
+                                              cs.rank_ulp_scale)
+        for j, (i, rank, smin, tol) in enumerate(zip(points, ranks, smins,
+                                                     tols)):
             kkt = None
             if cost is not None:
                 if r:

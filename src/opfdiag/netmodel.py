@@ -551,9 +551,52 @@ def _bus(doc: dict, path: str, n_bus: int) -> int:
     return bus
 
 
-def _state_entry(entry: dict, path: str, n_bus: int) -> int:
-    """Flat-state index of a {var, bus} entry."""
+_TOP_KEYS = frozenset(("buses", "lines", "generators", "constraints",
+                       "cost", "base_mva"))
+_BUS_KEYS = frozenset(("id", "type", "p_load", "q_load", "g_shunt",
+                       "b_shunt", "v_setpoint", "theta_setpoint"))
+_LINE_KEYS = frozenset(("from", "to", "g_series", "b_series", "g_shunt",
+                        "b_shunt"))
+_GEN_KEYS = frozenset(("bus", "p", "q"))
+_CONSTRAINT_KEYS = frozenset(("kind", "target", "params"))
+_COST_KEYS = frozenset(("quadratic", "linear"))
+_STATE_KEYS = frozenset(("var", "bus"))
+_TERM_KEYS = frozenset(("var", "bus", "coef"))
+_BUS_TARGET_KEYS = frozenset(("bus",))
+# the constraint kinds and the params of each
+_PARAMS_KEYS = {"box_upper": frozenset(("bound",)),
+                "box_lower": frozenset(("bound",)),
+                "linear_eq": frozenset(("terms", "offset")),
+                "apparent_power": frozenset(("s2_max",)),
+                "exp_load_eq": frozenset(("alpha", "p_load"))}
+
+
+def _reject_unknown(entry: dict, known: frozenset, path: str) -> None:
+    """Raise on the first key of the object ``entry`` at ``path`` outside
+    ``known``: a misspelled key would otherwise leave its value unread.
+    Callers test ``known.issuperset(entry)`` first, inline: a case of N
+    buses has O(N) objects."""
+    key = next(k for k in entry if k not in known)
+    raise CaseError(f"{path}.{key}: unknown key; expected one of "
+                    f"{'|'.join(sorted(known))}")
+
+
+def _known_item_keys(items: list, known: frozenset, path: str) -> None:
+    """Reject an unknown key of any object of the array ``items`` at
+    ``path``: one set operation over all their keys."""
+    if not set().union(*items) <= known:
+        for j, item in enumerate(items):
+            if not known.issuperset(item):
+                _reject_unknown(item, known, f"{path}[{j}]")
+
+
+def _state_entry(entry: dict, path: str, n_bus: int,
+                 known=_STATE_KEYS) -> int:
+    """Flat-state index of a {var, bus} entry; ``known`` are the keys it
+    may hold."""
     _expect(isinstance(entry, dict), path, "expected an object")
+    if not known.issuperset(entry):
+        _reject_unknown(entry, known, path)
     var = entry.get("var")
     if var not in _STATE_VARS:
         raise CaseError(f"{path}.var: expected one of "
@@ -561,7 +604,7 @@ def _state_entry(entry: dict, path: str, n_bus: int) -> int:
     return state_index(var, _bus(entry, path, n_bus), n_bus)
 
 
-_KINDS = ("box_upper", "box_lower", "linear_eq", "apparent_power", "exp_load_eq")
+_KINDS = tuple(_PARAMS_KEYS)
 
 
 def _parse_constraint(entry: dict, idx: int, n_bus: int):
@@ -576,16 +619,22 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int):
         raise CaseError(f"{path}.params: expected an object")
     target = entry.get("target")
     at = f"{path}.params"
+    if not _PARAMS_KEYS[kind].issuperset(params):
+        _reject_unknown(params, _PARAMS_KEYS[kind], at)
 
     if kind in ("box_upper", "box_lower"):
         index = _state_entry(target, f"{path}.target", n_bus)
         box = BoxUpper if kind == "box_upper" else BoxLower
         return box(index=index, bound=_number(params, "bound", at))
     if kind == "linear_eq":
+        if target is not None:
+            raise CaseError(f"{path}.target: a linear_eq takes no target; "
+                            "its terms name the state entries")
         terms = params.get("terms")
         if not (isinstance(terms, list) and terms):
             raise CaseError(f"{at}.terms: expected a non-empty array")
-        parsed = tuple((_state_entry(term, f"{at}.terms[{j}]", n_bus),
+        parsed = tuple((_state_entry(term, f"{at}.terms[{j}]", n_bus,
+                                     _TERM_KEYS),
                         _number(term, "coef", f"{at}.terms[{j}]"))
                        for j, term in enumerate(terms))
         return LinearEq(terms=parsed,
@@ -593,6 +642,8 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int):
     # apparent_power / exp_load_eq target a bus
     if not isinstance(target, dict):
         raise CaseError(f"{path}.target: expected an object")
+    if not _BUS_TARGET_KEYS.issuperset(target):
+        _reject_unknown(target, _BUS_TARGET_KEYS, f"{path}.target")
     bus = _bus(target, f"{path}.target", n_bus)
     if kind == "apparent_power":
         return ApparentPower(bus=bus, n_bus=n_bus,
@@ -604,13 +655,15 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int):
 def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
     """The cost of a document: each term's coefficient added into its
     state entry of c2 (quadratic) or c1 (linear), in document order."""
+    if not _COST_KEYS.issuperset(doc):
+        _reject_unknown(doc, _COST_KEYS, "cost")
     c2, c1 = np.zeros(4 * n_bus), np.zeros(4 * n_bus)
     for key, sink in (("quadratic", c2), ("linear", c1)):
         entries = doc.get(key, [])
         if not isinstance(entries, list):
             raise CaseError(f"cost.{key}: expected an array")
         for j, term in enumerate(entries):
-            index = _state_entry(term, f"cost.{key}[{j}]", n_bus)
+            index = _state_entry(term, f"cost.{key}[{j}]", n_bus, _TERM_KEYS)
             sink[index] += _number(term, "coef", f"cost.{key}[{j}]")
     return CostSpec(c2=c2, c1=c1)
 
@@ -640,6 +693,8 @@ def load_case(text: str | bytes | dict) -> Case:
     else:
         doc = text
     _expect(isinstance(doc, dict), "$", "expected a JSON object")
+    if not _TOP_KEYS.issuperset(doc):
+        _reject_unknown(doc, _TOP_KEYS, "$")
 
     raw_buses = doc.get("buses")
     _expect(isinstance(raw_buses, list) and raw_buses, "buses",
@@ -665,6 +720,7 @@ def load_case(text: str | bytes | dict) -> Case:
             v_setpoint=_number(entry, "v_setpoint", path, 1.0),
             theta_setpoint=_number(entry, "theta_setpoint", path, 0.0),
         ))
+    _known_item_keys(raw_buses, _BUS_KEYS, "buses")
 
     raw_lines = doc.get("lines", [])
     _expect(isinstance(raw_lines, list), "lines", "expected an array")
@@ -680,6 +736,7 @@ def load_case(text: str | bytes | dict) -> Case:
             g_shunt=_number(entry, "g_shunt", path, 0.0),
             b_shunt=_number(entry, "b_shunt", path, 0.0),
         ))
+    _known_item_keys(raw_lines, _LINE_KEYS, "lines")
 
     net = Network(buses=tuple(buses), lines=tuple(lines))
 
@@ -698,11 +755,13 @@ def load_case(text: str | bytes | dict) -> Case:
         with_gen.add(bus)
         gen_p[bus] = _number(entry, "p", path, 0.0)
         gen_q[bus] = _number(entry, "q", path, 0.0)
+    _known_item_keys(raw_gens, _GEN_KEYS, "generators")
 
     raw_cons = doc.get("constraints", [])
     _expect(isinstance(raw_cons, list), "constraints", "expected an array")
     constraints = tuple(_parse_constraint(e, i, net.n_bus)
                         for i, e in enumerate(raw_cons))
+    _known_item_keys(raw_cons, _CONSTRAINT_KEYS, "constraints")
 
     raw_cost = doc.get("cost", {})
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")

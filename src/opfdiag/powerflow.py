@@ -58,6 +58,11 @@ class DivergenceError(NonConvergenceError):
     """Newton mismatch became non-finite; the iteration stopped there."""
 
 
+class StalledNewtonError(NonConvergenceError):
+    """Newton mismatch set no new least value for ``STALL_STEPS`` steps;
+    the iteration stopped there."""
+
+
 class SingularNewtonError(PowerFlowError):
     """Singular Newton matrix; possible degeneracy of the flow equations."""
 
@@ -333,6 +338,14 @@ class PFSolution:
 
 # Newton step budget of newton_states, per trial.
 MAX_ITER = 50
+# Steps without a new least mismatch after which newton_states stops a
+# trial as stalled (the start is step 0). Of more than 40 000 converged
+# trials (ex1 load, shunt and line sweeps, ex2, ex3, the 8 x 8 shunt grid,
+# random, ring and lattice networks up to 12 x 12 with loads up to 400x)
+# none went more than 3 steps without one; the worst, ex1 shunt seed 0
+# trial 805, reads 1.10, 3.57, 2.52, 1.18, 0.18 and converges at step 9.
+# Every trial that failed to converge there reached 5 by step 34.
+STALL_STEPS = 5
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray,
@@ -425,6 +438,15 @@ def newton_states(
     and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
     i's last iteration).
 
+    A trial fails with ``DivergenceError`` at a non-finite mismatch, with
+    ``SingularNewtonError`` at a singular Newton matrix, with
+    ``StalledNewtonError`` when ``STALL_STEPS`` steps in a row set no new
+    least mismatch (a load past the nose of the flow curve, or a mismatch
+    at its rounding floor above ``pf_tol``), and with a plain
+    ``NonConvergenceError`` after ``MAX_ITER`` steps. The stall rule keeps
+    each live trial's least mismatch and its steps since that last fell:
+    a few array operations per step.
+
     The residual and each step's Newton matrix (one ``flow_rows`` plan)
     are O(N + M) per trial from the line list; their iterates may differ
     from those of the dense ``pf_jacobian`` in the last bits. Where the
@@ -456,11 +478,13 @@ def newton_states(
 
     live = np.arange(trials)
     data = (g, b, y, p_load, q_load)  # rows of the live trials
+    best = np.full(trials, np.inf)  # least mismatch of each live trial
+    since = np.zeros(trials, dtype=int)  # its steps since that last fell
 
     def keep(sel: np.ndarray) -> None:
-        nonlocal live, data
+        nonlocal live, data, best, since
         if not sel.all():
-            live = live[sel]
+            live, best, since = live[sel], best[sel], since[sel]
             data = tuple(arr[sel] for arr in data)
 
     with np.errstate(all="ignore"):
@@ -468,11 +492,20 @@ def newton_states(
             mis = _residual(net, *data[2:], x[live])[:, rows]
             err = np.abs(mis).max(axis=1, initial=0.0)
             errs[live, it] = err
+            fell = err < best
+            best = np.where(fell, err, best)
+            since = np.where(fell, 0, since + 1)
             going = np.isfinite(err) & (err > pf_tol)
             for i, e in zip(live[~going], err[~going]):
                 outcome[i] = it if e <= pf_tol else DivergenceError(
                     f"power flow diverged: non-finite mismatch at "
                     f"iteration {it}", history(i, it), e)
+            stalled = going & (since >= STALL_STEPS)
+            for i in live[stalled]:
+                outcome[i] = StalledNewtonError(
+                    f"power flow stalled: no new least mismatch in "
+                    f"{STALL_STEPS} steps", history(i, it), errs[i, it])
+            going &= ~stalled
             if it == MAX_ITER:
                 for i in live[going]:
                     outcome[i] = NonConvergenceError(
@@ -538,7 +571,12 @@ def solve_power_flow(
     the slack's ``theta_setpoint``. No line search or continuation: which
     solution branch is reached depends only on that start, and failure is
     reported, not masked: a non-finite mismatch raises ``DivergenceError``
-    at once.
+    at once, a singular Newton matrix ``SingularNewtonError``,
+    ``STALL_STEPS`` steps in a row without a new least mismatch
+    ``StalledNewtonError`` (see ``STALL_STEPS`` for why 5), and a solve
+    still short of ``pf_tol`` after ``MAX_ITER`` steps a plain
+    ``NonConvergenceError``; each ``NonConvergenceError`` carries the
+    mismatch history.
 
     This is the one-trial call of ``newton_states``.
     """

@@ -58,6 +58,31 @@ def test_second_generator_at_a_bus_exits_2(capsys, tmp_path):
     assert "generators[1].bus: a second generator at bus 1" in err
 
 
+def test_check_stalled_power_flow_exits_4(capsys, tmp_path):
+    # a load past the nose of the two-bus flow curve: no flow solution
+    path = tmp_path / "nose.json"
+    path.write_text(json.dumps({
+        "buses": [{"id": 0, "type": "slack"},
+                  {"id": 1, "type": "pq", "p_load": 2.0, "q_load": 2.0}],
+        "lines": [{"from": 0, "to": 1, "g_series": 0.0, "b_series": -1.0}]}))
+    code, out, err = run(capsys, "check", "--case", str(path))
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert ("power flow failed: power flow stalled: no new least mismatch "
+            "in 5 steps: final mismatch") in err
+    assert "after 6 iterations" in err
+
+
+def test_unknown_case_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "typo.json"
+    doc = all_kinds_document()
+    doc["constraints"][0]["params"]["bond"] = 1.0
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "constraints[0].params.bond: unknown key" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("base, valid", [
     ("100.0", True), ("null", True),
     ("NaN", False), ("1e400", False), ('"100"', False), ("true", False)])

@@ -44,6 +44,46 @@ def _lattice_point(doc):
     return case, cs, x
 
 
+@pytest.mark.parametrize("shape, scale", [((6, 9), 1.0), ((6, 4), 1e3),
+                                          ((7, 7), 1e-30)])
+def test_rank_of_a_stack_is_each_row_rank(shape, scale):
+    # the stacked form of the one rank routine gives each row's rank,
+    # sigma_min and tolerance bit for bit as the scalar rule does
+    rng = np.random.default_rng(5)
+    svals = rng.uniform(0.0, 1.0, (60, 6)) * 10.0 ** rng.integers(-20, 3,
+                                                                   (60, 6))
+    svals = -np.sort(-svals, axis=1)
+    svals[:4] = 0.0
+    svals[4:8, 2:] = 0.0
+    stacked = cqkit._rank_from_svals(svals, shape, scale)
+    expected = []
+    for row in svals:
+        tol = float(row[0] * max(shape) * scale) if row[0] > 0 else 0.0
+        expected.append((int((row > tol).sum()), float(row[-1]), tol))
+    assert list(zip(*stacked)) == expected
+    assert [cqkit._rank_from_svals(row, shape, scale)
+            for row in svals] == expected
+    assert cqkit._rank_from_svals(np.zeros((2, 0)), shape, scale) == (
+        [0, 0], [math.inf] * 2, [0.0, 0.0])
+
+
+def test_sweep_decides_rank_once_per_face_group(ex1, monkeypatch):
+    # the 304 checked trials of the seed-42 load sweep share one face: one
+    # call for their merged singular values, after the hypothesis's call
+    calls = []
+    rank = cqkit._rank_from_svals
+
+    def counted(svals, *args):
+        calls.append(svals.shape)
+        return rank(svals, *args)
+
+    monkeypatch.setattr(cqkit, "_rank_from_svals", counted)
+    rep = od.run_genericity_experiment(
+        ex1.case, od.make_model("load", ex1.case), trials=1000, seed=42)
+    assert rep.feasible_count == 304
+    assert calls == [(4,), (304, 5)]
+
+
 def test_licq_fails_at_tangent_point(ex1):
     report = licq_check(ex1.system, ex1.ground_truth)
     assert report.m == 6 and report.n_free == 6

@@ -369,6 +369,99 @@ def test_load_case_entry_error_text(path, value, message):
     assert str(err.value) == message
 
 
+STATE = "bus|var"
+TERM = "bus|coef|var"
+# (path into all_kinds_document of an object, key added to it, CaseError
+# text); a misspelled key would leave its value unread
+UNKNOWN_KEYS = [
+    ((), "constraint",
+     "$.constraint: unknown key; expected one of "
+     "base_mva|buses|constraints|cost|generators|lines"),
+    (("buses", 2), "p_lod",
+     "buses[2].p_lod: unknown key; expected one of b_shunt|g_shunt|id|"
+     "p_load|q_load|theta_setpoint|type|v_setpoint"),
+    (("lines", 1), "r",
+     "lines[1].r: unknown key; expected one of "
+     "b_series|b_shunt|from|g_series|g_shunt|to"),
+    (("generators", 0), "qq",
+     "generators[0].qq: unknown key; expected one of bus|p|q"),
+    (("constraints", 2), "comment",
+     "constraints[2].comment: unknown key; expected one of kind|params|target"),
+    (("constraints", 0, "params"), "bond",
+     "constraints[0].params.bond: unknown key; expected one of bound"),
+    (("constraints", 3, "params"), "offset",
+     "constraints[3].params.offset: unknown key; expected one of bound"),
+    (("constraints", 1, "params"), "bound",
+     "constraints[1].params.bound: unknown key; expected one of offset|terms"),
+    (("constraints", 2, "params"), "s_max",
+     "constraints[2].params.s_max: unknown key; expected one of s2_max"),
+    (("constraints", 4, "params"), "q_load",
+     "constraints[4].params.q_load: unknown key; expected one of alpha|p_load"),
+    (("constraints", 0, "target"), "coef",
+     f"constraints[0].target.coef: unknown key; expected one of {STATE}"),
+    (("constraints", 2, "target"), "var",
+     "constraints[2].target.var: unknown key; expected one of bus"),
+    (("constraints", 4, "target"), "id",
+     "constraints[4].target.id: unknown key; expected one of bus"),
+    (("constraints", 1, "params", "terms", 1), "cof",
+     f"constraints[1].params.terms[1].cof: unknown key; expected one of {TERM}"),
+    (("cost",), "constant",
+     "cost.constant: unknown key; expected one of linear|quadratic"),
+    (("cost", "quadratic", 1), "coeff",
+     f"cost.quadratic[1].coeff: unknown key; expected one of {TERM}"),
+    (("cost", "linear", 0), "weight",
+     f"cost.linear[0].weight: unknown key; expected one of {TERM}"),
+]
+
+
+@pytest.mark.parametrize("path, key, message", UNKNOWN_KEYS,
+                         ids=[m.split(":")[0] for _, _, m in UNKNOWN_KEYS])
+def test_load_case_rejects_unknown_keys(path, key, message):
+    doc = all_kinds_document()
+    load_case(json.dumps(doc))
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = 0.0
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_load_case_rejects_a_misspelled_section():
+    # a misspelled constraints section used to load as a case with no
+    # constraints, and check then ran on another problem
+    doc = all_kinds_document()
+    doc["constraint"] = doc.pop("constraints")
+    with pytest.raises(CaseError, match=r"^\$\.constraint: unknown key"):
+        load_case(json.dumps(doc))
+
+
+def test_load_case_names_the_first_unknown_key_in_document_order():
+    doc = all_kinds_document()
+    doc["lines"][2].update(zz=1.0, aa=2.0)
+    doc["lines"][0]["x"] = 0.5
+    with pytest.raises(CaseError, match=r"^lines\[0\]\.x: "):
+        load_case(json.dumps(doc))
+    del doc["lines"][0]["x"]
+    with pytest.raises(CaseError, match=r"^lines\[2\]\.zz: "):
+        load_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("target", [{"var": "zzz"}, {}, [], 0])
+def test_load_case_rejects_a_linear_eq_target(target):
+    # a linear_eq names its state entries in its terms; a null target, as
+    # case_document writes it, is no target
+    doc = all_kinds_document()
+    doc["constraints"][1]["target"] = None
+    load_case(json.dumps(doc))
+    doc["constraints"][1]["target"] = target
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == ("constraints[1].target: a linear_eq takes no "
+                              "target; its terms name the state entries")
+
+
 def test_round_trip_bit_equality(ex1):
     # the all-kinds document repeats a linear_eq term and a cost term: its
     # case serializes the summed cost entry, which loads back bit for bit

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opfdiag as od
+from opfdiag import powerflow
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
@@ -528,6 +531,42 @@ def test_genericity_counts_nonconvergent_trials(ex1):
     assert rep.trials == 10
     assert rep.feasible_count == 0
     assert any(not r.converged for r in rep.records)
+
+
+def _bench_grid_document(side: int, seed: int) -> dict:
+    """bench/grid.py's shunt lattice, the document of the mc-grid sweep."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "grid.py"
+    spec = importlib.util.spec_from_file_location("bench_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid.grid_case(side, seed, shunts=True)
+
+
+@pytest.mark.parametrize("source, kind, trials, seed", [
+    ("ex1", "load", 1000, 0), ("ex1", "load", 1000, 42),
+    ("ex1", "shunt", 1000, 0), ("ex1", "line", 1000, 0),
+    ("ex2", "load", 300, 0), ("ex2", "load", 300, 5), ("ex2", "load", 300, 9),
+    ("grid8", "shunt", 200, 0)])
+def test_stall_rule_leaves_sweep_reports_unchanged(ex1, ex2, monkeypatch,
+                                                   source, kind, trials,
+                                                   seed):
+    # with STALL_STEPS past the budget no trial stalls, as before the rule:
+    # stopping a stalled trial early changes no verdict and no byte
+    case = {"ex1": ex1.case, "ex2": ex2.case}.get(source) or od.load_case(
+        _bench_grid_document(8, 0))
+    model = od.make_model(kind, case)
+
+    def texts():
+        rep = run_genericity_experiment(case, model, trials=trials, seed=seed)
+        return rep.to_json(), rep.to_csv(), rep
+
+    *stalling, rep = texts()
+    monkeypatch.setattr(powerflow, "STALL_STEPS", powerflow.MAX_ITER + 1)
+    *budget, _ = texts()
+    assert stalling == budget
+    if kind == "load":
+        # the load boxes reach past the nose: trials fail to converge
+        assert any(not r.converged for r in rep.records)
 
 
 def test_csv_columns(ex1):

@@ -16,8 +16,9 @@ from opfdiag.cqkit import (Classification, CostSpec, active_stack,
 from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
                               admittance_stack, build_ybus, load_case)
 from opfdiag.perturb import apply_parameters, make_model
-from opfdiag.powerflow import (MAX_ITER, DivergenceError, NonConvergenceError,
-                               PowerFlowError, SingularNewtonError,
+from opfdiag.powerflow import (MAX_ITER, STALL_STEPS, DivergenceError,
+                               NonConvergenceError, PowerFlowError,
+                               SingularNewtonError, StalledNewtonError,
                                SystemState, _jacobian, flow_rows,
                                newton_states, pf_jacobian, pf_residual,
                                solve_power_flow, state_from_list)
@@ -272,15 +273,88 @@ def test_nonconvergence_message_text():
         "mismatch inf after 3 iterations; trace ['5.000e-01', '1.000e+300', "
         "'inf']")
     net = zero_load_two_bus()
-    with pytest.raises(NonConvergenceError) as info:
+    with pytest.raises(StalledNewtonError) as info:
         solve_power_flow(net, np.array([0.0, -2.0]),
                          np.array([0.0, -2.0]), pf_tol=1e-10)
     history = info.value.history
-    assert len(history) == MAX_ITER + 1
+    assert str(info.value) == (
+        f"power flow stalled: no new least mismatch in {STALL_STEPS} steps: "
+        f"final mismatch {history[-1]:.3e} after {len(history)} iterations; "
+        f"trace {['%.3e' % h for h in history]}")
+
+
+def test_nonconvergence_message_text_at_the_step_budget(ex1, monkeypatch):
+    # ex1 sets a new least mismatch at each of its steps 2 to 6; a budget
+    # of 3 steps ends it before it converges or stalls
+    monkeypatch.setattr(powerflow, "MAX_ITER", 3)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_power_flow(ex1.case.network, ex1.case.gen_p, ex1.case.gen_q,
+                         pf_tol=1e-10)
+    assert type(info.value) is NonConvergenceError
+    history = info.value.history
+    assert len(history) == powerflow.MAX_ITER + 1
     assert str(info.value) == (
         f"power flow did not converge: final mismatch {history[-1]:.3e} "
-        f"after {MAX_ITER + 1} iterations; trace "
+        f"after {powerflow.MAX_ITER + 1} iterations; trace "
         f"{['%.3e' % h for h in history]}")
+
+
+def steps_without_new_least(history) -> int:
+    """Longest run of steps whose mismatch sets no new least value."""
+    longest = run = 0
+    best = history[0]
+    for h in history[1:]:
+        run = 0 if h < best else run + 1
+        best = min(best, h)
+        longest = max(longest, run)
+    return longest
+
+
+def test_newton_stops_a_stalled_trial():
+    # past the nose no flow solution exists: the mismatch never falls
+    # below its start, and the solve stops at step STALL_STEPS
+    net = zero_load_two_bus()
+    with pytest.raises(StalledNewtonError) as info:
+        solve_power_flow(net, np.array([0.0, -2.0]), np.array([0.0, -2.0]),
+                         pf_tol=1e-10)
+    assert isinstance(info.value, NonConvergenceError)
+    history = info.value.history
+    assert len(history) == STALL_STEPS + 1 < MAX_ITER + 1
+    assert min(history[1:]) >= history[0]
+    assert info.value.mismatch == history[-1]
+
+
+def test_stall_margin_case_still_converges(ex1):
+    # the converged trial with the longest run without a new least
+    # mismatch found over ex1, ex2, ex3, grid and random sweeps: three
+    # steps above its start, two short of STALL_STEPS
+    model = make_model("shunt", ex1.case)
+    case = apply_parameters(model, ex1.case, trial_draw(0, 805, model.box))
+    sol = solve_power_flow(case.network, case.gen_p, case.gen_q, pf_tol=1e-10)
+    assert sol.iterations == 9
+    assert steps_without_new_least(sol.history) == 3 == STALL_STEPS - 2
+    assert max(sol.history[1:4]) > sol.history[0] > sol.history[4]
+
+
+def test_stacked_newton_mixes_every_outcome():
+    # one stack of two-bus trials: converging, stalled past the nose,
+    # diverging at a huge load and singular without line admittance
+    net = zero_load_two_bus()
+    dead = replace(net, lines=(replace(net.lines[0], b_series=0.0),))
+
+    def loaded(base, p, q):
+        return replace(base, buses=(base.buses[0],
+                                    replace(base.buses[1], p_load=p, q_load=q)))
+
+    nets = [loaded(net, 0.1, 0.1), loaded(net, 2.0, 2.0),
+            loaded(net, 1e300, 0.0), loaded(dead, 0.1, 0.0),
+            loaded(net, 0.15, 0.05), loaded(net, 0.5, 0.5)]
+    outs = solve_stacked(net, nets, np.zeros(2), np.zeros(2))
+    kinds = [type(out) for _, out, _ in outs]
+    assert kinds == [int, StalledNewtonError, DivergenceError,
+                     SingularNewtonError, int, StalledNewtonError]
+    for out, each in zip(outs, nets):
+        assert_same_outcome(out, each, np.zeros(2), np.zeros(2))
 
 
 def solve_stacked(net, nets, p_gen, q_gen):

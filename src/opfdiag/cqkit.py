@@ -133,14 +133,6 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, flow,
                   np.concatenate((values, grads[:, at_r, at_c]), axis=1))
 
 
-def _block_slice(points: np.ndarray):
-    """``points`` of a block as a slice where they are one ascending run,
-    so that indexing with it gives views, not copies."""
-    if np.array_equal(points, np.arange(points[0], points[-1] + 1)):
-        return slice(points[0], points[-1] + 1)
-    return points
-
-
 def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
     """Faces of a block of points and the assembly of their active stacks
     over the system's free columns (see ``evaluate_points`` for ``flats``
@@ -167,10 +159,9 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
         nonlocal plan
         if plan is None:
             plan = flow_rows(cs.net, None, cs.net.free_mask, coo=True)
-        # points in one run (one point always is) are not copied
-        at = _block_slice(points)
-        return face_stacks(cs, flats[at], plan(flow[0][at], flow[1][at],
-                                               flats[at]), face)
+        own = flats[points]
+        return face_stacks(cs, own, plan(flow[0][points], flow[1][points],
+                                         own), face)
 
     return acts, groups, assemble
 
@@ -198,8 +189,8 @@ class CQReport:
     qualification fails. ``rank_tol`` is that matrix's
     sigma_max * max(m, n) * ulp_scale, with A's shape.
     ``stack`` is the active stack A as triplets (``Stacks``), taken from
-    ``assemble`` at its first read: a report decided by structure
-    assembles it only then. ``active_jacobian`` is A densified from
+    ``assemble`` at its first read: a report whose group assembled no
+    stacks assembles it only then. ``active_jacobian`` is A densified from
     ``stack`` when read; ``to_dict`` writes the triplets. ``kkt`` is the
     multiplier set when the check was given a cost; it is not part of
     ``to_dict``.
@@ -247,33 +238,21 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                 cost: CostSpec | None = None) -> list:
     """``licq_check`` at each point of a block (see ``active_stacks``):
     its CQReport, or an unraised InfeasiblePointError at an infeasible
-    point. Without a cost, a face group whose R has no rows (no h row, an
-    empty face) is decided by structure: its stacks are the flow rows
-    [I, X] of rank 2N, so nothing is assembled or factored, and each
-    report assembles its own stack when it is read. Every other group
-    assembles its stacks as triplets. Where R has rows, the group's dense
-    stacks give R (module docstring) with one batched matmul, and one
-    batched SVD factors them, values only without a cost, thin with one.
-    A costed group whose R has no rows factors nothing and holds no dense
-    stack: its multipliers are -grad f on the flow rows, with an empty
-    null space."""
+    point. Each face group is decided on the singular values of
+    diag(I_p, R) (module docstring), m = p + r rows over n free columns.
+    It assembles its stacks as triplets only with a cost or where R has
+    rows, else each report assembles its own when read. Where R has rows,
+    the dense stacks give R with one batched matmul, and one batched SVD
+    factors them, values only without a cost, thin with one. Where R has
+    none nothing is factored, and a cost's multipliers are -grad f on the
+    flow rows, with an empty null space."""
     reports, groups, assemble = active_stacks(cs, flats, flow)
     p = 2 * cs.net.n_bus
-    n_free = int(np.count_nonzero(cs.net.free_mask))
+    n = int(np.count_nonzero(cs.net.free_mask))
     for points, face, labels in groups:
         r = len(cs.h_ops) + len(face)
-        if cost is None and r == 0:
-            rank, smin, tol = _rank_from_svals(np.ones(p), (p, n_free),
-                                               cs.rank_ulp_scale)
-            for i in points:
-                reports[i] = CQReport(
-                    assemble=partial(_point_stack, assemble, face, i),
-                    row_labels=labels, m=p, n_free=n_free,
-                    numerical_rank=rank, sigma_min=smin, rank_tol=tol,
-                    licq_holds=rank == p, face=face)
-            continue
-        block = assemble(face, points)
-        k, (m, n) = len(points), block.shape
+        k, m = len(points), p + r
+        block = assemble(face, points) if cost is not None or r else None
         if cost is not None:
             grads = cost.gradient(flats[points])[:, cs.net.free_mask]
         if r == 0:
@@ -309,9 +288,11 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                     y, basis = -grads[j, :p], np.zeros((p, 0))
                 kkt = _multiplier_set(cs, face, block.point(j), grads[j], y,
                                       basis)
+            stack_of = (partial(_point_stack, assemble, face, i)
+                        if block is None else partial(block.point, j))
             reports[i] = CQReport(
-                assemble=partial(block.point, j), row_labels=labels, m=m,
-                n_free=n, numerical_rank=rank, sigma_min=smin, rank_tol=tol,
+                assemble=stack_of, row_labels=labels, m=m, n_free=n,
+                numerical_rank=rank, sigma_min=smin, rank_tol=tol,
                 licq_holds=rank == m, face=face, kkt=kkt)
     return reports
 

@@ -604,6 +604,24 @@ def _state_entry(entry: dict, path: str, n_bus: int,
     return state_index(var, _bus(entry, path, n_bus), n_bus)
 
 
+def _terms(terms: list, path: str, n_bus: int) -> tuple:
+    """(state index, coef) of each {var, bus, coef} object of the array
+    ``terms`` at ``path``. Each state entry's coefficients are summed in
+    document order, as ``CostSpec`` and ``LinearEq.gradient`` sum them; a
+    term whose sum leaves the float range is rejected by its path."""
+    parsed, sums = [], {}
+    for j, term in enumerate(terms):
+        at = f"{path}[{j}]"
+        index = _state_entry(term, at, n_bus, _TERM_KEYS)
+        coef = _number(term, "coef", at)
+        sums[index] = sums.get(index, 0.0) + coef
+        if not math.isfinite(sums[index]):
+            raise CaseError(f"{at}.coef: the coefficients of this state "
+                            "entry sum past the float range")
+        parsed.append((index, coef))
+    return tuple(parsed)
+
+
 _KINDS = tuple(_PARAMS_KEYS)
 
 
@@ -633,11 +651,7 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int):
         terms = params.get("terms")
         if not (isinstance(terms, list) and terms):
             raise CaseError(f"{at}.terms: expected a non-empty array")
-        parsed = tuple((_state_entry(term, f"{at}.terms[{j}]", n_bus,
-                                     _TERM_KEYS),
-                        _number(term, "coef", f"{at}.terms[{j}]"))
-                       for j, term in enumerate(terms))
-        return LinearEq(terms=parsed,
+        return LinearEq(terms=_terms(terms, f"{at}.terms", n_bus),
                         offset=_number(params, "offset", at, default=0.0))
     # apparent_power / exp_load_eq target a bus
     if not isinstance(target, dict):
@@ -662,9 +676,8 @@ def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
         entries = doc.get(key, [])
         if not isinstance(entries, list):
             raise CaseError(f"cost.{key}: expected an array")
-        for j, term in enumerate(entries):
-            index = _state_entry(term, f"cost.{key}[{j}]", n_bus, _TERM_KEYS)
-            sink[index] += _number(term, "coef", f"cost.{key}[{j}]")
+        for index, coef in _terms(entries, f"cost.{key}", n_bus):
+            sink[index] += coef
     return CostSpec(c2=c2, c1=c1)
 
 

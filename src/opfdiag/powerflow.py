@@ -24,7 +24,6 @@ the reference behind ``pf_jacobian``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,21 +106,6 @@ class SystemState:
             v=vec[2 * n:3 * n].copy(),
             theta=vec[3 * n:].copy(),
         )
-
-
-# Largest bus count whose Newton solves run on one BLAS thread. OpenBLAS
-# threads the dense LU from order 100, which up to here only a wide-band
-# network reaches (``_newton_system`` solves lattices from 7 x 7 up
-# banded). On 2 vCPUs a shunt sweep of a ring with N/2 random chords ran
-# 10-40% faster on one thread at 64 buses, 0-7% at 128 and 256, and 3x
-# faster with the other core busy, where each threaded call waits on a
-# descheduled thread. One thread also makes the Newton iterates
-# independent of the core count. The flow residual makes no BLAS call.
-SERIAL_BLAS_BUSES = 256
-
-
-def _serial_blas(n_bus: int):
-    return _blas.serial() if n_bus <= SERIAL_BLAS_BUSES else nullcontext()
 
 
 def _add_bus_sums(net: Network, out: np.ndarray, terms: np.ndarray) -> None:
@@ -452,7 +436,8 @@ def newton_states(
     from those of the dense ``pf_jacobian`` in the last bits. Where the
     band is narrow (``_newton_system``) the plan writes LAPACK band storage
     into one workspace for the block and each trial's step is one
-    ``dgbsv``; otherwise one batched dense solve takes the block."""
+    ``dgbsv``; otherwise one batched dense solve takes the block. Every
+    solve runs on one BLAS thread (``_blas.serial``), at every size."""
     n = net.n_bus
     trials = g.shape[0]
     mask = net.free_mask
@@ -518,7 +503,7 @@ def newton_states(
                 break
             jac = newton_matrix(*data[:2], x[live],
                                 None if work is None else work[:live.size])
-            with _serial_blas(n):
+            with _blas.serial():
                 steps, singular = _newton_steps(jac, rhs, band)
             for j, exc in singular.items():
                 outcome[live[j]] = SingularNewtonError(
@@ -534,9 +519,7 @@ def newton_states(
     # system so the full residual vanishes identically.
     done = np.array([i for i, o in enumerate(outcome) if isinstance(o, int)],
                     dtype=int)
-    xd = x[done]
-    at = slice(None) if done.size == trials else done  # no copy when all are
-    yd, pd, qd = y[at], p_load[at], q_load[at]
+    xd, yd, pd, qd = x[done], y[done], p_load[done], q_load[done]
     p_inj, q_inj = _injections(net, yd, xd[:, 2 * n:3 * n], xd[:, 3 * n:])
     xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + pd)
     xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + qd)

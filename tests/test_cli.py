@@ -83,6 +83,29 @@ def test_unknown_case_key_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section", ["cost", "linear_eq"])
+def test_coefficient_sum_past_the_float_range_exits_2(capsys, tmp_path,
+                                                      recwarn, section):
+    # two 1e308 terms on one state entry: the cost's used to load, and the
+    # check wrote NaN and a bare -Infinity into its report
+    path, report = tmp_path / "huge.json", tmp_path / "report.json"
+    doc = all_kinds_document()
+    terms = [{"var": "p", "bus": 2, "coef": 1e308}] * 2
+    if section == "cost":
+        doc["cost"]["linear"], at = terms, "cost.linear[1]"
+    else:
+        doc["constraints"][1]["params"]["terms"] = terms
+        at = "constraints[1].params.terms[1]"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(path), "--out",
+                         str(report))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert (f"{at}.coef: the coefficients of this state entry sum past the "
+            "float range") in err
+    assert "Traceback" not in err and not recwarn.list
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("base, valid", [
     ("100.0", True), ("null", True),
     ("NaN", False), ("1e400", False), ('"100"', False), ("true", False)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import opfdiag as od
 from opfdiag.cases import example1
 from opfdiag.netmodel import (Bus, BusType, Case, CaseError, Line, Network,
-                              build_ybus, load_case)
+                              build_ybus, load_case, state_index)
 
 from netgen import all_kinds_document, case_document, random_network
 
@@ -446,6 +446,52 @@ def test_load_case_names_the_first_unknown_key_in_document_order():
     del doc["lines"][0]["x"]
     with pytest.raises(CaseError, match=r"^lines\[2\]\.zz: "):
         load_case(json.dumps(doc))
+
+
+def coef_terms(*entries):
+    """{var, bus, coef} terms from (var, bus, coef) triples."""
+    return [{"var": v, "bus": b, "coef": c} for v, b, c in entries]
+
+
+@pytest.mark.parametrize("section", ["cost", "linear_eq"])
+@pytest.mark.parametrize("entries, bad", [
+    ([("p", 0, 1e308), ("p", 0, 1e308)], 1),
+    ([("p", 0, -1e308), ("p", 0, -1e308)], 1),
+    # the running sum in document order: back to 0, then past the range
+    ([("p", 0, 1e308), ("p", 0, -1e308), ("p", 0, 1e308), ("p", 0, 1e308)],
+     3),
+    # each state entry sums its own terms
+    ([("q", 1, 1e308), ("p", 0, 1e308), ("q", 1, 1e308)], 2),
+], ids=["max", "min", "running", "per-entry"])
+def test_load_case_rejects_a_coefficient_sum_past_the_float_range(
+        recwarn, section, entries, bad):
+    doc = all_kinds_document()
+    if section == "cost":
+        doc["cost"]["linear"] = coef_terms(*entries)
+        path = f"cost.linear[{bad}]"
+    else:
+        doc["constraints"][1]["params"]["terms"] = coef_terms(*entries)
+        path = f"constraints[1].params.terms[{bad}]"
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == (f"{path}.coef: the coefficients of this state "
+                              "entry sum past the float range")
+    assert not recwarn.list
+
+
+def test_load_case_sums_coefficients_per_state_entry():
+    # 1e308 on two entries, and a sum that comes back into range before its
+    # last term, are finite: both load with every term as written
+    entries = [("p", 0, 1e308), ("q", 0, 1e308), ("p", 0, -1e308),
+               ("p", 0, 1e308)]
+    doc = all_kinds_document()
+    doc["cost"]["linear"] = coef_terms(*entries)
+    doc["constraints"][1]["params"]["terms"] = coef_terms(*entries)
+    case = load_case(json.dumps(doc))
+    p0, q0 = state_index("p", 0, 3), state_index("q", 0, 3)
+    assert (case.cost.c1[p0], case.cost.c1[q0]) == (1e308, 1e308)
+    assert case.constraints[1].terms == ((p0, 1e308), (q0, 1e308),
+                                         (p0, -1e308), (p0, 1e308))
 
 
 @pytest.mark.parametrize("target", [{"var": "zzz"}, {}, [], 0])

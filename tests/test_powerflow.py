@@ -703,14 +703,14 @@ def test_cut_off_bus_still_singular_on_line_list_side(
     assert "singular Newton matrix" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("network, serial_buses, expect_serial", [
-    pytest.param("lattice", 64, True, id="64-True"),
-    pytest.param("lattice", 63, False, id="63-False"),
-    pytest.param("ring", 64, True, id="ring-64-True"),
-    pytest.param("ring", 63, False, id="ring-63-False"),
+@pytest.mark.parametrize("network, side", [
+    pytest.param("lattice", 8, id="lattice-8x8"),
+    pytest.param("ring", 8, id="ring-64"),
+    # 289 buses: one BLAS thread at every size, not only on small networks
+    pytest.param("lattice", 17, id="lattice-17x17"),
 ])
-def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
-        lattice_document, monkeypatch, network, serial_buses, expect_serial):
+def test_every_newton_solve_takes_one_blas_thread(lattice_document,
+                                                   monkeypatch, network, side):
     fns = _blas._openblas()
     if fns is None:
         pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
@@ -720,23 +720,22 @@ def test_newton_solves_take_one_blas_thread_up_to_the_bus_limit(
     solve = powerflow._newton_steps
 
     def spy(jac, rhs, band=None):
-        # the 8 x 8 lattice is solved banded, the 64-bus ring with chords
-        # by the dense LU, which OpenBLAS threads
+        # lattices are solved banded, the 64-bus ring with chords by the
+        # dense LU, which OpenBLAS threads
         assert (band is not None) == (network == "lattice")
         seen.append(get())
         return solve(jac, rhs, band)
 
     monkeypatch.setattr(powerflow, "_newton_steps", spy)
-    monkeypatch.setattr(powerflow, "SERIAL_BLAS_BUSES", serial_buses)
     if network == "lattice":
-        case = load_case(lattice_document(8, 8, 0))
+        case = load_case(lattice_document(side, side, 0))
         net, p_gen, q_gen = case.network, case.gen_p, case.gen_q
     else:
-        net = ring_network(64, 0)
-        p_gen = q_gen = np.zeros(64)
+        net = ring_network(side * side, 0)
+        p_gen = q_gen = np.zeros(net.n_bus)
     sol = solve_power_flow(net, p_gen, q_gen, pf_tol=1e-10)
     assert len(seen) == sol.iterations > 0
-    assert set(seen) == {1 if expect_serial else before}
+    assert set(seen) == {1}
     assert get() == before
 
 

@@ -1,5 +1,7 @@
 """The text of every JSON report: ``json.dumps(obj, indent=2,
-sort_keys=True)``, byte for byte, without its pure-Python encoder.
+sort_keys=True, allow_nan=False)``, byte for byte, without its pure-Python
+encoder. A NaN or an infinity is not JSON, so a report that holds one
+raises ValueError instead of being written.
 
 An indent sends ``json.dumps`` through that encoder, item by item. Here
 the indented layout is written by recursion over dicts and lists, and
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 _INDENT = "  "
 
 
@@ -32,8 +34,8 @@ def _write(obj, newline: str, out: list[str]) -> None:
         if not obj:
             out.append("{}")
         elif not all(isinstance(key, str) for key in obj):
-            out.append(json.dumps(obj, indent=2, sort_keys=True)
-                       .replace("\n", newline))
+            out.append(json.dumps(obj, indent=2, sort_keys=True,
+                                  allow_nan=False).replace("\n", newline))
         else:
             inner = newline + _INDENT
             sep = "{" + inner
@@ -62,7 +64,7 @@ def _write(obj, newline: str, out: list[str]) -> None:
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``."""
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)

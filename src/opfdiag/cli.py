@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
     _emit({
         "tolerances": cs.tolerances,
         "state": state.flat().tolist(),
-        "cq": cq.to_dict(),
+        "cq": cq.to_dict(jacobian=args.emit_jacobian),
         "kkt": cq.kkt.to_dict(),
     }, args.out)
     return EXIT_OK if cq.licq_holds else EXIT_LICQ_FAILS
@@ -337,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--state", help="path to a flat JSON state vector")
     p_check.add_argument("--perturb-load", metavar="BUS:DELTA",
                          help="shift one bus's real load before checking")
+    p_check.add_argument("--emit-jacobian", action="store_true",
+                         help="also write the active stack as sparse "
+                              "triplets, cq.active_jacobian")
     p_check.set_defaults(func=cmd_check)
 
     p_pert = sub.add_parser("perturb", help="Monte Carlo genericity experiment")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .constraints import (ConstraintSystem, InfeasiblePointError, active_set,
                           active_sets, as_flat_state, point_block, row_labels)
-from .netmodel import CostSpec
+from .netmodel import CaseError, CostSpec
 from .powerflow import flow_rows, pf_jacobian
 
 
@@ -191,9 +191,9 @@ class CQReport:
     ``stack`` is the active stack A as triplets (``Stacks``), taken from
     ``assemble`` at its first read: a report whose group assembled no
     stacks assembles it only then. ``active_jacobian`` is A densified from
-    ``stack`` when read; ``to_dict`` writes the triplets. ``kkt`` is the
-    multiplier set when the check was given a cost; it is not part of
-    ``to_dict``.
+    ``stack`` when read; ``to_dict`` writes the triplets unless told not
+    to. ``kkt`` is the multiplier set when the check was given a cost; it
+    is not part of ``to_dict``.
     """
 
     assemble: Callable[[], Stacks] = field(repr=False)
@@ -215,8 +215,10 @@ class CQReport:
     def active_jacobian(self) -> np.ndarray:
         return self.stack.dense()
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, *, jacobian: bool = True) -> dict:
+        """The verdict and its sizes, and with ``jacobian`` the active
+        stack as ``active_jacobian`` triplets (``Stacks.to_dict``)."""
+        out = {
             "m": self.m,
             "n_free": self.n_free,
             "numerical_rank": self.numerical_rank,
@@ -225,8 +227,10 @@ class CQReport:
             "licq_holds": self.licq_holds,
             "face": list(self.face),
             "row_labels": list(self.row_labels),
-            "active_jacobian": self.stack.to_dict(),
         }
+        if jacobian:
+            out["active_jacobian"] = self.stack.to_dict()
+        return out
 
 
 def _point_stack(assemble, face: tuple[int, ...], i: int) -> Stacks:
@@ -278,16 +282,20 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                                                      tols)):
             kkt = None
             if cost is not None:
-                if r:
-                    y, basis = _reduced_solution(
-                        o_rows[j], grads[j], x_mats[j], u_mats[j], svals[j],
-                        vts[j], int((svals[j] > tol).sum()))
-                else:
-                    # A = [I, X] has full row rank: -grad f on the generation
-                    # columns solves it, and its left null space is empty
-                    y, basis = -grads[j, :p], np.zeros((p, 0))
-                kkt = _multiplier_set(cs, face, block.point(j), grads[j], y,
-                                      basis)
+                # a cost too large for the point is rejected by
+                # _multiplier_set, not warned about on the way
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if r:
+                        y, basis = _reduced_solution(
+                            o_rows[j], grads[j], x_mats[j], u_mats[j],
+                            svals[j], vts[j], int((svals[j] > tol).sum()))
+                    else:
+                        # A = [I, X] has full row rank: -grad f on the
+                        # generation columns solves it, and its left null
+                        # space is empty
+                        y, basis = -grads[j, :p], np.zeros((p, 0))
+                    kkt = _multiplier_set(cs, face, block.point(j), grads[j],
+                                          y, basis)
             stack_of = (partial(_point_stack, assemble, face, i)
                         if block is None else partial(block.point, j))
             reports[i] = CQReport(
@@ -441,7 +449,8 @@ def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
     a sum over its entries (``Stacks.rmatvec``). Outside NONE
     the particular solution is the minimum-norm one, y - B B^T y. Both
     tolerances are relative to the cost's scale s = max(1, |grad_f|), as
-    the multipliers scale with the cost. Classification: NONE when the
+    the multipliers scale with the cost, and a CaseError rejects a y, a
+    residual or a scale past the float range. Classification: NONE when the
     residual exceeds cs.stat_tol * s (the cost gradient leaves the row space),
     reported with y itself; UNIQUE for an empty null space, sign feasible
     when every mu is at least -1e-12 * s; RAY for a one-dimensional family,
@@ -461,6 +470,9 @@ def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
             nullspace_basis=basis, stationarity_residual=resid, **extra)
 
     scale = max(1.0, float(np.linalg.norm(grad_f)))
+    if not (np.isfinite(y).all() and np.isfinite(resid) and np.isfinite(scale)):
+        raise CaseError("cost: its multipliers at this point leave the float "
+                        "range; the cost's coefficients are too large")
     sign_tol = 1e-12 * scale
     if resid > cs.stat_tol * scale:
         return package(y, Classification.NONE, family_dim=nullity)

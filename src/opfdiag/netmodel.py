@@ -84,6 +84,10 @@ class Network:
     voltage setpoints where applicable. Disconnected line graphs produce
     a warning, not an error: one breadth-first search of the line graph
     (``components``) finds them and gives ``bus_order``.
+
+    The bus rules and the line rules are each decided on whole columns
+    first. Only where one fails does the loop over the entries run, to
+    name the first offender in case order.
     """
 
     buses: tuple[Bus, ...]
@@ -92,42 +96,57 @@ class Network:
     def __post_init__(self) -> None:
         if not self.buses:
             raise CaseError("network invariant: bus list must be non-empty")
-        for i, bus in enumerate(self.buses):
-            if bus.id != i:
-                raise CaseError(
-                    f"network invariant: buses must carry sequential 0-based ids; "
-                    f"buses[{i}].id == {bus.id}"
-                )
-            if bus.bus_type in (BusType.SLACK, BusType.PV) and not bus.v_setpoint > 0:
-                raise CaseError(
-                    f"network invariant: v_setpoint > 0 required at bus {bus.id}"
-                )
+        if ([b.id for b in self.buses] != list(range(len(self.buses)))
+                or not all(b.v_setpoint > 0 for b in self.buses
+                           if b.bus_type is not BusType.PQ)):
+            for i, bus in enumerate(self.buses):
+                if bus.id != i:
+                    raise CaseError(
+                        f"network invariant: buses must carry sequential 0-based ids; "
+                        f"buses[{i}].id == {bus.id}"
+                    )
+                if bus.bus_type in (BusType.SLACK, BusType.PV) and not bus.v_setpoint > 0:
+                    raise CaseError(
+                        f"network invariant: v_setpoint > 0 required at bus {bus.id}"
+                    )
         slacks = [b.id for b in self.buses if b.bus_type is BusType.SLACK]
         if len(slacks) != 1:
             raise CaseError(
                 f"network invariant: exactly one slack bus required, found {slacks}"
             )
         n = len(self.buses)
-        seen: set[frozenset[int]] = set()
-        for j, ln in enumerate(self.lines):
-            if not (0 <= ln.from_bus < n and 0 <= ln.to_bus < n):
-                raise CaseError(
-                    f"network invariant: lines[{j}] endpoints ({ln.from_bus}, "
-                    f"{ln.to_bus}) must reference existing buses"
-                )
-            if ln.from_bus == ln.to_bus:
-                raise CaseError(
-                    f"network invariant: lines[{j}] is a self-loop at bus {ln.from_bus}"
-                )
-            pair = frozenset((ln.from_bus, ln.to_bus))
-            if pair in seen:
-                raise CaseError(
-                    f"duplicate line for bus pair ({min(pair)}, {max(pair)}); "
-                    "parallel lines must be pre-aggregated"
-                )
-            seen.add(pair)
+        if not self._lines_hold():
+            seen: set[frozenset[int]] = set()
+            for j, ln in enumerate(self.lines):
+                if not (0 <= ln.from_bus < n and 0 <= ln.to_bus < n):
+                    raise CaseError(
+                        f"network invariant: lines[{j}] endpoints ({ln.from_bus}, "
+                        f"{ln.to_bus}) must reference existing buses"
+                    )
+                if ln.from_bus == ln.to_bus:
+                    raise CaseError(
+                        f"network invariant: lines[{j}] is a self-loop at bus {ln.from_bus}"
+                    )
+                pair = frozenset((ln.from_bus, ln.to_bus))
+                if pair in seen:
+                    raise CaseError(
+                        f"duplicate line for bus pair ({min(pair)}, {max(pair)}); "
+                        "parallel lines must be pre-aggregated"
+                    )
+                seen.add(pair)
         if len(self.components) > 1:
             warnings.warn("line graph is not connected", stacklevel=3)
+
+    def _lines_hold(self) -> bool:
+        """Whether every line joins two distinct existing buses and no two
+        join one pair, decided over the endpoint columns at once, the pairs
+        as sorted (min, max) keys. Plain Python: numpy's first calls here
+        would add to the RSS of a process that checks a two-bus case."""
+        n = self.n_bus
+        ends = [(ln.from_bus, ln.to_bus) for ln in self.lines]
+        return (all(0 <= a < n and 0 <= b < n and a != b for a, b in ends)
+                and len({(a, b) if a < b else (b, a) for a, b in ends})
+                == len(ends))
 
     @property
     def n_bus(self) -> int:
@@ -210,7 +229,8 @@ class Network:
         src, dst = self.directions[:2]
         degree = np.bincount(src, minlength=n)
         by = np.lexsort((dst, degree[dst], src))
-        nbrs = [a.tolist() for a in np.split(dst[by], np.cumsum(degree)[:-1])]
+        flat, ends = dst[by].tolist(), np.cumsum(degree).tolist()
+        nbrs = [flat[a:b] for a, b in zip([0, *ends], ends)]
         seen = [False] * n
         found = []
         for start in np.lexsort((np.arange(n), degree)).tolist():
@@ -475,7 +495,18 @@ class CostSpec:
         self.c1.setflags(write=False)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.c2 * x + self.c1
+        """c2 x + c1 at a flat state or a stack of them. A CaseError names
+        the first state entry where it leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = self.c2 * x + self.c1
+        if not np.isfinite(grad).all():
+            at = tuple(np.argwhere(~np.isfinite(grad))[0])
+            var, bus = divmod(int(at[-1]), self.c1.size // 4)
+            raise CaseError(
+                f"cost: its gradient at state entry {_STATE_VARS[var]} of bus "
+                f"{bus} is {float(grad[at])}; the cost's coefficients are "
+                "too large for this point")
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -687,33 +718,74 @@ _UNREAD_SETPOINTS = {"slack": (), "pv": ("theta_setpoint",),
                      "pq": ("v_setpoint", "theta_setpoint")}
 
 
-def load_case(text: str | bytes | dict) -> Case:
-    """Parse and validate a JSON case document, in one pass, into the
-    objects a check evaluates (``Case``).
+# An array of entries is decided column by column (the ``_*_columns``
+# functions, which give None where a column fails) and only then, where
+# one fails, entry by entry (the ``_parse_*`` functions): those name the
+# first bad entry in document order.
 
-    Schema violations raise :class:`CaseError` naming the offending JSON
-    path, as does a setpoint its bus type ignores (``v_setpoint`` at a PQ
-    bus, ``theta_setpoint`` anywhere but the slack); network invariant
-    violations raise :class:`CaseError` naming the invariant. A bus takes
-    at most one ``generators`` entry; a second one is rejected by path, as
-    parallel lines are.
-    """
-    if isinstance(text, (str, bytes)):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # also integer literals past the parser limit
-            raise CaseError(f"$: invalid JSON ({exc})") from exc
-    else:
-        doc = text
-    _expect(isinstance(doc, dict), "$", "expected a JSON object")
-    if not _TOP_KEYS.issuperset(doc):
-        _reject_unknown(doc, _TOP_KEYS, "$")
+def _by_columns(columns, entries, raw: list, *args):
+    """``columns(raw, *args)``, or ``entries(raw, *args)`` where it is
+    None."""
+    out = columns(raw, *args)
+    return entries(raw, *args) if out is None else out
 
-    raw_buses = doc.get("buses")
-    _expect(isinstance(raw_buses, list) and raw_buses, "buses",
-            "expected a non-empty array")
+
+def _objects(items: list, known: frozenset) -> bool:
+    """Whether every item of ``items`` is an object whose keys all lie in
+    ``known``, decided on the whole array."""
+    return set(map(type, items)) <= {dict} and set().union(*items) <= known
+
+
+def _numbers(items: list, key: str, default: float | None = None):
+    """The ``key`` column of the objects ``items`` as floats, ``default``
+    where it is missing (required without one); None unless every value is
+    a finite number. The types decide first, so a bool fails; then one
+    array, whose conversion fails on an integer past the float range."""
+    col = [item.get(key, default) for item in items]
+    if not set(map(type, col)) <= {int, float}:
+        return None
+    try:
+        values = np.array(col, dtype=float)
+    except OverflowError:
+        return None
+    return values.tolist() if np.isfinite(values).all() else None
+
+
+def _ints(items: list, key: str, n_bus: int | None = None):
+    """The ``key`` column of the objects ``items`` if every value is an
+    integer, and a bus of ``n_bus`` buses where that is given; else
+    None."""
+    col = [item.get(key) for item in items]
+    if not set(map(type, col)) <= {int}:
+        return None
+    if n_bus is not None and col and (min(col) < 0 or max(col) >= n_bus):
+        return None
+    return col
+
+
+def _bus_columns(raw: list):
+    if not _objects(raw, _BUS_KEYS):
+        return None
+    types = [entry.get("type") for entry in raw]
+    if not (set(map(type, types)) <= {str}
+            and set(types) <= _UNREAD_SETPOINTS.keys()):
+        return None
+    if any(key in entry for entry, btype in zip(raw, types)
+           for key in _UNREAD_SETPOINTS[btype]):
+        return None
+    ids = _ints(raw, "id")
+    cols = [_numbers(raw, key, default) for key, default in (
+        ("p_load", 0.0), ("q_load", 0.0), ("g_shunt", 0.0), ("b_shunt", 0.0),
+        ("v_setpoint", 1.0), ("theta_setpoint", 0.0))]
+    if ids is None or None in cols:
+        return None
+    kinds = {btype: BusType(btype) for btype in set(types)}
+    return tuple(map(Bus, ids, map(kinds.__getitem__, types), *cols))
+
+
+def _parse_buses(raw: list) -> tuple:
     buses = []
-    for i, entry in enumerate(raw_buses):
+    for i, entry in enumerate(raw):
         path = f"buses[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         btype = entry.get("type")
@@ -733,12 +805,22 @@ def load_case(text: str | bytes | dict) -> Case:
             v_setpoint=_number(entry, "v_setpoint", path, 1.0),
             theta_setpoint=_number(entry, "theta_setpoint", path, 0.0),
         ))
-    _known_item_keys(raw_buses, _BUS_KEYS, "buses")
+    _known_item_keys(raw, _BUS_KEYS, "buses")
+    return tuple(buses)
 
-    raw_lines = doc.get("lines", [])
-    _expect(isinstance(raw_lines, list), "lines", "expected an array")
+
+def _line_columns(raw: list):
+    if not _objects(raw, _LINE_KEYS):
+        return None
+    cols = [_ints(raw, "from"), _ints(raw, "to"), _numbers(raw, "g_series"),
+            _numbers(raw, "b_series"), _numbers(raw, "g_shunt", 0.0),
+            _numbers(raw, "b_shunt", 0.0)]
+    return None if None in cols else tuple(map(Line, *cols))
+
+
+def _parse_lines(raw: list) -> tuple:
     lines = []
-    for j, entry in enumerate(raw_lines):
+    for j, entry in enumerate(raw):
         path = f"lines[{j}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         lines.append(Line(
@@ -749,32 +831,123 @@ def load_case(text: str | bytes | dict) -> Case:
             g_shunt=_number(entry, "g_shunt", path, 0.0),
             b_shunt=_number(entry, "b_shunt", path, 0.0),
         ))
-    _known_item_keys(raw_lines, _LINE_KEYS, "lines")
+    _known_item_keys(raw, _LINE_KEYS, "lines")
+    return tuple(lines)
 
-    net = Network(buses=tuple(buses), lines=tuple(lines))
 
-    gen_p = np.zeros(net.n_bus)
-    gen_q = np.zeros(net.n_bus)
-    raw_gens = doc.get("generators", [])
-    _expect(isinstance(raw_gens, list), "generators", "expected an array")
+def _generator_columns(raw: list, n_bus: int):
+    if not _objects(raw, _GEN_KEYS):
+        return None
+    buses = _ints(raw, "bus", n_bus)
+    p, q = _numbers(raw, "p", 0.0), _numbers(raw, "q", 0.0)
+    if buses is None or p is None or q is None or len(set(buses)) < len(raw):
+        return None
+    gen_p, gen_q = np.zeros(n_bus), np.zeros(n_bus)
+    gen_p[buses], gen_q[buses] = p, q
+    return gen_p, gen_q
+
+
+def _parse_generators(raw: list, n_bus: int):
+    gen_p, gen_q = np.zeros(n_bus), np.zeros(n_bus)
     with_gen = set()
-    for j, entry in enumerate(raw_gens):
+    for j, entry in enumerate(raw):
         path = f"generators[{j}]"
         _expect(isinstance(entry, dict), path, "expected an object")
-        bus = _bus(entry, path, net.n_bus)
+        bus = _bus(entry, path, n_bus)
         if bus in with_gen:
             raise CaseError(f"{path}.bus: a second generator at bus {bus}; "
                             "generators at one bus must be pre-aggregated")
         with_gen.add(bus)
         gen_p[bus] = _number(entry, "p", path, 0.0)
         gen_q[bus] = _number(entry, "q", path, 0.0)
-    _known_item_keys(raw_gens, _GEN_KEYS, "generators")
+    _known_item_keys(raw, _GEN_KEYS, "generators")
+    return gen_p, gen_q
+
+
+def _constraint_columns(raw: list, n_bus: int):
+    """The box constraints by column, every other kind entry by entry
+    (``_parse_constraint``): once the boxes and every key pass, the first
+    entry that fails is the first bad entry."""
+    if not _objects(raw, _CONSTRAINT_KEYS):
+        return None
+    kinds = [entry.get("kind") for entry in raw]
+    at = [i for i, kind in enumerate(kinds)
+          if kind in ("box_upper", "box_lower")]
+    targets = [raw[i].get("target") for i in at]
+    params = [raw[i].get("params") for i in at]
+    if not (_objects(targets, _STATE_KEYS)
+            and _objects(params, _PARAMS_KEYS["box_upper"])):
+        return None
+    var = [target.get("var") for target in targets]
+    buses = _ints(targets, "bus", n_bus)
+    bounds = _numbers(params, "bound")
+    if (buses is None or bounds is None
+            or not all(v in _STATE_VARS for v in var)):
+        return None
+    boxes = {i: (BoxUpper if kinds[i] == "box_upper" else BoxLower)(
+                 _STATE_VARS.index(v) * n_bus + bus, bound)
+             for i, v, bus, bound in zip(at, var, buses, bounds)}
+    return tuple(boxes[i] if i in boxes else _parse_constraint(entry, i, n_bus)
+                 for i, entry in enumerate(raw))
+
+
+def _parse_constraints(raw: list, n_bus: int) -> tuple:
+    constraints = tuple(_parse_constraint(entry, i, n_bus)
+                        for i, entry in enumerate(raw))
+    _known_item_keys(raw, _CONSTRAINT_KEYS, "constraints")
+    return constraints
+
+
+def load_case(text: str | bytes | dict) -> Case:
+    """Parse and validate a JSON case document, in one pass, into the
+    objects a check evaluates (``Case``).
+
+    Schema violations raise :class:`CaseError` naming the offending JSON
+    path, as does a setpoint its bus type ignores (``v_setpoint`` at a PQ
+    bus, ``theta_setpoint`` anywhere but the slack); network invariant
+    violations raise :class:`CaseError` naming the invariant. A bus takes
+    at most one ``generators`` entry; a second one is rejected by path, as
+    parallel lines are.
+
+    The ``buses``, ``lines`` and ``generators`` arrays, and the box
+    constraints, are checked column then entry: first the whole array at
+    once (every entry an object with known keys, then each field as one
+    column, decided on its types and finiteness). Only where a column
+    fails are the entries checked one by one, and the error names the
+    first bad entry in document order, so the text does not depend on
+    which column failed.
+    """
+    if isinstance(text, (str, bytes)):
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # also integer literals past the parser limit
+            raise CaseError(f"$: invalid JSON ({exc})") from exc
+    else:
+        doc = text
+    _expect(isinstance(doc, dict), "$", "expected a JSON object")
+    if not _TOP_KEYS.issuperset(doc):
+        _reject_unknown(doc, _TOP_KEYS, "$")
+
+    raw_buses = doc.get("buses")
+    _expect(isinstance(raw_buses, list) and raw_buses, "buses",
+            "expected a non-empty array")
+    buses = _by_columns(_bus_columns, _parse_buses, raw_buses)
+
+    raw_lines = doc.get("lines", [])
+    _expect(isinstance(raw_lines, list), "lines", "expected an array")
+    lines = _by_columns(_line_columns, _parse_lines, raw_lines)
+
+    net = Network(buses=buses, lines=lines)
+
+    raw_gens = doc.get("generators", [])
+    _expect(isinstance(raw_gens, list), "generators", "expected an array")
+    gen_p, gen_q = _by_columns(_generator_columns, _parse_generators,
+                               raw_gens, net.n_bus)
 
     raw_cons = doc.get("constraints", [])
     _expect(isinstance(raw_cons, list), "constraints", "expected an array")
-    constraints = tuple(_parse_constraint(e, i, net.n_bus)
-                        for i, e in enumerate(raw_cons))
-    _known_item_keys(raw_cons, _CONSTRAINT_KEYS, "constraints")
+    constraints = _by_columns(_constraint_columns, _parse_constraints,
+                              raw_cons, net.n_bus)
 
     raw_cost = doc.get("cost", {})
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")
@@ -786,4 +959,3 @@ def load_case(text: str | bytes | dict) -> Case:
 
     return Case(network=net, gen_p=gen_p, gen_q=gen_q,
                 constraints=constraints, cost=cost)
-

@@ -1,7 +1,11 @@
 """Seeded random desk-scale networks and states for property tests, the
 per-trial reference draw of the Monte Carlo sweep, the test-side inverses
 of case loading and of the flow model, the dense references of the
-line-list admittances, and the reduced matrix of an active stack."""
+line-list admittances, the reduced matrix of an active stack, and the
+benchmark's grid documents."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -118,6 +122,16 @@ def reduced_rows(a: np.ndarray, n_bus: int) -> np.ndarray:
     [O_g, O_z]."""
     p = 2 * n_bus
     return a[p:, p:] - a[p:, :p] @ a[:p, p:]
+
+
+def bench_grid_document(side: int, seed: int, *, shunts: bool) -> dict:
+    """bench/grid.py's side x side lattice document: with shunts the case
+    of the mc-grid sweep, without them that of the check-grid check."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "grid.py"
+    spec = importlib.util.spec_from_file_location("bench_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid.grid_case(side, seed, shunts=shunts)
 
 
 def _bus_document(bus: Bus) -> dict:

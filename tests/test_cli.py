@@ -13,7 +13,7 @@ from opfdiag._jsontext import dumps
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, EXIT_REPRO_MISMATCH, main)
 
-from netgen import all_kinds_document, case_document
+from netgen import all_kinds_document, bench_grid_document, case_document
 
 
 def run(capsys, *argv):
@@ -103,6 +103,44 @@ def test_coefficient_sum_past_the_float_range_exits_2(capsys, tmp_path,
     assert (f"{at}.coef: the coefficients of this state entry sum past the "
             "float range") in err
     assert "Traceback" not in err and not recwarn.list
+    assert not report.exists()
+
+
+GRADIENT = ("its gradient at state entry {}; the cost's coefficients are "
+            "too large for this point")
+MULTIPLIERS = ("its multipliers at this point leave the float range; the "
+               "cost's coefficients are too large")
+
+
+@pytest.mark.parametrize("cost, message", [
+    # the gradient 2e308 at v = 1: the check wrote 15 NaN and 2 bare
+    # -Infinity and exited 0
+    ({"quadratic": [{"var": "v", "bus": 2, "coef": 1e308}],
+      "linear": [{"var": "v", "bus": 2, "coef": 1e308}]},
+     GRADIENT.format("v of bus 2 is inf")),
+    # the product alone past the range at v = 1.02, named first in state
+    # order though the overflow at bus 2 comes first in the document
+    ({"quadratic": [{"var": "v", "bus": 2, "coef": 1e308},
+                    {"var": "v", "bus": 1, "coef": -1.79e308}],
+      "linear": [{"var": "v", "bus": 2, "coef": 1e308}]},
+     GRADIENT.format("v of bus 1 is -inf")),
+    # finite gradients whose multipliers or residual overflow: the check
+    # wrote 17 NaN, or a bare Infinity, and exited 0
+    ({"linear": [{"var": "p", "bus": 0, "coef": 1e308}]}, MULTIPLIERS),
+    ({"linear": [{"var": "v", "bus": 2, "coef": 1e308}]}, MULTIPLIERS),
+    ({"linear": [{"var": "theta", "bus": 1, "coef": -1e300}]}, MULTIPLIERS),
+])
+def test_cost_past_the_float_range_at_the_point_exits_2(capsys, tmp_path,
+                                                        recwarn, cost,
+                                                        message):
+    doc = all_kinds_document()
+    doc["cost"] = cost
+    path, report = tmp_path / "huge.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--case", str(path), "--out",
+                         str(report))
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: cost: {message}\n")
+    assert not recwarn.list
     assert not report.exists()
 
 
@@ -741,7 +779,7 @@ def test_check_report_rebuilds_active_jacobian(capsys, tmp_path, monkeypatch,
 
     argv = _check_argv(source, tmp_path, lattice_document)
     monkeypatch.setattr(cqkit, "licq_check", keeping_check)
-    code, out, _ = run(capsys, "check", *argv)
+    code, out, _ = run(capsys, "check", *argv, "--emit-jacobian")
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     (report,) = reports
     coo = json.loads(out)["cq"]["active_jacobian"]
@@ -750,6 +788,46 @@ def test_check_report_rebuilds_active_jacobian(capsys, tmp_path, monkeypatch,
     rebuilt = np.zeros(coo["shape"])
     rebuilt[coo["rows"], coo["cols"]] = coo["values"]
     assert (rebuilt == report.active_jacobian).all()
+
+
+def _grid_argv(tmp_path) -> list[str]:
+    path = tmp_path / "grid8.json"
+    path.write_text(json.dumps(bench_grid_document(8, 0, shunts=False)))
+    return ["--case", str(path)]
+
+
+@pytest.mark.parametrize("source", ["ex1", "ex2", "ex3", "grid8"])
+def test_check_writes_the_active_jacobian_only_on_request(capsys, tmp_path,
+                                                          source):
+    argv = (_grid_argv(tmp_path) if source == "grid8"
+            else ["--builtin", source])
+    code, default, _ = run(capsys, "check", *argv)
+    flag_code, flagged, _ = run(capsys, "check", *argv, "--emit-jacobian")
+    assert code == flag_code == (EXIT_LICQ_FAILS if source in ("ex1", "ex2")
+                                 else EXIT_OK)
+    assert "active_jacobian" not in json.loads(default)["cq"]
+    payload = json.loads(flagged)
+    coo = payload["cq"].pop("active_jacobian")
+    assert set(coo) == {"shape", "rows", "cols", "values"} and coo["values"]
+    # the key is the only difference, byte for byte
+    assert dumps(payload) + "\n" == default
+
+
+def test_sweep_and_repro_reports_keep_the_active_jacobian(capsys, tmp_path):
+    # at rank scale 0.2 every trial fails LICQ and is written with its
+    # report, triplets included
+    code, out, _ = run(capsys, "perturb", *_grid_argv(tmp_path), "--model",
+                       "shunt", "--trials", "3", "--seed", "0",
+                       "--rank-tol-scale", "0.2")
+    assert code == EXIT_OK
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 3
+    assert all(f["cq_report"]["active_jacobian"]["shape"] == [128, 254]
+               for f in failures)
+    out_path = tmp_path / "repro.json"
+    assert run(capsys, "repro", "ex1", "--out", str(out_path))[0] == EXIT_OK
+    coo = json.loads(out_path.read_text())["cq"]["active_jacobian"]
+    assert coo["shape"] == [6, 6] and coo["values"]
 
 
 @pytest.mark.parametrize("argv, points", [
@@ -1014,4 +1092,11 @@ def test_reports_are_the_indented_stdlib_text(capsys, monkeypatch, tmp_path,
     "just, a string", 3.25, None, True, np.float64(2.5),
 ])
 def test_writer_is_the_indented_stdlib_text(obj):
-    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # NaN and the infinities are not JSON: no report writes them
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps(obj)
+        return
+    assert dumps(obj) == text

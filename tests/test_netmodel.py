@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 import opfdiag as od
 from opfdiag.cases import example1
-from opfdiag.netmodel import (Bus, BusType, Case, CaseError, Line, Network,
-                              build_ybus, load_case, state_index)
+from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Bus, BusType,
+                              Case, CaseError, CostSpec, ExpLoadEq, Line,
+                              LinearEq, Network, build_ybus, load_case,
+                              state_index)
 
-from netgen import all_kinds_document, case_document, random_network
+from netgen import (all_kinds_document, bench_grid_document, case_document,
+                    random_network)
 
 
 def two_bus(b_series=-1.0, **bus1_kwargs):
@@ -181,6 +184,50 @@ def test_network_rejects_dangling_endpoint():
     buses = (Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ))
     with pytest.raises(CaseError, match="existing buses"):
         Network(buses=buses, lines=(Line(0, 7, 0.0, -1.0),))
+
+
+def _chain(n_bus: int, **changes) -> dict:
+    """Buses and lines of an n-bus chain with the slack at bus 0, with
+    ``changes`` ({bus index: Bus fields} under "buses", {line index:
+    (from, to)} under "lines") applied."""
+    buses = [Bus(id=k, bus_type=BusType.SLACK if k == 0 else BusType.PQ)
+             for k in range(n_bus)]
+    for k, fields in changes.get("buses", {}).items():
+        buses[k] = replace(buses[k], **fields)
+    ends = [(k, k + 1) for k in range(n_bus - 1)]
+    for j, pair in changes.get("lines", {}).items():
+        ends[j] = pair
+    return {"buses": tuple(buses),
+            "lines": tuple(Line(k, l, 0.0, -1.0) for k, l in ends)}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"buses": {2: {"id": 7}, 4: {"bus_type": BusType.PV,
+                                  "v_setpoint": -1.0}}},
+     "buses must carry sequential 0-based ids; buses[2].id == 7"),
+    ({"buses": {3: {"bus_type": BusType.PV, "v_setpoint": 0.0},
+                5: {"id": 9}}},
+     "v_setpoint > 0 required at bus 3"),
+    ({"buses": {0: {"v_setpoint": float("nan")}}},
+     "v_setpoint > 0 required at bus 0"),
+    ({"buses": {2: {"v_setpoint": -1.0}}, "lines": {1: (4, 4)}},
+     "lines[1] is a self-loop at bus 4"),
+    ({"lines": {2: (1, 1), 4: (0, 9)}}, "lines[2] is a self-loop at bus 1"),
+    ({"lines": {1: (4, 1), 3: (1, 0), 4: (-1, 2)}},
+     "duplicate line for bus pair (0, 1); "
+     "parallel lines must be pre-aggregated"),
+    ({"lines": {2: (1, 0), 4: (0, 9)}},
+     "duplicate line for bus pair (0, 1); "
+     "parallel lines must be pre-aggregated"),
+    ({"lines": {2: (0, 6), 3: (2, 1)}},
+     "lines[2] endpoints (0, 6) must reference existing buses"),
+])
+def test_network_names_its_first_offender(changes, message):
+    # each rule is decided on whole columns; the entry loop, in case
+    # order, names the first offender: a PQ bus's v_setpoint is not read
+    with pytest.raises(CaseError) as err:
+        Network(**_chain(6, **changes))
+    assert str(err.value).removeprefix("network invariant: ") == message
 
 
 def test_network_warns_on_disconnected_graph():
@@ -550,6 +597,255 @@ def test_load_case_rejects_nonfinite_numbers(ex1, literal):
 def test_load_case_rejects_integer_beyond_parser_limit():
     with pytest.raises(CaseError, match="invalid JSON"):
         load_case('{"buses": [{"id": ' + "9" * 5000 + ', "type": "slack"}]}')
+
+
+# The loader decides each column of an array at once and, where one fails,
+# reads the entries in document order: the first bad entry is named,
+# whichever column failed. Each row below spoils one field of a late entry
+# (path, value or MISSING, CaseError text, or None where the default fills
+# it); the test then also spoils another field of an earlier entry of the
+# same section, which must be the one named.
+HUGE = 10 ** 400
+OVER = "<1e400>"  # written as the bare literal 1e400, which parses to inf
+
+
+def _column_document(lattice_document) -> dict:
+    """The 3 x 3 test lattice with every field of every bus, line and
+    generator written, the slack at bus 7, a PV bus at 8 and a generator
+    at every bus but the slack: each column has a late entry. Its lines
+    run (0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), then (0, 3) to
+    (5, 8); its constraints end with a box_lower on v at bus 8."""
+    doc = lattice_document(3, 3, 0)
+    for bus in doc["buses"]:
+        bus.update(type="pq", g_shunt=0.01, b_shunt=-0.02)
+    doc["buses"][7].update(type="slack", v_setpoint=1.0, theta_setpoint=0.1)
+    doc["buses"][8].update(type="pv", v_setpoint=1.01)
+    for line in doc["lines"]:
+        line.update(g_shunt=0.0, b_shunt=0.01)
+    doc["generators"] = [{"bus": k, "p": 0.01 * k, "q": -0.01}
+                         for k in (0, 1, 2, 3, 4, 5, 6, 8)]
+    return doc
+
+
+def _spoilt(doc: dict, path: tuple, value) -> None:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def _column_errors():
+    rows = []
+    numbers = [(True, "expected a finite number, got True"),
+               ("0.5", "expected a finite number, got '0.5'"),
+               (None, "expected a finite number, got None"),
+               (OVER, "expected a finite number, got inf"),
+               (HUGE, f"expected a finite number, got {HUGE!r}")]
+    for at, key, required in [
+            (("buses", 8), "p_load", False), (("buses", 8), "q_load", False),
+            (("buses", 8), "g_shunt", False), (("buses", 8), "b_shunt", False),
+            (("buses", 8), "v_setpoint", False),
+            (("buses", 7), "theta_setpoint", False),
+            (("lines", 11), "g_series", True), (("lines", 11), "b_series", True),
+            (("lines", 11), "g_shunt", False), (("lines", 11), "b_shunt", False),
+            (("generators", 7), "p", False), (("generators", 7), "q", False),
+            (("constraints", 23, "params"), "bound", True)]:
+        where = ".".join(f"[{k}]" if isinstance(k, int) else k for k in at)
+        where = where.replace(".[", "[")
+        for value, text in numbers:
+            rows.append((at + (key,), value, f"{where}.{key}: {text}"))
+        rows.append((at + (key,), MISSING,
+                     f"{where}.{key}: required number is missing"
+                     if required else None))
+    ints = [(8.0, "expected an integer, got 8.0"),
+            ("8", "expected an integer, got '8'"),
+            (True, "expected an integer, got True"),
+            (None, "expected an integer, got None"),
+            (MISSING, "required integer is missing")]
+    for path, where in [(("buses", 8, "id"), "buses[8].id"),
+                        (("lines", 11, "from"), "lines[11].from"),
+                        (("lines", 11, "to"), "lines[11].to"),
+                        (("generators", 7, "bus"), "generators[7].bus"),
+                        (("constraints", 23, "target", "bus"),
+                         "constraints[23].target.bus")]:
+        rows += [(path, value, f"{where}: {text}") for value, text in ints]
+    for bus in (-1, 9, HUGE):
+        rows += [
+            (("generators", 7, "bus"), bus,
+             f"generators[7].bus: bus {bus} does not exist"),
+            (("constraints", 23, "target", "bus"), bus,
+             f"constraints[23].target.bus: bus {bus} does not exist"),
+            (("lines", 11, "from"), bus, f"network invariant: lines[11] "
+             f"endpoints ({bus}, 8) must reference existing buses")]
+    rows += [
+        (("buses", 8, "id"), HUGE, "network invariant: buses must carry "
+         f"sequential 0-based ids; buses[8].id == {HUGE}"),
+        (("lines", 11, "to"), 5, "network invariant: lines[11] is a "
+         "self-loop at bus 5"),
+        (("lines", 11, "to"), 2, "duplicate line for bus pair (2, 5); "
+         "parallel lines must be pre-aggregated")]
+    for value in ("PQ", None, 3, []):
+        rows.append((("buses", 8, "type"), value,
+                     f"buses[8].type: expected one of slack|pv|pq, got {value!r}"))
+    rows += [
+        (("buses", 6, "v_setpoint"), 1.0,
+         "buses[6].v_setpoint: a pq bus has no v_setpoint"),
+        (("buses", 6, "theta_setpoint"), 0.0,
+         "buses[6].theta_setpoint: a pq bus has no theta_setpoint"),
+        (("buses", 8, "theta_setpoint"), 0.0,
+         "buses[8].theta_setpoint: a pv bus has no theta_setpoint"),
+        (("constraints", 23, "target", "var"), "V",
+         "constraints[23].target.var: expected one of p|q|v|theta, got 'V'"),
+        (("constraints", 23, "target", "var"), [],
+         "constraints[23].target.var: expected one of p|q|v|theta, got []"),
+        (("constraints", 23, "target"), [],
+         "constraints[23].target: expected an object"),
+        (("constraints", 23, "params"), 1,
+         "constraints[23].params: expected an object")]
+    for path, value in [(("buses", 8), []), (("lines", 11), "x"),
+                        (("generators", 7), 7), (("constraints", 23), None)]:
+        rows.append((path, value, f"{path[0]}[{path[1]}]: expected an object"))
+    return rows
+
+
+COLUMN_ERRORS = _column_errors()
+# per section, (path, value, CaseError text) of an earlier bad entry; a
+# row takes the first whose field differs from its own
+EARLIER = {
+    "buses": [(("buses", 2, "q_load"), "x",
+               "buses[2].q_load: expected a finite number, got 'x'"),
+              (("buses", 2, "id"), 2.0,
+               "buses[2].id: expected an integer, got 2.0")],
+    "lines": [(("lines", 3, "b_series"), None,
+               "lines[3].b_series: expected a finite number, got None"),
+              (("lines", 3, "from"), "3",
+               "lines[3].from: expected an integer, got '3'")],
+    "generators": [(("generators", 2, "q"), True,
+                    "generators[2].q: expected a finite number, got True"),
+                   (("generators", 2, "bus"), 1.0,
+                    "generators[2].bus: expected an integer, got 1.0")],
+    "constraints": [(("constraints", 4, "params", "bound"), "1.2",
+                     "constraints[4].params.bound: expected a finite "
+                     "number, got '1.2'"),
+                    (("constraints", 4, "target", "bus"), None,
+                     "constraints[4].target.bus: expected an integer, "
+                     "got None")],
+}
+
+
+def _row_id(path, value, message):
+    shown = ("missing" if value is MISSING else "huge" if value is HUGE
+             else "1e400" if value == OVER else repr(value))
+    return ".".join(map(str, path)) + "=" + shown
+
+
+@pytest.mark.parametrize("path, value, message", COLUMN_ERRORS,
+                         ids=[_row_id(*row) for row in COLUMN_ERRORS])
+def test_load_case_names_the_first_bad_entry_of_a_column(
+        lattice_document, path, value, message):
+    doc = _column_document(lattice_document)
+
+    def load():
+        return load_case(json.dumps(doc).replace(f'"{OVER}"', "1e400"))
+
+    load()
+    _spoilt(doc, path, value)
+    if message is None:
+        load()
+    else:
+        with pytest.raises(CaseError) as err:
+            load()
+        assert str(err.value) == message
+    at, value, message = next(row for row in EARLIER[path[0]]
+                              if row[0][2:3] != path[2:3])
+    _spoilt(doc, at, value)
+    with pytest.raises(CaseError) as err:
+        load()
+    assert str(err.value) == message
+
+
+def _constructed(doc: dict) -> Case:
+    """The case of a well-formed document, built entry by entry by the
+    constructors: ``Network``, the constraint classes and ``CostSpec``."""
+    n = len(doc["buses"])
+    buses = tuple(Bus(id=e["id"], bus_type=BusType(e["type"]),
+                      **{k: float(v) for k, v in e.items()
+                         if k not in ("id", "type")})
+                  for e in doc["buses"])
+    lines = tuple(Line(from_bus=e["from"], to_bus=e["to"],
+                       **{k: float(v) for k, v in e.items()
+                          if k not in ("from", "to")})
+                  for e in doc.get("lines", []))
+    gen_p, gen_q = np.zeros(n), np.zeros(n)
+    for e in doc.get("generators", []):
+        gen_p[e["bus"]], gen_q[e["bus"]] = e.get("p", 0.0), e.get("q", 0.0)
+    ops = []
+    for e in doc.get("constraints", []):
+        kind, params, target = e["kind"], e["params"], e.get("target")
+        if kind in ("box_upper", "box_lower"):
+            box = BoxUpper if kind == "box_upper" else BoxLower
+            ops.append(box(state_index(target["var"], target["bus"], n),
+                           float(params["bound"])))
+        elif kind == "linear_eq":
+            ops.append(LinearEq(
+                tuple((state_index(t["var"], t["bus"], n), float(t["coef"]))
+                      for t in params["terms"]),
+                float(params.get("offset", 0.0))))
+        elif kind == "apparent_power":
+            ops.append(ApparentPower(target["bus"], n, float(params["s2_max"])))
+        else:
+            ops.append(ExpLoadEq(target["bus"], n, float(params["alpha"]),
+                                 float(params["p_load"])))
+    c2, c1 = np.zeros(4 * n), np.zeros(4 * n)
+    for key, sink in (("quadratic", c2), ("linear", c1)):
+        for t in doc.get("cost", {}).get(key, []):
+            sink[state_index(t["var"], t["bus"], n)] += t["coef"]
+    return Case(network=Network(buses, lines), gen_p=gen_p, gen_q=gen_q,
+                constraints=tuple(ops), cost=CostSpec(c2=c2, c1=c1))
+
+
+def _random_document(n_bus: int, rng) -> dict:
+    """A random network's document with generators, boxes and a cost."""
+    net = random_network(n_bus, rng)
+    index = rng.choice(4 * n_bus, size=n_bus, replace=False)
+    boxes = tuple(
+        (BoxUpper if k % 2 else BoxLower)(int(i), float(rng.uniform(-1, 1)))
+        for k, i in enumerate(index))
+    return case_document(Case(
+        network=net, gen_p=rng.uniform(-1.0, 1.0, n_bus),
+        gen_q=np.where(rng.uniform(size=n_bus) < 0.5, 0.0, 0.3),
+        constraints=boxes, cost=CostSpec(c2=rng.uniform(0, 1, 4 * n_bus),
+                                         c1=rng.uniform(-1, 1, 4 * n_bus))))
+
+
+@pytest.mark.parametrize("source", [
+    "random-2", "random-7", "random-16", "lattice-3x3", "lattice-4x7",
+    "lattice-6x6", "column", "all-kinds", "grid-8-shunts", "grid-12",
+    "grid-24"])
+def test_load_case_builds_what_the_constructors_build(lattice_document,
+                                                      source):
+    kind, _, size = source.partition("-")
+    if kind == "random":
+        doc = _random_document(int(size), np.random.default_rng(int(size)))
+    elif kind == "lattice":
+        doc = lattice_document(*map(int, size.split("x")), 0)
+    elif kind == "column":
+        doc = _column_document(lattice_document)
+    elif kind == "all":
+        doc = all_kinds_document()
+    else:
+        side, _, shunts = size.partition("-")
+        doc = bench_grid_document(int(side), 0, shunts=bool(shunts))
+    got, want = load_case(json.dumps(doc)), _constructed(doc)
+    # reprs tell -0.0 from 0.0 and an int from a float
+    assert repr(got.network) == repr(want.network)
+    assert repr(got.constraints) == repr(want.constraints)
+    for a, b in ((got.gen_p, want.gen_p), (got.gen_q, want.gen_q),
+                 (got.cost.c2, want.cost.c2), (got.cost.c1, want.cost.c1)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _leaf_paths(node, path=()):

@@ -1,9 +1,7 @@
-import importlib.util
 import json
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +21,8 @@ from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              shift_load, shunt_model, tangency_escape_probe)
 from opfdiag.powerflow import SystemState, pf_residual
 
-from netgen import case_document, random_network, random_state, trial_draw
+from netgen import (bench_grid_document, case_document, random_network,
+                    random_state, trial_draw)
 
 
 def random_case(rng, n_bus=4):
@@ -533,15 +532,6 @@ def test_genericity_counts_nonconvergent_trials(ex1):
     assert any(not r.converged for r in rep.records)
 
 
-def _bench_grid_document(side: int, seed: int) -> dict:
-    """bench/grid.py's shunt lattice, the document of the mc-grid sweep."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "grid.py"
-    spec = importlib.util.spec_from_file_location("bench_grid", path)
-    grid = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grid)
-    return grid.grid_case(side, seed, shunts=True)
-
-
 @pytest.mark.parametrize("source, kind, trials, seed", [
     ("ex1", "load", 1000, 0), ("ex1", "load", 1000, 42),
     ("ex1", "shunt", 1000, 0), ("ex1", "line", 1000, 0),
@@ -553,7 +543,7 @@ def test_stall_rule_leaves_sweep_reports_unchanged(ex1, ex2, monkeypatch,
     # with STALL_STEPS past the budget no trial stalls, as before the rule:
     # stopping a stalled trial early changes no verdict and no byte
     case = {"ex1": ex1.case, "ex2": ex2.case}.get(source) or od.load_case(
-        _bench_grid_document(8, 0))
+        bench_grid_document(8, 0, shunts=True))
     model = od.make_model(kind, case)
 
     def texts():

@@ -8,6 +8,7 @@ mismatch. Reports are JSON-first; check and perturb embed their tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -167,11 +168,24 @@ def cmd_check(args) -> int:
     return EXIT_OK if cq.licq_holds else EXIT_LICQ_FAILS
 
 
+def _seed(args) -> int:
+    """``--seed``, else the CQA_SEED environment variable as it reads when
+    perturb runs, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("CQA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        args.error(f"argument --seed: invalid int value: {text!r}")
+
+
 def cmd_perturb(args) -> int:
+    seed = _seed(args)
     case, fix = _load_input(args)
     model = perturb.make_model(args.model, case)
     report = perturb.run_genericity_experiment(
-        case, model, trials=args.trials, seed=args.seed, **_system_tols(args))
+        case, model, trials=args.trials, seed=seed, **_system_tols(args))
     if args.format == "csv":
         text = report.to_csv()
         if args.out:
@@ -319,7 +333,9 @@ def cmd_repro(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="opfdiag",
         description=("Constraint-qualification and KKT multiplier "
@@ -348,11 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--model", choices=["load", "shunt", "line"],
                         required=True)
     p_pert.add_argument("--trials", type=_count, default=1000)
-    # argparse converts a string default only when perturb runs without --seed
-    p_pert.add_argument("--seed", type=int,
-                        default=os.environ.get("CQA_SEED", "0"))
+    # unset, the seed is read from CQA_SEED when perturb runs (``_seed``)
+    p_pert.add_argument("--seed", type=int)
     p_pert.add_argument("--format", choices=["json", "csv"], default="json")
-    p_pert.set_defaults(func=cmd_perturb)
+    p_pert.set_defaults(func=cmd_perturb, error=p_pert.error)
 
     p_sweep = sub.add_parser(
         "sweep", help="degeneracy margin of ex1 under one load shift")
@@ -376,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except con.InfeasiblePointError as exc:

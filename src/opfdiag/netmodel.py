@@ -85,9 +85,8 @@ class Network:
     a warning, not an error: one breadth-first search of the line graph
     (``components``) finds them and gives ``bus_order``.
 
-    The bus rules and the line rules are each decided on whole columns
-    first. Only where one fails does the loop over the entries run, to
-    name the first offender in case order.
+    One pass over the buses, then one over the lines, each in case order,
+    names the first offender.
     """
 
     buses: tuple[Bus, ...]
@@ -96,57 +95,38 @@ class Network:
     def __post_init__(self) -> None:
         if not self.buses:
             raise CaseError("network invariant: bus list must be non-empty")
-        if ([b.id for b in self.buses] != list(range(len(self.buses)))
-                or not all(b.v_setpoint > 0 for b in self.buses
-                           if b.bus_type is not BusType.PQ)):
-            for i, bus in enumerate(self.buses):
-                if bus.id != i:
-                    raise CaseError(
-                        f"network invariant: buses must carry sequential 0-based ids; "
-                        f"buses[{i}].id == {bus.id}"
-                    )
-                if bus.bus_type in (BusType.SLACK, BusType.PV) and not bus.v_setpoint > 0:
-                    raise CaseError(
-                        f"network invariant: v_setpoint > 0 required at bus {bus.id}"
-                    )
-        slacks = [b.id for b in self.buses if b.bus_type is BusType.SLACK]
+        slack, pv = BusType.SLACK, BusType.PV
+        slacks = []
+        for i, bus in enumerate(self.buses):
+            if bus.id != i:
+                raise CaseError("network invariant: buses must carry sequential "
+                                f"0-based ids; buses[{i}].id == {bus.id}")
+            if bus.bus_type in (slack, pv) and not bus.v_setpoint > 0:
+                raise CaseError("network invariant: v_setpoint > 0 required at "
+                                f"bus {bus.id}")
+            if bus.bus_type is slack:
+                slacks.append(bus.id)
         if len(slacks) != 1:
-            raise CaseError(
-                f"network invariant: exactly one slack bus required, found {slacks}"
-            )
+            raise CaseError("network invariant: exactly one slack bus "
+                            f"required, found {slacks}")
         n = len(self.buses)
-        if not self._lines_hold():
-            seen: set[frozenset[int]] = set()
-            for j, ln in enumerate(self.lines):
-                if not (0 <= ln.from_bus < n and 0 <= ln.to_bus < n):
-                    raise CaseError(
-                        f"network invariant: lines[{j}] endpoints ({ln.from_bus}, "
-                        f"{ln.to_bus}) must reference existing buses"
-                    )
-                if ln.from_bus == ln.to_bus:
-                    raise CaseError(
-                        f"network invariant: lines[{j}] is a self-loop at bus {ln.from_bus}"
-                    )
-                pair = frozenset((ln.from_bus, ln.to_bus))
-                if pair in seen:
-                    raise CaseError(
-                        f"duplicate line for bus pair ({min(pair)}, {max(pair)}); "
-                        "parallel lines must be pre-aggregated"
-                    )
-                seen.add(pair)
+        seen = set()
+        for j, ln in enumerate(self.lines):
+            a, b = ln.from_bus, ln.to_bus
+            if not (0 <= a < n and 0 <= b < n):
+                raise CaseError(f"network invariant: lines[{j}] endpoints "
+                                f"({a}, {b}) must reference existing buses")
+            if a == b:
+                raise CaseError(f"network invariant: lines[{j}] is a self-loop "
+                                f"at bus {a}")
+            pair = (a, b) if a < b else (b, a)
+            if pair in seen:
+                raise CaseError(f"duplicate line for bus pair ({pair[0]}, "
+                                f"{pair[1]}); parallel lines must be "
+                                "pre-aggregated")
+            seen.add(pair)
         if len(self.components) > 1:
             warnings.warn("line graph is not connected", stacklevel=3)
-
-    def _lines_hold(self) -> bool:
-        """Whether every line joins two distinct existing buses and no two
-        join one pair, decided over the endpoint columns at once, the pairs
-        as sorted (min, max) keys. Plain Python: numpy's first calls here
-        would add to the RSS of a process that checks a two-bus case."""
-        n = self.n_bus
-        ends = [(ln.from_bus, ln.to_bus) for ln in self.lines]
-        return (all(0 <= a < n and 0 <= b < n and a != b for a, b in ends)
-                and len({(a, b) if a < b else (b, a) for a, b in ends})
-                == len(ends))
 
     @property
     def n_bus(self) -> int:
@@ -566,20 +546,17 @@ def _number(doc: dict, key: str, path: str, default: float | None = None) -> flo
     return val
 
 
-def _int(doc: dict, key: str, path: str) -> int:
+def _int(doc: dict, key: str, path: str, n_bus: int | None = None) -> int:
+    """The integer ``doc[key]``, and a bus of ``n_bus`` buses where that
+    is given."""
     if key not in doc:
         raise CaseError(f"{path}.{key}: required integer is missing")
     val = doc[key]
     if not isinstance(val, int) or isinstance(val, bool):
         raise CaseError(f"{path}.{key}: expected an integer, got {val!r}")
+    if n_bus is not None and not 0 <= val < n_bus:
+        raise CaseError(f"{path}.{key}: bus {val} does not exist")
     return val
-
-
-def _bus(doc: dict, path: str, n_bus: int) -> int:
-    bus = _int(doc, "bus", path)
-    if not 0 <= bus < n_bus:
-        raise CaseError(f"{path}.bus: bus {bus} does not exist")
-    return bus
 
 
 _TOP_KEYS = frozenset(("buses", "lines", "generators", "constraints",
@@ -612,15 +589,6 @@ def _reject_unknown(entry: dict, known: frozenset, path: str) -> None:
                     f"{'|'.join(sorted(known))}")
 
 
-def _known_item_keys(items: list, known: frozenset, path: str) -> None:
-    """Reject an unknown key of any object of the array ``items`` at
-    ``path``: one set operation over all their keys."""
-    if not set().union(*items) <= known:
-        for j, item in enumerate(items):
-            if not known.issuperset(item):
-                _reject_unknown(item, known, f"{path}[{j}]")
-
-
 def _state_entry(entry: dict, path: str, n_bus: int,
                  known=_STATE_KEYS) -> int:
     """Flat-state index of a {var, bus} entry; ``known`` are the keys it
@@ -632,7 +600,7 @@ def _state_entry(entry: dict, path: str, n_bus: int,
     if var not in _STATE_VARS:
         raise CaseError(f"{path}.var: expected one of "
                         f"{'|'.join(_STATE_VARS)}, got {var!r}")
-    return state_index(var, _bus(entry, path, n_bus), n_bus)
+    return state_index(var, _int(entry, "bus", path, n_bus), n_bus)
 
 
 def _terms(terms: list, path: str, n_bus: int) -> tuple:
@@ -689,7 +657,7 @@ def _parse_constraint(entry: dict, idx: int, n_bus: int):
         raise CaseError(f"{path}.target: expected an object")
     if not _BUS_TARGET_KEYS.issuperset(target):
         _reject_unknown(target, _BUS_TARGET_KEYS, f"{path}.target")
-    bus = _bus(target, f"{path}.target", n_bus)
+    bus = _int(target, "bus", f"{path}.target", n_bus)
     if kind == "apparent_power":
         return ApparentPower(bus=bus, n_bus=n_bus,
                              s2_max=_number(params, "s2_max", at))
@@ -716,18 +684,17 @@ def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
 # starts every angle at the slack's.
 _UNREAD_SETPOINTS = {"slack": (), "pv": ("theta_setpoint",),
                      "pq": ("v_setpoint", "theta_setpoint")}
+_BUS_TYPES = {kind.value: kind for kind in BusType}
 
-
-# An array of entries is decided column by column (the ``_*_columns``
-# functions, which give None where a column fails) and only then, where
-# one fails, entry by entry (the ``_parse_*`` functions): those name the
-# first bad entry in document order.
-
-def _by_columns(columns, entries, raw: list, *args):
-    """``columns(raw, *args)``, or ``entries(raw, *args)`` where it is
-    None."""
-    out = columns(raw, *args)
-    return entries(raw, *args) if out is None else out
+# The field table of each array: its integer keys, then its numbers as
+# (key, default), a default of None marking a required number; in the
+# order of the arguments of what is built from them.
+_BUS_FIELDS = (("id",), (("p_load", 0.0), ("q_load", 0.0), ("g_shunt", 0.0),
+                         ("b_shunt", 0.0), ("v_setpoint", 1.0),
+                         ("theta_setpoint", 0.0)))
+_LINE_FIELDS = (("from", "to"), (("g_series", None), ("b_series", None),
+                                 ("g_shunt", 0.0), ("b_shunt", 0.0)))
+_GEN_FIELDS = (("bus",), (("p", 0.0), ("q", 0.0)))
 
 
 def _objects(items: list, known: frozenset) -> bool:
@@ -763,139 +730,99 @@ def _ints(items: list, key: str, n_bus: int | None = None):
     return col
 
 
-def _bus_columns(raw: list):
-    if not _objects(raw, _BUS_KEYS):
-        return None
-    types = [entry.get("type") for entry in raw]
-    if not (set(map(type, types)) <= {str}
-            and set(types) <= _UNREAD_SETPOINTS.keys()):
-        return None
-    if any(key in entry for entry, btype in zip(raw, types)
-           for key in _UNREAD_SETPOINTS[btype]):
-        return None
-    ids = _ints(raw, "id")
-    cols = [_numbers(raw, key, default) for key, default in (
-        ("p_load", 0.0), ("q_load", 0.0), ("g_shunt", 0.0), ("b_shunt", 0.0),
-        ("v_setpoint", 1.0), ("theta_setpoint", 0.0))]
-    if ids is None or None in cols:
-        return None
-    kinds = {btype: BusType(btype) for btype in set(types)}
-    return tuple(map(Bus, ids, map(kinds.__getitem__, types), *cols))
+def _table(raw: list, path: str, known: frozenset, fields: tuple,
+           n_bus: int | None = None, rule=None) -> list:
+    """The columns of the array ``raw`` at ``path``, one per field of its
+    table ``fields``, whose integers are buses of ``n_bus`` buses where
+    that is given. Each entry is an object with keys in ``known``;
+    ``rule(entry, j)`` raises on an entry ``j`` that breaks a rule across
+    its keys.
 
-
-def _parse_buses(raw: list) -> tuple:
-    buses = []
-    for i, entry in enumerate(raw):
-        path = f"buses[{i}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        btype = entry.get("type")
-        if btype not in ("slack", "pv", "pq"):
-            raise CaseError(f"{path}.type: expected one of slack|pv|pq, "
-                            f"got {btype!r}")
-        for key in _UNREAD_SETPOINTS[btype]:
-            if key in entry:
-                raise CaseError(f"{path}.{key}: a {btype} bus has no {key}")
-        buses.append(Bus(
-            id=_int(entry, "id", path),
-            bus_type=BusType(btype),
-            p_load=_number(entry, "p_load", path, 0.0),
-            q_load=_number(entry, "q_load", path, 0.0),
-            g_shunt=_number(entry, "g_shunt", path, 0.0),
-            b_shunt=_number(entry, "b_shunt", path, 0.0),
-            v_setpoint=_number(entry, "v_setpoint", path, 1.0),
-            theta_setpoint=_number(entry, "theta_setpoint", path, 0.0),
-        ))
-    _known_item_keys(raw, _BUS_KEYS, "buses")
-    return tuple(buses)
-
-
-def _line_columns(raw: list):
-    if not _objects(raw, _LINE_KEYS):
-        return None
-    cols = [_ints(raw, "from"), _ints(raw, "to"), _numbers(raw, "g_series"),
-            _numbers(raw, "b_series"), _numbers(raw, "g_shunt", 0.0),
-            _numbers(raw, "b_shunt", 0.0)]
-    return None if None in cols else tuple(map(Line, *cols))
-
-
-def _parse_lines(raw: list) -> tuple:
-    lines = []
+    The columns decide the whole array at once, and the rule then runs on
+    each entry. Only where a column fails are the entries read one by one
+    in document order, each object, its rule, its fields and then its
+    keys, and the first bad entry is named."""
+    ints, numbers = fields
+    if _objects(raw, known):
+        cols = ([_ints(raw, key, n_bus) for key in ints]
+                + [_numbers(raw, key, default) for key, default in numbers])
+        if None not in cols:
+            if rule is not None:
+                for j, entry in enumerate(raw):
+                    rule(entry, j)
+            return cols
+    rows = []
     for j, entry in enumerate(raw):
-        path = f"lines[{j}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        lines.append(Line(
-            from_bus=_int(entry, "from", path),
-            to_bus=_int(entry, "to", path),
-            g_series=_number(entry, "g_series", path),
-            b_series=_number(entry, "b_series", path),
-            g_shunt=_number(entry, "g_shunt", path, 0.0),
-            b_shunt=_number(entry, "b_shunt", path, 0.0),
-        ))
-    _known_item_keys(raw, _LINE_KEYS, "lines")
-    return tuple(lines)
+        at = f"{path}[{j}]"
+        _expect(isinstance(entry, dict), at, "expected an object")
+        if rule is not None:
+            rule(entry, j)
+        rows.append([_int(entry, key, at, n_bus) for key in ints]
+                    + [_number(entry, key, at, default)
+                       for key, default in numbers])
+        if not known.issuperset(entry):
+            _reject_unknown(entry, known, at)
+    return [list(col) for col in zip(*rows)]
 
 
-def _generator_columns(raw: list, n_bus: int):
-    if not _objects(raw, _GEN_KEYS):
-        return None
-    buses = _ints(raw, "bus", n_bus)
-    p, q = _numbers(raw, "p", 0.0), _numbers(raw, "q", 0.0)
-    if buses is None or p is None or q is None or len(set(buses)) < len(raw):
-        return None
-    gen_p, gen_q = np.zeros(n_bus), np.zeros(n_bus)
-    gen_p[buses], gen_q[buses] = p, q
-    return gen_p, gen_q
+def _bus_rule(entry: dict, i: int) -> None:
+    """A bus has a type and none of the setpoints its type ignores."""
+    btype = entry.get("type")
+    if btype not in ("slack", "pv", "pq"):
+        raise CaseError(f"buses[{i}].type: expected one of slack|pv|pq, "
+                        f"got {btype!r}")
+    for key in _UNREAD_SETPOINTS[btype]:
+        if key in entry:
+            raise CaseError(f"buses[{i}].{key}: a {btype} bus has no {key}")
 
 
-def _parse_generators(raw: list, n_bus: int):
-    gen_p, gen_q = np.zeros(n_bus), np.zeros(n_bus)
-    with_gen = set()
-    for j, entry in enumerate(raw):
-        path = f"generators[{j}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        bus = _bus(entry, path, n_bus)
-        if bus in with_gen:
-            raise CaseError(f"{path}.bus: a second generator at bus {bus}; "
-                            "generators at one bus must be pre-aggregated")
-        with_gen.add(bus)
-        gen_p[bus] = _number(entry, "p", path, 0.0)
-        gen_q[bus] = _number(entry, "q", path, 0.0)
-    _known_item_keys(raw, _GEN_KEYS, "generators")
-    return gen_p, gen_q
+def _one_per_bus():
+    """A generators rule: no two entries name one bus. An entry whose bus
+    is no integer is left to its field."""
+    seen = set()
 
-
-def _constraint_columns(raw: list, n_bus: int):
-    """The box constraints by column, every other kind entry by entry
-    (``_parse_constraint``): once the boxes and every key pass, the first
-    entry that fails is the first bad entry."""
-    if not _objects(raw, _CONSTRAINT_KEYS):
-        return None
-    kinds = [entry.get("kind") for entry in raw]
-    at = [i for i, kind in enumerate(kinds)
-          if kind in ("box_upper", "box_lower")]
-    targets = [raw[i].get("target") for i in at]
-    params = [raw[i].get("params") for i in at]
-    if not (_objects(targets, _STATE_KEYS)
-            and _objects(params, _PARAMS_KEYS["box_upper"])):
-        return None
-    var = [target.get("var") for target in targets]
-    buses = _ints(targets, "bus", n_bus)
-    bounds = _numbers(params, "bound")
-    if (buses is None or bounds is None
-            or not all(v in _STATE_VARS for v in var)):
-        return None
-    boxes = {i: (BoxUpper if kinds[i] == "box_upper" else BoxLower)(
-                 _STATE_VARS.index(v) * n_bus + bus, bound)
-             for i, v, bus, bound in zip(at, var, buses, bounds)}
-    return tuple(boxes[i] if i in boxes else _parse_constraint(entry, i, n_bus)
-                 for i, entry in enumerate(raw))
+    def rule(entry: dict, j: int) -> None:
+        bus = entry.get("bus")
+        if isinstance(bus, int) and not isinstance(bus, bool):
+            if bus in seen:
+                raise CaseError(
+                    f"generators[{j}].bus: a second generator at bus {bus}; "
+                    "generators at one bus must be pre-aggregated")
+            seen.add(bus)
+    return rule
 
 
 def _parse_constraints(raw: list, n_bus: int) -> tuple:
-    constraints = tuple(_parse_constraint(entry, i, n_bus)
-                        for i, entry in enumerate(raw))
-    _known_item_keys(raw, _CONSTRAINT_KEYS, "constraints")
-    return constraints
+    """The constraints of the array ``raw``, in document order. The box
+    constraints are decided by column; every other kind, and every entry
+    where a column fails, is read by ``_parse_constraint`` and then its
+    keys, so the first bad entry is named."""
+    boxes = {}
+    if _objects(raw, _CONSTRAINT_KEYS):
+        at = [i for i, entry in enumerate(raw)
+              if entry.get("kind") in ("box_upper", "box_lower")]
+        targets = [raw[i].get("target") for i in at]
+        params = [raw[i].get("params") for i in at]
+        if (_objects(targets, _STATE_KEYS)
+                and _objects(params, _PARAMS_KEYS["box_upper"])):
+            var = [target.get("var") for target in targets]
+            buses = _ints(targets, "bus", n_bus)
+            bounds = _numbers(params, "bound")
+            if (buses is not None and bounds is not None
+                    and all(v in _STATE_VARS for v in var)):
+                boxes = {i: (BoxUpper if raw[i]["kind"] == "box_upper"
+                             else BoxLower)(
+                             _STATE_VARS.index(v) * n_bus + bus, bound)
+                         for i, v, bus, bound in zip(at, var, buses, bounds)}
+    out = []
+    for i, entry in enumerate(raw):
+        if i in boxes:
+            out.append(boxes[i])
+            continue
+        out.append(_parse_constraint(entry, i, n_bus))
+        if not _CONSTRAINT_KEYS.issuperset(entry):
+            _reject_unknown(entry, _CONSTRAINT_KEYS, f"constraints[{i}]")
+    return tuple(out)
 
 
 def load_case(text: str | bytes | dict) -> Case:
@@ -909,13 +836,13 @@ def load_case(text: str | bytes | dict) -> Case:
     at most one ``generators`` entry; a second one is rejected by path, as
     parallel lines are.
 
-    The ``buses``, ``lines`` and ``generators`` arrays, and the box
-    constraints, are checked column then entry: first the whole array at
-    once (every entry an object with known keys, then each field as one
-    column, decided on its types and finiteness). Only where a column
-    fails are the entries checked one by one, and the error names the
-    first bad entry in document order, so the text does not depend on
-    which column failed.
+    The ``buses``, ``lines`` and ``generators`` arrays, each by its field
+    table (``_table``), and the box constraints are decided by column:
+    every entry an object with known keys, then each field as one column,
+    decided on its types and finiteness. Only where a column fails are the
+    entries read one by one, each whole (its own fields, then its keys),
+    and the error names the first bad entry in document order, so the
+    text does not depend on which column failed.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -931,23 +858,28 @@ def load_case(text: str | bytes | dict) -> Case:
     raw_buses = doc.get("buses")
     _expect(isinstance(raw_buses, list) and raw_buses, "buses",
             "expected a non-empty array")
-    buses = _by_columns(_bus_columns, _parse_buses, raw_buses)
+    ids, *numbers = _table(raw_buses, "buses", _BUS_KEYS, _BUS_FIELDS,
+                           rule=_bus_rule)
+    types = [_BUS_TYPES[entry["type"]] for entry in raw_buses]
+    buses = tuple(map(Bus, ids, types, *numbers))
 
     raw_lines = doc.get("lines", [])
     _expect(isinstance(raw_lines, list), "lines", "expected an array")
-    lines = _by_columns(_line_columns, _parse_lines, raw_lines)
+    lines = tuple(map(Line, *_table(raw_lines, "lines", _LINE_KEYS,
+                                    _LINE_FIELDS)))
 
     net = Network(buses=buses, lines=lines)
 
     raw_gens = doc.get("generators", [])
     _expect(isinstance(raw_gens, list), "generators", "expected an array")
-    gen_p, gen_q = _by_columns(_generator_columns, _parse_generators,
-                               raw_gens, net.n_bus)
+    at, p, q = _table(raw_gens, "generators", _GEN_KEYS, _GEN_FIELDS,
+                      net.n_bus, rule=_one_per_bus())
+    gen_p, gen_q = np.zeros(net.n_bus), np.zeros(net.n_bus)
+    gen_p[at], gen_q[at] = p, q
 
     raw_cons = doc.get("constraints", [])
     _expect(isinstance(raw_cons, list), "constraints", "expected an array")
-    constraints = _by_columns(_constraint_columns, _parse_constraints,
-                              raw_cons, net.n_bus)
+    constraints = _parse_constraints(raw_cons, net.n_bus)
 
     raw_cost = doc.get("cost", {})
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")

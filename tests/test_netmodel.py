@@ -223,8 +223,8 @@ def _chain(n_bus: int, **changes) -> dict:
      "lines[2] endpoints (0, 6) must reference existing buses"),
 ])
 def test_network_names_its_first_offender(changes, message):
-    # each rule is decided on whole columns; the entry loop, in case
-    # order, names the first offender: a PQ bus's v_setpoint is not read
+    # one pass over the buses, then one over the lines, in case order,
+    # names the first offender: a PQ bus's v_setpoint is not read
     with pytest.raises(CaseError) as err:
         Network(**_chain(6, **changes))
     assert str(err.value).removeprefix("network invariant: ") == message
@@ -585,6 +585,17 @@ def test_load_case_rejects_a_second_generator_at_a_bus():
     assert case.gen_q.tolist() == [0.0, 0.05, 0.0]
 
 
+def test_a_second_generator_is_named_before_a_later_bad_field():
+    # the repeat is a fault of its own entry, found before the entries
+    # after it are read
+    doc = all_kinds_document()
+    doc["generators"] = [{"bus": 1}, {"bus": 1}, {"bus": 2, "p": "x"}]
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == ("generators[1].bus: a second generator at bus 1; "
+                              "generators at one bus must be pre-aggregated")
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_load_case_rejects_nonfinite_numbers(ex1, literal):
     text = json.dumps(case_document(ex1.case)).replace(
@@ -599,12 +610,13 @@ def test_load_case_rejects_integer_beyond_parser_limit():
         load_case('{"buses": [{"id": ' + "9" * 5000 + ', "type": "slack"}]}')
 
 
-# The loader decides each column of an array at once and, where one fails,
-# reads the entries in document order: the first bad entry is named,
-# whichever column failed. Each row below spoils one field of a late entry
-# (path, value or MISSING, CaseError text, or None where the default fills
-# it); the test then also spoils another field of an earlier entry of the
-# same section, which must be the one named.
+# The loader decides each column of an array's field table at once and,
+# where one fails, reads the entries in document order, each whole: the
+# first bad entry is named, whichever column failed. Each row below
+# spoils one field of a late entry (path, value or MISSING, CaseError
+# text, or None where the default fills it); the test then also spoils
+# another field of an earlier entry of the same section, which must be
+# the one named.
 HUGE = 10 ** 400
 OVER = "<1e400>"  # written as the bare literal 1e400, which parses to inf
 
@@ -734,6 +746,37 @@ EARLIER = {
                      "constraints[4].target.bus: expected an integer, "
                      "got None")],
 }
+
+
+# (path of an unknown key, path of a bad field, CaseError text): an
+# entry's keys are read after its fields, and before the next entry
+UNKNOWN_FIRST = [
+    (("buses", 2, "p_lod"), ("buses", 8, "q_load"),
+     "buses[2].p_lod: unknown key; expected one of b_shunt|g_shunt|id|"
+     "p_load|q_load|theta_setpoint|type|v_setpoint"),
+    (("lines", 3, "r"), ("lines", 11, "g_series"),
+     "lines[3].r: unknown key; expected one of "
+     "b_series|b_shunt|from|g_series|g_shunt|to"),
+    (("generators", 2, "qq"), ("generators", 7, "p"),
+     "generators[2].qq: unknown key; expected one of bus|p|q"),
+    (("constraints", 4, "comment"), ("constraints", 23, "params", "bound"),
+     "constraints[4].comment: unknown key; expected one of "
+     "kind|params|target"),
+    (("buses", 8, "p_lod"), ("buses", 8, "q_load"),
+     "buses[8].q_load: expected a finite number, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("unknown, bad, message", UNKNOWN_FIRST,
+                         ids=[m.split(":")[0] for _, _, m in UNKNOWN_FIRST])
+def test_load_case_names_an_unknown_key_as_a_fault_of_its_entry(
+        lattice_document, unknown, bad, message):
+    doc = _column_document(lattice_document)
+    _spoilt(doc, unknown, 0.0)
+    _spoilt(doc, bad, "x")
+    with pytest.raises(CaseError) as err:
+        load_case(json.dumps(doc))
+    assert str(err.value) == message
 
 
 def _row_id(path, value, message):

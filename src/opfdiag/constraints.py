@@ -20,14 +20,12 @@ from .powerflow import SystemState, _residual
 
 
 class InfeasiblePointError(ConstraintError):
-    """Operation that requires a feasible point was given an infeasible one."""
+    """Operation that requires a feasible point was given an infeasible one;
+    ``worst_row`` labels the worst violated row when the test found it."""
 
-    @property
-    def worst_row(self) -> str | None:
-        """Label of the worst violated row, as the message names it, when
-        the feasibility test raised the error; None otherwise."""
-        why = self.args[0] if self.args else None
-        return why.row()[0] if isinstance(why, _WorstViolation) else None
+    def __init__(self, message: str, worst_row: str | None = None):
+        super().__init__(message)
+        self.worst_row = worst_row
 
 
 # ---------------------------------------------------------------------------
@@ -162,61 +160,48 @@ def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
             + [f"g:{j}" for j in g_indices])
 
 
-class _WorstViolation:
-    """Message of the InfeasiblePointError of an infeasible point: the row
-    with the largest excess over its tolerance, labelled as in the active
-    stack (``|flow:p:k|``, ``|h:i|``, ``g:j``); a NaN row, a value outside
-    its constraint's domain, is the worst. It is formatted only when read;
-    the Monte Carlo sweep never reads it."""
+def active_sets(cs: ConstraintSystem, flats: np.ndarray, flow):
+    """(feasible, faces, infeasible) of a block of points (see
+    ``evaluate_points``): their feasibility, each face (the sorted tuple of
+    the j with g_j(x) >= -act_tol) mapped to the array of its feasible
+    points, and the function building point i's InfeasiblePointError."""
+    h_vals, g_vals, feasible, resid = evaluate_points(cs, flats, flow)
+    active = g_vals >= -cs.act_tol
+    points = np.flatnonzero(feasible)
+    by_row: dict[bytes, list[int]] = {}  # points by their active row
+    if active[points].any():
+        for i in points.tolist():
+            by_row.setdefault(active[i].tobytes(), []).append(i)
+    elif points.size:
+        by_row[b""] = points
+    faces = {tuple(np.flatnonzero(active[own[0]]).tolist()): np.asarray(own)
+             for own in by_row.values()}
 
-    def __init__(self, cs: ConstraintSystem, flow, h_vals, g_vals):
-        self.evaluation = (cs, flow, h_vals, g_vals)
-
-    def row(self) -> tuple[str, float, str]:
-        """(label, value, tolerance name) of the worst violated row."""
-        cs, flow, h_vals, g_vals = self.evaluation
-        rows = zip(row_labels(cs, range(g_vals.size)),
-                   np.concatenate([np.abs(flow), np.abs(h_vals), g_vals]),
-                   ["pf_tol"] * flow.size + ["eq_tol"] * h_vals.size
-                   + ["act_tol"] * g_vals.size)
+    def infeasible(i: int) -> InfeasiblePointError:
+        # the row with the largest excess over its tolerance, labelled as
+        # in the active stack; a NaN row, a value outside its constraint's
+        # domain, is the worst
+        rows = zip(row_labels(cs, range(g_vals.shape[1])),
+                   np.concatenate([np.abs(resid[i]), np.abs(h_vals[i]),
+                                   g_vals[i]]),
+                   ["pf_tol"] * resid.shape[1] + ["eq_tol"] * h_vals.shape[1]
+                   + ["act_tol"] * g_vals.shape[1])
         label, value, name = max(rows, key=lambda r: np.inf if np.isnan(r[1])
                                  else r[1] - getattr(cs, r[2]))
         if name != "act_tol":
             label = f"|{label}|"
-        return label, value, name
+        return InfeasiblePointError(
+            f"worst violation {label} = {value:.3e} > {name} = "
+            f"{getattr(cs, name):g}", label)
 
-    def __str__(self) -> str:
-        label, value, name = self.row()
-        tol = getattr(self.evaluation[0], name)
-        return f"worst violation {label} = {value:.3e} > {name} = {tol:g}"
-
-
-def active_sets(cs: ConstraintSystem, flats: np.ndarray, flow) -> list:
-    """Per point of a block (see ``evaluate_points``) its face, the sorted
-    tuple of the indices j with g_j(x) >= -act_tol, or at an infeasible
-    point an unraised InfeasiblePointError naming the worst violated row.
-    Points on the same face share one tuple."""
-    h_vals, g_vals, feasible, resid = evaluate_points(cs, flats, flow)
-    active = g_vals >= -cs.act_tol
-    faces: dict[bytes, tuple[int, ...]] = {}
-    out: list = []
-    for i, ok in enumerate(feasible.tolist()):
-        if not ok:
-            out.append(InfeasiblePointError(_WorstViolation(
-                cs, resid[i], h_vals[i], g_vals[i])))
-            continue
-        key = active[i].tobytes()
-        if key not in faces:
-            faces[key] = tuple(np.flatnonzero(active[i]).tolist())
-        out.append(faces[key])
-    return out
+    return feasible, faces, infeasible
 
 
 def active_set(cs: ConstraintSystem, x) -> tuple[int, ...]:
     """Sorted indices j with g_j(x) >= -act_tol. Only defined on feasible
     points; at an infeasible one it raises InfeasiblePointError naming the
     worst violated row. The one-trial call of ``active_sets``."""
-    (act,) = active_sets(cs, *point_block(cs, x))
-    if isinstance(act, InfeasiblePointError):
-        raise act
-    return act
+    feasible, faces, infeasible = active_sets(cs, *point_block(cs, x))
+    if not feasible[0]:
+        raise infeasible(0)
+    return next(iter(faces))

@@ -138,21 +138,16 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
     over the system's free columns (see ``evaluate_points`` for ``flats``
     and ``flow``).
 
-    Returns (acts, groups, assemble): ``acts[i]`` is point i's face or
-    unraised InfeasiblePointError; each group is (points, face, labels)
-    for the feasible points on one face; ``assemble(face, points)`` gives
-    the ``face_stacks`` of those block points, as triplets. Nothing is
-    assembled, and no flow rows are planned, until ``assemble`` is
-    called; its flow rows come from one plan, and a point's entries do
-    not depend on the others assembled with it.
+    Returns (feasible, infeasible, groups, assemble): ``feasible`` and
+    ``infeasible`` as ``active_sets`` gives them; each group is (points,
+    face) for the feasible points on one face; ``assemble(face, points)``
+    gives the ``face_stacks`` of those block points, as triplets. Nothing
+    is assembled, and no flow rows are planned, until ``assemble`` is
+    called; its flow rows come from one plan, and a point's entries do not
+    depend on the others assembled with it.
     """
-    acts = active_sets(cs, flats, flow)
-    faces: dict[tuple[int, ...], list[int]] = {}
-    for i, act in enumerate(acts):
-        if not isinstance(act, InfeasiblePointError):
-            faces.setdefault(act, []).append(i)
-    groups = [(np.array(points), face, tuple(row_labels(cs, face)))
-              for face, points in faces.items()]
+    feasible, faces, infeasible = active_sets(cs, flats, flow)
+    groups = [(points, face) for face, points in faces.items()]
     plan = None
 
     def assemble(face, points: np.ndarray) -> Stacks:
@@ -163,7 +158,7 @@ def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
         return face_stacks(cs, own, plan(flow[0][points], flow[1][points],
                                          own), face)
 
-    return acts, groups, assemble
+    return feasible, infeasible, groups, assemble
 
 
 def active_stack(cs: ConstraintSystem, x):
@@ -171,12 +166,12 @@ def active_stack(cs: ConstraintSystem, x):
     one point: (A, labels, face, flat, mask), A dense and ``mask`` the
     network's ``free_mask``; the one-trial call of ``active_stacks``."""
     flats, flow = point_block(cs, x)
-    (act,), groups, assemble = active_stacks(cs, flats, flow)
-    if isinstance(act, InfeasiblePointError):
-        raise act
-    ((points, _, labels),) = groups
-    return (assemble(act, points).dense()[0], list(labels), act, flats[0],
-            cs.net.free_mask)
+    feasible, infeasible, groups, assemble = active_stacks(cs, flats, flow)
+    if not feasible[0]:
+        raise infeasible(0)
+    ((points, face),) = groups
+    return (assemble(face, points).dense()[0], row_labels(cs, face), face,
+            flats[0], cs.net.free_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,27 +228,37 @@ class CQReport:
         return out
 
 
-def _point_stack(assemble, face: tuple[int, ...], i: int) -> Stacks:
-    """Block point i's active stack on ``face``, assembled alone."""
-    return assemble(face, np.array([i])).point(0)
+class Verdicts(NamedTuple):
+    """``licq_checks`` on a block as arrays: feasibility, then at feasible
+    points the rank, sigma_min, rank_tol and verdict of their CQReports,
+    which ``report(i)`` builds, or point i's InfeasiblePointError."""
+
+    feasible: np.ndarray
+    rank: np.ndarray
+    sigma_min: np.ndarray
+    rank_tol: np.ndarray
+    licq_holds: np.ndarray
+    report: Callable
 
 
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
-                cost: CostSpec | None = None) -> list:
-    """``licq_check`` at each point of a block (see ``active_stacks``):
-    its CQReport, or an unraised InfeasiblePointError at an infeasible
-    point. Each face group is decided on the singular values of
+                cost: CostSpec | None = None) -> Verdicts:
+    """``licq_check`` at each point of a block (see ``active_stacks``), as
+    ``Verdicts``. Each face group is decided on the singular values of
     diag(I_p, R) (module docstring), m = p + r rows over n free columns.
     It assembles its stacks as triplets only with a cost or where R has
-    rows, else each report assembles its own when read. Where R has rows,
-    the dense stacks give R with one batched matmul, and one batched SVD
-    factors them, values only without a cost, thin with one. Where R has
-    none nothing is factored, and a cost's multipliers are -grad f on the
-    flow rows, with an empty null space."""
-    reports, groups, assemble = active_stacks(cs, flats, flow)
+    rows, else a point's report assembles its own when read. Where R has
+    rows, the dense stacks give R with one batched matmul, and one batched
+    SVD factors them, values only without a cost, thin with one. Where R
+    has none nothing is factored, and a cost's multipliers are -grad f on
+    the flow rows, with an empty null space."""
+    feasible, infeasible, groups, assemble = active_stacks(cs, flats, flow)
     p = 2 * cs.net.n_bus
     n = int(np.count_nonzero(cs.net.free_mask))
-    for points, face, labels in groups:
+    rank, holds = np.zeros(len(flats), int), np.zeros(len(flats), bool)
+    sigma_min, rank_tol = np.zeros((2, len(flats)))
+    kkts = {}  # multiplier sets by point
+    for g, (points, face) in enumerate(groups):
         r = len(cs.h_ops) + len(face)
         k, m = len(points), p + r
         block = assemble(face, points) if cost is not None or r else None
@@ -278,31 +283,40 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                          axis=1)[:, ::-1]
         ranks, smins, tols = _rank_from_svals(merged, (m, n),
                                               cs.rank_ulp_scale)
-        for j, (i, rank, smin, tol) in enumerate(zip(points, ranks, smins,
-                                                     tols)):
-            kkt = None
-            if cost is not None:
-                # a cost too large for the point is rejected by
-                # _multiplier_set, not warned about on the way
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if r:
-                        y, basis = _reduced_solution(
-                            o_rows[j], grads[j], x_mats[j], u_mats[j],
-                            svals[j], vts[j], int((svals[j] > tol).sum()))
-                    else:
-                        # A = [I, X] has full row rank: -grad f on the
-                        # generation columns solves it, and its left null
-                        # space is empty
-                        y, basis = -grads[j, :p], np.zeros((p, 0))
-                    kkt = _multiplier_set(cs, face, block.point(j), grads[j],
-                                          y, basis)
-            stack_of = (partial(_point_stack, assemble, face, i)
-                        if block is None else partial(block.point, j))
-            reports[i] = CQReport(
-                assemble=stack_of, row_labels=labels, m=m, n_free=n,
-                numerical_rank=rank, sigma_min=smin, rank_tol=tol,
-                licq_holds=rank == m, face=face, kkt=kkt)
-    return reports
+        rank[points], sigma_min[points], rank_tol[points] = ranks, smins, tols
+        holds[points] = rank[points] == m
+        groups[g] += (block,)
+        for j in range(k if cost is not None else 0):
+            # a cost too large for the point is rejected by
+            # _multiplier_set, not warned about on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                if r:
+                    y, basis = _reduced_solution(
+                        o_rows[j], grads[j], x_mats[j], u_mats[j], svals[j],
+                        vts[j], int((svals[j] > tols[j]).sum()))
+                else:
+                    # A = [I, X] has full row rank: -grad f on the
+                    # generation columns solves it, and its left null
+                    # space is empty
+                    y, basis = -grads[j, :p], np.zeros((p, 0))
+                kkts[int(points[j])] = _multiplier_set(
+                    cs, face, block.point(j), grads[j], y, basis)
+
+    def report(i: int):
+        if not feasible[i]:
+            return infeasible(i)
+        points, face, block = next(g for g in groups if i in g[0])
+        j = int(np.flatnonzero(points == i)[0])
+        labels = tuple(row_labels(cs, face))
+        return CQReport(
+            assemble=(partial(block.point, j) if block is not None else
+                      lambda: assemble(face, np.array([i])).point(0)),
+            row_labels=labels, m=len(labels), n_free=n,
+            numerical_rank=int(rank[i]), sigma_min=float(sigma_min[i]),
+            rank_tol=float(rank_tol[i]), licq_holds=bool(holds[i]),
+            face=face, kkt=kkts.get(i))
+
+    return Verdicts(feasible, rank, sigma_min, rank_tol, holds, report)
 
 
 def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None) -> CQReport:
@@ -318,7 +332,7 @@ def licq_check(cs: ConstraintSystem, x, cost: CostSpec | None = None) -> CQRepor
     thin columns. See ``CQReport`` for ``sigma_min`` and ``rank_tol``. The
     one-trial call of ``licq_checks``.
     """
-    (report,) = licq_checks(cs, *point_block(cs, x), cost)
+    report = licq_checks(cs, *point_block(cs, x), cost).report(0)
     if isinstance(report, InfeasiblePointError):
         raise report
     return report

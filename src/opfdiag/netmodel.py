@@ -237,6 +237,13 @@ class Network:
         order.setflags(write=False)
         return order
 
+    @cached_property
+    def newton_system(self) -> tuple:
+        """``powerflow._newton_system`` and its ``flow_rows`` plan."""
+        from .powerflow import _newton_system, flow_rows
+        rows, cols, band = _newton_system(self)
+        return rows, cols, band, flow_rows(self, rows, cols, band)
+
 
 class LineDirections(NamedTuple):
     """``Network.directions``: direction e runs from ``bus[e]`` to

@@ -16,10 +16,9 @@ and leaves every rank and measure statement untouched.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from ._jsontext import dumps
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (MAX_ITER, PowerFlowError, SystemState, _newton_system,
-                        flow_rows, newton_states, solve_power_flow)
+from .powerflow import (MAX_ITER, PowerFlowError, SystemState, flow_rows,
+                        newton_states, solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -280,31 +279,43 @@ class GenericityReport:
     Each trial draws a parameter vector, re-solves the flow feasibility
     problem from the case's setpoints (one feasible point per draw; the
     full feasible set is not explored) and, when the operational
-    constraints are met, runs the qualification check. Failures are kept
-    with their draw for replay.
+    constraints are met, runs the qualification check. Trials are columns
+    (``licq`` and ``sigma_min`` set where ``feasible``); ``records`` is
+    built from them when read. Failures are kept with their draw for replay.
     """
 
     trials: int
     rng_seed: int
     model_kind: str
     box: np.ndarray
-    records: tuple[TrialRecord, ...]
+    converged: np.ndarray
+    feasible: np.ndarray
+    licq: np.ndarray
+    sigma_min: np.ndarray
     failures: tuple[dict, ...]
     hypothesis: RankHypothesisReport | None
     tolerances: dict
 
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        cols = zip(self.converged.tolist(), self.feasible.tolist(),
+                   self.licq.tolist(), self.sigma_min.tolist())
+        return tuple(TrialRecord(t, c, f, licq if f else None,
+                                 smin if f else None)
+                     for t, (c, f, licq, smin) in enumerate(cols))
+
     @property
     def feasible_count(self) -> int:
-        return sum(rec.feasible for rec in self.records)
+        return int(np.count_nonzero(self.feasible))
 
     @property
     def licq_pass_count(self) -> int:
-        return sum(rec.licq_holds is True for rec in self.records)
+        return int(np.count_nonzero(self.licq))
 
     @property
     def sigma_min_sorted(self) -> tuple[float, ...]:
-        return tuple(sorted(rec.sigma_min for rec in self.records
-                            if rec.feasible))
+        return tuple(np.sort(self.sigma_min[self.feasible],
+                             kind="stable").tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -328,18 +339,12 @@ class GenericityReport:
         return dumps(self.to_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["trial", "seed", "feasible", "licq", "sigma_min"])
-        for rec in self.records:
-            writer.writerow([
-                rec.trial,
-                self.rng_seed,
-                int(rec.feasible),
-                "" if rec.licq_holds is None else int(rec.licq_holds),
-                "" if rec.sigma_min is None else repr(rec.sigma_min),
-            ])
-        return buf.getvalue()
+        seed = self.rng_seed
+        rows = [f"{t},{seed},1,{int(licq)},{smin!r}\n" if f
+                else f"{t},{seed},0,,\n" for t, f, licq, smin in zip(
+                    range(self.trials), self.feasible.tolist(),
+                    self.licq.tolist(), self.sigma_min.tolist())]
+        return "".join(["trial,seed,feasible,licq,sigma_min\n", *rows])
 
 
 # Byte budget of a Monte Carlo block, counted over the arrays each of its
@@ -359,7 +364,7 @@ def _block_size(net: Network) -> int:
     on two buses, so a 1000-trial sweep of a two-bus fixture is one block,
     35 on the 8 x 8 lattice and one on the 24 x 24 lattice."""
     n, lines = net.n_bus, net.n_line
-    _, cols, band = _newton_system(net)
+    _, cols, band, _ = net.newton_system
     m = cols.size
     newton = m * m if band is None else m * (2 * band[0] + band[1] + 1)
     entries = newton + 2 * (lines + n) + 2 * n + 4 * n + MAX_ITER + 1
@@ -559,13 +564,15 @@ def run_genericity_experiment(
     many trials in one call, and ``seed`` and ``trials`` must be
     non-negative. Non-convergent draws count as trials, not errors.
     Trials run in blocks of ``_block_size`` that stay arrays from the draw
-    to the verdict: a block's draws become stacked line-list admittances
+    to the report: a block's draws become stacked line-list admittances
     and loads, one stacked Newton solve gives the states (the iterates of a
     one-trial solve), and ``cqkit.licq_checks`` tests feasibility and LICQ
     on the converged ones (the block's arrays themselves when every trial
     converged), at most one batched SVD of the reduced matrices per face,
-    and on a face without operational rows no stack at all. Only one block,
-    and the draws of one ``_draw_chunk`` of blocks, are held at a time.
+    and on a face without operational rows no stack at all. Its verdicts
+    fill the report's columns by index; only a LICQ failure's report is
+    built. Only one block, and the draws of one ``_draw_chunk`` of blocks,
+    are held at a time.
     ``tols`` go to ``system_for_case``, whose tolerances decide
     feasibility, LICQ and the rank hypothesis.
     """
@@ -582,7 +589,8 @@ def run_genericity_experiment(
         pass
 
     flow_of = _flow_of_draws(model, case)
-    records: list[TrialRecord] = []
+    converged, feasible, licq = np.zeros((3, trials), dtype=bool)
+    sigma_min = np.zeros(trials)
     failures: list[dict] = []
     block = _block_size(case.network)
     chunk = _draw_chunk(block, len(model.box))
@@ -590,43 +598,33 @@ def run_genericity_experiment(
         if start % chunk == 0:
             draws = _draws(seed, range(start, min(start + chunk, trials)),
                            model.box)
-        ts = range(start, min(start + block, trials))
-        xis = draws[start % chunk:][:len(ts)]
+        xis = draws[start % chunk:][:min(block, trials - start)]
         flow = flow_of(xis)
-        x, outcome, _ = newton_states(case.network, *flow, case.gen_p,
-                                      case.gen_q, pf_tol=cs.pf_tol)
-        solved = np.array([i for i, o in enumerate(outcome)
-                           if not isinstance(o, PowerFlowError)], dtype=int)
+        states = newton_states(case.network, *flow, case.gen_p, case.gen_q,
+                               pf_tol=cs.pf_tol)
+        solved = np.flatnonzero(states.kind == 0)
         # no copy when every trial converged: 1 MB less peak RSS on the
         # 200-trial 8 x 8 shunt sweep
-        states = x
-        if solved.size < len(ts):
-            states, flow = x[solved], tuple(arr[solved] for arr in flow)
-        reports = dict(zip(solved.tolist(), cqkit.licq_checks(cs, states, flow)))
-        for i, t in enumerate(ts):
-            report = reports.get(i)
-            if report is None:
-                records.append(TrialRecord(t, False, False, None, None))
-            elif isinstance(report, con.InfeasiblePointError):
-                records.append(TrialRecord(t, True, False, None, None))
-            else:
-                if not report.licq_holds:
-                    failures.append({
-                        "trial": t,
-                        "seed": seed,
-                        "xi": xis[i].tolist(),
-                        "state": x[i].tolist(),
-                        "cq_report": report.to_dict(),
-                    })
-                records.append(TrialRecord(t, True, True, report.licq_holds,
-                                           report.sigma_min))
+        x = states.x
+        if solved.size < len(xis):
+            x, flow = x[solved], tuple(arr[solved] for arr in flow)
+        verdicts = cqkit.licq_checks(cs, x, flow)
+        at = start + solved
+        converged[at], feasible[at] = True, verdicts.feasible
+        licq[at], sigma_min[at] = verdicts.licq_holds, verdicts.sigma_min
+        for j in np.flatnonzero(verdicts.feasible
+                                & ~verdicts.licq_holds).tolist():
+            failures.append({"trial": int(at[j]), "seed": seed,
+                             "xi": xis[solved[j]].tolist(),
+                             "state": x[j].tolist(),
+                             "cq_report": verdicts.report(j).to_dict()})
 
     return GenericityReport(
         trials=trials,
         rng_seed=seed,
         model_kind=model.kind.value,
         box=model.box,
-        records=tuple(records),
+        converged=converged, feasible=feasible, licq=licq, sigma_min=sigma_min,
         failures=tuple(failures),
         hypothesis=hypothesis,
         # a sweep classifies no cost, so its report leaves out stat_tol

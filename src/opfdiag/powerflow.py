@@ -25,6 +25,7 @@ the reference behind ``pf_jacobian``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,16 +42,11 @@ class NonConvergenceError(PowerFlowError):
     """Newton iteration exhausted without meeting the mismatch tolerance."""
 
     def __init__(self, message: str, history: list[float], mismatch: float):
-        super().__init__(message)
+        super().__init__(f"{message}: final mismatch {mismatch:.3e} after "
+                         f"{len(history)} iterations; trace "
+                         f"{['%.3e' % h for h in history]}")
         self.history = history
         self.mismatch = mismatch
-
-    def __str__(self) -> str:
-        # Formatted when read: a Monte Carlo sweep creates one per failed
-        # trial and never reads it.
-        return (f"{self.args[0]}: final mismatch {self.mismatch:.3e} after "
-                f"{len(self.history)} iterations; trace "
-                f"{['%.3e' % h for h in self.history]}")
 
 
 class DivergenceError(NonConvergenceError):
@@ -108,10 +104,9 @@ class SystemState:
         )
 
 
-def _add_bus_sums(net: Network, out: np.ndarray, terms: np.ndarray) -> None:
+def _add_bus_sums(d, out: np.ndarray, terms: np.ndarray) -> None:
     """Add to ``out`` (T x N) the per-bus sums of ``terms`` (T x 2M), one
-    term per direction of ``Network.directions``, each bus's in its order."""
-    d = net.directions
+    per direction of ``d`` (``Network.directions``), each bus's in order."""
     out[:, d.at] += np.add.reduceat(terms, d.starts, axis=1)
 
 
@@ -125,7 +120,7 @@ def _injections(net: Network, y: np.ndarray, v: np.ndarray,
     m, d = net.n_line, net.directions
     u = v * np.exp(1j * theta)
     yu = y[:, m:] * u
-    _add_bus_sums(net, yu, y[:, d.line] * u[:, d.other])
+    _add_bus_sums(d, yu, y[:, d.line] * u[:, d.other])
     s = u * np.conj(yu)
     return s.real, s.imag
 
@@ -197,8 +192,8 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
     it straight into LAPACK band storage, T x m x (2 kl + ku + 1), entry
     (r, q) at ``[q, kl + ku + r - q]`` (``_blas.band_solver``); the
     function then takes a workspace ``out`` of that shape to refill."""
-    n, m = net.n_bus, net.n_line
-    k, l, line = net.directions[:3]
+    n, m, d = net.n_bus, net.n_line, net.directions
+    k, l, line = d[:3]
     bus = np.arange(n)
     at_row = np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
                              bus, n + bus))
@@ -233,6 +228,8 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
     # the kept entries of each block of values that jacobian_rows writes,
     # and where each goes in the storage
     dest = np.arange(kept.size) if coo else at_out
+    # all the function keeps; no ``net``, so a network caching it is no cycle
+    nnz, triplets = kept.size, (r, q) if coo else ()
     edges = np.cumsum([0, *[2 * m] * 4, *[n] * 4, 2 * n])
     scatter = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -250,7 +247,7 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
         trials = flat.shape[0]
         if coo:
-            store = np.empty((trials, kept.size))
+            store = np.empty((trials, nnz))
         else:
             if out is None:
                 out = np.zeros((trials, *shape))
@@ -275,15 +272,15 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
         # per-bus sums of a_kl v_l and c_kl v_l, the l = k terms
         # (a_kk = G_kk, c_kk = -B_kk) included
         av = gd * v
-        _add_bus_sums(net, av, a * vl)
+        _add_bus_sums(d, av, a * vl)
         cv = -(bd * v)
-        _add_bus_sums(net, cv, c * vl)
+        _add_bus_sums(d, cv, c * vl)
         put(4, -(av + v * gd))
         put(5, v * cv + v**2 * bd)
         put(6, -(cv - v * bd))
         put(7, -(v * av - v**2 * gd))
         store[:, scatter[8][1]] = 1.0
-        return (r, q, store) if coo else out
+        return (*triplets, store) if coo else out
 
     return jacobian_rows
 
@@ -399,6 +396,48 @@ def _newton_system(net: Network):
                                  2 * n + np.flatnonzero(free_v)]), None
 
 
+# Error class and message of each failure kind of a newton_states trial.
+_FAILURES = (
+    (DivergenceError, "power flow diverged: non-finite mismatch at "
+     "iteration {it}"),
+    (StalledNewtonError, "power flow stalled: no new least mismatch in "
+     "{stall} steps"),
+    (NonConvergenceError, "power flow did not converge"),
+    (NonConvergenceError, "converged reduced system but full residual "
+     "exceeds tolerance"),
+    (SingularNewtonError, "singular Newton matrix at iteration {it} "
+     "(possible degeneracy of the flow equations)"),
+)
+DIVERGED, STALLED, OUT_OF_STEPS, FULL_RESIDUAL, SINGULAR = range(1, 6)
+
+
+class NewtonStates(NamedTuple):
+    """``newton_states`` on T trials, as arrays: final flat states, the
+    mismatch history (row i valid up to ``steps[i]``), the iteration where
+    each trial stopped (its count where it converged), the failure kind (0
+    where it converged, else k for ``_FAILURES[k - 1]``), the mismatch a
+    failure reports, and the LinAlgError of each singular Newton matrix."""
+
+    x: np.ndarray
+    errs: np.ndarray
+    steps: np.ndarray
+    kind: np.ndarray
+    mismatch: np.ndarray
+    causes: dict
+
+    def error(self, i: int) -> PowerFlowError | None:
+        """Trial i's unraised PowerFlowError, None where it converged."""
+        if not self.kind[i]:
+            return None
+        (cls, text), it = _FAILURES[self.kind[i] - 1], int(self.steps[i])
+        text = text.format(it=it, stall=STALL_STEPS)
+        if cls is not SingularNewtonError:
+            return cls(text, self.errs[i, :it + 1].tolist(), self.mismatch[i])
+        exc = cls(text)
+        exc.__cause__ = self.causes[i]
+        return exc
+
+
 def newton_states(
     net: Network,
     g: np.ndarray,
@@ -409,7 +448,7 @@ def newton_states(
     q_gen: np.ndarray,
     *,
     pf_tol: float,
-) -> tuple[np.ndarray, list, np.ndarray]:
+) -> NewtonStates:
     """Plain Newton on a stack of trials that share the bus records of
     ``net``: trial i has the admittances of the line lists ``g[i]``,
     ``b[i]`` (T x (M + N), ``netmodel.admittance_stack``) and loads
@@ -417,10 +456,8 @@ def newton_states(
 
     The trials are stacked, never mixed, and a trial leaves the stack when
     it converges or fails, so each trial's iterates are those of a solve on
-    its own data. Returns the final flat states (T x 4N), per trial its
-    iteration count when it converged or its unraised ``PowerFlowError``,
-    and the mismatch history (T x MAX_ITER + 1, row i valid up to trial
-    i's last iteration).
+    its own data. Returns the trials' states, histories and outcomes as
+    arrays (``NewtonStates``), which build a failed trial's error on call.
 
     A trial fails with ``DivergenceError`` at a non-finite mismatch, with
     ``SingularNewtonError`` at a singular Newton matrix, with
@@ -431,7 +468,7 @@ def newton_states(
     each live trial's least mismatch and its steps since that last fell:
     a few array operations per step.
 
-    The residual and each step's Newton matrix (one ``flow_rows`` plan)
+    The residual and each step's Newton matrix (``Network.newton_system``)
     are O(N + M) per trial from the line list; their iterates may differ
     from those of the dense ``pf_jacobian`` in the last bits. Where the
     band is narrow (``_newton_system``) the plan writes LAPACK band storage
@@ -442,8 +479,7 @@ def newton_states(
     trials = g.shape[0]
     mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
-    rows, cols, band = _newton_system(net)
-    newton_matrix = flow_rows(net, rows, cols, band)
+    rows, cols, band, newton_matrix = net.newton_system
     # the block's one band storage, refilled at every step
     work = None if band is None else np.empty(
         (trials, cols.size, 2 * band[0] + band[1] + 1))
@@ -456,10 +492,8 @@ def newton_states(
     y = g + 1j * b
 
     errs = np.zeros((trials, MAX_ITER + 1))
-    outcome: list = [None] * trials  # iteration count or PowerFlowError
-
-    def history(i: int, iterations: int) -> list[float]:
-        return errs[i, :iterations + 1].tolist()
+    steps, kind = np.zeros((2, trials), dtype=int)
+    causes: dict = {}
 
     live = np.arange(trials)
     data = (g, b, y, p_load, q_load)  # rows of the live trials
@@ -477,25 +511,17 @@ def newton_states(
             mis = _residual(net, *data[2:], x[live])[:, rows]
             err = np.abs(mis).max(axis=1, initial=0.0)
             errs[live, it] = err
+            steps[live] = it
             fell = err < best
             best = np.where(fell, err, best)
             since = np.where(fell, 0, since + 1)
+            kind[live[~np.isfinite(err)]] = DIVERGED
             going = np.isfinite(err) & (err > pf_tol)
-            for i, e in zip(live[~going], err[~going]):
-                outcome[i] = it if e <= pf_tol else DivergenceError(
-                    f"power flow diverged: non-finite mismatch at "
-                    f"iteration {it}", history(i, it), e)
             stalled = going & (since >= STALL_STEPS)
-            for i in live[stalled]:
-                outcome[i] = StalledNewtonError(
-                    f"power flow stalled: no new least mismatch in "
-                    f"{STALL_STEPS} steps", history(i, it), errs[i, it])
+            kind[live[stalled]] = STALLED
             going &= ~stalled
             if it == MAX_ITER:
-                for i in live[going]:
-                    outcome[i] = NonConvergenceError(
-                        "power flow did not converge", history(i, it),
-                        errs[i, it])
+                kind[live[going]] = OUT_OF_STEPS
                 break
             rhs = -mis[going]
             keep(going)
@@ -504,33 +530,28 @@ def newton_states(
             jac = newton_matrix(*data[:2], x[live],
                                 None if work is None else work[:live.size])
             with _blas.serial():
-                steps, singular = _newton_steps(jac, rhs, band)
-            for j, exc in singular.items():
-                outcome[live[j]] = SingularNewtonError(
-                    f"singular Newton matrix at iteration {it} "
-                    "(possible degeneracy of the flow equations)")
-                outcome[live[j]].__cause__ = exc
+                step, singular = _newton_steps(jac, rhs, band)
             ok = np.ones(live.size, dtype=bool)
             ok[list(singular)] = False
-            x[live[ok][:, None], cols] += steps[ok]
+            kind[live[~ok]] = SINGULAR
+            causes.update({int(live[j]): exc for j, exc in singular.items()})
+            x[live[ok][:, None], cols] += step[ok]
             keep(ok)
 
     # Recover generation at buses whose rows were left out of the Newton
     # system so the full residual vanishes identically.
-    done = np.array([i for i, o in enumerate(outcome) if isinstance(o, int)],
-                    dtype=int)
+    done = np.flatnonzero(kind == 0)
     xd, yd, pd, qd = x[done], y[done], p_load[done], q_load[done]
     p_inj, q_inj = _injections(net, yd, xd[:, 2 * n:3 * n], xd[:, 3 * n:])
     xd[:, :n] = np.where(free_t, xd[:, :n], p_inj + pd)
     xd[:, n:2 * n] = np.where(free_v, xd[:, n:2 * n], q_inj + qd)
     x[done] = xd
     final = np.abs(_residual(net, yd, pd, qd, xd)).max(axis=1, initial=0.0)
-    for i, res in zip(done, final):
-        if res > pf_tol:
-            outcome[i] = NonConvergenceError(
-                "converged reduced system but full residual exceeds tolerance",
-                history(i, outcome[i]), res)
-    return x, outcome, errs
+    mismatch = errs[np.arange(trials), steps]
+    over = done[final > pf_tol]
+    kind[over] = FULL_RESIDUAL
+    mismatch[over] = final[final > pf_tol]
+    return NewtonStates(x, errs, steps, kind, mismatch, causes)
 
 
 def solve_power_flow(
@@ -553,24 +574,19 @@ def solve_power_flow(
     convergence. Newton starts from v = 1 at PQ buses and every angle at
     the slack's ``theta_setpoint``. No line search or continuation: which
     solution branch is reached depends only on that start, and failure is
-    reported, not masked: a non-finite mismatch raises ``DivergenceError``
-    at once, a singular Newton matrix ``SingularNewtonError``,
-    ``STALL_STEPS`` steps in a row without a new least mismatch
-    ``StalledNewtonError`` (see ``STALL_STEPS`` for why 5), and a solve
-    still short of ``pf_tol`` after ``MAX_ITER`` steps a plain
-    ``NonConvergenceError``; each ``NonConvergenceError`` carries the
-    mismatch history.
+    reported, not masked: the solve raises the ``PowerFlowError`` of its
+    failure (``newton_states``; see ``STALL_STEPS`` for why 5), each
+    ``NonConvergenceError`` with the mismatch history.
 
     This is the one-trial call of ``newton_states``.
     """
-    x, (out,), errs = newton_states(net, *net.admittances, net.p_load[None],
-                                    net.q_load[None], p_gen, q_gen,
-                                    pf_tol=pf_tol)
-    if isinstance(out, PowerFlowError):
-        raise out
-    return PFSolution(
-        state=SystemState.from_flat(x[0]),
-        iterations=out, history=tuple(errs[0, :out + 1].tolist()))
+    out = newton_states(net, *net.admittances, net.p_load[None],
+                        net.q_load[None], p_gen, q_gen, pf_tol=pf_tol)
+    if out.kind[0]:
+        raise out.error(0)
+    it = int(out.steps[0])
+    return PFSolution(state=SystemState.from_flat(out.x[0]), iterations=it,
+                      history=tuple(out.errs[0, :it + 1].tolist()))
 
 
 def state_from_list(values, net: Network) -> SystemState:

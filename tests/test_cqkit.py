@@ -573,7 +573,8 @@ def test_face_free_block_without_cost_assembles_nothing(lattice_document, rng,
                         lambda *a, **kw: plans.append(a) or real_plan(*a, **kw))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **kw: svds.append(a) or real_svd(*a, **kw))
-    reports = licq_checks(cs, flats, flow)
+    verdicts = licq_checks(cs, flats, flow)
+    reports = [verdicts.report(i) for i in range(len(flats))]
     assert plans == [] and svds == []
     assert all(r.face == () and r.licq_holds and r.m == 32 for r in reports)
     stacks = [r.active_jacobian for r in reports]
@@ -596,7 +597,8 @@ def test_structural_reports_match_the_costed_path(lattice_document, rng,
     cost = CostSpec(c2=np.ones(n), c1=np.zeros(n))
     structural = licq_checks(cs, flats, flow)
     costed = licq_checks(cs, flats, flow, cost)
-    for a, b in zip(structural, costed):
+    for i in range(len(flats)):
+        a, b = structural.report(i), costed.report(i)
         assert a.kkt is None and b.kkt is not None
         for name in ("m", "n_free", "numerical_rank", "sigma_min",
                      "rank_tol", "licq_holds"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from opfdiag import powerflow
+from opfdiag import cli, cqkit, powerflow
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
@@ -299,20 +300,19 @@ def test_sweep_block_holds_no_dense_admittances(lattice_document):
     model = shunt_model(case)
     flow = od.perturb._flow_of_draws(model, case)(
         od.perturb._draws(3, range(trials), model.box))
-    _, cols, band = od.perturb._newton_system(net)
+    _, cols, band = powerflow._newton_system(net)
     newton = cols.size * (cols.size if band is None
                           else 2 * band[0] + band[1] + 1)
     tracemalloc.start()
     try:
-        x, outcome, _ = od.perturb.newton_states(
+        states = od.perturb.newton_states(
             net, *flow, case.gen_p, case.gen_q, pf_tol=cs.pf_tol)
-        reports = od.cqkit.licq_checks(cs, x, flow)
+        verdicts = od.cqkit.licq_checks(cs, states.x, flow)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(isinstance(o, int) for o in outcome)
-    assert sum(r.licq_holds for r in reports
-               if not isinstance(r, InfeasiblePointError)) > trials // 2
+    assert not states.kind.any()
+    assert np.count_nonzero(verdicts.licq_holds) > trials // 2
     assert peak - trials * newton * 8 < 8 * 32 * net.n_bus ** 2
 
 
@@ -557,6 +557,95 @@ def test_stall_rule_leaves_sweep_reports_unchanged(ex1, ex2, monkeypatch,
     if kind == "load":
         # the load boxes reach past the nose: trials fail to converge
         assert any(not r.converged for r in rep.records)
+
+
+# sha256 of the JSON and CSV reports of each sweep of CI's sweep
+# determinism step, recorded before a sweep kept its trials as columns
+# (numpy 2.4 on x86-64); GRID8 is bench/grid.py's 8 x 8 shunt grid, and at
+# rank scale 0.2 every one of its trials fails LICQ and is written with its
+# report under failures[].
+GOLDEN_SWEEPS = {
+    "load": ("--builtin ex1 --model load --trials 1000 --seed 42",
+             "b579c9cd4fd3e55c33e82a8939b45815ddddebcaa6284b5bcdcab1594797940b",
+             "016e91a6de10ee2cf0c978d7fcacf4e987a11c2cdda9c3e84ae63621543013c1"),
+    "shunt": ("--builtin ex1 --model shunt --trials 300 --seed 7",
+              "5cce549f71c4d43c56dc5f58c0f6a7e474fa54790e190959187bbb4366bb3faa",
+              "399625e9a70b81193783aa97d5eae4ca3eeb59aa5e2b8a1a58d93d96bb11f5a6"),
+    "line": ("--builtin ex3 --model line --trials 300 --seed 7",
+             "badbbdbeba2431dbebdd73aeeea163803dd3c6c9297b58bab918506493d7bfa0",
+             "df2f6e24906bb2442a77d3cf78b5d6e4254785d1914c298b9891af0bb3748911"),
+    "bigseed": (
+        "--builtin ex1 --model shunt --trials 300 --seed 123456789012345",
+        "1fb4ba82bbd804452dbc247771670afb9d6dac5f2d96550e1ffcd177f11e5f8e",
+        "968006efd3b4f9c542b1c3e1c2f985b122be445681e80fdc49ffad422959dfab"),
+    "grid8shunt": (
+        "--case GRID8 --model shunt --trials 200 --seed 0",
+        "3fa3b30fb2be8bc7910510667da2aae81b80eb520ef1469a40421b262f0f70d5",
+        "daae66ccd2d1b75554912d731741277ec2035326eead18f4ac1c8a23ada63319"),
+    "grid8tol": (
+        "--case GRID8 --model shunt --trials 5 --seed 0 --rank-tol-scale 0.2",
+        "3a70d35caa62e13dbfc0191ec41d626f5a4ce4e494714b44b689de8c97eb9c66",
+        "28821858c3888c319d50045ec6deb5266bdc9e65816368d8d73e85206762d146"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SWEEPS))
+def test_sweep_reports_keep_their_bytes(tmp_path, capsys, name):
+    args, json_sha, csv_sha = GOLDEN_SWEEPS[name]
+    grid = tmp_path / "grid8.json"
+    grid.write_text(json.dumps(bench_grid_document(8, 0, shunts=True)))
+    out = tmp_path / f"{name}.json"
+    argv = [str(grid) if a == "GRID8" else a for a in args.split()]
+    assert cli.main(["perturb", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out, out.with_suffix(".csv"))] == [json_sha, csv_sha]
+
+
+def count_constructions(monkeypatch, cls) -> list:
+    """The classes of the instances of ``cls`` and its subclasses built
+    while the test runs, counted at ``cls.__init__``."""
+    made, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -52, 0.2])
+def test_sweep_builds_no_object_per_trial(ex1, monkeypatch, scale):
+    # the seed-42 load sweep has 206 non-converged, 490 infeasible and 304
+    # checked trials; at rank scale 0.2 every checked trial fails LICQ.
+    # Only a LICQ failure's report is built, and the records when read.
+    reports = count_constructions(monkeypatch, cqkit.CQReport)
+    records = count_constructions(monkeypatch, TrialRecord)
+    infeasible = count_constructions(monkeypatch, InfeasiblePointError)
+    solves = count_constructions(monkeypatch, od.PowerFlowError)
+    rep = run_genericity_experiment(ex1.case, load_model(ex1.case),
+                                    trials=1000, seed=42,
+                                    rank_ulp_scale=scale)
+    assert rep.feasible_count == 304
+    assert len(rep.failures) == (304 if scale == 0.2 else 0)
+    assert len(reports) == len(rep.failures)
+    assert records == infeasible == solves == []
+    assert sum(not r.converged for r in rep.records) == 206
+    assert rep.records is rep.records
+    assert len(records) == 1000
+
+
+def test_sweep_plans_the_newton_system_once(monkeypatch):
+    # the nominal solve, _block_size and every block of the 200-trial
+    # 8 x 8 shunt sweep share the network's one plan
+    case = od.load_case(bench_grid_document(8, 0, shunts=True))
+    plans = []
+    real = powerflow._newton_system
+    monkeypatch.setattr(powerflow, "_newton_system",
+                        lambda net: plans.append(net) or real(net))
+    run_genericity_experiment(case, shunt_model(case), trials=200, seed=0)
+    assert len(plans) == 1 and plans[0] is case.network
 
 
 def test_csv_columns(ex1):

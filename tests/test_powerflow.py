@@ -360,13 +360,21 @@ def test_stacked_newton_mixes_every_outcome():
 def solve_stacked(net, nets, p_gen, q_gen):
     """newton_states on the stacked trials, one per network of ``nets``
     (the lines of ``net`` with their own admittances and loads), as (state
-    row, outcome, history row) per trial."""
-    x, outcome, errs = newton_states(
+    row, outcome, history row) per trial: the outcome is the iteration
+    count where the trial converged, else its PowerFlowError, built from
+    the arrays on demand."""
+    states = newton_states(
         net, np.concatenate([n.admittances[0] for n in nets]),
         np.concatenate([n.admittances[1] for n in nets]),
         np.stack([n.p_load for n in nets]), np.stack([n.q_load for n in nets]),
         p_gen, q_gen, pf_tol=1e-10)
-    return list(zip(x, outcome, errs))
+    outcome = [states.error(i) for i in range(len(nets))]
+    # a failure kind exactly where the trial failed
+    assert states.kind.astype(bool).tolist() == [o is not None
+                                                 for o in outcome]
+    outcome = [int(i) if o is None else o
+               for i, o in zip(states.steps, outcome)]
+    return list(zip(states.x, outcome, states.errs))
 
 
 def assert_same_outcome(stacked, net, p_gen, q_gen):
@@ -421,6 +429,7 @@ def test_stacked_newton_isolates_a_singular_trial():
     for i in (1, 3):
         assert isinstance(outs[i][1], SingularNewtonError)
         assert "iteration 0" in str(outs[i][1])
+        assert isinstance(outs[i][1].__cause__, np.linalg.LinAlgError)
     for i in (0, 2, 4):
         assert assert_same_outcome(outs[i], net, p_gen, np.zeros(3))
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, system_for_case
-from .netmodel import (ApparentPower, BoxUpper, Bus, BusType, Case, CaseError,
-                       CostSpec, ExpLoadEq, Line, LinearEq, Network,
-                       state_index)
+from .netmodel import (ApparentPower, BoxUpper, Case, CaseError, CostSpec,
+                       ExpLoadEq, LinearEq, Network, state_index)
 from .powerflow import SystemState
 
 
@@ -42,14 +41,8 @@ class FixtureBundle:
 
 
 def _two_bus_network(p_loads=(0.0, 0.0)) -> Network:
-    return Network(
-        buses=(
-            Bus(id=0, bus_type=BusType.SLACK, p_load=p_loads[0],
-                v_setpoint=1.0, theta_setpoint=0.0),
-            Bus(id=1, bus_type=BusType.PQ, p_load=p_loads[1]),
-        ),
-        lines=(Line(from_bus=0, to_bus=1, g_series=0.0, b_series=-1.0),),
-    )
+    return Network(bus_type=["slack", "pq"], line_ends=[(0, 1)],
+                   p_load=p_loads, g_series=[0.0], b_series=[-1.0])
 
 
 def example1(alpha: float) -> FixtureBundle:
@@ -69,6 +62,10 @@ def example1(alpha: float) -> FixtureBundle:
     """
     if not alpha > 0:
         raise CaseError(f"example1 requires alpha > 0, got {alpha}")
+    # 2 alpha^2, the coupling's offset, is the largest number derived here
+    if not math.isfinite(2.0 * alpha * alpha):
+        raise CaseError(f"example1 at alpha = {alpha}: 2 alpha^2 leaves the "
+                        "float range")
     v_bar = math.sqrt(alpha * alpha + 1.0)
     net = _two_bus_network(p_loads=(2.0 * alpha, -2.0 * alpha))
     unit = np.eye(8)  # rows: the flat states' unit vectors

@@ -16,7 +16,6 @@ the unknowns inside a Newton solve.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import warnings
@@ -31,137 +30,129 @@ class CaseError(ValueError):
     """Malformed case document or violated network invariant."""
 
 
-class BusType(enum.Enum):
-    SLACK = "slack"
-    PV = "pv"
-    PQ = "pq"
+# The number columns of a network, each with its case-document key and
+# default (None: required), which ``Network`` and ``load_case`` both fill.
+_BUS_NUMBERS = (("p_load", "p_load", 0.0), ("q_load", "q_load", 0.0),
+                ("g_shunt", "g_shunt", 0.0), ("b_shunt", "b_shunt", 0.0),
+                ("v_setpoint", "v_setpoint", 1.0),
+                ("theta_setpoint", "theta_setpoint", 0.0))
+_LINE_NUMBERS = (("g_series", "g_series", None),
+                 ("b_series", "b_series", None),
+                 ("g_line_shunt", "g_shunt", 0.0),
+                 ("b_line_shunt", "b_shunt", 0.0))
 
 
-@dataclass(frozen=True)
-class Bus:
-    """Single network node.
-
-    Loads and the nodal shunt admittance are fixed data; generation at the
-    bus lives in the system state, not here. ``v_setpoint`` applies to
-    SLACK/PV buses, ``theta_setpoint`` to the SLACK bus only.
-    """
-
-    id: int
-    bus_type: BusType
-    p_load: float = 0.0
-    q_load: float = 0.0
-    g_shunt: float = 0.0
-    b_shunt: float = 0.0
-    v_setpoint: float = 1.0
-    theta_setpoint: float = 0.0
-
-
-@dataclass(frozen=True)
-class Line:
-    """Two-terminal Pi-model line.
-
-    ``g_series``/``b_series`` form the series admittance; ``g_shunt``/
-    ``b_shunt`` the *total* line shunt admittance, half of which is lumped
-    at each end. No off-nominal taps or phase shifts: the admittance
-    matrix stays symmetric.
-    """
-
-    from_bus: int
-    to_bus: int
-    g_series: float
-    b_series: float
-    g_shunt: float = 0.0
-    b_shunt: float = 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Validated bus/line collection.
+    """Validated network as locked columns in case order.
+
+    Per bus: ``bus_type`` ("slack", "pv" or "pq"), the loads ``p_load``/
+    ``q_load``, the nodal shunt ``g_shunt``/``b_shunt``, ``v_setpoint``
+    (read at slack and PV buses) and ``theta_setpoint`` (read at the
+    slack). Per line: ``line_ends`` (M x 2, from and to bus), the series
+    admittance ``g_series``/``b_series`` and the *total* line shunt
+    ``g_line_shunt``/``b_line_shunt``, half of it lumped at each end; no
+    taps or phase shifts, so the admittance matrix is symmetric. A number
+    column left out takes its default (``_BUS_NUMBERS``,
+    ``_LINE_NUMBERS``). Networks compare by identity.
 
     Raises :class:`CaseError` on construction if any invariant fails:
-    exactly one slack bus, sequential 0-based bus ids, line endpoints in
-    range and distinct, at most one line per unordered pair, positive
-    voltage setpoints where applicable. Disconnected line graphs produce
-    a warning, not an error: one breadth-first search of the line graph
-    (``components``) finds them and gives ``bus_order``.
-
-    One pass over the buses, then one over the lines, each in case order,
-    names the first offender.
+    exactly one slack bus, positive voltage setpoints where applicable,
+    line endpoints in range and distinct, at most one line per unordered
+    pair. Each rule is decided on the columns at once, and the first
+    offender is named as one pass over the buses, then one over the
+    lines, would name it. Disconnected line graphs produce a warning, not
+    an error: one breadth-first search of the line graph (``components``)
+    finds them and gives ``bus_order``.
     """
 
-    buses: tuple[Bus, ...]
-    lines: tuple[Line, ...]
+    bus_type: np.ndarray
+    line_ends: np.ndarray
+    p_load: np.ndarray = None
+    q_load: np.ndarray = None
+    g_shunt: np.ndarray = None
+    b_shunt: np.ndarray = None
+    v_setpoint: np.ndarray = None
+    theta_setpoint: np.ndarray = None
+    g_series: np.ndarray = None
+    b_series: np.ndarray = None
+    g_line_shunt: np.ndarray = None
+    b_line_shunt: np.ndarray = None
 
     def __post_init__(self) -> None:
-        if not self.buses:
+        types = np.array(self.bus_type, dtype=str)
+        ends = np.asarray(self.line_ends)
+        if ends.dtype.kind not in "iu":  # no line, or ints past int64
+            ends = np.asarray(self.line_ends, dtype=object)
+        ends = ends.reshape(-1, 2)
+        n, m = types.size, len(ends)
+        if not n:
             raise CaseError("network invariant: bus list must be non-empty")
-        slack, pv = BusType.SLACK, BusType.PV
-        slacks = []
-        for i, bus in enumerate(self.buses):
-            if bus.id != i:
-                raise CaseError("network invariant: buses must carry sequential "
-                                f"0-based ids; buses[{i}].id == {bus.id}")
-            if bus.bus_type in (slack, pv) and not bus.v_setpoint > 0:
-                raise CaseError("network invariant: v_setpoint > 0 required at "
-                                f"bus {bus.id}")
-            if bus.bus_type is slack:
-                slacks.append(bus.id)
-        if len(slacks) != 1:
+        for size, what, numbers in ((n, "bus", _BUS_NUMBERS),
+                                    (m, "line", _LINE_NUMBERS)):
+            for name, _, default in numbers:
+                col = getattr(self, name)
+                if col is None and default is None and size:
+                    raise CaseError(f"network invariant: {name} is required")
+                col = (np.full(size, default, dtype=float) if col is None
+                       else np.array(col, dtype=float))
+                if col.shape != (size,):
+                    raise CaseError(f"network invariant: {name} must hold "
+                                    f"one number per {what}")
+                col.setflags(write=False)
+                object.__setattr__(self, name, col)
+        slacks = np.flatnonzero(types == "slack")
+        unset = np.flatnonzero((types != "pq") & ~(self.v_setpoint > 0))
+        if unset.size:
+            raise CaseError("network invariant: v_setpoint > 0 required at "
+                            f"bus {unset[0]}")
+        if slacks.size != 1:
             raise CaseError("network invariant: exactly one slack bus "
-                            f"required, found {slacks}")
-        n = len(self.buses)
-        seen = set()
-        for j, ln in enumerate(self.lines):
-            a, b = ln.from_bus, ln.to_bus
-            if not (0 <= a < n and 0 <= b < n):
+                            f"required, found {slacks.tolist()}")
+        # a line out of range, a self-loop or a repeat of an earlier pair;
+        # a line out of range counts as (0, 0) for the other two
+        out = ((ends < 0) | (ends >= n)).any(axis=1)
+        pairs = np.sort(np.where(out[:, None], 0, ends).astype(int), axis=1)
+        loop = pairs[:, 0] == pairs[:, 1]
+        repeat = np.ones(m, dtype=bool)
+        repeat[np.unique(pairs[:, 0] * n + pairs[:, 1],
+                         return_index=True)[1]] = False
+        bad = np.flatnonzero(out | loop | repeat)
+        if bad.size:
+            j = bad[0]
+            if out[j]:
                 raise CaseError(f"network invariant: lines[{j}] endpoints "
-                                f"({a}, {b}) must reference existing buses")
-            if a == b:
-                raise CaseError(f"network invariant: lines[{j}] is a self-loop "
-                                f"at bus {a}")
-            pair = (a, b) if a < b else (b, a)
-            if pair in seen:
-                raise CaseError(f"duplicate line for bus pair ({pair[0]}, "
-                                f"{pair[1]}); parallel lines must be "
-                                "pre-aggregated")
-            seen.add(pair)
+                                f"{tuple(ends[j].tolist())} must reference "
+                                "existing buses")
+            if loop[j]:
+                raise CaseError(f"network invariant: lines[{j}] is a "
+                                f"self-loop at bus {pairs[j, 0]}")
+            raise CaseError(f"duplicate line for bus pair "
+                            f"{tuple(pairs[j].tolist())}; parallel lines "
+                            "must be pre-aggregated")
+        for name, col in (("bus_type", types), ("line_ends", ends.astype(int))):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
         if len(self.components) > 1:
             warnings.warn("line graph is not connected", stacklevel=3)
 
     @property
     def n_bus(self) -> int:
-        return len(self.buses)
+        return self.bus_type.size
 
     @property
     def n_line(self) -> int:
-        return len(self.lines)
-
-    @property
-    def p_load(self) -> np.ndarray:
-        return np.array([b.p_load for b in self.buses])
-
-    @property
-    def q_load(self) -> np.ndarray:
-        return np.array([b.q_load for b in self.buses])
+        return len(self.line_ends)
 
     @cached_property
     def free_mask(self) -> np.ndarray:
         """Free entries of the flat state (p_gen, q_gen, v, theta), locked:
         all but the slack's v and theta and PV v."""
-        free_v = [b.bus_type is BusType.PQ for b in self.buses]
-        free_t = [b.bus_type is not BusType.SLACK for b in self.buses]
-        mask = np.concatenate([np.ones(2 * self.n_bus, dtype=bool), free_v,
-                               free_t])
+        mask = np.concatenate([np.ones(2 * self.n_bus, dtype=bool),
+                               self.bus_type == "pq",
+                               self.bus_type != "slack"])
         mask.setflags(write=False)
         return mask
-
-    @cached_property
-    def line_ends(self) -> np.ndarray:
-        """Each line's (from_bus, to_bus), M x 2 in case order, locked."""
-        ends = np.array([(ln.from_bus, ln.to_bus) for ln in self.lines],
-                        dtype=int).reshape(-1, 2)
-        ends.setflags(write=False)
-        return ends
 
     @cached_property
     def directions(self) -> "LineDirections":
@@ -190,11 +181,9 @@ class Network:
     def admittances(self) -> tuple[np.ndarray, np.ndarray]:
         """The network's nodal admittance matrix as its line list (g, b),
         each 1 x (M + N) (``admittance_stack``), locked."""
-        g, b = admittance_stack(
-            self, np.array([[ln.g_series for ln in self.lines]]),
-            np.array([[ln.b_series for ln in self.lines]]),
-            np.array([[bus.g_shunt for bus in self.buses]]),
-            np.array([[bus.b_shunt for bus in self.buses]]))
+        g, b = admittance_stack(self, self.g_series[None],
+                                self.b_series[None], self.g_shunt[None],
+                                self.b_shunt[None])
         g.setflags(write=False)
         b.setflags(write=False)
         return g, b
@@ -300,12 +289,11 @@ def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
     """
     n, m = net.n_bus, net.n_line
     ends = net.line_ends
-    halves = [complex(ln.g_shunt, ln.b_shunt) / 2.0 for ln in net.lines]
     trials = max(len(series_g), len(shunt_g))
     out = []
     for series, half, shunt in (
-            (series_g, [h.real for h in halves], shunt_g),
-            (series_b, [h.imag for h in halves], shunt_b)):
+            (series_g, net.g_line_shunt / 2.0, shunt_g),
+            (series_b, net.b_line_shunt / 2.0, shunt_b)):
         diag = np.zeros((len(series), n))
         # series admittance plus half the line shunt at both ends of each
         # line; ufunc.at accumulates repeated buses in index order
@@ -691,17 +679,12 @@ def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
 # starts every angle at the slack's.
 _UNREAD_SETPOINTS = {"slack": (), "pv": ("theta_setpoint",),
                      "pq": ("v_setpoint", "theta_setpoint")}
-_BUS_TYPES = {kind.value: kind for kind in BusType}
 
 # The field table of each array: its integer keys, then its numbers as
-# (key, default), a default of None marking a required number; in the
-# order of the arguments of what is built from them.
-_BUS_FIELDS = (("id",), (("p_load", 0.0), ("q_load", 0.0), ("g_shunt", 0.0),
-                         ("b_shunt", 0.0), ("v_setpoint", 1.0),
-                         ("theta_setpoint", 0.0)))
-_LINE_FIELDS = (("from", "to"), (("g_series", None), ("b_series", None),
-                                 ("g_shunt", 0.0), ("b_shunt", 0.0)))
-_GEN_FIELDS = (("bus",), (("p", 0.0), ("q", 0.0)))
+# (column, key, default), a default of None marking a required number.
+_BUS_FIELDS = (("id",), _BUS_NUMBERS)
+_LINE_FIELDS = (("from", "to"), _LINE_NUMBERS)
+_GEN_FIELDS = (("bus",), (("p", "p", 0.0), ("q", "q", 0.0)))
 
 
 def _objects(items: list, known: frozenset) -> bool:
@@ -752,7 +735,7 @@ def _table(raw: list, path: str, known: frozenset, fields: tuple,
     ints, numbers = fields
     if _objects(raw, known):
         cols = ([_ints(raw, key, n_bus) for key in ints]
-                + [_numbers(raw, key, default) for key, default in numbers])
+                + [_numbers(raw, key, default) for _, key, default in numbers])
         if None not in cols:
             if rule is not None:
                 for j, entry in enumerate(raw):
@@ -766,7 +749,7 @@ def _table(raw: list, path: str, known: frozenset, fields: tuple,
             rule(entry, j)
         rows.append([_int(entry, key, at, n_bus) for key in ints]
                     + [_number(entry, key, at, default)
-                       for key, default in numbers])
+                       for _, key, default in numbers])
         if not known.issuperset(entry):
             _reject_unknown(entry, known, at)
     return [list(col) for col in zip(*rows)]
@@ -850,6 +833,11 @@ def load_case(text: str | bytes | dict) -> Case:
     entries read one by one, each whole (its own fields, then its keys),
     and the error names the first bad entry in document order, so the
     text does not depend on which column failed.
+
+    Once both arrays are read, the bus ids must run 0, 1, ... in document
+    order (the first that does not is named); the columns of the buses
+    and lines then go to ``Network`` as they are, which checks its
+    invariants.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -865,17 +853,22 @@ def load_case(text: str | bytes | dict) -> Case:
     raw_buses = doc.get("buses")
     _expect(isinstance(raw_buses, list) and raw_buses, "buses",
             "expected a non-empty array")
-    ids, *numbers = _table(raw_buses, "buses", _BUS_KEYS, _BUS_FIELDS,
-                           rule=_bus_rule)
-    types = [_BUS_TYPES[entry["type"]] for entry in raw_buses]
-    buses = tuple(map(Bus, ids, types, *numbers))
+    ids, *bus_numbers = _table(raw_buses, "buses", _BUS_KEYS, _BUS_FIELDS,
+                               rule=_bus_rule)
 
     raw_lines = doc.get("lines", [])
     _expect(isinstance(raw_lines, list), "lines", "expected an array")
-    lines = tuple(map(Line, *_table(raw_lines, "lines", _LINE_KEYS,
-                                    _LINE_FIELDS)))
+    frm, to, *line_numbers = _table(raw_lines, "lines", _LINE_KEYS,
+                                    _LINE_FIELDS)
 
-    net = Network(buses=buses, lines=lines)
+    if ids != list(range(len(ids))):
+        i = next(i for i, k in enumerate(ids) if k != i)
+        raise CaseError("network invariant: buses must carry sequential "
+                        f"0-based ids; buses[{i}].id == {ids[i]}")
+    columns = zip((name for name, _, _ in _BUS_NUMBERS + _LINE_NUMBERS),
+                  bus_numbers + line_numbers)
+    net = Network(bus_type=[entry["type"] for entry in raw_buses],
+                  line_ends=list(zip(frm, to)), **dict(columns))
 
     raw_gens = doc.get("generators", [])
     _expect(isinstance(raw_gens, list), "generators", "expected an array")

@@ -83,19 +83,17 @@ def _interval_box(nominal: np.ndarray) -> np.ndarray:
 
 def _add_half_line_shunts(net: Network, g: np.ndarray,
                           b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Add half of each line's shunt to both end buses of g and b in place."""
-    for ln in net.lines:
-        for end in (ln.from_bus, ln.to_bus):
-            g[end] += ln.g_shunt / 2.0
-            b[end] += ln.b_shunt / 2.0
+    """Add half of each line's shunt to both end buses of g and b in place,
+    line by line in case order, the from bus first."""
+    for y, shunt in ((g, net.g_line_shunt), (b, net.b_line_shunt)):
+        np.add.at(y, net.line_ends.ravel(), np.repeat(shunt / 2.0, 2))
     return g, b
 
 
 def lumped_shunts(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus lumped shunt admittance: bus shunt plus half of each
     incident line shunt."""
-    return _add_half_line_shunts(net, np.array([b.g_shunt for b in net.buses]),
-                                 np.array([b.b_shunt for b in net.buses]))
+    return _add_half_line_shunts(net, net.g_shunt.copy(), net.b_shunt.copy())
 
 
 def load_model(case: Case) -> PerturbationModel:
@@ -110,9 +108,7 @@ def shunt_model(case: Case) -> PerturbationModel:
 
 
 def line_model(case: Case) -> PerturbationModel:
-    g = np.array([ln.g_series for ln in case.network.lines])
-    b = np.array([ln.b_series for ln in case.network.lines])
-    nominal = np.concatenate([g, b])
+    nominal = np.concatenate([case.network.g_series, case.network.b_series])
     return PerturbationModel(ModelKind.LINE, _interval_box(nominal))
 
 
@@ -158,21 +154,17 @@ def param_jacobian(model: PerturbationModel, net: Network,
         return jac
     m = net.n_line
     jac = np.zeros((2 * n, 2 * m))
-    v, theta = x.v, x.theta
-    for j, ln in enumerate(net.lines):
-        k, l = ln.from_bus, ln.to_bus
-        ckl = np.cos(theta[k] - theta[l])
-        skl = np.sin(theta[k] - theta[l])
-        vkl = v[k] * v[l]
-        col_g, col_b = j, m + j
-        jac[k, col_g] = vkl * ckl - v[k] ** 2
-        jac[l, col_g] = vkl * ckl - v[l] ** 2
-        jac[n + k, col_g] = vkl * skl
-        jac[n + l, col_g] = -vkl * skl
-        jac[k, col_b] = vkl * skl
-        jac[l, col_b] = -vkl * skl
-        jac[n + k, col_b] = v[k] ** 2 - vkl * ckl
-        jac[n + l, col_b] = v[l] ** 2 - vkl * ckl
+    k, l = net.line_ends.T
+    rows, cols = np.stack((k, l, n + k, n + l)), np.arange(m)
+    ckl = np.cos(x.theta[k] - x.theta[l])
+    skl = np.sin(x.theta[k] - x.theta[l])
+    # float_power is libm's pow, as ** on one float is; ** 2 on an array
+    # squares, which differs in the last bit
+    vkl = x.v[k] * x.v[l]
+    vk2, vl2 = np.float_power(x.v[k], 2), np.float_power(x.v[l], 2)
+    jac[rows, cols] = (vkl * ckl - vk2, vkl * ckl - vl2, vkl * skl, -vkl * skl)
+    jac[rows, m + cols] = (vkl * skl, -vkl * skl, vk2 - vkl * ckl,
+                           vl2 - vkl * ckl)
     return jac
 
 
@@ -225,38 +217,23 @@ def check_rank_hypothesis(model: PerturbationModel, cs: con.ConstraintSystem,
 # Applying a parameter draw to a case
 # ---------------------------------------------------------------------------
 
-def _with_loads(case: Case, loads: np.ndarray) -> Case:
-    """New case with the stacked (p, q) load vector written into the buses."""
-    net = case.network
-    n = net.n_bus
-    buses = tuple(
-        replace(b, p_load=float(loads[b.id]), q_load=float(loads[n + b.id]))
-        for b in net.buses)
-    return replace(case, network=Network(buses=buses, lines=net.lines))
-
-
 def apply_parameters(model: PerturbationModel, case: Case,
                      xi: np.ndarray) -> Case:
-    """New case with the drawn parameter vector written into the data."""
+    """New case with the drawn parameter vector written into the network's
+    columns."""
     _expect_dimension(model, case.network)
     net = case.network
-    n = net.n_bus
+    n, m = net.n_bus, net.n_line
     if model.kind is ModelKind.LOAD:
-        return _with_loads(case, xi)
-    if model.kind is ModelKind.SHUNT:
-        # xi holds lumped (g, -b); remove the half line-shunt contribution
-        # so the lumped value lands exactly on the target.
+        columns = {"p_load": xi[:n], "q_load": xi[n:]}
+    elif model.kind is ModelKind.SHUNT:
+        # remove the half line-shunt contribution so the lumped value
+        # lands exactly on the target
         g_line, b_line = _add_half_line_shunts(net, np.zeros(n), np.zeros(n))
-        buses = tuple(
-            replace(b, g_shunt=float(xi[b.id] - g_line[b.id]),
-                    b_shunt=float(-xi[n + b.id] - b_line[b.id]))
-            for b in net.buses)
-        return replace(case, network=Network(buses=buses, lines=net.lines))
-    m = net.n_line
-    lines = tuple(
-        replace(ln, g_series=float(xi[j]), b_series=float(xi[m + j]))
-        for j, ln in enumerate(net.lines))
-    return replace(case, network=Network(buses=net.buses, lines=lines))
+        columns = {"g_shunt": xi[:n] - g_line, "b_shunt": -xi[n:] - b_line}
+    else:
+        columns = {"g_series": xi[:m], "b_series": xi[m:]}
+    return replace(case, network=replace(net, **columns))
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +515,12 @@ def _flow_of_draws(model: PerturbationModel, case: Case):
     if model.kind is ModelKind.SHUNT:
         # xi holds lumped (g, -b); the bus shunts are what remains after the
         # half line shunts, as apply_parameters writes them
-        series = (np.array([[ln.g_series for ln in net.lines]]),
-                  np.array([[ln.b_series for ln in net.lines]]))
         g_line, b_line = _add_half_line_shunts(net, np.zeros(n), np.zeros(n))
         return lambda xis: with_loads(*admittance_stack(
-            net, *series, xis[:, :n] - g_line, -xis[:, n:] - b_line))
-    shunts = (np.array([[b.g_shunt for b in net.buses]]),
-              np.array([[b.b_shunt for b in net.buses]]))
+            net, net.g_series[None], net.b_series[None],
+            xis[:, :n] - g_line, -xis[:, n:] - b_line))
     return lambda xis: with_loads(*admittance_stack(
-        net, xis[:, :m], xis[:, m:], *shunts))
+        net, xis[:, :m], xis[:, m:], net.g_shunt[None], net.b_shunt[None]))
 
 
 def run_genericity_experiment(
@@ -735,9 +709,14 @@ def shift_load(case: Case, direction: int, delta: float) -> Case:
     if not 0 <= direction < 2 * n:
         raise PerturbationError(
             f"direction {direction} outside the stacked load vector (2N = {2 * n})")
-    loads = np.concatenate([net.p_load, net.q_load])
-    loads[direction] += delta
-    return _with_loads(case, loads)
+    name, bus = ("p_load", "q_load")[direction // n], direction % n
+    load = getattr(net, name).copy()
+    load[bus] = float(load[bus]) + delta
+    if not np.isfinite(load[bus]):
+        raise PerturbationError(
+            f"{name} of bus {bus} shifted by {delta!r} is {load[bus]}; a "
+            "load must be a finite number")
+    return replace(case, network=replace(net, **{name: load}))
 
 
 def tangency_escape_probe(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _blas
-from .netmodel import (BusType, CaseError, Network, build_ybus, finite_number,
+from .netmodel import (CaseError, Network, build_ybus, finite_number,
                        state_index)
 
 
@@ -485,9 +485,8 @@ def newton_states(
         (trials, cols.size, 2 * band[0] + band[1] + 1))
 
     # every angle starts at the slack's; F sees only angle differences
-    slack = next(bus for bus in net.buses if bus.bus_type is BusType.SLACK)
-    v = np.where(free_v, 1.0, [bus.v_setpoint for bus in net.buses])
-    theta = np.full(n, slack.theta_setpoint)
+    v = np.where(free_v, 1.0, net.v_setpoint)
+    theta = np.full(n, net.theta_setpoint[net.bus_type == "slack"])
     x = np.tile(np.concatenate([p_gen, q_gen, v, theta]), (trials, 1))
     y = g + 1j * b
 

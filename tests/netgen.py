@@ -5,43 +5,45 @@ line-list admittances, the reduced matrix of an active stack, and the
 benchmark's grid documents."""
 
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Bus, BusType,
-                              Case, Line, LinearEq, Network)
+from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Case,
+                              LinearEq, Network)
 from opfdiag.powerflow import SystemState, _injections
+
+
+def network_columns(net: Network) -> dict:
+    """Each column of ``net`` as (dtype, shape, bytes): two networks have
+    equal columns exactly where every value is equal bit for bit, which
+    tells -0.0 from 0.0."""
+    return {f.name: (col.dtype.str, col.shape, col.tobytes())
+            for f in fields(net) for col in [getattr(net, f.name)]}
 
 
 def random_network(n_bus: int, rng: np.random.Generator) -> Network:
     """Radial chain plus random extra lines (each with probability 0.3);
     about half the buses and every line carry a shunt."""
-    buses = []
+    p, q, g_sh, b_sh = np.zeros((4, n_bus))
     for k in range(n_bus):
-        g_sh = b_sh = 0.0
         if rng.uniform() < 0.5:
-            g_sh = rng.uniform(0.0, 0.3)
-            b_sh = rng.uniform(-0.3, 0.3)
-        buses.append(Bus(
-            id=k,
-            bus_type=BusType.SLACK if k == 0 else BusType.PQ,
-            p_load=rng.uniform(-1.0, 1.0),
-            q_load=rng.uniform(-1.0, 1.0),
-            g_shunt=g_sh,
-            b_shunt=b_sh,
-        ))
+            g_sh[k] = rng.uniform(0.0, 0.3)
+            b_sh[k] = rng.uniform(-0.3, 0.3)
+        p[k] = rng.uniform(-1.0, 1.0)
+        q[k] = rng.uniform(-1.0, 1.0)
     pairs = [(k, k + 1) for k in range(n_bus - 1)]
     pairs += [(k, l) for k in range(n_bus) for l in range(k + 2, n_bus)
               if rng.uniform() < 0.3]
-    lines = tuple(
-        Line(from_bus=k, to_bus=l,
-             g_series=rng.uniform(0.0, 2.0),
-             b_series=rng.uniform(-5.0, -0.5),
-             g_shunt=rng.uniform(0.0, 0.1),
-             b_shunt=rng.uniform(0.0, 0.2))
-        for k, l in pairs)
-    return Network(buses=tuple(buses), lines=lines)
+    g, b, g_line, b_line = np.array(
+        [(rng.uniform(0.0, 2.0), rng.uniform(-5.0, -0.5),
+          rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.2))
+         for _ in pairs]).reshape(-1, 4).T
+    return Network(bus_type=["slack"] + ["pq"] * (n_bus - 1),
+                   line_ends=pairs, p_load=p, q_load=q, g_shunt=g_sh,
+                   b_shunt=b_sh, g_series=g, b_series=b, g_line_shunt=g_line,
+                   b_line_shunt=b_line)
 
 
 def ring_network(n_bus: int, seed: int) -> Network:
@@ -55,14 +57,11 @@ def ring_network(n_bus: int, seed: int) -> Network:
         pairs.add(tuple(sorted(rng.choice(n_bus, 2, replace=False).tolist())))
     load = rng.uniform(-0.03, 0.03, (2, n_bus))
     load -= load.mean(axis=1, keepdims=True)
-    buses = tuple(Bus(id=k, bus_type=BusType.SLACK if k == 0 else BusType.PQ,
-                      p_load=float(load[0, k]), q_load=float(load[1, k]))
-                  for k in range(n_bus))
-    lines = tuple(Line(from_bus=k, to_bus=l,
-                       g_series=float(rng.uniform(0.5, 1.5)),
-                       b_series=float(rng.uniform(-8.0, -4.0)))
-                  for k, l in sorted(pairs))
-    return Network(buses=buses, lines=lines)
+    g, b = np.array([(rng.uniform(0.5, 1.5), rng.uniform(-8.0, -4.0))
+                     for _ in sorted(pairs)]).T
+    return Network(bus_type=["slack"] + ["pq"] * (n_bus - 1),
+                   line_ends=sorted(pairs), p_load=load[0], q_load=load[1],
+                   g_series=g, b_series=b)
 
 
 def random_state(net: Network, rng: np.random.Generator) -> SystemState:
@@ -134,19 +133,6 @@ def bench_grid_document(side: int, seed: int, *, shunts: bool) -> dict:
     return grid.grid_case(side, seed, shunts=shunts)
 
 
-def _bus_document(bus: Bus) -> dict:
-    """A bus entry with the setpoints its type reads: v at SLACK and PV
-    buses, theta at the SLACK bus only."""
-    doc = {"id": bus.id, "type": bus.bus_type.value, "p_load": bus.p_load,
-           "q_load": bus.q_load, "g_shunt": bus.g_shunt,
-           "b_shunt": bus.b_shunt}
-    if bus.bus_type is not BusType.PQ:
-        doc["v_setpoint"] = bus.v_setpoint
-    if bus.bus_type is BusType.SLACK:
-        doc["theta_setpoint"] = bus.theta_setpoint
-    return doc
-
-
 def all_kinds_document() -> dict:
     """Three-bus case document with every constraint kind, a linear_eq
     whose term repeats and a cost whose quadratic term repeats. The
@@ -183,6 +169,43 @@ def all_kinds_document() -> dict:
     }
 
 
+def every_column_document() -> dict:
+    """Four-bus case document that sets every network column: loads and
+    nodal shunts at every bus type, a PV bus, a slack with its own voltage
+    and a nonzero angle, and lines with both line shunts, some entered
+    from their larger end. Its setpoints solve to a point inside both
+    voltage bounds, where LICQ holds, as at every line and shunt draw of a
+    50-trial sweep at seed 0."""
+    return {
+        "buses": [{"id": 0, "type": "slack", "p_load": 0.05, "q_load": 0.02,
+                   "g_shunt": 0.01, "b_shunt": 0.03, "v_setpoint": 1.03,
+                   "theta_setpoint": 0.25},
+                  {"id": 1, "type": "pv", "p_load": 0.2, "q_load": 0.05,
+                   "g_shunt": 0.02, "v_setpoint": 1.01},
+                  {"id": 2, "type": "pq", "p_load": 0.3, "q_load": 0.1,
+                   "b_shunt": 0.05},
+                  {"id": 3, "type": "pq", "p_load": -0.1, "q_load": 0.04,
+                   "g_shunt": 0.015, "b_shunt": -0.02}],
+        "lines": [{"from": 0, "to": 1, "g_series": 1.0, "b_series": -8.0,
+                   "g_shunt": 0.01, "b_shunt": 0.04},
+                  {"from": 2, "to": 1, "g_series": 1.2, "b_series": -6.0,
+                   "b_shunt": 0.03},
+                  {"from": 0, "to": 2, "g_series": 0.5, "b_series": -4.0,
+                   "g_shunt": 0.005},
+                  {"from": 3, "to": 2, "g_series": 0.8, "b_series": -5.0,
+                   "g_shunt": 0.002, "b_shunt": 0.06}],
+        "generators": [{"bus": 1, "p": 0.4, "q": 0.1}, {"bus": 3, "p": 0.05}],
+        "constraints": [
+            {"kind": "box_upper", "target": {"var": "v", "bus": 2},
+             "params": {"bound": 1.1}},
+            {"kind": "box_lower", "target": {"var": "v", "bus": 3},
+             "params": {"bound": 0.9}},
+        ],
+        "cost": {"quadratic": [{"var": "p", "bus": 0, "coef": 1.0}],
+                 "linear": [{"var": "p", "bus": 1, "coef": 0.5}]},
+    }
+
+
 def _state_entry(index: int, n_bus: int) -> dict:
     """The {var, bus} entry of a flat-state index (inverse of state_index)."""
     block, bus = divmod(int(index), n_bus)
@@ -209,19 +232,28 @@ def _constraint_document(op, n_bus: int) -> dict:
 def case_document(case: Case) -> dict:
     """Serialize a case back to its document form (inverse of load_case):
     one cost term per nonzero entry of its CostSpec arrays."""
-    n = case.network.n_bus
+    net = case.network
+    n = net.n_bus
+    buses = []
+    for k, kind in enumerate(net.bus_type.tolist()):
+        bus = {"id": k, "type": kind, **{name: float(getattr(net, name)[k])
+               for name in ("p_load", "q_load", "g_shunt", "b_shunt")}}
+        # the setpoints its type reads: v at slack and PV buses, theta at
+        # the slack
+        if kind != "pq":
+            bus["v_setpoint"] = float(net.v_setpoint[k])
+        if kind == "slack":
+            bus["theta_setpoint"] = float(net.theta_setpoint[k])
+        buses.append(bus)
     return {
-        "buses": [_bus_document(b) for b in case.network.buses],
+        "buses": buses,
         "lines": [
-            {
-                "from": ln.from_bus,
-                "to": ln.to_bus,
-                "g_series": ln.g_series,
-                "b_series": ln.b_series,
-                "g_shunt": ln.g_shunt,
-                "b_shunt": ln.b_shunt,
-            }
-            for ln in case.network.lines
+            {"from": k, "to": l, "g_series": g, "b_series": b,
+             "g_shunt": g_sh, "b_shunt": b_sh}
+            for (k, l), g, b, g_sh, b_sh in zip(
+                net.line_ends.tolist(), net.g_series.tolist(),
+                net.b_series.tolist(), net.g_line_shunt.tolist(),
+                net.b_line_shunt.tolist())
         ],
         "generators": [
             {"bus": k, "p": float(case.gen_p[k]), "q": float(case.gen_q[k])}

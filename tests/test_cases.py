@@ -11,7 +11,8 @@ from opfdiag.cqkit import active_stack
 from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, CaseError,
                               ExpLoadEq, LinearEq, state_index)
 from opfdiag.powerflow import SystemState, pf_residual
-from netgen import all_kinds_document, case_document, reduced_rows
+from netgen import (all_kinds_document, case_document, network_columns,
+                    reduced_rows)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5])
@@ -51,6 +52,16 @@ def test_ex1_rejects_nonpositive_alpha():
         example1(0.0)
     with pytest.raises(CaseError):
         example1(-1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e160, 1e300])
+def test_ex1_rejects_an_alpha_whose_numbers_overflow(alpha):
+    # 2 alpha^2, the coupling's offset, would be inf, and so would v_bar
+    # and q_1 from 1.34e154 on
+    with pytest.raises(CaseError) as err:
+        example1(alpha)
+    assert str(err.value) == (f"example1 at alpha = {alpha}: 2 alpha^2 "
+                              "leaves the float range")
 
 
 def test_ex2_full_state_ground_truth_reverifies(ex2):
@@ -121,7 +132,7 @@ def test_fixture_documents_load_back_identically(name):
     fix = od.builtin(name)
     doc = case_document(fix.case)
     case = od.load_case(json.dumps(doc))
-    assert case.network == fix.case.network
+    assert network_columns(case.network) == network_columns(fix.case.network)
     assert np.array_equal(case.gen_p, fix.case.gen_p)
     assert np.array_equal(case.gen_q, fix.case.gen_q)
     assert case.constraints == fix.case.constraints

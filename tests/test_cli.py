@@ -574,6 +574,28 @@ def test_alpha_outside_ex1_exits_2(capsys, tmp_path, ex1, argv):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "ex1", "--alpha", "1e200"],
+    ["perturb", "--builtin", "ex1", "--model", "load", "--trials", "2",
+     "--alpha", "1e200"],
+    ["sweep", "--alpha", "1e200"],
+    ["repro", "ex1", "--alpha", "1e200"],
+    ["check", "--case", "{case}", "--perturb-load", "1:1e308"],
+])
+def test_input_past_the_float_range_exits_2(capsys, tmp_path, recwarn, ex1,
+                                            argv):
+    # ex1's numbers at alpha = 1e200, and a load of 1e308 shifted by 1e308,
+    # are input errors, found before any of them is computed with
+    doc = case_document(ex1.case)
+    doc["buses"][1]["p_load"] = 1e308
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.replace("{case}", str(case)) for a in argv])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "float range" in err or "finite" in err
+    assert not recwarn.list
+
+
 def test_negative_trials_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["perturb", "--builtin", "ex1", "--model", "load",

@@ -22,8 +22,8 @@ from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              shift_load, shunt_model, tangency_escape_probe)
 from opfdiag.powerflow import SystemState, pf_residual
 
-from netgen import (bench_grid_document, case_document, random_network,
-                    random_state, trial_draw)
+from netgen import (bench_grid_document, case_document, every_column_document,
+                    random_network, random_state, trial_draw)
 
 
 def random_case(rng, n_bus=4):
@@ -39,8 +39,7 @@ def nominal_parameters(model, case):
     if model.kind is ModelKind.SHUNT:
         g, b = lumped_shunts(net)
         return np.concatenate([g, -b])
-    return np.concatenate([[ln.g_series for ln in net.lines],
-                           [ln.b_series for ln in net.lines]])
+    return np.concatenate([net.g_series, net.b_series])
 
 
 def fd_param_jacobian(model, case, x, step=1e-6):
@@ -105,11 +104,35 @@ def test_line_jacobian_locality(rng):
     x = random_state(net, rng)
     jac = param_jacobian(model, net, x)
     n, m = net.n_bus, net.n_line
-    for j, ln in enumerate(net.lines):
-        touched = {ln.from_bus, ln.to_bus, n + ln.from_bus, n + ln.to_bus}
+    for j, (k, l) in enumerate(net.line_ends.tolist()):
+        touched = {k, l, n + k, n + l}
         for col in (j, m + j):
             nonzero = set(np.flatnonzero(jac[:, col]).tolist())
             assert nonzero <= touched
+
+
+def test_line_jacobian_keeps_the_per_line_entries(rng):
+    # the columns by indexed writes over line_ends hold, bit for bit, the
+    # entries of a loop over the lines on one float at a time, whose v ** 2
+    # is pow and now and then a last bit off the square v * v
+    for n_bus in [2, 5, 12, 20] * 10:
+        case = random_case(rng, n_bus=n_bus)
+        net = case.network
+        x = random_state(net, rng)
+        n, m = net.n_bus, net.n_line
+        ref = np.zeros((2 * n, 2 * m))
+        v, theta = x.v, x.theta
+        for j, (k, l) in enumerate(net.line_ends.tolist()):
+            c, s = np.cos(theta[k] - theta[l]), np.sin(theta[k] - theta[l])
+            vkl = v[k] * v[l]
+            ref[[k, l, n + k, n + l], j] = (vkl * c - v[k] ** 2,
+                                            vkl * c - v[l] ** 2,
+                                            vkl * s, -vkl * s)
+            ref[[k, l, n + k, n + l], m + j] = (vkl * s, -vkl * s,
+                                                v[k] ** 2 - vkl * c,
+                                                v[l] ** 2 - vkl * c)
+        jac = param_jacobian(line_model(case), net, x)
+        assert jac.tobytes() == ref.tobytes()
 
 
 def test_rank_hypothesis_load_always_satisfied(rng):
@@ -602,6 +625,70 @@ def test_sweep_reports_keep_their_bytes(tmp_path, capsys, name):
             for p in (out, out.with_suffix(".csv"))] == [json_sha, csv_sha]
 
 
+# sha256 of the reports of CI's checks, of the default tangency probe, of
+# ybus on GRID8S (bench/grid.py's 8 x 8 shunt grid) and of a check and two
+# sweeps of COLS (tests/netgen.py's every_column_document), recorded while
+# the network was a tuple of per-bus and per-line records (numpy 2.4 on
+# x86-64). GRIDn is bench/grid.py's shunt-free n x n grid. Each entry is
+# (arguments, exit code, sha256 of the JSON report[, of the CSV]).
+GOLDEN_REPORTS = {
+    "check-ex1": ("check --builtin ex1", 3,
+        "40c4256b5553cd6f26a555483f08eee634180a6d138d2ac00a4110db276b8b66"),
+    "check-ex2": ("check --builtin ex2", 3,
+        "9a34756773267d46094d4969bb9be8ccea4ac4a5cebdb8d3df19e69480935aac"),
+    "check-ex1-shift": ("check --builtin ex1 --perturb-load 1:+0.05", 0,
+        "29c4815d8a978616bee8a7b5d968a78b119109466dc30f72caa1980b53984409"),
+    "check-grid8": ("check --case GRID8", 0,
+        "b249279be574b6c3884965b3d72d90883c191e68113ea3cc272be3727d1dd161"),
+    "check-grid8-jac": ("check --case GRID8 --emit-jacobian", 0,
+        "5ca8e3b7cc67febe5f9eedd693da92cca3a211a83392d0761fd48c17c387eb8f"),
+    "check-grid12": ("check --case GRID12", 0,
+        "d6d683f4aad691c2db61e03721511b87195c6918c7e6748694030986d908d948"),
+    "check-grid12-jac": ("check --case GRID12 --emit-jacobian", 0,
+        "23a0cc7c3941bc8d91bd60f3e92c5d38977030bd607f37ae89a3f87c3d104840"),
+    "check-grid24": ("check --case GRID24", 0,
+        "aaead5194156635f8e7b0bb52f330542cee8f44ef1b5e2093bf5ec71f25bbf0e"),
+    "check-grid24-jac": ("check --case GRID24 --emit-jacobian", 0,
+        "a96ea24c1df2c179ce8c1e6e1bd0434fab39393983ca2a9c8e187eab211a8392"),
+    "sweep": ("sweep", 0,
+        "22ab5467e3e114f5afb5085ace7d6cf025a87ac7332ff0efd81eac3dfc6222d9"),
+    "ybus-grid8s": ("ybus --case GRID8S", 0,
+        "a3fa6a0e6002bd9a583c339b3ee91906e5dc6a551e3f253875bf1bb6adfca24d"),
+    "check-cols": ("check --case COLS", 0,
+        "4838742e7d622e23efd47207833f871d17b9bbc7933c4cec64cb2201fa0c0cdd"),
+    "perturb-cols-line": (
+        "perturb --case COLS --model line --trials 50 --seed 0", 0,
+        "7387e765c6817c082414fe0c4e81216941b4f735437c6257c530f9cf8213e27c",
+        "e43439cd283145d5aeac3f3a8f2cf79eaa0807b8e3273ee75addb767c9a169ad"),
+    "perturb-cols-shunt": (
+        "perturb --case COLS --model shunt --trials 50 --seed 0", 0,
+        "992c6358643f2fe63a2c1462896925c22ccaf1e589ceed728c7a80d08f54f772",
+        "e43439cd283145d5aeac3f3a8f2cf79eaa0807b8e3273ee75addb767c9a169ad"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_reports_keep_their_bytes(tmp_path, capsys, name):
+    args, code, *shas = GOLDEN_REPORTS[name]
+    docs = {"COLS": every_column_document,
+            "GRID8S": lambda: bench_grid_document(8, 0, shunts=True)}
+    docs.update((f"GRID{side}",
+                 lambda side=side: bench_grid_document(side, 0, shunts=False))
+                for side in (8, 12, 24))
+    argv = []
+    for arg in args.split():
+        if arg in docs:
+            path = tmp_path / f"{arg}.json"
+            path.write_text(json.dumps(docs[arg]()))
+            arg = str(path)
+        argv.append(arg)
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    capsys.readouterr()
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out, out.with_suffix(".csv"))[:len(shas)]] == shas
+
+
 def count_constructions(monkeypatch, cls) -> list:
     """The classes of the instances of ``cls`` and its subclasses built
     while the test runs, counted at ``cls.__init__``."""
@@ -775,6 +862,19 @@ def test_projection_beyond_two_buses(lattice_document, side, bus, delta,
     report = licq_check(cs, state)
     assert report.face == face
     assert report.licq_holds
+
+
+@pytest.mark.parametrize("direction, name", [(1, "p_load"), (3, "q_load")])
+def test_shift_load_past_the_float_range_is_rejected(ex1, direction, name):
+    doc = case_document(ex1.case)
+    doc["buses"][1][name] = 1e308
+    case = od.load_case(json.dumps(doc))
+    assert shift_load(case, direction, -1e308).network.p_load[1] == (
+        0.0 if name == "p_load" else -2.0)
+    with pytest.raises(PerturbationError) as err:
+        shift_load(case, direction, 1e308)
+    assert str(err.value) == (f"{name} of bus 1 shifted by 1e+308 is inf; a "
+                              "load must be a finite number")
 
 
 def test_probe_rejects_bad_direction(ex1):

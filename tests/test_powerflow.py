@@ -13,8 +13,8 @@ from opfdiag.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from opfdiag.constraints import ConstraintSystem, system_for_case
 from opfdiag.cqkit import (Classification, CostSpec, active_stack,
                           kkt_residual, licq_check)
-from opfdiag.netmodel import (Bus, BusType, Case, Line, Network,
-                              admittance_stack, build_ybus, load_case)
+from opfdiag.netmodel import (Case, Network, admittance_stack, build_ybus,
+                              load_case)
 from opfdiag.perturb import apply_parameters, make_model
 from opfdiag.powerflow import (MAX_ITER, STALL_STEPS, DivergenceError,
                                NonConvergenceError, PowerFlowError,
@@ -54,8 +54,8 @@ def test_residual_zero_at_flat_no_load_profile(ex3):
 
 
 def test_residual_single_isolated_bus_cancels():
-    net = Network(buses=(Bus(id=0, bus_type=BusType.SLACK,
-                             p_load=0.3, q_load=-0.2),), lines=())
+    net = Network(bus_type=["slack"], line_ends=[], p_load=[0.3],
+                  q_load=[-0.2])
     x = SystemState(p_gen=np.array([0.3]), q_gen=np.array([-0.2]),
                     v=np.array([1.0]), theta=np.array([0.0]))
     r = pf_residual(net, x)
@@ -113,9 +113,8 @@ mags = st.floats(min_value=0.5, max_value=1.5,
 @given(v1=mags, v2=mags, t1=angles, t2=angles,
        b=st.floats(min_value=-5.0, max_value=-0.1))
 def test_lossless_two_bus_injections_antisymmetric(v1, v2, t1, t2, b):
-    net = Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ)),
-        lines=(Line(0, 1, g_series=0.0, b_series=b),))
+    net = Network(bus_type=["slack", "pq"], line_ends=[(0, 1)],
+                  g_series=[0.0], b_series=[b])
     p_inj, _ = injections(net, np.array([v1, v2]),
                           np.array([t1, t2]))
     assert abs(p_inj[0] + p_inj[1]) <= 1e-12
@@ -139,9 +138,8 @@ def test_newton_flat_profile_is_immediate(ex3):
 
 
 def zero_load_two_bus():
-    return Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK), Bus(id=1, bus_type=BusType.PQ)),
-        lines=(Line(0, 1, g_series=0.0, b_series=-1.0),))
+    return Network(bus_type=["slack", "pq"], line_ends=[(0, 1)],
+                   g_series=[0.0], b_series=[-1.0])
 
 
 def test_newton_fails_beyond_transferable_power():
@@ -179,11 +177,9 @@ def test_newton_singular_matrix_flagged_as_degenerate():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        net = Network(
-            buses=(Bus(id=0, bus_type=BusType.SLACK),
-                   Bus(id=1, bus_type=BusType.PQ),
-                   Bus(id=2, bus_type=BusType.PQ, p_load=0.5)),
-            lines=(Line(0, 1, 0.0, -1.0),))
+        net = Network(bus_type=["slack", "pq", "pq"], line_ends=[(0, 1)],
+                      p_load=[0.0, 0.0, 0.5], g_series=[0.0],
+                      b_series=[-1.0])
     from opfdiag.powerflow import SingularNewtonError
 
     with pytest.raises(SingularNewtonError, match="degeneracy"):
@@ -204,12 +200,11 @@ def test_newton_pv_bus_holds_voltage_and_recovers_reactive():
 
 
 def pv_three_bus():
-    return Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK, v_setpoint=1.0),
-               Bus(id=1, bus_type=BusType.PV, v_setpoint=1.02),
-               Bus(id=2, bus_type=BusType.PQ, p_load=0.4, q_load=0.1)),
-        lines=(Line(0, 1, 0.2, -4.0), Line(1, 2, 0.1, -3.0),
-               Line(0, 2, 0.15, -2.5)))
+    return Network(bus_type=["slack", "pv", "pq"],
+                   line_ends=[(0, 1), (1, 2), (0, 2)],
+                   p_load=[0.0, 0.0, 0.4], q_load=[0.0, 0.0, 0.1],
+                   v_setpoint=[1.0, 1.02, 1.0], g_series=[0.2, 0.1, 0.15],
+                   b_series=[-4.0, -3.0, -2.5])
 
 
 @pytest.mark.parametrize("name", ["ex1", "pv3"])
@@ -243,10 +238,8 @@ def test_newton_path_is_pinned_bitwise(ex1, name):
 
 def test_newton_stops_at_non_finite_mismatch():
     # the first step overshoots to ~1e300 and the next mismatch overflows
-    net = Network(
-        buses=(Bus(id=0, bus_type=BusType.SLACK),
-               Bus(id=1, bus_type=BusType.PQ, p_load=1e300)),
-        lines=(Line(0, 1, g_series=0.0, b_series=-1.0),))
+    net = Network(bus_type=["slack", "pq"], line_ends=[(0, 1)],
+                  p_load=[0.0, 1e300], g_series=[0.0], b_series=[-1.0])
     import warnings
 
     with warnings.catch_warnings():
@@ -340,11 +333,10 @@ def test_stacked_newton_mixes_every_outcome():
     # one stack of two-bus trials: converging, stalled past the nose,
     # diverging at a huge load and singular without line admittance
     net = zero_load_two_bus()
-    dead = replace(net, lines=(replace(net.lines[0], b_series=0.0),))
+    dead = replace(net, b_series=[0.0])
 
     def loaded(base, p, q):
-        return replace(base, buses=(base.buses[0],
-                                    replace(base.buses[1], p_load=p, q_load=q)))
+        return replace(base, p_load=[0.0, p], q_load=[0.0, q])
 
     nets = [loaded(net, 0.1, 0.1), loaded(net, 2.0, 2.0),
             loaded(net, 1e300, 0.0), loaded(dead, 0.1, 0.0),
@@ -421,8 +413,7 @@ def test_stacked_newton_isolates_a_singular_trial():
     net = pv_three_bus()
     p_gen = np.array([0.0, 0.3, 0.0])
     # the same lines without admittance, and no shunt: Y = 0
-    dead = replace(net, lines=tuple(replace(ln, g_series=0.0, b_series=0.0)
-                                    for ln in net.lines))
+    dead = replace(net, g_series=np.zeros(3), b_series=np.zeros(3))
     G, B = build_ybus(dead)
     assert not G.any() and not B.any()
     outs = solve_stacked(net, [net, dead, net, dead, net], p_gen, np.zeros(3))
@@ -474,9 +465,9 @@ def newton_selection(net):
 
 
 def with_pv_bus(net, bus):
-    buses = list(net.buses)
-    buses[bus] = replace(buses[bus], bus_type=BusType.PV, v_setpoint=1.03)
-    return Network(buses=tuple(buses), lines=net.lines)
+    types, v = net.bus_type.copy(), net.v_setpoint.copy()
+    types[bus], v[bus] = "pv", 1.03
+    return replace(net, bus_type=types, v_setpoint=v)
 
 
 def charged_lattice(doc, rng):
@@ -503,11 +494,16 @@ def test_line_list_residual_matches_dense_product(lattice_document, network):
         net = random_network(12, rng)
     elif network in ("isolated-bus", "no-lines"):
         base = random_network(6, rng)
-        lone = Bus(id=6, bus_type=BusType.PQ, g_shunt=0.2, b_shunt=-0.1)
+        lone = {"bus_type": "pq", "p_load": 0.0, "q_load": 0.0,
+                "g_shunt": 0.2, "b_shunt": -0.1, "v_setpoint": 1.0,
+                "theta_setpoint": 0.0}
+        no_line = ("line_ends", "g_series", "b_series", "g_line_shunt",
+                   "b_line_shunt")
         with pytest.warns(UserWarning, match="not connected"):
-            net = (Network(buses=base.buses, lines=())
+            net = (replace(base, **dict.fromkeys(no_line, []))
                    if network == "no-lines" else
-                   Network(buses=(*base.buses, lone), lines=base.lines))
+                   replace(base, **{k: np.append(getattr(base, k), v)
+                                    for k, v in lone.items()}))
     else:
         rows, cols = (4, 4) if network == "shared-lines" else map(
             int, network.split("-")[1].split("x"))
@@ -551,8 +547,7 @@ def test_line_jacobian_matches_dense_rows(network):
     g, b = admittance_stack(
         net, rng.uniform(0.0, 2.0, (trials, net.n_line)),
         rng.uniform(-5.0, -0.5, (trials, net.n_line)),
-        np.array([[bus.g_shunt for bus in net.buses]]),
-        np.array([[bus.b_shunt for bus in net.buses]]))
+        net.g_shunt[None], net.b_shunt[None])
     flats = np.array([random_state(net, rng).flat() for _ in range(trials)])
     flats[1, 2 * n_bus + n_bus // 2] = 0.0  # one v_k = 0
     if isinstance(network, str):
@@ -622,11 +617,10 @@ def dense_newton(net, p_gen, q_gen, tol=1e-10):
     mask = net.free_mask
     rows, cols = newton_selection(net)
     # v = 1 at PQ buses, the setpoints elsewhere; every angle at the slack's
-    slack = next(b for b in net.buses if b.bus_type is BusType.SLACK)
+    slack = np.flatnonzero(net.bus_type == "slack")[0]
     flat = np.concatenate([p_gen, q_gen, np.ones(n),
-                           np.full(n, slack.theta_setpoint)])
-    flat[2 * n:3 * n] = np.where(mask[2 * n:3 * n], 1.0,
-                                 [b.v_setpoint for b in net.buses])
+                           np.full(n, net.theta_setpoint[slack])])
+    flat[2 * n:3 * n] = np.where(mask[2 * n:3 * n], 1.0, net.v_setpoint)
     for it in range(MAX_ITER + 1):
         x = SystemState.from_flat(flat)
         mis = residual(flat)[rows]
@@ -829,15 +823,13 @@ def test_singular_trial_of_a_banded_block(monkeypatch, lattice_document):
     case = load_case(lattice_document(9, 9, 0))
     net = case.network
     rng = np.random.default_rng(13)
-    nets = [replace(net, buses=tuple(
-        replace(b, p_load=b.p_load + d) for b, d in
-        zip(net.buses, rng.uniform(-0.01, 0.01, net.n_bus))))
-        for _ in range(13)]
+    nets = [replace(net, p_load=net.p_load
+                    + rng.uniform(-0.01, 0.01, net.n_bus))
+            for _ in range(13)]
     # trial 6 keeps every line, but those of bus 80 carry no admittance
-    cut = 80
-    nets[6] = replace(nets[6], lines=tuple(
-        replace(ln, g_series=0.0, b_series=0.0)
-        if cut in (ln.from_bus, ln.to_bus) else ln for ln in net.lines))
+    cut = (net.line_ends == 80).any(axis=1)
+    nets[6] = replace(nets[6], g_series=np.where(cut, 0.0, net.g_series),
+                      b_series=np.where(cut, 0.0, net.b_series))
     infos = banded_solves(monkeypatch)
     stacked = solve_stacked(net, nets, case.gen_p, case.gen_q)
     assert [i for i, (_, out, _) in enumerate(stacked)

@@ -13,9 +13,10 @@ Three two-bus fixtures cover the degeneracy geometries of interest:
   shunt-free network, where series line parameters have no first-order
   effect on the residual.
 
-Every fixture carries machine-checkable ground truth; nothing here is
-trusted by the test suite without re-verification through the public
-evaluation APIs.
+Each fixture is a case document that ``load_case`` reads, as it reads any
+case file. Every fixture carries machine-checkable ground truth; nothing
+here is trusted by the test suite without re-verification through the
+public evaluation APIs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, system_for_case
-from .netmodel import (ApparentPower, BoxUpper, Case, CaseError, CostSpec,
-                       ExpLoadEq, LinearEq, Network, state_index)
+from .netmodel import Case, CaseError, load_case
 from .powerflow import SystemState
 
 
@@ -40,9 +40,17 @@ class FixtureBundle:
     expected: dict
 
 
-def _two_bus_network(p_loads=(0.0, 0.0)) -> Network:
-    return Network(bus_type=["slack", "pq"], line_ends=[(0, 1)],
-                   p_load=p_loads, g_series=[0.0], b_series=[-1.0])
+def _two_bus_fixture(name: str, ground_truth: SystemState, expected: dict,
+                     p_loads=(0.0, 0.0), **sections) -> FixtureBundle:
+    """Fixture ``name`` on the two-bus document: the slack at bus 0, a PQ
+    bus 1, these real loads, a lossless line and the other ``sections``."""
+    case = load_case({
+        "buses": [{"id": 0, "type": "slack", "p_load": p_loads[0]},
+                  {"id": 1, "type": "pq", "p_load": p_loads[1]}],
+        "lines": [{"from": 0, "to": 1, "g_series": 0.0, "b_series": -1.0}],
+        **sections})
+    return FixtureBundle(name, case, system_for_case(case), ground_truth,
+                         expected)
 
 
 def example1(alpha: float) -> FixtureBundle:
@@ -67,21 +75,6 @@ def example1(alpha: float) -> FixtureBundle:
         raise CaseError(f"example1 at alpha = {alpha}: 2 alpha^2 leaves the "
                         "float range")
     v_bar = math.sqrt(alpha * alpha + 1.0)
-    net = _two_bus_network(p_loads=(2.0 * alpha, -2.0 * alpha))
-    unit = np.eye(8)  # rows: the flat states' unit vectors
-    case = Case(
-        network=net,
-        gen_p=np.array([0.0, -alpha]),
-        gen_q=np.array([0.0, alpha * alpha]),
-        constraints=(
-            LinearEq(terms=((state_index("q", 1, 2), 1.0),
-                            (state_index("p", 1, 2), -alpha)),
-                     offset=2.0 * alpha * alpha),
-            BoxUpper(index=state_index("v", 1, 2), bound=v_bar),
-        ),
-        cost=CostSpec(c2=unit[state_index("p", 0, 2)],
-                      c1=alpha * unit[state_index("p", 1, 2)]),
-    )
     ground_truth = SystemState(
         p_gen=np.array([alpha, -alpha]),
         q_gen=np.array([0.0, alpha * alpha]),
@@ -99,10 +92,19 @@ def example1(alpha: float) -> FixtureBundle:
         "price_row": 1,
         "price_upper_bound": -alpha,
     }
-    return FixtureBundle(
-        name="ex1", case=case, system=system_for_case(case),
-        ground_truth=ground_truth, expected=expected,
-    )
+    return _two_bus_fixture(
+        "ex1", ground_truth, expected, p_loads=(2.0 * alpha, -2.0 * alpha),
+        generators=[{"bus": 1, "p": -alpha, "q": alpha * alpha}],
+        constraints=[
+            {"kind": "linear_eq", "params": {
+                "terms": [{"var": "q", "bus": 1, "coef": 1.0},
+                          {"var": "p", "bus": 1, "coef": -alpha}],
+                "offset": 2.0 * alpha * alpha}},
+            {"kind": "box_upper", "target": {"var": "v", "bus": 1},
+             "params": {"bound": v_bar}},
+        ],
+        cost={"quadratic": [{"var": "p", "bus": 0, "coef": 1.0}],
+              "linear": [{"var": "p", "bus": 1, "coef": alpha}]})
 
 
 # --- example2 -------------------------------------------------------------
@@ -124,23 +126,12 @@ def example2() -> FixtureBundle:
     rank 5. The cost theta2 leaves the row space by a stationarity residual
     of about 0.627, so it admits no multipliers.
     """
-    net = _two_bus_network()
     v2, t2 = 1.0, math.pi / 6.0
     # generation recovered from the flow equations at (v2, t2)
     p2 = v2 * math.sin(t2)
     q2 = v2 * v2 - v2 * math.cos(t2)
     p1 = -v2 * math.sin(t2)
     q1 = 1.0 - v2 * math.cos(t2)
-    case = Case(
-        network=net,
-        gen_p=np.array([0.0, p2]),
-        gen_q=np.array([0.0, q2]),
-        constraints=(
-            ExpLoadEq(bus=1, n_bus=2, alpha=EX2_ALPHA, p_load=EX2_P_LOAD),
-            ApparentPower(bus=1, n_bus=2, s2_max=EX2_S2_MAX),
-        ),
-        cost=CostSpec(c2=np.zeros(8), c1=np.eye(8)[state_index("theta", 1, 2)]),
-    )
     ground_truth = SystemState(
         p_gen=np.array([p1, p2]),
         q_gen=np.array([q1, q2]),
@@ -150,10 +141,16 @@ def example2() -> FixtureBundle:
     # rank of the active stack and a floor on the cost's stationarity
     # residual
     expected = {"m": 6, "rank": 5, "residual_lower_bound": 0.1}
-    return FixtureBundle(
-        name="ex2", case=case, system=system_for_case(case),
-        ground_truth=ground_truth, expected=expected,
-    )
+    return _two_bus_fixture(
+        "ex2", ground_truth, expected,
+        generators=[{"bus": 1, "p": p2, "q": q2}],
+        constraints=[
+            {"kind": "exp_load_eq", "target": {"bus": 1},
+             "params": {"alpha": EX2_ALPHA, "p_load": EX2_P_LOAD}},
+            {"kind": "apparent_power", "target": {"bus": 1},
+             "params": {"s2_max": EX2_S2_MAX}},
+        ],
+        cost={"linear": [{"var": "theta", "bus": 1, "coef": 1.0}]})
 
 
 def example3() -> FixtureBundle:
@@ -164,18 +161,9 @@ def example3() -> FixtureBundle:
     solution and series line parameters have no first-order effect on the
     residual there (the line perturbation model has rank 0).
     """
-    net = _two_bus_network()
-    n = net.n_bus
-    case = Case(network=net, gen_p=np.zeros(n), gen_q=np.zeros(n))
-    ground_truth = SystemState(
-        p_gen=np.zeros(n), q_gen=np.zeros(n),
-        v=np.ones(n), theta=np.zeros(n),
-    )
-    return FixtureBundle(
-        name="ex3", case=case, system=system_for_case(case),
-        ground_truth=ground_truth,
-        expected={"line_param_rank": 0},
-    )
+    ground_truth = SystemState(p_gen=np.zeros(2), q_gen=np.zeros(2),
+                               v=np.ones(2), theta=np.zeros(2))
+    return _two_bus_fixture("ex3", ground_truth, {"line_param_rank": 0})
 
 
 BUILTIN_NAMES = ("ex1", "ex2", "ex3")

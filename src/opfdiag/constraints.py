@@ -1,21 +1,20 @@
 """Constraint systems, feasibility and active sets.
 
 A system joins a network's flow equations to the operational constraints
-of its case, objects of the closed catalog in ``netmodel`` (imported here
-under their old path). Active-set membership uses an inclusive tolerance
-rule (g_j >= -act_tol counts as active) so near-active constraints are
-swept into the rank analysis rather than silently dropped.
+of its case, its equalities and its inequalities each a
+``netmodel.Constraints`` table. Active-set membership uses an inclusive
+tolerance rule (g_j >= -act_tol counts as active) so near-active
+constraints are swept into the rank analysis rather than silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .netmodel import (ApparentPower, BoxLower, BoxUpper, Case, ConstraintError,
-                       ExpLoadEq, LinearEq, Network, VoltageDomainError)
+from .netmodel import (_EQUALITY, Case, ConstraintError, Constraints,
+                       Network, VoltageDomainError)
 from .powerflow import SystemState, _residual
 
 
@@ -35,13 +34,13 @@ class InfeasiblePointError(ConstraintError):
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """The flow equations F of ``net`` plus operational equalities h and
-    inequalities g over its 4N-entry state.
+    inequalities g over its 4N-entry state, each a ``Constraints`` table.
 
     Its ``tolerances`` decide every check, sweep and report made on it.
     """
 
-    h_ops: tuple
-    g_ops: tuple
+    h: Constraints
+    g: Constraints
     net: Network
     act_tol: float = 1e-6
     eq_tol: float = 1e-8
@@ -55,50 +54,15 @@ class ConstraintSystem:
         return {name: getattr(self, name) for name in
                 ("act_tol", "eq_tol", "pf_tol", "stat_tol", "rank_ulp_scale")}
 
-    @cached_property
-    def _value_plans(self) -> tuple:
-        """How ``evaluate_points`` fills the h and the g values: a
-        ``_value_plan`` of each group, made once per system."""
-        return _value_plan(self.h_ops), _value_plan(self.g_ops)
-
-
-def _value_plan(ops) -> tuple:
-    """(width, upper, lower, others) of the value columns of ``ops``: the
-    columns, state indices and bounds of its BoxUpper ops and of its
-    BoxLower ops, one gather each, and every other op with its column."""
-    def boxes(kind):
-        cols = [j for j, op in enumerate(ops) if type(op) is kind]
-        return (np.array(cols, dtype=int),
-                np.array([ops[j].index for j in cols], dtype=int),
-                np.array([ops[j].bound for j in cols]))
-
-    others = [(j, op) for j, op in enumerate(ops)
-              if type(op) not in (BoxUpper, BoxLower)]
-    return len(ops), boxes(BoxUpper), boxes(BoxLower), others
-
-
-def _values(plan, flats: np.ndarray) -> np.ndarray:
-    """Values (T x width) of a ``_value_plan``'s ops at T flat states, in
-    declaration order: each box kind in one gather, bit for bit its ops'
-    ``value``, every other op by its own."""
-    width, (up, up_at, up_bound), (low, low_at, low_bound), others = plan
-    out = np.empty((len(flats), width))
-    out[:, up] = flats[:, up_at] - up_bound
-    out[:, low] = low_bound - flats[:, low_at]
-    for j, op in others:
-        out[:, j] = op.value(flats)
-    return out
-
 
 def system_for_case(case: Case, **tols) -> ConstraintSystem:
     """Constraint system of a case: its flow equations plus its operational
     constraints, in declaration order within the equality and inequality
     groups."""
-    ops = case.constraints
-    return ConstraintSystem(
-        h_ops=tuple(op for op in ops if op.is_equality),
-        g_ops=tuple(op for op in ops if not op.is_equality),
-        net=case.network, **tols)
+    rows, equality = case.constraints, _EQUALITY[case.constraints.kind]
+    return ConstraintSystem(*(rows.take(np.flatnonzero(group))
+                              for group in (equality, ~equality)),
+                            net=case.network, **tols)
 
 
 def as_flat_state(cs: ConstraintSystem, x) -> np.ndarray:
@@ -134,7 +98,7 @@ def evaluate_points(cs: ConstraintSystem, flats: np.ndarray, flow):
     pf_tol, |h| within eq_tol and every g within +act_tol; a NaN value, as
     at a point outside a constraint's domain, fails it.
     """
-    h_vals, g_vals = (_values(plan, flats) for plan in cs._value_plans)
+    h_vals, g_vals = cs.h.values(flats), cs.g.values(flats)
     g, b, p_load, q_load = flow
     resid = _residual(cs.net, g + 1j * b, p_load, q_load, flats)
     feasible = np.abs(resid).max(axis=1) <= cs.pf_tol
@@ -156,7 +120,7 @@ def row_labels(cs: ConstraintSystem, g_indices) -> list[str]:
     """Stacked-row labels: flow p then q rows by bus, every h, the given g."""
     n = cs.net.n_bus
     return ([f"flow:p:{k}" for k in range(n)] + [f"flow:q:{k}" for k in range(n)]
-            + [f"h:{i}" for i in range(len(cs.h_ops))]
+            + [f"h:{i}" for i in range(cs.h.size)]
             + [f"g:{j}" for j in g_indices])
 
 

@@ -116,21 +116,25 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, flow,
     """Stacks of k points over the free columns, with the rows of the g
     indices in ``face`` active: the flow rows ``flow``, triplets of a
     ``flow_rows`` plan with ``coo`` (k x nnz values), then every h
-    gradient, then the face's g gradients. An operational row keeps each
-    entry that is not +0.0 at some point of the block."""
+    gradient, then the face's g gradients (``Constraints.gradients``),
+    row-major, each free entry kept that is not +0.0 at some point."""
     rows, cols, values = flow
     mask = cs.net.free_mask
-    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
     p = 2 * cs.net.n_bus
-    shape = (p + len(ops), int(np.count_nonzero(mask)))
-    if not ops:
+    shape = (p + cs.h.size + len(face), int(np.count_nonzero(mask)))
+    if shape[0] == p:
         return Stacks(shape, rows, cols, values)
-    grads = np.stack([op.gradient(flats).compress(mask, axis=-1)
-                      for op in ops], axis=1)
-    at_r, at_c = np.nonzero(((grads != 0) | np.signbit(grads)).any(axis=0))
-    return Stacks(shape, np.concatenate((rows, p + at_r)),
-                  np.concatenate((cols, at_c)),
-                  np.concatenate((values, grads[:, at_r, at_c]), axis=1))
+    h, g = cs.h.gradients(flats), cs.g.take(face).gradients(flats)
+    at_r = np.concatenate((h[0], cs.h.size + g[0]))
+    at_c = np.concatenate((h[1], g[1]))
+    grads = np.concatenate((h[2], g[2]), axis=1)
+    keep = np.flatnonzero(mask[at_c]
+                          & ((grads != 0) | np.signbit(grads)).any(axis=0))
+    keep = keep[np.lexsort((at_c[keep], at_r[keep]))]
+    free = np.cumsum(mask) - 1  # the free column of each state entry
+    return Stacks(shape, np.concatenate((rows, p + at_r[keep])),
+                  np.concatenate((cols, free[at_c[keep]])),
+                  np.concatenate((values, grads[:, keep]), axis=1))
 
 
 def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
@@ -259,7 +263,7 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
     sigma_min, rank_tol = np.zeros((2, len(flats)))
     kkts = {}  # multiplier sets by point
     for g, (points, face) in enumerate(groups):
-        r = len(cs.h_ops) + len(face)
+        r = cs.h.size + len(face)
         k, m = len(points), p + r
         block = assemble(face, points) if cost is not None or r else None
         if cost is not None:
@@ -473,7 +477,7 @@ def _multiplier_set(cs: ConstraintSystem, face: tuple[int, ...],
     spaces, whose sign feasibility is reported unresolved.
     """
     n2 = 2 * cs.net.n_bus
-    n_h = len(cs.h_ops)
+    n_h = cs.h.size
     resid = float(np.linalg.norm(stack.rmatvec(y) + grad_f))
     nullity = basis.shape[1]
 
@@ -516,28 +520,22 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
                  multipliers: np.ndarray) -> float:
     """Independent stationarity check: || grad f + A^T y ||_2.
 
-    Rebuilds the active gradient rows directly, the flow rows from the
-    dense ``pf_jacobian`` (of ``build_ybus``), and accumulates the weighted
-    sum without any factorization, so it verifies kkt_solve output through
-    a separate code path.
+    Rebuilds the active stack with its flow rows from the dense
+    ``pf_jacobian`` (of ``build_ybus``) and accumulates the weighted sum
+    row by row without any factorization, so it verifies kkt_solve output
+    through a separate code path.
     """
     flat, mask = as_flat_state(cs, x), cs.net.free_mask
-    face = active_set(cs, x)
+    jac = pf_jacobian(cs.net, x)[:, mask]
+    rows, cols = np.indices(jac.shape).reshape(2, -1)
+    stack = face_stacks(cs, flat[None], (rows, cols, jac.reshape(1, -1)),
+                        active_set(cs, x)).dense()[0]
     y = np.asarray(multipliers, dtype=float)
-    n_rows = len(row_labels(cs, face))
-    if y.size != n_rows:
+    if y.size != len(stack):
         raise ValueError(
             f"multiplier vector has {y.size} entries, active stack has "
-            f"{n_rows} rows")
+            f"{len(stack)} rows")
     total = cost.gradient(flat)[mask].astype(float)
-    pos = 0
-    for row in pf_jacobian(cs.net, x)[:, mask]:
-        total += y[pos] * row
-        pos += 1
-    for h in cs.h_ops:
-        total += y[pos] * h.gradient(flat)[mask]
-        pos += 1
-    for j in face:
-        total += y[pos] * cs.g_ops[j].gradient(flat)[mask]
-        pos += 1
+    for weight, row in zip(y, stack):
+        total += weight * row
     return float(np.linalg.norm(total))

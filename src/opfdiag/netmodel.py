@@ -1,11 +1,11 @@
 """Power network data model, nodal admittance matrix construction and case
 documents.
 
-A case document is parsed once (``load_case``) into what a check
-evaluates: a ``Case`` holds the network, the generator setpoints, the
-operational constraints as objects of the closed catalog (``BoxUpper``,
-``BoxLower``, ``LinearEq``, ``ApparentPower``, ``ExpLoadEq``) and the cost
-as a ``CostSpec``, all over the flat state of ``state_index``.
+A case document is parsed once, by column (``load_case``), into what a
+check evaluates: a ``Case`` holds the network, the generator setpoints,
+the operational constraints as one locked column table per kind
+(``Constraints``) and the cost as a ``CostSpec``, all over the flat state
+of ``state_index``.
 
 All quantities are per-unit. Complex admittances are carried as explicit
 (conductance, susceptance) pairs in every public type; complex arithmetic
@@ -307,7 +307,7 @@ def admittance_stack(net: Network, series_g: np.ndarray, series_b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# The flat state, the constraint catalog and the cost
+# The flat state, the constraint tables and the cost
 # ---------------------------------------------------------------------------
 
 _STATE_VARS = ("p", "q", "v", "theta")
@@ -330,130 +330,127 @@ class VoltageDomainError(ConstraintError):
     """Constraint evaluated outside its differentiable domain (v <= 0)."""
 
 
-def require_positive_v(v, what: str):
-    """``v`` itself when every entry is positive; otherwise a
-    VoltageDomainError naming the first offending value."""
-    v = np.asarray(v)
-    bad = v[v <= 0.0]
-    if bad.size:
-        raise VoltageDomainError(
-            f"{what} evaluated at v = {float(bad.flat[0])}; requires v > 0")
-    return v
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """Operational constraint rows over the flat state in declaration
+    order. Row r is of kind ``_KINDS[kind[r]]``, and each kind holds its
+    rows, in row order, as a tuple of locked columns:
 
-
-# The catalog is closed: five constraint kinds, each with an exact analytic
-# gradient over the full flat state. Every constraint's value and gradient
-# take a flat state or a stack of them (a leading trial axis): values come
-# out with shape x.shape[:-1] and gradients with shape x.shape.
-
-@dataclass(frozen=True)
-class BoxUpper:
-    """g(x) = x[index] - bound <= 0."""
-
-    index: int
-    bound: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        return x[..., self.index] - self.bound
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        g[..., self.index] = 1.0
-        return g
-
-
-@dataclass(frozen=True)
-class BoxLower:
-    """g(x) = bound - x[index] <= 0."""
-
-    index: int
-    bound: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        return self.bound - x[..., self.index]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        g[..., self.index] = -1.0
-        return g
-
-
-@dataclass(frozen=True)
-class LinearEq:
-    """h(x) = sum_i a_i x_i - offset = 0 with sparse coefficients."""
-
-    terms: tuple[tuple[int, float], ...]
-    offset: float = 0.0
-    is_equality: bool = True
-
-    def value(self, x: np.ndarray):
-        return sum(c * x[..., i] for i, c in self.terms) - self.offset
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        for i, c in self.terms:
-            g[..., i] += c
-        return g
-
-
-@dataclass(frozen=True)
-class ApparentPower:
-    """g(x) = p_k^2 + q_k^2 - s2_max <= 0 at one bus."""
-
-    bus: int
-    n_bus: int
-    s2_max: float
-    is_equality: bool = False
-
-    def value(self, x: np.ndarray):
-        p = x[..., state_index("p", self.bus, self.n_bus)]
-        q = x[..., state_index("q", self.bus, self.n_bus)]
-        return p * p + q * q - self.s2_max
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.shape)
-        ip = state_index("p", self.bus, self.n_bus)
-        iq = state_index("q", self.bus, self.n_bus)
-        g[..., ip] = 2.0 * x[..., ip]
-        g[..., iq] = 2.0 * x[..., iq]
-        return g
-
-
-@dataclass(frozen=True)
-class ExpLoadEq:
-    """h(x) = q_k + alpha * (p_k - p_load - sqrt(v_k)) = 0 at one bus.
-
-    A voltage-dependent load coupling with constant power factor on the
-    non-fixed component; its domain is v_k > 0, where the square root is
-    differentiable. Outside it the value is NaN, which fails every
-    feasibility test, and the gradient, taken only at feasible points,
-    raises VoltageDomainError.
+    * ``box_upper`` (index, bound): g = x[index] - bound <= 0;
+    * ``box_lower`` (index, bound): g = bound - x[index] <= 0;
+    * ``linear_eq`` (ptr, index, coef, offset): h = sum_i coef_i x[index_i]
+      - offset = 0, row j's terms the CSR slice ptr[j]:ptr[j + 1] in
+      document order, summed from 0, a repeated term kept as given;
+    * ``apparent_power`` (bus, s2_max): g = p_k^2 + q_k^2 - s2_max <= 0;
+    * ``exp_load_eq`` (bus, alpha, p_load): h = q_k + alpha (p_k - p_load
+      - sqrt(v_k)) = 0, a voltage-dependent load whose domain is v_k > 0:
+      outside it the value is NaN, which fails every feasibility test, and
+      the gradient, taken only at feasible points, raises
+      VoltageDomainError.
     """
 
-    bus: int
-    n_bus: int
-    alpha: float
-    p_load: float
-    is_equality: bool = True
+    kind: np.ndarray
+    box_upper: tuple
+    box_lower: tuple
+    linear_eq: tuple
+    apparent_power: tuple
+    exp_load_eq: tuple
 
-    def value(self, x: np.ndarray):
-        v = x[..., state_index("v", self.bus, self.n_bus)]
-        p = x[..., state_index("p", self.bus, self.n_bus)]
-        q = x[..., state_index("q", self.bus, self.n_bus)]
+    def __post_init__(self) -> None:
+        for col in (self.kind, *(col for cols in self.tables for col in cols)):
+            col.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.kind.size
+
+    @property
+    def tables(self) -> tuple:
+        """Each kind's columns, in ``_KINDS`` order."""
+        return tuple(getattr(self, kind) for kind in _KINDS)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The rows of each kind, in ``_KINDS`` order."""
+        return tuple(np.flatnonzero(self.kind == code)
+                     for code in range(len(_KINDS)))
+
+    @cached_property
+    def _linear_sums(self) -> tuple:
+        """Each linear_eq row's coefficient sums of its state entries, in
+        document order from 0, as (row of the kind, index, sum)."""
+        ptr, index, coef, _ = self.linear_eq
+        width = int(index.max(initial=0)) + 1  # a key per (row, index)
+        keys, at = np.unique(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+                             * width + index, return_inverse=True)
+        sums = np.zeros(keys.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN
+            np.add.at(sums, at, coef)
+        return keys // width, keys % width, sums
+
+    def take(self, rows) -> "Constraints":
+        """The table of the rows at the positions ``rows``, in row order."""
+        keep = np.zeros(self.size, dtype=bool)
+        keep[np.asarray(rows, dtype=int)] = True
+        own = [keep[at] for at in self._rows]
+        ptr, index, coef, offset = self.linear_eq
+        terms = np.repeat(own[2], np.diff(ptr))
+        linear = (np.cumsum([0, *np.diff(ptr)[own[2]]]), index[terms],
+                  coef[terms], offset[own[2]])
+        return Constraints(self.kind[keep], *(
+            linear if cols is self.linear_eq
+            else tuple(col[at] for col in cols)
+            for cols, at in zip(self.tables, own)))
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The rows' values (T x rows) at T flat states, each kind's in one
+        gather."""
+        n = x.shape[1] // 4
+        up, low, lin, app, exp = self._rows
+        out = np.empty((len(x), self.size))
+        out[:, up] = x[:, self.box_upper[0]] - self.box_upper[1]
+        out[:, low] = self.box_lower[1] - x[:, self.box_lower[0]]
+        ptr, index, coef, offset = self.linear_eq
+        total = np.zeros((len(x), lin.size))  # each row's terms in order
+        np.add.at(total, (slice(None), np.repeat(np.arange(lin.size),
+                                                 np.diff(ptr))),
+                  coef * x[:, index])
+        out[:, lin] = total - offset
+        bus, s2_max = self.apparent_power
+        p, q = x[:, bus], x[:, n + bus]
+        out[:, app] = p * p + q * q - s2_max
+        bus, alpha, p_load = self.exp_load_eq
+        v = x[:, 2 * n + bus]
         root = np.sqrt(np.where(v > 0.0, v, np.nan))
-        return q + self.alpha * (p - self.p_load - root)
+        out[:, exp] = x[:, n + bus] + alpha * (x[:, bus] - p_load - root)
+        return out
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        v = require_positive_v(
-            x[..., state_index("v", self.bus, self.n_bus)],
-            f"voltage-dependent load at bus {self.bus}")
-        g = np.zeros(x.shape)
-        g[..., state_index("p", self.bus, self.n_bus)] = self.alpha
-        g[..., state_index("q", self.bus, self.n_bus)] = 1.0
-        g[..., state_index("v", self.bus, self.n_bus)] = -self.alpha / (2.0 * np.sqrt(v))
-        return g
+    def gradients(self, x: np.ndarray) -> tuple:
+        """The rows' gradients at T flat states as (rows, cols, values):
+        ``values[:, e]`` at (row, state index) (rows[e], cols[e]), each
+        pair once, and +0.0 elsewhere."""
+        n, t = x.shape[1] // 4, len(x)
+        up, low, lin, app, exp = self._rows
+        lin_row, lin_col, lin_val = self._linear_sums
+        at = self.apparent_power[0]
+        bus, alpha, _ = self.exp_load_eq
+        v = x[:, 2 * n + bus]
+        if (v <= 0.0).any():  # the first such row's first such point
+            j = np.flatnonzero((v <= 0.0).any(axis=0))[0]
+            raise VoltageDomainError(
+                f"voltage-dependent load at bus {bus[j]} evaluated at v = "
+                f"{float(v[v[:, j] <= 0.0, j][0])}; requires v > 0")
+        rows, cols, values = zip(
+            (up, self.box_upper[0], np.ones((t, up.size))),
+            (low, self.box_lower[0], np.full((t, low.size), -1.0)),
+            (lin[lin_row], lin_col, np.broadcast_to(lin_val,
+                                                    (t, lin_val.size))),
+            (app, at, 2.0 * x[:, at]), (app, n + at, 2.0 * x[:, n + at]),
+            (exp, bus, np.broadcast_to(alpha, (t, exp.size))),
+            (exp, n + bus, np.ones((t, exp.size))),
+            (exp, 2 * n + bus, -alpha / (2.0 * np.sqrt(v))))
+        return (np.concatenate(rows), np.concatenate(cols),
+                np.concatenate(values, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,13 +488,13 @@ class CostSpec:
 @dataclass(frozen=True, eq=False)
 class Case:
     """Validated case bundle: network, generator setpoints, the operational
-    constraints (catalog objects, in declaration order) and the cost, the
-    zero cost when none is given."""
+    constraints (a ``Constraints`` table in declaration order) and the
+    cost, the zero cost when none is given."""
 
     network: Network
     gen_p: np.ndarray
     gen_q: np.ndarray
-    constraints: tuple = ()
+    constraints: Constraints
     cost: CostSpec | None = None
 
     def __post_init__(self) -> None:
@@ -566,12 +563,22 @@ _COST_KEYS = frozenset(("quadratic", "linear"))
 _STATE_KEYS = frozenset(("var", "bus"))
 _TERM_KEYS = frozenset(("var", "bus", "coef"))
 _BUS_TARGET_KEYS = frozenset(("bus",))
-# the constraint kinds and the params of each
-_PARAMS_KEYS = {"box_upper": frozenset(("bound",)),
-                "box_lower": frozenset(("bound",)),
-                "linear_eq": frozenset(("terms", "offset")),
-                "apparent_power": frozenset(("s2_max",)),
-                "exp_load_eq": frozenset(("alpha", "p_load"))}
+# Each constraint kind's target keys (None for a linear_eq, whose terms
+# name its state entries) and number params in the order of its columns,
+# each with its default (None: required); a linear_eq's params also hold
+# its terms. A row's kind code is the kind's index in ``_KINDS``; the
+# kinds of ``_EQUALITY`` are equalities (h), the others inequalities.
+_KIND_FIELDS = {"box_upper": (_STATE_KEYS, (("bound", None),)),
+                "box_lower": (_STATE_KEYS, (("bound", None),)),
+                "linear_eq": (None, (("offset", 0.0),)),
+                "apparent_power": (_BUS_TARGET_KEYS, (("s2_max", None),)),
+                "exp_load_eq": (_BUS_TARGET_KEYS,
+                                (("alpha", None), ("p_load", None)))}
+_KINDS = tuple(_KIND_FIELDS)
+_EQUALITY = np.isin(_KINDS, ("linear_eq", "exp_load_eq"))
+_PARAMS_KEYS = {kind: frozenset([key for key, _ in nums]
+                                + ["terms"] * (keys is None))
+                for kind, (keys, nums) in _KIND_FIELDS.items()}
 
 
 def _reject_unknown(entry: dict, known: frozenset, path: str) -> None:
@@ -586,12 +593,12 @@ def _reject_unknown(entry: dict, known: frozenset, path: str) -> None:
 
 def _state_entry(entry: dict, path: str, n_bus: int,
                  known=_STATE_KEYS) -> int:
-    """Flat-state index of a {var, bus} entry; ``known`` are the keys it
-    may hold."""
+    """Flat-state index of a {var, bus} entry, or of a {bus} entry's p
+    where ``known``, the keys it may hold, has no var: its bus."""
     _expect(isinstance(entry, dict), path, "expected an object")
     if not known.issuperset(entry):
         _reject_unknown(entry, known, path)
-    var = entry.get("var")
+    var = entry.get("var") if "var" in known else "p"
     if var not in _STATE_VARS:
         raise CaseError(f"{path}.var: expected one of "
                         f"{'|'.join(_STATE_VARS)}, got {var!r}")
@@ -601,7 +608,7 @@ def _state_entry(entry: dict, path: str, n_bus: int,
 def _terms(terms: list, path: str, n_bus: int) -> tuple:
     """(state index, coef) of each {var, bus, coef} object of the array
     ``terms`` at ``path``. Each state entry's coefficients are summed in
-    document order, as ``CostSpec`` and ``LinearEq.gradient`` sum them; a
+    document order, as ``CostSpec`` and ``Constraints.gradients`` sum them; a
     term whose sum leaves the float range is rejected by its path."""
     parsed, sums = [], {}
     for j, term in enumerate(terms):
@@ -616,48 +623,33 @@ def _terms(terms: list, path: str, n_bus: int) -> tuple:
     return tuple(parsed)
 
 
-_KINDS = tuple(_PARAMS_KEYS)
-
-
-def _parse_constraint(entry: dict, idx: int, n_bus: int):
+def _parse_constraint(entry: dict, idx: int, n_bus: int) -> None:
+    """Raise on the first fault of the entry ``constraints[idx]``: the
+    reader that names what ``_constraint_table`` finds."""
     path = f"constraints[{idx}]"
     _expect(isinstance(entry, dict), path, "expected an object")
-    kind = entry.get("kind")
+    kind, params, target = (entry.get(k) for k in ("kind", "params", "target"))
     if kind not in _KINDS:
         raise CaseError(f"{path}.kind: expected one of {'|'.join(_KINDS)}, "
                         f"got {kind!r}")
-    params = entry.get("params")
-    if not isinstance(params, dict):
-        raise CaseError(f"{path}.params: expected an object")
-    target = entry.get("target")
     at = f"{path}.params"
+    _expect(isinstance(params, dict), at, "expected an object")
     if not _PARAMS_KEYS[kind].issuperset(params):
         _reject_unknown(params, _PARAMS_KEYS[kind], at)
-
-    if kind in ("box_upper", "box_lower"):
-        index = _state_entry(target, f"{path}.target", n_bus)
-        box = BoxUpper if kind == "box_upper" else BoxLower
-        return box(index=index, bound=_number(params, "bound", at))
-    if kind == "linear_eq":
-        if target is not None:
-            raise CaseError(f"{path}.target: a linear_eq takes no target; "
-                            "its terms name the state entries")
+    keys, numbers = _KIND_FIELDS[kind]
+    if keys is None:
+        _expect(target is None, f"{path}.target", "a linear_eq takes no "
+                "target; its terms name the state entries")
         terms = params.get("terms")
-        if not (isinstance(terms, list) and terms):
-            raise CaseError(f"{at}.terms: expected a non-empty array")
-        return LinearEq(terms=_terms(terms, f"{at}.terms", n_bus),
-                        offset=_number(params, "offset", at, default=0.0))
-    # apparent_power / exp_load_eq target a bus
-    if not isinstance(target, dict):
-        raise CaseError(f"{path}.target: expected an object")
-    if not _BUS_TARGET_KEYS.issuperset(target):
-        _reject_unknown(target, _BUS_TARGET_KEYS, f"{path}.target")
-    bus = _int(target, "bus", f"{path}.target", n_bus)
-    if kind == "apparent_power":
-        return ApparentPower(bus=bus, n_bus=n_bus,
-                             s2_max=_number(params, "s2_max", at))
-    return ExpLoadEq(bus=bus, n_bus=n_bus, alpha=_number(params, "alpha", at),
-                     p_load=_number(params, "p_load", at))
+        _expect(isinstance(terms, list) and terms, f"{at}.terms",
+                "expected a non-empty array")
+        _terms(terms, f"{at}.terms", n_bus)
+    else:
+        _state_entry(target, f"{path}.target", n_bus, keys)
+    for key, default in numbers:
+        _number(params, key, at, default)
+    if not _CONSTRAINT_KEYS.issuperset(entry):
+        _reject_unknown(entry, _CONSTRAINT_KEYS, path)
 
 
 def _parse_cost(doc: dict, n_bus: int) -> CostSpec:
@@ -687,10 +679,17 @@ _LINE_FIELDS = (("from", "to"), _LINE_NUMBERS)
 _GEN_FIELDS = (("bus",), (("p", "p", 0.0), ("q", "q", 0.0)))
 
 
+def _instances(col: list, types) -> bool:
+    """Whether every value of ``col`` is an instance of ``types`` and none
+    a bool, as ``_int``, ``_number`` and ``_expect`` read one value."""
+    return all(issubclass(t, types) and not issubclass(t, bool)
+               for t in set(map(type, col)))
+
+
 def _objects(items: list, known: frozenset) -> bool:
     """Whether every item of ``items`` is an object whose keys all lie in
     ``known``, decided on the whole array."""
-    return set(map(type, items)) <= {dict} and set().union(*items) <= known
+    return _instances(items, dict) and set().union(*items) <= known
 
 
 def _numbers(items: list, key: str, default: float | None = None):
@@ -699,13 +698,13 @@ def _numbers(items: list, key: str, default: float | None = None):
     a finite number. The types decide first, so a bool fails; then one
     array, whose conversion fails on an integer past the float range."""
     col = [item.get(key, default) for item in items]
-    if not set(map(type, col)) <= {int, float}:
+    if not _instances(col, (int, float)):
         return None
     try:
         values = np.array(col, dtype=float)
     except OverflowError:
         return None
-    return values.tolist() if np.isfinite(values).all() else None
+    return values if np.isfinite(values).all() else None
 
 
 def _ints(items: list, key: str, n_bus: int | None = None):
@@ -713,7 +712,7 @@ def _ints(items: list, key: str, n_bus: int | None = None):
     integer, and a bus of ``n_bus`` buses where that is given; else
     None."""
     col = [item.get(key) for item in items]
-    if not set(map(type, col)) <= {int}:
+    if not _instances(col, int):
         return None
     if n_bus is not None and col and (min(col) < 0 or max(col) >= n_bus):
         return None
@@ -736,7 +735,7 @@ def _table(raw: list, path: str, known: frozenset, fields: tuple,
     if _objects(raw, known):
         cols = ([_ints(raw, key, n_bus) for key in ints]
                 + [_numbers(raw, key, default) for _, key, default in numbers])
-        if None not in cols:
+        if all(col is not None for col in cols):
             if rule is not None:
                 for j, entry in enumerate(raw):
                     rule(entry, j)
@@ -782,37 +781,54 @@ def _one_per_bus():
     return rule
 
 
-def _parse_constraints(raw: list, n_bus: int) -> tuple:
-    """The constraints of the array ``raw``, in document order. The box
-    constraints are decided by column; every other kind, and every entry
-    where a column fails, is read by ``_parse_constraint`` and then its
-    keys, so the first bad entry is named."""
-    boxes = {}
-    if _objects(raw, _CONSTRAINT_KEYS):
-        at = [i for i, entry in enumerate(raw)
-              if entry.get("kind") in ("box_upper", "box_lower")]
-        targets = [raw[i].get("target") for i in at]
-        params = [raw[i].get("params") for i in at]
-        if (_objects(targets, _STATE_KEYS)
-                and _objects(params, _PARAMS_KEYS["box_upper"])):
-            var = [target.get("var") for target in targets]
-            buses = _ints(targets, "bus", n_bus)
-            bounds = _numbers(params, "bound")
-            if (buses is not None and bounds is not None
-                    and all(v in _STATE_VARS for v in var)):
-                boxes = {i: (BoxUpper if raw[i]["kind"] == "box_upper"
-                             else BoxLower)(
-                             _STATE_VARS.index(v) * n_bus + bus, bound)
-                         for i, v, bus, bound in zip(at, var, buses, bounds)}
-    out = []
-    for i, entry in enumerate(raw):
-        if i in boxes:
-            out.append(boxes[i])
-            continue
-        out.append(_parse_constraint(entry, i, n_bus))
-        if not _CONSTRAINT_KEYS.issuperset(entry):
-            _reject_unknown(entry, _CONSTRAINT_KEYS, f"constraints[{i}]")
-    return tuple(out)
+def _target_column(items: list, n_bus: int, known: frozenset):
+    """``_state_entry`` of each object of ``items`` as one array; None
+    unless every one is well formed."""
+    if not _objects(items, known):
+        return None
+    bus = _ints(items, "bus", n_bus)
+    var = [item.get("var") if "var" in known else "p" for item in items]
+    if bus is None or not all(v in _STATE_VARS for v in var):
+        return None
+    return (np.array([_STATE_VARS.index(v) for v in var], dtype=int) * n_bus
+            + np.array(bus, dtype=int))
+
+
+def _constraint_table(raw: list, n_bus: int) -> Constraints | None:
+    """The constraints array ``raw`` as a ``Constraints`` table, decided by
+    column: every entry an object with known keys and kind, then per kind
+    its params and targets, each field as one column, and each linear_eq
+    row's coefficient sums (``_linear_sums``); None where one fails."""
+    if not _objects(raw, _CONSTRAINT_KEYS):
+        return None
+    kinds = [entry.get("kind") for entry in raw]
+    if not all(kind in _KINDS for kind in kinds):
+        return None
+    tables = []
+    for kind, (keys, numbers) in _KIND_FIELDS.items():
+        own = [entry for entry, of in zip(raw, kinds) if of == kind]
+        targets, params = ([entry.get(key) for entry in own]
+                           for key in ("target", "params"))
+        if not _objects(params, _PARAMS_KEYS[kind]):
+            return None
+        if keys is None:
+            terms = [p.get("terms") for p in params]
+            if not (all(t is None for t in targets) and all(
+                    isinstance(t, list) and t for t in terms)):
+                return None
+            flat = [term for t in terms for term in t]
+            index = _target_column(flat, n_bus, _TERM_KEYS)
+            table = [np.cumsum([0, *map(len, terms)]), index,
+                     None if index is None else _numbers(flat, "coef")]
+        else:
+            table = [_target_column(targets, n_bus, keys)]
+        table += [_numbers(params, key, default) for key, default in numbers]
+        if any(col is None for col in table):
+            return None
+        tables.append(tuple(table))
+    table = Constraints(np.array([_KINDS.index(kind) for kind in kinds],
+                                 dtype=int), *tables)
+    return table if np.isfinite(table._linear_sums[2]).all() else None
 
 
 def load_case(text: str | bytes | dict) -> Case:
@@ -827,12 +843,12 @@ def load_case(text: str | bytes | dict) -> Case:
     parallel lines are.
 
     The ``buses``, ``lines`` and ``generators`` arrays, each by its field
-    table (``_table``), and the box constraints are decided by column:
-    every entry an object with known keys, then each field as one column,
-    decided on its types and finiteness. Only where a column fails are the
-    entries read one by one, each whole (its own fields, then its keys),
-    and the error names the first bad entry in document order, so the
-    text does not depend on which column failed.
+    table (``_table``), and the constraints (``_constraint_table``) are
+    decided by column: every entry an object with known keys, then each
+    field as one column, decided on its types and finiteness. Only where a
+    column fails are the entries read one by one, each whole (its own
+    fields, then its keys), and the error names the first bad entry in
+    document order, so the text does not depend on which column failed.
 
     Once both arrays are read, the bus ids must run 0, 1, ... in document
     order (the first that does not is named); the columns of the buses
@@ -879,7 +895,11 @@ def load_case(text: str | bytes | dict) -> Case:
 
     raw_cons = doc.get("constraints", [])
     _expect(isinstance(raw_cons, list), "constraints", "expected an array")
-    constraints = _parse_constraints(raw_cons, net.n_bus)
+    constraints = _constraint_table(raw_cons, net.n_bus)
+    if constraints is None:  # a column failed: name the first bad entry
+        for i, entry in enumerate(raw_cons):
+            _parse_constraint(entry, i, net.n_bus)
+        raise AssertionError("the columns read each field as its entry does")
 
     raw_cost = doc.get("cost", {})
     _expect(isinstance(raw_cost, dict), "cost", "expected an object")

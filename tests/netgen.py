@@ -1,8 +1,9 @@
 """Seeded random desk-scale networks and states for property tests, the
 per-trial reference draw of the Monte Carlo sweep, the test-side inverses
 of case loading and of the flow model, the dense references of the
-line-list admittances, the reduced matrix of an active stack, and the
-benchmark's grid documents."""
+line-list admittances, the per-row references of the constraint tables,
+the reduced matrix of an active stack, and the benchmark's grid
+documents."""
 
 import importlib.util
 from dataclasses import fields
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Case,
-                              LinearEq, Network)
+from opfdiag.netmodel import (_KINDS, Case, Constraints, Network,
+                              VoltageDomainError)
 from opfdiag.powerflow import SystemState, _injections
 
 
@@ -133,6 +134,21 @@ def bench_grid_document(side: int, seed: int, *, shunts: bool) -> dict:
     return grid.grid_case(side, seed, shunts=shunts)
 
 
+def pinned_grid_document(side: int, seed: int) -> dict:
+    """The shunt-free ``bench_grid_document`` with generation pinned at
+    every PQ bus by one-term linear_eq rows, p = 0 then q = 0 at each PQ
+    bus in bus order, after the voltage boxes: the operational rows then
+    make R the square reduced flow Jacobian."""
+    doc = bench_grid_document(side, seed, shunts=False)
+    for bus in doc["buses"]:
+        if bus["type"] == "pq":
+            doc["constraints"] += [
+                {"kind": "linear_eq", "params": {"terms": [
+                    {"var": var, "bus": bus["id"], "coef": 1.0}]}}
+                for var in ("p", "q")]
+    return doc
+
+
 def all_kinds_document() -> dict:
     """Three-bus case document with every constraint kind, a linear_eq
     whose term repeats and a cost whose quadratic term repeats. The
@@ -212,21 +228,132 @@ def _state_entry(index: int, n_bus: int) -> dict:
     return {"var": ("p", "q", "v", "theta")[block], "bus": bus}
 
 
-def _constraint_document(op, n_bus: int) -> dict:
-    """A catalog object's constraints entry."""
-    if isinstance(op, (BoxUpper, BoxLower)):
-        return {"kind": "box_upper" if isinstance(op, BoxUpper) else "box_lower",
-                "target": _state_entry(op.index, n_bus),
-                "params": {"bound": op.bound}}
-    if isinstance(op, LinearEq):
-        return {"kind": "linear_eq", "target": None, "params": {
-            "terms": [{**_state_entry(i, n_bus), "coef": c} for i, c in op.terms],
-            "offset": op.offset}}
-    if isinstance(op, ApparentPower):
-        return {"kind": "apparent_power", "target": {"bus": op.bus},
-                "params": {"s2_max": op.s2_max}}
-    return {"kind": "exp_load_eq", "target": {"bus": op.bus},
-            "params": {"alpha": op.alpha, "p_load": op.p_load}}
+# A constraint row as a spec tuple, one form per kind:
+#   ("box_upper", index, bound), ("box_lower", index, bound),
+#   ("linear_eq", ((index, coef), ...), offset),
+#   ("apparent_power", bus, s2_max), ("exp_load_eq", bus, alpha, p_load),
+# an index a flat-state index and a bus a bus id.
+
+def constraint_rows(*specs) -> Constraints:
+    """The ``Constraints`` table of the rows ``specs``, in their order,
+    built entry by entry by the table's constructor; a bound may be
+    infinite here, as no document's may."""
+    def of(kind):
+        return [spec[1:] for spec in specs if spec[0] == kind]
+
+    def columns(kind, width):
+        # an int column (index or bus), then the kind's numbers
+        rows = np.array(of(kind), dtype=float).reshape(-1, width)
+        return (rows[:, 0].astype(int), *rows[:, 1:].T.copy())
+
+    lin = of("linear_eq")
+    linear = (
+        np.cumsum([0] + [len(terms) for terms, _ in lin]),
+        np.array([i for terms, _ in lin for i, _ in terms], dtype=int),
+        np.array([c for terms, _ in lin for _, c in terms], dtype=float),
+        np.array([offset for _, offset in lin], dtype=float))
+    return Constraints(
+        np.array([_KINDS.index(spec[0]) for spec in specs], dtype=int),
+        columns("box_upper", 2), columns("box_lower", 2), linear,
+        columns("apparent_power", 2), columns("exp_load_eq", 3))
+
+
+def constraint_specs(rows: Constraints) -> list:
+    """The spec of each row of a table, in row order (the inverse of
+    ``constraint_rows``), with Python numbers."""
+    ptr, index, coef, offset = rows.linear_eq
+    by_kind = [[(kind, int(at), *map(float, nums)) for at, *nums in zip(*table)]
+               for kind, table in zip(_KINDS, rows.tables)]
+    by_kind[2] = [
+        ("linear_eq", tuple(zip(index[a:b].tolist(), coef[a:b].tolist())),
+         float(off)) for a, b, off in zip(ptr[:-1], ptr[1:], offset)]
+    own = [iter(specs) for specs in by_kind]
+    return [next(own[code]) for code in rows.kind.tolist()]
+
+
+def constraint_columns(rows: Constraints) -> dict:
+    """Each column of a table as (dtype, shape, bytes), as
+    ``network_columns`` gives a network's."""
+    return {f"{f.name}.{i}": (col.dtype.str, col.shape, col.tobytes())
+            for f in fields(rows) for i, col in enumerate(
+                [getattr(rows, f.name)] if f.name == "kind"
+                else getattr(rows, f.name))}
+
+
+def dense_gradients(rows: Constraints, flat: np.ndarray) -> np.ndarray:
+    """The rows' gradients at one flat state as a dense rows x 4N array,
+    scattered from ``Constraints.gradients``."""
+    out = np.zeros((rows.size, flat.size))
+    at_r, at_c, values = rows.gradients(flat[None])
+    out[at_r, at_c] = values[0]
+    return out
+
+
+def reference_value(spec, x: np.ndarray):
+    """The value of one row at a flat state or a stack of them (shape
+    x.shape[:-1]), by the formula of its kind, a linear_eq summing its
+    terms in order from 0: the per-row reference of
+    ``Constraints.values``."""
+    kind, *args = spec
+    n = x.shape[-1] // 4
+    if kind == "box_upper":
+        return x[..., args[0]] - args[1]
+    if kind == "box_lower":
+        return args[1] - x[..., args[0]]
+    if kind == "linear_eq":
+        return sum(c * x[..., i] for i, c in args[0]) - args[1]
+    p, q = x[..., args[0]], x[..., n + args[0]]
+    if kind == "apparent_power":
+        return p * p + q * q - args[1]
+    v = x[..., 2 * n + args[0]]
+    root = np.sqrt(np.where(v > 0.0, v, np.nan))
+    return q + args[1] * (p - args[2] - root)
+
+
+def reference_gradient(spec, x: np.ndarray) -> np.ndarray:
+    """The gradient of one row over the full flat state (shape x.shape),
+    set entry by entry, a repeated linear_eq term added in order: the
+    per-row reference of ``Constraints.gradients``. An exp_load_eq row
+    raises VoltageDomainError at v <= 0, naming its first such value."""
+    kind, *args = spec
+    n = x.shape[-1] // 4
+    g = np.zeros(x.shape)
+    if kind in ("box_upper", "box_lower"):
+        g[..., args[0]] = 1.0 if kind == "box_upper" else -1.0
+    elif kind == "linear_eq":
+        for i, c in args[0]:
+            g[..., i] += c
+    elif kind == "apparent_power":
+        for i in (args[0], n + args[0]):
+            g[..., i] = 2.0 * x[..., i]
+    else:
+        bus, alpha, _ = args
+        v = x[..., 2 * n + bus]
+        bad = v[v <= 0.0]
+        if bad.size:
+            raise VoltageDomainError(
+                f"voltage-dependent load at bus {bus} evaluated at v = "
+                f"{float(bad.flat[0])}; requires v > 0")
+        g[..., bus] = alpha
+        g[..., n + bus] = 1.0
+        g[..., 2 * n + bus] = -alpha / (2.0 * np.sqrt(v))
+    return g
+
+
+def _constraint_document(spec, n_bus: int) -> dict:
+    """A row spec's constraints entry."""
+    kind, *args = spec
+    if kind in ("box_upper", "box_lower"):
+        return {"kind": kind, "target": _state_entry(args[0], n_bus),
+                "params": {"bound": args[1]}}
+    if kind == "linear_eq":
+        return {"kind": kind, "target": None, "params": {
+            "terms": [{**_state_entry(i, n_bus), "coef": c}
+                      for i, c in args[0]],
+            "offset": args[1]}}
+    return {"kind": kind, "target": {"bus": args[0]},
+            "params": dict(zip(("s2_max",) if kind == "apparent_power"
+                               else ("alpha", "p_load"), args[1:]))}
 
 
 def case_document(case: Case) -> dict:
@@ -260,7 +387,8 @@ def case_document(case: Case) -> dict:
             for k in range(n)
             if case.gen_p[k] != 0.0 or case.gen_q[k] != 0.0
         ],
-        "constraints": [_constraint_document(op, n) for op in case.constraints],
+        "constraints": [_constraint_document(spec, n)
+                        for spec in constraint_specs(case.constraints)],
         "cost": {
             key: [{**_state_entry(i, n), "coef": float(coef[i])}
                   for i in np.flatnonzero(coef)]

@@ -8,10 +8,10 @@ import opfdiag as od
 from opfdiag.cases import EX2_ALPHA, example1
 from opfdiag.constraints import evaluate
 from opfdiag.cqkit import active_stack
-from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, CaseError,
-                              ExpLoadEq, LinearEq, state_index)
+from opfdiag.netmodel import CaseError, state_index
 from opfdiag.powerflow import SystemState, pf_residual
-from netgen import (all_kinds_document, case_document, network_columns,
+from netgen import (all_kinds_document, case_document, constraint_columns,
+                    constraint_specs, dense_gradients, network_columns,
                     reduced_rows)
 
 
@@ -135,7 +135,8 @@ def test_fixture_documents_load_back_identically(name):
     assert network_columns(case.network) == network_columns(fix.case.network)
     assert np.array_equal(case.gen_p, fix.case.gen_p)
     assert np.array_equal(case.gen_q, fix.case.gen_q)
-    assert case.constraints == fix.case.constraints
+    assert (constraint_columns(case.constraints)
+            == constraint_columns(fix.case.constraints))
     for got, want in ((case.cost.c2, fix.case.cost.c2),
                       (case.cost.c1, fix.case.cost.c1)):
         assert got.tobytes() == want.tobytes()
@@ -149,24 +150,25 @@ def test_builtin_rejects_unknown_name():
 def test_document_path_equals_programmatic_path(ex1):
     # constraints built from the serialized document behave identically
     case = od.load_case(json.dumps(case_document(ex1.case)))
-    assert case.constraints == ex1.case.constraints
+    assert (constraint_columns(case.constraints)
+            == constraint_columns(ex1.case.constraints))
     flat = ex1.ground_truth.flat()
-    for op, fixture_op in zip(case.constraints,
-                              list(ex1.system.h_ops) + list(ex1.system.g_ops)):
-        assert op.value(flat) == fixture_op.value(flat)
-        assert np.array_equal(op.gradient(flat), fixture_op.gradient(flat))
+    cs = od.system_for_case(case)
+    for got, want in ((cs.h, ex1.system.h), (cs.g, ex1.system.g)):
+        assert np.array_equal(got.values(flat[None]), want.values(flat[None]))
+        assert np.array_equal(dense_gradients(got, flat),
+                              dense_gradients(want, flat))
 
     # every kind, a repeated linear_eq term and a repeated cost term: the
-    # objects of a hand-built case, in declaration order, and each cost
+    # rows of a hand-built case, in declaration order, and each cost
     # entry the sum of its terms in document order
     case = od.load_case(json.dumps(all_kinds_document()))
     v2, p2 = state_index("v", 2, 3), state_index("p", 2, 3)
-    assert case.constraints == (
-        BoxUpper(index=v2, bound=1.1),
-        LinearEq(terms=((p2, 1.0), (p2, 1.0)), offset=-0.5),
-        ApparentPower(bus=0, n_bus=3, s2_max=1.0),
-        BoxLower(index=v2, bound=0.9),
-        ExpLoadEq(bus=2, n_bus=3, alpha=0.0, p_load=0.0))
+    specs = [("box_upper", v2, 1.1),
+             ("linear_eq", ((p2, 1.0), (p2, 1.0)), -0.5),
+             ("apparent_power", 0, 1.0), ("box_lower", v2, 0.9),
+             ("exp_load_eq", 2, 0.0, 0.0)]
+    assert constraint_specs(case.constraints) == specs
     c2, c1 = np.zeros(12), np.zeros(12)
     c2[state_index("p", 0, 3)] = 0.0 + 0.1 + 0.2
     c1[state_index("theta", 2, 3)] = 1.0
@@ -175,5 +177,5 @@ def test_document_path_equals_programmatic_path(ex1):
     assert case.cost.c1.tobytes() == c1.tobytes()
     assert case.cost.c2[0] != 0.3
     cs = od.system_for_case(case)
-    assert cs.h_ops == case.constraints[1::3]
-    assert cs.g_ops == (case.constraints[0], *case.constraints[2:4])
+    assert constraint_specs(cs.h) == specs[1::3]
+    assert constraint_specs(cs.g) == [specs[0], *specs[2:4]]

@@ -13,7 +13,8 @@ from opfdiag._jsontext import dumps
 from opfdiag.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_LICQ_FAILS,
                          EXIT_OK, EXIT_REPRO_MISMATCH, main)
 
-from netgen import all_kinds_document, bench_grid_document, case_document
+from netgen import (all_kinds_document, bench_grid_document, case_document,
+                    pinned_grid_document)
 
 
 def run(capsys, *argv):
@@ -530,6 +531,46 @@ def test_repro_ex1_without_a_ray_is_a_mismatch(capsys):
     assert "failed assertions" in err
     assert "Traceback" not in err
     assert "classification UNIQUE, no ray direction" in out
+
+
+@pytest.mark.xfail(strict=True, reason="ex1's tangency is exact at every "
+                   "alpha > 0, but at alpha = 10 sigma_min = 1.41e-14 of the "
+                   "rounded ground truth sits just above rank_tol = 1.35e-14")
+def test_repro_ex1_at_alpha_10_finds_the_ray(capsys):
+    # the rank decision sits on its tolerance at a rounded point: the check
+    # counts rank 6 of 6, so the reproduction finds no ray (exit 5); a
+    # verdict certified at the exact solution passes
+    assert run(capsys, "repro", "ex1", "--alpha", "10")[0] == EXIT_OK
+
+
+def test_generation_pinned_grid_check_keeps_its_verdict(capsys, tmp_path):
+    # the 12 x 12 grid with p = q = 0 pinned at its 143 PQ buses by 286
+    # one-term linear_eq rows: R is the square reduced flow Jacobian. The
+    # reference was recorded while each constraint was an object of its
+    # own; its SVD digits depend on the BLAS thread count, so the numbers
+    # are pinned to 1e-9 relative, not by bytes
+    ref = json.loads((Path(__file__).parent / "data"
+                      / "pinned_grid12_check.json").read_text())
+    path = tmp_path / "pinned.json"
+    doc = pinned_grid_document(12, 0)
+    assert len(doc["constraints"]) == 572
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run(capsys, "check", "--case", str(path), "--out", str(out))[0] \
+        == EXIT_OK
+    got = json.loads(out.read_text())
+    exact = ("m", "n_free", "numerical_rank", "licq_holds", "face")
+    assert {k: got["cq"][k] for k in exact} == {k: ref["cq"][k] for k in exact}
+    assert got["cq"]["m"] == got["cq"]["numerical_rank"] == 574
+    assert {k: got["kkt"][k] for k in ref["kkt"]} == ref["kkt"]
+    assert got["kkt"]["classification"] == "UNIQUE"
+    for key in ("sigma_min", "rank_tol"):
+        assert got["cq"][key] == pytest.approx(ref["cq"][key], rel=1e-9)
+    for have, want in ((got["state"], ref["state"]),
+                       (got["kkt"]["particular"], ref["particular"])):
+        have, want = np.array(have), np.array(want)
+        assert have.shape == want.shape
+        assert np.abs(have - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_tolerance_flags_must_be_positive(capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import opfdiag as od
-from netgen import injections, random_network, random_state, reduced_rows
+from netgen import (constraint_rows, constraint_specs, injections,
+                    random_network, random_state, reduced_rows,
+                    reference_gradient)
 from opfdiag import cqkit
-from opfdiag.constraints import (ApparentPower, BoxUpper, ConstraintSystem,
-                                 InfeasiblePointError, LinearEq, evaluate,
-                                 point_block)
+from opfdiag.constraints import (ConstraintSystem, InfeasiblePointError,
+                                 evaluate, point_block)
 from opfdiag.cqkit import (Classification, CostSpec, CQReport, Stacks,
                            _multiplier_set, _rank_from_svals, active_stack,
                            kkt_residual, kkt_solve, licq_check, licq_checks,
@@ -243,7 +244,7 @@ def _planted_cost(doc, seed, zero_mu):
     a, _, _, _, mask = active_stack(cs, x)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(a.shape[0])
-    first_mu = 2 * case.network.n_bus + len(cs.h_ops)
+    first_mu = 2 * case.network.n_bus + cs.h.size
     assert a.shape[0] > first_mu  # the caps are active
     y[first_mu:] = 0.0 if zero_mu else rng.uniform(0.1, 1.0,
                                                    a.shape[0] - first_mu)
@@ -290,7 +291,8 @@ def _flow_point(net, rng):
     p_inj, q_inj = injections(net, x.v, x.theta)
     x = SystemState(p_gen=net.p_load + p_inj, q_gen=net.q_load + q_inj,
                     v=x.v, theta=x.theta)
-    return ConstraintSystem(h_ops=(), g_ops=(), net=net), x
+    return ConstraintSystem(h=constraint_rows(), g=constraint_rows(),
+                            net=net), x
 
 
 def _planted(cs, x, rng):
@@ -303,14 +305,14 @@ def _planted(cs, x, rng):
 
 def _tripled_h(ex1):
     """ex1 with its equality row three times: m = 8 > n = 6, rank 5."""
-    h = ex1.system.h_ops[0]
-    return replace(ex1.system, h_ops=(h, h, h))
+    (h,) = constraint_specs(ex1.system.h)
+    return replace(ex1.system, h=constraint_rows(h, h, h))
 
 
 def _no_operational(ex1):
     """ex1's flow equations alone: m = 4, every row a pivot row, so R has
     no rows."""
-    return replace(ex1.system, h_ops=(), g_ops=())
+    return replace(ex1.system, h=constraint_rows(), g=constraint_rows())
 
 
 def _reduced_cases(ex1, ex2, lattice_document):
@@ -325,8 +327,9 @@ def _reduced_cases(ex1, ex2, lattice_document):
     rng = np.random.default_rng(11)
     flow, flow_x = _flow_point(random_network(4, rng), rng)
     # p_gen at bus 0 held at its value: the row joins R, which is 3 x 2
-    pinned = replace(ex1.system, h_ops=(*ex1.system.h_ops, LinearEq(
-        terms=((0, 1.0),), offset=float(ex1.ground_truth.p_gen[0]))))
+    pinned = replace(ex1.system, h=constraint_rows(
+        *constraint_specs(ex1.system.h),
+        ("linear_eq", ((0, 1.0),), float(ex1.ground_truth.p_gen[0]))))
     return [
         ("ex1", ex1.system, ex1.ground_truth, ex1.case.cost,
          Classification.RAY),
@@ -424,23 +427,24 @@ def test_rank_matches_direct_svd_beyond_two_buses(lattice_document):
             kind = rng.integers(3)
             if kind == 0:
                 i = int(rng.integers(4 * n))
-                g_ops.append(BoxUpper(index=i, bound=float(flat[i])))
+                g_ops.append(("box_upper", i, float(flat[i])))
             elif kind == 1:
                 idx = rng.choice(4 * n, size=3, replace=False)
                 coef = rng.standard_normal(3)
-                h_ops.append(LinearEq(
-                    terms=tuple(zip(idx.tolist(), coef.tolist())),
-                    offset=float(coef @ flat[idx])))
+                h_ops.append(("linear_eq", tuple(zip(idx.tolist(),
+                                                     coef.tolist())),
+                              float(coef @ flat[idx])))
             else:
                 bus = int(rng.integers(n))
-                g_ops.append(ApparentPower(bus=bus, n_bus=n, s2_max=float(
-                    flat[bus] ** 2 + flat[n + bus] ** 2)))
+                g_ops.append(("apparent_power", bus,
+                              float(flat[bus] ** 2 + flat[n + bus] ** 2)))
         points.append((ConstraintSystem(
-            h_ops=tuple(h_ops), g_ops=tuple(g_ops), net=net), x))
+            h=constraint_rows(*h_ops), g=constraint_rows(*g_ops), net=net), x))
     # a planted duplicate of an equality row: both paths see the dependent
     # row (3x3 lattice, m = 26 < n = 34 without it)
     cs, x = points[10]
-    points.append((replace(cs, h_ops=cs.h_ops + cs.h_ops[:1]), x))
+    h_ops = constraint_specs(cs.h)
+    points.append((replace(cs, h=constraint_rows(*h_ops, h_ops[0])), x))
     with_rows = 0
     for cs, x in points:
         report = licq_check(cs, x)
@@ -480,8 +484,8 @@ def test_unique_multiplier_on_simple_active_box(ex1):
     # a cap on p_gen[1] at its value; the cost c1 = -A^T e_box makes its
     # multiplier exactly 1 and every flow multiplier 0
     x = ex1.ground_truth
-    cs = replace(ex1.system, h_ops=(),
-                 g_ops=(BoxUpper(index=1, bound=x.p_gen[1]),))
+    cs = replace(ex1.system, h=constraint_rows(),
+                 g=constraint_rows(("box_upper", 1, x.p_gen[1])))
     cost = CostSpec(c2=np.zeros(8), c1=-np.eye(8)[1])
     kkt = _checked_null_space(cs, x, cost)
     assert kkt.classification is Classification.UNIQUE
@@ -650,7 +654,7 @@ def _sparse_cases(ex1, ex2, ex3, lattice_document):
     flat = ex3.ground_truth.flat()
     flat[1] = -0.0
     points.append(("ex3-signed-cap", ex3.case, replace(
-        ex3.system, g_ops=(ApparentPower(bus=1, n_bus=2, s2_max=0.0),)),
+        ex3.system, g=constraint_rows(("apparent_power", 1, 0.0))),
         SystemState.from_flat(flat)))
     for name, doc in (
             ("lattice-pinned", lattice_document(6, 6, 0)),
@@ -666,8 +670,8 @@ def _dense_stack(cs, x, face):
     flat, mask = x.flat(), cs.net.free_mask
     flow = flow_rows(cs.net, None, mask)(*cs.net.admittances,
                                          flat[None])[0]
-    ops = (*cs.h_ops, *(cs.g_ops[j] for j in face))
-    return np.concatenate([flow, *(op.gradient(flat)[mask][None]
+    ops = (*constraint_specs(cs.h), *(constraint_specs(cs.g)[j] for j in face))
+    return np.concatenate([flow, *(reference_gradient(op, flat)[mask][None]
                                    for op in ops)])
 
 

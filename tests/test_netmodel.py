@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import opfdiag as od
 from opfdiag.cases import example1
-from opfdiag.netmodel import (ApparentPower, BoxLower, BoxUpper, Case,
-                              CaseError, CostSpec, ExpLoadEq, LinearEq,
-                              Network, build_ybus, load_case, state_index)
+from opfdiag.netmodel import (Case, CaseError, CostSpec, Network, build_ybus,
+                              load_case, state_index)
 
 from netgen import (all_kinds_document, bench_grid_document, case_document,
+                    constraint_columns, constraint_rows, constraint_specs,
                     network_columns, random_network)
 
 
@@ -575,8 +575,8 @@ def test_load_case_sums_coefficients_per_state_entry():
     case = load_case(json.dumps(doc))
     p0, q0 = state_index("p", 0, 3), state_index("q", 0, 3)
     assert (case.cost.c1[p0], case.cost.c1[q0]) == (1e308, 1e308)
-    assert case.constraints[1].terms == ((p0, 1e308), (q0, 1e308),
-                                         (p0, -1e308), (p0, 1e308))
+    assert constraint_specs(case.constraints)[1][1] == (
+        (p0, 1e308), (q0, 1e308), (p0, -1e308), (p0, 1e308))
 
 
 @pytest.mark.parametrize("target", [{"var": "zzz"}, {}, [], 0])
@@ -602,7 +602,8 @@ def test_round_trip_bit_equality(ex1):
         assert network_columns(case.network) == network_columns(again.network)
         assert np.array_equal(case.gen_p, again.gen_p)
         assert np.array_equal(case.gen_q, again.gen_q)
-        assert case.constraints == again.constraints
+        assert (constraint_columns(case.constraints)
+                == constraint_columns(again.constraints))
         for got, want in ((again.cost.c2, case.cost.c2),
                           (again.cost.c1, case.cost.c1)):
             assert got.tobytes() == want.tobytes()
@@ -874,7 +875,8 @@ def _network(doc: dict) -> Network:
 
 def _constructed(doc: dict) -> Case:
     """The case of a well-formed document, built entry by entry by the
-    constructors: ``Network``, the constraint classes and ``CostSpec``."""
+    constructors: ``Network``, ``Constraints`` (``constraint_rows``) and
+    ``CostSpec``."""
     n = len(doc["buses"])
     gen_p, gen_q = np.zeros(n), np.zeros(n)
     for e in doc.get("generators", []):
@@ -883,34 +885,33 @@ def _constructed(doc: dict) -> Case:
     for e in doc.get("constraints", []):
         kind, params, target = e["kind"], e["params"], e.get("target")
         if kind in ("box_upper", "box_lower"):
-            box = BoxUpper if kind == "box_upper" else BoxLower
-            ops.append(box(state_index(target["var"], target["bus"], n),
-                           float(params["bound"])))
+            ops.append((kind, state_index(target["var"], target["bus"], n),
+                        float(params["bound"])))
         elif kind == "linear_eq":
-            ops.append(LinearEq(
-                tuple((state_index(t["var"], t["bus"], n), float(t["coef"]))
-                      for t in params["terms"]),
-                float(params.get("offset", 0.0))))
+            ops.append((kind, tuple(
+                (state_index(t["var"], t["bus"], n), float(t["coef"]))
+                for t in params["terms"]), float(params.get("offset", 0.0))))
         elif kind == "apparent_power":
-            ops.append(ApparentPower(target["bus"], n, float(params["s2_max"])))
+            ops.append((kind, target["bus"], float(params["s2_max"])))
         else:
-            ops.append(ExpLoadEq(target["bus"], n, float(params["alpha"]),
-                                 float(params["p_load"])))
+            ops.append((kind, target["bus"], float(params["alpha"]),
+                        float(params["p_load"])))
     c2, c1 = np.zeros(4 * n), np.zeros(4 * n)
     for key, sink in (("quadratic", c2), ("linear", c1)):
         for t in doc.get("cost", {}).get(key, []):
             sink[state_index(t["var"], t["bus"], n)] += t["coef"]
     return Case(network=_network(doc), gen_p=gen_p, gen_q=gen_q,
-                constraints=tuple(ops), cost=CostSpec(c2=c2, c1=c1))
+                constraints=constraint_rows(*ops),
+                cost=CostSpec(c2=c2, c1=c1))
 
 
 def _random_document(n_bus: int, rng) -> dict:
     """A random network's document with generators, boxes and a cost."""
     net = random_network(n_bus, rng)
     index = rng.choice(4 * n_bus, size=n_bus, replace=False)
-    boxes = tuple(
-        (BoxUpper if k % 2 else BoxLower)(int(i), float(rng.uniform(-1, 1)))
-        for k, i in enumerate(index))
+    boxes = constraint_rows(*(
+        ("box_upper" if k % 2 else "box_lower", int(i),
+         float(rng.uniform(-1, 1))) for k, i in enumerate(index)))
     return case_document(Case(
         network=net, gen_p=rng.uniform(-1.0, 1.0, n_bus),
         gen_q=np.where(rng.uniform(size=n_bus) < 0.5, 0.0, 0.3),
@@ -937,9 +938,10 @@ def test_load_case_builds_what_the_constructors_build(lattice_document,
         side, _, shunts = size.partition("-")
         doc = bench_grid_document(int(side), 0, shunts=bool(shunts))
     got, want = load_case(json.dumps(doc)), _constructed(doc)
-    # reprs and bytes tell -0.0 from 0.0, reprs an int from a float
+    # bytes tell -0.0 from 0.0, dtypes an int from a float
     assert network_columns(got.network) == network_columns(want.network)
-    assert repr(got.constraints) == repr(want.constraints)
+    assert (constraint_columns(got.constraints)
+            == constraint_columns(want.constraints))
     for a, b in ((got.gen_p, want.gen_p), (got.gen_q, want.gen_q),
                  (got.cost.c2, want.cost.c2), (got.cost.c1, want.cost.c1)):
         assert a.tobytes() == b.tobytes()

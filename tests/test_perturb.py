@@ -12,7 +12,7 @@ from opfdiag import cli, cqkit, powerflow
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
-from opfdiag.netmodel import BoxLower, BoxUpper, Case, state_index
+from opfdiag.netmodel import Case, state_index
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              TrialRecord, _draws, _generate_state,
                              _pcg64_seeded, _seed_pool, apply_parameters,
@@ -22,14 +22,15 @@ from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              shift_load, shunt_model, tangency_escape_probe)
 from opfdiag.powerflow import SystemState, pf_residual
 
-from netgen import (bench_grid_document, case_document, every_column_document,
+from netgen import (all_kinds_document, bench_grid_document, case_document,
+                    constraint_rows, every_column_document,
                     random_network, random_state, trial_draw)
 
 
 def random_case(rng, n_bus=4):
     net = random_network(n_bus, rng)
     return Case(network=net, gen_p=rng.uniform(-1, 1, n_bus),
-                gen_q=rng.uniform(-1, 1, n_bus))
+                gen_q=rng.uniform(-1, 1, n_bus), constraints=constraint_rows())
 
 
 def nominal_parameters(model, case):
@@ -401,12 +402,13 @@ def band_case():
     near the band's centre has both bounds active, so its stack repeats a
     row and fails LICQ; the others sit on one bound or are infeasible."""
     net = random_network(5, np.random.default_rng([0, 99]))
-    case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5))
+    case = Case(network=net, gen_p=np.zeros(5), gen_q=np.zeros(5),
+                constraints=constraint_rows())
     v = od.solve_power_flow(net, case.gen_p,
                             case.gen_q, pf_tol=1e-10).state.v[2]
     at = state_index("v", 2, 5)
-    band = (BoxUpper(index=at, bound=float(v) + 0.002),
-            BoxLower(index=at, bound=float(v) - 0.002))
+    band = constraint_rows(("box_upper", at, float(v) + 0.002),
+                           ("box_lower", at, float(v) - 0.002))
     return replace(case, constraints=band), {"act_tol": 0.004}
 
 
@@ -630,7 +632,8 @@ def test_sweep_reports_keep_their_bytes(tmp_path, capsys, name):
 # sweeps of COLS (tests/netgen.py's every_column_document), recorded while
 # the network was a tuple of per-bus and per-line records (numpy 2.4 on
 # x86-64). GRIDn is bench/grid.py's shunt-free n x n grid. Each entry is
-# (arguments, exit code, sha256 of the JSON report[, of the CSV]).
+# (arguments, exit code, sha256 of the JSON report[, of the CSV]). KINDS
+# is tests/netgen.py's all_kinds_document.
 GOLDEN_REPORTS = {
     "check-ex1": ("check --builtin ex1", 3,
         "40c4256b5553cd6f26a555483f08eee634180a6d138d2ac00a4110db276b8b66"),
@@ -664,13 +667,21 @@ GOLDEN_REPORTS = {
         "perturb --case COLS --model shunt --trials 50 --seed 0", 0,
         "992c6358643f2fe63a2c1462896925c22ccaf1e589ceed728c7a80d08f54f772",
         "e43439cd283145d5aeac3f3a8f2cf79eaa0807b8e3273ee75addb767c9a169ad"),
+    # recorded while each constraint was an object of its own; equal under
+    # one and two BLAS threads
+    "check-kinds": ("check --case KINDS", 0,
+        "4c29d9c6e72f401492a27b7c63cd82015bf43e38fbb0350cc5de526b92bc8ab9"),
+    "perturb-kinds-shunt": (
+        "perturb --case KINDS --model shunt --trials 50 --seed 0", 0,
+        "34556ab1c92d0f44b90ba3bf22964fd3cc94bf504f0fb9c2017ffa02f841536b",
+        "e43439cd283145d5aeac3f3a8f2cf79eaa0807b8e3273ee75addb767c9a169ad"),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
 def test_reports_keep_their_bytes(tmp_path, capsys, name):
     args, code, *shas = GOLDEN_REPORTS[name]
-    docs = {"COLS": every_column_document,
+    docs = {"COLS": every_column_document, "KINDS": all_kinds_document,
             "GRID8S": lambda: bench_grid_document(8, 0, shunts=True)}
     docs.update((f"GRID{side}",
                  lambda side=side: bench_grid_document(side, 0, shunts=False))

@@ -23,8 +23,9 @@ from opfdiag.powerflow import (MAX_ITER, STALL_STEPS, DivergenceError,
                                newton_states, pf_jacobian, pf_residual,
                                solve_power_flow, state_from_list)
 
-from netgen import (dense_admittances, dense_residual, injections,
-                    random_network, random_state, ring_network, trial_draw)
+from netgen import (constraint_rows, dense_admittances, dense_residual,
+                    injections, random_network, random_state, ring_network,
+                    trial_draw)
 
 
 def finite_difference_jacobian(net, x, step=1e-6):
@@ -395,7 +396,7 @@ def test_stacked_newton_matches_one_trial_solves(ex1, source, kind, trials):
         case = ex1.case
     else:
         case = Case(network=pv_three_bus(), gen_p=np.array([0.0, 0.3, 0.0]),
-                    gen_q=np.zeros(3))
+                    gen_q=np.zeros(3), constraints=constraint_rows())
     model = make_model(kind, case)
     nets = [apply_parameters(model, case, trial_draw(42, t, model.box)).network
             for t in range(trials)]

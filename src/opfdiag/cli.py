@@ -182,6 +182,10 @@ def _seed(args) -> int:
 
 def cmd_perturb(args) -> int:
     seed = _seed(args)
+    if args.format == "json" and args.out and Path(args.out).suffix == ".csv":
+        raise CaseError(f"--out {args.out}: the JSON report would be "
+                        "overwritten by its CSV; give a path that does not "
+                        "end in .csv, or --format csv")
     case, fix = _load_input(args)
     model = perturb.make_model(args.model, case)
     report = perturb.run_genericity_experiment(

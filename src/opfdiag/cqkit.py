@@ -20,13 +20,13 @@ the rest z), one column and one row elimination turn A into diag(I_p, R)
 with p = 2N and R = O_z - O_g X, so rank(A) = p + rank(R): LICQ asks
 whether the operational rows meet the flow manifold transversally. Where R
 has no rows nothing is factored: A = [I, X] has rank p by structure, and a
-check without a cost then does not assemble A unless its report is read.
+check without a cost then assembles A only for a report it builds.
 
 A is held sparse, as row-major COO triplets (``Stacks``), from the plan of
-its flow rows (``powerflow.flow_rows``) to the report, so a check pays for
-A's nonzeros. Dense blocks X and O are built only where R has rows, for
-the product R = O_z - O_g X and the reduced solution; the stationarity
-residual is summed over the triplets.
+its flow rows, made once per network (``Network.stack_plan``), to the
+report, so a check pays for A's nonzeros. Dense blocks X and O are built
+only where R has rows, for the product R = O_z - O_g X and the reduced
+solution; the stationarity residual is summed over the triplets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .constraints import (ConstraintSystem, InfeasiblePointError, active_set,
                           active_sets, as_flat_state, point_block, row_labels)
 from .netmodel import CaseError, CostSpec
-from .powerflow import flow_rows, pf_jacobian
+from .powerflow import pf_jacobian
 
 
 def _rank_from_svals(svals: np.ndarray, shape: tuple[int, int],
@@ -111,23 +111,24 @@ class Stacks(NamedTuple):
                 "values": self.values[keep].tolist()}
 
 
-def face_stacks(cs: ConstraintSystem, flats: np.ndarray, flow,
-                face) -> Stacks:
+def face_stacks(cs: ConstraintSystem, flats: np.ndarray, g: np.ndarray,
+                b: np.ndarray, face) -> Stacks:
     """Stacks of k points over the free columns, with the rows of the g
-    indices in ``face`` active: the flow rows ``flow``, triplets of a
-    ``flow_rows`` plan with ``coo`` (k x nnz values), then every h
+    indices in ``face`` active: the flow rows of their line lists g and b
+    (k x (M + N)) from the network's ``stack_plan``, then every h
     gradient, then the face's g gradients (``Constraints.gradients``),
-    row-major, each free entry kept that is not +0.0 at some point."""
-    rows, cols, values = flow
+    row-major, each free entry kept that is not +0.0 at some point; a
+    point's entries do not depend on the others."""
+    rows, cols, values = cs.net.stack_plan(g, b, flats)
     mask = cs.net.free_mask
     p = 2 * cs.net.n_bus
     shape = (p + cs.h.size + len(face), int(np.count_nonzero(mask)))
     if shape[0] == p:
         return Stacks(shape, rows, cols, values)
-    h, g = cs.h.gradients(flats), cs.g.take(face).gradients(flats)
-    at_r = np.concatenate((h[0], cs.h.size + g[0]))
-    at_c = np.concatenate((h[1], g[1]))
-    grads = np.concatenate((h[2], g[2]), axis=1)
+    h, ineq = cs.h.gradients(flats), cs.g.take(face).gradients(flats)
+    at_r = np.concatenate((h[0], cs.h.size + ineq[0]))
+    at_c = np.concatenate((h[1], ineq[1]))
+    grads = np.concatenate((h[2], ineq[2]), axis=1)
     keep = np.flatnonzero(mask[at_c]
                           & ((grads != 0) | np.signbit(grads)).any(axis=0))
     keep = keep[np.lexsort((at_c[keep], at_r[keep]))]
@@ -137,45 +138,13 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, flow,
                   np.concatenate((values, grads[:, keep]), axis=1))
 
 
-def active_stacks(cs: ConstraintSystem, flats: np.ndarray, flow):
-    """Faces of a block of points and the assembly of their active stacks
-    over the system's free columns (see ``evaluate_points`` for ``flats``
-    and ``flow``).
-
-    Returns (feasible, infeasible, groups, assemble): ``feasible`` and
-    ``infeasible`` as ``active_sets`` gives them; each group is (points,
-    face) for the feasible points on one face; ``assemble(face, points)``
-    gives the ``face_stacks`` of those block points, as triplets. Nothing
-    is assembled, and no flow rows are planned, until ``assemble`` is
-    called; its flow rows come from one plan, and a point's entries do not
-    depend on the others assembled with it.
-    """
-    feasible, faces, infeasible = active_sets(cs, flats, flow)
-    groups = [(points, face) for face, points in faces.items()]
-    plan = None
-
-    def assemble(face, points: np.ndarray) -> Stacks:
-        nonlocal plan
-        if plan is None:
-            plan = flow_rows(cs.net, None, cs.net.free_mask, coo=True)
-        own = flats[points]
-        return face_stacks(cs, own, plan(flow[0][points], flow[1][points],
-                                         own), face)
-
-    return feasible, infeasible, groups, assemble
-
-
 def active_stack(cs: ConstraintSystem, x):
     """Stacked active gradients over free columns plus row bookkeeping at
     one point: (A, labels, face, flat, mask), A dense and ``mask`` the
-    network's ``free_mask``; the one-trial call of ``active_stacks``."""
-    flats, flow = point_block(cs, x)
-    feasible, infeasible, groups, assemble = active_stacks(cs, flats, flow)
-    if not feasible[0]:
-        raise infeasible(0)
-    ((points, face),) = groups
-    return (assemble(face, points).dense()[0], row_labels(cs, face), face,
-            flats[0], cs.net.free_mask)
+    network's ``free_mask``; the ``face_stacks`` of its ``active_set``."""
+    face, flat = active_set(cs, x), as_flat_state(cs, x)
+    return (face_stacks(cs, flat[None], *cs.net.admittances, face).dense()[0],
+            row_labels(cs, face), face, flat, cs.net.free_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,15 +156,14 @@ class CQReport:
     1.0 when R has no rows. It is zero (below ``rank_tol``) exactly when the
     qualification fails. ``rank_tol`` is that matrix's
     sigma_max * max(m, n) * ulp_scale, with A's shape.
-    ``stack`` is the active stack A as triplets (``Stacks``), taken from
-    ``assemble`` at its first read: a report whose group assembled no
-    stacks assembles it only then. ``active_jacobian`` is A densified from
-    ``stack`` when read; ``to_dict`` writes the triplets unless told not
-    to. ``kkt`` is the multiplier set when the check was given a cost; it
-    is not part of ``to_dict``.
+    ``stack`` is the active stack A as triplets (``Stacks``);
+    ``active_jacobian`` is A densified from ``stack`` when read;
+    ``to_dict`` writes the triplets unless told not to. ``kkt`` is the
+    multiplier set when the check was given a cost; it is not part of
+    ``to_dict``.
     """
 
-    assemble: Callable[[], Stacks] = field(repr=False)
+    stack: Stacks = field(repr=False)
     row_labels: tuple[str, ...]
     m: int
     n_free: int
@@ -205,10 +173,6 @@ class CQReport:
     licq_holds: bool
     face: tuple[int, ...]
     kkt: MultiplierSet | None = None
-
-    @cached_property
-    def stack(self) -> Stacks:
-        return self.assemble()
 
     @cached_property
     def active_jacobian(self) -> np.ndarray:
@@ -247,25 +211,28 @@ class Verdicts(NamedTuple):
 
 def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                 cost: CostSpec | None = None) -> Verdicts:
-    """``licq_check`` at each point of a block (see ``active_stacks``), as
-    ``Verdicts``. Each face group is decided on the singular values of
-    diag(I_p, R) (module docstring), m = p + r rows over n free columns.
-    It assembles its stacks as triplets only with a cost or where R has
-    rows, else a point's report assembles its own when read. Where R has
+    """``licq_check`` at each point of a block (see ``evaluate_points``),
+    as ``Verdicts``. Each face group of ``active_sets`` is decided on the
+    singular values of diag(I_p, R) (module docstring), m = p + r rows over
+    n free columns. It assembles its stacks as triplets only with a cost or
+    where R has rows, else ``report(i)`` assembles point i's. Where R has
     rows, the dense stacks give R with one batched matmul, and one batched
     SVD factors them, values only without a cost, thin with one. Where R
     has none nothing is factored, and a cost's multipliers are -grad f on
     the flow rows, with an empty null space."""
-    feasible, infeasible, groups, assemble = active_stacks(cs, flats, flow)
+    feasible, faces, infeasible = active_sets(cs, flats, flow)
     p = 2 * cs.net.n_bus
     n = int(np.count_nonzero(cs.net.free_mask))
     rank, holds = np.zeros(len(flats), int), np.zeros(len(flats), bool)
     sigma_min, rank_tol = np.zeros((2, len(flats)))
     kkts = {}  # multiplier sets by point
-    for g, (points, face) in enumerate(groups):
+    groups = []  # (points, face, their stacks or None)
+    for face, points in faces.items():
         r = cs.h.size + len(face)
         k, m = len(points), p + r
-        block = assemble(face, points) if cost is not None or r else None
+        block = (face_stacks(cs, flats[points], flow[0][points],
+                             flow[1][points], face)
+                 if cost is not None or r else None)
         if cost is not None:
             grads = cost.gradient(flats[points])[:, cs.net.free_mask]
         if r == 0:
@@ -289,7 +256,7 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
                                               cs.rank_ulp_scale)
         rank[points], sigma_min[points], rank_tol[points] = ranks, smins, tols
         holds[points] = rank[points] == m
-        groups[g] += (block,)
+        groups.append((points, face, block))
         for j in range(k if cost is not None else 0):
             # a cost too large for the point is rejected by
             # _multiplier_set, not warned about on the way
@@ -313,8 +280,8 @@ def licq_checks(cs: ConstraintSystem, flats: np.ndarray, flow,
         j = int(np.flatnonzero(points == i)[0])
         labels = tuple(row_labels(cs, face))
         return CQReport(
-            assemble=(partial(block.point, j) if block is not None else
-                      lambda: assemble(face, np.array([i])).point(0)),
+            stack=(block.point(j) if block is not None else face_stacks(
+                cs, flats[[i]], flow[0][[i]], flow[1][[i]], face).point(0)),
             row_labels=labels, m=len(labels), n_free=n,
             numerical_rank=int(rank[i]), sigma_min=float(sigma_min[i]),
             rank_tol=float(rank_tol[i]), licq_holds=bool(holds[i]),
@@ -520,16 +487,15 @@ def kkt_residual(cs: ConstraintSystem, x, cost: CostSpec,
                  multipliers: np.ndarray) -> float:
     """Independent stationarity check: || grad f + A^T y ||_2.
 
-    Rebuilds the active stack with its flow rows from the dense
+    Rebuilds the active stack with its flow rows replaced by the dense
     ``pf_jacobian`` (of ``build_ybus``) and accumulates the weighted sum
     row by row without any factorization, so it verifies kkt_solve output
     through a separate code path.
     """
     flat, mask = as_flat_state(cs, x), cs.net.free_mask
-    jac = pf_jacobian(cs.net, x)[:, mask]
-    rows, cols = np.indices(jac.shape).reshape(2, -1)
-    stack = face_stacks(cs, flat[None], (rows, cols, jac.reshape(1, -1)),
+    stack = face_stacks(cs, flat[None], *cs.net.admittances,
                         active_set(cs, x)).dense()[0]
+    stack[:2 * cs.net.n_bus] = pf_jacobian(cs.net, x)[:, mask]
     y = np.asarray(multipliers, dtype=float)
     if y.size != len(stack):
         raise ValueError(

@@ -233,6 +233,13 @@ class Network:
         rows, cols, band = _newton_system(self)
         return rows, cols, band, flow_rows(self, rows, cols, band)
 
+    @cached_property
+    def stack_plan(self):
+        """The COO ``flow_rows`` plan of the flow rows over the free
+        columns: those of every ``cqkit.face_stacks``."""
+        from .powerflow import flow_rows
+        return flow_rows(self, None, self.free_mask, coo=True)
+
 
 class LineDirections(NamedTuple):
     """``Network.directions``: direction e runs from ``bus[e]`` to

@@ -28,8 +28,8 @@ from ._jsontext import dumps
 # build_ybus stays one of this module's names: the benchmark's tracer wraps
 # perturb.build_ybus.
 from .netmodel import Case, Network, admittance_stack, build_ybus
-from .powerflow import (MAX_ITER, PowerFlowError, SystemState, flow_rows,
-                        newton_states, solve_power_flow)
+from .powerflow import (MAX_ITER, PowerFlowError, SystemState, newton_states,
+                        solve_power_flow)
 
 
 class PerturbationError(ValueError):
@@ -650,7 +650,6 @@ def _gauss_newton(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
     A residual that is non-finite, as outside a constraint's domain, at the
     start or at a trial step, stops the iteration as not converged."""
     mask = cs.net.free_mask
-    plan = flow_rows(cs.net, None, mask, coo=True)
     with np.errstate(all="ignore"):
         r = _face_residual(cs, flat, flow, face)
         for _ in range(PROJECTION_MAX_ITER):
@@ -659,8 +658,7 @@ def _gauss_newton(cs: con.ConstraintSystem, flat: np.ndarray, flow, face):
                 return flat, False
             if err <= PROJECTION_TOL:
                 return flat, True
-            rows = cqkit.face_stacks(cs, flat[None],
-                                     plan(*flow[:2], flat[None]),
+            rows = cqkit.face_stacks(cs, flat[None], *flow[:2],
                                      face).dense()[0]
             step, *_ = np.linalg.lstsq(rows, -r, rcond=None)
             t = 1.0

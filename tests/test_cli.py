@@ -424,6 +424,27 @@ def test_perturb_writes_json_and_csv(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "trial,seed,feasible,licq,sigma_min"
 
 
+def test_perturb_json_out_ending_in_csv_exits_2(tmp_path, capsys,
+                                               monkeypatch):
+    # the JSON report and its CSV would be one file: an input error, found
+    # before the sweep runs; with --format csv that path is the report's own
+    out_path = tmp_path / "r.csv"
+    monkeypatch.setattr(perturb, "run_genericity_experiment", None)
+    code, out, err = run(capsys, "perturb", "--builtin", "ex1", "--model",
+                         "load", "--trials", "3", "--seed", "0",
+                         "--out", str(out_path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "--out" in err and "Traceback" not in err
+    assert not out_path.exists()
+    monkeypatch.undo()
+    code, _, _ = run(capsys, "perturb", "--builtin", "ex1", "--model", "load",
+                     "--trials", "3", "--seed", "0", "--format", "csv",
+                     "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_text().splitlines()[0] == (
+        "trial,seed,feasible,licq,sigma_min")
+
+
 def test_perturb_csv_format_stdout(capsys):
     code, out, _ = run(capsys, "perturb", "--builtin", "ex1",
                        "--model", "load", "--trials", "5", "--seed", "3",
@@ -795,7 +816,7 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
     # (ex3); there is no QR
     svd_calls, qr_calls, stack_calls = [], [], []
     real_svd, real_qr = np.linalg.svd, np.linalg.qr
-    real_stack = cqkit.active_stacks
+    real_stack = cqkit.face_stacks
 
     def counting_svd(a, *args, **kwargs):
         full = kwargs.get("full_matrices", args[0] if args else True)
@@ -814,7 +835,7 @@ def test_check_factors_each_point_once(capsys, tmp_path, monkeypatch,
     argv = _check_argv(source, tmp_path, lattice_document)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(cqkit, "active_stacks", counting_stack)
+    monkeypatch.setattr(cqkit, "face_stacks", counting_stack)
     code, out, _ = run(capsys, "check", *argv)
     assert code in (EXIT_OK, EXIT_LICQ_FAILS)
     payload = json.loads(out)

@@ -13,7 +13,7 @@ from opfdiag.constraints import (ConstraintError, ConstraintSystem,
                                  point_block, system_for_case)
 from opfdiag.cqkit import active_stack, face_stacks, licq_check, numerical_rank
 from opfdiag.netmodel import load_case
-from opfdiag.powerflow import SystemState, flow_rows, state_index
+from opfdiag.powerflow import SystemState, state_index
 
 from netgen import (all_kinds_document, constraint_rows, constraint_specs,
                     dense_gradients, pinned_grid_document, random_network,
@@ -270,12 +270,10 @@ def test_tables_are_bitwise_their_rows_references(name):
         assert dense.tobytes() == np.stack(
             [reference_gradient(spec, flats) for spec in specs],
             axis=1).tobytes()
-    plan = flow_rows(cs.net, None, cs.net.free_mask, coo=True)
-    flow = plan(*(np.repeat(y, len(flats), axis=0)
-                  for y in cs.net.admittances), flats)
+    lines = [np.repeat(y, len(flats), axis=0) for y in cs.net.admittances]
     p = 2 * case.network.n_bus
     for face in ((), tuple(range(cs.g.size))):
-        got = face_stacks(cs, flats, flow, face)
+        got = face_stacks(cs, flats, *lines, face)
         at_r, at_c, values = _reference_stacks(cs, flats, face)
         own = got.rows >= p
         assert got.rows[own].tolist() == (p + at_r).tolist()

@@ -10,7 +10,7 @@ import opfdiag as od
 from netgen import (constraint_rows, constraint_specs, injections,
                     random_network, random_state, reduced_rows,
                     reference_gradient)
-from opfdiag import cqkit
+from opfdiag import cqkit, powerflow
 from opfdiag.constraints import (ConstraintSystem, InfeasiblePointError,
                                  evaluate, point_block)
 from opfdiag.cqkit import (Classification, CostSpec, CQReport, Stacks,
@@ -567,25 +567,31 @@ def _face_free_block(lattice_document, k, rng):
 
 def test_face_free_block_without_cost_assembles_nothing(lattice_document, rng,
                                                         monkeypatch):
-    # no h row and an empty face: the verdict is decided by structure, and
-    # a report's stack is assembled only when it is read, bit for bit the
-    # one-point stack
+    # no h row and an empty face: the verdict is decided by structure, so
+    # the check plans, assembles and factors nothing; a report assembles
+    # its own stack when it is built, bit for bit the one-point stack
     cs, states, flats, flow = _face_free_block(lattice_document, 5, rng)
-    plans, svds = [], []
-    real_plan, real_svd = cqkit.flow_rows, np.linalg.svd
-    monkeypatch.setattr(cqkit, "flow_rows",
+    plans, assembled, svds = [], [], []
+    real_plan, real_stacks = powerflow.flow_rows, cqkit.face_stacks
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(powerflow, "flow_rows",
                         lambda *a, **kw: plans.append(a) or real_plan(*a, **kw))
+    monkeypatch.setattr(cqkit, "face_stacks", lambda *a, **kw: (
+        assembled.append(a) or real_stacks(*a, **kw)))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **kw: svds.append(a) or real_svd(*a, **kw))
     verdicts = licq_checks(cs, flats, flow)
+    assert plans == [] and assembled == [] and svds == []
     reports = [verdicts.report(i) for i in range(len(flats))]
-    assert plans == [] and svds == []
+    assert svds == []
     assert all(r.face == () and r.licq_holds and r.m == 32 for r in reports)
+    assert len(plans) == 1      # one plan for the network, the first report's
+    assert [len(a[1]) for a in assembled] == [1] * len(flats)
     stacks = [r.active_jacobian for r in reports]
-    assert len(plans) == 1      # one plan for the block, made at first read
     for stack, x in zip(stacks, states):
         a = active_stack(cs, x)[0]
         assert stack.shape == a.shape and stack.tobytes() == a.tobytes()
+    assert len(plans) == 1
     assert all(r.active_jacobian is s for r, s in zip(reports, stacks))
 
 
@@ -629,7 +635,7 @@ def test_cq_report_writes_nonzero_triplets():
                   [-1.0, 0.0, 0.0],
                   [0.0, 0.0, 1e-300]])
     rows, cols = np.divmod(np.arange(9), 3)
-    report = CQReport(assemble=lambda: Stacks((3, 3), rows, cols, a.ravel()),
+    report = CQReport(stack=Stacks((3, 3), rows, cols, a.ravel()),
                       row_labels=("a", "b", "c"), m=3, n_free=3,
                       numerical_rank=3, sigma_min=1e-300, rank_tol=0.0,
                       licq_holds=True, face=())

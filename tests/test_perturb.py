@@ -767,6 +767,29 @@ def test_tangency_probe_flags_only_zero_delta(ex1):
         assert by_delta[d].sigma_min > 1e-6
 
 
+def test_a_network_plans_its_stack_rows_once(ex1, monkeypatch):
+    # the projection's steps, the checks and the dense stack of a shifted
+    # system read one plan of its flow rows; each shift of the probe is a
+    # network of its own, with a plan of its own
+    plans = []
+    real = powerflow.flow_rows
+    monkeypatch.setattr(powerflow, "flow_rows", lambda *a, **kw: (
+        kw.get("coo") and plans.append(a[0])) or real(*a, **kw))
+    cs = od.system_for_case(shift_load(ex1.case, 1, 0.05))
+    state, _ = nearest_feasible_point(cs, ex1.ground_truth)
+    first, second = licq_check(cs, state), licq_check(cs, state)
+    a = cqkit.active_stack(cs, state)[0]
+    assert len(plans) == 1 and plans[0] is cs.net
+    assert first.active_jacobian.tobytes() == a.tobytes()
+    assert second.active_jacobian.tobytes() == a.tobytes()
+    plans.clear()
+    deltas = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 1e-1, -1e-1]
+    rows = tangency_escape_probe(ex1.case, ex1.ground_truth, deltas,
+                                 direction=1)
+    assert all(r.converged for r in rows)
+    assert len(plans) == len({id(net) for net in plans}) == 7
+
+
 def test_tangency_probe_small_escape(ex1):
     rows = tangency_escape_probe(ex1.case, ex1.ground_truth,
                                  [0.05, -0.05], direction=1)

@@ -119,7 +119,8 @@ def face_stacks(cs: ConstraintSystem, flats: np.ndarray, g: np.ndarray,
     gradient, then the face's g gradients (``Constraints.gradients``),
     row-major, each free entry kept that is not +0.0 at some point; a
     point's entries do not depend on the others."""
-    rows, cols, values = cs.net.stack_plan(g, b, flats)
+    rows, cols, fill = cs.net.stack_plan
+    values = fill(g, b, flats, np.empty((flats.shape[0], rows.size)))
     mask = cs.net.free_mask
     p = 2 * cs.net.n_bus
     shape = (p + cs.h.size + len(face), int(np.count_nonzero(mask)))

@@ -228,17 +228,22 @@ class Network:
 
     @cached_property
     def newton_system(self) -> tuple:
-        """``powerflow._newton_system`` and its ``flow_rows`` plan."""
-        from .powerflow import _newton_system, flow_rows
-        rows, cols, band = _newton_system(self)
-        return rows, cols, band, flow_rows(self, rows, cols, band)
+        """``powerflow._newton_system``: the Newton matrix's rows, columns,
+        band and the ``flow_rows`` plan that fills it."""
+        from .powerflow import _newton_system
+        return _newton_system(self)
 
     @cached_property
-    def stack_plan(self):
-        """The COO ``flow_rows`` plan of the flow rows over the free
-        columns: those of every ``cqkit.face_stacks``."""
-        from .powerflow import flow_rows
-        return flow_rows(self, None, self.free_mask, coo=True)
+    def stack_plan(self) -> tuple:
+        """(rows, cols, fill): the structural entries of the flow rows over
+        the free columns, those of every ``cqkit.face_stacks``, as the
+        row-major pattern of the 2N x F matrix for the F free columns, and
+        the ``flow_rows`` plan that fills their T x nnz values."""
+        from .powerflow import flow_rows, selected_entries
+        kept, r, q = selected_entries(self, np.arange(2 * self.n_bus),
+                                      np.flatnonzero(self.free_mask))
+        by = np.argsort(r * np.count_nonzero(self.free_mask) + q)
+        return r[by], q[by], flow_rows(self, kept[by], np.arange(by.size))
 
 
 class LineDirections(NamedTuple):

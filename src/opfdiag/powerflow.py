@@ -17,9 +17,10 @@ Y is carried as its line list (``netmodel.admittance_stack``), since G_kl
 and B_kl vanish off the M lines and the diagonal: the residual sums Y u
 over both directions of each line, and the Newton matrix, the check's
 stack and the projection take their rows of the Jacobian from
-``flow_rows``, which assembles only the selected entries; each costs
-O(N + M) per trial. The dense 2N x 4N ``_jacobian`` of ``build_ybus`` is
-the reference behind ``pf_jacobian``.
+``flow_rows`` plans, which compute the structural entries
+(``flow_entries``) their caller keeps and write each where it places it;
+each costs O(N + M) per trial. The dense 2N x 4N ``_jacobian`` of
+``build_ybus`` is the reference behind ``pf_jacobian``.
 """
 
 from __future__ import annotations
@@ -164,77 +165,56 @@ def _jacobian(G: np.ndarray, B: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return jac
 
 
-def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
-              band: tuple[int, int] | None = None, *, coo: bool = False):
-    """Plan of the flow Jacobian rows ``_jacobian(G, B, flat)[..., rows,
-    cols]`` on the lines of ``net``: returns the function from T trials'
-    line lists g, b (T x (M + N), ``netmodel.admittance_stack``) and flat
-    states (T x 4N) to their T x |rows| x |cols| rows. ``rows`` is an index
-    array over the 2N flow rows, or None for all of them with ``cols`` a
-    boolean mask over the 4N columns; else ``cols`` is an index array too.
+def flow_entries(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of every structural entry of the 2N x 4N flow Jacobian
+    on the line list of ``net``, in the block order ``flow_rows`` computes
+    them: the off-diagonal v and theta entries of P and of Q over both
+    directions of each line, the diagonal ones of each bus, then the
+    generation identities. No two entries share a position: a network has
+    no self-loop and no parallel line."""
+    n, d = net.n_bus, net.directions
+    k, l, bus = d.bus, d.other, np.arange(n)
+    return (np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
+                            bus, n + bus)),
+            np.concatenate((2 * n + l, 3 * n + l, 2 * n + l, 3 * n + l,
+                            2 * n + bus, 3 * n + bus, 2 * n + bus,
+                            3 * n + bus, bus, n + bus)))
 
-    The plan holds the line directions and the selected entries, so a call
-    costs O(T (N + M)) for the M lines: the off-diagonal entries over both
-    directions of each line, read from g and b per line, the diagonal ones
-    from per-bus sums of the same terms, and the generation identities.
-    The per-bus sums run in another order than the dense matmul, so
-    diagonal entries may differ from ``_jacobian`` in the last bits. The
-    entries come in one of three storages. By default they are scattered
-    into one zeroed array. With ``coo`` the function returns them as
-    triplets (r, q, values): the plan's row and column indices, sorted
-    row-major once per plan and shared by every trial, and the T x nnz
-    values of entry (r[e], q[e]). These are the plan's explicit entries,
-    zeros of either sign included, so the dense rows are ``out[:, r, q] =
-    values`` on zeros.
 
-    With ``band`` = (kl, ku), the selected m rows and m columns form a
-    square matrix with kl sub- and ku superdiagonals, and the plan writes
-    it straight into LAPACK band storage, T x m x (2 kl + ku + 1), entry
-    (r, q) at ``[q, kl + ku + r - q]`` (``_blas.band_solver``); the
-    function then takes a workspace ``out`` of that shape to refill."""
+def selected_entries(net: Network, rows: np.ndarray, cols: np.ndarray):
+    """The ``flow_entries`` of ``net`` inside the flow rows ``rows`` and
+    the state columns ``cols`` (index arrays): their indices and their
+    row and column positions in that selection."""
+    er, ec = flow_entries(net)
+    row_pos, col_pos = np.full(2 * net.n_bus, -1), np.full(4 * net.n_bus, -1)
+    row_pos[rows], col_pos[cols] = np.arange(rows.size), np.arange(cols.size)
+    r, q = row_pos[er], col_pos[ec]
+    kept = np.flatnonzero((r >= 0) & (q >= 0))
+    return kept, r[kept], q[kept]
+
+
+def flow_rows(net: Network, kept: np.ndarray, at: np.ndarray):
+    """Plan of the entries ``kept`` of ``flow_entries(net)``, placed by
+    ``at``: returns ``fill(g, b, flat, out)``, which takes T trials' line
+    lists g, b (T x (M + N), ``netmodel.admittance_stack``) and flat
+    states (T x 4N), writes entry ``kept[e]`` of trial t at
+    ``out.reshape(T, -1)[t, at[e]]`` of the C-contiguous ``out``, leaves
+    every other position as it is and returns ``out``.
+
+    A call costs O(T (N + M)) for the M lines: the off-diagonal entries
+    over both directions of each line, the diagonal ones from per-bus sums
+    of the same terms (in another order than the dense matmul, so they may
+    differ from ``_jacobian`` in the last bits), and the generation
+    identities."""
     n, m, d = net.n_bus, net.n_line, net.directions
     k, l, line = d[:3]
-    bus = np.arange(n)
-    at_row = np.concatenate((k, k, n + k, n + k, bus, bus, n + bus, n + bus,
-                             bus, n + bus))
-    at_col = np.concatenate((2 * n + l, 3 * n + l, 2 * n + l, 3 * n + l,
-                             2 * n + bus, 3 * n + bus, 2 * n + bus,
-                             3 * n + bus, bus, n + bus))
-
-    def positions(sel, size):
-        pos = np.full(size, -1)
-        picked = np.arange(size)[slice(None) if sel is None else sel]
-        pos[picked] = np.arange(picked.size)
-        return pos, picked.size
-
-    row_pos, n_rows = positions(rows, 2 * n)
-    col_pos, n_cols = positions(cols, 4 * n)
-    r, q = row_pos[at_row], col_pos[at_col]
-    kept = np.flatnonzero((r >= 0) & (q >= 0))
-    if coo:
-        # no two entries share a position: a network has no self-loop and
-        # no parallel line
-        kept = kept[np.argsort(r[kept] * n_cols + q[kept])]
-    r, q = r[kept], q[kept]
-    if band is None:
-        shape, at_out = (n_rows, n_cols), r * n_cols + q
-    else:
-        kl, ku = band
-        if n_rows != n_cols or (r - q).max(initial=0) > kl or (
-                q - r).max(initial=0) > ku:
-            raise ValueError(f"selected rows exceed the band {band}")
-        shape = (n_cols, 2 * kl + ku + 1)
-        at_out = q * shape[1] + kl + ku + r - q
-    # the kept entries of each block of values that jacobian_rows writes,
-    # and where each goes in the storage
-    dest = np.arange(kept.size) if coo else at_out
-    # all the function keeps; no ``net``, so a network caching it is no cycle
-    nnz, triplets = kept.size, (r, q) if coo else ()
+    # the kept entries of each block of values that fill writes, and where
+    # each goes; no ``net``, so a network caching the plan is no cycle
     edges = np.cumsum([0, *[2 * m] * 4, *[n] * 4, 2 * n])
     scatter = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         inside = (kept >= lo) & (kept < hi)
-        scatter.append((kept[inside] - lo, dest[inside]))
+        scatter.append((kept[inside] - lo, at[inside]))
 
     def line_terms(g, b, theta):
         # a_kl and c_kl of each direction; the temporaries end here
@@ -243,17 +223,9 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
         cos_t, sin_t = np.cos(t), np.sin(t)
         return g_kl * cos_t + b_kl * sin_t, g_kl * sin_t - b_kl * cos_t
 
-    def jacobian_rows(g: np.ndarray, b: np.ndarray, flat: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        trials = flat.shape[0]
-        if coo:
-            store = np.empty((trials, nnz))
-        else:
-            if out is None:
-                out = np.zeros((trials, *shape))
-            else:
-                out.fill(0.0)
-            store = out.reshape(trials, -1)
+    def fill(g: np.ndarray, b: np.ndarray, flat: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        store = out.reshape(flat.shape[0], -1)
 
         def put(block, values):
             # one block at a time: no array holds every entry twice
@@ -280,9 +252,9 @@ def flow_rows(net: Network, rows: np.ndarray | None, cols: np.ndarray,
         put(6, -(cv - v * bd))
         put(7, -(v * av - v**2 * gd))
         store[:, scatter[8][1]] = 1.0
-        return (*triplets, store) if coo else out
+        return out
 
-    return jacobian_rows
+    return fill
 
 
 def pf_residual(net: Network, x: SystemState) -> np.ndarray:
@@ -359,41 +331,39 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray,
 
 
 def _newton_system(net: Network):
-    """Rows and columns of the Newton matrix, and its band (kl, ku) when
-    the banded solve takes it, else None.
+    """Rows and columns of the Newton matrix, its band (kl, ku) when the
+    banded solve takes it, else None, and the ``flow_rows`` plan that
+    fills it.
 
     The unknowns are the free theta and v entries, each paired with the P
     or Q row of its bus. In ``Network.bus_order`` with each bus's theta
-    and v adjacent, a line (k, l) puts entries only where the unknowns of
-    k and l meet, so kl and ku come from the line list. A band of width
+    and v adjacent, kl and ku are the widest reach below and above the
+    diagonal of the entries where two unknowns meet. A band of width
     w = 2 kl + ku + 1 is solved banded when 2 w < m, the order of the
     matrix: on lattices from 7 x 7 up, where one ``dgbsv`` a trial takes
     28 us against 72 us a trial of the batched dense LU (1.1 ms against
-    38 ms on 24 x 24; one BLAS thread on 2 vCPUs). Otherwise, and where
-    numpy's BLAS has no ``dgbsv``, the rows and columns stay in blocks,
-    every theta and then every v, for the batched dense solve."""
+    38 ms on 24 x 24; one BLAS thread on 2 vCPUs), and the plan writes
+    LAPACK band storage, m x w, entry (r, q) at ``[q, kl + ku + r - q]``
+    (``_blas.band_solver``). Otherwise, and where numpy's BLAS has no
+    ``dgbsv``, the rows and columns stay in blocks, every theta and then
+    every v, and the plan writes the m x m matrix row-major for the
+    batched dense solve."""
     n = net.n_bus
-    mask = net.free_mask
-    order = net.bus_order
-    cols = np.stack((3 * n + order, 2 * n + order), axis=1).ravel()
-    cols = cols[mask[cols]]
-    pos = np.full(4 * n, cols.size)
-    pos[cols] = np.arange(cols.size)
-    at = pos[2 * n:].reshape(2, n)  # (v, theta) positions of each bus
-    low = at.min(axis=0)
-    high = np.where(at < cols.size, at, -1).max(axis=0)
-    ends = net.line_ends
-    k = np.concatenate((ends[:, 0], ends[:, 1], np.arange(n)))
-    l = np.concatenate((ends[:, 1], ends[:, 0], np.arange(n)))
-    meet = (high[k] >= 0) & (high[l] >= 0)
-    kl = int((high[k] - low[l])[meet].max(initial=0))
-    ku = int((high[l] - low[k])[meet].max(initial=0))
-    if 2 * (2 * kl + ku + 1) < cols.size and _blas.band_solver() is not None:
-        return np.where(cols >= 3 * n, cols - 3 * n, cols - n), cols, (kl, ku)
-    free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
-    rows = np.concatenate([np.flatnonzero(free_t), n + np.flatnonzero(free_v)])
-    return rows, np.concatenate([3 * n + np.flatnonzero(free_t),
-                                 2 * n + np.flatnonzero(free_v)]), None
+
+    def unknowns(order):
+        cols = order[net.free_mask[order]]
+        rows = np.where(cols >= 3 * n, cols - 3 * n, cols - n)
+        return (rows, cols, *selected_entries(net, rows, cols))
+
+    rows, cols, kept, r, q = unknowns(
+        np.stack((3 * n + net.bus_order, 2 * n + net.bus_order), 1).ravel())
+    kl, ku = int((r - q).max(initial=0)), int((q - r).max(initial=0))
+    width = 2 * kl + ku + 1
+    if 2 * width < cols.size and _blas.band_solver() is not None:
+        return rows, cols, (kl, ku), flow_rows(net, kept,
+                                               q * width + kl + ku + r - q)
+    rows, cols, kept, r, q = unknowns(np.r_[3 * n:4 * n, 2 * n:3 * n])
+    return rows, cols, None, flow_rows(net, kept, r * cols.size + q)
 
 
 # Error class and message of each failure kind of a newton_states trial.
@@ -470,19 +440,20 @@ def newton_states(
 
     The residual and each step's Newton matrix (``Network.newton_system``)
     are O(N + M) per trial from the line list; their iterates may differ
-    from those of the dense ``pf_jacobian`` in the last bits. Where the
-    band is narrow (``_newton_system``) the plan writes LAPACK band storage
-    into one workspace for the block and each trial's step is one
-    ``dgbsv``; otherwise one batched dense solve takes the block. Every
-    solve runs on one BLAS thread (``_blas.serial``), at every size."""
+    from those of the dense ``pf_jacobian`` in the last bits. The plan
+    refills one workspace for the block at every step: LAPACK band
+    storage where the band is narrow (``_newton_system``), each trial's
+    step one ``dgbsv``, else the dense matrices of one batched dense
+    solve. Every solve runs on one BLAS thread (``_blas.serial``), at
+    every size."""
     n = net.n_bus
     trials = g.shape[0]
     mask = net.free_mask
     free_v, free_t = mask[2 * n:3 * n], mask[3 * n:]
     rows, cols, band, newton_matrix = net.newton_system
-    # the block's one band storage, refilled at every step
-    work = None if band is None else np.empty(
-        (trials, cols.size, 2 * band[0] + band[1] + 1))
+    # the block's one Newton matrix storage, refilled at every step
+    work = np.empty((trials, cols.size, cols.size if band is None
+                     else 2 * band[0] + band[1] + 1))
 
     # every angle starts at the slack's; F sees only angle differences
     v = np.where(free_v, 1.0, net.v_setpoint)
@@ -526,8 +497,9 @@ def newton_states(
             keep(going)
             if not live.size:
                 break
-            jac = newton_matrix(*data[:2], x[live],
-                                None if work is None else work[:live.size])
+            jac = work[:live.size]
+            jac.fill(0.0)
+            newton_matrix(*data[:2], x[live], jac)
             with _blas.serial():
                 step, singular = _newton_steps(jac, rhs, band)
             ok = np.ones(live.size, dtype=bool)

@@ -395,6 +395,84 @@ def test_check_rejects_both_inputs(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_check_perturb_load_at_a_missing_bus_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--builtin", "ex1",
+                         "--perturb-load", "9:+0.1")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "bus 9 does not exist" in err
+
+
+def _ex1_document(rows, cost):
+    """ex1's network at alpha = 1 with these constraint rows and cost."""
+    return {"buses": [{"id": 0, "type": "slack", "p_load": 2.0},
+                      {"id": 1, "type": "pq", "p_load": -2.0}],
+            "lines": [{"from": 0, "to": 1, "g_series": 0.0,
+                       "b_series": -1.0}],
+            "generators": [{"bus": 1, "p": -1.0, "q": 1.0}],
+            "constraints": rows, "cost": cost}
+
+
+_EX1_COUPLING = {"kind": "linear_eq", "params": {
+    "terms": [{"var": "q", "bus": 1, "coef": 1.0},
+              {"var": "p", "bus": 1, "coef": -1.0}], "offset": 2.0}}
+_EX1_CAP = {"kind": "box_upper", "target": {"var": "v", "bus": 1},
+            "params": {"bound": 2.0 ** 0.5}}
+_EX1_COST = {"quadratic": [{"var": "p", "bus": 0, "coef": 1.0}],
+             "linear": [{"var": "p", "bus": 1, "coef": 1.0}]}
+
+
+@pytest.mark.parametrize("rows, cost, interval, sign_feasible", [
+    # a row given twice: the two are parallel, so the multipliers are a
+    # ray; with no inequality it is the whole line
+    ([_EX1_COUPLING] * 2, _EX1_COST, ["-inf", "inf"], True),
+    # the two caps' multipliers move in opposite directions along the
+    # ray: the cost pushing v up bounds it at both ends, the cost pushing
+    # v down leaves no zeta with both signs right
+    ([_EX1_CAP] * 2, {"linear": [{"var": "v", "bus": 1, "coef": -1.0}]},
+     [0.0, 1.4142135623730945], True),
+    ([_EX1_CAP] * 2, {"linear": [{"var": "v", "bus": 1, "coef": 1.0}]},
+     None, False),
+    # ex1 with a cap q_0 <= 0, active at its point: that cap's multiplier
+    # is fixed along ex1's ray, and a cost on q_0 fixes it at -1
+    ([_EX1_COUPLING, _EX1_CAP,
+      {"kind": "box_upper", "target": {"var": "q", "bus": 0},
+       "params": {"bound": 0.0}}],
+     {**_EX1_COST, "linear": [*_EX1_COST["linear"],
+                              {"var": "q", "bus": 0, "coef": 1.0}]},
+     None, False),
+], ids=["coupling-twice", "cap-twice-up", "cap-twice-down", "fixed-mu"])
+def test_check_reports_the_ends_of_its_ray(capsys, tmp_path, ex1, rows, cost,
+                                           interval, sign_feasible):
+    path, state = tmp_path / "case.json", tmp_path / "state.json"
+    path.write_text(json.dumps(_ex1_document(rows, cost)))
+    state.write_text(json.dumps(ex1.ground_truth.flat().tolist()))
+    code, out, _ = run(capsys, "check", "--case", str(path), "--state",
+                       str(state))
+    assert code == EXIT_LICQ_FAILS
+    kkt = json.loads(out)["kkt"]
+    assert kkt["classification"] == "RAY"
+    assert kkt["zeta_interval"] == interval
+    assert kkt["mu_sign_feasible"] is sign_feasible
+
+
+def test_sweep_whose_nominal_flow_fails_has_no_hypothesis(capsys, tmp_path):
+    # every power and admittance of the 8 x 8 shunt grid scaled by 1e5:
+    # the nominal solve stalls at its rounding floor, so the sweep states
+    # no rank hypothesis, and its trials still run
+    doc = bench_grid_document(8, 0, shunts=True)
+    keys = ("p_load", "q_load", "g_shunt", "b_shunt", "g_series", "b_series")
+    for entry in doc["buses"] + doc["lines"]:
+        entry.update({k: entry[k] * 1e5 for k in keys if k in entry})
+    path = tmp_path / "grid8e5.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "perturb", "--case", str(path), "--model",
+                       "shunt", "--trials", "5", "--seed", "0")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["hypothesis"] is None
+    assert payload["trials"] == 5
+
+
 def test_check_bad_perturb_spec(capsys):
     code, _, err = run(capsys, "check", "--builtin", "ex1",
                        "--perturb-load", "oops")

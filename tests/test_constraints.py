@@ -192,6 +192,15 @@ def test_flow_system_rejects_plain_vector(ex1):
             call(ex1.system, flat)
 
 
+def test_flow_system_rejects_a_state_of_another_network(ex1):
+    # a 3-bus state on ex1's 2-bus system: 12 entries, not 8
+    x = SystemState.from_flat(np.zeros(12))
+    for call in (evaluate, active_set, active_stack):
+        with pytest.raises(ConstraintError,
+                           match="state has 12 entries, system expects 8"):
+            call(ex1.system, x)
+
+
 def test_state_index_layout():
     assert state_index("p", 1, 2) == 1
     assert state_index("q", 0, 2) == 2

@@ -18,7 +18,8 @@ from opfdiag.cqkit import (Classification, CostSpec, CQReport, Stacks,
                            kkt_residual, kkt_solve, licq_check, licq_checks,
                            numerical_rank)
 from opfdiag.perturb import nearest_feasible_point, shift_load
-from opfdiag.powerflow import SystemState, flow_rows, solve_power_flow
+from opfdiag.powerflow import (SystemState, flow_rows, selected_entries,
+                               solve_power_flow)
 
 
 def _checked_null_space(cs, x, cost):
@@ -163,6 +164,28 @@ def test_kkt_ray_at_tangent_point(ex1):
     assert np.array_equal(kkt.particular[:4], kkt.kappa)
     assert np.array_equal(kkt.particular[4:5], kkt.lam)
     assert np.array_equal(kkt.particular[5:], kkt.mu)
+
+
+def test_negated_null_basis_gives_the_same_ray(ex1):
+    # the sign of the left null space is the SVD's choice: ex1's ray,
+    # bounded at one end, is the same vertex, direction and interval from
+    # either sign, one reached from its lower end and one from its upper
+    cs, x, cost = ex1.system, ex1.ground_truth, ex1.case.cost
+    a, _, face, flat, mask = active_stack(cs, x)
+    grad = cost.gradient(flat)[mask]
+    u, s, vt = np.linalg.svd(a)
+    rank = licq_check(cs, x).numerical_rank
+    y = u[:, :rank] @ (vt[:rank] @ -grad / s[:rank])
+    at = np.nonzero(a)
+    stack = Stacks(a.shape, *at, a[at])
+    plus, minus = (_multiplier_set(cs, face, stack, grad, y,
+                                   sign * u[:, rank:]) for sign in (1.0, -1.0))
+    for kkt in (plus, minus):
+        assert kkt.classification is Classification.RAY
+        assert kkt.mu_sign_feasible is True
+    assert plus.zeta_interval == minus.zeta_interval == (0.0, np.inf)
+    assert np.array_equal(plus.particular, minus.particular)
+    assert np.array_equal(plus.ray_direction, minus.ray_direction)
 
 
 def test_kkt_unique_after_interior_load_shift(ex1):
@@ -674,8 +697,11 @@ def _dense_stack(cs, x, face):
     """The active stack assembled dense: the flow rows scattered by
     ``flow_rows`` into a zeroed array, then every h and face g gradient."""
     flat, mask = x.flat(), cs.net.free_mask
-    flow = flow_rows(cs.net, None, mask)(*cs.net.admittances,
-                                         flat[None])[0]
+    free = np.flatnonzero(mask)
+    kept, r, q = selected_entries(cs.net, np.arange(2 * cs.net.n_bus), free)
+    flow = flow_rows(cs.net, kept, r * free.size + q)(
+        *cs.net.admittances, flat[None],
+        np.zeros((1, 2 * cs.net.n_bus, free.size)))[0]
     ops = (*constraint_specs(cs.h), *(constraint_specs(cs.g)[j] for j in face))
     return np.concatenate([flow, *(reference_gradient(op, flat)[mask][None]
                                    for op in ops)])

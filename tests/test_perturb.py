@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from opfdiag import cli, cqkit, powerflow
 from opfdiag.cases import example1
 from opfdiag.constraints import InfeasiblePointError
 from opfdiag.cqkit import licq_check, numerical_rank
-from opfdiag.netmodel import Case, state_index
+from opfdiag.netmodel import Case, Network, state_index
 from opfdiag.perturb import (ModelKind, PerturbationError, PerturbationModel,
                              TrialRecord, _draws, _generate_state,
                              _pcg64_seeded, _seed_pool, apply_parameters,
@@ -324,7 +325,7 @@ def test_sweep_block_holds_no_dense_admittances(lattice_document):
     model = shunt_model(case)
     flow = od.perturb._flow_of_draws(model, case)(
         od.perturb._draws(3, range(trials), model.box))
-    _, cols, band = powerflow._newton_system(net)
+    _, cols, band, _ = powerflow._newton_system(net)
     newton = cols.size * (cols.size if band is None
                           else 2 * band[0] + band[1] + 1)
     tracemalloc.start()
@@ -772,9 +773,10 @@ def test_a_network_plans_its_stack_rows_once(ex1, monkeypatch):
     # system read one plan of its flow rows; each shift of the probe is a
     # network of its own, with a plan of its own
     plans = []
-    real = powerflow.flow_rows
-    monkeypatch.setattr(powerflow, "flow_rows", lambda *a, **kw: (
-        kw.get("coo") and plans.append(a[0])) or real(*a, **kw))
+    real = Network.stack_plan.func
+    plan = cached_property(lambda net: plans.append(net) or real(net))
+    plan.__set_name__(Network, "stack_plan")
+    monkeypatch.setattr(Network, "stack_plan", plan)
     cs = od.system_for_case(shift_load(ex1.case, 1, 0.05))
     state, _ = nearest_feasible_point(cs, ex1.ground_truth)
     first, second = licq_check(cs, state), licq_check(cs, state)

@@ -21,11 +21,12 @@ from opfdiag.powerflow import (MAX_ITER, STALL_STEPS, DivergenceError,
                                SingularNewtonError, StalledNewtonError,
                                SystemState, _jacobian, flow_rows,
                                newton_states, pf_jacobian, pf_residual,
-                               solve_power_flow, state_from_list)
+                               selected_entries, solve_power_flow,
+                               state_from_list)
 
-from netgen import (constraint_rows, dense_admittances, dense_residual,
-                    injections, random_network, random_state, ring_network,
-                    trial_draw)
+from netgen import (bench_grid_document, constraint_rows, dense_admittances,
+                    dense_residual, injections, random_network, random_state,
+                    ring_network, trial_draw)
 
 
 def finite_difference_jacobian(net, x, step=1e-6):
@@ -555,24 +556,42 @@ def test_line_jacobian_matches_dense_rows(network):
         # trial 0: the fixture's own admittances at its ground truth
         g[0], b[0] = net.admittances[0][0], net.admittances[1][0]
         flats[0] = fix.ground_truth.flat()
-    mask = net.free_mask
     rows, cols = newton_selection(net)
     dense = _jacobian(*dense_admittances(net, g, b), flats)
-    for sel_rows, sel_cols, ref in (
-            (rows, cols, dense[..., rows[:, None], cols]),
-            (None, mask, dense.compress(mask, axis=-1))):
-        got = flow_rows(net, sel_rows, sel_cols)(g, b, flats)
+    # the Newton rows, then every flow row over the free columns
+    for sel_rows, sel_cols in (
+            (rows, cols),
+            (np.arange(2 * n_bus), np.flatnonzero(net.free_mask))):
+        ref = dense[..., sel_rows[:, None], sel_cols]
+        kept, r, q = selected_entries(net, sel_rows, sel_cols)
+        at = r * sel_cols.size + q
+        got = flow_rows(net, kept, at)(g, b, flats, np.zeros(ref.shape))
         assert got.shape == ref.shape
         assert np.isfinite(got).all()
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         # the same entries as row-major triplets: scattered on zeros they
         # are bitwise the dense storage
-        r, q, values = flow_rows(net, sel_rows, sel_cols, coo=True)(
-            g, b, flats)
+        by = np.argsort(at)
+        r, q, kept = r[by], q[by], kept[by]
+        values = flow_rows(net, kept, np.arange(by.size))(
+            g, b, flats, np.empty((trials, by.size)))
         assert (np.diff(r * got.shape[-1] + q) > 0).all()
         rebuilt = np.zeros(got.shape)
         rebuilt[:, r, q] = values
         assert rebuilt.tobytes() == got.tobytes()
+        if sel_rows is rows:
+            newton = got
+    # the network's own plans: none of these networks is banded, so its
+    # Newton plan is the dense one, and its stack plan the triplets
+    assert net.newton_system[2] is None
+    assert np.array_equal(net.newton_system[0], rows)
+    assert np.array_equal(net.newton_system[1], cols)
+    assert net.newton_system[3](
+        g, b, flats, np.zeros(newton.shape)).tobytes() == newton.tobytes()
+    plan_rows, plan_cols, fill = net.stack_plan
+    assert np.array_equal(plan_rows, r) and np.array_equal(plan_cols, q)
+    assert fill(g, b, flats, np.empty(values.shape)).tobytes() == \
+        values.tobytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -811,13 +830,79 @@ def test_banded_newton_matches_dense_reference(lattice_document, side,
         assert np.abs(sol.state.flat()[at] - ref.state.flat()).max() <= 1e-12
 
     # the band storage holds the dense Newton rows and nothing else
-    rows, cols, (kl, ku) = powerflow._newton_system(net)
+    rows, cols, (kl, ku), fill = powerflow._newton_system(net)
     x = sol.state.flat()[None]
-    ab = flow_rows(net, rows, cols, (kl, ku))(*net.admittances, x)
+    ab = fill(*net.admittances, x, np.zeros((1, cols.size, 2 * kl + ku + 1)))
     assert ab.shape == (1, cols.size, 2 * kl + ku + 1)
     ref = pf_jacobian(net, sol.state)[None, rows[:, None], cols]
     assert not ab[:, :, :kl].any()
     assert np.abs(from_band(ab, kl, ku) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_newton_fallback_on_a_lattice(monkeypatch, lattice_document):
+    # numpy without its wheel's OpenBLAS has no dgbsv: a lattice that is
+    # solved banded then takes the batched dense solve, to the same state
+    # and the same check
+    if _blas.band_solver() is None:
+        pytest.skip("numpy's BLAS has no dgbsv of its wheel's OpenBLAS")
+    doc = lattice_document(8, 8, 0)
+    reports = []
+    for solver in (_blas.band_solver, lambda: None):
+        monkeypatch.setattr(_blas, "band_solver", solver)
+        case = load_case(doc)  # a fresh network, planned with this solver
+        net, cs = case.network, system_for_case(case)
+        assert (net.newton_system[2] is None) is (solver() is None)
+        sol = solve_power_flow(net, case.gen_p, case.gen_q, pf_tol=cs.pf_tol)
+        reports.append((sol.state, licq_check(cs, sol.state, case.cost)))
+    (banded, got), (dense, want) = reports
+    assert np.abs(dense.flat() - banded.flat()).max() <= 1e-12
+    assert got.face == want.face and got.face
+    assert got.numerical_rank == want.numerical_rank
+    assert got.kkt.classification is want.kkt.classification
+
+
+def _band_networks(lattice_document):
+    nets = {f"lattice{side}": load_case(lattice_document(side, side, 0))
+            for side in range(2, 13)}
+    nets["grid8-shunts"] = load_case(bench_grid_document(8, 0, shunts=True))
+    nets["grid12"] = load_case(bench_grid_document(12, 0, shunts=False))
+    doc = lattice_document(9, 9, 0)
+    doc["lines"] = [ln for ln in doc["lines"]
+                    if 80 not in (ln["from"], ln["to"])]
+    with pytest.warns(UserWarning, match="not connected"):
+        nets["lattice9-cut"] = load_case(doc)
+    nets = {name: case.network for name, case in nets.items()}
+    nets.update({f"ring{n}": ring_network(n, 0) for n in (16, 64)})
+    nets.update({f"random{n}": random_network(n, np.random.default_rng(
+        [11, n])) for n in (3, 20, 70)})
+    return nets
+
+
+def test_newton_band_is_the_band_of_the_dense_jacobian(lattice_document):
+    # kl and ku read off the plan's entries are the reach below and above
+    # the diagonal of the dense Jacobian's nonzeros at a random state, in
+    # the Newton matrix's bus order; a network solved dense has a band too
+    # wide for the banded solve
+    rng = np.random.default_rng(29)
+    banded = 0
+    for name, net in _band_networks(lattice_document).items():
+        n, order = net.n_bus, net.bus_order
+        cols = np.stack((3 * n + order, 2 * n + order), axis=1).ravel()
+        cols = cols[net.free_mask[cols]]
+        rows = np.where(cols >= 3 * n, cols - 3 * n, cols - n)
+        jac = pf_jacobian(net, random_state(net, rng))[rows[:, None], cols]
+        r, q = np.nonzero(jac)
+        kl, ku = int((r - q).max(initial=0)), int((q - r).max(initial=0))
+        got_rows, got_cols, band, _ = powerflow._newton_system(net)
+        if band is None:
+            assert (2 * (2 * kl + ku + 1) >= cols.size
+                    or _blas.band_solver() is None), name
+            continue
+        banded += 1
+        assert band == (kl, ku), name
+        assert np.array_equal(got_rows, rows), name
+        assert np.array_equal(got_cols, cols), name
+    assert banded == (9 if _blas.band_solver() is not None else 0)
 
 
 def test_singular_trial_of_a_banded_block(monkeypatch, lattice_document):
